@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test quick race fuzz bench bench-quick bench-telemetry bench-evict bench-concurrent bench-wire bench-migrate bench-lease kv-bench kv-soak cover stress chaos verify
+.PHONY: build vet test quick race fuzz bench bench-quick bench-telemetry bench-evict bench-sync bench-concurrent bench-wire bench-migrate bench-lease kv-bench kv-soak cover stress chaos verify
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,14 @@ bench-quick:
 bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkFlushFanout|BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
+
+# Sync-contract guard (DESIGN.md §15): Sync is a write-back barrier, not
+# an invalidation. A Sync over a clean, resident working set must hand no
+# frame to the eviction handler, and the read pass after it must not
+# issue one remote fetch — the regression that cost kv-hot 0.43 refetches
+# per op.
+bench-sync:
+	$(GO) test -run 'TestSyncKeepsCleanWorkingSet' -count=1 -v ./internal/core
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths
@@ -125,4 +133,4 @@ bench-concurrent:
 cover:
 	$(GO) test -cover ./internal/... | sort
 
-verify: vet build test race stress chaos bench-quick bench-telemetry bench-evict bench-concurrent bench-wire bench-migrate bench-lease kv-bench kv-soak
+verify: vet build test race stress chaos bench-quick bench-telemetry bench-evict bench-sync bench-concurrent bench-wire bench-migrate bench-lease kv-bench kv-soak

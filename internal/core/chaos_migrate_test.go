@@ -41,11 +41,17 @@ func TestMigrateUnderLoadNoLostWrites(t *testing.T) {
 
 	// Interleave workload bursts with sweeps: every committed move seals
 	// the old extent while the runtime still holds the stale placement,
-	// so the next eviction bounces and must recover via refresh + remap.
+	// so the next ship bounces and must recover via refresh + remap. The
+	// bounce is driven, not hoped for: left to the 10%-Sync mix, a Sync
+	// (which refreshes placements first) usually beats the first ship, and
+	// about one seed in four never exercised the sealed-retain path.
 	moves := 0
 	for cycle := 0; cycle < 10; cycle++ {
 		w.run(400)
-		moves += eng.SweepOnce()
+		if n := eng.SweepOnce(); n > 0 {
+			moves += n
+			w.runUntilShip()
+		}
 	}
 	if moves == 0 {
 		t.Fatalf("migration engine never moved a slab under load")

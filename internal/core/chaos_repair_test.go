@@ -78,14 +78,38 @@ func newChaosWorkload(t *testing.T, k *Kona, ctrl *cluster.Controller, seed int6
 	}
 }
 
-func (w *chaosWorkload) run(steps int) {
+func (w *chaosWorkload) run(steps int) { w.drive(steps, true) }
+
+// runUntilShip drives the workload with no Syncs until the evictor
+// attempts a log ship — a threshold flush or a write-before-read flush,
+// landed or bounced off a seal. A Sync refreshes placements before it
+// ships, so only a Sync-free stretch makes a ship meet a stale placement.
+func (w *chaosWorkload) runUntilShip() {
+	w.t.Helper()
+	attempts := func() uint64 { return w.k.EvictStats().Flushes + w.k.FailureStats().SealedRetains }
+	before := attempts()
+	for i := 0; attempts() == before; i++ {
+		if i == 500 {
+			w.t.Fatalf("no log ship attempted in %d Sync-free steps", 8*i)
+		}
+		w.drive(8, false)
+	}
+}
+
+// drive runs steps random operations; with syncs off, the Sync slot of
+// the mix becomes a read.
+func (w *chaosWorkload) drive(steps int, syncs bool) {
 	w.t.Helper()
 	regionBytes := uint64(len(w.mirror))
 	var err error
 	for i := 0; i < steps; i++ {
 		off := uint64(w.rng.Int63n(int64(regionBytes - 512)))
 		size := 1 + w.rng.Intn(511)
-		switch w.rng.Intn(10) {
+		op := w.rng.Intn(10)
+		if op == 0 && !syncs {
+			op = 9
+		}
+		switch op {
 		case 0:
 			if w.now, err = w.k.Sync(w.now); err != nil {
 				w.t.Fatalf("step %d: sync: %v", i, err)

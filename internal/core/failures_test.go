@@ -41,12 +41,7 @@ func TestReplicationSurvivesPrimaryFailure(t *testing.T) {
 	primary.Fail()
 
 	// Drop the cached copy and read again: served by the replica.
-	k.fpga.FlushAll(0)
-	if _, err := k.Sync(0); err == nil {
-		// Sync may fail if the log had pending entries for the failed
-		// primary; a fresh read is the real assertion below.
-		_ = err
-	}
+	coldCache(k)
 	buf := make([]byte, 256)
 	if _, err := k.Read(0, addr+4096, buf); err != nil {
 		t.Fatalf("read after primary failure: %v", err)
@@ -68,7 +63,7 @@ func TestUnreplicatedFailureIsAnError(t *testing.T) {
 	}
 	n, _ := ctrl.Node(0)
 	n.Fail()
-	k.fpga.FlushAll(0)
+	coldCache(k)
 	if _, err := k.Read(0, addr, make([]byte, 8)); err == nil {
 		t.Fatalf("read from failed unreplicated node succeeded")
 	}
@@ -198,10 +193,7 @@ func TestOutageRecoveryRetry(t *testing.T) {
 	if _, err := k.Sync(0); err != nil {
 		t.Fatal(err)
 	}
-	k.fpga.FlushAll(0)
-	if _, err := k.Sync(0); err != nil {
-		t.Fatal(err)
-	}
+	coldCache(k)
 
 	node, _ := ctrl.Node(0)
 	node.Fail()

@@ -22,6 +22,9 @@ type coreMetrics struct {
 	evictions      *telemetry.Counter
 	dirtyEvictions *telemetry.Counter
 	syncs          *telemetry.Counter
+	// syncFlushed/syncRetained describe the latest Sync: dirty pages it
+	// pushed through the eviction path and clean pages it left in FMem.
+	syncFlushed, syncRetained *telemetry.Counter
 	// backpressureStalls/backpressureDelay count writes delayed by
 	// admission control and the total virtual time charged (DESIGN.md
 	// §13).
@@ -38,6 +41,8 @@ func newCoreMetrics(reg *telemetry.Registry) coreMetrics {
 		evictions:          reg.Counter("core.evictions"),
 		dirtyEvictions:     reg.Counter("core.dirty_evictions"),
 		syncs:              reg.Counter("core.syncs"),
+		syncFlushed:        reg.Counter("core.sync.flushed_pages"),
+		syncRetained:       reg.Counter("core.sync.retained_pages"),
 		backpressureStalls: reg.Counter("core.backpressure.stalls"),
 		backpressureDelay:  reg.Counter("core.backpressure.delay_ns"),
 		lineFills:          reg.Counter("core.fpga.line_fills"),
@@ -289,12 +294,18 @@ func (k *Kona) RefreshPlacements() (bool, error) {
 	return changed, err
 }
 
-// Sync flushes every cached page through the eviction path and drains the
-// cache-line log, making remote memory fully current. It returns the drain
-// completion time. With replication enabled, entries destined for a dead
-// replica are retained rather than drained (§4.5) — a repair flip moves
-// them to the replacement node — so Sync succeeds while an outage is
-// in progress; unreplicated outages surface as errors.
+// Sync is the write-back barrier: every page with a dirty line goes
+// through the eviction path and the cache-line log is drained, so when it
+// returns without error every write issued before the call is in remote
+// memory (on every live replica). It returns the drain completion time.
+// Sync is not an invalidation: clean pages stay cached exactly as they
+// were, and only the pages it flushed leave FMem (their next read comes
+// from remote memory). FMem drops a clean page for capacity or when
+// ownership of a shared group changes (share.go), never for durability.
+// With replication enabled, entries destined for a dead replica are
+// retained rather than drained (§4.5) — a repair flip moves them to the
+// replacement node — so Sync succeeds while an outage is in progress;
+// unreplicated outages surface as errors.
 func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 	// Report the per-destination ship-pending backlog into the
 	// controller's load map before draining it: the controller folds this
@@ -318,10 +329,13 @@ func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 			}
 		}
 	}
-	k.fpga.FlushAll(now)
+	flushed, retained := k.fpga.FlushDirty(now)
 	done, err := k.evict.Flush(now)
 	if err == nil {
 		err = k.takeEvictErr()
+	}
+	if cluster.IsLeaseFencedErr(err) {
+		k.dropWriterGroups()
 	}
 	if err == nil {
 		// The flush reached remote memory; bump the publish version on
@@ -330,6 +344,8 @@ func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 		err = k.publishShared()
 	}
 	k.m.syncs.Inc()
+	k.m.syncFlushed.Store(uint64(flushed))
+	k.m.syncRetained.Store(uint64(retained))
 	k.PublishTelemetry()
 	return done, err
 }

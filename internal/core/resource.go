@@ -443,15 +443,16 @@ func (rm *resourceManager) groupFor(addr mem.Addr) (Slab, bool) {
 	return s, ok
 }
 
-// attachedGroup reports whether group is a reader-mode attachment and
-// returns its primary slab.
-func (rm *resourceManager) attachedGroup(group uint64) (Slab, bool) {
+// groupSlab returns the primary slab of a mapped placement group — one
+// of this runtime's own or a reader-mode attachment.
+func (rm *resourceManager) groupSlab(group uint64) (Slab, bool) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	if _, ok := rm.attached[group]; !ok {
+	members := rm.replicas[group]
+	if len(members) == 0 {
 		return Slab{}, false
 	}
-	return rm.replicas[group][0], true
+	return members[0], true
 }
 
 // attachedGroupFor resolves addr to a reader-mode attachment, if any.

@@ -7,6 +7,7 @@ import (
 
 	"kona/internal/cluster"
 	"kona/internal/mem"
+	"kona/internal/simclock"
 )
 
 // Cross-runtime shared memory (DESIGN.md §14). A placement group can be
@@ -72,15 +73,48 @@ func (k *Kona) ShareWriter(addr mem.Addr) (uint64, error) {
 
 // ReleaseWriter gives up the writer lease on a shared group, clearing
 // the memnode fences so a successor can take over without waiting out
-// the TTL.
-func (k *Kona) ReleaseWriter(group uint64) error {
+// the TTL. Handing the group over is an ownership change, so the
+// ex-writer first writes back (Sync, while its lease still covers the
+// ship) and then drops the group's cached pages: a clean copy kept past
+// the release goes stale at the successor's first flush, and nothing
+// would ever invalidate it. On a write-back error the lease stays held.
+func (k *Kona) ReleaseWriter(now simclock.Duration, group uint64) (simclock.Duration, error) {
+	k.shareMu.Lock()
+	_, held := k.writerGroups[group]
+	k.shareMu.Unlock()
+	if !held {
+		return now, fmt.Errorf("core: writer lease for group %d not held", group)
+	}
+	// Sync publishes under shareMu, so it runs with the lock dropped.
+	now, err := k.Sync(now)
+	if err != nil {
+		return now, err
+	}
 	k.shareMu.Lock()
 	defer k.shareMu.Unlock()
-	if _, held := k.writerGroups[group]; !held {
-		return fmt.Errorf("core: writer lease for group %d not held", group)
-	}
 	delete(k.writerGroups, group)
-	return k.rm.rack.releaseLease(group, k.runtimeID)
+	k.dropGroup(group)
+	return now, k.rm.rack.releaseLease(group, k.runtimeID)
+}
+
+// dropGroup invalidates every cached page of a mapped placement group.
+func (k *Kona) dropGroup(group uint64) {
+	if s, ok := k.rm.groupSlab(group); ok {
+		k.fpga.DropRange(s.Base, s.Size)
+	}
+}
+
+// dropWriterGroups invalidates the cached pages of every writer-leased
+// group. Sync calls it when a ship comes back lease-fenced: a successor
+// took a group over, and the zombie must not go on serving its
+// pre-takeover copy from FMem. The rejection does not say which group,
+// so all of them refetch.
+func (k *Kona) dropWriterGroups() {
+	k.shareMu.Lock()
+	defer k.shareMu.Unlock()
+	for group := range k.writerGroups {
+		k.dropGroup(group)
+	}
 }
 
 // AttachReader maps another runtime's placement group into this runtime

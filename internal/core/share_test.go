@@ -105,7 +105,7 @@ func TestSharedRegionWriterPublishesReaderObserves(t *testing.T) {
 		t.Fatalf("reader write: got %v, want lease conflict", err)
 	}
 	// ...and upgrade in place once it is released.
-	if err := w.ReleaseWriter(group); err != nil {
+	if wnow, err = w.ReleaseWriter(wnow, group); err != nil {
 		t.Fatal(err)
 	}
 	verC := bytes.Repeat([]byte{0xC3}, 64)
@@ -117,7 +117,7 @@ func TestSharedRegionWriterPublishesReaderObserves(t *testing.T) {
 	if _, err := w.ShareWriter(addr); !cluster.IsLeaseConflictErr(err) {
 		t.Fatalf("re-share after handover: got %v, want lease conflict", err)
 	}
-	if err := r.ReleaseWriter(group); err != nil {
+	if rnow, err = r.ReleaseWriter(rnow, group); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,11 +185,13 @@ func TestSharedZombieWriterFencedOnFlush(t *testing.T) {
 	var wnow, rnow simDurT
 	defer r.Close(rnow)
 
-	addr, err := w.Malloc(4096)
+	addr, err := w.Malloc(2 * mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
+	page2 := addr + mem.PageSize
 	wnow = mustWrite(t, w, wnow, addr, bytes.Repeat([]byte{0xAA}, 64))
+	wnow = mustWrite(t, w, wnow, page2, bytes.Repeat([]byte{0xAA}, 64))
 	group, err := w.ShareWriter(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +199,8 @@ func TestSharedZombieWriterFencedOnFlush(t *testing.T) {
 	if wnow, err = w.Sync(wnow); err != nil {
 		t.Fatal(err)
 	}
+	// The writer keeps a clean copy of the second page in FMem.
+	wnow, _ = mustRead(t, w, wnow, page2, 64)
 	if _, _, err := r.AttachReader(group); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +208,9 @@ func TestSharedZombieWriterFencedOnFlush(t *testing.T) {
 	// The writer's lease lapses; the reader upgrades (takeover) and the
 	// memnode fences flip to its runtime id.
 	now = now.Add(2 * time.Second)
-	rnow = mustWrite(t, r, rnow, addr, bytes.Repeat([]byte{0xBB}, 64))
+	verB := bytes.Repeat([]byte{0xBB}, 64)
+	rnow = mustWrite(t, r, rnow, addr, verB)
+	rnow = mustWrite(t, r, rnow, page2, verB)
 	if rnow, err = r.Sync(rnow); err != nil {
 		t.Fatalf("successor sync: %v", err)
 	}
@@ -218,5 +224,71 @@ func TestSharedZombieWriterFencedOnFlush(t *testing.T) {
 	}
 	if fs := w.FailureStats(); fs.LeaseFencedShips == 0 {
 		t.Fatal("fenced ship not counted in FailureStats")
+	}
+	// Being fenced is how the zombie learns the group changed hands: its
+	// cached pre-takeover pages drop, so it reads the successor's bytes.
+	if _, got := mustRead(t, w, wnow, page2, 64); !bytes.Equal(got, verB) {
+		t.Fatalf("fenced zombie served %x from its pre-takeover copy, want %x", got[:4], verB[:4])
+	}
+}
+
+// TestSharedReleaseWriterDropsCachedPages: Sync keeps clean pages, so a
+// writer that hands its group over must itself invalidate what it cached
+// — nothing later would. A writes, Syncs and reads (clean, resident) and
+// releases; B upgrades, overwrites and Syncs; A then reads B's bytes.
+// The release also writes back: a line A never Synced reaches B.
+func TestSharedReleaseWriterDropsCachedPages(t *testing.T) {
+	ctrl := newCluster(1)
+	a := NewKona(smallConfig(), ctrl)
+	b := NewKona(smallConfig(), ctrl)
+	var anow, bnow simDurT
+	defer a.Close(anow)
+	defer b.Close(bnow)
+
+	addr, err := a.Malloc(2 * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page2 := addr + mem.PageSize
+	verA := bytes.Repeat([]byte{0xA1}, 64)
+	anow = mustWrite(t, a, anow, addr, verA)
+	group, err := a.ShareWriter(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if anow, err = a.Sync(anow); err != nil {
+		t.Fatal(err)
+	}
+	anow, _ = mustRead(t, a, anow, addr, 64)
+	if !a.fpga.Resident(addr) {
+		t.Fatal("setup: A's page not resident after Sync + read")
+	}
+	if _, _, err := b.AttachReader(group); err != nil {
+		t.Fatal(err)
+	}
+
+	unsynced := bytes.Repeat([]byte{0xA2}, 64)
+	anow = mustWrite(t, a, anow, page2, unsynced)
+	if anow, err = a.ReleaseWriter(anow, group); err != nil {
+		t.Fatal(err)
+	}
+	if a.fpga.Resident(addr) || a.fpga.Resident(page2) {
+		t.Error("ex-writer still caches the released group")
+	}
+	var got []byte
+	if bnow, got = mustRead(t, b, bnow, page2, 64); !bytes.Equal(got, unsynced) {
+		t.Fatalf("successor read %x, want the line written back at release %x", got[:4], unsynced[:4])
+	}
+
+	verB := bytes.Repeat([]byte{0xB2}, 64)
+	bnow = mustWrite(t, b, bnow, addr, verB) // upgrades B to writer
+	if bnow, err = b.Sync(bnow); err != nil {
+		t.Fatal(err)
+	}
+	if _, got = mustRead(t, a, anow, addr, 64); !bytes.Equal(got, verB) {
+		t.Fatalf("ex-writer read %x after handover, want the successor's %x", got[:4], verB[:4])
+	}
+	if bnow, err = b.ReleaseWriter(bnow, group); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -149,6 +149,10 @@ func TestTelemetryEndToEndTCP(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("core.fetches %d", fetches),
 		fmt.Sprintf("core.evict.lines_shipped %d", es.LinesShipped),
+		// The closing Sync found only clean pages (the read pass evicted
+		// every dirty one) and kept them all.
+		"core.sync.flushed_pages 0",
+		fmt.Sprintf("core.sync.retained_pages %d", k.fpga.Occupancy()),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics text missing %q", want)

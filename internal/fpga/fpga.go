@@ -24,7 +24,7 @@
 // Concurrency: FMem state is lock-striped into power-of-two shards, each
 // owning the sets whose index maps to it (DESIGN.md §9). Every per-page
 // operation takes exactly one shard lock; cross-shard work (prefetch
-// issue, multi-page batch fills, FlushAll) takes shard locks one at a
+// issue, multi-page batch fills, FlushDirty) takes shard locks one at a
 // time, never two at once, so no lock cycle exists. A shard's epoch
 // counter advances on every install/evict, letting optimistic multi-page
 // collectors detect a frame torn out between their residency scan and
@@ -936,21 +936,35 @@ func (f *FPGA) FlushPage(now simclock.Duration, addr mem.Addr) bool {
 	return true
 }
 
-// FlushAll evicts every resident page, walking the sets in index order
+// FlushDirty is the write-back barrier behind Sync: it evicts every
+// resident page that has a dirty line, walking the sets in index order
 // (one shard lock at a time) so the eviction sequence matches the serial
-// runtime's.
-func (f *FPGA) FlushAll(now simclock.Duration) {
+// runtime's. Clean pages are not touched at all — data, filled bitmap,
+// LRU position and prefetched flag stay as they are and their shard's
+// epoch does not move — because remote memory already holds their bytes;
+// FMem gives a clean page up only for capacity or an explicit
+// invalidation (DropRange). Returns the pages flushed and the clean
+// pages left resident.
+func (f *FPGA) FlushDirty(now simclock.Duration) (flushed, retained int) {
 	for si := uint64(0); si < f.nsets; si++ {
 		sh := &f.shards[si&f.shardMask]
 		sh.mu.Lock()
 		set := f.sets[si]
 		for wi := range set {
-			if set[wi].valid {
-				f.evictFrameLocked(sh, now, &set[wi])
+			fr := &set[wi]
+			if !fr.valid {
+				continue
 			}
+			if !fr.dirty.Any() {
+				retained++
+				continue
+			}
+			f.evictFrameLocked(sh, now, fr)
+			flushed++
 		}
 		sh.mu.Unlock()
 	}
+	return flushed, retained
 }
 
 // DropRange invalidates every resident page whose base lies in
@@ -959,7 +973,7 @@ func (f *FPGA) FlushAll(now simclock.Duration) {
 // remote memory. This is the reader-side invalidation shootdown for
 // cross-runtime shared regions (DESIGN.md §14) — a reader holds no
 // writer lease, so its frames carry no writes worth shipping. Walks one
-// shard lock at a time, like FlushAll. Returns the frames dropped.
+// shard lock at a time, like FlushDirty. Returns the frames dropped.
 func (f *FPGA) DropRange(base mem.Addr, size uint64) int {
 	end := base + mem.Addr(size)
 	dropped := 0

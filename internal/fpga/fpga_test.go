@@ -3,6 +3,7 @@ package fpga
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"kona/internal/coherence"
@@ -71,6 +72,17 @@ func newRig(t *testing.T, fmemPages int, prefetch bool) *testRig {
 		return 0
 	})
 	return rig
+}
+
+// rebuild replaces the rig's FPGA with one of the given geometry on the
+// same translator, recording victims like newRig does.
+func (rig *testRig) rebuild(cfg Config) *FPGA {
+	rig.victims = nil
+	rig.fpga = New(cfg, rig.fpga.translate, func(now simclock.Duration, v Victim) simclock.Duration {
+		rig.victims = append(rig.victims, Victim{Base: v.Base, Data: append([]byte(nil), v.Data...), Dirty: v.Dirty})
+		return 0
+	})
+	return rig.fpga
 }
 
 func TestLineFillFetchesOnceThenHits(t *testing.T) {
@@ -211,12 +223,16 @@ func TestFlush(t *testing.T) {
 	if f.FlushPage(0, rigBase) {
 		t.Fatalf("FlushPage hit non-resident page")
 	}
-	f.FlushAll(0)
-	if f.Occupancy() != 0 {
-		t.Errorf("occupancy after FlushAll = %d", f.Occupancy())
+	// The remaining page is clean: a write-back barrier has nothing to do
+	// with it, and an explicit invalidation drops it without a victim.
+	if flushed, retained := f.FlushDirty(0); flushed != 0 || retained != 1 {
+		t.Errorf("FlushDirty = (%d flushed, %d retained), want (0, 1)", flushed, retained)
 	}
-	if len(rig.victims) != 2 {
-		t.Errorf("victims = %d, want 2", len(rig.victims))
+	if n := f.DropRange(0, math.MaxUint64); n != 1 || f.Occupancy() != 0 {
+		t.Errorf("DropRange dropped %d, occupancy %d; want 1, 0", n, f.Occupancy())
+	}
+	if len(rig.victims) != 1 {
+		t.Errorf("victims = %d, want 1", len(rig.victims))
 	}
 }
 

@@ -31,11 +31,7 @@ func newRigDepth(t *testing.T, fmemPages, depth int) *testRig {
 	t.Helper()
 	rig := newRig(t, fmemPages, true)
 	// Rebuild the FPGA with stride prefetching on the same translator.
-	cfg := Config{FMemSize: uint64(fmemPages) * mem.PageSize, Assoc: 4, Prefetch: true, PrefetchDepth: depth}
-	rig.fpga = New(cfg, rig.fpga.translate, func(now simDur, v Victim) simDur {
-		rig.victims = append(rig.victims, Victim{Base: v.Base, Data: append([]byte(nil), v.Data...), Dirty: v.Dirty})
-		return 0
-	})
+	rig.rebuild(Config{FMemSize: uint64(fmemPages) * mem.PageSize, Assoc: 4, Prefetch: true, PrefetchDepth: depth})
 	return rig
 }
 

@@ -12,7 +12,13 @@
 //	addr, _ := rt.Malloc(1 << 20)
 //	t, _ := rt.Write(0, addr, []byte("hello remote memory"))
 //	t, _ = rt.Read(t, addr, buf)
-//	rt.Sync(t) // drain the cache-line log to the memory nodes
+//	rt.Sync(t) // write dirty lines back; remote memory is current on return
+//
+// Sync is a write-back barrier, not an invalidation: when it returns
+// without error every earlier write is in remote memory (on every live
+// replica). Pages it flushed leave the FMem cache; clean pages stay
+// cached, so a working set that fits keeps hitting across Syncs
+// (DESIGN.md §15).
 //
 // Time is virtual: every operation takes and returns a simulated timestamp
 // (kona.Time), advancing under the calibrated cost model described in
