@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test quick race fuzz bench bench-quick bench-telemetry bench-evict bench-sync bench-concurrent bench-wire bench-migrate bench-lease kv-bench kv-soak cover stress chaos verify
+.PHONY: build vet test quick race fuzz bench-quick bench-telemetry bench-evict bench-sync bench-concurrent bench-wire bench-migrate bench-lease kv-bench kv-soak cover stress chaos verify
 
 build:
 	$(GO) build ./...
@@ -30,10 +30,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=15s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRequestRoundTrip -fuzztime=15s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzResponseRoundTrip -fuzztime=15s ./internal/cluster
-
-# Pooled persistent connections vs the per-request-dial baseline.
-bench:
-	$(GO) test -run='^$$' -bench='BenchmarkTCPRead' -benchmem ./internal/cluster
 
 # Full quick artifact sweep through the parallel experiment engine under
 # the race detector: exercises the worker pools, the single-flight trace
@@ -112,13 +108,16 @@ KONA_KV_SOAK ?= 30s
 kv-soak:
 	KONA_KV_SOAK=$(KONA_KV_SOAK) $(GO) test -race -run 'TestKVSoak' -count=1 -v ./internal/kv
 
-# Zero-copy wire-path guard (DESIGN.md §11): the evict ship and fetch
-# fill must move payloads with zero staged bytes (copiedB/op must print
-# 0 for WriteLogVec, and the guard test fails if a copy creeps back into
-# the write-log or *Into paths). -benchmem shows allocs/op; the gob-era
-# baseline was ~483 allocs and 3x-staged payloads per pooled read.
+# Wire-path guard (DESIGN.md §11), counted, never timed: a payload is
+# sent with no copy and received with at most one (out of the connection
+# buffer its frame arrived in; a large log's tail lands in the log
+# region directly), and one pooled 4 KB page fetch is one read and one
+# write per end, three deadline calls in all and zero allocations, with
+# frames decoding the same however the stream is cut. -benchmem shows
+# allocs/op; the gob-era baseline was ~483 allocs and 3x-staged payloads
+# per pooled read.
 bench-wire:
-	$(GO) test -run='TestWireEvictPathZeroCopies' -count=1 ./internal/cluster
+	$(GO) test -run='TestWireEvictPathZeroCopies|TestPageFetchPathLength|TestLargeWriteLogBypassesBuffer|TestFrameDecodeAcrossPartialReads' -count=1 ./internal/cluster
 	$(GO) test -run='^$$' -bench='BenchmarkWire' -benchmem -benchtime=100x ./internal/cluster
 
 # Read-hit scaling at 1/2/4/8 application goroutines (DESIGN.md §9).

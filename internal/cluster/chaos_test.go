@@ -60,7 +60,7 @@ func TestServeKeepsConnectionOpen(t *testing.T) {
 			t.Fatalf("request %d: write: %v", i, err)
 		}
 		var resp Response
-		if _, err := readResponseFrame(conn, &resp, nil); err != nil {
+		if err := recvResponse(conn, &resp); err != nil {
 			t.Fatalf("request %d: read: %v (server closed the conn?)", i, err)
 		}
 		if resp.Err != "" {
@@ -152,11 +152,11 @@ func TestAllocSlabDedup(t *testing.T) {
 	defer cs.Close()
 
 	req := &Request{Kind: msgAllocSlab, Size: 1 << 20, ID: nextReqID()}
-	first, err := roundTrip(cs.Addr(), req)
+	first, err := roundTripOnce(cs.Addr(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := roundTrip(cs.Addr(), req)
+	second, err := roundTripOnce(cs.Addr(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,47 +285,5 @@ func TestClientClose(t *testing.T) {
 	}
 	if err := cc.Ping(); err == nil {
 		t.Fatal("ping on closed client succeeded")
-	}
-}
-
-// benchRig starts a plain memory-node server with one page of data.
-func benchRig(b *testing.B) (*MemoryNodeServer, uint64) {
-	b.Helper()
-	node := NewMemoryNode(0, 1<<20)
-	ns, err := ServeMemoryNode(node, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { ns.Close() })
-	copy(node.PoolBytes(), bytes.Repeat([]byte{0x5A}, 4096))
-	return ns, 0
-}
-
-// BenchmarkTCPReadPooled measures MemoryNodeClient.Read over the pooled
-// persistent transport.
-func BenchmarkTCPReadPooled(b *testing.B) {
-	ns, off := benchRig(b)
-	mc := DialMemoryNode(ns.Addr())
-	defer mc.Close()
-	if _, err := mc.Read(off, 4096); err != nil { // warm the pool
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Read(off, 4096); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTCPReadDialPerRequest is the pre-pooling baseline: one fresh
-// TCP connection per request.
-func BenchmarkTCPReadDialPerRequest(b *testing.B) {
-	ns, off := benchRig(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := roundTrip(ns.Addr(), &Request{Kind: msgRead, Offset: off, Length: 4096}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

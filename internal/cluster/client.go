@@ -162,7 +162,7 @@ func (c *ControllerClient) AcquireLease(group, runtime uint64, mode int, ttl tim
 	if err != nil {
 		return LeaseGrant{}, err
 	}
-	return decodeLeaseGrant(resp)
+	return decodeLeaseGrant(&resp)
 }
 
 // RenewLease extends an existing lease; a reader renew's returned Version
@@ -174,7 +174,7 @@ func (c *ControllerClient) RenewLease(group, runtime uint64, mode int, ttl time.
 	if err != nil {
 		return LeaseGrant{}, err
 	}
-	return decodeLeaseGrant(resp)
+	return decodeLeaseGrant(&resp)
 }
 
 // ReleaseLease drops every lease the runtime holds on the group.
@@ -190,7 +190,7 @@ func (c *ControllerClient) PublishLease(group, runtime uint64) (LeaseGrant, erro
 	if err != nil {
 		return LeaseGrant{}, err
 	}
-	return decodeLeaseGrant(resp)
+	return decodeLeaseGrant(&resp)
 }
 
 // MemoryNodeClient talks to a remote memory-node daemon over pooled
@@ -398,10 +398,12 @@ func (c *MemoryNodeClient) Unseal(off, size uint64) error {
 
 // LeaseFence restricts writes to [off, off+size) to the runtime holding
 // the writer lease; holder 0 clears the fence. The controller pushes
-// these when a group's writer changes.
-func (c *MemoryNodeClient) LeaseFence(off, size, holder uint64) error {
+// these when a group's writer changes, over one client per daemon
+// address shared by members that may name different incarnations of it —
+// so the incarnation stamp is the caller's, not SetEpoch's.
+func (c *MemoryNodeClient) LeaseFence(epoch, off, size, holder uint64) error {
 	_, err := c.pool.roundTrip(&Request{
-		Kind: msgLeaseFence, Offset: off, Size: size, Runtime: holder, Epoch: c.epoch.Load(),
+		Kind: msgLeaseFence, Offset: off, Size: size, Runtime: holder, Epoch: epoch,
 	})
 	return err
 }

@@ -56,9 +56,9 @@ const (
 	kindResponse byte = 0x80
 )
 
-// kindBytes maps the in-process kind tags onto wire bytes, and kindNames
-// back. The string tags stay the package's internal currency (telemetry
-// counter names, retryable(), dispatch) — only the wire sees bytes.
+// kindBytes maps the in-process kind tags onto wire bytes. The string
+// tags stay the package's internal currency (telemetry counter names,
+// retryable(), dispatch) — only the wire sees bytes.
 var kindBytes = map[string]byte{
 	msgRegisterNode:    kindRegisterNode,
 	msgAllocSlab:       kindAllocSlab,
@@ -84,30 +84,14 @@ var kindBytes = map[string]byte{
 	msgLeaseFence:      kindLeaseFence,
 }
 
-var kindNames = map[byte]string{
-	kindRegisterNode:    msgRegisterNode,
-	kindAllocSlab:       msgAllocSlab,
-	kindNodeAddr:        msgNodeAddr,
-	kindRead:            msgRead,
-	kindReadPages:       msgReadPages,
-	kindWrite:           msgWrite,
-	kindWriteLog:        msgWriteLog,
-	kindReleaseSlab:     msgReleaseSlab,
-	kindPing:            msgPing,
-	kindSlabPlacements:  msgSlabPlacements,
-	kindReportFailure:   msgReportFailure,
-	kindReportLoad:      msgReportLoad,
-	kindCaptureStart:    msgCaptureStart,
-	kindCaptureDrain:    msgCaptureDrain,
-	kindCaptureStop:     msgCaptureStop,
-	kindSealExtent:      msgSealExtent,
-	kindUnsealExtent:    msgUnsealExtent,
-	kindLeaseAcquire:    msgLeaseAcquire,
-	kindLeaseRenew:      msgLeaseRenew,
-	kindLeaseRelease:    msgLeaseRelease,
-	kindLeaseInvalidate: msgLeaseInvalidate,
-	kindLeaseFence:      msgLeaseFence,
-}
+// kindNames is kindBytes inverted; wire kinds are small and dense, so
+// the server's per-request lookup is an array index.
+var kindNames = func() (names [kindLeaseFence + 1]string) {
+	for name, b := range kindBytes {
+		names[b] = name
+	}
+	return names
+}()
 
 // --- append-style encoders ---------------------------------------------
 
@@ -253,11 +237,10 @@ func (r *wireReader) done(what string) error {
 // appendRequestHeader. req.Offsets is reused when capacity allows; Data
 // is left untouched (the payload is delivered separately).
 func decodeRequestHeader(kind byte, hdr []byte, req *Request) error {
-	name, ok := kindNames[kind]
-	if !ok {
+	if int(kind) >= len(kindNames) || kindNames[kind] == "" {
 		return fmt.Errorf("cluster: unknown request kind 0x%02x", kind)
 	}
-	req.Kind = name
+	req.Kind = kindNames[kind]
 	r := wireReader{b: hdr}
 	req.ID = r.u64()
 	req.NodeID = r.int()

@@ -29,7 +29,7 @@ func TestMemnodeGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	if _, err := readResponseFrame(idle, &resp, nil); err != nil {
+	if err := recvResponse(idle, &resp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +71,7 @@ func TestMemnodeGracefulDrain(t *testing.T) {
 	}
 	busy.SetReadDeadline(time.Now().Add(5 * time.Second))
 	resp = Response{}
-	if _, err := readResponseFrame(busy, &resp, nil); err != nil {
+	if err := recvResponse(busy, &resp); err != nil {
 		t.Fatalf("in-flight write during drain: %v", err)
 	}
 	if resp.Err != "" {
@@ -121,7 +121,7 @@ func TestControllerGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	if _, err := readResponseFrame(conn, &resp, nil); err != nil {
+	if err := recvResponse(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,10 +21,12 @@ import (
 //
 // The split between header and payload is the point: the header is tiny
 // and staged through a pooled scratch buffer, while payload bytes are
-// handed to the kernel as separate writev iovecs (net.Buffers) on send
-// and ReadFull'd straight into their destination — a caller's page
-// frame, the memnode's log region — on receive. Payloads cross the wire
-// path without ever being copied into an intermediate buffer.
+// handed to the kernel as separate writev iovecs (net.Buffers) on send.
+// On receive every connection reads through one frameReader: a frame
+// that fits its buffer (prefix + header + one page) arrives in a single
+// read and its payload takes one copy to its destination; whatever a
+// larger payload has left on the socket is ReadFull'd straight into its
+// destination — a caller's page frames, the memnode's log region.
 //
 // A peer speaking the legacy gob framing (4-byte length prefix, gob
 // body) fails the magic check on the first frame and is rejected with a
@@ -53,17 +55,24 @@ const maxHeaderSize = 1 << 20
 // dropped back to the allocator instead of pinning pool memory.
 const maxPooledBuf = LogRegionSize + 4096
 
-// hdrPool recycles prefix+header encode scratch and header decode
-// scratch; headers are tens to hundreds of bytes, so the steady-state
-// wire path never allocates for them.
-var hdrPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
-
 // payloadPool recycles the server's payload staging buffers (inbound
 // Write bodies, outbound Read/ReadPages images).
 var payloadPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// vecPool recycles the net.Buffers scratch assembled for each writev.
-var vecPool = sync.Pool{New: func() any { b := make(net.Buffers, 0, 8); return &b }}
+// sendScratch is what sending one frame takes besides its payload: the
+// prefix+header encode buffer (headers are tens to hundreds of bytes)
+// and the writev vector. WriteTo consumes the net.Buffers it is called
+// on, so vec keeps the backing array for reuse and rest is what WriteTo
+// eats; calling it on the pooled struct keeps the slice header off the
+// heap. Pooled, so the steady-state send path allocates nothing.
+type sendScratch struct {
+	hdr       []byte
+	vec, rest net.Buffers
+}
+
+var sendPool = sync.Pool{New: func() any {
+	return &sendScratch{hdr: make([]byte, 0, 1024), vec: make(net.Buffers, 0, 8)}
+}}
 
 // getPayloadBuf returns a pooled n-byte buffer and its pool handle.
 func getPayloadBuf(n int) (*[]byte, []byte) {
@@ -81,13 +90,17 @@ func putPayloadBuf(bp *[]byte) {
 	}
 }
 
-// writeFrameVec assembles the frame prefix around an already-encoded
-// header buffer b (which must start with framePrefixLen reserved bytes)
-// and ships header + payload slices with a single scatter-gather write.
-// On a *net.TCPConn, net.Buffers becomes one writev; payload bytes go
-// from their owning arena to the kernel untouched. Returns bytes
-// written.
-func writeFrameVec(w io.Writer, b []byte, payload [][]byte) (int, error) {
+// send patches the frame prefix at the front of the encoded header in
+// s.hdr and ships header + payload slices with a single scatter-gather
+// write, then returns s to the pool. On a *net.TCPConn, net.Buffers
+// becomes one writev; payload bytes go from their owning arena to the
+// kernel untouched. Returns bytes written.
+func (s *sendScratch) send(w io.Writer, payload [][]byte) (int, error) {
+	defer func() {
+		if cap(s.hdr) <= maxPooledBuf {
+			sendPool.Put(s)
+		}
+	}()
 	payLen := 0
 	for _, p := range payload {
 		payLen += len(p)
@@ -95,35 +108,31 @@ func writeFrameVec(w io.Writer, b []byte, payload [][]byte) (int, error) {
 	if payLen > maxFrameSize {
 		return 0, fmt.Errorf("cluster: frame payload of %d bytes exceeds limit", payLen)
 	}
-	if hdrLen := len(b) - framePrefixLen; hdrLen > maxHeaderSize {
+	if hdrLen := len(s.hdr) - framePrefixLen; hdrLen > maxHeaderSize {
 		return 0, fmt.Errorf("cluster: frame header of %d bytes exceeds limit", hdrLen)
 	}
-	binary.BigEndian.PutUint32(b[4:8], uint32(len(b)-framePrefixLen))
-	binary.BigEndian.PutUint32(b[8:12], uint32(payLen))
+	binary.BigEndian.PutUint32(s.hdr[4:8], uint32(len(s.hdr)-framePrefixLen))
+	binary.BigEndian.PutUint32(s.hdr[8:12], uint32(payLen))
 	if payLen == 0 {
-		return w.Write(b)
+		return w.Write(s.hdr)
 	}
-	vp := vecPool.Get().(*net.Buffers)
-	bufs := append((*vp)[:0], b)
+	s.vec = append(s.vec[:0], s.hdr)
 	for _, p := range payload {
 		if len(p) > 0 {
-			bufs = append(bufs, p)
+			s.vec = append(s.vec, p)
 		}
 	}
-	*vp = bufs
-	n, err := bufs.WriteTo(w)
-	// WriteTo consumed the local slice; clear the retained backing array
-	// so pooled scratch does not pin payload arenas.
-	for i := range *vp {
-		(*vp)[i] = nil
-	}
-	*vp = (*vp)[:0]
-	vecPool.Put(vp)
+	s.rest = s.vec
+	n, err := s.rest.WriteTo(w)
+	// Clear the retained backing array so pooled scratch does not pin
+	// payload arenas.
+	clear(s.vec)
+	s.rest = nil
 	return int(n), err
 }
 
 // framePrefix starts an encode buffer: magic, version, kind, and
-// placeholder length fields that writeFrameVec patches.
+// placeholder length fields that send patches.
 func framePrefix(b []byte, kind byte) []byte {
 	return append(b, frameMagic0, frameMagic1, frameVersion, kind,
 		0, 0, 0, 0, 0, 0, 0, 0)
@@ -137,42 +146,87 @@ func writeRequestFrame(w io.Writer, req *Request, payload ...[]byte) (int, error
 	if !ok {
 		return 0, fmt.Errorf("cluster: unknown request kind %q", req.Kind)
 	}
-	bp := hdrPool.Get().(*[]byte)
-	b := appendRequestHeader(framePrefix((*bp)[:0], kb), req)
-	*bp = b
-	n, err := writeFrameVec(w, b, payload)
-	if cap(*bp) <= maxPooledBuf {
-		hdrPool.Put(bp)
-	}
-	return n, err
+	s := sendPool.Get().(*sendScratch)
+	s.hdr = appendRequestHeader(framePrefix(s.hdr[:0], kb), req)
+	return s.send(w, payload)
 }
 
 // writeResponseFrame encodes resp's header and ships it with the given
 // payload slices. Returns bytes written.
 func writeResponseFrame(w io.Writer, resp *Response, payload ...[]byte) (int, error) {
-	bp := hdrPool.Get().(*[]byte)
-	b := appendResponseHeader(framePrefix((*bp)[:0], kindResponse), resp)
-	*bp = b
-	n, err := writeFrameVec(w, b, payload)
-	if cap(*bp) <= maxPooledBuf {
-		hdrPool.Put(bp)
-	}
-	return n, err
+	s := sendPool.Get().(*sendScratch)
+	s.hdr = appendResponseHeader(framePrefix(s.hdr[:0], kindResponse), resp)
+	return s.send(w, payload)
 }
 
-// readFrameHeader reads one frame's prefix and header. The returned hdr
-// aliases *scratch (grown as needed); payLen bytes of payload remain on
-// the stream for the caller to place. A clean close at a frame boundary
-// returns io.EOF; truncation, a bad magic (e.g. a legacy gob-framed
-// peer), or a nonsensical length returns a descriptive error.
-func readFrameHeader(r io.Reader, scratch *[]byte) (kind byte, hdr []byte, payLen int, err error) {
-	var pre [framePrefixLen]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+// connBufLen sizes every connection's read buffer: a frame prefix, a
+// scalar header (a Read request's is 92 bytes, its reply's 28) and one
+// 4 KB page, so a whole page fetch — request or reply — is one read.
+const connBufLen = framePrefixLen + 500 + 4096
+
+// frameReader is the one way frames come off a connection: the server's
+// per-connection loop and every pooled client connection own one. It
+// reads ahead into a fixed buffer, so prefix, header and a page-sized
+// payload cost one read call instead of three; the bytes of a larger
+// payload still on the socket bypass the buffer.
+type frameReader struct {
+	src  io.Reader
+	r, w int    // buf[r:w] is read but not yet consumed
+	big  []byte // header scratch for the rare header larger than buf
+	buf  [connBufLen]byte
+}
+
+// buffered reports bytes read off the stream but not yet consumed.
+func (f *frameReader) buffered() int { return f.w - f.r }
+
+// fill reads until at least n <= len(buf) bytes are buffered. io.EOF
+// means the stream ended with nothing buffered; ending short of n is
+// io.ErrUnexpectedEOF.
+func (f *frameReader) fill(n int) error {
+	if f.r == f.w {
+		f.r, f.w = 0, 0
+	} else if f.r+n > len(f.buf) {
+		f.w = copy(f.buf[:], f.buf[f.r:f.w])
+		f.r = 0
+	}
+	for f.w-f.r < n {
+		m, err := f.src.Read(f.buf[f.w:])
+		f.w += m
+		if err != nil && f.w-f.r < n {
+			if err == io.EOF && f.w > f.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// readFull fills dst from the buffered bytes first and the stream after,
+// returning how many bytes took the copy through the buffer.
+func (f *frameReader) readFull(dst []byte) (copied int, err error) {
+	copied = copy(dst, f.buf[f.r:f.w])
+	f.r += copied
+	if copied < len(dst) {
+		_, err = io.ReadFull(f.src, dst[copied:])
+	}
+	return copied, err
+}
+
+// readHeader reads one frame's prefix and header. The returned hdr
+// aliases the reader's buffer and stays valid until the next readHeader;
+// payLen bytes of payload remain for the caller to place. A clean close
+// at a frame boundary returns io.EOF; truncation, a bad magic (e.g. a
+// legacy gob-framed peer), or a nonsensical length returns a descriptive
+// error.
+func (f *frameReader) readHeader() (kind byte, hdr []byte, payLen int, err error) {
+	if err := f.fill(framePrefixLen); err != nil {
 		if err == io.EOF {
 			return 0, nil, 0, io.EOF
 		}
 		return 0, nil, 0, fmt.Errorf("cluster: read frame prefix: %w", err)
 	}
+	pre := f.buf[f.r : f.r+framePrefixLen]
 	if pre[0] != frameMagic0 || pre[1] != frameMagic1 {
 		return 0, nil, 0, fmt.Errorf(
 			"cluster: bad frame magic %02x%02x: peer does not speak the kw wire protocol (legacy gob-framed peer?)",
@@ -183,55 +237,63 @@ func readFrameHeader(r io.Reader, scratch *[]byte) (kind byte, hdr []byte, payLe
 			pre[2], frameVersion)
 	}
 	kind = pre[3]
-	hdrLen := binary.BigEndian.Uint32(pre[4:8])
-	pl := binary.BigEndian.Uint32(pre[8:12])
-	if hdrLen > maxHeaderSize {
-		return 0, nil, 0, fmt.Errorf("cluster: bad frame header length %d", hdrLen)
+	hl, pl := binary.BigEndian.Uint32(pre[4:8]), binary.BigEndian.Uint32(pre[8:12])
+	if hl > maxHeaderSize {
+		return 0, nil, 0, fmt.Errorf("cluster: bad frame header length %d", hl)
 	}
 	if pl > maxFrameSize {
 		return 0, nil, 0, fmt.Errorf("cluster: bad frame payload length %d", pl)
 	}
-	if cap(*scratch) < int(hdrLen) {
-		*scratch = make([]byte, hdrLen)
+	hdrLen := int(hl)
+	f.r += framePrefixLen
+	if hdrLen <= len(f.buf) {
+		if err = f.fill(hdrLen); err == nil {
+			hdr = f.buf[f.r : f.r+hdrLen]
+			f.r += hdrLen
+		}
+	} else {
+		if cap(f.big) < hdrLen {
+			f.big = make([]byte, hdrLen)
+		}
+		hdr = f.big[:hdrLen]
+		_, err = f.readFull(hdr)
 	}
-	hdr = (*scratch)[:hdrLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	if err != nil {
 		return 0, nil, 0, fmt.Errorf("cluster: truncated frame header (want %d bytes): %w", hdrLen, err)
 	}
 	return kind, hdr, int(pl), nil
 }
 
-// readPayloadInto scatters a frame's payLen payload bytes into dsts in
+// readPayload scatters a frame's payLen payload bytes into dsts in
 // order. The destination lengths must sum to exactly payLen — the frame
 // says how many bytes follow, and landing them anywhere else would
-// desynchronize the stream.
-func readPayloadInto(r io.Reader, payLen int, dsts ...[]byte) error {
+// desynchronize the stream. copied is how many of them went through the
+// reader's buffer instead of straight from the socket.
+func (f *frameReader) readPayload(payLen int, dsts ...[]byte) (copied int, err error) {
 	total := 0
 	for _, d := range dsts {
 		total += len(d)
 	}
 	if total != payLen {
-		return fmt.Errorf("cluster: frame payload is %d bytes, destination holds %d", payLen, total)
+		return 0, fmt.Errorf("cluster: frame payload is %d bytes, destination holds %d", payLen, total)
 	}
 	for _, d := range dsts {
-		if len(d) == 0 {
-			continue
-		}
-		if _, err := io.ReadFull(r, d); err != nil {
-			return fmt.Errorf("cluster: truncated frame payload (want %d bytes): %w", payLen, err)
+		n, err := f.readFull(d)
+		copied += n
+		if err != nil {
+			return copied, fmt.Errorf("cluster: truncated frame payload (want %d bytes): %w", payLen, err)
 		}
 	}
-	return nil
+	return copied, nil
 }
 
 // discardPayload drains n payload bytes the receiver refused (bad
 // header, refused sink), keeping the stream framed so the connection can
 // carry an error response instead of being torn down.
-func discardPayload(r io.Reader, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
+func (f *frameReader) discardPayload(n int) error {
+	k := min(n, f.buffered())
+	f.r += k
+	if _, err := io.CopyN(io.Discard, f.src, int64(n-k)); err != nil {
 		return fmt.Errorf("cluster: draining refused payload: %w", err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,6 +20,22 @@ func mkSlab(id, base, epoch uint64, i int) slab.Slab {
 	}
 }
 
+// recvResponse reads one response frame off r the way a client
+// connection does, through a frame reader of its own; r must carry
+// nothing past that frame.
+func recvResponse(r io.Reader, resp *Response) error {
+	_, _, err := (&frameReader{src: r}).readResponse(resp, nil)
+	return err
+}
+
+// roundTripOnce performs one request/response over a connection of its
+// own, without retries.
+func roundTripOnce(addr string, req *Request) (Response, error) {
+	p := newPool(addr, Transport{MaxRetries: -1})
+	defer p.Close()
+	return p.roundTrip(req)
+}
+
 // encodeRequest frames req (with req.Data as payload) into a buffer.
 func encodeRequest(t testing.TB, req *Request) []byte {
 	t.Helper()
@@ -32,10 +49,9 @@ func encodeRequest(t testing.TB, req *Request) []byte {
 // decodeRequest parses one framed request the way the serve loop does:
 // prefix+header, then the payload into a fresh buffer.
 func decodeRequest(data []byte) (Request, error) {
-	r := bytes.NewReader(data)
-	var scratch []byte
+	r := &frameReader{src: bytes.NewReader(data)}
 	var req Request
-	kind, hdr, payLen, err := readFrameHeader(r, &scratch)
+	kind, hdr, payLen, err := r.readHeader()
 	if err != nil {
 		return req, err
 	}
@@ -44,7 +60,7 @@ func decodeRequest(data []byte) (Request, error) {
 	}
 	if payLen > 0 {
 		req.Data = make([]byte, payLen)
-		if err := readPayloadInto(r, payLen, req.Data); err != nil {
+		if _, err := r.readPayload(payLen, req.Data); err != nil {
 			return req, err
 		}
 	}
@@ -97,7 +113,7 @@ func FuzzFrameDecode(f *testing.F) {
 			_ = err
 		}
 		var rsp Response
-		_, _ = readResponseFrame(bytes.NewReader(data), &rsp, nil)
+		_ = recvResponse(bytes.NewReader(data), &rsp)
 		// The raw header decoders must hold up against arbitrary bytes too
 		// (the serve loop feeds them anything that passes the prefix).
 		var req Request
@@ -171,7 +187,7 @@ func FuzzResponseRoundTrip(f *testing.F) {
 			t.Fatalf("encode: %v", err)
 		}
 		var out Response
-		if _, err := readResponseFrame(&buf, &out, nil); err != nil {
+		if err := recvResponse(&buf, &out); err != nil {
 			t.Fatalf("decode of own encoding: %v", err)
 		}
 		if len(in.Data) == 0 {

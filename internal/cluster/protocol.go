@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -176,82 +175,38 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-// readResponseFrame reads one response frame into resp. When recv is
-// non-nil the payload is scattered into recv's slices in order — the
-// zero-copy receive path landing reply bytes directly in caller frames;
-// otherwise a payload is returned in a freshly allocated resp.Data.
-// Returns total bytes consumed off the stream.
-func readResponseFrame(r io.Reader, resp *Response, recv [][]byte) (int, error) {
-	bp := hdrPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bp) <= maxPooledBuf {
-			hdrPool.Put(bp)
-		}
-	}()
-	kind, hdr, payLen, err := readFrameHeader(r, bp)
+// readResponse reads one response frame into resp. When recv is non-nil
+// the payload is scattered into recv's slices in order — the receive
+// path landing reply bytes in caller frames; otherwise a payload is
+// returned in a freshly allocated resp.Data. n is the frame's size on the
+// wire, copied how many payload bytes went through the reader's buffer.
+func (f *frameReader) readResponse(resp *Response, recv [][]byte) (n, copied int, err error) {
+	kind, hdr, payLen, err := f.readHeader()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if kind != kindResponse {
-		return 0, fmt.Errorf("cluster: expected a response frame, got kind 0x%02x", kind)
+		return 0, 0, fmt.Errorf("cluster: expected a response frame, got kind 0x%02x", kind)
 	}
 	if err := decodeResponseHeader(hdr, resp); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	n := framePrefixLen + len(hdr) + payLen
+	n = framePrefixLen + len(hdr) + payLen
 	if resp.Err != "" && payLen > 0 {
 		// An error response never carries a payload; a peer that sends
 		// one is desynced. Tear the connection down rather than guess.
-		return 0, fmt.Errorf("cluster: error response carried %d payload bytes", payLen)
+		return 0, 0, fmt.Errorf("cluster: error response carried %d payload bytes", payLen)
 	}
+	resp.Data = nil
 	switch {
 	case recv != nil && resp.Err == "":
-		return n, readPayloadInto(r, payLen, recv...)
+		copied, err = f.readPayload(payLen, recv...)
 	case payLen > 0:
 		resp.Data = make([]byte, payLen)
-		return n, readPayloadInto(r, payLen, resp.Data)
+		copied, err = f.readPayload(payLen, resp.Data)
 	}
-	return n, nil
+	return n, copied, err
 }
-
-// roundTripTimeout bounds a throwaway-connection exchange (roundTrip,
-// pingAddr callers pass their own): without it a hung peer stalls the
-// dial-per-request baseline forever, since unlike the pooled transport
-// it sets no per-attempt deadline.
-const roundTripTimeout = 5 * time.Second
-
-// roundTrip performs one request/response over a fresh throwaway
-// connection — no pooling, no retries. It is the per-request-dial
-// baseline the pooled transport replaced; tests and the transport
-// benchmark keep it around for comparison. The whole exchange runs
-// under an I/O deadline consistent with the pooled transport's
-// per-attempt deadlines.
-func roundTrip(addr string, req *Request) (*Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if req.ID == 0 {
-		req.ID = nextReqID()
-	}
-	_ = conn.SetDeadline(time.Now().Add(roundTripTimeout))
-	if _, err := writeRequestFrame(conn, req, req.Data); err != nil {
-		return nil, err
-	}
-	var resp Response
-	if _, err := readResponseFrame(conn, &resp, nil); err != nil {
-		return nil, err
-	}
-	if err := resp.errOf(); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// writeDeadline bounds how long a server blocks writing one response to a
-// wedged peer before giving up on the connection.
-const writeDeadline = 30 * time.Second
 
 // connSet tracks a server's live connections so Close can tear them down;
 // persistent connections otherwise outlive a closed listener. It also
@@ -296,28 +251,30 @@ func (s *connSet) remove(c net.Conn) {
 	s.wg.Done()
 }
 
-// serveReqDeadline bounds one request's payload read + handling once its
-// frame header has arrived, so a drain is never hostage to a peer that
-// stalls mid-frame.
+// serveReqDeadline bounds one request once its frame header has arrived
+// — payload read, handling and the reply write — so a drain is never
+// hostage to a peer that stalls mid-frame or stops reading its reply.
 const serveReqDeadline = 30 * time.Second
 
 // beginReq marks a connection busy for the span of one request and arms
-// the per-request deadline — under the drain lock, so a concurrent
+// the one per-request deadline — under the drain lock, so a concurrent
 // drain either already woke this reader (the frame header would have
 // timed out) or sees busy and leaves the deadline alone.
 func (s *connSet) beginReq(c net.Conn, sc *srvConn) {
 	s.mu.Lock()
 	sc.busy = true
-	_ = c.SetReadDeadline(time.Now().Add(serveReqDeadline))
+	_ = c.SetDeadline(time.Now().Add(serveReqDeadline))
 	s.mu.Unlock()
 }
 
-// endReq returns the connection to idle; true means the server is
-// draining and the connection loop should exit at this boundary.
+// endReq returns the connection to idle — the read that waits for the
+// next frame carries no deadline, so only a drain's SetReadDeadline can
+// wake it; true means the server is draining and the connection loop
+// should exit at this boundary.
 func (s *connSet) endReq(c net.Conn, sc *srvConn) bool {
 	s.mu.Lock()
 	sc.busy = false
-	_ = c.SetReadDeadline(time.Time{})
+	_ = c.SetDeadline(time.Time{})
 	draining := s.draining
 	s.mu.Unlock()
 	return draining
@@ -364,10 +321,10 @@ func (s *connSet) closeAll() {
 }
 
 // connHandler is a server's side of the wire protocol. Splitting payload
-// placement (payloadSink) from execution (serveReq) is what makes the
-// receive path zero-copy: the sink can hand back the payload's final
+// placement (payloadSink) from execution (serveReq) lets a large payload
+// land where it belongs: the sink can hand back the payload's final
 // destination — the memnode's log region for WriteLog — and the serve
-// loop ReadFulls the wire straight into it.
+// loop reads the wire into it.
 type connHandler interface {
 	// payloadSink returns the buffer an inbound request's n-byte payload
 	// lands in. release, if non-nil, runs after the request has been
@@ -376,12 +333,10 @@ type connHandler interface {
 	// off the stream and err becomes the response.
 	payloadSink(req *Request, n int) (dst []byte, release func(), err error)
 	// serveReq executes one request (its payload, if any, already placed
-	// in req.Data) and returns the response; done, if non-nil, runs after
-	// the response has hit the wire, releasing buffers resp.Data aliases.
-	serveReq(req *Request) (resp *Response, done func())
-	// countWire records one exchange's wire volume (rx covers the
-	// request's prefix+header+payload, tx the response's).
-	countWire(kind string, rx, tx int)
+	// in req.Data) and fills in resp, the connection's zeroed reply
+	// envelope. A non-nil staged is the pooled buffer resp.Data aliases;
+	// the serve loop recycles it once the response has hit the wire.
+	serveReq(req *Request, resp *Response) (staged *[]byte)
 }
 
 // stagePayload is the generic payload sink: a pooled buffer for requests
@@ -395,8 +350,9 @@ func stagePayload(n int) ([]byte, func(), error) {
 // serve accepts connections and answers framed requests on each until the
 // peer closes it, the frame stream turns invalid, or the server shuts
 // down. One goroutine per connection; the handler must be safe for
-// concurrent use.
-func serve(l net.Listener, cs *connSet, h connHandler) {
+// concurrent use. m (nil disables) counts each exchange's wire volume
+// and the inbound payload bytes copied through the connection buffer.
+func serve(l net.Listener, cs *connSet, h connHandler, m *serverMetrics) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -408,80 +364,78 @@ func serve(l net.Listener, cs *connSet, h connHandler) {
 			// the next Accept fails and ends the loop.
 			continue
 		}
-		go func(conn net.Conn, sc *srvConn) {
-			defer func() {
-				cs.remove(conn)
-				conn.Close()
-			}()
-			var scratch []byte
-			var req Request
-			for {
-				kind, hdr, payLen, err := readFrameHeader(conn, &scratch)
-				if err != nil {
-					// EOF at a frame boundary is a clean close; a timeout
-					// here is the drain wake-up; anything else (bad magic,
-					// truncation) is unrecoverable on a framed stream —
-					// drop the conn either way.
-					return
-				}
-				// A request is in flight: mark the conn busy and give the
-				// rest of the frame its own deadline, under the same lock
-				// drain uses, so a concurrent drain waits for us.
-				cs.beginReq(conn, sc)
-				// Reset the envelope but keep the Offsets backing array so
-				// steady-state ReadPages decoding reuses it.
-				offs := req.Offsets
-				req = Request{Offsets: offs}
-				var resp *Response
-				var done func()
-				if derr := decodeRequestHeader(kind, hdr, &req); derr != nil {
-					// The header is consumed and the payload length known,
-					// so the stream stays framed: drain and answer.
-					if discardPayload(conn, payLen) != nil {
-						return
-					}
-					resp = &Response{Err: derr.Error()}
-				} else if payLen > 0 {
-					dst, release, serr := h.payloadSink(&req, payLen)
-					if serr != nil {
-						if discardPayload(conn, payLen) != nil {
-							return
-						}
-						resp = &Response{Err: serr.Error()}
-					} else {
-						rerr := readPayloadInto(conn, payLen, dst)
-						if rerr != nil {
-							if release != nil {
-								release()
-							}
-							return
-						}
-						req.Data = dst
-						resp, done = h.serveReq(&req)
-						if release != nil {
-							release()
-						}
-						req.Data = nil
-					}
-				} else {
-					resp, done = h.serveReq(&req)
-				}
-				_ = conn.SetWriteDeadline(time.Now().Add(writeDeadline))
-				tx, werr := writeResponseFrame(conn, resp, resp.Data)
-				if done != nil {
-					done()
-				}
-				h.countWire(req.Kind, framePrefixLen+len(hdr)+payLen, tx)
-				if werr != nil {
-					return
-				}
-				_ = conn.SetWriteDeadline(time.Time{})
-				// Back to idle at the frame boundary; if a drain started
-				// while we served, this is where the connection exits.
-				if cs.endReq(conn, sc) {
-					return
-				}
+		go serveConn(conn, sc, cs, h, m)
+	}
+}
+
+// serveConn is one connection's request loop. Reads go through the
+// connection's frameReader; the reply goes to conn itself, so on a
+// *net.TCPConn header and payload still leave as one writev.
+func serveConn(conn net.Conn, sc *srvConn, cs *connSet, h connHandler, m *serverMetrics) {
+	defer func() {
+		cs.remove(conn)
+		conn.Close()
+	}()
+	in := &frameReader{src: conn}
+	var req Request
+	var resp Response
+	for {
+		kind, hdr, payLen, err := in.readHeader()
+		if err != nil {
+			// EOF at a frame boundary is a clean close; a timeout here is
+			// the drain wake-up; anything else (bad magic, truncation) is
+			// unrecoverable on a framed stream — drop the conn either way.
+			return
+		}
+		// A request is in flight: mark the conn busy and put the rest of
+		// it under one deadline, under the same lock drain uses, so a
+		// concurrent drain waits for us.
+		cs.beginReq(conn, sc)
+		// Reset the envelopes but keep the Offsets backing array so
+		// steady-state ReadPages decoding reuses it.
+		req = Request{Offsets: req.Offsets}
+		resp = Response{}
+		var staged *[]byte
+		var dst []byte
+		var release func()
+		refused := decodeRequestHeader(kind, hdr, &req)
+		if refused == nil && payLen > 0 {
+			dst, release, refused = h.payloadSink(&req, payLen)
+		}
+		if refused != nil {
+			// The header is consumed and the payload length known, so the
+			// stream stays framed: drain and answer.
+			if in.discardPayload(payLen) != nil {
+				return
 			}
-		}(conn, sc)
+			resp.Err = refused.Error()
+		} else {
+			copied, rerr := in.readPayload(payLen, dst)
+			if rerr == nil {
+				m.countCopies(copied)
+				req.Data = dst
+				staged = h.serveReq(&req, &resp)
+				req.Data = nil
+			}
+			if release != nil {
+				release()
+			}
+			if rerr != nil {
+				return
+			}
+		}
+		tx, werr := writeResponseFrame(conn, &resp, resp.Data)
+		if staged != nil {
+			putPayloadBuf(staged)
+		}
+		m.countWire(req.Kind, framePrefixLen+len(hdr)+payLen, tx)
+		if werr != nil {
+			return
+		}
+		// Back to idle at the frame boundary; if a drain started while we
+		// served, this is where the connection exits.
+		if cs.endReq(conn, sc) {
+			return
+		}
 	}
 }

@@ -21,10 +21,11 @@ type serverMetrics struct {
 	txBytes map[string]*telemetry.Counter
 	rxBytes map[string]*telemetry.Counter
 	// payloadCopies counts payload bytes staged through an intermediate
-	// buffer on their way between the wire and their true destination.
-	// The zero-copy paths (WriteLog into the log region) keep it at 0;
-	// Read/ReadPages/Write count one staging copy through the locked
-	// pool accessors.
+	// buffer on their way between the wire and their true destination:
+	// the head of an inbound payload that arrived in the connection
+	// buffer (for WriteLog into the log region that is all there is), and
+	// one staging copy through the locked pool accessors for
+	// Read/ReadPages/Write.
 	payloadCopies *telemetry.Counter
 	errors        *telemetry.Counter
 	trace         *telemetry.Trace
@@ -131,6 +132,9 @@ type ControllerServer struct {
 
 	mu    sync.Mutex
 	addrs map[int]string // node id -> TCP address
+	// fencers holds the pooled clients fence pushes travel on, one per
+	// registered daemon address (the repair transport's client table).
+	fencers *TCPRepairTransport
 }
 
 // ServeController starts a controller daemon on addr (":0" for ephemeral)
@@ -164,6 +168,7 @@ func ServeControllerOnWith(ctrl *Controller, l net.Listener, reg *telemetry.Regi
 		reg:   reg,
 		addrs: make(map[int]string),
 	}
+	s.fencers = NewTCPRepairTransport(s.NodeAddr, DefaultTransport())
 	// Arbitrate rejoins and failure reports by pinging the node's daemon
 	// over the wire (falling back to the in-process flag when no address
 	// is known — e.g. tests registering nodes directly).
@@ -172,28 +177,20 @@ func ServeControllerOnWith(ctrl *Controller, l net.Listener, reg *telemetry.Regi
 	// controller's bookkeeping mirrors (in TCP mode c.nodes are capacity
 	// shadows): push them over the wire like the prober does.
 	ctrl.SetLeaseFencer(s.fenceMember)
-	go serve(l, s.conns, s)
+	go serve(l, s.conns, s, s.m)
 	return s
 }
 
-// fenceMember pushes one lease fence to the daemon hosting m. A member
-// whose address is unknown (test-registered in-process node) falls back
-// to the controller's node mirror.
+// fenceMember pushes one lease fence to the daemon hosting m, retried
+// like any level-triggered RPC. A member whose address is unknown
+// (test-registered in-process node) falls back to the controller's node
+// mirror.
 func (s *ControllerServer) fenceMember(m slab.Slab, holder uint64) error {
-	s.mu.Lock()
-	addr, ok := s.addrs[m.Node]
-	s.mu.Unlock()
-	if !ok {
+	mc, err := s.fencers.client(m.Node)
+	if err != nil {
 		return s.ctrl.fenceLocal(m, holder)
 	}
-	_, err := roundTrip(addr, &Request{
-		Kind:    msgLeaseFence,
-		Offset:  m.RemoteOff,
-		Size:    m.Size,
-		Epoch:   m.Epoch,
-		Runtime: holder,
-	})
-	return err
+	return mc.LeaseFence(m.Epoch, m.RemoteOff, m.Size, holder)
 }
 
 // probeNode is the TCP liveness check: ping the daemon address the node
@@ -209,8 +206,8 @@ func (s *ControllerServer) probeNode(id int, n *MemoryNode) bool {
 }
 
 // pingAddr performs one framed ping over a throwaway connection with a
-// hard deadline — the probe must return promptly even against a
-// half-dead peer.
+// hard deadline — a liveness probe must see whether the peer accepts a
+// connection now, and return promptly even against a half-dead one.
 func pingAddr(addr string, timeout time.Duration) error {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -221,8 +218,9 @@ func pingAddr(addr string, timeout time.Duration) error {
 	if _, err := writeRequestFrame(conn, &Request{Kind: msgPing, ID: nextReqID()}); err != nil {
 		return err
 	}
+	in := frameReader{src: conn}
 	var resp Response
-	if _, err := readResponseFrame(conn, &resp, nil); err != nil {
+	if _, _, err := in.readResponse(&resp, nil); err != nil {
 		return err
 	}
 	return resp.errOf()
@@ -244,6 +242,7 @@ func (s *ControllerServer) Addr() string { return s.l.Addr().String() }
 func (s *ControllerServer) Close() error {
 	err := s.l.Close()
 	s.conns.closeAll()
+	s.fencers.Close()
 	return err
 }
 
@@ -253,23 +252,22 @@ func (s *ControllerServer) Close() error {
 // that were live when the drain began.
 func (s *ControllerServer) Shutdown(grace time.Duration) int {
 	s.l.Close()
-	return s.conns.drain(grace)
+	n := s.conns.drain(grace)
+	s.fencers.Close()
+	return n
 }
 
-// payloadSink implements connHandler. Controller RPCs carry no payload;
-// a peer that sends one anyway gets it staged and ignored, so the
-// request can still be answered with a proper error instead of a torn
-// connection.
+// payloadSink implements connHandler: the few controller payloads (load
+// samples) are small and have no in-place destination.
 func (s *ControllerServer) payloadSink(req *Request, n int) ([]byte, func(), error) {
 	return stagePayload(n)
 }
 
-// countWire implements connHandler.
-func (s *ControllerServer) countWire(kind string, rx, tx int) { s.m.countWire(kind, rx, tx) }
-
-// serveReq implements connHandler.
-func (s *ControllerServer) serveReq(req *Request) (*Response, func()) {
-	return s.handle(req), nil
+// serveReq implements connHandler. Controller replies are built whole
+// (the dedup cache keeps them), so the envelope is copied out.
+func (s *ControllerServer) serveReq(req *Request, resp *Response) *[]byte {
+	*resp = *s.handle(req)
+	return nil
 }
 
 func (s *ControllerServer) handle(req *Request) *Response {
@@ -458,8 +456,11 @@ type MemoryNodeServer struct {
 	// log-receive region, and concurrent RPCs must not interleave their
 	// payloads landing in it. It is taken in payloadSink (the wire bytes
 	// are ReadFull'd straight into the region — the zero-copy receive
-	// path) and held until the request has been handled.
-	logMu sync.Mutex
+	// path) and held until the request has been handled. unlockLog is its
+	// Unlock bound once, so handing it out as a release hook costs no
+	// allocation per WriteLog.
+	logMu     sync.Mutex
+	unlockLog func()
 }
 
 // ServeMemoryNode starts a memory-node daemon on addr.
@@ -493,7 +494,8 @@ func ServeMemoryNodeOnWith(node *MemoryNode, l net.Listener, reg *telemetry.Regi
 		readPagesPages: reg.Counter("cluster.readpages.pages"),
 		readPagesBytes: reg.Counter("cluster.readpages.bytes"),
 	}
-	go serve(l, s.conns, s)
+	s.unlockLog = s.logMu.Unlock
+	go serve(l, s.conns, s, s.m)
 	return s
 }
 
@@ -518,8 +520,9 @@ func (s *MemoryNodeServer) Shutdown(grace time.Duration) int {
 
 // payloadSink implements connHandler: WriteLog payloads land directly in
 // the node's log-receive region — the same bytes UnpackLog scatters from
-// — under logMu, so the log body crosses the server without a single
-// intermediate copy. Everything else stages through a pooled buffer.
+// — under logMu, so the log body is never staged on the server beyond
+// the head that arrived with its frame header. Everything else stages
+// through a pooled buffer.
 func (s *MemoryNodeServer) payloadSink(req *Request, n int) ([]byte, func(), error) {
 	if req.Kind == msgWriteLog {
 		logBuf := s.node.logMR.Bytes()
@@ -527,22 +530,22 @@ func (s *MemoryNodeServer) payloadSink(req *Request, n int) ([]byte, func(), err
 			return nil, nil, fmt.Errorf("memnode: log too large")
 		}
 		s.logMu.Lock()
-		return logBuf[:n], s.logMu.Unlock, nil
+		return logBuf[:n], s.unlockLog, nil
 	}
 	return stagePayload(n)
 }
 
-// countWire implements connHandler.
-func (s *MemoryNodeServer) countWire(kind string, rx, tx int) { s.m.countWire(kind, rx, tx) }
-
 // serveReq implements connHandler.
-func (s *MemoryNodeServer) serveReq(req *Request) (*Response, func()) {
-	resp, done := s.dispatch(req)
+func (s *MemoryNodeServer) serveReq(req *Request, resp *Response) *[]byte {
+	staged := s.dispatch(req, resp)
 	s.m.record(req.Kind, resp)
-	return resp, done
+	return staged
 }
 
-func (s *MemoryNodeServer) dispatch(req *Request) (*Response, func()) {
+// dispatch executes req into resp. Read and ReadPages return the pooled
+// staging buffer resp.Data aliases, which the serve loop recycles only
+// after the frame has hit the wire.
+func (s *MemoryNodeServer) dispatch(req *Request, resp *Response) *[]byte {
 	// Epoch fence (DESIGN.md §10): a data RPC stamped with an incarnation
 	// this node instance does not hold is from a peer whose placements
 	// predate a crash-restart. Reject it as a RemoteError — delivered and
@@ -554,101 +557,101 @@ func (s *MemoryNodeServer) dispatch(req *Request) (*Response, func()) {
 		msgSealExtent, msgUnsealExtent, msgLeaseFence:
 		if req.Epoch != 0 {
 			if inc := s.node.Incarnation(); inc != 0 && inc != req.Epoch {
-				return &Response{Err: fmt.Sprintf(
+				resp.Err = fmt.Sprintf(
 					"memnode %d: epoch fence: request for incarnation %d, node is %d",
-					s.node.ID(), req.Epoch, inc)}, nil
+					s.node.ID(), req.Epoch, inc)
+				return nil
 			}
 		}
 	}
+	var err error
 	switch req.Kind {
 	case msgRead:
 		if req.Length <= 0 || req.Length > maxFrameSize {
-			return &Response{Err: fmt.Sprintf("memnode: bad read length %d", req.Length)}, nil
+			resp.Err = fmt.Sprintf("memnode: bad read length %d", req.Length)
+			return nil
 		}
 		bp, buf := getPayloadBuf(req.Length)
-		if err := s.node.ReadAt(req.Offset, buf); err != nil {
+		if err = s.node.ReadAt(req.Offset, buf); err != nil {
 			putPayloadBuf(bp)
-			return &Response{Err: err.Error()}, nil
+			break
 		}
 		s.m.countCopies(len(buf))
 		s.readBytes.Add(uint64(req.Length))
-		// The response payload aliases the pooled staging buffer; it is
-		// recycled only after the frame has hit the wire (the done hook).
-		return &Response{Data: buf}, func() { putPayloadBuf(bp) }
+		resp.Data = buf
+		return bp
 	case msgReadPages:
 		// Scatter-gather read: each offset names one page-sized span; the
 		// payloads are concatenated in request order so the whole batch
 		// costs one frame each way.
 		if req.Length <= 0 || len(req.Offsets) == 0 {
-			return &Response{Err: "memnode: empty read-pages request"}, nil
+			resp.Err = "memnode: empty read-pages request"
+			return nil
 		}
 		total := req.Length * len(req.Offsets)
 		if total > maxFrameSize/2 {
-			return &Response{Err: "memnode: read-pages batch too large"}, nil
+			resp.Err = "memnode: read-pages batch too large"
+			return nil
 		}
 		bp, data := getPayloadBuf(total)
 		for i, off := range req.Offsets {
-			if err := s.node.ReadAt(off, data[i*req.Length:(i+1)*req.Length]); err != nil {
+			if err = s.node.ReadAt(off, data[i*req.Length:(i+1)*req.Length]); err != nil {
 				putPayloadBuf(bp)
-				return &Response{Err: err.Error()}, nil
+				resp.Err = err.Error()
+				return nil
 			}
 		}
 		s.m.countCopies(total)
 		s.readBytes.Add(uint64(total))
 		s.readPagesPages.Add(uint64(len(req.Offsets)))
 		s.readPagesBytes.Add(uint64(total))
-		return &Response{Data: data}, func() { putPayloadBuf(bp) }
+		resp.Data = data
+		return bp
 	case msgWrite:
-		if err := s.node.WriteAtFrom(req.Runtime, req.Offset, req.Data); err != nil {
-			return &Response{Err: err.Error()}, nil
+		if err = s.node.WriteAtFrom(req.Runtime, req.Offset, req.Data); err != nil {
+			break
 		}
 		s.m.countCopies(len(req.Data))
 		s.writeBytes.Add(uint64(len(req.Data)))
-		return &Response{}, nil
 	case msgWriteLog:
 		// The payload already sits in the log region (payloadSink holds
 		// logMu until this handler returns); all that is left is to run
 		// the receiver over it.
-		entries, _, err := s.node.UnpackLogFrom(req.Runtime, len(req.Data))
-		if err != nil {
-			return &Response{Err: err.Error()}, nil
+		if resp.Entries, _, err = s.node.UnpackLogFrom(req.Runtime, len(req.Data)); err != nil {
+			resp.Entries = 0
+			break
 		}
-		s.logEntries.Add(uint64(entries))
+		s.logEntries.Add(uint64(resp.Entries))
 		s.logBytes.Add(uint64(len(req.Data)))
 		if s.m != nil {
-			s.m.trace.Emit("memnode.writeback",
-				fmt.Sprintf("node=%d entries=%d bytes=%d", s.node.ID(), entries, len(req.Data)))
+			s.m.trace.EmitAt(0, "memnode.writeback", "node=%d entries=%d bytes=%d",
+				uint64(s.node.ID()), uint64(resp.Entries), uint64(len(req.Data)))
 		}
-		return &Response{Entries: entries}, nil
 	case msgCaptureStart:
-		pageLen := uint64(req.Length)
-		s.node.StartCapture(req.Offset, req.Size, pageLen)
-		return &Response{}, nil
+		s.node.StartCapture(req.Offset, req.Size, uint64(req.Length))
 	case msgCaptureDrain:
 		offs := s.node.DrainCapture(req.Offset, req.Size)
-		if len(offs) == 0 {
-			return &Response{}, nil
+		if len(offs) > 0 {
+			resp.Data = make([]byte, 0, len(offs)*8)
+			for _, off := range offs {
+				resp.Data = appendU64(resp.Data, off)
+			}
+			resp.Entries = len(offs)
 		}
-		data := make([]byte, 0, len(offs)*8)
-		for _, off := range offs {
-			data = appendU64(data, off)
-		}
-		return &Response{Data: data, Entries: len(offs)}, nil
 	case msgCaptureStop:
 		s.node.StopCapture(req.Offset, req.Size)
-		return &Response{}, nil
 	case msgSealExtent:
 		s.node.Seal(req.Offset, req.Size)
-		return &Response{}, nil
 	case msgUnsealExtent:
 		s.node.Unseal(req.Offset, req.Size)
-		return &Response{}, nil
 	case msgLeaseFence:
 		s.node.LeaseFence(req.Offset, req.Size, req.Runtime)
-		return &Response{}, nil
 	case msgPing:
-		return &Response{}, nil
 	default:
-		return &Response{Err: fmt.Sprintf("memnode: unknown request %q", req.Kind)}, nil
+		resp.Err = fmt.Sprintf("memnode: unknown request %q", req.Kind)
 	}
+	if err != nil {
+		resp.Err = err.Error()
+	}
+	return nil
 }

@@ -126,9 +126,10 @@ type poolMetrics struct {
 	latency map[string]*telemetry.Histogram // per-kind RPC latency, µs
 	txBytes map[string]*telemetry.Counter   // per-kind request wire volume
 	rxBytes map[string]*telemetry.Counter   // per-kind response wire volume
-	// payloadCopies counts reply payload bytes landed in an allocated
-	// staging buffer instead of the caller's own memory — the legacy
-	// Read/ReadPages paths. The *Into scatter receives keep it at 0.
+	// payloadCopies counts reply payload bytes that took a user-space
+	// copy on their way to the caller: the head of a reply that arrived
+	// in the connection buffer, and everything the legacy Read/ReadPages
+	// paths land in an allocated staging buffer.
 	payloadCopies *telemetry.Counter
 	retries       *telemetry.Counter // backed-off re-sends
 	redials       *telemetry.Counter // stale pooled conn replaced inline
@@ -170,9 +171,21 @@ type pool struct {
 	m    *poolMetrics
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*poolConn
 	rng    *rand.Rand
 	closed bool
+}
+
+// poolConn is one persistent client connection: requests are written to
+// the socket itself, replies come back through the connection's frame
+// reader.
+type poolConn struct {
+	net.Conn
+	in frameReader
+}
+
+func newPoolConn(c net.Conn) *poolConn {
+	return &poolConn{Conn: c, in: frameReader{src: c}}
 }
 
 func newPool(addr string, tr Transport) *pool {
@@ -189,7 +202,7 @@ func newPool(addr string, tr Transport) *pool {
 }
 
 // get pops an idle connection or dials a fresh one. pooled reports which.
-func (p *pool) get() (c net.Conn, pooled bool, err error) {
+func (p *pool) get() (c *poolConn, pooled bool, err error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -207,7 +220,7 @@ func (p *pool) get() (c net.Conn, pooled bool, err error) {
 }
 
 // dial opens a fresh connection, bypassing the idle pool.
-func (p *pool) dial() (net.Conn, error) {
+func (p *pool) dial() (*poolConn, error) {
 	c, err := net.DialTimeout("tcp", p.addr, p.tr.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", p.addr, err)
@@ -215,13 +228,16 @@ func (p *pool) dial() (net.Conn, error) {
 	if p.m != nil {
 		p.m.dials.Inc()
 	}
-	return c, nil
+	return newPoolConn(c), nil
 }
 
 // put returns a healthy connection to the pool (or closes it when full).
-func (p *pool) put(c net.Conn) {
+// A connection with bytes still buffered is not healthy: the peer sent
+// more than the frame it owed, and the surplus would be taken for the
+// start of the next reply.
+func (p *pool) put(c *poolConn) {
 	p.mu.Lock()
-	if !p.closed && len(p.idle) < p.tr.PoolSize {
+	if !p.closed && len(p.idle) < p.tr.PoolSize && c.in.buffered() == 0 {
 		p.idle = append(p.idle, c)
 		p.mu.Unlock()
 		return
@@ -256,60 +272,67 @@ func (p *pool) backoff(n int) time.Duration {
 }
 
 // exchange performs one framed request/response on conn under the
-// per-attempt deadline. send is the request's payload as writev iovecs
-// shipped straight from their owning buffers; recv, when non-nil,
-// receives the reply payload scattered directly into the caller's
-// slices. sent reports whether the request hit the wire — if false, the
-// peer cannot have processed it. tx and rx report wire volume.
-func (p *pool) exchange(conn net.Conn, req *Request, send, recv [][]byte) (resp *Response, tx, rx int, sent bool, err error) {
+// per-attempt deadline, armed once and never cleared: nothing touches an
+// idle pooled connection, and the next attempt re-arms before any I/O.
+// send is the request's payload as writev iovecs shipped straight from
+// their owning buffers; recv, when non-nil, receives the reply payload
+// scattered into the caller's slices. sent reports whether the request
+// hit the wire — if false, the peer cannot have processed it. A
+// completed exchange counts its wire volume.
+func (p *pool) exchange(conn *poolConn, req *Request, send, recv [][]byte, resp *Response) (sent bool, err error) {
 	_ = conn.SetDeadline(time.Now().Add(p.tr.RequestTimeout))
-	tx, err = writeRequestFrame(conn, req, send...)
+	tx, err := writeRequestFrame(conn.Conn, req, send...)
 	if err != nil {
-		return nil, tx, 0, false, err
+		return false, err
 	}
-	var r Response
-	rx, err = readResponseFrame(conn, &r, recv)
-	if err != nil {
-		return nil, tx, rx, true, err
+	rx, copied, err := conn.in.readResponse(resp, recv)
+	if err == nil && p.m != nil {
+		if recv == nil {
+			// The payload sits in a staging allocation, whichever way its
+			// bytes got there.
+			copied = len(resp.Data)
+		}
+		p.m.txBytes[req.Kind].Add(uint64(tx))
+		p.m.rxBytes[req.Kind].Add(uint64(rx))
+		p.m.payloadCopies.Add(uint64(copied))
 	}
-	_ = conn.SetDeadline(time.Time{})
-	return &r, tx, rx, true, nil
+	return true, err
 }
 
 // once performs a single logical attempt. A write failure on a reused
 // idle connection means the peer closed it while pooled and the request
 // was never processed, so one immediate redial is safe even for
 // non-idempotent requests.
-func (p *pool) once(req *Request, send, recv [][]byte) (resp *Response, tx, rx int, err error) {
+func (p *pool) once(req *Request, send, recv [][]byte, resp *Response) error {
 	conn, pooled, err := p.get()
 	if err != nil {
-		return nil, 0, 0, err
+		return err
 	}
-	resp, tx, rx, sent, err := p.exchange(conn, req, send, recv)
+	sent, err := p.exchange(conn, req, send, recv, resp)
 	if err != nil {
 		conn.Close()
 		if !pooled || sent {
-			return nil, tx, rx, err
+			return err
 		}
 		if p.m != nil {
 			p.m.redials.Inc()
 		}
 		if conn, err = p.dial(); err != nil {
-			return nil, 0, 0, err
+			return err
 		}
-		if resp, tx, rx, _, err = p.exchange(conn, req, send, recv); err != nil {
+		if _, err = p.exchange(conn, req, send, recv, resp); err != nil {
 			conn.Close()
-			return nil, tx, rx, err
+			return err
 		}
 	}
 	p.put(conn)
-	return resp, tx, rx, nil
+	return nil
 }
 
 // roundTrip sends req and awaits its response over a pooled persistent
 // connection. req.Data, if set, travels as the (single-segment) payload;
 // the reply payload, if any, lands in an allocated resp.Data.
-func (p *pool) roundTrip(req *Request) (*Response, error) {
+func (p *pool) roundTrip(req *Request) (Response, error) {
 	if req.Data != nil {
 		return p.roundTripIO(req, [][]byte{req.Data}, nil)
 	}
@@ -323,7 +346,7 @@ func (p *pool) roundTrip(req *Request) (*Response, error) {
 // requests are retried with exponential backoff and jitter; a retried
 // receive simply overwrites recv. Application-level errors
 // (Response.Err) are returned verbatim and never retried.
-func (p *pool) roundTripIO(req *Request, send, recv [][]byte) (*Response, error) {
+func (p *pool) roundTripIO(req *Request, send, recv [][]byte) (Response, error) {
 	if req.ID == 0 {
 		req.ID = nextReqID()
 	}
@@ -347,28 +370,19 @@ func (p *pool) roundTripIO(req *Request, send, recv [][]byte) (*Response, error)
 			}
 			time.Sleep(p.backoff(i - 1))
 		}
-		resp, tx, rx, err := p.once(req, send, recv)
-		if err == nil {
+		var resp Response
+		if lastErr = p.once(req, send, recv, &resp); lastErr == nil {
 			if p.m != nil {
 				p.m.latency[req.Kind].Observe(time.Since(start).Microseconds())
-				p.m.txBytes[req.Kind].Add(uint64(tx))
-				p.m.rxBytes[req.Kind].Add(uint64(rx))
-				if recv == nil && len(resp.Data) > 0 {
-					p.m.payloadCopies.Add(uint64(len(resp.Data)))
-				}
 			}
-			if e := resp.errOf(); e != nil {
-				return nil, e
-			}
-			return resp, nil
+			return resp, resp.errOf()
 		}
-		lastErr = err
 	}
 	if p.m != nil {
 		p.m.failures.Inc()
 		p.m.trace.Emit("rpc.failed",
 			fmt.Sprintf("kind=%s peer=%s attempts=%d err=%v", req.Kind, p.addr, attempts, lastErr))
 	}
-	return nil, fmt.Errorf("cluster: %s to %s failed after %d attempts: %w",
+	return Response{}, fmt.Errorf("cluster: %s to %s failed after %d attempts: %w",
 		req.Kind, p.addr, attempts, lastErr)
 }

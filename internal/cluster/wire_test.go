@@ -100,8 +100,7 @@ func TestPayloadAtMaxFrameSize(t *testing.T) {
 	// A frame prefix claiming an over-limit payload must be rejected
 	// before any allocation.
 	pre := []byte{frameMagic0, frameMagic1, frameVersion, kindPing, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
-	var scratch []byte
-	if _, _, _, err := readFrameHeader(bytes.NewReader(pre), &scratch); err == nil {
+	if _, _, _, err := (&frameReader{src: bytes.NewReader(pre)}).readHeader(); err == nil {
 		t.Fatal("length-bomb prefix accepted")
 	}
 }
@@ -115,14 +114,13 @@ func TestLegacyGobPeerRejected(t *testing.T) {
 	if err := gob.NewEncoder(&legacy).Encode(&Request{Kind: msgPing}); err != nil {
 		t.Fatal(err)
 	}
-	var scratch []byte
-	_, _, _, err := readFrameHeader(&legacy, &scratch)
+	_, _, _, err := (&frameReader{src: &legacy}).readHeader()
 	if err == nil || !strings.Contains(err.Error(), "does not speak the kw wire protocol") {
 		t.Fatalf("legacy gob frame: got %v, want magic-check rejection", err)
 	}
 
 	bad := []byte{frameMagic0, frameMagic1, frameVersion + 1, kindPing, 0, 0, 0, 0, 0, 0, 0, 0}
-	_, _, _, err = readFrameHeader(bytes.NewReader(bad), &scratch)
+	_, _, _, err = (&frameReader{src: bytes.NewReader(bad)}).readHeader()
 	if err == nil || !strings.Contains(err.Error(), "wire version mismatch") {
 		t.Fatalf("wrong version: got %v, want version-mismatch rejection", err)
 	}
@@ -146,7 +144,7 @@ func TestLegacyGobPeerRejected(t *testing.T) {
 		_ = gob.NewEncoder(&resp).Encode(&Response{})
 		_, _ = conn.Write(resp.Bytes())
 	}()
-	_, err = roundTrip(l.Addr().String(), &Request{Kind: msgPing})
+	_, err = roundTripOnce(l.Addr().String(), &Request{Kind: msgPing})
 	if err == nil || !strings.Contains(err.Error(), "does not speak the kw wire protocol") {
 		t.Fatalf("gob-era peer round trip: got %v, want magic-check rejection", err)
 	}
@@ -190,15 +188,15 @@ func TestPartialVecWriteNoDesync(t *testing.T) {
 		t.Fatalf("writer reported %d bytes, wire carries %d", n, cw.fed)
 	}
 
-	var scratch []byte
-	_, _, payLen, err := readFrameHeader(&wire, &scratch)
+	in := &frameReader{src: &wire}
+	_, _, payLen, err := in.readHeader()
 	if err != nil {
 		// The choke landed inside the prefix/header: the reader calls
 		// truncation, which is the loud failure we want.
 		return
 	}
 	dst := make([]byte, payLen)
-	if err := readPayloadInto(&wire, payLen, dst); err == nil {
+	if _, err := in.readPayload(payLen, dst); err == nil {
 		t.Fatal("reader filled a payload the writer never finished")
 	}
 }
@@ -317,7 +315,7 @@ func TestOversizedWriteLogDrainsAndAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	if _, err := readResponseFrame(conn, &resp, nil); err != nil {
+	if err := recvResponse(conn, &resp); err != nil {
 		t.Fatalf("oversized log tore the connection: %v", err)
 	}
 	if !strings.Contains(resp.Err, "log too large") {
@@ -327,15 +325,17 @@ func TestOversizedWriteLogDrainsAndAnswers(t *testing.T) {
 	if _, err := writeRequestFrame(conn, &Request{Kind: msgPing, ID: nextReqID()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readResponseFrame(conn, &resp, nil); err != nil || resp.Err != "" {
+	if err := recvResponse(conn, &resp); err != nil || resp.Err != "" {
 		t.Fatalf("connection desynced after drained payload: %v %q", err, resp.Err)
 	}
 }
 
 // TestWireTelemetryCounters checks the per-kind tx/rx byte counters and
-// the payload_copies counters on both ends: the zero-copy paths
-// (WriteLogVec, ReadInto) must leave payload_copies untouched while
-// moving payload-sized wire volume; the legacy staging paths must count.
+// the payload_copies counters on both ends: a payload that arrives in
+// the connection buffer counts its one copy out of it (WriteLog on the
+// server, ReadInto on the client), the server's Read staging counts
+// once more, and the legacy client Read counts its staging allocation
+// once, not twice.
 func TestWireTelemetryCounters(t *testing.T) {
 	clientReg := telemetry.New(64)
 	serverReg := telemetry.New(64)
@@ -370,21 +370,22 @@ func TestWireTelemetryCounters(t *testing.T) {
 	if got := serverReg.Counter("cluster.memnode.rx_bytes." + msgWriteLog).Value(); got < uint64(len(logA)) {
 		t.Fatalf("server write-log rx_bytes %d, want >= payload %d", got, len(logA))
 	}
-	if got := clientReg.Counter("cluster.rpc.payload_copies").Value(); got != 0 {
-		t.Fatalf("zero-copy client paths staged %d payload bytes", got)
+	if got := clientReg.Counter("cluster.rpc.payload_copies").Value(); got != uint64(len(frame)) {
+		t.Fatalf("client payload_copies %d, want %d (the fetched page, once)", got, len(frame))
 	}
 	// The server Read path stages through its pooled buffer (the pool is
-	// locked per-access); WriteLog must not have added to it.
+	// locked per-access); the log took its one copy out of the
+	// connection buffer.
 	serverCopies := serverReg.Counter("cluster.memnode.payload_copies").Value()
-	if serverCopies != uint64(len(frame)) {
-		t.Fatalf("server payload_copies %d, want %d (Read staging only)", serverCopies, len(frame))
+	if serverCopies != uint64(len(frame)+len(logA)) {
+		t.Fatalf("server payload_copies %d, want %d (Read staging + buffered log)", serverCopies, len(frame)+len(logA))
 	}
 
 	// Legacy client Read allocates a staging buffer and counts it.
 	if _, err := mc.Read(0, 256); err != nil {
 		t.Fatal(err)
 	}
-	if got := clientReg.Counter("cluster.rpc.payload_copies").Value(); got != 256 {
-		t.Fatalf("legacy Read staged %d bytes, want 256", got)
+	if got := clientReg.Counter("cluster.rpc.payload_copies").Value(); got != uint64(len(frame))+256 {
+		t.Fatalf("legacy Read staged %d bytes, want 256", got-uint64(len(frame)))
 	}
 }

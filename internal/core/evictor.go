@@ -940,10 +940,8 @@ func (e *evictor) fanoutShipLocked(now simclock.Duration, onlyFull bool) (simclo
 		e.m.wireBytes.Add(uint64(res.packed))
 		e.m.flushes.Add(uint64(res.flushes))
 		e.m.remoteEntries.Add(uint64(res.remote))
-		if e.m.trace != nil {
-			e.m.trace.EmitAt(res.done, "core.evict.flush",
-				fmt.Sprintf("node=%d entries=%d bytes=%d", nb.link.id(), res.entries, res.packed))
-		}
+		e.m.trace.EmitAt(res.done, "core.evict.flush", "node=%d entries=%d bytes=%d",
+			uint64(nb.link.id()), uint64(res.entries), uint64(res.packed))
 		nb.ackDue = res.ackDue
 		nb.reported = false
 		nb.pendingBytes.Add(-int64(nb.entryBytes))
@@ -980,10 +978,8 @@ func (e *evictor) flushNodeLocked(now simclock.Duration, nb *nodeBatch) (simcloc
 	e.m.wireBytes.Add(uint64(cs.packed))
 	e.m.flushes.Add(uint64(cs.flushes))
 	e.m.remoteEntries.Add(uint64(cs.remote))
-	if e.m.trace != nil {
-		e.m.trace.EmitAt(cs.done, "core.evict.flush",
-			fmt.Sprintf("node=%d entries=%d bytes=%d", nb.link.id(), len(nb.entries), cs.packed))
-	}
+	e.m.trace.EmitAt(cs.done, "core.evict.flush", "node=%d entries=%d bytes=%d",
+		uint64(nb.link.id()), uint64(len(nb.entries)), uint64(cs.packed))
 	nb.ackDue = cs.ackDue
 	nb.reported = false
 	nb.pendingBytes.Add(-int64(nb.entryBytes))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,9 +176,7 @@ func newKona(cfg Config, r rack) *Kona {
 	// fetch-telemetry point too.
 	k.fpga.SetFetchHook(func(now simclock.Duration, base mem.Addr) simclock.Duration {
 		k.m.fetches.Inc()
-		if k.m.trace != nil {
-			k.m.trace.EmitAt(now, "core.fetch", fmt.Sprintf("page=%#x", uint64(base)))
-		}
+		k.m.trace.EmitAt(now, "core.fetch", "page=%#x", uint64(base))
 		done, err := k.evict.FlushIfPending(now, base)
 		k.noteEvictErr(err)
 		if k.rm.takeSealNotice() {

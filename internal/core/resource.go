@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"kona/internal/fpga"
 	"kona/internal/mem"
 	"kona/internal/simclock"
 	"kona/internal/slab"
@@ -134,35 +133,6 @@ func (rm *resourceManager) growLocked() error {
 	return nil
 }
 
-// boundPage binds a nodeLink to one page's pool offset; it implements
-// fpga.PageReader.
-type boundPage struct {
-	rm   *resourceManager
-	addr mem.Addr // the translated VFMem address, for re-translation
-	link nodeLink
-	off  uint64
-}
-
-// ReadRange implements fpga.PageReader. A failed read invalidates the
-// link's cached health verdict (tcpLink.noteFailure), so the single
-// re-translate below probes the node live and fails over to a replica
-// that is still answering — without that retry, a node dying inside the
-// health cache's TTL would surface as a read error instead of a
-// failover.
-func (b boundPage) ReadRange(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error) {
-	done, err := b.link.readPage(now, b.off+off, buf)
-	if err == nil {
-		return done, nil
-	}
-	b.rm.mu.Lock()
-	l, poolOff, terr := b.rm.translateLocked(b.addr)
-	b.rm.mu.Unlock()
-	if terr != nil {
-		return now, err
-	}
-	return l.readPage(now, poolOff+off, buf)
-}
-
 // translateLocked resolves addr to its live read placement, preferring
 // the primary and failing over to a live replica. A repaired member
 // stays unreadable (suspect) until the evictor has re-shipped the
@@ -205,16 +175,34 @@ func (rm *resourceManager) translateLocked(addr mem.Addr) (nodeLink, uint64, err
 	}
 }
 
-// Translate implements fpga.Translator over the slab map, preferring the
-// primary placement and failing over to a live replica.
-func (rm *resourceManager) Translate(addr mem.Addr) (fpga.PageReader, error) {
+// translate is translateLocked for callers outside rm.mu.
+func (rm *resourceManager) translate(addr mem.Addr) (nodeLink, uint64, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	l, off, err := rm.translateLocked(addr)
+	return rm.translateLocked(addr)
+}
+
+// ReadRange implements fpga.Translator over the slab map: it reads from
+// the page's primary placement, failing over to a live replica. A failed
+// read invalidates the link's cached health verdict
+// (tcpLink.noteFailure), so the single re-translate probes the node live
+// and fails over to a replica that is still answering — without that
+// retry, a node dying inside the health cache's TTL would surface as a
+// read error instead of a failover.
+func (rm *resourceManager) ReadRange(now simclock.Duration, base mem.Addr, off uint64, buf []byte) (simclock.Duration, error) {
+	l, poolOff, err := rm.translate(base)
 	if err != nil {
-		return nil, err
+		return now, err
 	}
-	return boundPage{rm: rm, addr: addr, link: l, off: off}, nil
+	done, err := l.readPage(now, poolOff+off, buf)
+	if err == nil {
+		return done, nil
+	}
+	l, poolOff, terr := rm.translate(base)
+	if terr != nil {
+		return now, err
+	}
+	return l.readPage(now, poolOff+off, buf)
 }
 
 // batchGroup accumulates one node's share of a scatter-gather read.

@@ -19,11 +19,11 @@ import (
 // the fetch would hit.
 func readMemberID(t *testing.T, k *Kona, addr mem.Addr) int {
 	t.Helper()
-	pr, err := k.rm.Translate(addr)
+	l, _, err := k.rm.translate(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr.(boundPage).link.id()
+	return l.id()
 }
 
 func suspectCount(k *Kona) int {

@@ -42,21 +42,15 @@ import (
 	"kona/internal/simclock"
 )
 
-// PageReader fetches remote data for one VFMem page. The runtime's
-// Resource Manager binds each page to a reader over its transport — the
-// simulated RDMA fabric or a TCP memory-node connection.
-type PageReader interface {
-	// ReadRange fills buf with the page's remote contents starting at
-	// byte offset off within the page, beginning at virtual time now,
-	// and returns the completion time.
-	ReadRange(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error)
-}
-
-// Translator resolves VFMem addresses to remote pages. The runtime's
-// Resource Manager implements it over the slab map; the FPGA only
-// consults it (§4.4).
+// Translator resolves VFMem pages to remote memory and fetches from it.
+// The runtime's Resource Manager implements it over the slab map and its
+// transport — the simulated RDMA fabric or a TCP memory-node connection;
+// the FPGA only consults it (§4.4).
 type Translator interface {
-	Translate(addr mem.Addr) (PageReader, error)
+	// ReadRange fills buf with the remote contents of the page at base,
+	// starting at byte offset off within the page, beginning at virtual
+	// time now, and returns the completion time.
+	ReadRange(now simclock.Duration, base mem.Addr, off uint64, buf []byte) (simclock.Duration, error)
 }
 
 // BatchTranslator is the optional scatter-gather extension of
@@ -598,7 +592,7 @@ func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, pa
 	fb := int(f.cfg.FetchBytes)
 	linesPerBlock := fb / mem.CacheLineSize
 	done := now
-	var pr PageReader
+	fetching := false
 	base := mem.PageBase(page)
 	for block := lo / linesPerBlock; block <= hi/linesPerBlock; block++ {
 		first := block * linesPerBlock
@@ -612,24 +606,20 @@ func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, pa
 		if !missing {
 			continue
 		}
-		if pr == nil {
+		if !fetching {
+			fetching = true
 			if f.onFetch != nil {
 				now = f.onFetch(now, base)
 				if now > done {
 					done = now
 				}
 			}
-			var err error
-			pr, err = f.translate.Translate(base)
-			if err != nil {
-				return now, fmt.Errorf("fpga: translate %v: %w", base, err)
-			}
 			if sh.scratch == nil {
 				sh.scratch = make([]byte, mem.PageSize)
 			}
 		}
 		off := uint64(first * mem.CacheLineSize)
-		blockDone, err := pr.ReadRange(now, off, sh.scratch[:fb])
+		blockDone, err := f.translate.ReadRange(now, base, off, sh.scratch[:fb])
 		if err != nil {
 			return now, fmt.Errorf("fpga: remote fetch %v+%d: %w", base, off, err)
 		}

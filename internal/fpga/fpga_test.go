@@ -28,29 +28,20 @@ type rigTranslator struct {
 	poolKey uint32
 }
 
-func (t *rigTranslator) Translate(addr mem.Addr) (PageReader, error) {
+// ReadRange implements Translator over the test rig's QP.
+func (t *rigTranslator) ReadRange(now simclock.Duration, addr mem.Addr, off uint64, buf []byte) (simclock.Duration, error) {
 	if addr < t.base || uint64(addr-t.base) >= t.size {
-		return nil, fmt.Errorf("no slab for %v", addr)
+		return now, fmt.Errorf("no slab for %v", addr)
 	}
-	return &rigPage{t: t, off: uint64(addr - t.base)}, nil
-}
-
-// rigPage implements PageReader over the test rig's QP.
-type rigPage struct {
-	t   *rigTranslator
-	off uint64
-}
-
-func (p *rigPage) ReadRange(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error) {
-	done, err := p.t.qp.PostSend(now, []rdma.WR{{
-		Op: rdma.OpRead, Local: p.t.staging, RemoteKey: p.t.poolKey,
-		RemoteOff: int(p.off + off), Len: len(buf), Signaled: true,
+	done, err := t.qp.PostSend(now, []rdma.WR{{
+		Op: rdma.OpRead, Local: t.staging, RemoteKey: t.poolKey,
+		RemoteOff: int(uint64(addr-t.base) + off), Len: len(buf), Signaled: true,
 	}})
 	if err != nil {
 		return now, err
 	}
-	p.t.qp.PollCQ()
-	copy(buf, p.t.staging.Bytes())
+	t.qp.PollCQ()
+	copy(buf, t.staging.Bytes())
 	return done, nil
 }
 

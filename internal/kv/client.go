@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -14,9 +14,10 @@ import (
 // safe for concurrent use — the load engine gives each worker its own
 // client, like a real memcached client pool.
 type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	fields [][]byte // reply-line split scratch
 }
 
 // Dial connects to a kvd server.
@@ -46,7 +47,13 @@ func (c *Client) Close() error {
 
 // Set stores key=value and waits for the STORED acknowledgment.
 func (c *Client) Set(key string, flags uint32, value []byte) error {
-	fmt.Fprintf(c.bw, "set %s %d 0 %d\r\n", key, flags, len(value))
+	c.bw.WriteString("set ")
+	c.bw.WriteString(key)
+	c.bw.WriteByte(' ')
+	writeUint(c.bw, uint64(flags))
+	c.bw.WriteString(" 0 ")
+	writeUint(c.bw, uint64(len(value)))
+	c.bw.WriteString("\r\n")
 	c.bw.Write(value)
 	c.bw.WriteString("\r\n")
 	if err := c.bw.Flush(); err != nil {
@@ -56,15 +63,18 @@ func (c *Client) Set(key string, flags uint32, value []byte) error {
 	if err != nil {
 		return err
 	}
-	if line != "STORED" {
+	if string(line) != "STORED" {
 		return fmt.Errorf("kv: set %q: server answered %q", key, line)
 	}
 	return nil
 }
 
-// Get fetches one key; ok reports presence.
+// Get fetches one key; ok reports presence. The returned value is the
+// call's only allocation.
 func (c *Client) Get(key string) (value []byte, flags uint32, ok bool, err error) {
-	fmt.Fprintf(c.bw, "get %s\r\n", key)
+	c.bw.WriteString("get ")
+	c.bw.WriteString(key)
+	c.bw.WriteString("\r\n")
 	if err := c.bw.Flush(); err != nil {
 		return nil, 0, false, err
 	}
@@ -73,36 +83,39 @@ func (c *Client) Get(key string) (value []byte, flags uint32, ok bool, err error
 		if err != nil {
 			return nil, 0, false, err
 		}
-		switch {
-		case line == "END":
+		if string(line) == "END" {
 			return value, flags, ok, nil
-		case strings.HasPrefix(line, "VALUE "):
-			fields := strings.Fields(line)
-			if len(fields) != 4 || fields[1] != key {
-				return nil, 0, false, fmt.Errorf("kv: get %q: bad VALUE line %q", key, line)
-			}
-			f, ferr := strconv.ParseUint(fields[2], 10, 32)
-			n, nerr := strconv.Atoi(fields[3])
-			if ferr != nil || nerr != nil || n < 0 || n > maxValueLen {
-				return nil, 0, false, fmt.Errorf("kv: get %q: bad VALUE line %q", key, line)
-			}
-			value = make([]byte, n)
-			if _, err := io.ReadFull(c.br, value); err != nil {
-				return nil, 0, false, err
-			}
-			if err := expectCRLF(c.br); err != nil {
-				return nil, 0, false, err
-			}
-			flags, ok = uint32(f), true
-		default:
+		}
+		// line aliases the read buffer: parse it all before the data block
+		// is read over it.
+		c.fields = splitFields(line, c.fields[:0])
+		if len(c.fields) == 0 || string(c.fields[0]) != "VALUE" {
 			return nil, 0, false, fmt.Errorf("kv: get %q: server answered %q", key, line)
 		}
+		if len(c.fields) != 4 || string(c.fields[1]) != key {
+			return nil, 0, false, fmt.Errorf("kv: get %q: bad VALUE line %q", key, line)
+		}
+		f, fok := parseUint(c.fields[2], math.MaxUint32)
+		n, nok := parseUint(c.fields[3], maxValueLen)
+		if !fok || !nok {
+			return nil, 0, false, fmt.Errorf("kv: get %q: bad VALUE line %q", key, line)
+		}
+		value = make([]byte, n)
+		if _, err := io.ReadFull(c.br, value); err != nil {
+			return nil, 0, false, err
+		}
+		if err := expectCRLF(c.br); err != nil {
+			return nil, 0, false, err
+		}
+		flags, ok = uint32(f), true
 	}
 }
 
 // Delete removes a key; ok reports whether it existed.
 func (c *Client) Delete(key string) (ok bool, err error) {
-	fmt.Fprintf(c.bw, "delete %s\r\n", key)
+	c.bw.WriteString("delete ")
+	c.bw.WriteString(key)
+	c.bw.WriteString("\r\n")
 	if err := c.bw.Flush(); err != nil {
 		return false, err
 	}
@@ -110,7 +123,7 @@ func (c *Client) Delete(key string) (ok bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	switch line {
+	switch string(line) {
 	case "DELETED":
 		return true, nil
 	case "NOT_FOUND":
@@ -131,10 +144,10 @@ func (c *Client) Stats() (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		if line == "END" {
+		if string(line) == "END" {
 			return out, nil
 		}
-		fields := strings.SplitN(line, " ", 3)
+		fields := strings.SplitN(string(line), " ", 3)
 		if len(fields) != 3 || fields[0] != "STAT" {
 			return nil, fmt.Errorf("kv: stats: bad line %q", line)
 		}

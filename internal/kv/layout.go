@@ -45,7 +45,7 @@ func recordSize(keyLen, valLen int) int { return headerSize + keyLen + valLen }
 // encodeRecord writes the record for (key, value, seq) into buf, which
 // must hold recordSize(len(key), len(value)) bytes. It returns the
 // encoded length.
-func encodeRecord(buf []byte, key string, value []byte, seq uint64) int {
+func encodeRecord[K keyBytes](buf []byte, key K, value []byte, seq uint64) int {
 	n := recordSize(len(key), len(value))
 	_ = buf[n-1]
 	binary.LittleEndian.PutUint16(buf[0:], recordMagic)
@@ -54,17 +54,21 @@ func encodeRecord(buf []byte, key string, value []byte, seq uint64) int {
 	binary.LittleEndian.PutUint64(buf[8:], seq)
 	copy(buf[headerSize:], key)
 	copy(buf[headerSize+len(key):], value)
-	crc := crc32.NewIEEE()
-	crc.Write(buf[8:16]) // seq
-	crc.Write(buf[headerSize : headerSize+len(key)+len(value)])
-	binary.LittleEndian.PutUint32(buf[16:], crc.Sum32())
+	binary.LittleEndian.PutUint32(buf[16:], recordCRC(buf, len(key)+len(value)))
 	return n
+}
+
+// recordCRC is the IEEE CRC-32 over a record's seq field and the body
+// bytes (key ‖ value) that follow its header.
+func recordCRC(buf []byte, body int) uint32 {
+	crc := crc32.Update(0, crc32.IEEETable, buf[8:16])
+	return crc32.Update(crc, crc32.IEEETable, buf[headerSize:headerSize+body])
 }
 
 // decodeRecord validates buf as the record for key and returns the value
 // bytes (aliasing buf) and the writer's sequence number. Any mismatch —
 // magic, lengths, key bytes, checksum — is ErrCorrupt.
-func decodeRecord(buf []byte, key string) (value []byte, seq uint64, err error) {
+func decodeRecord[K keyBytes](buf []byte, key K) (value []byte, seq uint64, err error) {
 	if len(buf) < headerSize {
 		return nil, 0, fmt.Errorf("%w: %d-byte record", ErrCorrupt, len(buf))
 	}
@@ -76,14 +80,11 @@ func decodeRecord(buf []byte, key string) (value []byte, seq uint64, err error) 
 	if keyLen != len(key) || recordSize(keyLen, valLen) > len(buf) {
 		return nil, 0, fmt.Errorf("%w: lengths key=%d val=%d in %d bytes", ErrCorrupt, keyLen, valLen, len(buf))
 	}
-	if string(buf[headerSize:headerSize+keyLen]) != key {
+	if string(buf[headerSize:headerSize+keyLen]) != string(key) {
 		return nil, 0, fmt.Errorf("%w: record holds a different key", ErrCorrupt)
 	}
 	seq = binary.LittleEndian.Uint64(buf[8:])
-	crc := crc32.NewIEEE()
-	crc.Write(buf[8:16])
-	crc.Write(buf[headerSize : headerSize+keyLen+valLen])
-	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(buf[16:]); got != want {
+	if got, want := recordCRC(buf, keyLen+valLen), binary.LittleEndian.Uint32(buf[16:]); got != want {
 		return nil, 0, fmt.Errorf("%w: checksum %#x, want %#x", ErrCorrupt, got, want)
 	}
 	return buf[headerSize+keyLen : headerSize+keyLen+valLen], seq, nil
@@ -95,5 +96,8 @@ func decodeRecord(buf []byte, key string) (value []byte, seq uint64, err error) 
 // for the life of the store.
 var keySeed = maphash.MakeSeed()
 
-// hashKey returns the 64-bit routing hash of key.
+// hashKey returns the 64-bit routing hash of key; hashKeyBytes is the
+// same hash of the same bytes.
 func hashKey(key string) uint64 { return maphash.String(keySeed, key) }
+
+func hashKeyBytes(key []byte) uint64 { return maphash.Bytes(keySeed, key) }

@@ -18,12 +18,12 @@ func parseOne(t *testing.T, wire string) (*command, error) {
 
 func TestProtocolParse(t *testing.T) {
 	cmd, err := parseOne(t, "get alpha beta gamma\r\n")
-	if err != nil || cmd.op != "get" || len(cmd.keys) != 3 || cmd.keys[2] != "gamma" {
+	if err != nil || cmd.op != "get" || len(cmd.keys) != 3 || string(cmd.keys[2]) != "gamma" {
 		t.Fatalf("multi-get = %+v, %v", cmd, err)
 	}
 
 	cmd, err = parseOne(t, "set k 7 0 5\r\nhello\r\n")
-	if err != nil || cmd.op != "set" || cmd.keys[0] != "k" || cmd.flags != 7 ||
+	if err != nil || cmd.op != "set" || string(cmd.keys[0]) != "k" || cmd.flags != 7 ||
 		string(cmd.data) != "hello" || cmd.noreply {
 		t.Fatalf("set = %+v, %v", cmd, err)
 	}
@@ -89,7 +89,7 @@ func TestProtocolErrors(t *testing.T) {
 	if err := readCommand(br, &cmd, nil); !isClientErr(err) {
 		t.Fatalf("oversized set = %v, want clientError", err)
 	}
-	if err := readCommand(br, &cmd, nil); err != nil || cmd.op != "get" || cmd.keys[0] != "ok" {
+	if err := readCommand(br, &cmd, nil); err != nil || cmd.op != "get" || string(cmd.keys[0]) != "ok" {
 		t.Fatalf("stream broken after oversized set: %+v, %v", cmd, err)
 	}
 }

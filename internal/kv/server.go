@@ -192,36 +192,24 @@ func (s *Server) serveConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 16<<10)
 	var cmd command
 	var valBuf []byte
+	// A command is in flight: mark the conn busy and give the request its
+	// own deadline, under the same lock Shutdown uses, so a concurrent
+	// drain cannot cut it off mid-payload. Built once: a closure per
+	// command would be garbage per command.
+	armed := func() {
+		s.mu.Lock()
+		cs.busy = true
+		conn.SetReadDeadline(time.Now().Add(reqDeadline))
+		s.mu.Unlock()
+	}
 	for {
-		err := readCommand(br, &cmd, func() {
-			// A command is in flight: mark the conn busy and give the
-			// request its own deadline, under the same lock Shutdown uses,
-			// so a concurrent drain cannot cut it off mid-payload.
-			s.mu.Lock()
-			cs.busy = true
-			conn.SetReadDeadline(time.Now().Add(reqDeadline))
-			s.mu.Unlock()
-		})
-		var cerr *clientError
-		switch {
-		case err == nil:
-		case errors.Is(err, errQuit):
-			return
-		case errors.As(err, &cerr):
-			s.m.badCommands.Inc()
-			if cerr.msg == "" {
-				writeLine(bw, "ERROR")
-			} else {
-				writeLine(bw, "CLIENT_ERROR "+cerr.msg)
-			}
-			if bw.Flush() != nil {
+		if err := readCommand(br, &cmd, armed); err != nil {
+			// Timeouts at a command boundary are the drain wake-up (or a
+			// dead peer); framing errors, EOF and quit drop the conn.
+			if !s.answerClientError(bw, err) {
 				return
 			}
 			continue
-		default:
-			// Timeouts at a command boundary are the drain wake-up (or a
-			// dead peer); framing errors and EOF drop the conn either way.
-			return
 		}
 		if !s.serveCommand(bw, &cmd, &valBuf) {
 			return
@@ -241,15 +229,32 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// answerClientError answers a recoverable protocol error on the wire and
+// reports whether the connection can carry on. It is its own function so
+// that the errors.As target escapes only when a command has failed.
+func (s *Server) answerClientError(bw *bufio.Writer, err error) bool {
+	var cerr *clientError
+	if !errors.As(err, &cerr) {
+		return false
+	}
+	s.m.badCommands.Inc()
+	if cerr.msg == "" {
+		writeLine(bw, "ERROR")
+	} else {
+		writeLine(bw, "CLIENT_ERROR "+cerr.msg)
+	}
+	return bw.Flush() == nil
+}
+
 // serveCommand executes one parsed command and writes its response;
 // false means the connection is beyond saving.
 func (s *Server) serveCommand(bw *bufio.Writer, cmd *command, valBuf *[]byte) bool {
 	now := s.store.Clock()
 	start := time.Now()
 	switch cmd.op {
-	case "get", "gets":
+	case "get":
 		for _, key := range cmd.keys {
-			val, flags, _, ok, err := s.store.Get(now, key, *valBuf)
+			val, flags, _, ok, err := s.store.GetBytes(now, key, *valBuf)
 			if err != nil {
 				// Corrupt or unreachable entries answer as a miss after
 				// the error is counted: memcached semantics, the client
@@ -264,7 +269,7 @@ func (s *Server) serveCommand(bw *bufio.Writer, cmd *command, valBuf *[]byte) bo
 		writeLine(bw, "END")
 		s.m.getLat.Observe(time.Since(start).Nanoseconds())
 	case "set":
-		_, err := s.store.Set(now, cmd.keys[0], cmd.data, cmd.flags)
+		_, err := s.store.SetBytes(now, cmd.keys[0], cmd.data, cmd.flags)
 		s.m.setLat.Observe(time.Since(start).Nanoseconds())
 		if cmd.noreply {
 			break
@@ -278,7 +283,7 @@ func (s *Server) serveCommand(bw *bufio.Writer, cmd *command, valBuf *[]byte) bo
 			writeLine(bw, "SERVER_ERROR "+err.Error())
 		}
 	case "delete":
-		_, ok, _ := s.store.Delete(now, cmd.keys[0])
+		_, ok, _ := s.store.Delete(now, string(cmd.keys[0]))
 		s.m.delLat.Observe(time.Since(start).Nanoseconds())
 		if cmd.noreply {
 			break

@@ -189,3 +189,40 @@ func TestServerGracefulDrain(t *testing.T) {
 		t.Fatalf("mid-drain write lost: %q %t %v", val, ok, err)
 	}
 }
+
+// TestTextProtocolWithoutGarbage pins the protocol's allocation budget
+// over a real socket, counted across client, server and store (FMem
+// hits: the working set fits the runtime's cache): a get allocates only
+// the value Client.Get hands back, and an overwriting set nothing — the
+// key is looked up from the command line's bytes, the existing key's
+// LRU element is reused, no line is turned into a string.
+func TestTextProtocolWithoutGarbage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector measure the detector")
+	}
+	_, addr := startServer(t, telemetry.New(0))
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const key = "a-key-longer-than-the-32-byte-stack-temporaries"
+	val := make([]byte, 512)
+	if err := c.Set(key, 1234567, val); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if got, flags, ok, err := c.Get(key); err != nil || !ok || flags != 1234567 || len(got) != len(val) {
+			t.Fatalf("get = %d bytes flags %d ok %t err %v", len(got), flags, ok, err)
+		}
+	}); n > 1 {
+		t.Errorf("get allocates %v objects per op, want 1 (the returned value)", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := c.Set(key, 7, val); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("overwriting set allocates %v objects per op, want 0", n)
+	}
+}

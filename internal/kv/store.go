@@ -115,6 +115,11 @@ func (s *Store) shardFor(key string) *storeShard {
 	return s.shards[s.ring.shardOf(hashKey(key))]
 }
 
+// keyBytes is a key as either form the store is handed: the string API,
+// or the server's slice of its command line. One generic implementation
+// serves both; only routing (shardFor / hashKeyBytes) differs.
+type keyBytes interface{ string | []byte }
+
 // advance folds a caller's virtual time into the store's high-water
 // clock (used by the background syncer, which has no caller clock).
 func (s *Store) advance(t simclock.Duration) {
@@ -141,10 +146,19 @@ func (sh *storeShard) grow(n int) []byte {
 // with it. A record failing integrity checks returns ErrCorrupt — it is
 // counted, the entry dropped, and the block quarantined (not recycled).
 func (s *Store) Get(now simclock.Duration, key string, dst []byte) (val []byte, flags uint32, t simclock.Duration, ok bool, err error) {
-	sh := s.shardFor(key)
+	return get(s, s.shardFor(key), now, key, dst)
+}
+
+// GetBytes is Get for a key held as bytes (the server's parsed command
+// line); it neither retains key nor builds a string from it.
+func (s *Store) GetBytes(now simclock.Duration, key, dst []byte) (val []byte, flags uint32, t simclock.Duration, ok bool, err error) {
+	return get(s, s.shards[s.ring.shardOf(hashKeyBytes(key))], now, key, dst)
+}
+
+func get[K keyBytes](s *Store, sh *storeShard, now simclock.Duration, key K, dst []byte) (val []byte, flags uint32, t simclock.Duration, ok bool, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, present := sh.idx[key]
+	e, present := sh.idx[string(key)]
 	if !present {
 		sh.misses++
 		s.m.misses.Inc()
@@ -155,13 +169,13 @@ func (s *Store) Get(now simclock.Duration, key string, dst []byte) (val []byte, 
 	t, err = s.rt.Read(now, e.addr, buf)
 	s.advance(t)
 	if err != nil {
-		return nil, 0, t, false, fmt.Errorf("kv: get %q: %w", key, err)
+		return nil, 0, t, false, fmt.Errorf("kv: get %q: %w", string(key), err)
 	}
 	v, _, derr := decodeRecord(buf, key)
 	if derr != nil {
 		sh.corrupt++
 		s.m.corrupt.Inc()
-		sh.dropLocked(key, e, false, &s.m)
+		sh.dropLocked(string(key), e, false, &s.m)
 		return nil, 0, t, false, derr
 	}
 	sh.lru.MoveToFront(e.elem)
@@ -176,12 +190,21 @@ func (s *Store) Get(now simclock.Duration, key string, dst []byte) (val []byte, 
 // written before the index flips, so a concurrent crash of a memory
 // node can tear at worst an unacknowledged write.
 func (s *Store) Set(now simclock.Duration, key string, value []byte, flags uint32) (t simclock.Duration, err error) {
+	return set(s, s.shardFor(key), now, key, value, flags)
+}
+
+// SetBytes is Set for a key held as bytes; the store copies the key only
+// when it is new.
+func (s *Store) SetBytes(now simclock.Duration, key, value []byte, flags uint32) (t simclock.Duration, err error) {
+	return set(s, s.shards[s.ring.shardOf(hashKeyBytes(key))], now, key, value, flags)
+}
+
+func set[K keyBytes](s *Store, sh *storeShard, now simclock.Duration, key K, value []byte, flags uint32) (t simclock.Duration, err error) {
 	if len(key) > maxKeyLen || len(value) > maxValueLen {
 		return now, fmt.Errorf("%w: key %d bytes, value %d bytes", ErrTooLarge, len(key), len(value))
 	}
 	n := recordSize(len(key), len(value))
 	seq := s.seq.Add(1)
-	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	addr, class, err := sh.heap.alloc(n)
@@ -194,22 +217,23 @@ func (s *Store) Set(now simclock.Duration, key string, value []byte, flags uint3
 	s.advance(t)
 	if err != nil {
 		sh.heap.release(addr, class)
-		return t, fmt.Errorf("kv: set %q: %w", key, err)
+		return t, fmt.Errorf("kv: set %q: %w", string(key), err)
 	}
 	s.m.liveBytes.Add(int64(blockBytes(class)))
-	if old, present := sh.idx[key]; present {
+	e := entry{addr: addr, class: int8(class), valLen: uint32(len(value)), flags: flags}
+	if old, present := sh.idx[string(key)]; present {
 		sh.heap.release(old.addr, int(old.class))
-		sh.lru.Remove(old.elem)
 		s.m.liveBytes.Add(-int64(blockBytes(int(old.class))))
+		// An overwrite keeps the key's LRU element, and with it the
+		// store's own copy of the key.
+		e.elem = old.elem
+		sh.lru.MoveToFront(e.elem)
+		sh.idx[e.elem.Value.(string)] = e
 	} else {
 		s.m.keys.Inc()
-	}
-	sh.idx[key] = entry{
-		addr:   addr,
-		class:  int8(class),
-		valLen: uint32(len(value)),
-		flags:  flags,
-		elem:   sh.lru.PushFront(key),
+		owned := string(key)
+		e.elem = sh.lru.PushFront(owned)
+		sh.idx[owned] = e
 	}
 	sh.sets++
 	s.m.sets.Inc()

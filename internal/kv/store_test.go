@@ -181,6 +181,56 @@ func TestStoreBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestStoreOverwriteKeepsLRUElement: an overwrite — through either key
+// form — moves the key's one LRU element to the front instead of
+// replacing it, so the list stays one element per key and the
+// overwritten key outlives older untouched ones under budget pressure.
+func TestStoreOverwriteKeepsLRUElement(t *testing.T) {
+	s := NewStore(simRuntime(t, 1<<20), Config{Shards: 1, MaxBytes: 64 << 10})
+	tnow := s.Clock()
+	var err error
+	val := make([]byte, 512)
+	set := func(i int) {
+		t.Helper()
+		key := fmt.Sprintf("k%03d", i)
+		if i%2 == 0 {
+			tnow, err = s.Set(tnow, key, val, 0)
+		} else {
+			tnow, err = s.SetBytes(tnow, []byte(key), val, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		set(i)
+	}
+	set(0) // overwrite the two oldest keys, one through each form
+	set(1)
+	sh := s.shards[0]
+	if got := sh.lru.Len(); got != 40 || len(sh.idx) != 40 {
+		t.Fatalf("after overwrites: %d LRU elements, %d keys, want 40 of each", got, len(sh.idx))
+	}
+	if front := sh.lru.Front().Value.(string); front != "k001" {
+		t.Fatalf("LRU front is %q, want the key just overwritten", front)
+	}
+	for i := 40; i < 70; i++ { // a few keys past the budget
+		set(i)
+	}
+	if s.Stats().Evictions == 0 {
+		t.Fatal("no evictions; the test proves nothing")
+	}
+	_, _, _, ok0, _ := s.Get(tnow, "k000", nil)
+	_, _, _, ok1, _ := s.GetBytes(tnow, []byte("k001"), nil)
+	_, _, _, ok2, _ := s.Get(tnow, "k002", nil)
+	if !ok0 || !ok1 || ok2 {
+		t.Fatalf("survivors k000=%t k001=%t k002=%t, want the overwritten keys to outlive k002", ok0, ok1, ok2)
+	}
+	if got := sh.lru.Len(); got != len(sh.idx) {
+		t.Fatalf("%d LRU elements for %d keys", got, len(sh.idx))
+	}
+}
+
 // TestStoreCorruptDetection plants corruption in the remote record and
 // checks Get surfaces ErrCorrupt (and quarantines the entry) instead of
 // returning wrong bytes.

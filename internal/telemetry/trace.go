@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -20,7 +21,15 @@ type Event struct {
 	Virtual time.Duration `json:"virtual_ns,omitempty"`
 	Name    string        `json:"name"`
 	Detail  string        `json:"detail,omitempty"`
+
+	// An event emitted with EmitAt keeps its detail as a format and
+	// integers; Events renders it into Detail when someone reads the ring.
+	nargs int
+	args  [maxEventArgs]uint64
 }
+
+// maxEventArgs is how many integers an EmitAt detail can carry.
+const maxEventArgs = 3
 
 // Trace is a bounded ring of Events. Writers never block readers for
 // long: Emit takes one short mutex hold (events are orders of magnitude
@@ -42,16 +51,31 @@ func NewTrace(capacity int) *Trace {
 	return &Trace{buf: make([]Event, 0, capacity)}
 }
 
-// Emit records a wall-clock-stamped event. Safe on a nil receiver.
-func (t *Trace) Emit(name, detail string) { t.EmitAt(0, name, detail) }
+// Emit records a wall-clock-stamped event whose detail is already text —
+// for the rare events that carry an error or an address. Safe on a nil
+// receiver.
+func (t *Trace) Emit(name, detail string) { t.emit(Event{Name: name, Detail: detail}) }
 
 // EmitAt records an event carrying the emitting component's virtual
-// timestamp. Safe on a nil receiver.
-func (t *Trace) EmitAt(virtual time.Duration, name, detail string) {
+// timestamp (0 for none) and a detail of up to maxEventArgs integers —
+// page addresses, node ids, counts — under a fmt format with one verb per
+// integer. Nothing is formatted here: per-fetch and per-flush emitters
+// pay for a struct copy, and Events renders the text on read. Safe on a
+// nil receiver.
+func (t *Trace) EmitAt(virtual time.Duration, name, format string, args ...uint64) {
 	if t == nil {
 		return
 	}
-	e := Event{Wall: time.Now(), Virtual: virtual, Name: name, Detail: detail}
+	e := Event{Virtual: virtual, Name: name, Detail: format}
+	e.nargs = copy(e.args[:], args)
+	t.emit(e)
+}
+
+func (t *Trace) emit(e Event) {
+	if t == nil {
+		return
+	}
+	e.Wall = time.Now()
 	t.mu.Lock()
 	t.seq++
 	e.Seq = t.seq
@@ -77,6 +101,16 @@ func (t *Trace) Events() []Event {
 		out = append(out, t.buf[t.next:]...)
 	}
 	out = append(out, t.buf[:t.next]...)
+	for i := range out {
+		if e := &out[i]; e.nargs > 0 {
+			args := make([]any, e.nargs)
+			for j := range args {
+				args[j] = e.args[j]
+			}
+			e.Detail = fmt.Sprintf(e.Detail, args...)
+			e.nargs = 0
+		}
+	}
 	return out
 }
 
