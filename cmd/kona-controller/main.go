@@ -83,37 +83,23 @@ func main() {
 	srv := cluster.ServeControllerOnWith(ctrl, l, reg)
 	defer srv.Close()
 
-	// Background repair: sweep node health and re-replicate degraded slabs
-	// onto healthy nodes over the data-RPC transport (§10).
+	// One background loop (DESIGN.md §10, §13): each tick sweeps node
+	// health, re-replicates degraded slabs onto healthy nodes, then — when
+	// -migrate-threshold is set — moves slabs off hot nodes by the load map
+	// (fed by memnode -load-interval pushes and compute-side Sync reports),
+	// each under its own copy budget.
 	if *sweepInterval > 0 {
-		repairTr := cluster.NewTCPRepairTransport(srv.NodeAddr, cluster.DefaultTransport())
-		defer repairTr.Close()
-		engine := cluster.NewRepairEngine(ctrl, repairTr, cluster.RepairConfig{
-			BytesPerSec: *repairBudget,
-			Interval:    *sweepInterval,
-			Metrics:     reg,
+		engine := cluster.NewReplaceEngine(ctrl, srv.DialNode, cluster.ReplaceConfig{
+			RepairBytesPerSec:  *repairBudget,
+			MigrateBytesPerSec: *migrateBudget,
+			Interval:           *sweepInterval,
+			HotRatio:           *migrateRatio,
+			MaxMovesPerSweep:   *migrateMaxMoves,
+			Metrics:            reg,
 		})
-		stopRepair := make(chan struct{})
-		defer close(stopRepair)
-		go engine.Run(stopRepair)
-	}
-
-	// Live slab migration: sweep the load map (fed by memnode -load-interval
-	// pushes and compute-side Sync reports) and move slabs off hot nodes
-	// under a copy budget (DESIGN.md §13).
-	if *sweepInterval > 0 && *migrateRatio > 0 {
-		migTr := cluster.NewTCPMigrationTransport(srv.NodeAddr, cluster.DefaultTransport())
-		defer migTr.Close()
-		mig := cluster.NewMigrationEngine(ctrl, migTr, cluster.MigrationConfig{
-			BytesPerSec:      *migrateBudget,
-			Interval:         *sweepInterval,
-			HotRatio:         *migrateRatio,
-			MaxMovesPerSweep: *migrateMaxMoves,
-			Metrics:          reg,
-		})
-		stopMig := make(chan struct{})
-		defer close(stopMig)
-		go mig.Run(stopMig)
+		stop := make(chan struct{})
+		defer close(stop)
+		go engine.Run(stop)
 	}
 
 	metrics := "off"

@@ -84,10 +84,10 @@ func TestPooledClientReusesConnections(t *testing.T) {
 	mc := DialMemoryNode(ns.Addr())
 	defer mc.Close()
 	for i := 0; i < 50; i++ {
-		if err := mc.Write(uint64(i)*64, []byte{byte(i)}); err != nil {
+		if err := mc.WriteVec(uint64(i)*64, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mc.Read(uint64(i)*64, 1); err != nil {
+		if _, err := readFrom(mc, uint64(i)*64, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,10 +121,10 @@ func TestRetryThroughFaults(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		payload := bytes.Repeat([]byte{byte(i + 1)}, 128)
 		off := uint64(i) * 256
-		if err := mc.Write(off, payload); err != nil {
+		if err := mc.WriteVec(off, payload); err != nil {
 			t.Fatalf("write %d through faults: %v", i, err)
 		}
-		got, err := mc.Read(off, len(payload))
+		got, err := readFrom(mc, off, len(payload))
 		if err != nil {
 			t.Fatalf("read %d through faults: %v", i, err)
 		}

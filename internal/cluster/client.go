@@ -230,17 +230,6 @@ func DialMemoryNodeTransport(addr string, tr Transport) *MemoryNodeClient {
 // Close releases the client's pooled connections.
 func (c *MemoryNodeClient) Close() error { return c.pool.Close() }
 
-// Read fetches length bytes at offset from the node's pool into a fresh
-// buffer. Callers that own the destination (a page frame) should use
-// ReadInto, which lands the reply there without the staging allocation.
-func (c *MemoryNodeClient) Read(offset uint64, length int) ([]byte, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgRead, Offset: offset, Length: length, Epoch: c.epoch.Load()})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
-}
-
 // ReadInto fetches len(buf) bytes at offset directly into buf: the reply
 // payload is read off the socket straight into the caller's memory — no
 // intermediate buffer, no copy.
@@ -251,31 +240,13 @@ func (c *MemoryNodeClient) ReadInto(offset uint64, buf []byte) error {
 	return err
 }
 
-// ReadPages gathers one span of `length` bytes at each of the given pool
-// offsets in a single round trip — the scatter-gather read the prefetcher
-// and bulk-replay paths use to avoid one RPC per page. The returned
-// slices alias one contiguous response buffer, in request order.
-func (c *MemoryNodeClient) ReadPages(offsets []uint64, length int) ([][]byte, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgReadPages, Offsets: offsets, Length: length, Epoch: c.epoch.Load()})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Data) != length*len(offsets) {
-		return nil, fmt.Errorf("cluster: read-pages returned %d bytes, want %d",
-			len(resp.Data), length*len(offsets))
-	}
-	pages := make([][]byte, len(offsets))
-	for i := range pages {
-		pages[i] = resp.Data[i*length : (i+1)*length]
-	}
-	return pages, nil
-}
-
-// ReadPagesInto is ReadPages with the reply scattered directly into the
-// caller's buffers — typically non-contiguous page frames — one per
-// offset, all the same length. The concatenated reply payload is read
-// off the socket segment by segment into bufs in request order; nothing
-// is staged or copied.
+// ReadPagesInto gathers one span at each of the given pool offsets in a
+// single round trip — the scatter-gather read the prefetcher, bulk-replay
+// and member-replacement paths use to avoid one RPC per page — with the
+// reply scattered directly into the caller's buffers (typically
+// non-contiguous page frames), one per offset, all the same length. The
+// concatenated reply payload is read off the socket segment by segment
+// into bufs in request order; nothing is staged or copied.
 func (c *MemoryNodeClient) ReadPagesInto(offsets []uint64, bufs [][]byte) error {
 	if len(bufs) != len(offsets) {
 		return fmt.Errorf("cluster: read-pages: %d offsets but %d buffers", len(offsets), len(bufs))
@@ -295,16 +266,10 @@ func (c *MemoryNodeClient) ReadPagesInto(offsets []uint64, bufs [][]byte) error 
 	return err
 }
 
-// Write stores data at offset in the node's pool. A write is a pure
-// overwrite, so the transport may retry it after a connection fault.
-func (c *MemoryNodeClient) Write(offset uint64, data []byte) error {
-	return c.WriteVec(offset, data)
-}
-
 // WriteVec stores the concatenation of segs at offset in the node's
 // pool. Each segment becomes one writev iovec shipped straight from the
-// caller's buffer — the repair engine uses this to forward a slab's page
-// images without first gluing them into one contiguous allocation.
+// caller's buffer. A write is a pure overwrite, so the transport may
+// retry it after a connection fault.
 func (c *MemoryNodeClient) WriteVec(offset uint64, segs ...[]byte) error {
 	_, err := c.pool.roundTripIO(
 		&Request{Kind: msgWrite, Offset: offset, Epoch: c.epoch.Load(), Runtime: c.runtime.Load()},
@@ -312,18 +277,13 @@ func (c *MemoryNodeClient) WriteVec(offset uint64, segs ...[]byte) error {
 	return err
 }
 
-// WriteLog ships a packed cache-line log and returns the number of entries
-// the receiver applied. Log application is not idempotent at the receiver
-// (it counts entries), so the transport does not retry it; the eviction
-// layer decides whether to replay.
-func (c *MemoryNodeClient) WriteLog(packed []byte) (int, error) {
-	return c.WriteLogVec(packed)
-}
-
-// WriteLogVec is WriteLog taking the packed log as scatter segments:
-// each segment goes from its arena to the kernel as one writev iovec,
-// and the receiver lands the whole payload directly in its log region —
-// zero copies on either side of the wire.
+// WriteLogVec ships a packed cache-line log, given as scatter segments,
+// and returns the number of entries the receiver applied: each segment
+// goes from its arena to the kernel as one writev iovec, and the receiver
+// lands the whole payload directly in its log region — zero copies on
+// either side of the wire. Log application is not idempotent at the
+// receiver (it counts entries), so the transport does not retry it; the
+// eviction layer decides whether to replay.
 func (c *MemoryNodeClient) WriteLogVec(segs ...[]byte) (int, error) {
 	resp, err := c.pool.roundTripIO(
 		&Request{Kind: msgWriteLog, Epoch: c.epoch.Load(), Runtime: c.runtime.Load()}, segs, nil)
@@ -340,7 +300,7 @@ func (c *MemoryNodeClient) Ping() error {
 }
 
 // CaptureStart begins dirty-page capture on [off, off+size) at pageLen
-// granularity (migration engine, DESIGN.md §13).
+// granularity (live member replacement, DESIGN.md §13).
 func (c *MemoryNodeClient) CaptureStart(off, size, pageLen uint64) error {
 	_, err := c.pool.roundTrip(&Request{
 		Kind: msgCaptureStart, Offset: off, Size: size, Length: int(pageLen), Epoch: c.epoch.Load(),
@@ -398,12 +358,10 @@ func (c *MemoryNodeClient) Unseal(off, size uint64) error {
 
 // LeaseFence restricts writes to [off, off+size) to the runtime holding
 // the writer lease; holder 0 clears the fence. The controller pushes
-// these when a group's writer changes, over one client per daemon
-// address shared by members that may name different incarnations of it —
-// so the incarnation stamp is the caller's, not SetEpoch's.
-func (c *MemoryNodeClient) LeaseFence(epoch, off, size, holder uint64) error {
+// these when a group's writer changes.
+func (c *MemoryNodeClient) LeaseFence(off, size, holder uint64) error {
 	_, err := c.pool.roundTrip(&Request{
-		Kind: msgLeaseFence, Offset: off, Size: size, Runtime: holder, Epoch: epoch,
+		Kind: msgLeaseFence, Offset: off, Size: size, Runtime: holder, Epoch: c.epoch.Load(),
 	})
 	return err
 }

@@ -241,10 +241,10 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{7}, 4096)
-	if err := mc.Write(s.RemoteOff, payload); err != nil {
+	if err := mc.WriteVec(s.RemoteOff, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := mc.Read(s.RemoteOff, 4096)
+	got, err := readFrom(mc, s.RemoteOff, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +258,11 @@ func TestTCPEndToEnd(t *testing.T) {
 	if _, err := cllog.Pack(entries, packed); err != nil {
 		t.Fatal(err)
 	}
-	applied, err := mc.WriteLog(packed)
+	applied, err := mc.WriteLogVec(packed)
 	if err != nil || applied != 1 {
 		t.Fatalf("WriteLog: %d %v", applied, err)
 	}
-	got, err = mc.Read(s.RemoteOff+8192, 64)
+	got, err = readFrom(mc, s.RemoteOff+8192, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 
 	// Error paths over the wire.
-	if _, err := mc.Read(1<<40, 10); err == nil {
+	if _, err := readFrom(mc, 1<<40, 10); err == nil {
 		t.Errorf("out-of-range TCP read succeeded")
 	}
 	if _, _, err := cc.AllocSlab(1 << 40); err == nil {
@@ -419,4 +419,20 @@ func TestNodeAccessors(t *testing.T) {
 	if off2 != off {
 		t.Errorf("released extent not reused: %d vs %d", off2, off)
 	}
+}
+
+// readFrom fetches n bytes at off into a fresh buffer. Product code reads
+// into frames it owns (ReadInto); tests want the bytes.
+func readFrom(c *MemoryNodeClient, off uint64, n int) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, c.ReadInto(off, buf)
+}
+
+// readPagesFrom gathers one n-byte span at each offset into fresh buffers.
+func readPagesFrom(c *MemoryNodeClient, offs []uint64, n int) ([][]byte, error) {
+	bufs := make([][]byte, len(offs))
+	for i := range bufs {
+		bufs[i] = make([]byte, n)
+	}
+	return bufs, c.ReadPagesInto(offs, bufs)
 }

@@ -19,7 +19,7 @@ import (
 // report from a compute node's evictor, or a rejoin of the same id — the
 // dead members are marked degraded but stay in their groups, so compute
 // nodes keep buffering dirty lines for them (the retained-entry protocol)
-// until the repair engine copies the slab onto a healthy node and commits
+// until the replacement engine copies the slab onto a healthy node and commits
 // an atomic placement flip. Node incarnations fence stale placements:
 // every registration of an id bumps its incarnation, and a member whose
 // Epoch no longer matches its node's incarnation is dead by definition.
@@ -44,9 +44,11 @@ type Controller struct {
 	// its dead predecessors.
 	incarn map[int]uint64
 
-	// degraded tracks group members that lost their node, keyed so a
-	// group that loses two distinct replicas gets two entries.
-	degraded map[degradedKey]DegradedSlab
+	// degraded holds the group members that lost their node — the
+	// replacement engine's repair work — keyed so a group that loses two
+	// distinct replicas gets two entries. An entry's Epoch fences it
+	// against the node rejoining under a new incarnation.
+	degraded map[degradedKey]slab.Slab
 
 	// epoch is the placement epoch: bumped on every register, remove and
 	// repair flip. Compute nodes compare it against a cached value to
@@ -75,18 +77,6 @@ type degradedKey struct {
 	node  int
 }
 
-// DegradedSlab identifies one lost replica of one placement group: the
-// repair engine's unit of work.
-type DegradedSlab struct {
-	// Group is the placement-group (slab) id.
-	Group uint64
-	// LostNode is the id of the node that held the lost member.
-	LostNode int
-	// LostEpoch is the incarnation the lost member was carved under; it
-	// fences the entry against the node rejoining with a new incarnation.
-	LostEpoch uint64
-}
-
 // VFMemBase is the fake-physical base address at which the controller
 // hands out slab mappings: high enough to never collide with CMem
 // allocations in the simulated process layout.
@@ -99,7 +89,7 @@ func NewController() *Controller {
 		nextVA:   VFMemBase,
 		groups:   make(map[uint64][]slab.Slab),
 		incarn:   make(map[int]uint64),
-		degraded: make(map[degradedKey]DegradedSlab),
+		degraded: make(map[degradedKey]slab.Slab),
 		leaseDir: leaseDir{leases: make(map[uint64]*leaseState)},
 	}
 }
@@ -196,7 +186,7 @@ func (c *Controller) removeLocked(id int) {
 			}
 			k := degradedKey{group: gid, node: id}
 			if _, seen := c.degraded[k]; !seen {
-				c.degraded[k] = DegradedSlab{Group: gid, LostNode: id, LostEpoch: m.Epoch}
+				c.degraded[k] = m
 			}
 		}
 	}
@@ -215,6 +205,44 @@ func (c *Controller) Nodes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.nodes)
+}
+
+// NodeIDs returns the registered node ids, ascending.
+func (c *Controller) NodeIDs() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]int, 0, len(c.nodes))
+	for id := range c.nodes {
+		out = append(out, id)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// SlabsOnNode returns the group members hosted on node at its current
+// incarnation, ascending group id. Groups with any degraded member are
+// skipped — restoring their redundancy comes before rebalancing them.
+func (c *Controller) SlabsOnNode(node int) []slab.Slab {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	inc := c.incarn[node]
+	degradedGroup := make(map[uint64]bool, len(c.degraded))
+	for k := range c.degraded {
+		degradedGroup[k.group] = true
+	}
+	var out []slab.Slab
+	for gid, members := range c.groups {
+		if degradedGroup[gid] {
+			continue
+		}
+		for _, m := range members {
+			if m.Node == node && m.Epoch == inc {
+				out = append(out, m)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Incarnation returns the current incarnation of id (0 if never
@@ -278,20 +306,20 @@ func (c *Controller) PlacementsHealth(group uint64) ([]slab.Slab, []bool, bool) 
 	return out, live, true
 }
 
-// DegradedSlabs returns the outstanding repair work, deterministically
-// ordered.
-func (c *Controller) DegradedSlabs() []DegradedSlab {
+// DegradedSlabs returns the lost members awaiting repair,
+// deterministically ordered.
+func (c *Controller) DegradedSlabs() []slab.Slab {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]DegradedSlab, 0, len(c.degraded))
-	for _, d := range c.degraded {
-		out = append(out, d)
+	out := make([]slab.Slab, 0, len(c.degraded))
+	for _, m := range c.degraded {
+		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Group != out[j].Group {
-			return out[i].Group < out[j].Group
+		if out[i].ID != out[j].ID {
+			return out[i].ID < out[j].ID
 		}
-		return out[i].LostNode < out[j].LostNode
+		return out[i].Node < out[j].Node
 	})
 	return out
 }
@@ -406,136 +434,155 @@ func (c *Controller) ReportNodeFailure(id int) bool {
 	return true
 }
 
-// CarveRepairTarget picks a healthy node for the lost member of d and
-// carves an extent there, returning the replacement member. The lost
-// node itself is excluded unless it has rejoined under a higher
-// incarnation (a dead node must never be its own repair target), as are
-// all nodes already holding a member of the group.
-func (c *Controller) CarveRepairTarget(d DegradedSlab) (slab.Slab, error) {
+// CarveReplacement plans the replacement of group member old (DESIGN.md
+// §10): under one critical section it reads whether old is lost (its
+// (group, node) is in the degraded set) or live, picks the member to copy
+// from — a surviving replica for a lost member, old itself for a live one
+// — and carves a same-size target extent on a node holding no member of
+// the group. A lost member's target comes off the rr cursor (so fixed-seed
+// placement is unchanged) and is never the lost node at the lost
+// incarnation; a live member's target is the coldest node by load order —
+// rebalancing onto a random node defeats the point.
+func (c *Controller) CarveReplacement(old slab.Slab) (src, target slab.Slab, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.degraded[degradedKey{group: d.Group, node: d.LostNode}]; !ok {
-		return slab.Slab{}, fmt.Errorf("controller: group %d/node %d not degraded", d.Group, d.LostNode)
-	}
-	members := c.groups[d.Group]
-	var lost *slab.Slab
+	members := c.groups[old.ID]
+	found := false
 	occupied := make(map[int]bool, len(members))
-	for i := range members {
-		m := &members[i]
-		if m.Node == d.LostNode && m.Epoch == d.LostEpoch {
-			lost = m
-			continue
+	for _, m := range members {
+		if m == old {
+			found = true
 		}
 		occupied[m.Node] = true
 	}
-	if lost == nil {
-		return slab.Slab{}, fmt.Errorf("controller: group %d lost member on node %d vanished", d.Group, d.LostNode)
+	if !found {
+		return slab.Slab{}, slab.Slab{}, fmt.Errorf("controller: group %d member on node %d vanished", old.ID, old.Node)
+	}
+	// A live member is its own copy source and moves to the coldest node;
+	// a lost one is copied from a survivor onto the next node off the rr
+	// cursor (a nil order).
+	src = old
+	var order []int
+	if _, lost := c.degraded[degradedKey{group: old.ID, node: old.Node}]; !lost {
+		order = c.loadOrderLocked()
+	} else {
+		var ok bool
+		if src, ok = c.survivorLocked(old); !ok {
+			return slab.Slab{}, slab.Slab{}, fmt.Errorf("controller: group %d has no live member to repair node %d from", old.ID, old.Node)
+		}
+		// A rejoined incarnation of the lost node is a legitimate target;
+		// the dead one lingering in placement state never is.
+		occupied[old.Node] = c.incarn[old.Node] == old.Epoch
 	}
 	for tries := 0; tries < len(c.rr); tries++ {
-		id := c.rr[c.pos]
-		c.pos = (c.pos + 1) % len(c.rr)
-		if occupied[id] {
-			continue
-		}
-		if id == d.LostNode && c.incarn[id] == d.LostEpoch {
-			// Same incarnation as the lost member: this is the dead node
-			// lingering in placement state — never repair onto it.
-			continue
-		}
+		id := c.candidateLocked(order, tries)
 		n := c.nodes[id]
-		if n.Failed() {
+		if occupied[id] || n.Failed() {
 			continue
 		}
-		off, err := n.CarveSlab(lost.Size)
+		off, err := n.CarveSlab(old.Size)
 		if err != nil {
 			continue
 		}
-		return slab.Slab{
-			ID:        d.Group,
-			Base:      lost.Base,
-			Size:      lost.Size,
-			Node:      id,
-			RemoteKey: n.PoolKey(),
-			RemoteOff: off,
-			Epoch:     c.incarn[id],
-		}, nil
+		target = old
+		target.Node, target.RemoteKey, target.RemoteOff, target.Epoch = id, n.PoolKey(), off, c.incarn[id]
+		return src, target, nil
 	}
-	return slab.Slab{}, fmt.Errorf("controller: no healthy target for group %d (lost node %d)", d.Group, d.LostNode)
+	return slab.Slab{}, slab.Slab{}, fmt.Errorf("controller: no target for group %d (member on node %d)", old.ID, old.Node)
 }
 
-// CommitRepair atomically flips the degraded member of d to the freshly
-// copied replacement: the lost member leaves the group, the new member
-// takes its replica slot, the degraded entry retires and the placement
-// epoch advances. It fails — and the caller must AbandonRepair — if the
-// degraded entry was already resolved or the target node changed
-// incarnation or died during the copy.
-func (c *Controller) CommitRepair(d DegradedSlab, repaired slab.Slab) error {
-	err := func() error {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		k := degradedKey{group: d.Group, node: d.LostNode}
-		if _, ok := c.degraded[k]; !ok {
-			return fmt.Errorf("controller: group %d/node %d no longer degraded", d.Group, d.LostNode)
-		}
-		n, ok := c.nodes[repaired.Node]
-		if !ok || c.incarn[repaired.Node] != repaired.Epoch {
-			return fmt.Errorf("controller: repair target node %d (epoch %d) gone", repaired.Node, repaired.Epoch)
-		}
-		if n.Failed() {
-			return fmt.Errorf("controller: repair target node %d failed during copy", repaired.Node)
-		}
-		members := c.groups[d.Group]
-		for i := range members {
-			if members[i].Node == d.LostNode && members[i].Epoch == d.LostEpoch {
-				members[i] = repaired
-				delete(c.degraded, k)
-				c.epoch++
-				return nil
-			}
-		}
-		return fmt.Errorf("controller: group %d lost member on node %d vanished", d.Group, d.LostNode)
-	}()
-	if err != nil {
-		return err
+// candidateLocked returns the tries-th node a carve should consider:
+// order[tries] when a load order is given, else the node under the rr
+// cursor, which advances.
+func (c *Controller) candidateLocked(order []int, tries int) int {
+	if order != nil {
+		return order[tries]
 	}
-	// The lease table survives the flip: if the group has a live writer,
-	// the fresh extent must fence the same stale writers the lost one did.
-	// Outside c.mu — leaseMu is the outer lock. The window between the
-	// flip and the refence is safe: the repair copy targeted a fresh
-	// extent nobody else had placements for, and a zombie writer cannot
-	// have cached the new placement before this epoch bump propagates.
-	c.refenceMember(repaired)
-	return nil
+	id := c.rr[c.pos]
+	c.pos = (c.pos + 1) % len(c.rr)
+	return id
 }
 
-// AbandonRepair returns a carved-but-uncommitted repair extent to its
-// node, if that node is still around at the same incarnation.
-func (c *Controller) AbandonRepair(repaired slab.Slab) {
-	c.mu.Lock()
-	n, ok := c.nodes[repaired.Node]
-	live := ok && c.incarn[repaired.Node] == repaired.Epoch
-	c.mu.Unlock()
-	if live {
-		n.ReleaseSlab(repaired.RemoteOff, repaired.Size)
-	}
-}
-
-// repairSource picks a live group member to copy the slab's pages from:
-// registered at its carved incarnation, not the lost member, not failed.
-func (c *Controller) repairSource(d DegradedSlab) (slab.Slab, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.groups[d.Group] {
-		if m.Node == d.LostNode && m.Epoch == d.LostEpoch {
-			continue
-		}
+// survivorLocked picks a group member other than lost to copy the slab's
+// pages from: registered at its carved incarnation and not failed.
+func (c *Controller) survivorLocked(lost slab.Slab) (slab.Slab, bool) {
+	for _, m := range c.groups[lost.ID] {
 		n, ok := c.nodes[m.Node]
-		if !ok || c.incarn[m.Node] != m.Epoch || n.Failed() {
+		if m == lost || !ok || c.incarn[m.Node] != m.Epoch || n.Failed() {
 			continue
 		}
 		return m, true
 	}
 	return slab.Slab{}, false
+}
+
+// CommitReplacement atomically flips member old to the freshly copied
+// target: target takes old's replica slot, a degraded entry for old
+// retires, and the placement epoch advances. lost is what CarveReplacement
+// read from the degraded set (src != old). The flip is refused — and the
+// caller must AbandonExtent(target) — if that changed during the copy (a
+// live member's node died, so the image was captured from a corpse; or a
+// lost member was already resolved), if old is no longer a member, or if
+// the target node died or changed incarnation during the copy.
+func (c *Controller) CommitReplacement(old, target slab.Slab, lost bool) error {
+	err := func() error {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		k := degradedKey{group: old.ID, node: old.Node}
+		if _, deg := c.degraded[k]; deg != lost {
+			return fmt.Errorf("controller: group %d/node %d degraded=%t, was %t when the copy began", old.ID, old.Node, deg, lost)
+		}
+		n, ok := c.nodes[target.Node]
+		if !ok || c.incarn[target.Node] != target.Epoch {
+			return fmt.Errorf("controller: target node %d (epoch %d) gone", target.Node, target.Epoch)
+		}
+		if n.Failed() {
+			return fmt.Errorf("controller: target node %d failed during copy", target.Node)
+		}
+		members := c.groups[old.ID]
+		for i := range members {
+			if members[i] == old {
+				members[i] = target
+				delete(c.degraded, k)
+				c.epoch++
+				return nil
+			}
+		}
+		return fmt.Errorf("controller: group %d member on node %d vanished during copy", old.ID, old.Node)
+	}()
+	if err != nil {
+		return err
+	}
+	// The lease table survives the flip: if the group has a live writer,
+	// the fresh extent must fence the same stale writers the old one did
+	// (a retired live extent keeps its seal through the hold-down, which
+	// fences everyone anyway). Outside c.mu — leaseMu is the outer lock.
+	// The window between the flip and the refence is safe: the copy
+	// targeted a fresh extent nobody else had placements for, and a zombie
+	// writer cannot have cached the new placement before this epoch bump
+	// propagates.
+	c.refenceMember(target)
+	return nil
+}
+
+// hostOf returns the node holding extent s, and whether it is still
+// registered at the incarnation s was carved under.
+func (c *Controller) hostOf(s slab.Slab) (*MemoryNode, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.nodes[s.Node]
+	return n, ok && c.incarn[s.Node] == s.Epoch
+}
+
+// AbandonExtent returns an extent that is not (or no longer) a group
+// member — a carved-but-unflipped target, a flipped-out source past its
+// hold-down — to its node, if that node is still around at the same
+// incarnation. Releasing through the node also clears any seal, capture
+// or lease fence left on the extent.
+func (c *Controller) AbandonExtent(s slab.Slab) {
+	if n, ok := c.hostOf(s); ok {
+		n.ReleaseSlab(s.RemoteOff, s.Size)
+	}
 }
 
 // AllocSlab places a slab of the given size on a memory node (round-robin
@@ -557,13 +604,7 @@ func (c *Controller) AllocSlab(size uint64) (slab.Slab, error) {
 		order = c.loadOrderLocked()
 	}
 	for tries := 0; tries < len(c.rr); tries++ {
-		var id int
-		if order != nil {
-			id = order[tries]
-		} else {
-			id = c.rr[c.pos]
-			c.pos = (c.pos + 1) % len(c.rr)
-		}
+		id := c.candidateLocked(order, tries)
 		n := c.nodes[id]
 		off, err := n.CarveSlab(size)
 		if err != nil {
@@ -609,13 +650,7 @@ func (c *Controller) AllocReplicatedSlab(size uint64, replicas int) ([]slab.Slab
 		order = c.loadOrderLocked()
 	}
 	for tries := 0; tries < len(c.rr) && len(out) < replicas; tries++ {
-		var id int
-		if order != nil {
-			id = order[tries]
-		} else {
-			id = c.rr[c.pos]
-			c.pos = (c.pos + 1) % len(c.rr)
-		}
+		id := c.candidateLocked(order, tries)
 		if placed[id] {
 			continue
 		}

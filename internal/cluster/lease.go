@@ -357,7 +357,7 @@ func (c *Controller) LeaseSnapshot() LeaseStats {
 // refenceMember re-arms the extent fence on one freshly committed group
 // member (a repair or migration target): the lease table survives the
 // flip, so the new extent must reject the same stale writers the old one
-// did. Called after CommitRepair/CommitMigration succeed, outside c.mu.
+// did. Called after CommitReplacement succeeds, outside c.mu.
 func (c *Controller) refenceMember(m slab.Slab) {
 	c.leaseMu.Lock()
 	defer c.leaseMu.Unlock()

@@ -262,11 +262,11 @@ func TestLeaseSurvivesRepairFlip(t *testing.T) {
 	if len(degraded) != 1 {
 		t.Fatalf("degraded slabs = %d, want 1", len(degraded))
 	}
-	target, err := c.CarveRepairTarget(degraded[0])
+	_, target, err := c.CarveReplacement(degraded[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CommitRepair(degraded[0], target); err != nil {
+	if err := c.CommitReplacement(degraded[0], target, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -281,8 +281,8 @@ func TestLeaseSurvivesRepairFlip(t *testing.T) {
 	}
 }
 
-// TestLeaseSurvivesMigrationFlip is the migration twin: CommitMigration
-// re-arms the writer's fence on the migration target.
+// TestLeaseSurvivesMigrationFlip is the migration twin: flipping a live
+// member re-arms the writer's fence on the migration target.
 func TestLeaseSurvivesMigrationFlip(t *testing.T) {
 	c, _ := leaseRack(t, 2)
 	s, err := c.AllocSlab(1 << 20)
@@ -293,11 +293,11 @@ func TestLeaseSurvivesMigrationFlip(t *testing.T) {
 	if _, err = c.AcquireLease(s.ID, alice, LeaseWriter, 0); err != nil {
 		t.Fatal(err)
 	}
-	dst, err := c.CarveMigrationTarget(s)
+	_, dst, err := c.CarveReplacement(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CommitMigration(s, dst); err != nil {
+	if err := c.CommitReplacement(s, dst, false); err != nil {
 		t.Fatal(err)
 	}
 	dn, _ := c.Node(dst.Node)

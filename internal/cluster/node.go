@@ -409,7 +409,7 @@ func (n *MemoryNode) SetIncarnation(epoch uint64) {
 }
 
 // ReadAt copies len(buf) pool bytes starting at off into buf. Unlike
-// PoolBytes it synchronizes with the log receiver, so the repair engine
+// PoolBytes it synchronizes with the log receiver, so the replacement engine
 // (and the memnode server's data RPCs) can read concurrently with
 // UnpackLog scattering lines into the pool.
 func (n *MemoryNode) ReadAt(off uint64, buf []byte) error {

@@ -37,7 +37,7 @@ const (
 	msgReportFailure  = "report-failure"
 	// Capacity-management RPCs (DESIGN.md §13): memnode daemons push
 	// their cumulative load counters to the controller, and the
-	// migration engine drives the memnode's dirty capture and extent
+	// replacement engine drives the memnode's dirty capture and extent
 	// seal over the wire. The load sample travels in the request payload
 	// (7 big-endian u64 fields) — the kw v2 header layout is fixed and
 	// append-only, so new RPCs carry structured data in the frame

@@ -2,9 +2,9 @@ package cluster
 
 import "time"
 
-// byteBudget is a token-bucket rate limiter for repair traffic: the
-// repair engine takes tokens per copied batch and sleeps out any deficit,
-// so background re-replication never exceeds its configured bytes/sec
+// byteBudget is a token-bucket rate limiter for replacement copy traffic:
+// the engine takes tokens per copied batch and sleeps out any deficit, so
+// a background repair or migration never exceeds its configured bytes/sec
 // share of the fabric and cannot starve fetch/evict (the Aceso-style
 // "repair without hurting the data path" discipline).
 //
@@ -38,7 +38,7 @@ func newByteBudget(rate float64, burst float64) *byteBudget {
 }
 
 // take consumes n bytes of budget, sleeping until the bucket can cover
-// the deficit. Not safe for concurrent use; the repair engine is a
+// the deficit. Not safe for concurrent use; the replacement engine is a
 // single goroutine.
 func (b *byteBudget) take(n int) {
 	if b.rate <= 0 || n <= 0 {

@@ -87,8 +87,8 @@ func TestByteBudgetBurstAfterIdle(t *testing.T) {
 // TestByteBudgetFrozenClock: with a clock that never advances on its own
 // (only sleeps move it), the budget must still pace correctly — total
 // slept time for N bytes beyond the burst is exactly N/rate. This pins
-// the sleep-refills-tokens contract the repair and migration engines
-// rely on when they saturate the budget.
+// the sleep-refills-tokens contract the replacement engine's copies rely
+// on when they saturate a budget.
 func TestByteBudgetFrozenClock(t *testing.T) {
 	const rate, burst = 1 << 20, 32 << 10
 	clock := time.Unix(0, 0)

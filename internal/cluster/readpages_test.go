@@ -31,7 +31,7 @@ func TestReadPagesRPC(t *testing.T) {
 	for i, off := range offs {
 		copy(pool[off:], bytes.Repeat([]byte{byte(i + 1)}, int(mem.PageSize)))
 	}
-	pages, err := c.ReadPages(offs, int(mem.PageSize))
+	pages, err := readPagesFrom(c, offs, int(mem.PageSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func TestReadPagesMatchesSingleReads(t *testing.T) {
 		pool[i] = byte(i * 31)
 	}
 	offs := []uint64{5 * mem.PageSize, 1 * mem.PageSize, 9 * mem.PageSize, 5 * mem.PageSize}
-	pages, err := c.ReadPages(offs, 512)
+	pages, err := readPagesFrom(c, offs, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, off := range offs {
-		single, err := c.Read(off, 512)
+		single, err := readFrom(c, off, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,14 +73,14 @@ func TestReadPagesMatchesSingleReads(t *testing.T) {
 // range, and a batch larger than the frame budget.
 func TestReadPagesErrors(t *testing.T) {
 	c, _ := readPagesRig(t)
-	if _, err := c.ReadPages(nil, int(mem.PageSize)); err == nil {
+	if _, err := readPagesFrom(c, nil, int(mem.PageSize)); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := c.ReadPages([]uint64{1 << 40}, int(mem.PageSize)); err == nil {
+	if _, err := readPagesFrom(c, []uint64{1 << 40}, int(mem.PageSize)); err == nil {
 		t.Error("out-of-range offset accepted")
 	}
 	huge := make([]uint64, (maxFrameSize/2)/int(mem.PageSize)+2)
-	if _, err := c.ReadPages(huge, int(mem.PageSize)); err == nil {
+	if _, err := readPagesFrom(c, huge, int(mem.PageSize)); err == nil {
 		t.Error("over-budget batch accepted")
 	}
 	// Errors must not poison the connection for the next request.
@@ -102,7 +102,7 @@ func BenchmarkReadPagesVsSingle(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, off := range offs {
-				if _, err := c.Read(off, int(mem.PageSize)); err != nil {
+				if _, err := readFrom(c, off, int(mem.PageSize)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,7 +112,7 @@ func BenchmarkReadPagesVsSingle(b *testing.B) {
 		c, _ := readPagesRig(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.ReadPages(offs, int(mem.PageSize)); err != nil {
+			if _, err := readPagesFrom(c, offs, int(mem.PageSize)); err != nil {
 				b.Fatal(err)
 			}
 		}

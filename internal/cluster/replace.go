@@ -1,0 +1,673 @@
+package cluster
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"kona/internal/mem"
+	"kona/internal/slab"
+	"kona/internal/telemetry"
+)
+
+// Member replacement (DESIGN.md §10, §13). A slab has replicas, and when
+// one must live somewhere else — its node died (repair) or its node is
+// hot (migration) — the rack copies it onto a fresh extent and flips the
+// placement. Both are one procedure, replaceMember:
+//
+//	CarveReplacement    — controller picks copy source and target
+//	(live) CaptureStart — source records pages dirtied from here on
+//	full copy           — budgeted, page-batched
+//	(live) drain deltas — bounded passes until the dirty set runs dry
+//	(live) Seal         — writes to the old extent now fail loudly
+//	(live) final drain  — the image is exact; nothing can change it
+//	CommitReplacement   — member flip + placement-epoch bump
+//	(live) CaptureStop  — and the old extent retires after a hold-down
+//
+// A lost member is copied from a surviving replica and the bracketed
+// steps are skipped: dirty lines landed during the copy are retained by
+// the compute-side evictor and replayed onto the new member after the
+// flip, so the copy need not chase writers. A live member is its own
+// source, so the capture/seal steps are what keep a concurrent write
+// from being lost (§13). Which case applies is read from the controller's
+// degraded set, never chosen by the caller.
+
+const (
+	// copyBatchPages pages of copyPageSize bytes travel per read round
+	// trip; copyPageSize is also the dirty-capture granularity.
+	copyBatchPages = 16
+	copyPageSize   = uint64(mem.PageSize)
+	// minHotScore is the hot-node score below which the rack is idle and
+	// nothing migrates.
+	minHotScore = 1
+	// maxDrainPasses bounds the pre-seal delta copies: a writer hotter
+	// than the copy budget must not stall a migration forever — it
+	// converges at the seal instead.
+	maxDrainPasses = 8
+)
+
+// NodeAccess is what the replacement engine needs from one memory node at
+// one incarnation: page reads into caller buffers, segment writes, and
+// the source-side dirty capture and write seal a live copy needs. Every
+// verb is fenced by the incarnation the handle was made for, so a node
+// that crash-rejoined mid-copy refuses the stale operation instead of
+// serving wrong-generation bytes. *MemoryNodeClient is the wire
+// implementation; LocalNodes adapts in-process nodes.
+type NodeAccess interface {
+	ReadPagesInto(offsets []uint64, bufs [][]byte) error
+	WriteVec(offset uint64, segs ...[]byte) error
+	CaptureStart(off, size, pageLen uint64) error
+	CaptureDrain(off, size uint64) ([]uint64, error)
+	CaptureStop(off, size uint64) error
+	Seal(off, size uint64) error
+	Unseal(off, size uint64) error
+}
+
+// NodeDialer resolves a member's (node, incarnation) to a handle stamped
+// with that incarnation.
+type NodeDialer func(node int, epoch uint64) (NodeAccess, error)
+
+// LocalNodes resolves handles onto ctrl's registered in-process nodes —
+// the simulated fabric's copy path.
+func LocalNodes(ctrl *Controller) NodeDialer {
+	return func(node int, epoch uint64) (NodeAccess, error) {
+		return localNode{ctrl: ctrl, id: node, epoch: epoch}, nil
+	}
+}
+
+// localNode drives one in-process MemoryNode through its locked
+// accessors, re-checking registration and incarnation on every verb.
+type localNode struct {
+	ctrl  *Controller
+	id    int
+	epoch uint64
+}
+
+func (l localNode) node() (*MemoryNode, error) {
+	n, ok := l.ctrl.Node(l.id)
+	if !ok {
+		return nil, fmt.Errorf("cluster: node %d not registered", l.id)
+	}
+	if l.epoch != 0 && n.Incarnation() != l.epoch {
+		return nil, fmt.Errorf("cluster: node %d incarnation %d, want %d", l.id, n.Incarnation(), l.epoch)
+	}
+	return n, nil
+}
+
+func (l localNode) ReadPagesInto(offsets []uint64, bufs [][]byte) error {
+	if len(bufs) != len(offsets) {
+		return fmt.Errorf("cluster: read-pages: %d offsets but %d buffers", len(offsets), len(bufs))
+	}
+	n, err := l.node()
+	for i := 0; err == nil && i < len(offsets); i++ {
+		err = n.ReadAt(offsets[i], bufs[i])
+	}
+	return err
+}
+
+func (l localNode) WriteVec(offset uint64, segs ...[]byte) error {
+	n, err := l.node()
+	for i := 0; err == nil && i < len(segs); i++ {
+		err = n.WriteAt(offset, segs[i])
+		offset += uint64(len(segs[i]))
+	}
+	return err
+}
+
+func (l localNode) CaptureStart(off, size, pageLen uint64) error {
+	n, err := l.node()
+	if err == nil {
+		n.StartCapture(off, size, pageLen)
+	}
+	return err
+}
+
+func (l localNode) CaptureDrain(off, size uint64) ([]uint64, error) {
+	n, err := l.node()
+	if err != nil {
+		return nil, err
+	}
+	return n.DrainCapture(off, size), nil
+}
+
+func (l localNode) CaptureStop(off, size uint64) error {
+	n, err := l.node()
+	if err == nil {
+		n.StopCapture(off, size)
+	}
+	return err
+}
+
+func (l localNode) Seal(off, size uint64) error {
+	n, err := l.node()
+	if err == nil {
+		n.Seal(off, size)
+	}
+	return err
+}
+
+func (l localNode) Unseal(off, size uint64) error {
+	n, err := l.node()
+	if err == nil {
+		n.Unseal(off, size)
+	}
+	return err
+}
+
+// nodeClients is the controller daemon's table of memnode connections:
+// one pool per daemon address, shared by every handle made for it. A
+// handle carries its incarnation stamp from construction, so members
+// naming different incarnations of one address never race on a shared
+// stamp. The controller's registered MemoryNode objects are only capacity
+// mirrors in TCP mode; seal, capture and fence state must live on the
+// daemon's real node, so every control goes out through a handle.
+type nodeClients struct {
+	// addr resolves a node id to its daemon address (the controller
+	// server's registration table).
+	addr func(node int) (string, bool)
+	tr   Transport
+
+	mu    sync.Mutex
+	pools map[string]*pool
+}
+
+func (t *nodeClients) client(node int, epoch uint64) (*MemoryNodeClient, error) {
+	addr, ok := t.addr(node)
+	if !ok {
+		return nil, fmt.Errorf("cluster: no address for node %d", node)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p, ok := t.pools[addr]
+	if !ok {
+		if t.pools == nil {
+			t.pools = make(map[string]*pool)
+		}
+		p = newPool(addr, t.tr)
+		t.pools[addr] = p
+	}
+	c := &MemoryNodeClient{pool: p}
+	c.epoch.Store(epoch)
+	return c, nil
+}
+
+// close tears down the dialed pools; a later client() dials afresh.
+func (t *nodeClients) close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, p := range t.pools {
+		p.Close()
+	}
+	t.pools = nil
+}
+
+// ReplaceConfig tunes the replacement engine.
+type ReplaceConfig struct {
+	// RepairBytesPerSec and MigrateBytesPerSec cap each cause's copy
+	// traffic (<= 0: unlimited). Copies share the fabric with fetch and
+	// evict; the budgets keep them from starving the data path.
+	RepairBytesPerSec, MigrateBytesPerSec float64
+	// Interval is the Run loop's tick period (default 50ms).
+	Interval time.Duration
+	// HotRatio triggers a migration when the hottest node's score
+	// exceeds HotRatio times the coldest's. 0 disables migration; a ratio
+	// in (0, 1] would move a slab on every sweep and means 2.
+	HotRatio float64
+	// MaxMovesPerSweep bounds migrations per sweep (default 1).
+	MaxMovesPerSweep int
+	// RetireSweeps is how many sweeps a migrated-away extent stays
+	// sealed before its memory is released (default 4).
+	RetireSweeps int
+	// Metrics, if set, receives the cluster.repair.* and
+	// cluster.migrate.* counters and the cluster.replace events.
+	Metrics *telemetry.Registry
+}
+
+func (c ReplaceConfig) withDefaults() ReplaceConfig {
+	if c.Interval <= 0 {
+		c.Interval = 50 * time.Millisecond
+	}
+	if c.HotRatio > 0 && c.HotRatio <= 1 {
+		c.HotRatio = 2.0
+	}
+	if c.MaxMovesPerSweep <= 0 {
+		c.MaxMovesPerSweep = 1
+	}
+	if c.RetireSweeps <= 0 {
+		c.RetireSweeps = 4
+	}
+	return c
+}
+
+// CauseStats is the lifetime work done for one cause of replacement.
+type CauseStats struct {
+	// Flips counts committed replacements (member flipped).
+	Flips uint64
+	// Failures counts attempts abandoned after a target was carved.
+	Failures uint64
+	// BytesCopied is the total page payload moved (full copy + deltas).
+	BytesCopied uint64
+}
+
+// ReplaceStats is a snapshot of the engine's lifetime work.
+type ReplaceStats struct {
+	// Repair is lost members replaced from a survivor; Migrate is live
+	// members moved off a hot node.
+	Repair, Migrate CauseStats
+	// DeltaPages counts pages re-copied from capture drains.
+	DeltaPages uint64
+	// Retired counts migrated-away extents whose hold-down expired and
+	// whose memory was released.
+	Retired uint64
+}
+
+// tally is one lifetime count, kept for Stats and mirrored into the
+// registry (a nil handle when telemetry is off).
+type tally struct {
+	n atomic.Uint64
+	m *telemetry.Counter
+}
+
+func (t *tally) add(n uint64) {
+	t.n.Add(n)
+	t.m.Add(n)
+}
+
+// cause is one reason a member is replaced, with its own copy budget and
+// counters.
+type cause struct {
+	name                   string
+	budget                 *byteBudget
+	flips, failures, bytes tally
+}
+
+func (c *cause) init(reg *telemetry.Registry, name, flips string, bytesPerSec float64) {
+	c.name = name
+	c.budget = newByteBudget(bytesPerSec, 0)
+	c.flips.m = reg.Counter("cluster." + name + "." + flips)
+	c.failures.m = reg.Counter("cluster." + name + ".failures")
+	c.bytes.m = reg.Counter("cluster." + name + ".bytes_copied")
+}
+
+func (c *cause) stats() CauseStats {
+	return CauseStats{Flips: c.flips.n.Load(), Failures: c.failures.n.Load(), BytesCopied: c.bytes.n.Load()}
+}
+
+// heldExtent is one extent whose seal the engine still owes an Unseal: a
+// migrated-away source in its sealed hold-down (retired: its memory is
+// released once the unseal lands), or the still-current member of an
+// unwound migration whose unseal did not land yet.
+type heldExtent struct {
+	s       slab.Slab
+	sweeps  int
+	retired bool
+}
+
+// ReplaceEngine is the controller-side background loop that keeps every
+// placement group where it should be: it drains the controller's degraded
+// set by re-replicating each lost member, and — when the load map shows
+// an imbalance past HotRatio — live-migrates slabs off the hottest node,
+// both through replaceMember under a byte budget. Not safe for concurrent
+// use: one goroutine (Run, or a test's hand cranks) drives it.
+type ReplaceEngine struct {
+	ctrl *Controller
+	dial NodeDialer
+	cfg  ReplaceConfig
+
+	repair, migrate     cause
+	deltaPages, retired tally
+	mDegraded           *telemetry.Gauge
+	mRetiring           *telemetry.Gauge
+	trace               *telemetry.Trace
+
+	held []heldExtent
+
+	// The copy loop's scratch: one batch buffer and its per-page views.
+	buf  []byte
+	bufs [][]byte
+}
+
+// NewReplaceEngine wires an engine to a controller and a way to reach
+// its nodes.
+func NewReplaceEngine(ctrl *Controller, dial NodeDialer, cfg ReplaceConfig) *ReplaceEngine {
+	cfg = cfg.withDefaults()
+	reg := cfg.Metrics
+	e := &ReplaceEngine{
+		ctrl:      ctrl,
+		dial:      dial,
+		cfg:       cfg,
+		mDegraded: reg.Gauge("cluster.repair.degraded"),
+		mRetiring: reg.Gauge("cluster.migrate.retiring"),
+		trace:     reg.Trace(),
+		buf:       make([]byte, copyBatchPages*copyPageSize),
+		bufs:      make([][]byte, copyBatchPages),
+	}
+	e.repair.init(reg, "repair", "flips", cfg.RepairBytesPerSec)
+	e.migrate.init(reg, "migrate", "moves", cfg.MigrateBytesPerSec)
+	e.deltaPages.m = reg.Counter("cluster.migrate.delta_pages")
+	e.retired.m = reg.Counter("cluster.migrate.retired")
+	return e
+}
+
+// Stats returns the engine's lifetime counters.
+func (e *ReplaceEngine) Stats() ReplaceStats {
+	return ReplaceStats{
+		Repair:     e.repair.stats(),
+		Migrate:    e.migrate.stats(),
+		DeltaPages: e.deltaPages.n.Load(),
+		Retired:    e.retired.n.Load(),
+	}
+}
+
+// Run ticks every Interval until stop closes — the daemon's background
+// loop. Each tick sweeps node health, repairs every degraded member, ages
+// the hold-downs, then migrates: restoring redundancy outranks
+// rebalancing, and because one goroutine does both, a repair and a
+// migration never race inside one controller process.
+func (e *ReplaceEngine) Run(stop <-chan struct{}) {
+	t := time.NewTicker(e.cfg.Interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			e.ctrl.HealthSweep()
+			e.RepairOnce()
+			e.SweepOnce()
+		}
+	}
+}
+
+// RepairOnce attempts every outstanding degraded member once and returns
+// the number of successful flips. Members that cannot be repaired yet (no
+// live source, no healthy target) stay degraded for the next pass.
+func (e *ReplaceEngine) RepairOnce() int {
+	flips := 0
+	for _, lost := range e.ctrl.DegradedSlabs() {
+		if err := e.replaceMember(lost); err == nil {
+			flips++
+		}
+	}
+	e.mDegraded.Set(int64(e.ctrl.DegradedCount()))
+	return flips
+}
+
+// SweepOnce runs one rebalance pass: age the hold-downs, then migrate up
+// to MaxMovesPerSweep slabs off the hottest node if the imbalance clears
+// HotRatio. It returns the number of committed moves.
+func (e *ReplaceEngine) SweepOnce() int {
+	e.ageHoldDowns()
+	moves := 0
+	for moves < e.cfg.MaxMovesPerSweep {
+		hot, ok := e.pickMove()
+		if !ok || e.replaceMember(hot) != nil {
+			break
+		}
+		moves++
+	}
+	e.mRetiring.Set(int64(len(e.held)))
+	return moves
+}
+
+// pickMove selects the slab to migrate: the lowest-id group member on
+// the hottest node, when that node's score clears both the minHotScore
+// floor and HotRatio times the coldest node's score.
+func (e *ReplaceEngine) pickMove() (slab.Slab, bool) {
+	if e.cfg.HotRatio <= 0 {
+		return slab.Slab{}, false
+	}
+	ids := e.ctrl.NodeIDs()
+	if len(ids) < 2 {
+		return slab.Slab{}, false
+	}
+	scores := make(map[int]float64, len(ids))
+	for _, nl := range e.ctrl.LoadMap() {
+		scores[nl.Node] = nl.Score + float64(nl.Pending)
+	}
+	hot, cold := ids[0], ids[0]
+	for _, id := range ids[1:] {
+		if scores[id] > scores[hot] {
+			hot = id
+		}
+		if scores[id] < scores[cold] {
+			cold = id
+		}
+	}
+	if hot == cold || scores[hot] < minHotScore || scores[hot] < e.cfg.HotRatio*scores[cold] {
+		return slab.Slab{}, false
+	}
+	for _, s := range e.ctrl.SlabsOnNode(hot) {
+		return s, true
+	}
+	return slab.Slab{}, false
+}
+
+// move is one replacement in flight.
+type move struct {
+	e             *ReplaceEngine
+	c             *cause
+	old, src, dst slab.Slab // the member leaving, the copy source, the target
+	from, to      NodeAccess
+	bytes         uint64
+	deltaPages    uint64
+}
+
+// replaceMember moves group member old onto a freshly carved extent and
+// flips the placement (the procedure at the top of this file). Any error
+// after the carve unwinds: the placement is untouched, a live source is
+// unsealed and uncaptured, and the target goes back to its node.
+func (e *ReplaceEngine) replaceMember(old slab.Slab) (err error) {
+	src, target, err := e.ctrl.CarveReplacement(old)
+	if err != nil {
+		return err
+	}
+	// A live member is its own copy source; a lost one is copied from a
+	// survivor.
+	live := src == old
+	m := &move{e: e, c: &e.repair, old: old, src: src, dst: target}
+	if live {
+		m.c = &e.migrate
+	}
+	sealed := false
+	defer func() {
+		if err == nil {
+			return
+		}
+		if live && m.from != nil {
+			// Writers must resume against the still-current member. An
+			// unseal that did not land is owed, not forgotten.
+			if sealed && !e.unsealed(old) {
+				e.hold(heldExtent{s: old})
+			}
+			// Best effort: a leftover capture costs the daemon a dirty set,
+			// and the next CaptureStart on the extent resets it.
+			_ = m.from.CaptureStop(old.RemoteOff, old.Size)
+		}
+		e.ctrl.AbandonExtent(target)
+		m.c.failures.add(1)
+		if e.trace != nil {
+			e.trace.Emit("cluster.replace.abandon", fmt.Sprintf("%s err=%v", m, err))
+		}
+	}()
+	if m.from, err = e.dial(src.Node, src.Epoch); err != nil {
+		return err
+	}
+	if m.to, err = e.dial(target.Node, target.Epoch); err != nil {
+		return err
+	}
+	if live {
+		if err = m.from.CaptureStart(src.RemoteOff, src.Size, copyPageSize); err != nil {
+			return err
+		}
+	}
+	if err = m.copyAll(); err != nil {
+		return err
+	}
+	if live {
+		// Chase the dirty set down before sealing: each pass re-copies the
+		// pages written during the previous one.
+		for pass, dirty := 0, 1; dirty > 0 && pass < maxDrainPasses; pass++ {
+			if dirty, err = m.copyDelta(); err != nil {
+				return err
+			}
+		}
+		if err = m.from.Seal(src.RemoteOff, src.Size); err != nil {
+			return err
+		}
+		sealed = true
+		// Final delta under the seal: nothing can dirty the extent now, so
+		// after this copy the target is an exact image.
+		if _, err = m.copyDelta(); err != nil {
+			return err
+		}
+	}
+	if err = e.ctrl.CommitReplacement(old, target, !live); err != nil {
+		return err
+	}
+	if live {
+		_ = m.from.CaptureStop(old.RemoteOff, old.Size) // best effort, as in the unwind
+		// The old extent stays sealed through its hold-down, so a straggler
+		// writer still holding the old placement fails loudly instead of
+		// writing into a recycled window; release comes in a later sweep.
+		e.hold(heldExtent{s: old, sweeps: e.cfg.RetireSweeps, retired: true})
+	}
+	m.c.flips.add(1)
+	if e.trace != nil {
+		e.trace.Emit("cluster.replace", m.String())
+	}
+	return nil
+}
+
+// String is the move's /debug/events detail: node/incarnation of the
+// member leaving and of its replacement.
+func (m *move) String() string {
+	return fmt.Sprintf("group=%d from=%d/%d to=%d/%d cause=%s bytes=%d delta_pages=%d",
+		m.old.ID, m.old.Node, m.old.Epoch, m.dst.Node, m.dst.Epoch, m.c.name, m.bytes, m.deltaPages)
+}
+
+// copyAll streams the whole source extent onto the target.
+func (m *move) copyAll() error {
+	var batch [copyBatchPages]uint64
+	offs := batch[:0]
+	for off, end := m.src.RemoteOff, m.src.RemoteOff+m.src.Size; off < end; off += copyPageSize {
+		offs = append(offs, off)
+		if len(offs) == copyBatchPages {
+			if err := m.copyPages(offs); err != nil {
+				return err
+			}
+			offs = offs[:0]
+		}
+	}
+	return m.copyPages(offs)
+}
+
+// copyDelta drains the source's dirty capture and re-copies those pages,
+// returning how many there were.
+func (m *move) copyDelta() (int, error) {
+	offs, err := m.from.CaptureDrain(m.src.RemoteOff, m.src.Size)
+	if err != nil {
+		return 0, err
+	}
+	if err := m.copyPages(offs); err != nil {
+		return 0, err
+	}
+	m.deltaPages += uint64(len(offs))
+	m.e.deltaPages.add(uint64(len(offs)))
+	return len(offs), nil
+}
+
+// copyPages copies the pages at offs (absolute source-pool offsets,
+// ascending, page-aligned within the extent) to their homes in the
+// target, one budgeted batch read at a time through the engine's buffer.
+func (m *move) copyPages(offs []uint64) error {
+	e, end := m.e, m.src.RemoteOff+m.src.Size
+	for len(offs) > 0 {
+		// A non-page-aligned extent ends in a short page. A batch read
+		// takes equal-length buffers, so the short page travels alone.
+		n, pageLen := 1, end-offs[0]
+		if pageLen >= copyPageSize {
+			pageLen = copyPageSize
+			for n < len(offs) && n < copyBatchPages && end-offs[n] >= copyPageSize {
+				n++
+			}
+		}
+		batch, bufs := offs[:n], e.bufs[:n]
+		offs = offs[n:]
+		for i := range bufs {
+			bufs[i] = e.buf[uint64(i)*copyPageSize:][:pageLen]
+		}
+		span := uint64(n) * pageLen
+		m.c.budget.take(int(span))
+		if err := m.from.ReadPagesInto(batch, bufs); err != nil {
+			return fmt.Errorf("copy: read from node %d: %w", m.src.Node, err)
+		}
+		// Each run of adjacent pages is one write, its buffers a scatter
+		// list the wire path writev's straight out.
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && batch[j] == batch[j-1]+pageLen {
+				j++
+			}
+			if err := m.to.WriteVec(m.dst.RemoteOff+batch[i]-m.src.RemoteOff, bufs[i:j]...); err != nil {
+				return fmt.Errorf("copy: write to node %d: %w", m.dst.Node, err)
+			}
+			i = j
+		}
+		m.bytes += span
+		m.c.bytes.add(span)
+	}
+	return nil
+}
+
+// hold puts h on the hold-down list, replacing an entry already there for
+// the same extent (an unwound migration's owed unseal, when the member
+// migrates after all).
+func (e *ReplaceEngine) hold(h heldExtent) {
+	for i := range e.held {
+		if e.held[i].s == h.s {
+			e.held[i] = h
+			return
+		}
+	}
+	e.held = append(e.held, h)
+}
+
+// ageHoldDowns counts down each held extent and, once its hold-down is
+// over (straggler writers have had RetireSweeps sweeps to refresh),
+// unseals it and — for a retired extent — gives the memory back through
+// the controller's node mirror. An extent whose unseal is not
+// acknowledged stays held: releasing the mirror's window while the
+// daemon's real node keeps the seal would bounce the next tenant's
+// writes forever.
+func (e *ReplaceEngine) ageHoldDowns() {
+	kept := e.held[:0]
+	for _, h := range e.held {
+		h.sweeps--
+		if h.sweeps > 0 || !e.unsealed(h.s) {
+			kept = append(kept, h)
+			continue
+		}
+		if h.retired {
+			e.ctrl.AbandonExtent(h.s)
+			e.retired.add(1)
+		}
+	}
+	e.held = kept
+}
+
+// unsealed lifts the seal on s and reports whether the engine is done
+// with it: the unseal was acknowledged, or the controller says that
+// incarnation is gone and the seal died with it.
+func (e *ReplaceEngine) unsealed(s slab.Slab) bool {
+	n, err := e.dial(s.Node, s.Epoch)
+	if err == nil {
+		err = n.Unseal(s.RemoteOff, s.Size)
+	}
+	if err == nil {
+		return true
+	}
+	_, there := e.ctrl.hostOf(s)
+	return !there
+}

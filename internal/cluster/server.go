@@ -132,9 +132,9 @@ type ControllerServer struct {
 
 	mu    sync.Mutex
 	addrs map[int]string // node id -> TCP address
-	// fencers holds the pooled clients fence pushes travel on, one per
-	// registered daemon address (the repair transport's client table).
-	fencers *TCPRepairTransport
+	// daemons holds the one connection pool per registered daemon address
+	// that fence pushes and the replacement engine's copies travel on.
+	daemons nodeClients
 }
 
 // ServeController starts a controller daemon on addr (":0" for ephemeral)
@@ -168,7 +168,7 @@ func ServeControllerOnWith(ctrl *Controller, l net.Listener, reg *telemetry.Regi
 		reg:   reg,
 		addrs: make(map[int]string),
 	}
-	s.fencers = NewTCPRepairTransport(s.NodeAddr, DefaultTransport())
+	s.daemons = nodeClients{addr: s.NodeAddr, tr: DefaultTransport()}
 	// Arbitrate rejoins and failure reports by pinging the node's daemon
 	// over the wire (falling back to the in-process flag when no address
 	// is known — e.g. tests registering nodes directly).
@@ -186,11 +186,21 @@ func ServeControllerOnWith(ctrl *Controller, l net.Listener, reg *telemetry.Regi
 // (test-registered in-process node) falls back to the controller's node
 // mirror.
 func (s *ControllerServer) fenceMember(m slab.Slab, holder uint64) error {
-	mc, err := s.fencers.client(m.Node)
+	mc, err := s.daemons.client(m.Node, m.Epoch)
 	if err != nil {
 		return s.ctrl.fenceLocal(m, holder)
 	}
-	return mc.LeaseFence(m.Epoch, m.RemoteOff, m.Size, holder)
+	return mc.LeaseFence(m.RemoteOff, m.Size, holder)
+}
+
+// DialNode is the replacement engine's NodeDialer over the wire: a
+// handle on node's daemon that stamps every RPC with epoch.
+func (s *ControllerServer) DialNode(node int, epoch uint64) (NodeAccess, error) {
+	mc, err := s.daemons.client(node, epoch)
+	if err != nil {
+		return nil, err
+	}
+	return mc, nil
 }
 
 // probeNode is the TCP liveness check: ping the daemon address the node
@@ -226,8 +236,7 @@ func pingAddr(addr string, timeout time.Duration) error {
 	return resp.errOf()
 }
 
-// NodeAddr returns the daemon address a node registered with — the
-// repair engine's transport resolver.
+// NodeAddr returns the daemon address a node registered with.
 func (s *ControllerServer) NodeAddr(id int) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -242,7 +251,7 @@ func (s *ControllerServer) Addr() string { return s.l.Addr().String() }
 func (s *ControllerServer) Close() error {
 	err := s.l.Close()
 	s.conns.closeAll()
-	s.fencers.Close()
+	s.daemons.close()
 	return err
 }
 
@@ -253,7 +262,7 @@ func (s *ControllerServer) Close() error {
 func (s *ControllerServer) Shutdown(grace time.Duration) int {
 	s.l.Close()
 	n := s.conns.drain(grace)
-	s.fencers.Close()
+	s.daemons.close()
 	return n
 }
 

@@ -98,14 +98,14 @@ func TestSoakNoLostWrites(t *testing.T) {
 				off := uint64((op * 7919) % int(r.size-chunk))
 				off &^= 63
 				payload := bytes.Repeat([]byte{byte(w*opsPerWkr+op) | 1}, chunk)
-				if err := r.client.Write(r.off+off, payload); err != nil {
+				if err := r.client.WriteVec(r.off+off, payload); err != nil {
 					errCh <- fmt.Errorf("worker %d op %d: write: %w", w, op, err)
 					return
 				}
 				copy(model[off:], payload)
 				written[off] = true
 				if op%8 == 0 {
-					got, err := r.client.Read(r.off+off, chunk)
+					got, err := readFrom(r.client, r.off+off, chunk)
 					if err != nil {
 						errCh <- fmt.Errorf("worker %d op %d: read: %w", w, op, err)
 						return
@@ -119,7 +119,7 @@ func TestSoakNoLostWrites(t *testing.T) {
 			// Final audit: every acknowledged write must be visible.
 			lost := 0
 			for off := range written {
-				got, err := r.client.Read(r.off+off, chunk)
+				got, err := readFrom(r.client, r.off+off, chunk)
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d: audit read at +%d: %w", w, off, err)
 					return

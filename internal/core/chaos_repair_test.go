@@ -196,7 +196,7 @@ func (w *chaosWorkload) verifyReplicas(want int) {
 }
 
 // drainRepairs runs repair passes until no slab is degraded.
-func drainRepairs(t *testing.T, e *cluster.RepairEngine, ctrl *cluster.Controller) {
+func drainRepairs(t *testing.T, e *cluster.ReplaceEngine, ctrl *cluster.Controller) {
 	t.Helper()
 	for i := 0; ctrl.DegradedCount() > 0; i++ {
 		if i > 100 {
@@ -250,10 +250,10 @@ func TestChaosKillReplicaRepairVerify(t *testing.T) {
 
 	// Repair: copy each degraded slab from its surviving replica onto the
 	// spare node and flip the placement.
-	engine := cluster.NewRepairEngine(ctrl, &cluster.LocalRepairTransport{Ctrl: ctrl},
-		cluster.RepairConfig{BytesPerSec: 512 << 20})
+	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	drainRepairs(t, engine, ctrl)
-	if st := engine.Stats(); st.Flips == 0 {
+	if st := engine.Stats(); st.Repair.Flips == 0 {
 		t.Fatalf("repair drained with zero flips: %+v", st)
 	}
 
@@ -297,8 +297,7 @@ func TestChaosRejoinSoak(t *testing.T) {
 	cfg.Replicas = 2
 	k := NewKona(cfg, ctrl)
 	w := newChaosWorkload(t, k, ctrl, seed, 64)
-	engine := cluster.NewRepairEngine(ctrl, &cluster.LocalRepairTransport{Ctrl: ctrl},
-		cluster.RepairConfig{})
+	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl), cluster.ReplaceConfig{})
 
 	const cycles = 4
 	lastIncarn := make(map[int]uint64)
@@ -348,8 +347,8 @@ func TestChaosRejoinSoak(t *testing.T) {
 	w.verifyThroughRuntime()
 
 	st := engine.Stats()
-	if st.Flips < cycles {
-		t.Errorf("flips = %d, want >= %d (one per killed replica)", st.Flips, cycles)
+	if st.Repair.Flips < cycles {
+		t.Errorf("flips = %d, want >= %d (one per killed replica)", st.Repair.Flips, cycles)
 	}
 	fs := k.FailureStats()
 	if fs.PlacementRefreshes < cycles {
@@ -360,17 +359,18 @@ func TestChaosRejoinSoak(t *testing.T) {
 	}
 }
 
-// TestRepairDoesNotStarveFetchP99 is the starvation guard: fetch latency
-// lives on the simulated-fabric virtual clock while repair traffic rides
-// its own budgeted transport, so a concurrent slab repair must not
-// degrade the fetch p99 by 10% or more.
-func TestRepairDoesNotStarveFetchP99(t *testing.T) {
+// TestReplacementDoesNotStarveFetchP99 is the starvation guard (`make
+// bench-replace`): fetch latency lives on the simulated-fabric virtual
+// clock while replacement copies ride their own budgeted node handles, so
+// a concurrent 4MB member replacement — of a lost member (repair) or of a
+// live one (migration) — must not degrade the fetch p99 by 10% or more.
+func TestReplacementDoesNotStarveFetchP99(t *testing.T) {
 	seed := chaosSeed(t, 3)
 	const pages = 128
 
 	// fetchP99 runs a deterministic cold-read sequence and returns the
 	// p99 per-read virtual latency.
-	fetchP99 := func() simDurT {
+	fetchP99 := func(t *testing.T) simDurT {
 		ctrl := newCluster(2)
 		cfg := smallConfig()
 		cfg.LocalCacheBytes = 8 * mem.PageSize
@@ -396,42 +396,64 @@ func TestRepairDoesNotStarveFetchP99(t *testing.T) {
 		return lat[len(lat)*99/100]
 	}
 
-	baseline := fetchP99()
-
-	// Same sequence again, now with a real repair copying a 4MB slab in
-	// the background for the duration of the read loop (1MB/s budget =>
-	// the copy outlives the measurement).
-	rctrl := cluster.NewController()
-	for i := 0; i < 3; i++ {
-		if err := rctrl.Register(cluster.NewMemoryNode(i, 8<<20)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	members, err := rctrl.AllocReplicatedSlab(4<<20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vn, _ := rctrl.Node(members[1].Node)
-	vn.Fail()
-	rctrl.HealthSweep()
-	engine := cluster.NewRepairEngine(rctrl, &cluster.LocalRepairTransport{Ctrl: rctrl},
-		cluster.RepairConfig{BytesPerSec: 1 << 20})
-	repairDone := make(chan struct{})
-	go func() {
-		defer close(repairDone)
-		engine.RepairOnce()
-	}()
-
-	during := fetchP99()
-	<-repairDone
-	if st := engine.Stats(); st.Flips != 1 {
-		t.Fatalf("background repair did not complete: %+v", st)
-	}
-
+	baseline := fetchP99(t)
 	if baseline <= 0 {
 		t.Fatalf("degenerate baseline p99 %v", baseline)
 	}
-	if float64(during) >= float64(baseline)*1.10 {
-		t.Fatalf("fetch p99 %v during repair vs %v baseline: degraded >= 10%%", during, baseline)
+
+	// Each row runs the same sequence again with a real replacement copying
+	// a 4MB slab in the background at 1MB/s — the copy outlives the
+	// measurement. setup leaves one member to replace and returns the crank
+	// that replaces it and the count of committed flips.
+	rows := []struct {
+		name  string
+		setup func(t *testing.T, ctrl *cluster.Controller, eng *cluster.ReplaceEngine) (crank func() int, flips func() uint64)
+	}{
+		{"lost", func(t *testing.T, ctrl *cluster.Controller, eng *cluster.ReplaceEngine) (func() int, func() uint64) {
+			members, err := ctrl.AllocReplicatedSlab(4<<20, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vn, _ := ctrl.Node(members[1].Node)
+			vn.Fail()
+			ctrl.HealthSweep()
+			return eng.RepairOnce, func() uint64 { return eng.Stats().Repair.Flips }
+		}},
+		{"live", func(t *testing.T, ctrl *cluster.Controller, eng *cluster.ReplaceEngine) (func() int, func() uint64) {
+			src, err := ctrl.AllocSlab(4 << 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Make the hosting node hot so the sweep picks its slab.
+			ctrl.ReportLoad(src.Node, cluster.LoadSample{ReadBytes: 64 << 20})
+			return eng.SweepOnce, func() uint64 { return eng.Stats().Migrate.Flips }
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ctrl := cluster.NewController()
+			for i := 0; i < 3; i++ {
+				if err := ctrl.Register(cluster.NewMemoryNode(i, 8<<20)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl), cluster.ReplaceConfig{
+				RepairBytesPerSec: 1 << 20, MigrateBytesPerSec: 1 << 20, HotRatio: 2,
+			})
+			crank, flips := row.setup(t, ctrl, eng)
+			copied := make(chan struct{})
+			go func() {
+				defer close(copied)
+				crank()
+			}()
+			during := fetchP99(t)
+			<-copied
+			if n := flips(); n != 1 {
+				t.Fatalf("background replacement did not complete: %+v", eng.Stats())
+			}
+			if float64(during) >= float64(baseline)*1.10 {
+				t.Fatalf("fetch p99 %v during replacement vs %v baseline: degraded >= 10%%", during, baseline)
+			}
+		})
 	}
 }

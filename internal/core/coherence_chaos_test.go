@@ -74,9 +74,7 @@ func TestChaosCoherenceReadersOverWire(t *testing.T) {
 		}
 		srvs = append(srvs, ns)
 	}
-	repairTr := cluster.NewTCPRepairTransport(cs.NodeAddr, cluster.DefaultTransport())
-	t.Cleanup(func() { repairTr.Close() })
-	engine := cluster.NewRepairEngine(ctrl, repairTr, cluster.RepairConfig{BytesPerSec: 512 << 20})
+	engine := cluster.NewReplaceEngine(ctrl, cs.DialNode, cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 
 	cfg := smallConfig()
 	cfg.Replicas = 2
@@ -180,7 +178,7 @@ func TestChaosCoherenceReadersOverWire(t *testing.T) {
 				t.Fatal("victim loss not detected")
 			}
 			drainRepairs(t, engine, ctrl)
-			if st := engine.Stats(); st.Flips == 0 {
+			if st := engine.Stats(); st.Repair.Flips == 0 {
 				t.Fatalf("repair drained with zero flips: %+v", st)
 			}
 		}

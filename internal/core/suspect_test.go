@@ -64,8 +64,8 @@ func TestRepairedReplicaSuspectUntilDrained(t *testing.T) {
 	if ctrl.DegradedCount() == 0 {
 		t.Fatal("victim loss not detected")
 	}
-	engine := cluster.NewRepairEngine(ctrl, &cluster.LocalRepairTransport{Ctrl: ctrl},
-		cluster.RepairConfig{BytesPerSec: 512 << 20})
+	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	drainRepairs(t, engine, ctrl)
 
 	// The refresh installs the new membership and must fence the
@@ -130,8 +130,8 @@ func TestCatchUpBatchLargerThanLog(t *testing.T) {
 	if ctrl.DegradedCount() == 0 {
 		t.Fatal("victim loss not detected")
 	}
-	engine := cluster.NewRepairEngine(ctrl, &cluster.LocalRepairTransport{Ctrl: ctrl},
-		cluster.RepairConfig{BytesPerSec: 512 << 20})
+	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	drainRepairs(t, engine, ctrl)
 	if changed, err := k.RefreshPlacements(); err != nil || !changed {
 		t.Fatalf("refresh: changed=%v err=%v", changed, err)

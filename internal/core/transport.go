@@ -583,7 +583,7 @@ func (l *tcpLink) readPages(now simclock.Duration, offs []uint64, bufs [][]byte)
 
 func (l *tcpLink) writePage(now simclock.Duration, off uint64, data []byte) (simclock.Duration, error) {
 	start := time.Now()
-	if err := l.client.Write(off, data); err != nil {
+	if err := l.client.WriteVec(off, data); err != nil {
 		l.noteFailure()
 		return now, err
 	}

@@ -21,13 +21,13 @@ func init() {
 // several hot slabs on the same node and that node's queue dominates the
 // rack's fetch tail. The experiment carves slabs through a real
 // Controller under three capacity-management regimes — static rr, static
-// load-aware placement, and rr rescued by the live MigrationEngine — and
+// load-aware placement, and rr rescued by the ReplaceEngine's live migration — and
 // reports each regime's fetch-latency percentiles from an M/M/1 queue
 // model of every node (service time per fetch is fixed; waiting time is
 // exponential with the queue's mean). The migration rows exercise the
 // full production path: capture, budgeted copy, seal, flip, retire over
-// LocalMigrationTransport, with the load map fed exactly like a deployed
-// rack (cumulative counters, EWMA deltas).
+// the in-process node adapter, with the load map fed exactly like a
+// deployed rack (cumulative counters, EWMA deltas).
 func runExtPlacement(cfg Config) (*Result, error) {
 	nodes, slabs, sweeps, samples := 32, 128, 40, 200_000
 	if cfg.Quick {
@@ -136,7 +136,7 @@ func runExtPlacement(cfg Config) (*Result, error) {
 
 		moves := 0
 		if sc.migrate {
-			eng := cluster.NewMigrationEngine(ctrl, cluster.NewLocalMigrationTransport(ctrl), cluster.MigrationConfig{
+			eng := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl), cluster.ReplaceConfig{
 				HotRatio:         1.25,
 				MaxMovesPerSweep: 2,
 				RetireSweeps:     2,

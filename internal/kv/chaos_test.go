@@ -96,16 +96,15 @@ func TestKVChaosKillReplicaRepairVerify(t *testing.T) {
 
 	// Repair over the wire: copy each degraded slab from its surviving
 	// replica onto a spare node through the daemons' data RPCs.
-	engine := cluster.NewRepairEngine(rig.ctrl,
-		cluster.NewTCPRepairTransport(rig.cs.NodeAddr, kvTransport()),
-		cluster.RepairConfig{BytesPerSec: 512 << 20})
+	engine := cluster.NewReplaceEngine(rig.ctrl, rig.cs.DialNode,
+		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	for i := 0; rig.ctrl.DegradedCount() > 0; i++ {
 		if i > 200 {
 			t.Fatalf("repair did not converge: %d slabs still degraded", rig.ctrl.DegradedCount())
 		}
 		engine.RepairOnce()
 	}
-	if st := engine.Stats(); st.Flips == 0 {
+	if st := engine.Stats(); st.Repair.Flips == 0 {
 		t.Fatalf("repair drained with zero placement flips: %+v", st)
 	}
 	t.Logf("repair done at %d ops issued: %+v", eng.Issued(), engine.Stats())
