@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test quick race fuzz bench-quick bench-telemetry bench-evict bench-sync bench-concurrent bench-wire bench-replace bench-lease kv-bench kv-soak cover stress chaos loc verify
+.PHONY: build vet test quick race fuzz bench-quick bench-telemetry bench-evict guards bench-concurrent bench-wire kv-bench kv-soak cover stress chaos loc verify
 
 build:
 	$(GO) build ./...
@@ -37,8 +37,8 @@ fuzz:
 bench-quick:
 	$(GO) run -race ./cmd/kona-bench -run all -quick -parallel 0 -out /dev/null
 
-# Eviction-path guard (DESIGN.md §8): the serial-vs-pipelined 3-replica
-# flush fan-out over real TCP daemons, the steady-state evict and
+# Eviction-path guard (DESIGN.md §8): the pipelined 3-replica flush over
+# real TCP daemons, the steady-state evict and
 # fetch-hit allocation checks (-benchmem must report 0 allocs/op on the
 # arena-backed paths), and the single-vs-batched ReadPages round trip.
 # -benchtime=1x keeps it a smoke run; compare properly with -benchtime=2s.
@@ -46,13 +46,25 @@ bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkFlushFanout|BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
 
-# Sync-contract guard (DESIGN.md §15): Sync is a write-back barrier, not
-# an invalidation. A Sync over a clean, resident working set must hand no
-# frame to the eviction handler, and the read pass after it must not
-# issue one remote fetch — the regression that cost kv-hot 0.43 refetches
-# per op.
-bench-sync:
-	$(GO) test -run 'TestSyncKeepsCleanWorkingSet' -count=1 -v ./internal/core
+# Three single-test guards on the simulated fabric, one compile and link.
+# Their bounds are on counts or on *virtual-time* p99s — latency computed
+# on the simulated fabric's clock, which nothing off the measured path can
+# touch — so they are deterministic and have no noise floor to state.
+#  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
+#    invalidation. A Sync over a clean, resident working set must hand no
+#    frame to the eviction handler, and the read pass after it must not
+#    issue one remote fetch — the regression that cost kv-hot 0.43
+#    refetches per op.
+#  - Replacement starvation (DESIGN.md §10): a concurrent budgeted member
+#    replacement — a lost member repaired, a live one migrated; one row
+#    each — must not degrade the workload's fetch p99 by 10% or more; the
+#    background copy cannot reach the fetch clock unless it gets onto the
+#    fetch path.
+#  - Sharing overhead (DESIGN.md §14): idle reader attachments must not
+#    put lease machinery on the writer's flush path — the per-Sync p99
+#    with 4 attached readers must stay within 10% of the unshared baseline.
+guards:
+	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99' -count=1 -v ./internal/core
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths
@@ -73,38 +85,21 @@ stress:
 	KONA_STRESS_SEED=$(KONA_STRESS_SEED) $(GO) test -race -short -count=3 ./internal/core ./internal/cluster
 
 # Fault-tolerance chaos pass (DESIGN.md §10, §13): the kill/repair/verify,
-# crash-rejoin and migrate-under-load suites plus the replacement-engine
-# and rate-limiter unit tests, under the race detector with a rotating
+# two-groups-one-dead-node, crash-rejoin and migrate-under-load suites
+# plus the replacement-engine and rate-limiter unit tests, under the race detector with a rotating
 # workload seed — every run kills replicas at a different point in the
 # access stream. Well under 60s. Pin a failing run with
 # KONA_CHAOS_SEED=<seed> make chaos.
 KONA_CHAOS_SEED ?= $(shell date +%s)
 chaos:
 	KONA_CHAOS_SEED=$(KONA_CHAOS_SEED) $(GO) test -race -count=1 \
-		-run 'Chaos|Rejoin|Repair|ByteBudget|Migrat|Replace|NodeAccess|FailedUnseal' ./internal/core ./internal/cluster ./internal/kv
-
-# Replacement starvation guard (DESIGN.md §10): a concurrent budgeted
-# member replacement — a lost member repaired, a live one migrated; one
-# row each — must not degrade the workload's fetch p99 by 10% or more.
-# The bound is on *virtual-time* p99: fetch latency is computed on the
-# simulated fabric's clock, which the background copy cannot touch unless
-# it gets onto the fetch path, so the guard is deterministic and has no
-# noise floor to state.
-bench-replace:
-	$(GO) test -run 'TestReplacementDoesNotStarveFetchP99' -count=1 -v ./internal/core
+		-run 'Chaos|Rejoin|Repair|ByteBudget|Migrat|Replace|NodeAccess|FailedUnseal|TwoGroupsOneDeadNode' ./internal/core ./internal/cluster ./internal/kv
 
 # The ROADMAP's net-negative goal as a command: non-test lines in the two
 # packages it counts.
 loc:
 	@for d in internal/core internal/cluster; do \
 		echo "$$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
-
-# Sharing-overhead guard (DESIGN.md §14): idle reader attachments must
-# not put lease machinery on the writer's flush path — the per-Sync
-# virtual-time p99 with 4 attached readers must stay within 10% of the
-# unshared baseline.
-bench-lease:
-	$(GO) test -run 'TestLeaseIdleReadersDoNotDegradeWriterFlushP99' -count=1 -v ./internal/core
 
 # KV service SLO guard (DESIGN.md §12): the fixed-seed open-loop zipfian
 # run against kona-kvd on a full TCP rack — the tail must hold under the
@@ -143,4 +138,4 @@ bench-concurrent:
 cover:
 	$(GO) test -cover ./internal/... | sort
 
-verify: vet build test race stress chaos bench-quick bench-telemetry bench-evict bench-sync bench-concurrent bench-wire bench-replace bench-lease kv-bench kv-soak
+verify: vet build test race stress chaos bench-quick bench-telemetry bench-evict guards bench-concurrent bench-wire kv-bench kv-soak

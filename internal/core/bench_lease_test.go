@@ -9,7 +9,7 @@ import (
 )
 
 // TestLeaseIdleReadersDoNotDegradeWriterFlushP99 is the sharing-overhead
-// guard (`make bench-lease`): attaching idle readers to a writer's
+// guard (`make guards`): attaching idle readers to a writer's
 // region must not put lease machinery on the writer's flush path. The
 // same deterministic dirty-then-Sync sequence runs unshared (baseline)
 // and shared with 4 attached readers; the per-Sync virtual-time p99 may

@@ -17,8 +17,8 @@ import (
 // TestMigrateUnderLoadNoLostWrites runs an unreplicated (R=1) workload
 // while the migration engine repeatedly moves its slabs between nodes.
 // R=1 is the hard mode: a write bounced by the seal has no surviving
-// replica to lean on, so the sealed-retain path (retain + seal-notice +
-// fetch-time placement refresh + remap + suspect fence) is the only
+// replica to lean on, so the sealed-retain path (retain + sealed member +
+// fetch-time placement refresh + remap + catching-up fence) is the only
 // thing standing between the workload and data loss.
 func TestMigrateUnderLoadNoLostWrites(t *testing.T) {
 	seed := chaosSeed(t, 4)
@@ -66,6 +66,17 @@ func TestMigrateUnderLoadNoLostWrites(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Migrate.Flips != uint64(moves) {
 		t.Errorf("engine stats disagree with sweep returns: %+v vs %d", st, moves)
+	}
+	// Migration moves retire once settled: the vacated windows get
+	// re-carved, and a surviving move would rewrite the next tenant's
+	// entries. (Repair moves persist: TestTwoGroupsOneDeadNode.)
+	k.evict.flushMu.Lock()
+	if n := len(k.evict.moves); n != 0 {
+		t.Errorf("%d migration moves outlived their settle", n)
+	}
+	k.evict.flushMu.Unlock()
+	if fs.SuspectMembers != 0 {
+		t.Errorf("%d members still catching up after the final drain", fs.SuspectMembers)
 	}
 }
 

@@ -44,7 +44,9 @@ func groupMembersFor(k *Kona, addr mem.Addr) []Slab {
 	}
 	members := k.rm.replicas[s.ID]
 	out := make([]Slab, len(members))
-	copy(out, members)
+	for i, m := range members {
+		out[i] = m.Slab
+	}
 	return out
 }
 
@@ -360,7 +362,7 @@ func TestChaosRejoinSoak(t *testing.T) {
 }
 
 // TestReplacementDoesNotStarveFetchP99 is the starvation guard (`make
-// bench-replace`): fetch latency lives on the simulated-fabric virtual
+// guards`): fetch latency lives on the simulated-fabric virtual
 // clock while replacement copies ride their own budgeted node handles, so
 // a concurrent 4MB member replacement — of a lost member (repair) or of a
 // live one (migration) — must not degrade the fetch p99 by 10% or more.
@@ -456,4 +458,117 @@ func TestReplacementDoesNotStarveFetchP99(t *testing.T) {
 			}
 		})
 	}
+}
+
+// arenaBytes sums the payload bytes every evict shard's arena currently
+// holds (active chunk plus retired chunks).
+func arenaBytes(k *Kona) uint64 {
+	var n uint64
+	for i := range k.evict.shards {
+		sh := &k.evict.shards[i]
+		sh.mu.Lock()
+		n += uint64(len(sh.arena.buf) + sh.arena.spill)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestTwoGroupsOneDeadNode is the regression test for the mis-keyed move
+// table: two placement groups each lose a member on the same dead node.
+// Keyed by the dead node's link alone, the second group's move overwrote
+// the first's — one group's retained entries were never rebased, the dead
+// node's batch kept them (and their pending bytes) forever, neither
+// repaired copy ever became readable, and no arena recycled again. Moves
+// are keyed by the extent they vacate, so each group gets its own rebase
+// and its own catch-up.
+func TestTwoGroupsOneDeadNode(t *testing.T) {
+	seed := chaosSeed(t, 6)
+	const slabPages = 64
+	ctrl := newCluster(4)
+	cfg := smallConfig()
+	cfg.LocalCacheBytes = 8 * mem.PageSize
+	cfg.Replicas = 2
+	cfg.SlabSize = slabPages * mem.PageSize
+	k := NewKona(cfg, ctrl)
+	var ws []*chaosWorkload
+	hosted := make(map[int]int) // node -> groups with a member there
+	for i := 0; i < 4; i++ {
+		w := newChaosWorkload(t, k, ctrl, seed+int64(i), slabPages)
+		ws = append(ws, w)
+		for _, m := range groupMembersFor(k, w.base) {
+			hosted[m.Node]++
+		}
+	}
+	victim := -1
+	for node, groups := range hosted {
+		if groups >= 2 && (victim < 0 || node < victim) {
+			victim = node
+		}
+	}
+	if victim < 0 {
+		t.Fatalf("no node hosts two groups: %v", hosted)
+	}
+	deadKey := linkKeyFor(victim, ctrl.Incarnation(victim))
+	each := func(f func(w *chaosWorkload)) {
+		for _, w := range ws {
+			f(w)
+		}
+	}
+
+	each(func(w *chaosWorkload) { w.run(300) })
+	vn, _ := ctrl.Node(victim)
+	vn.Fail()
+	each(func(w *chaosWorkload) { w.run(300) }) // retain for the dead members
+	ctrl.HealthSweep()
+	if got := ctrl.DegradedCount(); got != hosted[victim] {
+		t.Fatalf("%d members degraded, want %d", got, hosted[victim])
+	}
+	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
+	drainRepairs(t, engine, ctrl)
+	each(func(w *chaosWorkload) { w.sync() })
+	each(func(w *chaosWorkload) { w.sync() })
+
+	fs := k.FailureStats()
+	if fs.RemappedEntries == 0 {
+		t.Fatal("nothing was retained across the outage — the scenario never formed")
+	}
+	if fs.SuspectMembers != 0 {
+		t.Errorf("%d members still catching up after the drain", fs.SuspectMembers)
+	}
+	k.evict.flushMu.Lock()
+	for _, nb := range k.evict.orderSnapshot() {
+		if nb.link.key() != deadKey {
+			continue
+		}
+		if n, p := len(nb.entries), nb.pendingBytes.Load(); n != 0 || p != 0 {
+			t.Errorf("dead node %d's batch still holds %d entries / %d pending bytes", victim, n, p)
+		}
+	}
+	// Both flips were repairs: their moves stay for the life of the
+	// runtime, one per vacated extent.
+	if got := len(k.evict.moves); got != hosted[victim] {
+		t.Errorf("%d moves recorded, want %d (one per group that lost a member)", got, hosted[victim])
+	}
+	for _, mv := range k.evict.moves {
+		if mv.retire {
+			t.Errorf("repair move %+v marked to retire", mv.from)
+		}
+	}
+	k.evict.flushMu.Unlock()
+	each(func(w *chaosWorkload) {
+		w.verifyReplicas(2)
+		w.verifyThroughRuntime()
+	})
+
+	// A Sync-free stretch: write-before-read flushes must recycle the
+	// arenas — a retained entry anywhere would pin every one of them.
+	before, shipped := arenaBytes(k), k.EvictStats().PayloadBytes
+	each(func(w *chaosWorkload) { w.drive(400, false) })
+	grew := k.EvictStats().PayloadBytes - shipped
+	if after := arenaBytes(k); grew == 0 || after >= before+grew {
+		t.Errorf("arenas never recycled: %d bytes held before, %d appended, %d held after", before, grew, after)
+	}
+	each(func(w *chaosWorkload) { w.sync() })
+	each(func(w *chaosWorkload) { w.verifyReplicas(2) })
 }

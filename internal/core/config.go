@@ -33,12 +33,6 @@ type Config struct {
 	// FlushThreshold triggers a log flush when the buffered payload
 	// exceeds this many bytes. Defaults to LogBytes/4.
 	FlushThreshold int
-	// EvictFanout bounds how many destination nodes the Eviction Handler
-	// ships to concurrently when the transport pipelines (real TCP).
-	// Defaults to 4; 1 forces the serial ship path. The simulated fabric
-	// always ships serially regardless, to keep virtual time
-	// reproducible.
-	EvictFanout int
 	// Prefetch enables the FPGA's sequential next-page prefetcher.
 	Prefetch bool
 	// PrefetchDepth caps the adaptive stride prefetcher's window; 0 or 1
@@ -97,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushThreshold == 0 {
 		c.FlushThreshold = c.LogBytes / 4
-	}
-	if c.EvictFanout <= 0 {
-		c.EvictFanout = 4
 	}
 	if c.Shards == 0 {
 		c.Shards = defaultShards()

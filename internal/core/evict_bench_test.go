@@ -14,7 +14,7 @@ import (
 // node's listener: each server-side I/O operation stalls by a uniform
 // duration in [0, maxDelay). Bare-loopback round trips are ~10µs, an
 // order of magnitude below any real fabric, so without this the ship
-// cost is dominated by copies and the fan-out has nothing to overlap;
+// cost is dominated by copies and the pipelined ships have nothing to overlap;
 // the injected delay restores the latency-bound regime the pipelining
 // targets (and that a real rack lives in).
 func delayedTCPRig(b *testing.B, n int, maxDelay time.Duration) string {
@@ -44,17 +44,17 @@ func delayedTCPRig(b *testing.B, n int, maxDelay time.Duration) string {
 	return cs.Addr()
 }
 
-// benchFlushFanout measures a 3-replica flush over real TCP daemons:
-// every iteration dirties a batch of cached pages and drains the
-// cache-line log to all three nodes. fanout=1 is the serial baseline
-// (one ship after another); fanout>1 overlaps the per-node round trips.
-func benchFlushFanout(b *testing.B, fanout int) {
+// BenchmarkFlushFanout measures a 3-replica flush over real TCP daemons
+// on the pipelined executor: every iteration dirties a batch of cached
+// pages and drains the cache-line log to all three nodes, the per-node
+// round trips overlapping. The serial baseline it was first compared
+// against (8.24 ms/op vs 2.88 ms/op) is recorded in results.txt.
+func BenchmarkFlushFanout(b *testing.B) {
 	addr := delayedTCPRig(b, 3, 300*time.Microsecond)
 	cfg := smallConfig()
 	cfg.Replicas = 3
 	cfg.LocalCacheBytes = 64 * mem.PageSize
 	cfg.LogBytes = 4 << 20 // one ship per node per drain, no threshold flushes
-	cfg.EvictFanout = fanout
 	k := NewKonaTCP(cfg, addr)
 	const pages = 16
 	base, err := k.Malloc(pages * mem.PageSize)
@@ -78,13 +78,6 @@ func benchFlushFanout(b *testing.B, fanout int) {
 	if st := k.EvictStats(); st.Flushes == 0 {
 		b.Fatal("benchmark shipped nothing")
 	}
-}
-
-// BenchmarkFlushFanout is the tentpole's before/after pair: serial vs
-// pipelined 3-replica eviction fan-out over real sockets.
-func BenchmarkFlushFanout(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchFlushFanout(b, 1) })
-	b.Run("fanout4", func(b *testing.B) { benchFlushFanout(b, 4) })
 }
 
 // BenchmarkEvictSteadyState drives the dirty-eviction path on the

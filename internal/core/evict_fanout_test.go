@@ -47,19 +47,19 @@ func TestPayloadArena(t *testing.T) {
 	}
 }
 
-// TestSimTransportForcesSerialFlush pins the determinism gate: even with
-// EvictFanout set, the simulated fabric must keep the serial ship path.
+// TestSimTransportForcesSerialFlush pins the determinism gate: the
+// executor follows the transport — the simulated fabric ships inline (no
+// in-flight semaphore exists), TCP ships pipelined behind evictInflight.
 func TestSimTransportForcesSerialFlush(t *testing.T) {
 	cfg := smallConfig()
-	cfg.EvictFanout = 8
 	k := NewKona(cfg, newCluster(2))
-	if k.evict.fanout != 1 {
-		t.Fatalf("sim transport got fanout %d, want 1", k.evict.fanout)
+	if k.evict.sem != nil {
+		t.Fatal("sim transport got the pipelined executor, want inline")
 	}
 	addr, _ := tcpRig(t, 2)
 	kt := NewKonaTCP(cfg, addr)
-	if kt.evict.fanout != 8 {
-		t.Fatalf("tcp transport got fanout %d, want 8", kt.evict.fanout)
+	if cap(kt.evict.sem) != evictInflight {
+		t.Fatalf("tcp transport got in-flight bound %d, want %d", cap(kt.evict.sem), evictInflight)
 	}
 }
 
@@ -175,11 +175,7 @@ func TestFanoutChurnReplicated(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Replicas = 2
 	cfg.LocalCacheBytes = 8 * mem.PageSize
-	cfg.EvictFanout = 4
 	k := NewKonaTCP(cfg, addr)
-	if k.evict.fanout != 4 {
-		t.Fatalf("fanout = %d, want 4", k.evict.fanout)
-	}
 	base, err := k.Malloc(64 * mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +298,6 @@ func TestReplicatedSimDeterminism(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Replicas = 2
 		cfg.LocalCacheBytes = 8 * mem.PageSize
-		cfg.EvictFanout = 8 // must be ignored on the sim transport
 		k := NewKona(cfg, newCluster(3))
 		base, err := k.Malloc(64 * mem.PageSize)
 		if err != nil {

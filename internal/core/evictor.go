@@ -26,8 +26,8 @@ type evictMetrics struct {
 	// leaseFenced counts ships rejected by a lease fence (this runtime's
 	// writer lease was taken over).
 	shipFailures, remapped, sealedRetains, leaseFenced *telemetry.Counter
-	// inflight tracks ships currently on the wire during a concurrent
-	// fan-out (always 0..1 on the serial path).
+	// inflight tracks ships currently on the wire (0..1 on the inline
+	// executor, up to evictInflight on the pipelined one).
 	inflight *telemetry.Gauge
 	trace    *telemetry.Trace
 }
@@ -168,32 +168,25 @@ func (a *payloadArena) reset() {
 // per-node entry buffering, pending-page tracking — is partitioned into
 // power-of-two lock-striped shards keyed by the victim's page, so
 // evictions issued concurrently from different FMem stripes never
-// serialize against each other. The flush side is serialized by flushMu:
-// a flush first *harvests* every shard's buffered entries into the
-// per-node merge batches (one shard lock at a time), then packs and
-// ships. Per-node byte counts are kept globally (atomic) so threshold
-// semantics — flush node N once its buffered bytes cross the limit — are
-// identical to the serial runtime's at any shard count.
+// serialize against each other. The flush side is one cycle, serialized
+// by flushMu (cycleLocked): re-apply the replica moves, *harvest* every
+// shard's buffered entries into the per-node merge batches (one shard lock
+// at a time), ship each destination, then fold every ship's outcome into
+// stats, retained entries and member state. Per-node byte counts are kept
+// globally (atomic) so threshold semantics — flush node N once its
+// buffered bytes cross the limit — are identical at any shard count.
 //
-// On the pipelined (TCP) transport the per-node ships fan out
-// concurrently — one goroutine per destination, at most fanout in
-// flight — so a replicated flush costs roughly the slowest replica's
-// round trip instead of the sum. The simulated fabric keeps the serial
-// path so its virtual-time NIC ordering stays byte-reproducible.
+// The ship step has two executors, chosen from what the transport is
+// (shipAllLocked): inline on the simulated fabric, pipelined over TCP.
 type evictor struct {
 	rm *resourceManager
 
 	shards    []evictShard
 	shardMask uint64
 
-	// logBuf is the serial-path pack scratch (the registered ring buffer
-	// lives in the transport link), used under flushMu. Concurrent ships
-	// pack into private per-batch buffers instead.
-	logBuf []byte
-	// shipVec is the serial path's single-segment scatter list handed to
-	// shipLog, kept on the evictor (used under flushMu) so building it
-	// allocates nothing in steady state.
-	shipVec   [1][]byte
+	// logBytes sizes each destination's pack buffer (the registered ring
+	// buffer itself lives in the transport link).
+	logBytes  int
 	threshold int
 
 	// replicated enables §4.5 outage semantics: a flush skips unhealthy
@@ -223,15 +216,15 @@ type evictor struct {
 	nodes  map[uint64]*nodeBatch
 	order  []*nodeBatch
 
-	// flushMu serializes harvest+pack+ship cycles and guards the
-	// flush-side stats, breakdown, the stolen-pending scratch and every
-	// nodeBatch's merge fields. Lock order: flushMu → shard.mu → nodeMu;
-	// EvictPage's append phase releases its shard lock before taking
-	// flushMu for a threshold flush, so no cycle exists.
+	// flushMu serializes flush cycles and guards the flush-side stats,
+	// breakdown, the stolen-pending scratch, the moves, the result slots
+	// and every nodeBatch's merge fields. Lock order: flushMu → shard.mu →
+	// nodeMu → rm.mu; EvictPage's append phase releases its shard lock
+	// before taking flushMu for a threshold flush, so no cycle exists.
 	flushMu sync.Mutex
 	// stolen records pending pages removed from the shards by a
 	// full-flush harvest; restored on ship failure so the
-	// write-before-read check stays conservative (see harvest comments).
+	// write-before-read check stays conservative (settleStolenLocked).
 	stolen []mem.Addr
 	// stealing is nonzero while a steal-harvest-ship cycle is in flight:
 	// from just before stealPendingLocked empties the pending sets until
@@ -244,25 +237,29 @@ type evictor struct {
 	fbreak   Breakdown  // RDMAWrite + AckWait slices
 	fstats   EvictStats // WireBytes, Flushes, AcksReceived, RemoteEntries
 
-	// moves records every repair flip, keyed by the dead member's link
-	// key, for the life of the runtime. Each flush re-applies them
-	// (applyMovesLocked) before shipping: an eviction that resolved its
-	// placements just before the flip can append entries for the dead
-	// member just after the remap pass ran, and without the re-apply
-	// those dirty lines would sit retained forever. Once a move's source
-	// and destination batches have both drained, the repaired replica has
-	// caught up and settleMovesLocked clears its suspect flag so reads
-	// may use it. Guarded by flushMu.
-	moves map[uint64]replicaMove
+	// moves records placement flips by the extent each one vacated. Every
+	// cycle re-applies them (applyMovesLocked) before shipping: an
+	// eviction that resolved its placements just before the flip can
+	// append entries for the old member just after the remap pass ran,
+	// and without the re-apply those dirty lines would sit retained
+	// forever. Once a move's source and destination batches have both
+	// drained, the installed member has caught up and settleMovesLocked
+	// tells it so. Guarded by flushMu.
+	moves map[extent]replicaMove
 
-	// fanout > 1 enables the concurrent ship path; it is forced to 1
-	// when the rack's transport is not pipelined.
-	fanout  int
-	sem     chan struct{}
+	// sem is the pipelined executor's in-flight bound; nil selects the
+	// inline executor.
+	sem chan struct{}
+	// results holds one slot per destination, in first-touch order, for
+	// the cycle in progress.
 	results []shipResult
 
 	m evictMetrics
 }
+
+// evictInflight bounds how many destinations the pipelined executor ships
+// to at once.
+const evictInflight = 4
 
 // evictShard is one lock stripe of the append side. Everything a dirty
 // eviction touches before the flush — scratch, arena, per-node entry
@@ -313,11 +310,11 @@ type nodeBatch struct {
 	// retained) log content awaiting ship.
 	entries    []cllog.Entry
 	entryBytes int
-	// packBuf is the private pack scratch for concurrent ships (each
-	// in-flight node needs its own packed image). Lazily sized.
+	// packBuf is the batch's pack scratch (each in-flight destination
+	// needs its own packed image). Lazily sized to logBytes.
 	packBuf []byte
 	// shipVec is the batch's scatter list for shipLog — one segment of
-	// packBuf — kept here so pipelined ships stay allocation-free.
+	// packBuf — kept here so ships stay allocation-free.
 	shipVec [1][]byte
 	// ackDue is when the receiver's ack for the previous flush lands;
 	// the next flush of this node's log half must wait for it.
@@ -328,30 +325,24 @@ type nodeBatch struct {
 	reported bool
 }
 
-// shipResult is one node's outcome from a concurrent fan-out, recorded
-// by the shipping goroutine and folded into stats serially after the
-// join (so accounting order never depends on goroutine scheduling).
+// shipResult is one destination's outcome in a flush cycle, recorded by
+// whichever executor shipped it and folded into stats and state serially
+// afterwards (so accounting order never depends on goroutine scheduling).
 type shipResult struct {
-	packed  int // bytes on the wire; 0 means the batch was empty
-	entries int
-	remote  int // entries the receiver reported applying
-	waited  simclock.Duration
-	done    simclock.Duration
-	ackDue  simclock.Duration
-	err     error
-	// flushes counts the wire logs the batch was shipped as (one in
-	// steady state; a post-outage catch-up batch may chunk).
-	flushes int
-	// skipped marks a replicated destination whose ship was withheld (or
-	// failed) with the entries retained; it must not count as drained.
-	skipped bool
+	chunkShip
+	start simclock.Duration // virtual time the ship began
+	err   error
+	// attempt marks a destination the cycle selected with entries to ship.
+	attempt bool
+	// unhealthy marks a replicated destination whose link was down, so
+	// the ship was withheld.
+	unhealthy bool
+	// retained marks a destination whose entries stayed in its batch
+	// (withheld, or failed and absorbed); it must not count as drained.
+	retained bool
 }
 
 func newEvictor(rm *resourceManager, cfg Config) *evictor {
-	fanout := cfg.EvictFanout
-	if !rm.rack.pipelined() {
-		fanout = 1
-	}
 	nshards := uint64(1)
 	for int(nshards) < cfg.Shards {
 		nshards <<= 1
@@ -360,12 +351,11 @@ func newEvictor(rm *resourceManager, cfg Config) *evictor {
 		rm:         rm,
 		shards:     make([]evictShard, nshards),
 		shardMask:  nshards - 1,
-		logBuf:     make([]byte, cfg.LogBytes),
+		logBytes:   cfg.LogBytes,
 		threshold:  cfg.FlushThreshold,
 		replicated: cfg.Replicas > 1,
 		nodes:      make(map[uint64]*nodeBatch),
-		moves:      make(map[uint64]replicaMove),
-		fanout:     fanout,
+		moves:      make(map[extent]replicaMove),
 		m:          newEvictMetrics(cfg.Metrics),
 	}
 	for i := range e.shards {
@@ -373,8 +363,8 @@ func newEvictor(rm *resourceManager, cfg Config) *evictor {
 		e.shards[i].batches = make(map[uint64]*shardBatch)
 		e.shards[i].pending = make(map[mem.Addr]struct{})
 	}
-	if fanout > 1 {
-		e.sem = make(chan struct{}, fanout)
+	if rm.rack.pipelined() {
+		e.sem = make(chan struct{}, evictInflight)
 	}
 	return e
 }
@@ -469,85 +459,39 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 	if !full {
 		return now, nil
 	}
-	if e.fanout > 1 {
-		e.flushMu.Lock()
-		done, _, err := e.fanoutShipLocked(now, true)
-		if err == nil {
-			e.maybeRecycleLocked()
-		}
-		e.flushMu.Unlock()
-		if err != nil {
-			return now, err
-		}
-		return done, nil
-	}
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	e.applyMovesLocked()
-	for _, nb := range e.orderSnapshot() {
-		if nb.pendingBytes.Load() < int64(e.threshold) {
-			continue
-		}
-		e.harvestNode(nb)
-		if e.skipUnhealthyLocked(nb) {
-			continue
-		}
-		now, err = e.flushNodeLocked(now, nb)
-		if err != nil {
-			if e.retainAfterErrLocked(nb, err) {
-				continue
-			}
-			return now, err
-		}
-	}
-	e.maybeRecycleLocked()
-	return now, nil
+	return e.cycleLocked(now, thresholdCycle)
 }
 
-// skipUnhealthyLocked reports whether a replicated flush should withhold
-// this destination's ship: the link is unhealthy, so the attempt would
-// fail anyway — the entries stay retained (§4.5), the outage is reported
-// to the controller once, and a repair flip later remaps them. Always
-// false for unreplicated configs: with no other copy of the dirty lines,
-// the ship must be attempted and its error surfaced. Caller holds flushMu.
-func (e *evictor) skipUnhealthyLocked(nb *nodeBatch) bool {
-	if !e.replicated || len(nb.entries) == 0 || nb.link.healthy() {
-		return false
-	}
-	e.reportShipFailureLocked(nb)
-	return true
-}
-
-// retainAfterErrLocked handles a ship attempt that failed. Four cases:
+// retainAfterErrLocked is the fold's decision for a ship that failed:
+// true keeps the entries in the batch and lets the cycle succeed, false
+// surfaces the error. Four cases:
 //
 //   - The destination's extent is sealed for migration: retain even
 //     without replication — the flip is imminent, and the retained
 //     entries rebase onto the migration target at the next placement
-//     refresh. noteSealed fences reads of the (now behind) sealed copy
-//     and latches the fetch-path seal notice; a seal is not an outage,
-//     so no failure report.
+//     refresh. The members whose lines bounced take evSeal, which fences
+//     reads of their (now behind) copy and makes the next fetch refresh;
+//     a seal is not an outage, so no failure report.
 //   - The ship was rejected by a lease fence (writer-lease takeover):
-//     surface the error — the successor owns the region and the zombie
-//     writer's bytes must not be retried or retained.
+//     surface the error — the successor owns the region, the node is
+//     healthy, and retrying would fail forever against the fence; the
+//     zombie writer must find out it was fenced, not buffer silently.
 //   - A replicated outage: entries stay retained and the flush
 //     continues (the outage is reported once).
-//   - An unreplicated failure: the caller must surface the error — no
-//     other copy of the dirty lines exists.
+//   - An unreplicated failure: surfaces — no other copy of the dirty
+//     lines exists.
 //
 // Caller holds flushMu.
 func (e *evictor) retainAfterErrLocked(nb *nodeBatch, err error) bool {
 	if cluster.IsSealedErr(err) {
-		e.rm.noteSealed(nb.link.key())
+		e.rm.shipBounced(nb.link.key(), nb.entries)
 		e.sealedRetains.Add(1)
 		e.m.sealedRetains.Inc()
 		return true
 	}
 	if cluster.IsLeaseFencedErr(err) {
-		// A lease fence rejected the whole ship: this runtime's writer
-		// lease was taken over and a successor owns the region. The node is
-		// healthy and retrying would fail forever against the fence, so the
-		// error surfaces to the application instead of being retained — the
-		// zombie writer must find out it was fenced, not buffer silently.
 		e.leaseFenced.Add(1)
 		e.m.leaseFenced.Inc()
 		return false
@@ -610,7 +554,7 @@ func (sh *evictShard) batchFor(key uint64) *shardBatch {
 // preserved because a page always lands in the same shard). Caller holds
 // flushMu. pendingBytes is left untouched: it only shrinks when the ship
 // succeeds, so a failed ship keeps the node over threshold and the next
-// eviction retries it — same retry behavior as the serial runtime.
+// eviction retries it.
 func (e *evictor) harvestNode(nb *nodeBatch) {
 	k := nb.link.key()
 	for i := range e.shards {
@@ -630,9 +574,8 @@ func (e *evictor) harvestNode(nb *nodeBatch) {
 // into the stolen scratch as part of a full-flush harvest. Pages
 // appended *after* a shard's steal stay pending — so a later refetch of
 // such a page still triggers its write-before-read flush even though
-// this flush cycle won't cover those entries. Caller holds flushMu; on
-// ship failure restoreStolenLocked puts everything back (a redundant
-// future flush is harmless, a skipped one is stale-read corruption).
+// this flush cycle won't cover those entries. Caller holds flushMu;
+// settleStolenLocked ends the cycle.
 func (e *evictor) stealPendingLocked() {
 	e.stealing.Store(1)
 	for i := range e.shards {
@@ -646,17 +589,23 @@ func (e *evictor) stealPendingLocked() {
 	}
 }
 
-// restoreStolenLocked re-marks the stolen pages pending after a failed
-// full flush. Caller holds flushMu.
-func (e *evictor) restoreStolenLocked() {
-	for _, a := range e.stolen {
-		sh := e.shardFor(a)
-		sh.mu.Lock()
-		sh.pending[a] = struct{}{}
-		sh.mu.Unlock()
+// settleStolenLocked finishes a steal cycle. When the cycle surfaced an
+// error or any destination's entries were retained (dead replica, sealed
+// extent), the stolen pages go back to pending so a refetch still triggers
+// its write-before-read flush — a redundant future flush is harmless, a
+// skipped one is stale-read corruption. Otherwise the cycle's entries
+// reached remote memory and the scratch is simply dropped. Either way the
+// refetch fast path may trust the pending sets again. Caller holds flushMu.
+func (e *evictor) settleStolenLocked(restore bool) {
+	if restore {
+		for _, a := range e.stolen {
+			sh := e.shardFor(a)
+			sh.mu.Lock()
+			sh.pending[a] = struct{}{}
+			sh.mu.Unlock()
+		}
 	}
 	e.stolen = e.stolen[:0]
-	// The pages are pending again, so the refetch fast path is sound.
 	e.stealing.Store(0)
 }
 
@@ -712,9 +661,6 @@ func (e *evictor) FlushIfPending(now simclock.Duration, base mem.Addr) (simclock
 	if !ok && e.stealing.Load() == 0 {
 		return now, nil
 	}
-	// Ship the batches without draining acks; the ack only gates log
-	// reuse, while the data itself is in remote memory once the RDMA
-	// write completes.
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 	// Re-check under flushMu: the steal cycle we raced with has settled
@@ -725,121 +671,28 @@ func (e *evictor) FlushIfPending(now simclock.Duration, base mem.Addr) (simclock
 	if !ok {
 		return now, nil
 	}
-	e.applyMovesLocked()
-	e.stealPendingLocked()
-	retained := false
-	if e.fanout > 1 {
-		done, skipped, err := e.fanoutShipLocked(now, false)
-		if err != nil {
-			e.restoreStolenLocked()
-			return now, err
-		}
-		retained = skipped
-		now = done
-	} else {
-		for _, nb := range e.orderSnapshot() {
-			e.harvestNode(nb)
-			if e.skipUnhealthyLocked(nb) {
-				retained = true
-				continue
-			}
-			var err error
-			now, err = e.flushNodeLocked(now, nb)
-			if err != nil {
-				if e.retainAfterErrLocked(nb, err) {
-					retained = true
-					continue
-				}
-				e.restoreStolenLocked()
-				return now, err
-			}
-		}
-	}
-	e.settleStolenLocked(retained)
-	e.settleMovesLocked()
-	e.maybeRecycleLocked()
-	return now, nil
-}
-
-// settleStolenLocked finishes a steal cycle: when any destination's
-// entries were retained (dead replica), the stolen pages go back to
-// pending so a refetch still triggers its write-before-read flush;
-// otherwise the cycle fully drained and the scratch is dropped. Caller
-// holds flushMu.
-func (e *evictor) settleStolenLocked(retained bool) {
-	if retained {
-		e.restoreStolenLocked()
-		return
-	}
-	e.stolen = e.stolen[:0]
-	// The cycle's entries reached remote memory; refetches may trust the
-	// (now empty) pending sets again.
-	e.stealing.Store(0)
+	return e.cycleLocked(now, orderingCycle)
 }
 
 // Flush ships every pending batch and returns when the eviction path is
-// drained (all acks received).
+// drained (all acks received): one cycle, then the ack wait.
 func (e *evictor) Flush(now simclock.Duration) (simclock.Duration, error) {
-	if e.fanout > 1 {
-		return e.flushParallel(now)
-	}
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	e.applyMovesLocked()
-	e.stealPendingLocked()
-	var latest simclock.Duration = now
-	retained := false
-	for _, nb := range e.orderSnapshot() {
-		e.harvestNode(nb)
-		if e.skipUnhealthyLocked(nb) {
-			// Dead replica: entries retained, no ack to drain. The other
-			// replicas hold the data, so the drain still succeeds (§4.5).
-			retained = true
-			continue
-		}
-		done, err := e.flushNodeLocked(now, nb)
-		if err != nil {
-			if e.retainAfterErrLocked(nb, err) {
-				retained = true
-				continue
-			}
-			e.restoreStolenLocked()
-			return now, err
-		}
-		// Drain: wait for this node's ack.
-		if nb.ackDue > done {
-			e.fbreak.AckWait += nb.ackDue - done
-			done = nb.ackDue
-		}
-		e.fstats.AcksReceived++
-		if done > latest {
-			latest = done
-		}
-	}
-	e.settleStolenLocked(retained)
-	e.settleMovesLocked()
-	e.maybeRecycleLocked()
-	return latest, nil
-}
-
-// flushParallel is Flush over the concurrent fan-out: all ships overlap,
-// then every node's ack is drained.
-func (e *evictor) flushParallel(now simclock.Duration) (simclock.Duration, error) {
-	e.flushMu.Lock()
-	defer e.flushMu.Unlock()
-	e.stealPendingLocked()
-	latest, retained, err := e.fanoutShipLocked(now, false)
+	latest, err := e.cycleLocked(now, drainCycle)
 	if err != nil {
-		e.restoreStolenLocked()
 		return now, err
 	}
-	for i, nb := range e.orderSnapshot() {
-		if e.results[i].skipped {
+	for i, nb := range e.orderSnapshot()[:len(e.results)] {
+		res := &e.results[i]
+		if res.retained {
+			// Dead replica: entries retained, no ack to drain. The other
+			// replicas hold the data, so the drain still succeeds (§4.5).
 			continue
 		}
-		done := e.results[i].done
-		if e.results[i].packed == 0 {
-			done = now
+		done := now
+		if res.attempt {
+			done = res.done
 		}
 		if nb.ackDue > done {
 			e.fbreak.AckWait += nb.ackDue - done
@@ -850,43 +703,116 @@ func (e *evictor) flushParallel(now simclock.Duration) (simclock.Duration, error
 			latest = done
 		}
 	}
-	e.settleStolenLocked(retained)
-	e.settleMovesLocked()
-	e.maybeRecycleLocked()
 	return latest, nil
 }
 
-// fanoutShipLocked harvests and ships batches concurrently — one
-// goroutine per destination node, at most e.fanout on the wire at once —
-// and folds the results into stats serially in first-touch order after
-// the join. onlyFull restricts the cycle to nodes at or past the flush
-// threshold (threshold-triggered flushes); otherwise every node with
-// buffered entries ships. It returns the completion time of the slowest
-// ship and whether any replicated destination's entries were retained
-// (unhealthy skip or failed ship). Per-node failures are joined so one
-// dead replica does not mask another's error; with replication they are
-// absorbed into retention instead. Caller holds flushMu.
-func (e *evictor) fanoutShipLocked(now simclock.Duration, onlyFull bool) (simclock.Duration, bool, error) {
+// cycleKind says why a flush cycle runs, which fixes what it covers and
+// when its ships start.
+type cycleKind int
+
+const (
+	// thresholdCycle (EvictPage) ships only the destinations at or past
+	// the flush threshold and leaves the pending-page sets alone.
+	thresholdCycle cycleKind = iota
+	// orderingCycle (FlushIfPending) ships everything buffered, for
+	// write-before-read; the ack only gates log reuse, so it is not
+	// waited for.
+	orderingCycle
+	// drainCycle (Flush) ships everything buffered, every ship starting
+	// at the same instant; Flush then waits out the acks.
+	drainCycle
+)
+
+// cycleLocked is the one flush cycle: re-apply the replica moves, harvest
+// the selected destinations, ship each, then fold every outcome — in
+// first-touch order, after all ships returned — into stats, retained
+// entries and member state. It returns the completion time of the slowest
+// ship. Failures that are not absorbed into retention are joined, so one
+// destination's error does not mask another's; the shipped destinations
+// are folded regardless. Caller holds flushMu.
+func (e *evictor) cycleLocked(now simclock.Duration, kind cycleKind) (simclock.Duration, error) {
+	full := kind != thresholdCycle
 	e.applyMovesLocked()
-	order := e.orderSnapshot()
-	for _, nb := range order {
-		if onlyFull && nb.pendingBytes.Load() < int64(e.threshold) {
-			continue
-		}
-		e.harvestNode(nb)
+	if full {
+		e.stealPendingLocked()
 	}
+	order := e.orderSnapshot()
 	if cap(e.results) < len(order) {
 		e.results = make([]shipResult, len(order))
 	}
 	e.results = e.results[:len(order)]
-	var wg sync.WaitGroup
 	for i, nb := range order {
-		e.results[i] = shipResult{}
-		if len(nb.entries) == 0 {
+		res := &e.results[i]
+		*res = shipResult{}
+		if !full && nb.pendingBytes.Load() < int64(e.threshold) {
 			continue
 		}
-		if e.skipUnhealthyLocked(nb) {
-			e.results[i].skipped = true
+		e.harvestNode(nb)
+		res.attempt = len(nb.entries) > 0
+		// The skip-unhealthy decision: with replication, a ship to a link
+		// that is down would fail anyway, so it is withheld (§4.5) and
+		// the fold retains the entries. Unreplicated configs have no other
+		// copy of the dirty lines: the ship is attempted, its error
+		// surfaced.
+		res.unhealthy = res.attempt && e.replicated && !nb.link.healthy()
+	}
+	e.shipAllLocked(now, order, kind != drainCycle)
+
+	latest, retained := now, false
+	var errs []error
+	for i, nb := range order {
+		res := &e.results[i]
+		switch {
+		case !res.attempt:
+		case res.unhealthy:
+			e.reportShipFailureLocked(nb)
+			res.retained = true
+		case res.err != nil:
+			if res.retained = e.retainAfterErrLocked(nb, res.err); !res.retained {
+				errs = append(errs, res.err)
+			}
+		default:
+			e.foldShipLocked(nb, res)
+			if res.done > latest {
+				latest = res.done
+			}
+		}
+		retained = retained || res.retained
+	}
+	if full {
+		e.settleStolenLocked(retained || len(errs) > 0)
+	}
+	if len(errs) > 0 {
+		return now, errors.Join(errs...)
+	}
+	if full {
+		e.settleMovesLocked()
+	}
+	e.maybeRecycleLocked()
+	return latest, nil
+}
+
+// shipAllLocked runs the cycle's ships on the executor the transport
+// calls for. Inline (simulated fabric): one after another on the caller's
+// goroutine, each starting when the previous one completed if chain is
+// set, all at now otherwise. Pipelined (TCP): one goroutine per
+// destination behind the in-flight semaphore, all starting at now — the
+// measured wall-clock round trips overlap for real. Each ship writes only
+// its own pre-sized result slot and its own batch's pack buffer. Caller
+// holds flushMu.
+func (e *evictor) shipAllLocked(now simclock.Duration, order []*nodeBatch, chain bool) {
+	var wg sync.WaitGroup
+	start := now
+	for i, nb := range order {
+		res := &e.results[i]
+		if !res.attempt || res.unhealthy {
+			continue
+		}
+		if e.sem == nil {
+			e.shipBatch(start, nb, res)
+			if chain && res.err == nil {
+				start = res.done
+			}
 			continue
 		}
 		wg.Add(1)
@@ -894,98 +820,45 @@ func (e *evictor) fanoutShipLocked(now simclock.Duration, onlyFull bool) (simclo
 			defer wg.Done()
 			e.sem <- struct{}{}
 			defer func() { <-e.sem }()
-			if nb.packBuf == nil {
-				nb.packBuf = make([]byte, len(e.logBuf))
-			}
-			e.m.inflight.Inc()
-			cs, err := shipChunks(now, nb.link, nb.entries, nb.packBuf, &nb.shipVec, nb.ackDue)
-			e.m.inflight.Dec()
-			if err != nil {
-				res.err = err
-				return
-			}
-			res.packed, res.entries, res.remote = cs.packed, len(nb.entries), cs.remote
-			res.waited, res.flushes = cs.waited, cs.flushes
-			res.done, res.ackDue = cs.done, cs.ackDue
-		}(nb, &e.results[i])
+			e.shipBatch(now, nb, res)
+		}(nb, res)
 	}
 	wg.Wait()
-
-	latest := now
-	skipped := false
-	var errs []error
-	for i, nb := range order {
-		res := &e.results[i]
-		if res.skipped {
-			skipped = true
-			continue
-		}
-		if res.err != nil {
-			if e.retainAfterErrLocked(nb, res.err) {
-				res.skipped = true
-				skipped = true
-				continue
-			}
-			errs = append(errs, res.err)
-			continue
-		}
-		if res.packed == 0 {
-			continue
-		}
-		e.fbreak.AckWait += res.waited
-		e.fbreak.RDMAWrite += res.done - (now + res.waited)
-		e.fstats.WireBytes += uint64(res.packed)
-		e.fstats.Flushes += uint64(res.flushes)
-		e.fstats.RemoteEntries += uint64(res.remote)
-		e.m.wireBytes.Add(uint64(res.packed))
-		e.m.flushes.Add(uint64(res.flushes))
-		e.m.remoteEntries.Add(uint64(res.remote))
-		e.m.trace.EmitAt(res.done, "core.evict.flush", "node=%d entries=%d bytes=%d",
-			uint64(nb.link.id()), uint64(res.entries), uint64(res.packed))
-		nb.ackDue = res.ackDue
-		nb.reported = false
-		nb.pendingBytes.Add(-int64(nb.entryBytes))
-		nb.entryBytes = 0
-		nb.entries = nb.entries[:0]
-		if res.done > latest {
-			latest = res.done
-		}
-	}
-	if len(errs) > 0 {
-		return latest, skipped, errors.Join(errs...)
-	}
-	return latest, skipped, nil
 }
 
-// flushNodeLocked packs and ships one node's harvested entries (serial
-// path). Caller holds flushMu; on error the entries stay in the merge
-// batch (and pendingBytes stays credited), so the next flush retries
-// them ahead of newer log content.
-func (e *evictor) flushNodeLocked(now simclock.Duration, nb *nodeBatch) (simclock.Duration, error) {
-	if len(nb.entries) == 0 {
-		return now, nil
+// shipBatch packs and ships one destination's harvested entries, starting
+// at start, and records the outcome in res. On error the entries stay in
+// the merge batch (and pendingBytes stays credited), so the next cycle
+// retries them ahead of newer log content.
+func (e *evictor) shipBatch(start simclock.Duration, nb *nodeBatch, res *shipResult) {
+	if nb.packBuf == nil {
+		nb.packBuf = make([]byte, e.logBytes)
 	}
-	before := now
-	cs, err := shipChunks(now, nb.link, nb.entries, e.logBuf, &e.shipVec, nb.ackDue)
-	if err != nil {
-		return now, err
-	}
-	e.fbreak.AckWait += cs.waited
-	e.fbreak.RDMAWrite += cs.done - before - cs.waited
-	e.fstats.WireBytes += uint64(cs.packed)
-	e.fstats.Flushes += uint64(cs.flushes)
-	e.fstats.RemoteEntries += uint64(cs.remote)
-	e.m.wireBytes.Add(uint64(cs.packed))
-	e.m.flushes.Add(uint64(cs.flushes))
-	e.m.remoteEntries.Add(uint64(cs.remote))
-	e.m.trace.EmitAt(cs.done, "core.evict.flush", "node=%d entries=%d bytes=%d",
-		uint64(nb.link.id()), uint64(len(nb.entries)), uint64(cs.packed))
-	nb.ackDue = cs.ackDue
+	e.m.inflight.Inc()
+	res.chunkShip, res.err = shipChunks(start, nb.link, nb.entries, nb.packBuf, &nb.shipVec, nb.ackDue)
+	e.m.inflight.Dec()
+	res.start = start
+}
+
+// foldShipLocked accounts one acknowledged ship and empties its batch —
+// the only way entries leave a batch other than a move. Caller holds
+// flushMu.
+func (e *evictor) foldShipLocked(nb *nodeBatch, res *shipResult) {
+	e.fbreak.AckWait += res.waited
+	e.fbreak.RDMAWrite += res.done - res.start - res.waited
+	e.fstats.WireBytes += uint64(res.packed)
+	e.fstats.Flushes += uint64(res.flushes)
+	e.fstats.RemoteEntries += uint64(res.remote)
+	e.m.wireBytes.Add(uint64(res.packed))
+	e.m.flushes.Add(uint64(res.flushes))
+	e.m.remoteEntries.Add(uint64(res.remote))
+	e.m.trace.EmitAt(res.done, "core.evict.flush", "node=%d entries=%d bytes=%d",
+		uint64(nb.link.id()), uint64(len(nb.entries)), uint64(res.packed))
+	nb.ackDue = res.ackDue
 	nb.reported = false
 	nb.pendingBytes.Add(-int64(nb.entryBytes))
 	nb.entryBytes = 0
 	nb.entries = nb.entries[:0]
-	return cs.done, nil
 }
 
 // chunkShip is the outcome of shipping one merge batch, possibly split
@@ -1051,22 +924,18 @@ func shipChunks(now simclock.Duration, l nodeLink, entries []cllog.Entry, buf []
 
 // remap rebases retained eviction entries after a placement refresh:
 // every buffered entry destined for a replaced (node, incarnation) whose
-// pool offset falls inside the old member's extent moves to the repaired
+// pool offset falls inside the vacated extent moves to the installed
 // member's batch, rebased onto the new extent. Entries move in buffered
 // order and a page's entries all live in one shard, so per-page replay
 // order — oldest line version first — is preserved; replay at the new
-// node is then an idempotent overwrite like any other ship. Returns the
-// number of entries moved.
-func (e *evictor) remap(moves []replicaMove) int {
-	if len(moves) == 0 {
-		return 0
-	}
+// node is then an idempotent overwrite like any other ship.
+func (e *evictor) remap(moves []replicaMove) {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 	for _, mv := range moves {
-		e.moves[mv.oldKey] = mv
+		e.moves[mv.from] = mv
 	}
-	return e.applyMovesLocked()
+	e.applyMovesLocked()
 }
 
 // applyMovesLocked rebases every buffered or retained entry still keyed
@@ -1074,14 +943,11 @@ func (e *evictor) remap(moves []replicaMove) int {
 // flush cycle (cheap no-op when nothing matches), so late entries from
 // evictions that raced the flip are caught before the ship. Caller holds
 // flushMu.
-func (e *evictor) applyMovesLocked() int {
-	if len(e.moves) == 0 {
-		return 0
-	}
+func (e *evictor) applyMovesLocked() {
 	moved := 0
 	for _, mv := range e.moves {
 		e.nodeMu.RLock()
-		src := e.nodes[mv.oldKey]
+		src := e.nodes[mv.from.link]
 		e.nodeMu.RUnlock()
 		dst := e.batchFor(mv.newLink)
 		if src == nil || src == dst {
@@ -1100,7 +966,7 @@ func (e *evictor) applyMovesLocked() int {
 		for i := range e.shards {
 			sh := &e.shards[i]
 			sh.mu.Lock()
-			if sb := sh.batches[mv.oldKey]; sb != nil && len(sb.entries) > 0 {
+			if sb := sh.batches[mv.from.link]; sb != nil && len(sb.entries) > 0 {
 				dsb := sh.batchFor(dst.link.key())
 				moved += moveEntries(&sb.entries, &dsb.entries, mv, func(n int) {
 					sb.bytes -= n
@@ -1116,22 +982,20 @@ func (e *evictor) applyMovesLocked() int {
 		e.remapped.Add(uint64(moved))
 		e.m.remapped.Add(uint64(moved))
 	}
-	return moved
 }
 
-// settleMovesLocked clears the suspect flag of every repaired replica
-// whose catch-up has drained: no entries remain keyed by the dead member
-// (pendingBytes covers shard-buffered and retained alike) and the
-// replacement's merge batch — where the remapped entries were rebased —
-// has shipped. Fresh entries buffered for the replacement after the flip
+// settleMovesLocked delivers evDrained to every installed member whose
+// catch-up has shipped: no entries remain keyed by the vacated member's
+// link (pendingBytes covers shard-buffered and retained alike) and the
+// replacement's merge batch — where the rebased entries went — has
+// shipped. Fresh entries buffered for the replacement after the flip
 // don't gate readability: they belong to pages still marked pending, and
-// the ordinary write-before-read flush covers those. Runs after each
-// flush cycle; clearing an already-clear key is a no-op. Caller holds
-// flushMu.
+// the ordinary write-before-read flush covers those. Runs after each full
+// cycle; a member already current ignores the event. Caller holds flushMu.
 func (e *evictor) settleMovesLocked() {
-	for oldKey, mv := range e.moves {
+	for from, mv := range e.moves {
 		e.nodeMu.RLock()
-		src := e.nodes[oldKey]
+		src := e.nodes[from.link]
 		dst := e.nodes[mv.newLink.key()]
 		e.nodeMu.RUnlock()
 		if src != nil && (len(src.entries) > 0 || src.pendingBytes.Load() != 0) {
@@ -1140,17 +1004,11 @@ func (e *evictor) settleMovesLocked() {
 		if dst != nil && len(dst.entries) > 0 {
 			continue
 		}
-		e.rm.clearSuspect(mv.newLink.key())
-		// A migration move retires once settled: its source (node,
-		// incarnation) is still alive and the controller will reuse the
-		// vacated pool window for a fresh carve — keeping the move would
-		// silently rewrite entries bound for the window's next tenant.
-		// Repair moves stay for the life of the runtime: the dead
-		// incarnation's key can never carry traffic again, and late
-		// evictions that resolved placements before the flip must keep
-		// rebasing onto the replacement.
+		e.rm.notify(mv.settles, evDrained)
+		// A migration move retires once settled; a repair move stays for
+		// the life of the runtime (see replicaMove.retire).
 		if mv.retire {
-			delete(e.moves, oldKey)
+			delete(e.moves, from)
 		}
 	}
 }
@@ -1162,12 +1020,12 @@ func moveEntries(srcEntries, dstEntries *[]cllog.Entry, mv replicaMove, account 
 	moved := 0
 	kept := (*srcEntries)[:0]
 	for _, en := range *srcEntries {
-		if en.RemoteOff < mv.oldOff || en.RemoteOff >= mv.oldOff+mv.size {
+		if en.RemoteOff < mv.from.off || en.RemoteOff >= mv.from.off+mv.size {
 			kept = append(kept, en)
 			continue
 		}
 		n := cllog.HeaderSize + len(en.Data)
-		en.RemoteOff = mv.newOff + (en.RemoteOff - mv.oldOff)
+		en.RemoteOff = mv.settles.RemoteOff + (en.RemoteOff - mv.from.off)
 		*dstEntries = append(*dstEntries, en)
 		account(n)
 		moved++

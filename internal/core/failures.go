@@ -50,9 +50,10 @@ type FailureStats struct {
 	// RemappedEntries counts retained eviction-log entries rebased onto a
 	// repaired replica.
 	RemappedEntries uint64
-	// SuspectMembers is the number of repaired replicas currently fenced
-	// from reads: their catch-up drain (retained entries re-shipped onto
-	// the new copy) has not completed. Zero in a settled rack.
+	// SuspectMembers is the number of members in the catching-up state:
+	// installed by a flip and fenced from reads until their catch-up drain
+	// (retained entries re-shipped onto the new copy) completes. Zero in a
+	// settled rack.
 	SuspectMembers int
 	// SealedRetains counts ships rejected by an extent sealed for
 	// migration, with the entries retained until the flip was picked up
@@ -87,8 +88,8 @@ func (k *Kona) ReadChecked(now simclock.Duration, addr mem.Addr, buf []byte) (si
 func (k *Kona) FailureStats() FailureStats {
 	k.rm.mu.Lock()
 	k.failures.Failovers = k.rm.failovers
-	k.failures.SuspectMembers = len(k.rm.suspect)
 	k.rm.mu.Unlock()
+	k.failures.SuspectMembers = k.rm.inState(memberCatchingUp)
 	k.failures.ShipFailureReports = k.evict.shipReports.Load()
 	k.failures.PlacementRefreshes = k.refreshes.Load()
 	k.failures.RemappedEntries = k.evict.remapped.Load()

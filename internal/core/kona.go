@@ -179,8 +179,10 @@ func newKona(cfg Config, r rack) *Kona {
 		k.m.trace.EmitAt(now, "core.fetch", "page=%#x", uint64(base))
 		done, err := k.evict.FlushIfPending(now, base)
 		k.noteEvictErr(err)
-		if k.rm.takeSealNotice() {
-			// A ship was rejected by an extent sealed for migration; the
+		// A member is sealed only by a bounced ship, so a runtime that has
+		// never seen one skips the table scan on every fetch.
+		if k.evict.sealedRetains.Load() != 0 && k.rm.inState(memberSealed) > 0 {
+			// A ship bounced off an extent sealed for migration; the
 			// retained entries can only drain once the flip is picked up.
 			// Refresh placements and re-flush before this fetch reads
 			// remote memory — without it, an unreplicated slab could
@@ -279,12 +281,10 @@ func backpressureDelay(pending, limit uint64) simclock.Duration {
 func (k *Kona) RefreshPlacements() (bool, error) {
 	moves, changed, err := k.rm.refreshPlacements()
 	// Register the moves even when the refresh failed partway: any group
-	// already installed has its repaired member marked suspect, and only
-	// the remap (plus the per-flush re-apply it arms) ships the retained
-	// entries that make that member readable again.
-	if len(moves) > 0 {
-		k.evict.remap(moves)
-	}
+	// already installed has its new member catching up, and only the remap
+	// (plus the per-cycle re-apply it arms) ships the retained entries
+	// that make that member readable again.
+	k.evict.remap(moves)
 	if changed {
 		k.refreshes.Add(1)
 	}

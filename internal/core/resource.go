@@ -4,62 +4,107 @@ import (
 	"fmt"
 	"sync"
 
+	"kona/internal/cllog"
 	"kona/internal/mem"
 	"kona/internal/simclock"
 	"kona/internal/slab"
+	"kona/internal/telemetry"
 )
 
 // Slab re-exports the coarse allocation unit.
 type Slab = slab.Slab
 
+// memberState is the one stored health state of a placement-group member
+// (§4.5): a member that cannot take a ship keeps its dirty lines in the
+// evictor until it can, and is not read from until it has them.
+type memberState uint8
+
+const (
+	// memberCurrent holds every line this runtime has shipped.
+	memberCurrent memberState = iota
+	// memberCatchingUp was installed by a placement flip: its copy was
+	// taken from another member, and the dirty lines retained for the
+	// member it replaced reach it only when the evictor re-ships them.
+	memberCatchingUp
+	// memberSealed had a ship carrying its lines bounce off an extent
+	// sealed for migration; the lines are retained until a refresh picks
+	// up the flip.
+	memberSealed
+)
+
+// memberEvent is something that happened to a member. Every change of
+// member state is one of these four, applied by transition.
+type memberEvent uint8
+
+const (
+	evFlip    memberEvent = iota // installed by a placement flip
+	evSeal                       // a ship carrying its lines bounced off a seal
+	evRefresh                    // the placement table was re-read
+	evDrained                    // the catch-up it waited for has shipped
+)
+
+// memberNext is the whole transition table, [state][event]. Notes on the
+// entries that are not obvious:
+//
+//   - seal wins over catching-up: the fetch path refreshes placements
+//     while any member is sealed, and an unreplicated slab has no other
+//     way to learn that its only member moved.
+//   - a refresh drops the seal fence whether or not it flipped the member
+//     away. If the extent is still sealed, the next ship bounces and
+//     re-marks it before any read is translated (the fetch hook re-flushes
+//     after its refresh); if the seal was lifted (an unwound migration),
+//     that ship lands everything retained for the member, including any
+//     catch-up it was owed, so current is the truth either way.
+//   - drained does not lift a seal, and refresh does not end a catch-up.
+var memberNext = [...][4]memberState{
+	memberCurrent:    {evFlip: memberCatchingUp, evSeal: memberSealed, evRefresh: memberCurrent, evDrained: memberCurrent},
+	memberCatchingUp: {evFlip: memberCatchingUp, evSeal: memberSealed, evRefresh: memberCatchingUp, evDrained: memberCurrent},
+	memberSealed:     {evFlip: memberCatchingUp, evSeal: memberSealed, evRefresh: memberCurrent, evDrained: memberSealed},
+}
+
+var (
+	memberStateNames = [...]string{memberCurrent: "current", memberCatchingUp: "catching-up", memberSealed: "sealed"}
+	memberEventNames = [...]string{evFlip: "flip", evSeal: "seal", evRefresh: "refresh", evDrained: "drained"}
+)
+
+// member is one row of the member table: a replica of a placement group,
+// the link that reaches it, and its state. The link is resolved once, when
+// the membership is installed; an incarnation the rack cannot link gets
+// the deadLink null object (every ship to it fails and is retained, §10),
+// re-tried on each refresh. All fields are guarded by rm.mu; the slab and
+// slot never change after install.
+type member struct {
+	Slab
+	slot  int // position in the group; 0 is the primary
+	link  nodeLink
+	state memberState
+}
+
+// readable reports whether a fetch may be served from this member.
+func (m *member) readable() bool {
+	return m.state == memberCurrent && m.link.healthy()
+}
+
 // resourceManager is KLib's Resource Manager (§4.1): it pre-allocates
 // disaggregated memory from the rack controller in large slabs, maintains
 // the remote-translation map the FPGA consults (§4.4), and owns the
-// transport links to each memory node. With Replicas > 1 every slab is
-// placed on several nodes and reads fail over when the primary is down
-// (§4.5).
+// member table — every replica of every slab, its link and its state.
+// With Replicas > 1 every slab is placed on several nodes and reads fail
+// over when the primary is down (§4.5).
 type resourceManager struct {
 	mu sync.Mutex
 
 	cfg   Config
 	rack  rack
 	alloc *slab.Allocator
+	trace *telemetry.Trace
 
-	// replicas maps a primary slab ID to all placements (primary first).
-	replicas map[uint64][]Slab
+	// replicas is the member table: a primary slab ID to all the group's
+	// members, primary first.
+	replicas map[uint64][]*member
 
 	// failovers counts translations that skipped a dead primary.
 	failovers uint64
-
-	// suspect holds the link keys of repaired replicas that are not yet
-	// readable: a repair flip copies a slab from a surviving member, but
-	// dirty lines retained for the dead member during the outage reach
-	// the replacement only when the evictor re-ships them. Until that
-	// drain completes (evictor.settleMovesLocked → clearSuspect), a read
-	// from the repaired copy could return pages missing acknowledged
-	// writes, so translation skips suspect members while another live
-	// replica exists. Marked in refreshPlacements, in the same critical
-	// section that installs the new membership — no translation can ever
-	// observe a repaired member without its suspect flag.
-	suspect map[uint64]struct{}
-
-	// sealed holds the link keys of members whose extent a migration has
-	// sealed: the evictor's last ship was rejected and the dirty lines are
-	// retained locally, so the sealed copy is missing acknowledged writes
-	// until a placement refresh flips it away and the retained entries
-	// drain onto the migration target. Translation skips sealed members
-	// like suspect ones while another live replica exists. Cleared
-	// wholesale on every placement refresh — if an extent is still sealed
-	// afterwards, the next rejected ship re-marks it.
-	sealed map[uint64]struct{}
-
-	// sealNotice latches "a ship was rejected by a sealed extent" for the
-	// fetch path: Kona's fetch hook sees it (takeSealNotice), refreshes
-	// placements to pick up the migration flip, and re-flushes so the
-	// retained entries land before the fetch reads remote memory. Without
-	// the notice, an unreplicated slab could serve a stale page between
-	// the seal and the next Sync.
-	sealNotice bool
 
 	// attached holds placement groups mapped from another runtime
 	// (reader-mode shares, DESIGN.md §14). Their slabs translate like any
@@ -73,106 +118,138 @@ func newResourceManager(cfg Config, r rack) *resourceManager {
 		cfg:      cfg,
 		rack:     r,
 		alloc:    slab.NewAllocator(),
-		replicas: make(map[uint64][]Slab),
-		suspect:  make(map[uint64]struct{}),
-		sealed:   make(map[uint64]struct{}),
+		trace:    cfg.Metrics.Trace(),
+		replicas: make(map[uint64][]*member),
 		attached: make(map[uint64]struct{}),
 	}
 }
 
-// noteSealed records that a ship to the given link was rejected because
-// its extent is sealed for migration, and latches the seal notice for the
-// fetch path.
-func (rm *resourceManager) noteSealed(key uint64) {
+// transition applies one event to one member — the only place member
+// state is assigned — and emits the change as a core.member event. An
+// event that leaves the state where it was is silent. Caller holds rm.mu.
+func (rm *resourceManager) transition(m *member, ev memberEvent) {
+	from := m.state
+	m.state = memberNext[from][ev]
+	if m.state != from && rm.trace != nil {
+		rm.trace.Emit("core.member", fmt.Sprintf("group=%d slot=%d node=%d/%d %s→%s cause=%s",
+			m.ID, m.slot, m.Node, m.Epoch, memberStateNames[from], memberStateNames[m.state], memberEventNames[ev]))
+	}
+}
+
+// notify is transition for the evictor, which does not hold rm.mu.
+func (rm *resourceManager) notify(m *member, ev memberEvent) {
 	rm.mu.Lock()
-	rm.sealed[key] = struct{}{}
-	rm.sealNotice = true
+	rm.transition(m, ev)
 	rm.mu.Unlock()
 }
 
-// takeSealNotice consumes the latched seal notice, returning whether any
-// ship was rejected by a sealed extent since the last call.
-func (rm *resourceManager) takeSealNotice() bool {
+// shipBounced records a ship to the given link rejected by a sealed
+// extent. The rejection is all-or-nothing and does not name the extent, so
+// every member on that link with a line in the bounced batch is now behind
+// its retained entries and takes the seal event; members of other groups
+// on the node, with nothing in the batch, are missing nothing.
+func (rm *resourceManager) shipBounced(key uint64, entries []cllog.Entry) {
 	rm.mu.Lock()
-	n := rm.sealNotice
-	rm.sealNotice = false
-	rm.mu.Unlock()
+	defer rm.mu.Unlock()
+	for _, members := range rm.replicas {
+		for _, m := range members {
+			if m.link.key() != key {
+				continue
+			}
+			for _, en := range entries {
+				if en.RemoteOff >= m.RemoteOff && en.RemoteOff < m.RemoteOff+m.Size {
+					rm.transition(m, evSeal)
+					break
+				}
+			}
+		}
+	}
+}
+
+// inState counts the table's members in one state.
+func (rm *resourceManager) inState(st memberState) int {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	n := 0
+	for _, members := range rm.replicas {
+		for _, m := range members {
+			if m.state == st {
+				n++
+			}
+		}
+	}
 	return n
 }
 
-// clearSuspect marks a repaired replica readable again, once the evictor
-// has drained every retained entry remapped onto it.
-func (rm *resourceManager) clearSuspect(key uint64) {
-	rm.mu.Lock()
-	delete(rm.suspect, key)
-	rm.mu.Unlock()
+// resolve links a slab's hosting incarnation, substituting the deadLink
+// null object when the rack cannot (expelled node, stale incarnation).
+func (rm *resourceManager) resolve(s Slab) nodeLink {
+	l, err := rm.rack.link(s.Node, s.Epoch)
+	if err != nil {
+		return deadLink{nodeID: s.Node, ep: s.Epoch}
+	}
+	return l
+}
+
+// installLocked enters a group into the member table, resolving each
+// member's link. Caller holds rm.mu.
+func (rm *resourceManager) installLocked(slabs []Slab) {
+	members := make([]*member, len(slabs))
+	for i, s := range slabs {
+		members[i] = &member{Slab: s, slot: i, link: rm.resolve(s)}
+	}
+	rm.replicas[slabs[0].ID] = members
 }
 
 // growLocked requests one more slab (with replicas) from the controller.
 func (rm *resourceManager) growLocked() error {
+	slabs := make([]Slab, 1)
+	var err error
 	if rm.cfg.Replicas > 1 {
-		slabs, err := rm.rack.allocReplicated(rm.cfg.SlabSize, rm.cfg.Replicas)
-		if err != nil {
-			return fmt.Errorf("core: replicated slab allocation: %w", err)
-		}
-		primary := slabs[0]
-		if err := rm.alloc.Grant(primary); err != nil {
-			return err
-		}
-		rm.replicas[primary.ID] = slabs
-		return nil
+		slabs, err = rm.rack.allocReplicated(rm.cfg.SlabSize, rm.cfg.Replicas)
+	} else {
+		slabs[0], err = rm.rack.allocSlab(rm.cfg.SlabSize)
 	}
-	s, err := rm.rack.allocSlab(rm.cfg.SlabSize)
 	if err != nil {
 		return fmt.Errorf("core: slab allocation: %w", err)
 	}
-	if err := rm.alloc.Grant(s); err != nil {
+	if err := rm.alloc.Grant(slabs[0]); err != nil {
 		return err
 	}
-	rm.replicas[s.ID] = []Slab{s}
+	rm.installLocked(slabs)
 	return nil
 }
 
-// translateLocked resolves addr to its live read placement, preferring
-// the primary and failing over to a live replica. A repaired member
-// stays unreadable (suspect) until the evictor has re-shipped the
-// retained entries remapped onto it — its copy would otherwise serve
-// pages missing acknowledged writes; only a double fault (no other live
-// member) falls back to reading a suspect copy. Caller holds rm.mu.
+// translateLocked resolves addr to the member a fetch reads: the first
+// readable one, primary preferred. When no member of the group is
+// readable, any healthy one serves — a double fault reads a copy that is
+// behind rather than failing the fetch. Caller holds rm.mu.
 func (rm *resourceManager) translateLocked(addr mem.Addr) (nodeLink, uint64, error) {
 	s, ok := rm.alloc.SlabFor(addr)
 	if !ok {
 		return nil, 0, fmt.Errorf("core: address %v not in any slab", addr)
 	}
-	allowSuspect := len(rm.suspect) == 0 && len(rm.sealed) == 0
-	for {
-		for i, pl := range rm.replicas[s.ID] {
-			if !allowSuspect {
-				k := linkKeyFor(pl.Node, pl.Epoch)
-				if _, sus := rm.suspect[k]; sus {
-					continue
-				}
-				// A sealed member is missing the dirty lines retained
-				// since its extent was sealed for migration; prefer a
-				// replica that took the ship.
-				if _, sl := rm.sealed[k]; sl {
-					continue
-				}
-			}
-			l, err := rm.rack.link(pl.Node, pl.Epoch)
-			if err != nil || !l.healthy() {
-				continue
-			}
-			if i > 0 {
-				rm.failovers++
-			}
-			return l, pl.RemoteOff + uint64(addr-pl.Base), nil
+	members := rm.replicas[s.ID]
+	pick := -1
+	for i, m := range members {
+		if m.readable() {
+			pick = i
+			break
 		}
-		if allowSuspect {
-			return nil, 0, fmt.Errorf("%w (slab %d)", ErrRemoteUnavailable, s.ID)
-		}
-		allowSuspect = true
 	}
+	for i := 0; pick < 0 && i < len(members); i++ {
+		if members[i].link.healthy() {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		return nil, 0, fmt.Errorf("%w (slab %d)", ErrRemoteUnavailable, s.ID)
+	}
+	if pick > 0 {
+		rm.failovers++
+	}
+	m := members[pick]
+	return m.link, m.RemoteOff + uint64(addr-m.Base), nil
 }
 
 // translate is translateLocked for callers outside rm.mu.
@@ -269,13 +346,12 @@ func (rm *resourceManager) placementsFor(addr mem.Addr) ([]placement, error) {
 
 // placementsInto is placementsFor appending into a caller-owned scratch
 // slice (reset to length zero first), so the per-eviction lookup does
-// not allocate. Placement is pure translation: every configured replica
-// is returned, live or not. A replica the rack cannot link (expelled
-// node, stale incarnation) gets a deadLink stand-in — the ship to it
-// fails, the retained-entry protocol keeps the payload, and a repair
-// flip later remaps the retained entries onto the replacement node.
-// Dropping a dead placement here would silently discard the only copy
-// of a victim's dirty lines.
+// not allocate. Placement is pure translation: every configured member is
+// returned with the link the table holds for it, live or not. A ship to a
+// deadLink fails, the retained-entry protocol keeps the payload, and a
+// repair flip later remaps the retained entries onto the replacement.
+// Dropping a dead placement here would silently discard the only copy of
+// a victim's dirty lines.
 func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement) ([]placement, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
@@ -284,14 +360,10 @@ func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement) ([]pla
 	if !ok {
 		return dst, fmt.Errorf("core: address %v not in any slab", addr)
 	}
-	for _, pl := range rm.replicas[s.ID] {
-		l, err := rm.rack.link(pl.Node, pl.Epoch)
-		if err != nil {
-			l = deadLink{nodeID: pl.Node, ep: pl.Epoch}
-		}
+	for _, m := range rm.replicas[s.ID] {
 		dst = append(dst, placement{
-			link:      l,
-			remoteOff: pl.RemoteOff + uint64(addr-pl.Base),
+			link:      m.link,
+			remoteOff: m.RemoteOff + uint64(addr-m.Base),
 		})
 	}
 	if len(dst) == 0 {
@@ -300,16 +372,26 @@ func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement) ([]pla
 	return dst, nil
 }
 
+// extent names a member's pool window by where it starts: the link key
+// of the hosting incarnation and the window's base offset in its pool.
+type extent struct {
+	link uint64
+	off  uint64
+}
+
 // replicaMove describes one placement change discovered by a refresh: the
-// retained eviction entries buffered for the old (node, incarnation) in
-// the pool-offset window [oldOff, oldOff+size) must be rebased onto
-// newLink at newOff.
+// eviction entries buffered for the vacated extent — size bytes from
+// from.off on from.link — must be rebased onto newLink at the installed
+// member's extent. Keyed by the extent, not the node: two groups that lose
+// the same node each get their own rebase and their own catch-up.
 type replicaMove struct {
-	oldKey  uint64 // linkKeyFor(old node, old incarnation)
-	oldOff  uint64 // old member's pool base offset
+	from    extent
 	size    uint64
 	newLink nodeLink
-	newOff  uint64 // new member's pool base offset
+	// settles is the member the flip installed; it takes evDrained once
+	// the rebased entries have shipped. The evictor reads only its slab
+	// (immutable) — link and state belong to rm.mu.
+	settles *member
 	// retire marks a move whose old member is still alive (a migration
 	// flip, not a repair flip). A repair move must outlive the settle —
 	// the dead incarnation's key can never carry traffic again, and new
@@ -317,22 +399,26 @@ type replicaMove struct {
 	// A migration source, by contrast, stays registered and its pool
 	// window is eventually reused by a fresh carve; once the retained
 	// entries have drained, the move must be deleted or it would silently
-	// rewrite entries bound for the window's next tenant.
+	// rewrite entries bound for the window's next tenant. The TCP rack has
+	// no registry to ask and links any incarnation it has an address for,
+	// so over TCP every move retires — the safe side of the two.
 	retire bool
 }
 
 // refreshPlacements re-fetches every placement group from the controller
-// and swaps in the current membership. It returns the set of replica
-// moves (old member replaced by a repaired copy elsewhere) for the
-// evictor to remap its retained entries, and whether anything changed.
+// and swaps in the current membership. Every member takes evRefresh first
+// (a seal fence does not survive a refresh); a member installed by a flip
+// takes evFlip in the same critical section that makes it translatable, so
+// no fetch can see it without its catching-up state. It returns the
+// replica moves for the evictor to rebase its retained entries, and
+// whether anything changed.
 func (rm *resourceManager) refreshPlacements() ([]replicaMove, bool, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	// Drop the seal fences: any member still sealed after the refresh gets
-	// re-marked by the next rejected ship, and a flipped-away member's
-	// fence is obsolete.
-	for k := range rm.sealed {
-		delete(rm.sealed, k)
+	for _, members := range rm.replicas {
+		for _, m := range members {
+			rm.transition(m, evRefresh)
+		}
 	}
 	var moves []replicaMove
 	changed := false
@@ -345,45 +431,36 @@ func (rm *resourceManager) refreshPlacements() ([]replicaMove, bool, error) {
 			return moves, changed, fmt.Errorf("core: placement group %d changed size %d -> %d",
 				gid, len(old), len(cur))
 		}
-		same := true
-		for i := range cur {
-			if cur[i].Node != old[i].Node || cur[i].Epoch != old[i].Epoch ||
-				cur[i].RemoteOff != old[i].RemoteOff {
-				same = false
-				break
-			}
-		}
-		if same {
-			continue
-		}
-		for i := range cur {
-			o, n := old[i], cur[i]
+		var next []*member // copied from old at the first slot that differs
+		for i, n := range cur {
+			o := old[i]
 			if o.Node == n.Node && o.Epoch == n.Epoch && o.RemoteOff == n.RemoteOff {
+				if _, dead := o.link.(deadLink); dead {
+					o.link = rm.resolve(o.Slab)
+				}
 				continue
 			}
-			nl, err := rm.rack.link(n.Node, n.Epoch)
-			if err != nil {
-				return moves, changed, fmt.Errorf("core: link repaired placement node %d: %w", n.Node, err)
-			}
-			// The repaired copy is behind until the retained entries are
-			// re-shipped onto it; make it unreadable before the install
-			// below can route a fetch to it.
-			rm.suspect[linkKeyFor(n.Node, n.Epoch)] = struct{}{}
-			// If the old member's link still resolves, its node is alive:
-			// this is a migration flip, and the move must retire once the
-			// retained entries drain (the source window will be reused).
+			nm := &member{Slab: n, slot: i, link: rm.resolve(n)}
+			rm.transition(nm, evFlip)
+			// If the rack still links the old incarnation, its node is
+			// alive: this is a migration flip, and the move must retire.
 			_, oldLinkErr := rm.rack.link(o.Node, o.Epoch)
 			moves = append(moves, replicaMove{
-				oldKey:  linkKeyFor(o.Node, o.Epoch),
-				oldOff:  o.RemoteOff,
+				from:    extent{link: o.link.key(), off: o.RemoteOff},
 				size:    o.Size,
-				newLink: nl,
-				newOff:  n.RemoteOff,
+				newLink: nm.link,
+				settles: nm,
 				retire:  oldLinkErr == nil,
 			})
+			if next == nil {
+				next = append([]*member(nil), old...)
+			}
+			next[i] = nm
 		}
-		rm.replicas[gid] = cur
-		changed = true
+		if next != nil {
+			rm.replicas[gid] = next
+			changed = true
+		}
 	}
 	return moves, changed, nil
 }
@@ -406,7 +483,7 @@ func (rm *resourceManager) attachGroup(members []Slab) (Slab, error) {
 	if err := rm.alloc.Attach(primary); err != nil {
 		return Slab{}, err
 	}
-	rm.replicas[primary.ID] = members
+	rm.installLocked(members)
 	rm.attached[primary.ID] = struct{}{}
 	return primary, nil
 }
@@ -440,7 +517,7 @@ func (rm *resourceManager) groupSlab(group uint64) (Slab, bool) {
 	if len(members) == 0 {
 		return Slab{}, false
 	}
-	return members[0], true
+	return members[0].Slab, true
 }
 
 // attachedGroupFor resolves addr to a reader-mode attachment, if any.
@@ -496,8 +573,8 @@ func (rm *resourceManager) releaseAll() error {
 		// Reader-mode attachments are not ours to release: the owning
 		// writer returns them to the rack.
 		if _, att := rm.attached[id]; !att {
-			for _, s := range placements {
-				if err := rm.rack.release(s); err != nil && firstErr == nil {
+			for _, m := range placements {
+				if err := rm.rack.release(m.Slab); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}

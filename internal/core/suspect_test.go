@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"kona/internal/cluster"
 	"kona/internal/mem"
+	"kona/internal/telemetry"
 )
 
 // Tests for the repaired-replica read fence: after a repair flip, the
@@ -26,10 +28,18 @@ func readMemberID(t *testing.T, k *Kona, addr mem.Addr) int {
 	return l.id()
 }
 
-func suspectCount(k *Kona) int {
+func suspectCount(k *Kona) int { return k.rm.inState(memberCatchingUp) }
+
+// memberAt returns the table row of the group backing addr at slot.
+func memberAt(t *testing.T, k *Kona, addr mem.Addr, slot int) *member {
+	t.Helper()
 	k.rm.mu.Lock()
 	defer k.rm.mu.Unlock()
-	return len(k.rm.suspect)
+	s, ok := k.rm.alloc.SlabFor(addr)
+	if !ok {
+		t.Fatalf("no slab for %v", addr)
+	}
+	return k.rm.replicas[s.ID][slot]
 }
 
 // TestRepairedReplicaSuspectUntilDrained walks the full outage → repair
@@ -176,10 +186,7 @@ func TestSuspectFallbackOnDoubleFault(t *testing.T) {
 	}
 
 	// Fence member 0: reads must fail over to member 1.
-	key0 := linkKeyFor(members[0].Node, members[0].Epoch)
-	k.rm.mu.Lock()
-	k.rm.suspect[key0] = struct{}{}
-	k.rm.mu.Unlock()
+	k.rm.notify(memberAt(t, k, addr, 0), evFlip)
 	if got := readMemberID(t, k, addr); got != members[1].Node {
 		t.Fatalf("read routed to node %d, want non-suspect %d", got, members[1].Node)
 	}
@@ -194,4 +201,189 @@ func TestSuspectFallbackOnDoubleFault(t *testing.T) {
 	if got := readMemberID(t, k, addr); got != members[0].Node {
 		t.Fatalf("read routed to node %d under double fault, want suspect %d", got, members[0].Node)
 	}
+}
+
+// TestMemberTransitionTable walks every (state, event) pair of the
+// transition function against an independent copy of the table, and
+// checks the observability contract: a change of state is one core.member
+// event naming the member, the edge and the cause; a no-op is silent.
+func TestMemberTransitionTable(t *testing.T) {
+	const cur, cat, sea = memberCurrent, memberCatchingUp, memberSealed
+	want := map[memberState]map[memberEvent]memberState{
+		cur: {evFlip: cat, evSeal: sea, evRefresh: cur, evDrained: cur},
+		cat: {evFlip: cat, evSeal: sea, evRefresh: cat, evDrained: cur},
+		sea: {evFlip: cat, evSeal: sea, evRefresh: cur, evDrained: sea},
+	}
+	cfg := smallConfig()
+	reg := telemetry.New(64)
+	cfg.Metrics = reg
+	rm := newResourceManager(cfg.withDefaults(), newSimRack(newCluster(1)))
+	for from, row := range want {
+		for ev, to := range row {
+			m := &member{Slab: Slab{ID: 7, Node: 3, Epoch: 2}, slot: 1, link: deadLink{}, state: from}
+			before := reg.Trace().Total()
+			rm.notify(m, ev)
+			if m.state != to {
+				t.Errorf("%s + %s = %s, want %s", memberStateNames[from], memberEventNames[ev],
+					memberStateNames[m.state], memberStateNames[to])
+			}
+			emitted := reg.Trace().Total() - before
+			if to == from {
+				if emitted != 0 {
+					t.Errorf("%s + %s is a no-op but emitted %d events", memberStateNames[from], memberEventNames[ev], emitted)
+				}
+				continue
+			}
+			evs := reg.Trace().Events()
+			wantDetail := fmt.Sprintf("group=7 slot=1 node=3/2 %s→%s cause=%s",
+				memberStateNames[from], memberStateNames[to], memberEventNames[ev])
+			if last := evs[len(evs)-1]; emitted != 1 || last.Name != "core.member" || last.Detail != wantDetail {
+				t.Errorf("%s + %s emitted %d events, last %s %q; want one core.member %q",
+					memberStateNames[from], memberEventNames[ev], emitted, last.Name, last.Detail, wantDetail)
+			}
+		}
+	}
+	// Without a registry the transition still happens and formats nothing.
+	cfg.Metrics = nil
+	rm = newResourceManager(cfg.withDefaults(), newSimRack(newCluster(1)))
+	m := &member{link: deadLink{}}
+	rm.notify(m, evSeal)
+	if m.state != sea {
+		t.Errorf("unobserved transition did not apply: %s", memberStateNames[m.state])
+	}
+}
+
+// TestPerMemberFencing pins that member state fences one member, not a
+// node: while one group's member on node X is catching up, or sealed,
+// another group's healthy member on X keeps serving its reads (Failovers
+// does not move for it), and the fenced group reads its other replica.
+func TestPerMemberFencing(t *testing.T) {
+	const slabPages = 64
+	rig := func(t *testing.T) (*Kona, *cluster.Controller, []*chaosWorkload) {
+		ctrl := newCluster(4)
+		cfg := smallConfig()
+		cfg.LocalCacheBytes = 8 * mem.PageSize
+		cfg.Replicas = 2
+		cfg.SlabSize = slabPages * mem.PageSize
+		k := NewKona(cfg, ctrl)
+		var ws []*chaosWorkload
+		for i := 0; i < 4; i++ {
+			w := newChaosWorkload(t, k, ctrl, int64(31+i), slabPages)
+			w.run(200)
+			ws = append(ws, w)
+		}
+		for _, w := range ws {
+			w.sync()
+		}
+		return k, ctrl, ws
+	}
+	// read translates addr and reports the node a fetch would hit and
+	// whether the translation counted as a failover.
+	read := func(t *testing.T, k *Kona, addr mem.Addr) (node int, failedOver bool) {
+		before := k.FailureStats().Failovers
+		node = readMemberID(t, k, addr)
+		return node, k.FailureStats().Failovers != before
+	}
+
+	t.Run("catching-up", func(t *testing.T) {
+		k, ctrl, ws := rig(t)
+		// Kill the node holding ws[0]'s primary; its replacement lands on a
+		// node that other, untouched groups also live on.
+		victim := groupMembersFor(k, ws[0].base)[0]
+		vn, _ := ctrl.Node(victim.Node)
+		vn.Fail()
+		for _, w := range ws {
+			w.run(150)
+		}
+		ctrl.HealthSweep()
+		drainRepairs(t, cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+			cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20}), ctrl)
+		if changed, err := k.RefreshPlacements(); err != nil || !changed {
+			t.Fatalf("refresh: changed=%v err=%v", changed, err)
+		}
+		// Find a flipped group and an untouched group whose primary shares
+		// the flipped member's node.
+		var flipped, other *chaosWorkload
+		var x *member
+		for _, f := range ws {
+			if m := memberAt(t, k, f.base, 0); m.state == memberCatchingUp {
+				for _, o := range ws {
+					om := memberAt(t, k, o.base, 0)
+					if o != f && om.state == memberCurrent && om.link.key() == m.link.key() {
+						flipped, other, x = f, o, m
+					}
+				}
+			}
+		}
+		if flipped == nil {
+			t.Fatal("no repaired member shares a node with another group's primary (placement changed?)")
+		}
+		if node, failedOver := read(t, k, other.base); node != x.Node || failedOver {
+			t.Errorf("untouched group read node %d (failover=%v), want its own healthy member on node %d",
+				node, failedOver, x.Node)
+		}
+		survivor := groupMembersFor(k, flipped.base)[1].Node
+		if node, _ := read(t, k, flipped.base); node != survivor {
+			t.Errorf("flipped group read node %d before its catch-up drained, want survivor %d", node, survivor)
+		}
+		flipped.sync()
+		if node, failedOver := read(t, k, flipped.base); node != x.Node || failedOver {
+			t.Errorf("flipped group read node %d (failover=%v) after the drain, want repaired member on %d",
+				node, failedOver, x.Node)
+		}
+		for _, w := range ws {
+			w.verifyReplicas(2)
+			w.verifyThroughRuntime()
+		}
+	})
+
+	t.Run("sealed", func(t *testing.T) {
+		k, ctrl, ws := rig(t)
+		// Seal ws[0]'s primary extent, as a migration would, and find
+		// another group whose primary lives on the same node.
+		sealedGroup := ws[0]
+		x := memberAt(t, k, sealedGroup.base, 0)
+		var other *chaosWorkload
+		for _, o := range ws[1:] {
+			if memberAt(t, k, o.base, 0).link.key() == x.link.key() {
+				other = o
+			}
+		}
+		if other == nil {
+			t.Fatal("no second group has its primary on the sealed member's node (placement changed?)")
+		}
+		xn, _ := ctrl.Node(x.Node)
+		xn.Seal(x.RemoteOff, x.Size)
+		// Only the sealed group writes, so only its lines bounce.
+		var err error
+		if sealedGroup.now, err = k.Write(sealedGroup.now, sealedGroup.base, []byte("bounce")); err != nil {
+			t.Fatal(err)
+		}
+		copy(sealedGroup.mirror, "bounce")
+		sealedGroup.sync()
+		if fs := k.FailureStats(); fs.SealedRetains == 0 {
+			t.Fatal("ship never bounced off the seal")
+		}
+		if x.state != memberSealed {
+			t.Fatalf("member whose lines bounced is %s, want sealed", memberStateNames[x.state])
+		}
+		if node, failedOver := read(t, k, other.base); node != x.Node || failedOver {
+			t.Errorf("other group read node %d (failover=%v), want its own healthy member on node %d",
+				node, failedOver, x.Node)
+		}
+		replica := groupMembersFor(k, sealedGroup.base)[1].Node
+		if node, _ := read(t, k, sealedGroup.base); node != replica {
+			t.Errorf("sealed group read node %d, want the replica that took the ship (%d)", node, replica)
+		}
+		// The migration unwinds: the next fetch refreshes (dropping the
+		// fence), re-flushes, and the retained lines land.
+		xn.Unseal(x.RemoteOff, x.Size)
+		coldCache(k)
+		sealedGroup.verifyThroughRuntime()
+		sealedGroup.sync()
+		if x.state != memberCurrent {
+			t.Errorf("member is %s after the seal lifted, want current", memberStateNames[x.state])
+		}
+		sealedGroup.verifyReplicas(2)
+	})
 }

@@ -46,7 +46,7 @@ func readPages(t *testing.T, k *Kona, now simDurT, base mem.Addr, mirror []byte,
 	return now
 }
 
-// TestSyncKeepsCleanWorkingSet is the `make bench-sync` guard: a Sync
+// TestSyncKeepsCleanWorkingSet is the `make guards` guard: a Sync
 // over a clean, resident working set must hand no frame to the eviction
 // handler, and the read pass after it must not issue a single remote
 // fetch. It also pins the two per-Sync counters and that the eviction

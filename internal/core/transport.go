@@ -59,8 +59,8 @@ type rack interface {
 	release(s Slab) error
 	// link returns the transport to a node at a specific incarnation
 	// (epoch); 0 means "the current incarnation". Linking a node the
-	// rack no longer knows (or a stale incarnation) errors; callers that
-	// must keep buffering for such a placement substitute a deadLink.
+	// rack no longer knows (or a stale incarnation) errors; the member
+	// table substitutes a deadLink for such a placement.
 	link(node int, epoch uint64) (nodeLink, error)
 	// reportShipFailure tells the controller a node's log ships keep
 	// failing so it can probe and expel the node (DESIGN.md §10).
@@ -136,10 +136,8 @@ func (l deadLink) injectDelay(simclock.Duration) error { return l.err() }
 
 // --- simulated RDMA transport -----------------------------------------
 
-// simRack adapts the in-process controller. mu guards the lazily built
-// link map: links are created from the fetch path (under the resource
-// manager's lock) but also from eviction placement, which may run
-// concurrently under a different shard's lock.
+// simRack adapts the in-process controller. mu guards the link map and
+// the runtime identity stamped into new links.
 type simRack struct {
 	ctrl    *cluster.Controller
 	localEP *rdma.Endpoint
@@ -213,23 +211,22 @@ func (r *simRack) setRuntime(id uint64) {
 func (r *simRack) link(node int, epoch uint64) (nodeLink, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// Registration is checked before the cache: an expelled or rejoined
+	// node's old incarnation must stop linking even though its link object
+	// exists, or a refresh could not tell a repair flip (old member gone)
+	// from a migration flip (old member alive).
 	n, registered := r.ctrl.Node(node)
-	if epoch == 0 {
-		// Resolve "current incarnation".
-		if !registered {
-			return nil, fmt.Errorf("core: memory node %d not registered", node)
-		}
-		epoch = n.Incarnation()
+	if !registered {
+		return nil, fmt.Errorf("core: memory node %d not registered", node)
+	}
+	if inc := n.Incarnation(); epoch == 0 {
+		epoch = inc // resolve "current incarnation"
+	} else if inc != 0 && inc != epoch {
+		return nil, fmt.Errorf("core: memory node %d is incarnation %d, want %d", node, inc, epoch)
 	}
 	k := linkKeyFor(node, epoch)
 	if l, ok := r.links[k]; ok {
 		return l, nil
-	}
-	if !registered {
-		return nil, fmt.Errorf("core: memory node %d not registered", node)
-	}
-	if inc := n.Incarnation(); inc != 0 && epoch != 0 && inc != epoch {
-		return nil, fmt.Errorf("core: memory node %d is incarnation %d, want %d", node, inc, epoch)
 	}
 	l := &rdmaLink{
 		lkey:    k,
@@ -469,41 +466,32 @@ func (r *tcpRack) setRuntime(id uint64) {
 
 func (r *tcpRack) link(node int, epoch uint64) (nodeLink, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if epoch == 0 {
 		epoch = r.epochs[node]
 	}
 	k := linkKeyFor(node, epoch)
 	if l, ok := r.links[k]; ok {
-		r.mu.Unlock()
 		return l, nil
 	}
 	addr, ok := r.addrs[node]
-	runtime := r.runtime
-	r.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: no address known for memory node %d", node)
 	}
-	// Construct the client outside the rack lock: concurrent eviction
-	// shippers and the fetch path both call link(), and holding r.mu
-	// across client construction (and any dial it may one day perform)
-	// would serialize them behind connection setup.
+	// Links are made when a membership is installed (a control-path
+	// step), never from the fetch or ship path, so constructing the
+	// client under the rack lock stalls no data.
 	l := &tcpLink{nodeID: node, epoch: epoch, client: cluster.DialMemoryNodeTransport(addr, r.tr)}
 	l.client.SetEpoch(epoch)
-	l.client.SetRuntime(runtime)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if existing, ok := r.links[k]; ok {
-		// Lost the construction race; keep the established link.
-		l.client.Close()
-		return existing, nil
-	}
+	l.client.SetRuntime(r.runtime)
 	r.links[k] = l
 	return l, nil
 }
 
 // healthTTL is how long a tcpLink trusts its last Ping verdict. Health is
-// consulted on every translation (fetch and eviction placement), so an
-// uncached check would cost one RTT per page operation.
+// consulted on every fetch translation and for every destination of a
+// replicated flush, so an uncached check would cost one RTT per page
+// operation.
 const healthTTL = 250 * time.Millisecond
 
 // tcpLink reaches a real memory-node daemon.
