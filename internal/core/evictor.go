@@ -27,9 +27,10 @@ type evictMetrics struct {
 	// writer lease was taken over).
 	shipFailures, remapped, sealedRetains, leaseFenced *telemetry.Counter
 	// inflight tracks ships currently on the wire (0..1 on the inline
-	// executor, up to evictInflight on the pipelined one).
-	inflight *telemetry.Gauge
-	trace    *telemetry.Trace
+	// executor, up to evictInflight on the pipelined one); pendingPages is
+	// the page backlog the latest full cycle had to cover.
+	inflight, pendingPages *telemetry.Gauge
+	trace                  *telemetry.Trace
 }
 
 func newEvictMetrics(reg *telemetry.Registry) evictMetrics {
@@ -46,6 +47,7 @@ func newEvictMetrics(reg *telemetry.Registry) evictMetrics {
 		sealedRetains: reg.Counter("core.evict.sealed_retains"),
 		leaseFenced:   reg.Counter("core.evict.lease_fenced"),
 		inflight:      reg.Gauge("core.evict.inflight"),
+		pendingPages:  reg.Gauge("core.evict.pending_pages"),
 		trace:         reg.Trace(),
 	}
 }
@@ -170,11 +172,13 @@ func (a *payloadArena) reset() {
 // evictions issued concurrently from different FMem stripes never
 // serialize against each other. The flush side is one cycle, serialized
 // by flushMu (cycleLocked): re-apply the replica moves, *harvest* every
-// shard's buffered entries into the per-node merge batches (one shard lock
-// at a time), ship each destination, then fold every ship's outcome into
-// stats, retained entries and member state. Per-node byte counts are kept
-// globally (atomic) so threshold semantics — flush node N once its
-// buffered bytes cross the limit — are identical at any shard count.
+// shard's buffered entries into the per-node merge batches (one pass, one
+// shard lock at a time), ship each destination, then fold every ship's
+// outcome into stats, retained entries and member state. A cycle costs
+// what is pending and buffered now, never what once was. Per-node byte
+// counts are kept globally (atomic) so threshold semantics — flush node N
+// once its buffered bytes cross the limit — are identical at any shard
+// count.
 //
 // The ship step has two executors, chosen from what the transport is
 // (shipAllLocked): inline on the simulated fabric, pipelined over TCP.
@@ -227,7 +231,7 @@ type evictor struct {
 	// write-before-read check stays conservative (settleStolenLocked).
 	stolen []mem.Addr
 	// stealing is nonzero while a steal-harvest-ship cycle is in flight:
-	// from just before stealPendingLocked empties the pending sets until
+	// from just before harvestLocked empties the pending sets until
 	// the cycle's entries are shipped (or restored). FlushIfPending's
 	// lock-free fast path is only sound when this is zero — a stolen
 	// page is no longer *pending* but its entries may not have reached
@@ -275,12 +279,12 @@ type evictShard struct {
 	// steady-state eviction path performs no heap allocation.
 	segScratch []mem.Segment
 	plScratch  []placement
-	// batches buffers this shard's entries per destination link key until
-	// a flush harvests them.
-	batches map[uint64]*shardBatch
+	// batches buffers this shard's entries until a flush harvests them:
+	// one per destination, a list short enough (a rack's nodes) to scan.
+	batches []*shardBatch
 	// pending tracks pages with buffered (unflushed) entries, for the
 	// write-before-read ordering check on refetch.
-	pending map[mem.Addr]struct{}
+	pending pendingSet
 	// stats holds the append-side counters (PagesEvicted, DirtyPages,
 	// SilentEvicted, Segments, LinesShipped, PayloadBytes).
 	stats EvictStats
@@ -290,6 +294,7 @@ type evictShard struct {
 
 // shardBatch is one shard's buffered entries for one destination node.
 type shardBatch struct {
+	nb      *nodeBatch // the destination's merge batch, fixed at creation
 	entries []cllog.Entry
 	bytes   int
 }
@@ -323,6 +328,9 @@ type nodeBatch struct {
 	// the controller; reset on the next successful ship so a fresh outage
 	// reports again. Guarded by flushMu.
 	reported bool
+	// overThreshold marks a destination the threshold cycle in progress
+	// harvests and ships (a full cycle takes them all). Guarded by flushMu.
+	overThreshold bool
 }
 
 // shipResult is one destination's outcome in a flush cycle, recorded by
@@ -360,8 +368,6 @@ func newEvictor(rm *resourceManager, cfg Config) *evictor {
 	}
 	for i := range e.shards {
 		e.shards[i].arena = newPayloadArena(cfg.LogBytes)
-		e.shards[i].batches = make(map[uint64]*shardBatch)
-		e.shards[i].pending = make(map[mem.Addr]struct{})
 	}
 	if rm.rack.pipelined() {
 		e.sem = make(chan struct{}, evictInflight)
@@ -398,7 +404,7 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 		return now, nil
 	}
 	sh.stats.DirtyPages++
-	sh.pending[v.Base] = struct{}{}
+	sh.pending.add(v.Base)
 
 	// Bitmap scan: find the dirty segments.
 	sh.segScratch = v.Dirty.AppendSegments(sh.segScratch[:0])
@@ -412,7 +418,13 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 		sh.mu.Unlock()
 		return now, err
 	}
-	var segsN, linesN, payloadN uint64
+	// Resolve each destination's buffer once per victim, from the links the
+	// member table holds now — which is how a placement flip is followed.
+	for i := range placements {
+		placements[i].batch = e.shardBatchFor(sh, placements[i].link)
+	}
+	var linesN, payloadN uint64
+	logBytes := 0
 	for _, seg := range segs {
 		off := seg.First * mem.CacheLineSize
 		length := seg.N * mem.CacheLineSize
@@ -427,21 +439,20 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 		sh.stats.Segments++
 		sh.stats.LinesShipped += uint64(seg.N)
 		sh.stats.PayloadBytes += uint64(length)
-		segsN++
 		linesN += uint64(seg.N)
 		payloadN += uint64(length)
+		logBytes += cllog.HeaderSize + length
 
 		for _, pl := range placements {
-			nb := e.batchFor(pl.link)
-			sb := sh.batchFor(nb.link.key())
-			sb.entries = append(sb.entries, cllog.Entry{
+			pl.batch.entries = append(pl.batch.entries, cllog.Entry{
 				RemoteOff: pl.remoteOff + uint64(off),
 				Data:      payload,
 			})
-			nbytes := cllog.HeaderSize + length
-			sb.bytes += nbytes
-			nb.pendingBytes.Add(int64(nbytes))
 		}
+	}
+	for _, pl := range placements {
+		pl.batch.bytes += logBytes
+		pl.batch.nb.pendingBytes.Add(int64(logBytes))
 	}
 	sh.mu.Unlock()
 	e.m.dirtyPages.Inc()
@@ -521,70 +532,63 @@ func (e *evictor) reportShipFailureLocked(nb *nodeBatch) {
 // link. Called with a shard lock held (shard.mu → nodeMu).
 func (e *evictor) batchFor(l nodeLink) *nodeBatch {
 	k := l.key()
-	e.nodeMu.RLock()
-	nb := e.nodes[k]
-	e.nodeMu.RUnlock()
-	if nb != nil {
-		return nb
-	}
 	e.nodeMu.Lock()
 	defer e.nodeMu.Unlock()
-	if nb := e.nodes[k]; nb != nil {
-		return nb
+	nb := e.nodes[k]
+	if nb == nil {
+		nb = &nodeBatch{link: l, entries: cllog.GetEntries()}
+		e.nodes[k] = nb
+		e.order = append(e.order, nb)
 	}
-	nb = &nodeBatch{link: l, entries: cllog.GetEntries()}
-	e.nodes[k] = nb
-	e.order = append(e.order, nb)
 	return nb
 }
 
-// batchFor finds or creates the shard's buffer for a destination link
-// key. Caller holds sh.mu.
-func (sh *evictShard) batchFor(key uint64) *shardBatch {
-	sb := sh.batches[key]
-	if sb == nil {
-		sb = &shardBatch{entries: cllog.GetEntries()}
-		sh.batches[key] = sb
+// shardBatchFor finds or creates the shard's buffer for a destination
+// link; only the shard's first use of a destination reaches batchFor (a
+// map under nodeMu). Caller holds sh.mu.
+func (e *evictor) shardBatchFor(sh *evictShard, l nodeLink) *shardBatch {
+	k := l.key()
+	for _, sb := range sh.batches {
+		if sb.nb.link.key() == k {
+			return sb
+		}
 	}
+	sb := &shardBatch{nb: e.batchFor(l), entries: cllog.GetEntries()}
+	sh.batches = append(sh.batches, sb)
 	return sb
 }
 
-// harvestNode steals every shard's buffered entries for nb into the
-// merge batch, walking shards in index order (per-page entry order is
-// preserved because a page always lands in the same shard). Caller holds
-// flushMu. pendingBytes is left untouched: it only shrinks when the ship
-// succeeds, so a failed ship keeps the node over threshold and the next
-// eviction retries it.
-func (e *evictor) harvestNode(nb *nodeBatch) {
-	k := nb.link.key()
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		if sb := sh.batches[k]; sb != nil && len(sb.entries) > 0 {
-			nb.entries = append(nb.entries, sb.entries...)
-			nb.entryBytes += sb.bytes
-			sb.entries = sb.entries[:0]
-			sb.bytes = 0
-		}
-		sh.mu.Unlock()
+// harvestLocked moves the shards' buffered entries into their merge
+// batches, walking shards in index order (per-page entry order is preserved
+// because a page always lands in the same shard): the marked destinations'
+// on a threshold cycle, all of them when all is set (a full cycle).
+// pendingBytes is left untouched: it only shrinks when the ship succeeds,
+// so a failed ship keeps the node over threshold and the next eviction
+// retries it. A full cycle's pass also, under the same shard lock, moves
+// the shard's pending pages into the stolen scratch in the order they
+// became pending, so a stolen page's entries are always in a merge batch.
+// Pages appended after their shard's turn stay pending — a later refetch of
+// such a page still triggers its write-before-read flush even though this
+// cycle won't cover those entries. Caller holds flushMu;
+// settleStolenLocked ends the steal.
+func (e *evictor) harvestLocked(all bool) {
+	if all {
+		e.stealing.Store(1)
 	}
-}
-
-// stealPendingLocked atomically (per shard) moves every pending page
-// into the stolen scratch as part of a full-flush harvest. Pages
-// appended *after* a shard's steal stay pending — so a later refetch of
-// such a page still triggers its write-before-read flush even though
-// this flush cycle won't cover those entries. Caller holds flushMu;
-// settleStolenLocked ends the cycle.
-func (e *evictor) stealPendingLocked() {
-	e.stealing.Store(1)
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		for a := range sh.pending {
-			e.stolen = append(e.stolen, a)
+		if all {
+			e.stolen = sh.pending.drainInto(e.stolen)
 		}
-		clear(sh.pending)
+		for _, sb := range sh.batches {
+			if nb := sb.nb; (all || nb.overThreshold) && len(sb.entries) > 0 {
+				nb.entries = append(nb.entries, sb.entries...)
+				nb.entryBytes += sb.bytes
+				sb.entries = sb.entries[:0]
+				sb.bytes = 0
+			}
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -597,11 +601,12 @@ func (e *evictor) stealPendingLocked() {
 // reached remote memory and the scratch is simply dropped. Either way the
 // refetch fast path may trust the pending sets again. Caller holds flushMu.
 func (e *evictor) settleStolenLocked(restore bool) {
+	e.m.pendingPages.Set(int64(len(e.stolen)))
 	if restore {
 		for _, a := range e.stolen {
 			sh := e.shardFor(a)
 			sh.mu.Lock()
-			sh.pending[a] = struct{}{}
+			sh.pending.add(a)
 			sh.mu.Unlock()
 		}
 	}
@@ -646,7 +651,7 @@ func (e *evictor) maybeRecycleLocked() {
 func (e *evictor) FlushIfPending(now simclock.Duration, base mem.Addr) (simclock.Duration, error) {
 	sh := e.shardFor(base)
 	sh.mu.Lock()
-	_, ok := sh.pending[base]
+	ok := sh.pending.has(base)
 	sh.mu.Unlock()
 	// Fast path: no buffered entries for this page AND no steal cycle in
 	// flight. The second condition is load-bearing: a concurrent full
@@ -666,7 +671,7 @@ func (e *evictor) FlushIfPending(now simclock.Duration, base mem.Addr) (simclock
 	// Re-check under flushMu: the steal cycle we raced with has settled
 	// (shipped, or restored the pages to pending).
 	sh.mu.Lock()
-	_, ok = sh.pending[base]
+	ok = sh.pending.has(base)
 	sh.mu.Unlock()
 	if !ok {
 		return now, nil
@@ -733,9 +738,14 @@ const (
 func (e *evictor) cycleLocked(now simclock.Duration, kind cycleKind) (simclock.Duration, error) {
 	full := kind != thresholdCycle
 	e.applyMovesLocked()
-	if full {
-		e.stealPendingLocked()
+	if !full {
+		for _, nb := range e.orderSnapshot() {
+			nb.overThreshold = nb.pendingBytes.Load() >= int64(e.threshold)
+		}
 	}
+	e.harvestLocked(full)
+	// Read the ship order after the harvest: a destination first used since
+	// the cycle began may hold a stolen page's entries and must ship too.
 	order := e.orderSnapshot()
 	if cap(e.results) < len(order) {
 		e.results = make([]shipResult, len(order))
@@ -744,11 +754,7 @@ func (e *evictor) cycleLocked(now simclock.Duration, kind cycleKind) (simclock.D
 	for i, nb := range order {
 		res := &e.results[i]
 		*res = shipResult{}
-		if !full && nb.pendingBytes.Load() < int64(e.threshold) {
-			continue
-		}
-		e.harvestNode(nb)
-		res.attempt = len(nb.entries) > 0
+		res.attempt = (full || nb.overThreshold) && len(nb.entries) > 0
 		// The skip-unhealthy decision: with replication, a ship to a link
 		// that is down would fail anyway, so it is withheld (§4.5) and
 		// the fold retains the entries. Unreplicated configs have no other
@@ -966,8 +972,11 @@ func (e *evictor) applyMovesLocked() {
 		for i := range e.shards {
 			sh := &e.shards[i]
 			sh.mu.Lock()
-			if sb := sh.batches[mv.from.link]; sb != nil && len(sb.entries) > 0 {
-				dsb := sh.batchFor(dst.link.key())
+			for _, sb := range sh.batches {
+				if sb.nb != src || len(sb.entries) == 0 {
+					continue
+				}
+				dsb := e.shardBatchFor(sh, dst.link)
 				moved += moveEntries(&sb.entries, &dsb.entries, mv, func(n int) {
 					sb.bytes -= n
 					src.pendingBytes.Add(-int64(n))
@@ -1099,7 +1108,7 @@ func (e *evictor) release() {
 			cllog.PutEntries(sb.entries)
 			sb.entries = nil
 		}
-		clear(sh.batches)
+		sh.batches = nil
 		sh.mu.Unlock()
 	}
 }

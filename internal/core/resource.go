@@ -336,6 +336,8 @@ func (rm *resourceManager) ReadPagesBatch(now simclock.Duration, bases []mem.Add
 type placement struct {
 	link      nodeLink
 	remoteOff uint64 // byte offset of addr within the node's pool
+	// batch is the evicting shard's buffer for link; EvictPage fills it in.
+	batch *shardBatch
 }
 
 // placementsFor returns every configured replica destination for addr

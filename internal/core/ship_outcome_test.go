@@ -21,6 +21,9 @@ type fakeLink struct {
 	down    bool  // healthy() answers false
 	shipErr error // what shipLog returns; nil lands the log
 	ships   int   // shipLog calls
+	// onShip, when set, runs at the start of every shipLog, on the
+	// shipping goroutine with flushMu held by the cycle.
+	onShip func()
 }
 
 func (l *fakeLink) set(down bool, shipErr error) {
@@ -46,6 +49,9 @@ func (l *fakeLink) writePage(now simclock.Duration, off uint64, data []byte) (si
 	return now, nil
 }
 func (l *fakeLink) shipLog(now simclock.Duration, packed [][]byte) (simclock.Duration, simclock.Duration, int, error) {
+	if l.onShip != nil {
+		l.onShip()
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ships++
@@ -192,7 +198,7 @@ func TestShipOutcomeTable(t *testing.T) {
 		}
 		nb := e.nodes[fl.key()]
 		sh := e.shardFor(base)
-		_, out.pendingMarked = sh.pending[base]
+		out.pendingMarked = sh.pending.has(base)
 		out.attempts = fl.ships
 		out.heldEntries = len(nb.entries)
 		out.reports = rack.reports
@@ -220,7 +226,7 @@ func TestShipOutcomeTable(t *testing.T) {
 		if n, p := len(nb.entries), nb.pendingBytes.Load(); n != 0 || p != 0 {
 			t.Errorf("after heal the batch still holds %d entries / %d bytes", n, p)
 		}
-		if _, still := sh.pending[base]; still {
+		if sh.pending.has(base) {
 			t.Error("page still pending after a clean drain")
 		}
 		if got, want := fl.ships-out.attempts, min(out.heldEntries, 1); got != want {

@@ -33,6 +33,7 @@ package fpga
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -187,6 +188,9 @@ type shard struct {
 	tick    uint64
 	scratch []byte
 	stats   Stats
+	// resident counts the shard's valid frames, so Occupancy and
+	// FlushDirty's retained count need no walk over the sets.
+	resident int
 	// directory is this stripe's bank of the directory pipeline. Real
 	// coherence directories are banked by address for port bandwidth;
 	// banking by set (= by shard) means requests to different stripes
@@ -248,6 +252,14 @@ type FPGA struct {
 
 	sets  [][]frame
 	nsets uint64
+	// dirtySets holds one bit per set, raised when a frame in it takes its
+	// first dirty line and lowered when FlushDirty has emptied the set of
+	// dirty frames — both under the set's shard lock, so a dirty frame in a
+	// set whose bit is down cannot exist. A bit may be stale (its dirty
+	// frame left for capacity or was dropped), which costs FlushDirty one
+	// look at a clean set. The words are atomic because one word spans sets
+	// of several shards.
+	dirtySets []atomic.Uint64
 
 	shards    []shard
 	shardMask uint64
@@ -290,6 +302,7 @@ func New(cfg Config, tr Translator, onEvict EvictHandler) *FPGA {
 		onEvict:   onEvict,
 		sets:      sets,
 		nsets:     nsets,
+		dirtySets: make([]atomic.Uint64, (nsets+63)/64),
 		shards:    make([]shard, nshards),
 		shardMask: nshards - 1,
 	}
@@ -596,14 +609,10 @@ func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, pa
 	base := mem.PageBase(page)
 	for block := lo / linesPerBlock; block <= hi/linesPerBlock; block++ {
 		first := block * linesPerBlock
-		missing := false
-		for l := first; l < first+linesPerBlock; l++ {
-			if !fr.filled.Get(l) {
-				missing = true
-				break
-			}
-		}
-		if !missing {
+		var blockMask mem.LineBitmap
+		blockMask.SetRange(first, first+linesPerBlock)
+		have := fr.filled & blockMask
+		if have == blockMask {
 			continue
 		}
 		if !fetching {
@@ -614,24 +623,32 @@ func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, pa
 					done = now
 				}
 			}
+		}
+		// A block with no line present — every demand miss of a fresh
+		// frame — is read straight into the frame. A partly filled one
+		// (RFO boundary lines, sub-page fills) is staged, and only its
+		// missing lines are merged in: the present ones may be newer.
+		off := first * mem.CacheLineSize
+		dst, staged := fr.data[off:off+fb], have != 0
+		if staged {
 			if sh.scratch == nil {
 				sh.scratch = make([]byte, mem.PageSize)
 			}
+			dst = sh.scratch[:fb]
 		}
-		off := uint64(first * mem.CacheLineSize)
-		blockDone, err := f.translate.ReadRange(now, base, off, sh.scratch[:fb])
+		blockDone, err := f.translate.ReadRange(now, base, uint64(off), dst)
 		if err != nil {
 			return now, fmt.Errorf("fpga: remote fetch %v+%d: %w", base, off, err)
 		}
 		sh.stats.RemoteFetches++
 		sh.stats.BytesFetched += uint64(fb)
-		for l := first; l < first+linesPerBlock; l++ {
-			if !fr.filled.Get(l) {
+		for l := first; staged && l < first+linesPerBlock; l++ {
+			if !have.Get(l) {
 				lineOff := l * mem.CacheLineSize
-				copy(fr.data[lineOff:lineOff+mem.CacheLineSize], sh.scratch[lineOff-first*mem.CacheLineSize:])
-				fr.filled.Set(l)
+				copy(fr.data[lineOff:lineOff+mem.CacheLineSize], dst[lineOff-off:])
 			}
 		}
+		fr.filled |= blockMask
 		if blockDone > done {
 			done = blockDone
 		}
@@ -677,6 +694,7 @@ func (f *FPGA) installLocked(sh *shard, now simclock.Duration, base mem.Addr) *f
 		f.evictFrameLocked(sh, now, victim)
 	}
 	sh.tick++
+	sh.resident++
 	if victim.data == nil {
 		victim.data = make([]byte, mem.PageSize)
 	}
@@ -709,6 +727,7 @@ func (f *FPGA) evictFrameLocked(sh *shard, now simclock.Duration, fr *frame) {
 		f.onEvict(now, Victim{Base: fr.base, Data: fr.data, Dirty: fr.dirty})
 	}
 	fr.valid = false
+	sh.resident--
 }
 
 // ObserveWriteback records a modified-line writeback from the CPU caches:
@@ -771,8 +790,27 @@ func (f *FPGA) observeWritebackLocked(sh *shard, now simclock.Duration, addr mem
 		copy(fr.data[off:end], data)
 		fr.filled.SetRange(firstLine, lastLine+1)
 	}
+	if !fr.dirty.Any() {
+		f.setDirtyBit(f.setIndex(page), true)
+	}
 	fr.dirty.Set(firstLine)
 	return now + simclock.FMemAccess, fr, nil
+}
+
+// setDirtyBit raises or lowers the set's bit in the dirty-set index.
+// Caller holds the set's shard lock.
+func (f *FPGA) setDirtyBit(si uint64, up bool) {
+	w, bit := &f.dirtySets[si/64], uint64(1)<<(si%64)
+	for {
+		old := w.Load()
+		next := old &^ bit
+		if up {
+			next = old | bit
+		}
+		if next == old || w.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // OnCoherenceEvent adapts the FPGA to a coherence.System observer: fills
@@ -927,34 +965,37 @@ func (f *FPGA) FlushPage(now simclock.Duration, addr mem.Addr) bool {
 }
 
 // FlushDirty is the write-back barrier behind Sync: it evicts every
-// resident page that has a dirty line, walking the sets in index order
-// (one shard lock at a time) so the eviction sequence matches the serial
-// runtime's. Clean pages are not touched at all — data, filled bitmap,
-// LRU position and prefetched flag stay as they are and their shard's
-// epoch does not move — because remote memory already holds their bytes;
-// FMem gives a clean page up only for capacity or an explicit
-// invalidation (DropRange). Returns the pages flushed and the clean
-// pages left resident.
+// resident page that has a dirty line, in set-index order (one shard lock
+// at a time) so the eviction sequence matches the serial runtime's. Only
+// the sets the dirty-set index names are visited, so the cost follows the
+// dirty pages, not the FMem size. A set's bit comes down under its shard
+// lock, after its dirty frames have gone through the handler: a concurrent
+// FlushDirty either still sees the bit and queues on the lock, or finds it
+// down because the evictions are done — every page dirty when a call began
+// has been evicted when that call returns. Clean pages are not touched at
+// all — data, filled bitmap, LRU position and prefetched flag stay as they
+// are and their shard's epoch does not move — because remote memory
+// already holds their bytes; FMem gives a clean page up only for capacity
+// or an explicit invalidation (DropRange). Returns the pages flushed and
+// the clean pages left resident.
 func (f *FPGA) FlushDirty(now simclock.Duration) (flushed, retained int) {
-	for si := uint64(0); si < f.nsets; si++ {
-		sh := &f.shards[si&f.shardMask]
-		sh.mu.Lock()
-		set := f.sets[si]
-		for wi := range set {
-			fr := &set[wi]
-			if !fr.valid {
-				continue
+	for wi := range f.dirtySets {
+		for word := f.dirtySets[wi].Load(); word != 0; word &= word - 1 {
+			si := uint64(wi)*64 + uint64(bits.TrailingZeros64(word))
+			sh := &f.shards[si&f.shardMask]
+			sh.mu.Lock()
+			set := f.sets[si]
+			for i := range set {
+				if fr := &set[i]; fr.valid && fr.dirty.Any() {
+					f.evictFrameLocked(sh, now, fr)
+					flushed++
+				}
 			}
-			if !fr.dirty.Any() {
-				retained++
-				continue
-			}
-			f.evictFrameLocked(sh, now, fr)
-			flushed++
+			f.setDirtyBit(si, false)
+			sh.mu.Unlock()
 		}
-		sh.mu.Unlock()
 	}
-	return flushed, retained
+	return flushed, f.Occupancy()
 }
 
 // DropRange invalidates every resident page whose base lies in
@@ -975,6 +1016,7 @@ func (f *FPGA) DropRange(base mem.Addr, size uint64) int {
 			fr := &set[wi]
 			if fr.valid && fr.base >= base && fr.base < end {
 				sh.epoch.Add(1)
+				sh.resident--
 				fr.valid = false
 				fr.dirty = 0
 				fr.filled = 0
@@ -989,14 +1031,10 @@ func (f *FPGA) DropRange(base mem.Addr, size uint64) int {
 // Occupancy returns the number of resident pages.
 func (f *FPGA) Occupancy() int {
 	n := 0
-	for si := uint64(0); si < f.nsets; si++ {
-		sh := &f.shards[si&f.shardMask]
+	for i := range f.shards {
+		sh := &f.shards[i]
 		sh.mu.Lock()
-		for _, fr := range f.sets[si] {
-			if fr.valid {
-				n++
-			}
-		}
+		n += sh.resident
 		sh.mu.Unlock()
 	}
 	return n

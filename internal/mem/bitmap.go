@@ -28,11 +28,10 @@ func (b LineBitmap) Any() bool { return b != 0 }
 // Full reports whether every line in the page is dirty.
 func (b LineBitmap) Full() bool { return b == ^LineBitmap(0) }
 
-// SetRange marks lines [lo, hi) dirty.
+// SetRange marks lines [lo, hi) dirty; 0 <= lo <= hi <= LinesPerPage.
 func (b *LineBitmap) SetRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.Set(i)
-	}
+	// Ones below hi less ones below lo; 1<<64 is 0, so hi = 64 is all ones.
+	*b |= (LineBitmap(1)<<uint(hi) - 1) &^ (LineBitmap(1)<<uint(lo) - 1)
 }
 
 // Union merges another bitmap into b.

@@ -125,6 +125,27 @@ func TestLineBitmapBasics(t *testing.T) {
 	}
 }
 
+// TestSetRangeMatchesLoop checks the mask form of SetRange against the
+// bit-at-a-time loop it replaced, over every (lo, hi) of a page (an empty
+// or inverted range included: the loop did nothing there) and on top of a
+// non-empty bitmap (the OR must keep prior bits).
+func TestSetRangeMatchesLoop(t *testing.T) {
+	const prior = LineBitmap(0xA5A5_0000_F00F_0001)
+	for lo := 0; lo <= LinesPerPage; lo++ {
+		for hi := 0; hi <= LinesPerPage; hi++ {
+			want := prior
+			for i := lo; i < hi; i++ {
+				want.Set(i)
+			}
+			got := prior
+			got.SetRange(lo, hi)
+			if got != want {
+				t.Fatalf("SetRange(%d, %d) = %064b, loop = %064b", lo, hi, got, want)
+			}
+		}
+	}
+}
+
 func TestSegments(t *testing.T) {
 	cases := []struct {
 		set  []int
