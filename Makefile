@@ -46,11 +46,12 @@ bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkFlushFanout|BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
 
-# Four single-test guards on the simulated fabric, one compile and link.
-# The first three bound counts or *virtual-time* p99s — latency computed
-# on the simulated fabric's clock, which nothing off the measured path can
-# touch — so they are deterministic and have no noise floor to state. The
-# fourth is wall-clock; its test comment states the floor.
+# Five single-test guards. The first three run on the simulated fabric and
+# bound counts or *virtual-time* p99s — latency computed on the simulated
+# fabric's clock, which nothing off the measured path can touch — so they
+# are deterministic and have no noise floor to state. The fourth is
+# wall-clock; its test comment states the floor. The fifth counts RPCs on
+# loopback TCP and times nothing.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
 #    frame to the eviction handler, and the read pass after it must not
@@ -68,8 +69,12 @@ bench-evict:
 #    now. A runtime that once buffered 64k dirty pages must Sync 200 dirty
 #    pages within 2x of a fresh runtime's time (minimum of 20; 1.0x here,
 #    3.3x before the pending set stopped being a map that was cleared).
+#  - Fresh allocations (DESIGN.md §16): loading 20k keys into a kv.Store
+#    serves zero memnode read RPCs (5 006 when the value heap's chunks come
+#    from Malloc) and the same number of write-log RPCs either way.
 guards:
 	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater' -count=1 -v ./internal/core
+	$(GO) test -run 'TestFreshLoadFetchesNothing' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths

@@ -42,7 +42,7 @@ func groupMembersFor(k *Kona, addr mem.Addr) []Slab {
 	if !ok {
 		return nil
 	}
-	members := k.rm.replicas[s.ID]
+	members := k.rm.replicas[s.ID].members
 	out := make([]Slab, len(members))
 	for i, m := range members {
 		out[i] = m.Slab

@@ -256,7 +256,7 @@ func TestFanoutChaosReplicaLogDrop(t *testing.T) {
 	if !ok {
 		t.Fatal("no slab for base")
 	}
-	if primary := k.rm.replicas[s.ID][0].Node; primary == faulted {
+	if primary := k.rm.replicas[s.ID].members[0].Node; primary == faulted {
 		t.Skipf("placement changed: faulted node %d became primary", faulted)
 	}
 

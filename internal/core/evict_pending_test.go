@@ -117,7 +117,7 @@ func TestStealOrderDedupRestore(t *testing.T) {
 	}
 
 	// The same through whole cycles: a failing ship restores, twice over.
-	l := r.rm.replicas[mustGroup(t, r).ID][0].link.(*fakeLink)
+	l := r.rm.replicas[mustGroup(t, r).ID].members[0].link.(*fakeLink)
 	l.set(false, errors.New("connection reset"))
 	for i := 0; i < 2; i++ {
 		if _, err := r.e.Flush(0); err == nil {
@@ -158,7 +158,7 @@ func TestAppendAfterStealStaysPending(t *testing.T) {
 	r := newPendingRig(t, 1, 1)
 	r.evict(t, 1)
 	r.evict(t, 2)
-	l := r.rm.replicas[mustGroup(t, r).ID][0].link.(*fakeLink)
+	l := r.rm.replicas[mustGroup(t, r).ID].members[0].link.(*fakeLink)
 	l.onShip = func() {
 		l.onShip = nil
 		if r.e.stealing.Load() != 1 {
@@ -210,8 +210,8 @@ func TestFirstUseDuringHarvestIsCovered(t *testing.T) {
 	if !ok {
 		t.Fatalf("%v not mapped", late)
 	}
-	farLink := r.rm.replicas[g.ID][0].link.(*fakeLink)
-	if farLink.key() == r.rm.replicas[mustGroup(t, r).ID][0].link.key() {
+	farLink := r.rm.replicas[g.ID].members[0].link.(*fakeLink)
+	if farLink.key() == r.rm.replicas[mustGroup(t, r).ID].members[0].link.key() {
 		t.Fatal("second slab landed on the first slab's node")
 	}
 	r.evict(t, 2) // shard 0, the destination the evictor knows
@@ -282,7 +282,7 @@ func TestEvictFollowsPlacementFlip(t *testing.T) {
 	rack := &flipRack{fakeRack: r.rack, flipped: make(map[uint64][]Slab)}
 	r.rm.rack = rack
 	g := mustGroup(t, r)
-	old := r.rm.replicas[g.ID]
+	old := r.rm.replicas[g.ID].members
 	keep, gone := old[0], old[1]
 	// The replacement: the node hosting neither member, at another offset.
 	repl := gone.Slab

@@ -412,7 +412,7 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 	sh.bitmapT += bitmapScanCost
 	now += bitmapScanCost
 
-	placements, err := e.rm.placementsInto(v.Base, sh.plScratch)
+	placements, err := e.rm.placementsInto(v.Base, sh.plScratch, true)
 	sh.plScratch = placements[:0]
 	if err != nil {
 		sh.mu.Unlock()
@@ -803,10 +803,18 @@ func (e *evictor) cycleLocked(now simclock.Duration, kind cycleKind) (simclock.D
 // goroutine, each starting when the previous one completed if chain is
 // set, all at now otherwise. Pipelined (TCP): one goroutine per
 // destination behind the in-flight semaphore, all starting at now — the
-// measured wall-clock round trips overlap for real. Each ship writes only
-// its own pre-sized result slot and its own batch's pack buffer. Caller
-// holds flushMu.
+// measured wall-clock round trips overlap for real. A pipelined cycle with
+// one destination to ship has nothing to overlap and ships it on the
+// caller's goroutine. Each ship writes only its own pre-sized result slot
+// and its own batch's pack buffer. Caller holds flushMu.
 func (e *evictor) shipAllLocked(now simclock.Duration, order []*nodeBatch, chain bool) {
+	ships := 0
+	for i := range order {
+		if res := &e.results[i]; res.attempt && !res.unhealthy {
+			ships++
+		}
+	}
+	pipelined := e.sem != nil && ships > 1
 	var wg sync.WaitGroup
 	start := now
 	for i, nb := range order {
@@ -814,7 +822,7 @@ func (e *evictor) shipAllLocked(now simclock.Duration, order []*nodeBatch, chain
 		if !res.attempt || res.unhealthy {
 			continue
 		}
-		if e.sem == nil {
+		if !pipelined {
 			e.shipBatch(start, nb, res)
 			if chain && res.err == nil {
 				start = res.done

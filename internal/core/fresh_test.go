@@ -1,0 +1,333 @@
+package core
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"kona/internal/mem"
+	"kona/internal/telemetry"
+)
+
+// Fresh allocations (DESIGN.md §16): a page of a MallocFresh allocation
+// that has never been written back is filled with zeros locally; the first
+// dirty write-back of the page, or sharing its group, ends that.
+
+// fetchCount is the number of remote fetches the runtime has issued.
+func fetchCount(k *Kona) uint64 { return k.FPGAStats().RemoteFetches }
+
+func TestFreshWriteReachesRemoteMemoryAndComesBack(t *testing.T) {
+	const pages = 8
+	reg := telemetry.New(0)
+	cfg := smallConfig()
+	cfg.Metrics = reg
+	k := NewKona(cfg, newCluster(1))
+	base, err := k.MallocFresh(pages * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Records that start and end inside lines, like a kv value heap's: every
+	// first touch is a read-for-ownership of a boundary line.
+	mirror := make([]byte, pages*mem.PageSize)
+	var now simDurT
+	for p := 0; p < pages; p++ {
+		rec := bytes.Repeat([]byte{byte(0x10 + p)}, 1000)
+		off := p*mem.PageSize + 40
+		copy(mirror[off:], rec)
+		now = mustWrite(t, k, now, base+mem.Addr(off), rec)
+	}
+	if n := fetchCount(k); n != 0 {
+		t.Fatalf("writing a fresh allocation fetched %d times, want 0", n)
+	}
+	if now, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["core.fetches"] != 0 || snap.Counters["core.fresh_fills"] != pages {
+		t.Fatalf("core.fetches = %d, core.fresh_fills = %d; want 0 and %d",
+			snap.Counters["core.fetches"], snap.Counters["core.fresh_fills"], pages)
+	}
+	for p := 0; p < pages; p++ {
+		if k.rm.pageFresh(base + mem.Addr(p)*mem.PageSize) {
+			t.Fatalf("page %d still fresh after its dirty lines were logged", p)
+		}
+	}
+	coldCache(k)
+	_, got := mustRead(t, k, now, base, len(mirror))
+	if !bytes.Equal(got, mirror) {
+		t.Fatal("bytes written to a fresh allocation did not come back from remote memory")
+	}
+	if n := fetchCount(k); n != pages {
+		t.Fatalf("cold read of written pages fetched %d times, want %d", n, pages)
+	}
+}
+
+// TestFreshEndsAtFirstWriteBack is the value-heap pattern: a block carved
+// from a page whose earlier blocks were already written back must see them.
+func TestFreshEndsAtFirstWriteBack(t *testing.T) {
+	k := NewKona(smallConfig(), newCluster(1))
+	base, err := k.MallocFresh(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.Repeat([]byte{0xAB}, 1000)
+	now := mustWrite(t, k, 0, base, first)
+	if now, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	coldCache(k)
+	// The second block starts mid-line: its read-for-ownership must fetch.
+	now = mustWrite(t, k, now, base+1000, bytes.Repeat([]byte{0xCD}, 1000))
+	if n := fetchCount(k); n != 1 {
+		t.Fatalf("carving into a written-back page fetched %d times, want 1", n)
+	}
+	if _, got := mustRead(t, k, now, base, len(first)); !bytes.Equal(got, first) {
+		t.Fatal("first block lost: a page was zero-filled after its write-back")
+	}
+}
+
+func TestCleanEvictionKeepsPageFresh(t *testing.T) {
+	k := NewKona(smallConfig(), newCluster(1))
+	base, err := k.MallocFresh(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, got := mustRead(t, k, 0, base, mem.PageSize)
+	if !bytes.Equal(got, make([]byte, mem.PageSize)) {
+		t.Fatal("fresh page did not read as zeros")
+	}
+	if !k.fpga.FlushPage(now, base) {
+		t.Fatal("page was not resident")
+	}
+	if st := k.EvictStats(); st.SilentEvicted != 1 || st.DirtyPages != 0 {
+		t.Fatalf("eviction was not clean: %+v", st)
+	}
+	if !k.rm.pageFresh(base) {
+		t.Fatal("a clean eviction ended the page's freshness")
+	}
+	mustRead(t, k, now, base, mem.PageSize)
+	if n := fetchCount(k); n != 0 {
+		t.Fatalf("refill after a clean eviction fetched %d times, want 0", n)
+	}
+}
+
+func TestPartialPagesOfUnalignedAllocationAreNeverFresh(t *testing.T) {
+	k := NewKona(smallConfig(), newCluster(1))
+	// A neighbour owns the first 64 B of the slab's first page.
+	neighbour, err := k.Malloc(mem.CacheLineSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := bytes.Repeat([]byte{0x5A}, mem.CacheLineSize)
+	now := mustWrite(t, k, 0, neighbour, mark)
+	if now, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	coldCache(k)
+	// Three pages starting 64 B into that page: it covers part of pages 0
+	// and 3 and all of pages 1 and 2.
+	base, err := k.MallocFresh(3 * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != neighbour+mem.CacheLineSize {
+		t.Fatalf("allocator placed the allocation at %v, test expects %v", base, neighbour+mem.CacheLineSize)
+	}
+	page0 := neighbour
+	for p, want := range []bool{false, true, true, false} {
+		if got := k.rm.pageFresh(page0 + mem.Addr(p)*mem.PageSize); got != want {
+			t.Errorf("page %d fresh = %v, want %v", p, got, want)
+		}
+	}
+	// Writing the allocation's first line must not cost the neighbour its
+	// bytes: the shared page is fetched, not zero-filled.
+	now = mustWrite(t, k, now, base, bytes.Repeat([]byte{0x77}, mem.CacheLineSize))
+	if _, got := mustRead(t, k, now, neighbour, len(mark)); !bytes.Equal(got, mark) {
+		t.Fatal("neighbour's bytes in the shared first page were zero-filled")
+	}
+}
+
+// TestMallocPagesStillFetch pins the semantics internal/experiments relies
+// on (fig7 reads never-written Malloc pages as remote data).
+func TestMallocPagesStillFetch(t *testing.T) {
+	k := NewKona(smallConfig(), newCluster(1))
+	if _, err := k.MallocFresh(mem.PageSize); err != nil { // raises anyFresh
+		t.Fatal(err)
+	}
+	base, err := k.Malloc(4 * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRead(t, k, 0, base, 4*mem.PageSize)
+	if n := fetchCount(k); n != 4 {
+		t.Fatalf("reading 4 Malloc pages fetched %d times, want 4", n)
+	}
+	if st := k.FPGAStats(); st.FreshFills != 0 {
+		t.Fatalf("Malloc pages took %d fresh fills", st.FreshFills)
+	}
+}
+
+func TestKonaVMFreshAllocation(t *testing.T) {
+	const pages = 8
+	cfg := smallConfig()
+	cfg.LocalCacheBytes = 4 * mem.PageSize // half the region: writes evict
+	k := NewKonaVM(cfg, newCluster(1))
+	base, err := k.MallocFresh(pages * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := make([]byte, pages*mem.PageSize)
+	var now simDurT
+	for p := 0; p < pages; p++ {
+		rec := bytes.Repeat([]byte{byte(0x20 + p)}, 500)
+		off := p*mem.PageSize + 100
+		copy(mirror[off:], rec)
+		if now, err = k.Write(now, base+mem.Addr(off), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := k.Stats()
+	if st.Fetches != 0 || st.FreshFills != pages || st.DirtyEvicted == 0 {
+		t.Fatalf("load: %d fetches, %d fresh fills, %d dirty evictions; want 0, %d, some",
+			st.Fetches, st.FreshFills, st.DirtyEvicted, pages)
+	}
+	if now, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(mirror))
+	if _, err = k.Read(now, base, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, mirror) {
+		t.Fatal("bytes written to a fresh allocation did not survive write-back")
+	}
+	if st = k.Stats(); st.Fetches == 0 || st.FreshFills != pages {
+		t.Fatalf("read-back: %d fetches, %d fresh fills; written-back pages must fetch", st.Fetches, st.FreshFills)
+	}
+
+	// Malloc on the VM runtime faults its pages in from remote memory.
+	plain, err := k.Malloc(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := k.Stats().Fetches
+	if _, err = k.Read(now, plain, got[:64]); err != nil {
+		t.Fatal(err)
+	}
+	if k.Stats().Fetches != before+1 {
+		t.Fatal("a Malloc page did not fetch on its first fault")
+	}
+}
+
+// TestSharedGroupIsNeverFresh: A allocates fresh and shares, B writes, A
+// reads B's bytes — never the zeros its own allocation bit would produce.
+func TestSharedGroupIsNeverFresh(t *testing.T) {
+	ctrl := newCluster(1)
+	a := NewKona(smallConfig(), ctrl)
+	b := NewKona(smallConfig(), ctrl)
+	var anow, bnow simDurT
+	defer a.Close(anow)
+	defer b.Close(bnow)
+
+	addr, err := a.MallocFresh(2 * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.rm.pageFresh(addr) {
+		t.Fatal("allocation not fresh before sharing")
+	}
+	group, err := a.ShareWriter(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.rm.pageFresh(addr) {
+		t.Error("page of a shared group still fresh")
+	}
+	if anow, err = a.ReleaseWriter(anow, group); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err = b.AttachReader(group); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0xB0}, 200)
+	bnow = mustWrite(t, b, bnow, addr+mem.PageSize+10, want) // upgrades to writer
+	if bnow, err = b.ReleaseWriter(bnow, group); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := mustRead(t, a, anow, addr+mem.PageSize+10, len(want)); !bytes.Equal(got, want) {
+		t.Fatalf("A read %x…, want B's bytes %x…", got[:4], want[:4])
+	}
+	// The group stays shared: a later fresh allocation in it marks nothing.
+	later, err := a.MallocFresh(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := a.rm.groupFor(later); s.ID == group && a.rm.pageFresh(later) {
+		t.Fatal("MallocFresh marked a page of a shared group")
+	}
+}
+
+// TestFreshConcurrentCarving has several goroutines carve their own fresh
+// regions two blocks per page — the second long after the first, so the
+// page has usually been written back in between — while another Syncs.
+// The fresh bits are set, read and cleared concurrently; every block must
+// come back. Run under -race.
+func TestFreshConcurrentCarving(t *testing.T) {
+	const workers, pages, block = 4, 64, 1000
+	cfg := smallConfig()
+	cfg.LocalCacheBytes = 64 * mem.PageSize // a quarter of what is written
+	k := NewKona(cfg, newCluster(2))
+	stop := make(chan struct{})
+	syncDone := make(chan struct{})
+	go func() {
+		defer close(syncDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if _, err := k.Sync(0); err != nil {
+					t.Errorf("sync: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			base, err := k.MallocFresh(pages * mem.PageSize)
+			if err != nil {
+				t.Errorf("worker %d: %v", w, err)
+				return
+			}
+			rec := func(p, half int) []byte { return bytes.Repeat([]byte{byte(w<<6 | p&63), byte(half + 1)}, block/2) }
+			for half := 0; half < 2; half++ {
+				for p := 0; p < pages; p++ {
+					if _, err := k.Write(0, base+mem.Addr(p*mem.PageSize+half*block), rec(p, half)); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+				}
+			}
+			got := make([]byte, block)
+			for half := 0; half < 2; half++ {
+				for p := 0; p < pages; p++ {
+					if _, err := k.Read(0, base+mem.Addr(p*mem.PageSize+half*block), got); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					if !bytes.Equal(got, rec(p, half)) {
+						t.Errorf("worker %d page %d block %d: read %x…, want %x…", w, p, half, got[:2], rec(p, half)[:2])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-syncDone
+}

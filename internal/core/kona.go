@@ -31,7 +31,10 @@ type coreMetrics struct {
 	// Published absolute values of the FPGA's own counters (Store-synced
 	// at Sync/Close and on PublishTelemetry).
 	lineFills, fmemHits, writebacks, prefetches, bytesFetched *telemetry.Counter
-	trace                                                     *telemetry.Trace
+	// freshFills is published the same way: fills of fresh pages, which
+	// never reach the fetch hook and so are not in fetches.
+	freshFills *telemetry.Counter
+	trace      *telemetry.Trace
 }
 
 func newCoreMetrics(reg *telemetry.Registry) coreMetrics {
@@ -49,6 +52,7 @@ func newCoreMetrics(reg *telemetry.Registry) coreMetrics {
 		writebacks:         reg.Counter("core.fpga.writebacks"),
 		prefetches:         reg.Counter("core.fpga.prefetches"),
 		bytesFetched:       reg.Counter("core.fpga.bytes_fetched"),
+		freshFills:         reg.Counter("core.fresh_fills"),
 		trace:              reg.Trace(),
 	}
 }
@@ -170,6 +174,7 @@ func newKona(cfg Config, r rack) *Kona {
 	if r.pipelined() {
 		k.fpga.EnableBatchFetch()
 	}
+	k.fpga.SetFreshCheck(rm.pageFresh)
 	// Write-before-read ordering: a page refetch must not observe remote
 	// memory that is missing buffered eviction-log entries. The hook runs
 	// on every remote fetch, which makes it the caching handler's
@@ -217,6 +222,14 @@ func (k *Kona) onEvict(now simclock.Duration, v fpga.Victim) simclock.Duration {
 // operation: slabs are pre-provisioned in bulk, so no remote round trip
 // happens on the common path.
 func (k *Kona) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size) }
+
+// MallocFresh is Malloc for memory the caller will write before it reads:
+// the contents are undefined until written. Pages wholly inside the
+// allocation are fresh — until one is written back, or its placement group
+// is shared with another runtime, every fill of it zero-fills locally and
+// costs no round trip (DESIGN.md §16). Malloc makes no such promise: its
+// pages are fetched, whatever the memory node's extent holds.
+func (k *Kona) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
 
 // Free releases an allocation.
 func (k *Kona) Free(addr mem.Addr) error { return k.rm.Free(addr) }
@@ -362,6 +375,7 @@ func (k *Kona) PublishTelemetry() {
 	k.m.writebacks.Store(st.Writebacks)
 	k.m.prefetches.Store(st.Prefetches)
 	k.m.bytesFetched.Store(st.BytesFetched)
+	k.m.freshFills.Store(st.FreshFills)
 }
 
 // Close drains the runtime (Sync) and returns every slab to the rack.

@@ -50,6 +50,9 @@ type VMStats struct {
 	Hits         uint64
 	// Prefetches counts Leap-style software prefetch fills.
 	Prefetches uint64
+	// FreshFills counts major faults on fresh pages, resolved with a zero
+	// page instead of a fetch (the kernel's zero-fill on demand).
+	FreshFills uint64
 }
 
 // vmPage is one locally cached page.
@@ -140,6 +143,11 @@ func newKonaVM(cfg Config, r rack) *KonaVM {
 
 // Malloc allocates disaggregated memory (shared Resource Manager).
 func (k *KonaVM) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size) }
+
+// MallocFresh allocates memory whose contents are undefined until written
+// (see Kona.MallocFresh): a major fault on one of its whole pages that was
+// never written back maps a zero page without a fetch.
+func (k *KonaVM) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
 
 // Free releases an allocation.
 func (k *KonaVM) Free(addr mem.Addr) error { return k.rm.Free(addr) }
@@ -257,22 +265,27 @@ func (k *KonaVM) majorFault(now simclock.Duration, a mem.Addr, write bool) (simc
 		}
 	}
 
-	// Page read from the primary placement (failing over past dead
-	// replicas, like the Kona fetch path).
-	pls, err := k.rm.placementsFor(a.AlignDown(mem.PageSize))
-	if err != nil {
-		return now, err
-	}
-	pl, ok := liveFirst(pls)
-	if !ok {
-		return now, fmt.Errorf("core: vm fetch: %w", ErrRemoteUnavailable)
-	}
 	pg := &vmPage{page: a.Page(), data: make([]byte, mem.PageSize)}
-	done, err := pl.link.readPage(now, pl.remoteOff, pg.data)
-	if err != nil {
-		return now, fmt.Errorf("core: vm fetch: %w", err)
+	done := now
+	if base := a.AlignDown(mem.PageSize); k.rm.pageFresh(base) {
+		// Nothing remote worth reading: the new zero page is the fill.
+		k.stats.FreshFills++
+	} else {
+		// Page read from the primary placement (failing over past dead
+		// replicas, like the Kona fetch path).
+		pls, err := k.rm.placementsFor(base)
+		if err != nil {
+			return now, err
+		}
+		pl, ok := liveFirst(pls)
+		if !ok {
+			return now, fmt.Errorf("core: vm fetch: %w", ErrRemoteUnavailable)
+		}
+		if done, err = pl.link.readPage(now, pl.remoteOff, pg.data); err != nil {
+			return now, fmt.Errorf("core: vm fetch: %w", err)
+		}
+		k.stats.Fetches++
 	}
-	k.stats.Fetches++
 
 	// Install: present, and read-only iff WP tracking is on.
 	writable := !k.WriteProtect
@@ -309,8 +322,8 @@ func (k *KonaVM) leapPrefetch(now simclock.Duration, a mem.Addr) simclock.Durati
 	const leapIssueCost = 500 * time.Nanosecond // predict + map + post
 	for _, page := range k.leap.Observe(a.Page()) {
 		base := mem.PageBase(page)
-		if _, cached := k.cache[page]; cached {
-			continue
+		if _, cached := k.cache[page]; cached || k.rm.pageFresh(base) {
+			continue // present, or nothing remote to bring in
 		}
 		pls, err := k.rm.placementsFor(base)
 		if err != nil {
@@ -369,7 +382,7 @@ func (k *KonaVM) evictIfFull(now simclock.Duration) (simclock.Duration, error) {
 	// page-granularity amplification. The write is asynchronous; only the
 	// copy stalls the app.
 	now += pageCopyFixed + copyCost(mem.PageSize)
-	pls, err := k.rm.placementsFor(base)
+	pls, err := k.rm.placementsInto(base, nil, true)
 	if err != nil {
 		return now, err
 	}
@@ -416,7 +429,7 @@ func (k *KonaVM) Sync(now simclock.Duration) (simclock.Duration, error) {
 		}
 		base := mem.PageBase(pg.page)
 		now += pageCopyFixed + copyCost(mem.PageSize)
-		pls, err := k.rm.placementsFor(base)
+		pls, err := k.rm.placementsInto(base, nil, true)
 		if err != nil {
 			return now, err
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"kona/internal/cllog"
 	"kona/internal/mem"
@@ -85,6 +86,21 @@ func (m *member) readable() bool {
 	return m.state == memberCurrent && m.link.healthy()
 }
 
+// group is one placement group's row set in the member table, plus what
+// the allocator knows about the group's pages. Guarded by rm.mu.
+type group struct {
+	// members are the group's replicas, primary first.
+	members []*member
+	// fresh holds one bit per page of the slab, set by MallocFresh: no dirty
+	// line of the page has ever been appended to the eviction log, so remote
+	// memory holds nothing of it worth reading and a fill zero-fills locally
+	// (DESIGN.md §16). Nil until the group's first MallocFresh.
+	fresh []uint64
+	// shared marks a group another runtime may write (shared or attached,
+	// share.go): none of its pages is fresh, now or later.
+	shared bool
+}
+
 // resourceManager is KLib's Resource Manager (§4.1): it pre-allocates
 // disaggregated memory from the rack controller in large slabs, maintains
 // the remote-translation map the FPGA consults (§4.4), and owns the
@@ -99,9 +115,14 @@ type resourceManager struct {
 	alloc *slab.Allocator
 	trace *telemetry.Trace
 
-	// replicas is the member table: a primary slab ID to all the group's
-	// members, primary first.
-	replicas map[uint64][]*member
+	// replicas is the member table: a primary slab ID to the group.
+	replicas map[uint64]*group
+	// batchPool recycles ReadPagesBatch's grouping scratch.
+	batchPool sync.Pool
+
+	// anyFresh is raised when the first fresh bitmap is made, so a runtime
+	// that never calls MallocFresh pays one load per fill and takes no lock.
+	anyFresh atomic.Bool
 
 	// failovers counts translations that skipped a dead primary.
 	failovers uint64
@@ -119,7 +140,7 @@ func newResourceManager(cfg Config, r rack) *resourceManager {
 		rack:     r,
 		alloc:    slab.NewAllocator(),
 		trace:    cfg.Metrics.Trace(),
-		replicas: make(map[uint64][]*member),
+		replicas: make(map[uint64]*group),
 		attached: make(map[uint64]struct{}),
 	}
 }
@@ -151,8 +172,8 @@ func (rm *resourceManager) notify(m *member, ev memberEvent) {
 func (rm *resourceManager) shipBounced(key uint64, entries []cllog.Entry) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	for _, members := range rm.replicas {
-		for _, m := range members {
+	for _, g := range rm.replicas {
+		for _, m := range g.members {
 			if m.link.key() != key {
 				continue
 			}
@@ -171,8 +192,8 @@ func (rm *resourceManager) inState(st memberState) int {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	n := 0
-	for _, members := range rm.replicas {
-		for _, m := range members {
+	for _, g := range rm.replicas {
+		for _, m := range g.members {
 			if m.state == st {
 				n++
 			}
@@ -193,12 +214,14 @@ func (rm *resourceManager) resolve(s Slab) nodeLink {
 
 // installLocked enters a group into the member table, resolving each
 // member's link. Caller holds rm.mu.
-func (rm *resourceManager) installLocked(slabs []Slab) {
+func (rm *resourceManager) installLocked(slabs []Slab) *group {
 	members := make([]*member, len(slabs))
 	for i, s := range slabs {
 		members[i] = &member{Slab: s, slot: i, link: rm.resolve(s)}
 	}
-	rm.replicas[slabs[0].ID] = members
+	g := &group{members: members}
+	rm.replicas[slabs[0].ID] = g
+	return g
 }
 
 // growLocked requests one more slab (with replicas) from the controller.
@@ -229,7 +252,7 @@ func (rm *resourceManager) translateLocked(addr mem.Addr) (nodeLink, uint64, err
 	if !ok {
 		return nil, 0, fmt.Errorf("core: address %v not in any slab", addr)
 	}
-	members := rm.replicas[s.ID]
+	members := rm.replicas[s.ID].members
 	pick := -1
 	for i, m := range members {
 		if m.readable() {
@@ -289,6 +312,11 @@ type batchGroup struct {
 	bufs [][]byte
 }
 
+// batchGroups is ReadPagesBatch's grouping scratch, pooled so a batch read
+// allocates nothing once its slices have grown: a group keeps its offs and
+// bufs arrays across uses.
+type batchGroups struct{ groups []batchGroup }
+
 // ReadPagesBatch implements fpga.BatchTranslator: it resolves every base
 // to its live placement, groups the pages by destination node, and
 // issues one scatter-gather read per node. All bases are resolved before
@@ -300,27 +328,43 @@ func (rm *resourceManager) ReadPagesBatch(now simclock.Duration, bases []mem.Add
 	if len(bases) != len(bufs) {
 		return now, fmt.Errorf("core: batch read: %d bases, %d buffers", len(bases), len(bufs))
 	}
+	bg, _ := rm.batchPool.Get().(*batchGroups)
+	if bg == nil {
+		bg = new(batchGroups)
+	}
+	defer rm.batchPool.Put(bg)
+	bg.groups = bg.groups[:0]
 	rm.mu.Lock()
-	groups := make(map[uint64]*batchGroup, 2)
-	var order []*batchGroup
 	for i, base := range bases {
 		l, off, err := rm.translateLocked(base)
 		if err != nil {
 			rm.mu.Unlock()
 			return now, err
 		}
-		g, ok := groups[l.key()]
-		if !ok {
-			g = &batchGroup{link: l}
-			groups[l.key()] = g
-			order = append(order, g)
+		// A rack's nodes are few: scan for the destination's group.
+		var g *batchGroup
+		for j := range bg.groups {
+			if bg.groups[j].link.key() == l.key() {
+				g = &bg.groups[j]
+				break
+			}
+		}
+		if g == nil {
+			if n := len(bg.groups); n < cap(bg.groups) {
+				bg.groups = bg.groups[:n+1]
+			} else {
+				bg.groups = append(bg.groups, batchGroup{})
+			}
+			g = &bg.groups[len(bg.groups)-1]
+			g.link, g.offs, g.bufs = l, g.offs[:0], g.bufs[:0]
 		}
 		g.offs = append(g.offs, off)
 		g.bufs = append(g.bufs, bufs[i])
 	}
 	rm.mu.Unlock()
 	latest := now
-	for _, g := range order {
+	for i := range bg.groups {
+		g := &bg.groups[i]
 		done, err := g.link.readPages(now, g.offs, g.bufs)
 		if err != nil {
 			return now, err
@@ -340,10 +384,9 @@ type placement struct {
 	batch *shardBatch
 }
 
-// placementsFor returns every configured replica destination for addr
-// (for eviction, which must update all copies).
+// placementsFor returns every configured replica destination for addr.
 func (rm *resourceManager) placementsFor(addr mem.Addr) ([]placement, error) {
-	return rm.placementsInto(addr, nil)
+	return rm.placementsInto(addr, nil, false)
 }
 
 // placementsInto is placementsFor appending into a caller-owned scratch
@@ -354,7 +397,12 @@ func (rm *resourceManager) placementsFor(addr mem.Addr) ([]placement, error) {
 // repair flip later remaps the retained entries onto the replacement.
 // Dropping a dead placement here would silently discard the only copy of
 // a victim's dirty lines.
-func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement) ([]placement, error) {
+//
+// writeBack says the caller is about to send dirty bytes of addr's page to
+// these destinations (a dirty eviction, a VM page write-back): the page
+// stops being fresh in this critical section, before any of them can land,
+// so no later fill can zero-fill over what remote memory now holds.
+func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement, writeBack bool) ([]placement, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	dst = dst[:0]
@@ -362,7 +410,8 @@ func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement) ([]pla
 	if !ok {
 		return dst, fmt.Errorf("core: address %v not in any slab", addr)
 	}
-	for _, m := range rm.replicas[s.ID] {
+	g := rm.replicas[s.ID]
+	for _, m := range g.members {
 		dst = append(dst, placement{
 			link:      m.link,
 			remoteOff: m.RemoteOff + uint64(addr-m.Base),
@@ -371,7 +420,75 @@ func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement) ([]pla
 	if len(dst) == 0 {
 		return dst, fmt.Errorf("core: address %v has no configured placement", addr)
 	}
+	if writeBack && g.fresh != nil {
+		w, bit := freshBit(s, addr)
+		g.fresh[w] &^= bit
+	}
 	return dst, nil
+}
+
+// freshBit locates the bit of addr's page in its group's fresh bitmap.
+func freshBit(s Slab, addr mem.Addr) (word, bit uint64) {
+	i := uint64(addr-s.Base) / mem.PageSize
+	return i / 64, 1 << (i % 64)
+}
+
+// pageFresh reports whether the page at base is fresh: inside a MallocFresh
+// allocation and never written back. A fresh page has nothing remote worth
+// reading, so the fill paths zero-fill it instead of fetching.
+func (rm *resourceManager) pageFresh(base mem.Addr) bool {
+	if !rm.anyFresh.Load() {
+		return false
+	}
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	s, ok := rm.alloc.SlabFor(base)
+	if !ok {
+		return false
+	}
+	g := rm.replicas[s.ID]
+	if g.fresh == nil {
+		return false
+	}
+	w, bit := freshBit(s, base)
+	return g.fresh[w]&bit != 0
+}
+
+// markFreshLocked sets the fresh bit of every page wholly inside
+// [addr, addr+size). A page the allocation only partly covers shares its
+// bytes with a neighbour whose contents are defined, so it is never fresh;
+// neither is any page of a shared group. Caller holds rm.mu.
+func (rm *resourceManager) markFreshLocked(addr mem.Addr, size uint64) {
+	end := (addr + mem.Addr(size)).AlignDown(mem.PageSize)
+	var s Slab
+	var g *group
+	for p := addr.AlignUp(mem.PageSize); p < end; p += mem.PageSize {
+		// Adjacent slabs coalesce in the free list, so an allocation may
+		// cross from one group into the next.
+		if g == nil || !s.Range().Contains(p) {
+			s, _ = rm.alloc.SlabFor(p)
+			g = rm.replicas[s.ID]
+		}
+		if g.shared {
+			continue
+		}
+		if g.fresh == nil {
+			g.fresh = make([]uint64, (s.Size/mem.PageSize+63)/64)
+			rm.anyFresh.Store(true)
+		}
+		w, bit := freshBit(s, p)
+		g.fresh[w] |= bit
+	}
+}
+
+// markShared records that another runtime may write the group: every
+// fresh bit it has goes, and MallocFresh sets none in it again.
+func (rm *resourceManager) markShared(group uint64) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	if g := rm.replicas[group]; g != nil {
+		g.shared, g.fresh = true, nil
+	}
 }
 
 // extent names a member's pool window by where it starts: the link key
@@ -417,14 +534,15 @@ type replicaMove struct {
 func (rm *resourceManager) refreshPlacements() ([]replicaMove, bool, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	for _, members := range rm.replicas {
-		for _, m := range members {
+	for _, g := range rm.replicas {
+		for _, m := range g.members {
 			rm.transition(m, evRefresh)
 		}
 	}
 	var moves []replicaMove
 	changed := false
-	for gid, old := range rm.replicas {
+	for gid, g := range rm.replicas {
+		old := g.members
 		cur, err := rm.rack.slabPlacements(gid)
 		if err != nil {
 			return moves, changed, fmt.Errorf("core: placement refresh for group %d: %w", gid, err)
@@ -460,7 +578,7 @@ func (rm *resourceManager) refreshPlacements() ([]replicaMove, bool, error) {
 			next[i] = nm
 		}
 		if next != nil {
-			rm.replicas[gid] = next
+			g.members = next
 			changed = true
 		}
 	}
@@ -485,7 +603,7 @@ func (rm *resourceManager) attachGroup(members []Slab) (Slab, error) {
 	if err := rm.alloc.Attach(primary); err != nil {
 		return Slab{}, err
 	}
-	rm.installLocked(members)
+	rm.installLocked(members).shared = true
 	rm.attached[primary.ID] = struct{}{}
 	return primary, nil
 }
@@ -515,11 +633,11 @@ func (rm *resourceManager) groupFor(addr mem.Addr) (Slab, bool) {
 func (rm *resourceManager) groupSlab(group uint64) (Slab, bool) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	members := rm.replicas[group]
-	if len(members) == 0 {
+	g := rm.replicas[group]
+	if g == nil {
 		return Slab{}, false
 	}
-	return members[0].Slab, true
+	return g.members[0].Slab, true
 }
 
 // attachedGroupFor resolves addr to a reader-mode attachment, if any.
@@ -537,8 +655,16 @@ func (rm *resourceManager) attachedGroupFor(addr mem.Addr) (Slab, bool) {
 }
 
 // Malloc allocates size bytes of disaggregated memory, growing the slab
-// pool as needed.
-func (rm *resourceManager) Malloc(size uint64) (mem.Addr, error) {
+// pool as needed. The first access to each page fetches whatever the
+// memory node's extent holds.
+func (rm *resourceManager) Malloc(size uint64) (mem.Addr, error) { return rm.malloc(size, false) }
+
+// MallocFresh is Malloc for memory whose contents the caller treats as
+// undefined until it writes them: the allocation's whole pages are marked
+// fresh, and a fill of a fresh page costs no round trip.
+func (rm *resourceManager) MallocFresh(size uint64) (mem.Addr, error) { return rm.malloc(size, true) }
+
+func (rm *resourceManager) malloc(size uint64, fresh bool) (mem.Addr, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("core: zero-size malloc")
 	}
@@ -547,15 +673,17 @@ func (rm *resourceManager) Malloc(size uint64) (mem.Addr, error) {
 	}
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	for attempt := 0; attempt < 2; attempt++ {
-		if addr, err := rm.alloc.Alloc(size); err == nil {
-			return addr, nil
-		}
+	addr, err := rm.alloc.Alloc(size)
+	for attempt := 0; err != nil && attempt < 2; attempt++ {
 		if err := rm.growLocked(); err != nil {
 			return 0, err
 		}
+		addr, err = rm.alloc.Alloc(size)
 	}
-	return rm.alloc.Alloc(size)
+	if err == nil && fresh {
+		rm.markFreshLocked(addr, size)
+	}
+	return addr, err
 }
 
 // Free releases an allocation.
@@ -571,11 +699,11 @@ func (rm *resourceManager) releaseAll() error {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	var firstErr error
-	for id, placements := range rm.replicas {
+	for id, g := range rm.replicas {
 		// Reader-mode attachments are not ours to release: the owning
 		// writer returns them to the rack.
 		if _, att := rm.attached[id]; !att {
-			for _, m := range placements {
+			for _, m := range g.members {
 				if err := rm.rack.release(m.Slab); err != nil && firstErr == nil {
 					firstErr = err
 				}

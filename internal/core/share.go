@@ -68,6 +68,8 @@ func (k *Kona) ShareWriter(addr mem.Addr) (uint64, error) {
 		return 0, err
 	}
 	k.writerGroups[s.ID] = struct{}{}
+	// Another runtime may write the group from here on.
+	k.rm.markShared(s.ID)
 	return s.ID, nil
 }
 

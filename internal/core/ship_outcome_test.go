@@ -169,7 +169,7 @@ func TestShipOutcomeTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		s, _ := rm.groupFor(base)
-		members := rm.replicas[s.ID]
+		members := rm.replicas[s.ID].members
 		faulty := members[len(members)-1] // the replica when replicated
 		fl := faulty.link.(*fakeLink)
 		fl.set(r.down, r.shipErr)

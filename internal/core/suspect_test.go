@@ -39,7 +39,7 @@ func memberAt(t *testing.T, k *Kona, addr mem.Addr, slot int) *member {
 	if !ok {
 		t.Fatalf("no slab for %v", addr)
 	}
-	return k.rm.replicas[s.ID][slot]
+	return k.rm.replicas[s.ID].members[slot]
 }
 
 // TestRepairedReplicaSuspectUntilDrained walks the full outage → repair

@@ -100,7 +100,7 @@ func TestTCPReplicaFailoverOverWire(t *testing.T) {
 	if !ok {
 		t.Fatal("no slab for base")
 	}
-	primary := k.rm.replicas[s.ID][0].Node
+	primary := k.rm.replicas[s.ID].members[0].Node
 	srvs[primary].Close()
 
 	buf := make([]byte, 512)

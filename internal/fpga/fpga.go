@@ -150,6 +150,9 @@ type Stats struct {
 	// BytesFetched is the total remote payload pulled (goodput numerator
 	// for fetch-granularity studies).
 	BytesFetched uint64
+	// FreshFills counts fetch-granularity blocks of fresh pages zero-filled
+	// locally instead of fetched (see FreshCheck).
+	FreshFills uint64
 }
 
 // add accumulates o into s (shard-stat merge for Stats()).
@@ -163,6 +166,7 @@ func (s *Stats) add(o Stats) {
 	s.Prefetches += o.Prefetches
 	s.Bypasses += o.Bypasses
 	s.BytesFetched += o.BytesFetched
+	s.FreshFills += o.FreshFills
 }
 
 // FetchHook runs before a remote page fetch. The runtime uses it to
@@ -172,6 +176,16 @@ func (s *Stats) add(o Stats) {
 // after its work. The hook must synchronize itself; it is invoked
 // concurrently from every shard.
 type FetchHook func(now simclock.Duration, pageBase mem.Addr) simclock.Duration
+
+// FreshCheck reports whether a page is fresh: allocated with contents
+// undefined until written, and never written back, so remote memory holds
+// nothing of it worth reading. Every fill of a fresh page zero-fills the
+// lines the frame is missing instead of fetching them — no translator
+// call, no fetch hook, no RemoteFetches or BytesFetched. The lines are
+// zeroed rather than left as they are because a frame is recycled: what it
+// holds is some other page's bytes. Like the fetch hook, the check must
+// synchronize itself.
+type FreshCheck func(pageBase mem.Addr) bool
 
 // shard is one lock stripe of FMem. It owns every set whose index maps
 // to it and all per-access state that set's frames need: the LRU tick,
@@ -243,6 +257,7 @@ type FPGA struct {
 	translate Translator
 	onEvict   EvictHandler
 	onFetch   FetchHook
+	fresh     FreshCheck
 
 	// batch, when non-nil, coalesces multi-page fetches (prefetch windows
 	// and page-spanning Reads) into scatter-gather reads — see
@@ -385,7 +400,7 @@ func (f *FPGA) Resident(addr mem.Addr) bool {
 func (f *FPGA) LineFill(now simclock.Duration, addr mem.Addr) (simclock.Duration, error) {
 	sh := f.shardFor(addr.Page())
 	sh.mu.Lock()
-	done, pf, err := f.lineFillLocked(sh, now, addr)
+	done, _, pf, err := f.lineFillLocked(sh, now, addr)
 	sh.mu.Unlock()
 	if err != nil {
 		return done, err
@@ -395,8 +410,9 @@ func (f *FPGA) LineFill(now simclock.Duration, addr mem.Addr) (simclock.Duration
 }
 
 // lineFillLocked is LineFill under the page's shard lock. It returns the
+// page's frame, so Read can copy out of it without a second lookup, and the
 // prefetch intent for the caller to execute once the lock is dropped.
-func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr) (simclock.Duration, prefetchIntent, error) {
+func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr) (simclock.Duration, *frame, prefetchIntent, error) {
 	sh.stats.LineFills++
 	// The directory bank serializes this stripe's requests.
 	now = sh.directory.Serve(now, simclock.FPGADirectory)
@@ -419,19 +435,19 @@ func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr) (
 		}
 		done, err := f.ensureLinesLocked(sh, now, fr, page, line, line)
 		if err != nil {
-			return now, prefetchIntent{}, err
+			return now, nil, prefetchIntent{}, err
 		}
-		return done + simclock.FMemAccess, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
+		return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
 	}
 	fr := f.demandFrameLocked(sh, now, page)
 	done, err := f.ensureLinesLocked(sh, now, fr, page, line, line)
 	if err != nil {
-		return now, prefetchIntent{}, err
+		return now, nil, prefetchIntent{}, err
 	}
 	fr.readyAt = done
 	// Prefetch is issued at the demand fetch's start time, not its
 	// completion: the FPGA pipelines the two NIC operations.
-	return done + simclock.FMemAccess, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
+	return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
 }
 
 // markPrefetchUseful rewards the stride detector for a demanded
@@ -485,6 +501,12 @@ func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 // SetFetchHook installs the pre-fetch ordering hook.
 func (f *FPGA) SetFetchHook(h FetchHook) { f.onFetch = h }
 
+// SetFreshCheck installs the fresh-page check.
+func (f *FPGA) SetFreshCheck(c FreshCheck) { f.fresh = c }
+
+// isFresh consults the fresh-page check, if one is installed.
+func (f *FPGA) isFresh(base mem.Addr) bool { return f.fresh != nil && f.fresh(base) }
+
 // EnableBatchFetch turns on scatter-gather multi-page fetches when the
 // translator supports them (and fetches are page-granularity). The
 // runtime enables this only on the TCP transport, where coalescing N
@@ -498,24 +520,31 @@ func (f *FPGA) EnableBatchFetch() {
 	}
 }
 
-// collectBatch fills bs with the non-resident pages among targets,
-// recording each page's shard epoch so the install step can detect a
-// concurrent install/evict in that stripe.
+// collectBatch fills bs with the pages among targets that a fetch would
+// have to bring in.
 func (f *FPGA) collectBatch(bs *batchScratch, targets []uint64) {
 	bs.bases = bs.bases[:0]
 	bs.epochs = bs.epochs[:0]
 	for _, t := range targets {
-		sh := f.shardFor(t)
-		sh.mu.Lock()
-		resident := f.lookupLocked(t) != nil
-		epoch := sh.epoch.Load()
-		sh.mu.Unlock()
-		if !resident {
-			bs.bases = append(bs.bases, mem.PageBase(t))
-			bs.epochs = append(bs.epochs, epoch)
-		}
+		f.collectPage(bs, t)
 	}
 	bs.size()
+}
+
+// collectPage adds the page to bs unless it is resident, recording its
+// shard epoch so the install step can detect a concurrent install/evict in
+// that stripe. A fresh page has nothing to fetch and is left out: the
+// per-page path zero-fills it.
+func (f *FPGA) collectPage(bs *batchScratch, page uint64) {
+	sh := f.shardFor(page)
+	sh.mu.Lock()
+	resident := f.lookupLocked(page) != nil
+	epoch := sh.epoch.Load()
+	sh.mu.Unlock()
+	if base := mem.PageBase(page); !resident && !f.isFresh(base) {
+		bs.bases = append(bs.bases, base)
+		bs.epochs = append(bs.epochs, epoch)
+	}
 }
 
 // size grows bufs to cover the collected bases.
@@ -598,14 +627,15 @@ func (f *FPGA) demandFrameLocked(sh *shard, now simclock.Duration, page uint64) 
 // ensureLinesLocked fetches the missing fetch-granularity blocks covering
 // lines [lo, hi] of the frame, returning the completion time.
 // Already-filled lines are never overwritten (they may hold newer local
-// writes). Caller holds sh.mu; the remote read happens under it, which is
-// what makes concurrent misses on one page single-flight: the losers
-// block here and find the lines filled.
+// writes). A fresh page's missing lines are zeroed in place of the fetch.
+// Caller holds sh.mu; the remote read happens under it, which is what makes
+// concurrent misses on one page single-flight: the losers block here and
+// find the lines filled.
 func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, page uint64, lo, hi int) (simclock.Duration, error) {
 	fb := int(f.cfg.FetchBytes)
 	linesPerBlock := fb / mem.CacheLineSize
 	done := now
-	fetching := false
+	fetching, fresh := false, false
 	base := mem.PageBase(page)
 	for block := lo / linesPerBlock; block <= hi/linesPerBlock; block++ {
 		first := block * linesPerBlock
@@ -617,17 +647,28 @@ func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, pa
 		}
 		if !fetching {
 			fetching = true
-			if f.onFetch != nil {
+			if fresh = f.isFresh(base); !fresh && f.onFetch != nil {
 				now = f.onFetch(now, base)
 				if now > done {
 					done = now
 				}
 			}
 		}
-		// A block with no line present — every demand miss of a fresh
-		// frame — is read straight into the frame. A partly filled one
-		// (RFO boundary lines, sub-page fills) is staged, and only its
-		// missing lines are merged in: the present ones may be newer.
+		if fresh {
+			for l := first; l < first+linesPerBlock; l++ {
+				if !have.Get(l) {
+					clear(fr.data[l*mem.CacheLineSize : (l+1)*mem.CacheLineSize])
+				}
+			}
+			sh.stats.FreshFills++
+			fr.filled |= blockMask
+			continue
+		}
+		// A block with no line present — every demand miss of a newly
+		// installed frame — is read straight into the frame. A partly
+		// filled one (RFO boundary lines, sub-page fills) is staged, and
+		// only its missing lines are merged in: the present ones may be
+		// newer.
 		off := first * mem.CacheLineSize
 		dst, staged := fr.data[off:off+fb], have != 0
 		if staged {
@@ -842,15 +883,7 @@ func (f *FPGA) batchFillSpan(now simclock.Duration, addr mem.Addr, n int) simclo
 	bs.bases = bs.bases[:0]
 	bs.epochs = bs.epochs[:0]
 	for p := firstPage; p <= lastPage; p++ {
-		sh := f.shardFor(p)
-		sh.mu.Lock()
-		resident := f.lookupLocked(p) != nil
-		epoch := sh.epoch.Load()
-		sh.mu.Unlock()
-		if !resident {
-			bs.bases = append(bs.bases, mem.PageBase(p))
-			bs.epochs = append(bs.epochs, epoch)
-		}
+		f.collectPage(bs, p)
 	}
 	bs.size()
 	if len(bs.bases) < 2 {
@@ -878,13 +911,12 @@ func (f *FPGA) Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.
 		page := a.Page()
 		sh := f.shardFor(page)
 		sh.mu.Lock()
-		done, pf, err := f.lineFillLocked(sh, now, a)
+		done, fr, pf, err := f.lineFillLocked(sh, now, a)
 		if err != nil {
 			sh.mu.Unlock()
 			return now, err
 		}
 		now = done
-		fr := f.lookupLocked(page)
 		pageOff := a.PageOffset()
 		n := len(buf) - off
 		if rem := int(mem.PageSize - pageOff); n > rem {

@@ -1,0 +1,107 @@
+package kv
+
+import (
+	"bytes"
+	"fmt"
+	"net"
+	"testing"
+
+	"kona/internal/cluster"
+	"kona/internal/core"
+	"kona/internal/mem"
+	"kona/internal/telemetry"
+)
+
+// mallocChunks is a runtime whose value-heap chunks come from Malloc: the
+// parent commit's behaviour, kept here as the reference the guard counts
+// against.
+type mallocChunks struct{ *core.Kona }
+
+func (m mallocChunks) MallocFresh(size uint64) (mem.Addr, error) { return m.Malloc(size) }
+
+// countedRack is a controller and two memory-node daemons on loopback TCP
+// whose memnodes count what they serve into one registry.
+func countedRack(t *testing.T) (ctrlAddr string, served func(kind string) uint64) {
+	t.Helper()
+	cs, err := cluster.ServeController(cluster.NewController(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	cc := cluster.DialController(cs.Addr())
+	defer cc.Close()
+	reg := telemetry.New(0)
+	for i := 0; i < 2; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := cluster.ServeMemoryNodeOnWith(cluster.NewMemoryNode(i, 128<<20), l, reg)
+		t.Cleanup(func() { ns.Close() })
+		if err := cc.RegisterNode(i, 128<<20, ns.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cs.Addr(), func(kind string) uint64 {
+		return reg.Counter("cluster.memnode.served." + kind).Value()
+	}
+}
+
+// TestFreshLoadFetchesNothing is the `make guards` count guard for fresh
+// allocations (DESIGN.md §16), no timing in it: loading 20k keys into a
+// kv.Store over a loopback TCP rack serves zero memnode read RPCs — the
+// parent served one page read per page of the value heap — and exactly the
+// write-log RPCs the same load costs over Malloc-backed chunks; then every
+// key verifies from remote memory (every page the load left in FMem was
+// dirty, so the Sync that ends the load wrote it back and dropped it: the
+// read pass starts cold). The FMem is sized so that no shard's half-carved
+// page is evicted before its next block is taken — such a page has been
+// written back, is no longer fresh, and is rightly fetched.
+func TestFreshLoadFetchesNothing(t *testing.T) {
+	const keys = 20_000
+	value := func(i int) []byte {
+		return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 256) // 512 B
+	}
+	load := func(t *testing.T, wrap func(*core.Kona) Runtime) (reads, writeLogs uint64) {
+		ctrlAddr, served := countedRack(t)
+		k := core.NewKonaTCPWith(core.DefaultConfig(16<<20), ctrlAddr, kvTransport())
+		s := NewStore(wrap(k), Config{Shards: 16})
+		for i := 0; i < keys; i++ {
+			if _, err := s.Set(0, fmt.Sprintf("key-%06d", i), value(i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Sync(0); err != nil {
+			t.Fatal(err)
+		}
+		reads, writeLogs = served("read")+served("read-pages"), served("write-log")
+		var got []byte
+		for i := 0; i < keys; i++ {
+			var ok bool
+			var err error
+			if got, _, _, ok, err = s.Get(0, fmt.Sprintf("key-%06d", i), got); err != nil || !ok || !bytes.Equal(got, value(i)) {
+				t.Fatalf("key %d after load: ok=%t err=%v, value intact=%t", i, ok, err, bytes.Equal(got, value(i)))
+			}
+		}
+		if after := served("read") + served("read-pages"); after-reads < keys/8 {
+			t.Fatalf("verify pass served %d reads: the keys did not come from remote memory", after-reads)
+		}
+		if err := k.Close(0); err != nil {
+			t.Fatal(err)
+		}
+		return reads, writeLogs
+	}
+	freshReads, freshLogs := load(t, func(k *core.Kona) Runtime { return k })
+	mallocReads, mallocLogs := load(t, func(k *core.Kona) Runtime { return mallocChunks{k} })
+	t.Logf("load of %d keys: read RPCs %d (Malloc chunks %d), write-log RPCs %d (Malloc chunks %d)",
+		keys, freshReads, mallocReads, freshLogs, mallocLogs)
+	if freshReads != 0 {
+		t.Errorf("load served %d memnode read RPCs, want 0", freshReads)
+	}
+	if mallocReads == 0 {
+		t.Error("reference load over Malloc chunks served no reads: the guard compares nothing")
+	}
+	if freshLogs != mallocLogs {
+		t.Errorf("load served %d write-log RPCs, %d over Malloc chunks: write-back must not change", freshLogs, mallocLogs)
+	}
+}

@@ -7,17 +7,19 @@ import (
 	"kona/internal/mem"
 )
 
-// valueHeap is a size-class block allocator over Runtime.Malloc. The
-// runtime hands out coarse regions (slab-backed, page-granular); the
-// heap carves them into power-of-two blocks and recycles freed blocks
-// onto per-class free lists, so the store's set/delete churn does not
-// consume fresh disaggregated address space forever.
+// valueHeap is a size-class block allocator over Runtime.MallocFresh (a
+// record is written before it is read, so a chunk's never-used pages need
+// no fetch on first touch). The runtime hands out coarse regions
+// (slab-backed, page-granular); the heap carves them into power-of-two
+// blocks and recycles freed blocks onto per-class free lists, so the
+// store's set/delete churn does not consume new disaggregated address
+// space forever.
 //
 // Each shard owns one heap, so the heap itself needs no locking: all
 // calls happen under the owning shard's mutex.
 type valueHeap struct {
 	rt Runtime
-	// chunkBytes is the Malloc granularity: big enough to amortize the
+	// chunkBytes is the MallocFresh granularity: big enough to amortize the
 	// controller round trip, small enough that a lightly-used shard does
 	// not pin much remote memory.
 	chunkBytes uint64
@@ -28,7 +30,7 @@ type valueHeap struct {
 	carveLeft uint64
 
 	// liveBytes is the block bytes currently held by the index;
-	// chunkCount the Mallocs issued. Exposed through StoreStats.
+	// chunkCount the chunks allocated. Exposed through StoreStats.
 	liveBytes  uint64
 	chunkCount int
 }
@@ -80,7 +82,7 @@ func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 		if chunk < size {
 			chunk = size
 		}
-		base, err := h.rt.Malloc(chunk)
+		base, err := h.rt.MallocFresh(chunk)
 		if err != nil {
 			return 0, 0, fmt.Errorf("kv: value heap: %w", err)
 		}

@@ -14,9 +14,9 @@
 //   - layout.go: the remote record format (header + key + value +
 //     checksum) shared by the store and the examples/kvstore demo.
 //     Checksums make torn or misdirected writes detectable at read time.
-//   - heap.go: a size-class value-heap allocator over Runtime.Malloc —
-//     Malloc carves coarse chunks, the heap carves blocks, frees recycle
-//     blocks onto per-class free lists.
+//   - heap.go: a size-class value-heap allocator over Runtime.MallocFresh —
+//     MallocFresh carves coarse chunks, the heap carves blocks, frees
+//     recycle blocks onto per-class free lists.
 //   - ring.go: consistent-hash key→shard routing (vnode ring), so the
 //     shard count can change without remapping the whole keyspace.
 //   - store.go: the sharded store — per-shard local index + heap +
@@ -42,6 +42,10 @@ import (
 // examples/kvstore run the same store over both and compare.
 type Runtime interface {
 	Malloc(size uint64) (mem.Addr, error)
+	// MallocFresh is Malloc for memory written before it is read: a first
+	// touch of its pages fetches nothing. The value heap carves its chunks
+	// with it — a get reads only the record a set wrote into the block.
+	MallocFresh(size uint64) (mem.Addr, error)
 	Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error)
 	Write(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error)
 	Sync(now simclock.Duration) (simclock.Duration, error)

@@ -14,6 +14,15 @@
 //	t, _ = rt.Read(t, addr, buf)
 //	rt.Sync(t) // write dirty lines back; remote memory is current on return
 //
+// Malloc and MallocFresh differ in one promise. The first access to a
+// page of a Malloc allocation fetches whatever the memory node's extent
+// holds. MallocFresh is for memory the caller writes before it reads —
+// the contents are undefined until written — and in exchange a first
+// touch of its pages costs no round trip: the runtime knows nothing was
+// ever written there and fills the page with zeros locally, until the
+// page is written back or its placement group is shared with another
+// runtime (DESIGN.md §16).
+//
 // Sync is a write-back barrier, not an invalidation: when it returns
 // without error every earlier write is in remote memory (on every live
 // replica). Pages it flushed leave the FMem cache; clean pages stay
@@ -33,7 +42,7 @@
 // remain per-caller: each goroutine threads its own kona.Time, and the
 // Fig 7 harness in internal/experiments still expresses simulated
 // multi-threading through timestamps alone. Cluster and MemoryNode are
-// safe for concurrent use. Cluster and MemoryNode are safe for concurrent use.
+// safe for concurrent use.
 package kona
 
 import (
