@@ -105,10 +105,10 @@ chaos:
 	KONA_CHAOS_SEED=$(KONA_CHAOS_SEED) $(GO) test -race -count=1 \
 		-run 'Chaos|Rejoin|Repair|ByteBudget|Migrat|Replace|NodeAccess|FailedUnseal|TwoGroupsOneDeadNode' ./internal/core ./internal/cluster ./internal/kv
 
-# The ROADMAP's net-negative goal as a command: non-test lines in the two
-# packages it counts.
+# The ROADMAP's net-negative goal as a command: non-test lines in the
+# packages it sets budgets for.
 loc:
-	@for d in internal/core internal/cluster; do \
+	@for d in internal/core internal/cluster internal/fpga; do \
 		echo "$$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 
 # KV service SLO guard (DESIGN.md §12): the fixed-seed open-loop zipfian

@@ -56,15 +56,15 @@ func TestServeKeepsConnectionOpen(t *testing.T) {
 	}
 	defer conn.Close()
 	for i := 0; i < 10; i++ {
-		if _, err := writeRequestFrame(conn, &Request{Kind: msgPing, ID: nextReqID()}); err != nil {
+		if _, err := writeRequestFrame(conn, &Request{Kind: kindPing, ID: nextReqID()}); err != nil {
 			t.Fatalf("request %d: write: %v", i, err)
 		}
 		var resp Response
 		if err := recvResponse(conn, &resp); err != nil {
 			t.Fatalf("request %d: read: %v (server closed the conn?)", i, err)
 		}
-		if resp.Err != "" {
-			t.Fatalf("request %d: %s", i, resp.Err)
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
 		}
 	}
 }
@@ -151,7 +151,7 @@ func TestAllocSlabDedup(t *testing.T) {
 	}
 	defer cs.Close()
 
-	req := &Request{Kind: msgAllocSlab, Size: 1 << 20, ID: nextReqID()}
+	req := &Request{Kind: kindAllocSlab, Size: 1 << 20, ID: nextReqID()}
 	first, err := roundTripOnce(cs.Addr(), req)
 	if err != nil {
 		t.Fatal(err)

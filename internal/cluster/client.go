@@ -41,7 +41,7 @@ func (c *ControllerClient) RegisterNode(id int, capacity uint64, nodeAddr string
 // it so its epoch fence rejects pre-crash placements.
 func (c *ControllerClient) RegisterNodeEpoch(id int, capacity uint64, nodeAddr string) (uint64, error) {
 	resp, err := c.pool.roundTrip(&Request{
-		Kind: msgRegisterNode, NodeID: id, Capacity: capacity, Addr: nodeAddr,
+		Kind: kindRegisterNode, NodeID: id, Capacity: capacity, Addr: nodeAddr,
 	})
 	if err != nil {
 		return 0, err
@@ -52,7 +52,7 @@ func (c *ControllerClient) RegisterNodeEpoch(id int, capacity uint64, nodeAddr s
 // SlabPlacements returns a placement group's current members and the
 // node address map — the compute-side refresh after a repair flip.
 func (c *ControllerClient) SlabPlacements(group uint64) ([]slab.Slab, map[int]string, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgSlabPlacements, SlabID: group})
+	resp, err := c.pool.roundTrip(&Request{Kind: kindSlabPlacements, SlabID: group})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -63,7 +63,7 @@ func (c *ControllerClient) SlabPlacements(group uint64) ([]slab.Slab, map[int]st
 // The controller probes the node itself before expelling it; the return
 // reports whether it was removed.
 func (c *ControllerClient) ReportFailure(node int) (bool, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgReportFailure, NodeID: node})
+	resp, err := c.pool.roundTrip(&Request{Kind: kindReportFailure, NodeID: node})
 	if err != nil {
 		return false, err
 	}
@@ -75,7 +75,7 @@ func (c *ControllerClient) ReportFailure(node int) (bool, error) {
 // compute runtimes send pending-byte gauges).
 func (c *ControllerClient) ReportLoad(node int, s LoadSample) error {
 	_, err := c.pool.roundTrip(&Request{
-		Kind: msgReportLoad, NodeID: node,
+		Kind: kindReportLoad, NodeID: node,
 		Data: appendLoadSample(make([]byte, 0, loadSampleWireSize), s),
 	})
 	return err
@@ -84,7 +84,7 @@ func (c *ControllerClient) ReportLoad(node int, s LoadSample) error {
 // Epoch returns the controller's placement epoch (advances on every
 // register, remove and repair flip).
 func (c *ControllerClient) Epoch() (uint64, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgPing})
+	resp, err := c.pool.roundTrip(&Request{Kind: kindPing})
 	if err != nil {
 		return 0, err
 	}
@@ -95,7 +95,7 @@ func (c *ControllerClient) Epoch() (uint64, error) {
 // address. Retried transparently: the request ID lets the controller
 // deduplicate replays, so a lost response cannot leak a slab.
 func (c *ControllerClient) AllocSlab(size uint64) (slab.Slab, string, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgAllocSlab, Size: size})
+	resp, err := c.pool.roundTrip(&Request{Kind: kindAllocSlab, Size: size})
 	if err != nil {
 		return slab.Slab{}, "", err
 	}
@@ -108,7 +108,7 @@ func (c *ControllerClient) AllocSlab(size uint64) (slab.Slab, string, error) {
 
 // AllocReplicatedSlab requests a slab placed on `replicas` distinct nodes.
 func (c *ControllerClient) AllocReplicatedSlab(size uint64, replicas int) ([]slab.Slab, map[int]string, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgAllocSlab, Size: size, Replicas: replicas})
+	resp, err := c.pool.roundTrip(&Request{Kind: kindAllocSlab, Size: size, Replicas: replicas})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,14 +118,14 @@ func (c *ControllerClient) AllocReplicatedSlab(size uint64, replicas int) ([]sla
 // ReleaseSlab returns a slab's memory to its node.
 func (c *ControllerClient) ReleaseSlab(s slab.Slab) error {
 	_, err := c.pool.roundTrip(&Request{
-		Kind: msgReleaseSlab, NodeID: s.Node, Offset: s.RemoteOff, Size: s.Size,
+		Kind: kindReleaseSlab, NodeID: s.Node, Offset: s.RemoteOff, Size: s.Size,
 	})
 	return err
 }
 
 // NodeAddrs returns the controller's current node-id -> TCP address map.
 func (c *ControllerClient) NodeAddrs() (map[int]string, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgNodeAddr})
+	resp, err := c.pool.roundTrip(&Request{Kind: kindNodeAddr})
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func (c *ControllerClient) NodeAddrs() (map[int]string, error) {
 
 // Ping checks liveness.
 func (c *ControllerClient) Ping() error {
-	_, err := c.pool.roundTrip(&Request{Kind: msgPing})
+	_, err := c.pool.roundTrip(&Request{Kind: kindPing})
 	return err
 }
 
@@ -154,10 +154,10 @@ func decodeLeaseGrant(resp *Response) (LeaseGrant, error) {
 // AcquireLease requests a reader (LeaseReader) or writer (LeaseWriter)
 // lease on a placement group for the given runtime identity. ttl 0 asks
 // for the controller's default. A conflicting writer acquire fails with
-// an error matching IsLeaseConflictErr.
+// an error matching ErrLeaseConflict (errors.Is).
 func (c *ControllerClient) AcquireLease(group, runtime uint64, mode int, ttl time.Duration) (LeaseGrant, error) {
 	resp, err := c.pool.roundTrip(&Request{
-		Kind: msgLeaseAcquire, SlabID: group, Runtime: runtime, Length: mode, Size: uint64(ttl),
+		Kind: kindLeaseAcquire, SlabID: group, Runtime: runtime, Length: mode, Size: uint64(ttl),
 	})
 	if err != nil {
 		return LeaseGrant{}, err
@@ -169,7 +169,7 @@ func (c *ControllerClient) AcquireLease(group, runtime uint64, mode int, ttl tim
 // is the invalidation signal (drop cached pages when it advances).
 func (c *ControllerClient) RenewLease(group, runtime uint64, mode int, ttl time.Duration) (LeaseGrant, error) {
 	resp, err := c.pool.roundTrip(&Request{
-		Kind: msgLeaseRenew, SlabID: group, Runtime: runtime, Length: mode, Size: uint64(ttl),
+		Kind: kindLeaseRenew, SlabID: group, Runtime: runtime, Length: mode, Size: uint64(ttl),
 	})
 	if err != nil {
 		return LeaseGrant{}, err
@@ -179,14 +179,14 @@ func (c *ControllerClient) RenewLease(group, runtime uint64, mode int, ttl time.
 
 // ReleaseLease drops every lease the runtime holds on the group.
 func (c *ControllerClient) ReleaseLease(group, runtime uint64) error {
-	_, err := c.pool.roundTrip(&Request{Kind: msgLeaseRelease, SlabID: group, Runtime: runtime})
+	_, err := c.pool.roundTrip(&Request{Kind: kindLeaseRelease, SlabID: group, Runtime: runtime})
 	return err
 }
 
 // PublishLease bumps the group's version after the writer has flushed —
 // the invalidation readers observe on their next renew.
 func (c *ControllerClient) PublishLease(group, runtime uint64) (LeaseGrant, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: msgLeaseInvalidate, SlabID: group, Runtime: runtime})
+	resp, err := c.pool.roundTrip(&Request{Kind: kindLeaseInvalidate, SlabID: group, Runtime: runtime})
 	if err != nil {
 		return LeaseGrant{}, err
 	}
@@ -197,9 +197,9 @@ func (c *ControllerClient) PublishLease(group, runtime uint64) (LeaseGrant, erro
 // persistent connections. Safe for concurrent use.
 type MemoryNodeClient struct {
 	pool *pool
-	// epoch, when nonzero, stamps every data RPC with the node
-	// incarnation the client believes it is talking to; a restarted node
-	// rejects mismatches (epoch fencing, DESIGN.md §10).
+	// epoch, when nonzero, stamps every epoch-fenced RPC (kinds) with the
+	// node incarnation the client believes it is talking to; a restarted
+	// node rejects mismatches (epoch fencing, DESIGN.md §10).
 	epoch atomic.Uint64
 	// runtime, when nonzero, stamps writes with the calling runtime's
 	// lease identity; a lease-fenced extent rejects writes from anyone
@@ -230,13 +230,21 @@ func DialMemoryNodeTransport(addr string, tr Transport) *MemoryNodeClient {
 // Close releases the client's pooled connections.
 func (c *MemoryNodeClient) Close() error { return c.pool.Close() }
 
+// roundTrip sends req with its payload segments send and its reply
+// scattered into recv (see pool.roundTripIO), stamped with the client's
+// incarnation when the kind is epoch-fenced.
+func (c *MemoryNodeClient) roundTrip(req *Request, send, recv [][]byte) (Response, error) {
+	if kinds[req.Kind].fenced {
+		req.Epoch = c.epoch.Load()
+	}
+	return c.pool.roundTripIO(req, send, recv)
+}
+
 // ReadInto fetches len(buf) bytes at offset directly into buf: the reply
 // payload is read off the socket straight into the caller's memory — no
 // intermediate buffer, no copy.
 func (c *MemoryNodeClient) ReadInto(offset uint64, buf []byte) error {
-	_, err := c.pool.roundTripIO(
-		&Request{Kind: msgRead, Offset: offset, Length: len(buf), Epoch: c.epoch.Load()},
-		nil, [][]byte{buf})
+	_, err := c.roundTrip(&Request{Kind: kindRead, Offset: offset, Length: len(buf)}, nil, [][]byte{buf})
 	return err
 }
 
@@ -260,9 +268,7 @@ func (c *MemoryNodeClient) ReadPagesInto(offsets []uint64, bufs [][]byte) error 
 			return fmt.Errorf("cluster: read-pages buffers must be equal length")
 		}
 	}
-	_, err := c.pool.roundTripIO(
-		&Request{Kind: msgReadPages, Offsets: offsets, Length: length, Epoch: c.epoch.Load()},
-		nil, bufs)
+	_, err := c.roundTrip(&Request{Kind: kindReadPages, Offsets: offsets, Length: length}, nil, bufs)
 	return err
 }
 
@@ -271,9 +277,7 @@ func (c *MemoryNodeClient) ReadPagesInto(offsets []uint64, bufs [][]byte) error 
 // caller's buffer. A write is a pure overwrite, so the transport may
 // retry it after a connection fault.
 func (c *MemoryNodeClient) WriteVec(offset uint64, segs ...[]byte) error {
-	_, err := c.pool.roundTripIO(
-		&Request{Kind: msgWrite, Offset: offset, Epoch: c.epoch.Load(), Runtime: c.runtime.Load()},
-		segs, nil)
+	_, err := c.roundTrip(&Request{Kind: kindWrite, Offset: offset, Runtime: c.runtime.Load()}, segs, nil)
 	return err
 }
 
@@ -285,8 +289,7 @@ func (c *MemoryNodeClient) WriteVec(offset uint64, segs ...[]byte) error {
 // receiver (it counts entries), so the transport does not retry it; the
 // eviction layer decides whether to replay.
 func (c *MemoryNodeClient) WriteLogVec(segs ...[]byte) (int, error) {
-	resp, err := c.pool.roundTripIO(
-		&Request{Kind: msgWriteLog, Epoch: c.epoch.Load(), Runtime: c.runtime.Load()}, segs, nil)
+	resp, err := c.roundTrip(&Request{Kind: kindWriteLog, Runtime: c.runtime.Load()}, segs, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -295,16 +298,14 @@ func (c *MemoryNodeClient) WriteLogVec(segs ...[]byte) (int, error) {
 
 // Ping checks liveness.
 func (c *MemoryNodeClient) Ping() error {
-	_, err := c.pool.roundTrip(&Request{Kind: msgPing})
+	_, err := c.pool.roundTrip(&Request{Kind: kindPing})
 	return err
 }
 
 // CaptureStart begins dirty-page capture on [off, off+size) at pageLen
 // granularity (live member replacement, DESIGN.md §13).
 func (c *MemoryNodeClient) CaptureStart(off, size, pageLen uint64) error {
-	_, err := c.pool.roundTrip(&Request{
-		Kind: msgCaptureStart, Offset: off, Size: size, Length: int(pageLen), Epoch: c.epoch.Load(),
-	})
+	_, err := c.roundTrip(&Request{Kind: kindCaptureStart, Offset: off, Size: size, Length: int(pageLen)}, nil, nil)
 	return err
 }
 
@@ -312,9 +313,7 @@ func (c *MemoryNodeClient) CaptureStart(off, size, pageLen uint64) error {
 // captured extent since the capture started or was last drained. The
 // offsets travel as 8-byte big-endian values in the response payload.
 func (c *MemoryNodeClient) CaptureDrain(off, size uint64) ([]uint64, error) {
-	resp, err := c.pool.roundTrip(&Request{
-		Kind: msgCaptureDrain, Offset: off, Size: size, Epoch: c.epoch.Load(),
-	})
+	resp, err := c.roundTrip(&Request{Kind: kindCaptureDrain, Offset: off, Size: size}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -333,26 +332,20 @@ func (c *MemoryNodeClient) CaptureDrain(off, size uint64) ([]uint64, error) {
 
 // CaptureStop discards the capture on [off, off+size).
 func (c *MemoryNodeClient) CaptureStop(off, size uint64) error {
-	_, err := c.pool.roundTrip(&Request{
-		Kind: msgCaptureStop, Offset: off, Size: size, Epoch: c.epoch.Load(),
-	})
+	_, err := c.roundTrip(&Request{Kind: kindCaptureStop, Offset: off, Size: size}, nil, nil)
 	return err
 }
 
 // Seal write-fences [off, off+size) on the node; writes and log batches
-// touching it fail with a sealed error until Unseal.
+// touching it fail with ErrSealed until Unseal.
 func (c *MemoryNodeClient) Seal(off, size uint64) error {
-	_, err := c.pool.roundTrip(&Request{
-		Kind: msgSealExtent, Offset: off, Size: size, Epoch: c.epoch.Load(),
-	})
+	_, err := c.roundTrip(&Request{Kind: kindSealExtent, Offset: off, Size: size}, nil, nil)
 	return err
 }
 
 // Unseal lifts the write fence on [off, off+size).
 func (c *MemoryNodeClient) Unseal(off, size uint64) error {
-	_, err := c.pool.roundTrip(&Request{
-		Kind: msgUnsealExtent, Offset: off, Size: size, Epoch: c.epoch.Load(),
-	})
+	_, err := c.roundTrip(&Request{Kind: kindUnsealExtent, Offset: off, Size: size}, nil, nil)
 	return err
 }
 
@@ -360,8 +353,6 @@ func (c *MemoryNodeClient) Unseal(off, size uint64) error {
 // the writer lease; holder 0 clears the fence. The controller pushes
 // these when a group's writer changes.
 func (c *MemoryNodeClient) LeaseFence(off, size, holder uint64) error {
-	_, err := c.pool.roundTrip(&Request{
-		Kind: msgLeaseFence, Offset: off, Size: size, Runtime: holder, Epoch: c.epoch.Load(),
-	})
+	_, err := c.roundTrip(&Request{Kind: kindLeaseFence, Offset: off, Size: size, Runtime: holder}, nil, nil)
 	return err
 }

@@ -332,7 +332,7 @@ func TestTCPProtocolRobustness(t *testing.T) {
 	defer cs.Close()
 
 	// Unknown request kind gets a clean error, not a hang.
-	resp, err := roundTripOnce(cs.Addr(), &Request{Kind: "bogus"})
+	resp, err := roundTripOnce(cs.Addr(), &Request{Kind: kindInvalid})
 	if err == nil {
 		t.Errorf("unknown kind accepted: %+v", resp)
 	}
@@ -346,7 +346,7 @@ func TestTCPProtocolRobustness(t *testing.T) {
 	}
 	conn.Close()
 	// The server still answers afterwards.
-	if _, err := roundTripOnce(cs.Addr(), &Request{Kind: msgPing}); err != nil {
+	if _, err := roundTripOnce(cs.Addr(), &Request{Kind: kindPing}); err != nil {
 		t.Fatalf("server wedged after garbage: %v", err)
 	}
 	// Release of an unknown node errors cleanly over the wire.

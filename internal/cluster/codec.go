@@ -25,74 +25,6 @@ import (
 // count of zero decodes to nil (matching what gob produced for empty
 // values, which keeps round-trip comparisons and existing tests exact).
 
-// Wire kind bytes. The request kind travels in the frame prefix; every
-// reply uses kindResponse. The byte values are part of the wire format —
-// append only, never renumber.
-const (
-	kindInvalid byte = iota
-	kindRegisterNode
-	kindAllocSlab
-	kindNodeAddr
-	kindRead
-	kindReadPages
-	kindWrite
-	kindWriteLog
-	kindReleaseSlab
-	kindPing
-	kindSlabPlacements
-	kindReportFailure
-	kindReportLoad
-	kindCaptureStart
-	kindCaptureDrain
-	kindCaptureStop
-	kindSealExtent
-	kindUnsealExtent
-	kindLeaseAcquire
-	kindLeaseRenew
-	kindLeaseRelease
-	kindLeaseInvalidate
-	kindLeaseFence
-
-	kindResponse byte = 0x80
-)
-
-// kindBytes maps the in-process kind tags onto wire bytes. The string
-// tags stay the package's internal currency (telemetry counter names,
-// retryable(), dispatch) — only the wire sees bytes.
-var kindBytes = map[string]byte{
-	msgRegisterNode:    kindRegisterNode,
-	msgAllocSlab:       kindAllocSlab,
-	msgNodeAddr:        kindNodeAddr,
-	msgRead:            kindRead,
-	msgReadPages:       kindReadPages,
-	msgWrite:           kindWrite,
-	msgWriteLog:        kindWriteLog,
-	msgReleaseSlab:     kindReleaseSlab,
-	msgPing:            kindPing,
-	msgSlabPlacements:  kindSlabPlacements,
-	msgReportFailure:   kindReportFailure,
-	msgReportLoad:      kindReportLoad,
-	msgCaptureStart:    kindCaptureStart,
-	msgCaptureDrain:    kindCaptureDrain,
-	msgCaptureStop:     kindCaptureStop,
-	msgSealExtent:      kindSealExtent,
-	msgUnsealExtent:    kindUnsealExtent,
-	msgLeaseAcquire:    kindLeaseAcquire,
-	msgLeaseRenew:      kindLeaseRenew,
-	msgLeaseRelease:    kindLeaseRelease,
-	msgLeaseInvalidate: kindLeaseInvalidate,
-	msgLeaseFence:      kindLeaseFence,
-}
-
-// kindNames is kindBytes inverted; wire kinds are small and dense, so
-// the server's per-request lookup is an array index.
-var kindNames = func() (names [kindLeaseFence + 1]string) {
-	for name, b := range kindBytes {
-		names[b] = name
-	}
-	return names
-}()
-
 // --- append-style encoders ---------------------------------------------
 
 func appendU32(b []byte, v uint32) []byte {
@@ -141,7 +73,11 @@ func appendRequestHeader(b []byte, req *Request) []byte {
 func appendResponseHeader(b []byte, resp *Response) []byte {
 	b = appendInt(b, resp.Entries)
 	b = appendU64(b, resp.Epoch)
-	b = appendStr(b, resp.Err)
+	var msg string
+	if resp.Err != nil {
+		msg = resp.Err.Error()
+	}
+	b = appendStr(b, msg)
 	b = appendU32(b, uint32(len(resp.Slabs)))
 	for i := range resp.Slabs {
 		s := &resp.Slabs[i]
@@ -158,7 +94,8 @@ func appendResponseHeader(b []byte, resp *Response) []byte {
 		b = appendInt(b, id)
 		b = appendStr(b, addr)
 	}
-	return b
+	// Appended in kw v2 rev 4 (typed refusals): which sentinel Err wraps.
+	return append(b, statusOf(resp.Err))
 }
 
 // --- bounds-checked decoder --------------------------------------------
@@ -173,6 +110,15 @@ type wireReader struct {
 }
 
 func (r *wireReader) remaining() int { return len(r.b) - r.off }
+
+func (r *wireReader) u8() byte {
+	if r.bad || r.remaining() < 1 {
+		r.bad = true
+		return 0
+	}
+	r.off++
+	return r.b[r.off-1]
+}
 
 func (r *wireReader) u32() uint32 {
 	if r.bad || r.remaining() < 4 {
@@ -236,11 +182,11 @@ func (r *wireReader) done(what string) error {
 // decodeRequestHeader fills req from a header produced by
 // appendRequestHeader. req.Offsets is reused when capacity allows; Data
 // is left untouched (the payload is delivered separately).
-func decodeRequestHeader(kind byte, hdr []byte, req *Request) error {
-	if int(kind) >= len(kindNames) || kindNames[kind] == "" {
-		return fmt.Errorf("cluster: unknown request kind 0x%02x", kind)
+func decodeRequestHeader(k kind, hdr []byte, req *Request) error {
+	if !k.known() {
+		return fmt.Errorf("cluster: unknown request kind 0x%02x", byte(k))
 	}
-	req.Kind = kindNames[kind]
+	req.Kind = k
 	r := wireReader{b: hdr}
 	req.ID = r.u64()
 	req.NodeID = r.int()
@@ -277,7 +223,7 @@ func decodeResponseHeader(hdr []byte, resp *Response) error {
 	r := wireReader{b: hdr}
 	resp.Entries = r.int()
 	resp.Epoch = r.u64()
-	resp.Err = r.str()
+	msg := r.str()
 	if n := r.count(slabWireSize); n > 0 {
 		resp.Slabs = make([]slab.Slab, n)
 		for i := range resp.Slabs {
@@ -307,5 +253,16 @@ func decodeResponseHeader(hdr []byte, resp *Response) error {
 	} else {
 		resp.Addrs = nil
 	}
-	return r.done("response")
+	st := r.u8()
+	if err := r.done("response"); err != nil {
+		return err
+	}
+	if int(st) >= len(statusErrs) {
+		return fmt.Errorf("cluster: unknown response status %d", st)
+	}
+	resp.Err = nil
+	if msg != "" || st != 0 {
+		resp.Err = &RemoteError{Msg: msg, status: st}
+	}
+	return nil
 }

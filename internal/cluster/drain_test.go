@@ -25,7 +25,7 @@ func TestMemnodeGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idle.Close()
-	if _, err := writeRequestFrame(idle, &Request{Kind: msgPing}); err != nil {
+	if _, err := writeRequestFrame(idle, &Request{Kind: kindPing}); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
@@ -42,7 +42,7 @@ func TestMemnodeGracefulDrain(t *testing.T) {
 	defer busy.Close()
 	payload := []byte("drain-payload")
 	var frame bytes.Buffer
-	if _, err := writeRequestFrame(&frame, &Request{Kind: msgWrite, Offset: 64}, payload); err != nil {
+	if _, err := writeRequestFrame(&frame, &Request{Kind: kindWrite, Offset: 64}, payload); err != nil {
 		t.Fatal(err)
 	}
 	raw := frame.Bytes()
@@ -74,8 +74,8 @@ func TestMemnodeGracefulDrain(t *testing.T) {
 	if err := recvResponse(busy, &resp); err != nil {
 		t.Fatalf("in-flight write during drain: %v", err)
 	}
-	if resp.Err != "" {
-		t.Fatalf("in-flight write during drain answered %q", resp.Err)
+	if resp.Err != nil {
+		t.Fatalf("in-flight write during drain answered %v", resp.Err)
 	}
 
 	n := <-drained
@@ -117,7 +117,7 @@ func TestControllerGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := writeRequestFrame(conn, &Request{Kind: msgPing}); err != nil {
+	if _, err := writeRequestFrame(conn, &Request{Kind: kindPing}); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response

@@ -133,8 +133,8 @@ func (s *sendScratch) send(w io.Writer, payload [][]byte) (int, error) {
 
 // framePrefix starts an encode buffer: magic, version, kind, and
 // placeholder length fields that send patches.
-func framePrefix(b []byte, kind byte) []byte {
-	return append(b, frameMagic0, frameMagic1, frameVersion, kind,
+func framePrefix(b []byte, k kind) []byte {
+	return append(b, frameMagic0, frameMagic1, frameVersion, byte(k),
 		0, 0, 0, 0, 0, 0, 0, 0)
 }
 
@@ -142,12 +142,11 @@ func framePrefix(b []byte, kind byte) []byte {
 // payload slices (req.Data is NOT implicit — callers pass it, or a
 // scatter list replacing it). Returns bytes written.
 func writeRequestFrame(w io.Writer, req *Request, payload ...[]byte) (int, error) {
-	kb, ok := kindBytes[req.Kind]
-	if !ok {
-		return 0, fmt.Errorf("cluster: unknown request kind %q", req.Kind)
+	if !req.Kind.known() {
+		return 0, fmt.Errorf("cluster: unknown request kind 0x%02x", byte(req.Kind))
 	}
 	s := sendPool.Get().(*sendScratch)
-	s.hdr = appendRequestHeader(framePrefix(s.hdr[:0], kb), req)
+	s.hdr = appendRequestHeader(framePrefix(s.hdr[:0], req.Kind), req)
 	return s.send(w, payload)
 }
 
@@ -160,7 +159,7 @@ func writeResponseFrame(w io.Writer, resp *Response, payload ...[]byte) (int, er
 }
 
 // connBufLen sizes every connection's read buffer: a frame prefix, a
-// scalar header (a Read request's is 92 bytes, its reply's 28) and one
+// scalar header (a Read request's is 88 bytes, its reply's 29) and one
 // 4 KB page, so a whole page fetch — request or reply — is one read.
 const connBufLen = framePrefixLen + 500 + 4096
 
@@ -219,7 +218,7 @@ func (f *frameReader) readFull(dst []byte) (copied int, err error) {
 // at a frame boundary returns io.EOF; truncation, a bad magic (e.g. a
 // legacy gob-framed peer), or a nonsensical length returns a descriptive
 // error.
-func (f *frameReader) readHeader() (kind byte, hdr []byte, payLen int, err error) {
+func (f *frameReader) readHeader() (k kind, hdr []byte, payLen int, err error) {
 	if err := f.fill(framePrefixLen); err != nil {
 		if err == io.EOF {
 			return 0, nil, 0, io.EOF
@@ -236,7 +235,7 @@ func (f *frameReader) readHeader() (kind byte, hdr []byte, payLen int, err error
 		return 0, nil, 0, fmt.Errorf("cluster: wire version mismatch: peer speaks v%d, this build v%d",
 			pre[2], frameVersion)
 	}
-	kind = pre[3]
+	k = kind(pre[3])
 	hl, pl := binary.BigEndian.Uint32(pre[4:8]), binary.BigEndian.Uint32(pre[8:12])
 	if hl > maxHeaderSize {
 		return 0, nil, 0, fmt.Errorf("cluster: bad frame header length %d", hl)
@@ -261,7 +260,7 @@ func (f *frameReader) readHeader() (kind byte, hdr []byte, payLen int, err error
 	if err != nil {
 		return 0, nil, 0, fmt.Errorf("cluster: truncated frame header (want %d bytes): %w", hdrLen, err)
 	}
-	return kind, hdr, int(pl), nil
+	return k, hdr, int(pl), nil
 }
 
 // readPayload scatters a frame's payLen payload bytes into dsts in

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -67,6 +69,34 @@ func decodeRequest(data []byte) (Request, error) {
 	return req, nil
 }
 
+// encodeResponse frames resp (with resp.Data as payload) into a buffer.
+func encodeResponse(t testing.TB, resp *Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := writeResponseFrame(&buf, resp, resp.Data); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// refusals is one response per typed refusal, each carrying its
+// sentinel wrapped the way the refusing code wraps it.
+func refusals() []Response {
+	var out []Response
+	for s := 1; s < len(statusErrs); s++ {
+		out = append(out, Response{Err: fmt.Errorf("memnode 1: refused: %w", statusErrs[s])})
+	}
+	return out
+}
+
+// badStatusFrame is an otherwise well-formed response frame whose status
+// byte, the header's last, is one past the last code.
+func badStatusFrame(t testing.TB) []byte {
+	b := encodeResponse(t, &Response{Epoch: 9})
+	b[len(b)-1] = byte(len(statusErrs))
+	return b
+}
+
 // FuzzFrameDecode feeds arbitrary bytes to the frame reader and both
 // header decoders and requires an error or a value — never a panic, a
 // hang, or an outsized allocation. The frame reader consumes from a
@@ -76,36 +106,43 @@ func decodeRequest(data []byte) (Request, error) {
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with a valid frame, a truncated frame, a length-bomb prefix, a
 	// legacy gob-framed message, a wrong-version frame, and plain garbage.
-	valid := encodeRequest(f, &Request{Kind: msgPing, ID: 42})
+	valid := encodeRequest(f, &Request{Kind: kindPing, ID: 42})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{frameMagic0, frameMagic1, frameVersion, kindPing, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	f.Add([]byte{frameMagic0, frameMagic1, frameVersion, byte(kindPing), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	var legacy bytes.Buffer
 	legacy.Write([]byte{0, 0, 0, 64})
-	if err := gob.NewEncoder(&legacy).Encode(&Request{Kind: msgRead, Length: 64}); err != nil {
+	if err := gob.NewEncoder(&legacy).Encode(&Request{Kind: kindRead, Length: 64}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(legacy.Bytes())
-	f.Add([]byte{frameMagic0, frameMagic1, 0x01, kindPing, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{frameMagic0, frameMagic1, 0x01, byte(kindPing), 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte("not a frame"))
 	// Lease-protocol seeds: a well-formed acquire, the same frame cut off
 	// mid-header (a runtime dying mid-send), and a fence push carrying a
 	// stale max epoch from a zombie controller.
 	lease := encodeRequest(f, &Request{
-		Kind: msgLeaseAcquire, ID: 7, SlabID: 3, Runtime: 99,
+		Kind: kindLeaseAcquire, ID: 7, SlabID: 3, Runtime: 99,
 		Length: int(LeaseWriter), Size: uint64(DefaultLeaseTTL),
 	})
 	f.Add(lease)
 	f.Add(lease[:len(lease)-3])
 	f.Add(encodeRequest(f, &Request{
-		Kind: msgLeaseFence, Offset: 1 << 20, Size: 4096,
+		Kind: kindLeaseFence, Offset: 1 << 20, Size: 4096,
 		Runtime: ^uint64(0), Epoch: ^uint64(0),
 	}))
-	var resp bytes.Buffer
-	if _, err := writeResponseFrame(&resp, &Response{Entries: 3, Epoch: 9}); err != nil {
-		f.Fatal(err)
+	f.Add(encodeResponse(f, &Response{Entries: 3, Epoch: 9}))
+	// Typed-refusal seeds: one per status, and one whose status byte is
+	// past the last code. That one is outside input: it must decode to an
+	// error, never to success.
+	for _, r := range refusals() {
+		f.Add(encodeResponse(f, &r))
 	}
-	f.Add(resp.Bytes())
+	bad := badStatusFrame(f)
+	if err := recvResponse(bytes.NewReader(bad), new(Response)); err == nil {
+		f.Fatal("response with an unknown status decoded")
+	}
+	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := decodeRequest(data); err == nil {
@@ -136,7 +173,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kindSel uint8, id uint64, nodeID int, size, offset uint64,
 		length int, epoch uint64, addr string, data []byte, offsCount uint8) {
 		in := Request{
-			Kind: rpcKinds[int(kindSel)%len(rpcKinds)],
+			Kind: kind(1 + int(kindSel)%(len(kinds)-1)),
 			ID:   id, NodeID: nodeID, Capacity: size ^ offset, Addr: addr,
 			Size: size, Replicas: nodeID >> 1, Offset: offset, Length: length,
 			SlabID: id ^ epoch, Epoch: epoch, Data: data,
@@ -163,14 +200,19 @@ func FuzzRequestRoundTrip(f *testing.F) {
 // randomized field sets, including slab tables and address maps built
 // from the fuzzed scalars.
 func FuzzResponseRoundTrip(f *testing.F) {
-	f.Add("", 0, uint64(0), uint64(0), uint8(0), uint8(0), []byte(nil))
-	f.Add("remote exploded", -3, ^uint64(0), uint64(42), uint8(0), uint8(0), []byte(nil))
-	f.Add("", 7, uint64(5), uint64(1<<40), uint8(4), uint8(3), []byte("reply payload"))
+	f.Add("", uint8(0), 0, uint64(0), uint64(0), uint8(0), uint8(0), []byte(nil))
+	f.Add("remote exploded", uint8(0), -3, ^uint64(0), uint64(42), uint8(0), uint8(0), []byte(nil))
+	f.Add("", uint8(0), 7, uint64(5), uint64(1<<40), uint8(4), uint8(3), []byte("reply payload"))
+	f.Add("memnode 1: write [0,+64) by runtime 7: extent lease-fenced", statusOf(ErrLeaseFenced), 0, uint64(0), uint64(0), uint8(0), uint8(0), []byte(nil))
+	f.Add("", statusOf(ErrStaleIncarnation), 0, uint64(0), uint64(0), uint8(0), uint8(0), []byte(nil))
 
-	f.Fuzz(func(t *testing.T, errStr string, entries int, epoch, base uint64,
+	f.Fuzz(func(t *testing.T, errStr string, st uint8, entries int, epoch, base uint64,
 		slabCount, addrCount uint8, data []byte) {
-		in := Response{Err: errStr, Entries: entries, Epoch: epoch}
-		if errStr == "" {
+		in := Response{Entries: entries, Epoch: epoch}
+		s := st % uint8(len(statusErrs))
+		if errStr != "" || s != 0 {
+			in.Err = &RemoteError{Msg: errStr, status: s}
+		} else {
 			in.Data = data
 		}
 		for i := 0; i < int(slabCount%9); i++ {
@@ -195,6 +237,9 @@ func FuzzResponseRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("round trip mutated response:\n in: %+v\nout: %+v", in, out)
+		}
+		if s != 0 && !errors.Is(out.Err, statusErrs[s]) {
+			t.Fatalf("status %d decoded as %v, not its sentinel", s, out.Err)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 // clock on every directory operation), and a writer takeover after expiry
 // bumps the group's lease epoch and re-arms the memnode-side extent
 // fences with the new holder's identity, so the zombie writer's next
-// WriteLog batch is rejected all-or-nothing (node.go, leaseErrMark).
+// WriteLog batch is rejected all-or-nothing (node.go, ErrLeaseFenced).
 //
 // Invalidation is pull-based: the writer's publish (PublishLease, wire
 // kind lease-invalidate) bumps the group's version, and readers observe
@@ -34,17 +33,6 @@ const (
 // DefaultLeaseTTL bounds how long a crashed writer can wedge a group
 // before another runtime may take over.
 const DefaultLeaseTTL = 2 * time.Second
-
-// leaseConflictMark is the substring every conflicting-acquire rejection
-// carries; like sealedErrMark it survives the wire.
-const leaseConflictMark = "lease conflict"
-
-// IsLeaseConflictErr reports whether err is (or wraps) a lease-conflict
-// rejection: another runtime holds an unexpired writer lease (or the
-// caller's own writer lease was lost to a takeover).
-func IsLeaseConflictErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), leaseConflictMark)
-}
 
 // LeaseGrant is a successful lease operation's result.
 type LeaseGrant struct {
@@ -237,7 +225,7 @@ func (c *Controller) AcquireLease(group, runtime uint64, mode int, ttl time.Dura
 	case LeaseWriter:
 		if st.writer != 0 && st.writer != runtime {
 			c.leaseStats.Rejects++
-			return LeaseGrant{}, fmt.Errorf("controller: group %d writer held by runtime %d: %s", group, st.writer, leaseConflictMark)
+			return LeaseGrant{}, fmt.Errorf("controller: group %d writer held by runtime %d: %w", group, st.writer, ErrLeaseConflict)
 		}
 		handover := st.writer == 0 && st.epoch > 0
 		first := st.writer == 0 && st.epoch == 0
@@ -283,7 +271,7 @@ func (c *Controller) RenewLease(group, runtime uint64, mode int, ttl time.Durati
 	case LeaseWriter:
 		if st.writer != runtime {
 			c.leaseStats.Rejects++
-			return LeaseGrant{}, fmt.Errorf("controller: group %d writer lease not held by runtime %d: %s", group, runtime, leaseConflictMark)
+			return LeaseGrant{}, fmt.Errorf("controller: group %d writer lease not held by runtime %d: %w", group, runtime, ErrLeaseConflict)
 		}
 		st.writerExpiry = now.Add(ttl)
 	case LeaseReader:
@@ -330,7 +318,7 @@ func (c *Controller) PublishLease(group, runtime uint64) (LeaseGrant, error) {
 	c.expireLocked(st, now)
 	if st.writer != runtime || runtime == 0 {
 		c.leaseStats.Rejects++
-		return LeaseGrant{}, fmt.Errorf("controller: group %d publish by non-writer runtime %d: %s", group, runtime, leaseConflictMark)
+		return LeaseGrant{}, fmt.Errorf("controller: group %d publish by non-writer runtime %d: %w", group, runtime, ErrLeaseConflict)
 	}
 	st.version++
 	ttl := c.leaseTTLLocked(0)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -49,8 +50,8 @@ func TestLeaseDirectoryStateMachine(t *testing.T) {
 	if g, err = c.AcquireLease(s.ID, alice, LeaseWriter, 0); err != nil || g.Epoch != 1 {
 		t.Fatalf("idempotent re-acquire: %v epoch=%d", err, g.Epoch)
 	}
-	// A conflicting writer acquire is rejected with the conflict mark.
-	if _, err = c.AcquireLease(s.ID, bob, LeaseWriter, 0); !IsLeaseConflictErr(err) {
+	// A conflicting writer acquire is refused with ErrLeaseConflict.
+	if _, err = c.AcquireLease(s.ID, bob, LeaseWriter, 0); !errors.Is(err, ErrLeaseConflict) {
 		t.Fatalf("conflicting acquire: got %v, want lease conflict", err)
 	}
 	// Readers coexist with the writer (invalidation is their protection).
@@ -61,7 +62,7 @@ func TestLeaseDirectoryStateMachine(t *testing.T) {
 		t.Fatalf("second reader acquire: %v", err)
 	}
 	// A reader's upgrade attempt conflicts while the writer lease is held.
-	if _, err = c.AcquireLease(s.ID, bob, LeaseWriter, 0); !IsLeaseConflictErr(err) {
+	if _, err = c.AcquireLease(s.ID, bob, LeaseWriter, 0); !errors.Is(err, ErrLeaseConflict) {
 		t.Fatalf("upgrade under live writer: got %v, want lease conflict", err)
 	}
 	// Publish bumps the version; readers see it on renew.
@@ -72,7 +73,7 @@ func TestLeaseDirectoryStateMachine(t *testing.T) {
 		t.Fatalf("reader renew after publish: %v version=%d, want 1", err, g.Version)
 	}
 	// Publishing without the writer lease is rejected.
-	if _, err = c.PublishLease(s.ID, bob); !IsLeaseConflictErr(err) {
+	if _, err = c.PublishLease(s.ID, bob); !errors.Is(err, ErrLeaseConflict) {
 		t.Fatalf("publish by reader: got %v, want lease conflict", err)
 	}
 	// Clean release opens the slot; bob's upgrade drops his reader entry
@@ -114,7 +115,7 @@ func TestLeaseTTLExpiryAndTakeover(t *testing.T) {
 	}
 	// Within the TTL a rival acquire still conflicts.
 	*now = now.Add(900 * time.Millisecond)
-	if _, err = c.AcquireLease(s.ID, bob, LeaseWriter, 0); !IsLeaseConflictErr(err) {
+	if _, err = c.AcquireLease(s.ID, bob, LeaseWriter, 0); !errors.Is(err, ErrLeaseConflict) {
 		t.Fatalf("pre-expiry acquire: got %v, want conflict", err)
 	}
 	// Past the TTL the takeover succeeds and bumps the epoch.
@@ -127,7 +128,7 @@ func TestLeaseTTLExpiryAndTakeover(t *testing.T) {
 		t.Fatalf("takeover epoch=%d, want 2", g.Epoch)
 	}
 	// The zombie's renew is the stop-writing signal.
-	if _, err = c.RenewLease(s.ID, alice, LeaseWriter, 0); !IsLeaseConflictErr(err) {
+	if _, err = c.RenewLease(s.ID, alice, LeaseWriter, 0); !errors.Is(err, ErrLeaseConflict) {
 		t.Fatalf("zombie renew: got %v, want conflict", err)
 	}
 	st := c.LeaseSnapshot()
@@ -184,12 +185,12 @@ func TestZombieWriterWriteLogFencedWholeBatch(t *testing.T) {
 	// An identified foreign writer is fenced; so is an unidentified
 	// legacy writer (runtime 0).
 	for _, zombie := range []uint64{bob, 0} {
-		if _, _, err := n.UnpackLogFrom(zombie, packInto(t, n, entries)); !IsLeaseFencedErr(err) {
+		if _, _, err := n.UnpackLogFrom(zombie, packInto(t, n, entries)); !errors.Is(err, ErrLeaseFenced) {
 			t.Fatalf("runtime %d batch: got %v, want lease-fenced", zombie, err)
 		}
 	}
 	// Plain writes are fenced identically.
-	if err := n.WriteAtFrom(bob, s.RemoteOff, line); !IsLeaseFencedErr(err) {
+	if err := n.WriteAtFrom(bob, s.RemoteOff, line); !errors.Is(err, ErrLeaseFenced) {
 		t.Fatalf("foreign WriteAt: got %v, want lease-fenced", err)
 	}
 
@@ -209,7 +210,7 @@ func TestZombieWriterWriteLogFencedWholeBatch(t *testing.T) {
 		{RemoteOff: s.RemoteOff + 8192, Data: zombieLine}, // fenced extent
 		{RemoteOff: s.RemoteOff, Data: zombieLine},        // would clobber bob's marker
 	}
-	if _, _, err := n.UnpackLogFrom(alice, packInto(t, n, batch)); !IsLeaseFencedErr(err) {
+	if _, _, err := n.UnpackLogFrom(alice, packInto(t, n, batch)); !errors.Is(err, ErrLeaseFenced) {
 		t.Fatalf("zombie batch after takeover: got %v, want lease-fenced", err)
 	}
 	got := make([]byte, mem.CacheLineSize)
@@ -233,6 +234,40 @@ func TestZombieWriterWriteLogFencedWholeBatch(t *testing.T) {
 	}
 	if snap := c.LeaseSnapshot(); snap.Writers != 0 {
 		t.Fatalf("writer gauge=%d after group release, want 0", snap.Writers)
+	}
+}
+
+// TestLeaseRefusalsArriveTyped: over TCP, a conflicting acquire at the
+// controller and a foreign runtime's write and log batch at the memnode
+// arrive as the typed sentinels, carried by the response status.
+func TestLeaseRefusalsArriveTyped(t *testing.T) {
+	_, cs, _ := tcpRack(t, 1)
+	cc := DialController(cs.Addr())
+	defer cc.Close()
+	s, addr, err := cc.AllocSlab(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const alice, bob = 7, 8
+	if _, err := cc.AcquireLease(s.ID, alice, LeaseWriter, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.AcquireLease(s.ID, bob, LeaseWriter, 0); !errors.Is(err, ErrLeaseConflict) || errors.Is(err, ErrLeaseFenced) {
+		t.Fatalf("conflicting acquire over TCP: got %v, want ErrLeaseConflict", err)
+	}
+	mc := DialMemoryNode(addr)
+	defer mc.Close()
+	mc.SetEpoch(s.Epoch)
+	mc.SetRuntime(bob)
+	if err := mc.WriteVec(s.RemoteOff, make([]byte, mem.CacheLineSize)); !errors.Is(err, ErrLeaseFenced) || errors.Is(err, ErrSealed) {
+		t.Fatalf("foreign write over TCP: got %v, want ErrLeaseFenced", err)
+	}
+	if _, err := mc.WriteLogVec(buildLog(t, s.RemoteOff, mem.CacheLineSize)); !errors.Is(err, ErrLeaseFenced) {
+		t.Fatalf("foreign log batch over TCP: got %v, want ErrLeaseFenced", err)
+	}
+	mc.SetRuntime(alice)
+	if err := mc.WriteVec(s.RemoteOff, make([]byte, mem.CacheLineSize)); err != nil {
+		t.Fatalf("holder's write over TCP: %v", err)
 	}
 }
 
@@ -273,7 +308,7 @@ func TestLeaseSurvivesRepairFlip(t *testing.T) {
 	// The repaired member's fresh extent carries alice's fence.
 	tn, _ := c.Node(target.Node)
 	line := bytes.Repeat([]byte{1}, mem.CacheLineSize)
-	if err := tn.WriteAtFrom(bob, target.RemoteOff, line); !IsLeaseFencedErr(err) {
+	if err := tn.WriteAtFrom(bob, target.RemoteOff, line); !errors.Is(err, ErrLeaseFenced) {
 		t.Fatalf("foreign write to repaired member: got %v, want lease-fenced", err)
 	}
 	if err := tn.WriteAtFrom(alice, target.RemoteOff, line); err != nil {
@@ -302,7 +337,7 @@ func TestLeaseSurvivesMigrationFlip(t *testing.T) {
 	}
 	dn, _ := c.Node(dst.Node)
 	line := bytes.Repeat([]byte{2}, mem.CacheLineSize)
-	if err := dn.WriteAtFrom(bob, dst.RemoteOff, line); !IsLeaseFencedErr(err) {
+	if err := dn.WriteAtFrom(bob, dst.RemoteOff, line); !errors.Is(err, ErrLeaseFenced) {
 		t.Fatalf("foreign write to migrated member: got %v, want lease-fenced", err)
 	}
 	if err := dn.WriteAtFrom(alice, dst.RemoteOff, line); err != nil {

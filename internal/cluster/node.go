@@ -12,39 +12,12 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"kona/internal/cllog"
 	"kona/internal/rdma"
 	"kona/internal/simclock"
 )
-
-// sealedErrMark is the substring every sealed-extent rejection carries.
-// It survives the wire (server errors travel as strings inside
-// RemoteError), so IsSealedErr works identically for the in-process and
-// TCP transports.
-const sealedErrMark = "extent sealed for migration"
-
-// IsSealedErr reports whether err is (or wraps) a sealed-extent write
-// rejection — the signal a migration has flipped the slab away and the
-// writer must refresh its placements before retrying.
-func IsSealedErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), sealedErrMark)
-}
-
-// leaseErrMark is the substring every lease-fence rejection carries; like
-// sealedErrMark it survives the wire, so IsLeaseFencedErr works for both
-// transports.
-const leaseErrMark = "extent lease-fenced"
-
-// IsLeaseFencedErr reports whether err is (or wraps) a lease-fence write
-// rejection — the signal the caller's writer lease expired and another
-// runtime took over the slab. Unlike a seal, this is not transient: the
-// stale writer must stop, not retry.
-func IsLeaseFencedErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), leaseErrMark)
-}
 
 // MemoryNode hosts a pool of disaggregated memory, exposed as one large
 // registered region carved into slabs, plus a log-receive region.
@@ -237,28 +210,26 @@ func (n *MemoryNode) dropCapturesLocked(off, size uint64) {
 	n.captures = kept
 }
 
-// sealedLocked reports whether [off, off+n) intersects a sealed extent.
-func (n *MemoryNode) sealedLocked(off uint64, size int) bool {
+// admitLocked is the node's one write admission check, for a direct
+// write and for every entry of a log batch alike: a write of size bytes
+// at off by the given runtime is refused if it touches a sealed extent
+// (ErrSealed), then if it touches an extent lease-fenced to another
+// holder (ErrLeaseFenced). writer 0 ("no runtime identity" — legacy
+// callers, repair/migration copies before a refence) is only fenced out
+// when a real holder exists, which is exactly the stale-writer case the
+// fence exists for.
+func (n *MemoryNode) admitLocked(off uint64, size int, writer uint64) error {
 	for _, s := range n.seals {
 		if overlaps(s.off, s.size, off, uint64(size)) {
-			return true
+			return fmt.Errorf("memnode %d: write [%d,+%d) by runtime %d: %w", n.id, off, size, writer, ErrSealed)
 		}
 	}
-	return false
-}
-
-// leaseFencedLocked reports whether a write of size bytes at off by the
-// given runtime intersects a fence held by someone else. writer 0 ("no
-// runtime identity" — legacy callers, repair/migration copies before a
-// refence) is only rejected when a real holder exists, which is exactly
-// the stale-writer case the fence exists for.
-func (n *MemoryNode) leaseFencedLocked(off uint64, size int, writer uint64) bool {
 	for _, f := range n.fences {
 		if f.holder != writer && overlaps(f.off, f.size, off, uint64(size)) {
-			return true
+			return fmt.Errorf("memnode %d: write [%d,+%d) by runtime %d: %w", n.id, off, size, writer, ErrLeaseFenced)
 		}
 	}
-	return false
+	return nil
 }
 
 // LeaseFence restricts writes to [off, off+size) to the runtime holding
@@ -408,6 +379,22 @@ func (n *MemoryNode) SetIncarnation(epoch uint64) {
 	n.incarnation = epoch
 }
 
+// checkIncarnation is the node's one epoch fence (DESIGN.md §10), shared
+// by the daemon and the in-process NodeAccess: a request stamped with an
+// incarnation this node instance does not hold comes from a peer whose
+// placements predate a crash-rejoin, and is refused with
+// ErrStaleIncarnation. Stamp 0, or a node never given an incarnation,
+// skips the fence.
+func (n *MemoryNode) checkIncarnation(epoch uint64) error {
+	if epoch == 0 {
+		return nil
+	}
+	if inc := n.Incarnation(); inc != 0 && inc != epoch {
+		return fmt.Errorf("memnode %d: %w: request for incarnation %d, node is %d", n.id, ErrStaleIncarnation, epoch, inc)
+	}
+	return nil
+}
+
 // ReadAt copies len(buf) pool bytes starting at off into buf. Unlike
 // PoolBytes it synchronizes with the log receiver, so the replacement engine
 // (and the memnode server's data RPCs) can read concurrently with
@@ -447,11 +434,8 @@ func (n *MemoryNode) WriteAtFrom(writer, off uint64, data []byte) error {
 	if off+uint64(len(data)) > uint64(len(pool)) {
 		return fmt.Errorf("memnode %d: write [%d,+%d) overruns pool", n.id, off, len(data))
 	}
-	if n.sealedLocked(off, len(data)) {
-		return fmt.Errorf("memnode %d: write [%d,+%d): %s", n.id, off, len(data), sealedErrMark)
-	}
-	if n.leaseFencedLocked(off, len(data), writer) {
-		return fmt.Errorf("memnode %d: write [%d,+%d) by runtime %d: %s", n.id, off, len(data), writer, leaseErrMark)
+	if err := n.admitLocked(off, len(data), writer); err != nil {
+		return err
 	}
 	copy(pool[off:], data)
 	for _, c := range n.captures {
@@ -493,13 +477,7 @@ func (n *MemoryNode) UnpackLogFrom(writer uint64, logBytes int) (entries int, se
 	// batch must be dropped, not replayed.
 	if len(n.seals) > 0 || len(n.fences) > 0 {
 		if _, serr := cllog.Unpack(n.logMR.Bytes()[:logBytes], func(e cllog.Entry) error {
-			if n.sealedLocked(e.RemoteOff, len(e.Data)) {
-				return fmt.Errorf("memnode %d: log entry at %d: %s", n.id, e.RemoteOff, sealedErrMark)
-			}
-			if n.leaseFencedLocked(e.RemoteOff, len(e.Data), writer) {
-				return fmt.Errorf("memnode %d: log entry at %d from runtime %d: %s", n.id, e.RemoteOff, writer, leaseErrMark)
-			}
-			return nil
+			return n.admitLocked(e.RemoteOff, len(e.Data), writer)
 		}); serr != nil {
 			return 0, 0, serr
 		}

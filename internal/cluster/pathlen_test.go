@@ -210,19 +210,20 @@ func (s *splitReader) Read(p []byte) (int, error) {
 // TestFrameDecodeAcrossPartialReads cuts request and response frames at
 // every byte of prefix, header and payload — and byte by byte — and
 // requires the frame reader to decode each exactly as it decodes the
-// whole. The frames are the fuzzers' seeds plus one whose header (a
-// ReadPages offset table) is larger than the connection buffer.
+// whole. The frames are the fuzzers' seeds — a typed refusal of each
+// status among them — plus one whose header (a ReadPages offset table) is
+// larger than the connection buffer.
 func TestFrameDecodeAcrossPartialReads(t *testing.T) {
 	offs := make([]uint64, connBufLen/8+50)
 	for i := range offs {
 		offs[i] = uint64(i) * 4096
 	}
 	reqs := []*Request{
-		{Kind: msgPing, ID: 42},
-		{Kind: msgLeaseAcquire, ID: 7, SlabID: 3, Runtime: 99, Length: int(LeaseWriter), Size: uint64(DefaultLeaseTTL)},
-		{Kind: msgLeaseFence, Offset: 1 << 20, Size: 4096, Runtime: ^uint64(0), Epoch: ^uint64(0)},
-		{Kind: msgWrite, ID: 9, Offset: 64, Addr: "127.0.0.1:7070", Data: bytes.Repeat([]byte{0xC3}, 300)},
-		{Kind: msgReadPages, ID: 11, Length: 4096, Offsets: offs},
+		{Kind: kindPing, ID: 42},
+		{Kind: kindLeaseAcquire, ID: 7, SlabID: 3, Runtime: 99, Length: int(LeaseWriter), Size: uint64(DefaultLeaseTTL)},
+		{Kind: kindLeaseFence, Offset: 1 << 20, Size: 4096, Runtime: ^uint64(0), Epoch: ^uint64(0)},
+		{Kind: kindWrite, ID: 9, Offset: 64, Addr: "127.0.0.1:7070", Data: bytes.Repeat([]byte{0xC3}, 300)},
+		{Kind: kindReadPages, ID: 11, Length: 4096, Offsets: offs},
 	}
 	for _, req := range reqs {
 		whole := encodeRequest(t, req)
@@ -251,28 +252,40 @@ func TestFrameDecodeAcrossPartialReads(t *testing.T) {
 		decode(iotest.OneByteReader(bytes.NewReader(whole)), "byte by byte")
 	}
 
-	resp := Response{Entries: 3, Epoch: 9, Data: bytes.Repeat([]byte{0x5A}, 4096)}
-	var buf bytes.Buffer
-	if _, err := writeResponseFrame(&buf, &resp, resp.Data); err != nil {
-		t.Fatal(err)
+	resps := append([]Response{{Entries: 3, Epoch: 9, Data: bytes.Repeat([]byte{0x5A}, 4096)}}, refusals()...)
+	for _, resp := range resps {
+		if resp.Err != nil {
+			// What the client decodes: the text and the typed status.
+			resp.Err = &RemoteError{Msg: resp.Err.Error(), status: statusOf(resp.Err)}
+		}
+		whole := encodeResponse(t, &resp)
+		for k := 1; k < len(whole); k++ {
+			for _, scatter := range []bool{false, true} {
+				if scatter && resp.Data == nil {
+					continue
+				}
+				in := &frameReader{src: &splitReader{data: whole, split: k}}
+				var got Response
+				var recv [][]byte
+				page := make([]byte, 4096)
+				if scatter {
+					recv = [][]byte{page[:100], page[100:]}
+				}
+				n, _, err := in.readResponse(&got, recv)
+				if scatter {
+					got.Data = page
+				}
+				if err != nil || n != len(whole) || !reflect.DeepEqual(got, resp) || in.buffered() != 0 {
+					t.Fatalf("response %v split at %d (scatter=%v): n=%d err=%v buffered=%d", resp.Err, k, scatter, n, err, in.buffered())
+				}
+			}
+		}
 	}
-	whole := buf.Bytes()
-	for k := 1; k < len(whole); k++ {
-		for _, scatter := range []bool{false, true} {
-			in := &frameReader{src: &splitReader{data: whole, split: k}}
-			var got Response
-			var recv [][]byte
-			page := make([]byte, 4096)
-			if scatter {
-				recv = [][]byte{page[:100], page[100:]}
-			}
-			n, _, err := in.readResponse(&got, recv)
-			if scatter {
-				got.Data = page
-			}
-			if err != nil || n != len(whole) || !reflect.DeepEqual(got, resp) || in.buffered() != 0 {
-				t.Fatalf("response split at %d (scatter=%v): n=%d err=%v buffered=%d", k, scatter, n, err, in.buffered())
-			}
+	// A status past the last code is refused however the frame is cut.
+	bad := badStatusFrame(t)
+	for k := 1; k < len(bad); k++ {
+		if _, _, err := (&frameReader{src: &splitReader{data: bad, split: k}}).readResponse(new(Response), nil); err == nil {
+			t.Fatalf("unknown status decoded with the frame split at %d", k)
 		}
 	}
 }
@@ -310,7 +323,7 @@ func TestPoolDropsConnWithSurplusBytes(t *testing.T) {
 	}()
 	p := newPool(l.Addr().String(), Transport{MaxRetries: -1})
 	defer p.Close()
-	resp, err := p.roundTrip(&Request{Kind: msgPing})
+	resp, err := p.roundTrip(&Request{Kind: kindPing})
 	if err != nil || resp.Epoch != 5 {
 		t.Fatalf("reply with trailing bytes: resp=%+v err=%v", resp, err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -18,47 +19,138 @@ import (
 // processes and so §4.5's failure handling can be exercised over real
 // sockets (faultconn.go).
 
-// Request tags.
+// kind is a request's wire kind: the byte in its frame prefix and the
+// index of its row in kinds. The byte values are part of the wire format
+// — append only, never renumber.
+type kind byte
+
 const (
-	msgRegisterNode = "register-node"
-	msgAllocSlab    = "alloc-slab"
-	msgNodeAddr     = "node-addr"
-	msgRead         = "read"
-	msgReadPages    = "read-pages"
-	msgWrite        = "write"
-	msgWriteLog     = "write-log"
-	msgReleaseSlab  = "release-slab"
-	msgPing         = "ping"
-	// Fault-tolerance RPCs (DESIGN.md §10): compute nodes fetch a
-	// placement group's current members after a repair flip, and report
-	// nodes whose log ships keep failing so the controller can probe and
-	// expel them.
-	msgSlabPlacements = "slab-placements"
-	msgReportFailure  = "report-failure"
-	// Capacity-management RPCs (DESIGN.md §13): memnode daemons push
-	// their cumulative load counters to the controller, and the
-	// replacement engine drives the memnode's dirty capture and extent
-	// seal over the wire. The load sample travels in the request payload
-	// (7 big-endian u64 fields) — the kw v2 header layout is fixed and
-	// append-only, so new RPCs carry structured data in the frame
-	// payload instead of new header fields.
-	msgReportLoad   = "report-load"
-	msgCaptureStart = "capture-start"
-	msgCaptureDrain = "capture-drain"
-	msgCaptureStop  = "capture-stop"
-	msgSealExtent   = "seal-extent"
-	msgUnsealExtent = "unseal-extent"
-	// Lease RPCs (DESIGN.md §14): runtimes acquire/renew/release per-group
-	// reader or writer leases at the controller; lease-invalidate is the
-	// writer's publish (version bump) that readers observe on their next
-	// renew; lease-fence is controller→memnode, arming the extent fence
-	// that rejects a stale writer's WriteLog batches.
-	msgLeaseAcquire    = "lease-acquire"
-	msgLeaseRenew      = "lease-renew"
-	msgLeaseRelease    = "lease-release"
-	msgLeaseInvalidate = "lease-invalidate"
-	msgLeaseFence      = "lease-fence"
+	kindInvalid kind = iota
+	kindRegisterNode
+	kindAllocSlab
+	kindNodeAddr
+	kindRead
+	kindReadPages
+	kindWrite
+	kindWriteLog
+	kindReleaseSlab
+	kindPing
+	kindSlabPlacements
+	kindReportFailure
+	kindReportLoad
+	kindCaptureStart
+	kindCaptureDrain
+	kindCaptureStop
+	kindSealExtent
+	kindUnsealExtent
+	kindLeaseAcquire
+	kindLeaseRenew
+	kindLeaseRelease
+	kindLeaseInvalidate
+	kindLeaseFence
+
+	// kindResponse is the prefix kind of every reply frame.
+	kindResponse kind = 0x80
 )
+
+// kindInfo is everything the package knows about one request kind.
+type kindInfo struct {
+	// name names the kind in telemetry (cluster.rpc.<name>.latency_us,
+	// cluster.<role>.served.<name>, ...), errors and trace events.
+	name string
+	// retryable: the transport may re-send the request after a transport
+	// error without changing its effect.
+	retryable bool
+	// fenced: a memnode refuses the request when it is stamped with an
+	// incarnation the node does not hold (epoch fencing, DESIGN.md §10).
+	fenced bool
+}
+
+// kinds is the one table of request kinds, indexed by wire byte. Row 0
+// (kindInvalid) is never sent. Each row's comment says why a replay of
+// the kind is or is not safe.
+var kinds = [...]kindInfo{
+	kindRegisterNode: {"register-node", false, false}, // a replay finds its own first attempt live and is refused as a duplicate
+	kindAllocSlab:    {"alloc-slab", true, false},     // carries a request ID the server deduplicates on
+	kindNodeAddr:     {"node-addr", true, false},      // stateless
+	kindRead:         {"read", true, true},            // stateless
+	kindReadPages:    {"read-pages", true, true},      // stateless
+	kindWrite:        {"write", true, true},           // a pure overwrite of the same bytes
+	kindWriteLog:     {"write-log", false, true},      // the receiver counts entries; the evictor decides whether to replay
+	kindReleaseSlab:  {"release-slab", false, false},  // a replay would list the extent free twice
+	kindPing:         {"ping", true, false},           // stateless
+	// Fault tolerance (DESIGN.md §10): compute nodes fetch a placement
+	// group's current members after a repair flip, and report nodes whose
+	// log ships keep failing so the controller can probe and expel them.
+	kindSlabPlacements: {"slab-placements", true, false}, // a lookup
+	kindReportFailure:  {"report-failure", true, false},  // the controller probes before it expels
+	// Capacity management (§13): memnode daemons push their load counters
+	// to the controller, and the replacement engine drives the memnode's
+	// dirty capture and extent seal. The header layout is append-only, so
+	// a structured argument such as the load sample (7 big-endian u64
+	// fields) travels in the frame payload.
+	kindReportLoad:   {"report-load", true, false},   // absorbed idempotently by the EWMA
+	kindCaptureStart: {"capture-start", true, true},  // level-triggered
+	kindCaptureDrain: {"capture-drain", false, true}, // CLEARS the dirty set it returns: a replay after a lost reply drops delta pages
+	kindCaptureStop:  {"capture-stop", true, true},   // level-triggered
+	kindSealExtent:   {"seal-extent", true, true},    // level-triggered
+	kindUnsealExtent: {"unseal-extent", true, true},  // level-triggered
+	// Leases (§14): runtimes acquire, renew and release per-group reader
+	// or writer leases at the controller; lease-invalidate is the writer's
+	// publish (a version bump) that readers observe on their next renew;
+	// lease-fence is controller→memnode, arming the extent fence that
+	// refuses a stale writer's WriteLog batches.
+	kindLeaseAcquire:    {"lease-acquire", true, false},    // re-grants to the same holder
+	kindLeaseRenew:      {"lease-renew", true, false},      // re-grants to the same holder
+	kindLeaseRelease:    {"lease-release", true, false},    // releasing a lease not held is a no-op
+	kindLeaseInvalidate: {"lease-invalidate", true, false}, // keyed by holder: a replay cannot bump past another writer
+	kindLeaseFence:      {"lease-fence", true, true},       // level-triggered
+}
+
+// known reports whether k names a row of kinds.
+func (k kind) known() bool { return int(k) < len(kinds) && kinds[k].name != "" }
+
+func (k kind) String() string {
+	if !k.known() {
+		return fmt.Sprintf("kind 0x%02x", byte(k))
+	}
+	return kinds[k].name
+}
+
+// Typed refusals. The refusing code wraps one with %w; a response carries
+// which one as its status byte, so errors.Is answers the same over the
+// wire (RemoteError.Is) as in process.
+var (
+	// ErrSealed: the write touches an extent a migration has sealed. The
+	// flip is imminent; the writer refreshes its placements and replays.
+	ErrSealed = errors.New("extent sealed for migration")
+	// ErrLeaseFenced: the write touches an extent lease-fenced to another
+	// runtime. The caller's writer lease was taken over; unlike a seal this
+	// is not transient, and the stale writer must stop.
+	ErrLeaseFenced = errors.New("extent lease-fenced")
+	// ErrLeaseConflict: another runtime holds an unexpired writer lease, or
+	// the caller's own writer lease was lost to a takeover.
+	ErrLeaseConflict = errors.New("lease conflict")
+	// ErrStaleIncarnation: the request was stamped with an incarnation the
+	// memory node does not hold; the sender's placements predate a
+	// crash-rejoin.
+	ErrStaleIncarnation = errors.New("epoch fence")
+)
+
+// statusErrs is the typed-refusal table: a response's status byte (kw v2
+// rev 4) is the index of the sentinel its error wraps, 0 for success or
+// an untyped error. Append only, never renumber.
+var statusErrs = [...]error{1: ErrSealed, 2: ErrLeaseFenced, 3: ErrLeaseConflict, 4: ErrStaleIncarnation}
+
+// statusOf is the status a server sends for err.
+func statusOf(err error) byte {
+	for s := 1; s < len(statusErrs); s++ {
+		if errors.Is(err, statusErrs[s]) {
+			return byte(s)
+		}
+	}
+	return 0
+}
 
 // loadSampleWireSize is the report-load payload: ReadOps, WriteOps,
 // ReadBytes, WriteBytes, LogBytes, LogEntries, PendingBytes.
@@ -99,7 +191,7 @@ func decodeLoadSample(b []byte) (LoadSample, error) {
 // it as writev iovecs straight from its owning buffer, and the server
 // lands it directly in its destination (payloadSink).
 type Request struct {
-	Kind string
+	Kind kind
 	// ID uniquely identifies the request across retries; servers use it
 	// to deduplicate replayed non-idempotent requests (AllocSlab).
 	ID uint64
@@ -143,7 +235,9 @@ type Request struct {
 // payload (see Request.Data); on the client it can land directly in
 // caller-provided frames instead (pool.roundTripIO's recv vector).
 type Response struct {
-	Err string
+	// Err is the server's refusal. On the wire it travels as its text plus
+	// its status; the client decodes it as a *RemoteError.
+	Err error
 
 	// AllocSlab
 	Slabs []slab.Slab
@@ -161,19 +255,18 @@ type Response struct {
 	Epoch uint64
 }
 
-// errOf converts a Response error field back to error.
-func (r *Response) errOf() error {
-	if r.Err == "" {
-		return nil
-	}
-	return &RemoteError{Msg: r.Err}
-}
-
 // RemoteError is an error the server reported while executing a request.
 // The request was delivered and processed; transports must not retry it.
-type RemoteError struct{ Msg string }
+type RemoteError struct {
+	Msg    string
+	status byte // index into statusErrs
+}
 
 func (e *RemoteError) Error() string { return e.Msg }
+
+// Is reports whether the server typed this refusal as target, one of the
+// typed-refusal sentinels; the text plays no part.
+func (e *RemoteError) Is(target error) bool { return statusErrs[e.status] == target }
 
 // readResponse reads one response frame into resp. When recv is non-nil
 // the payload is scattered into recv's slices in order — the receive
@@ -181,25 +274,25 @@ func (e *RemoteError) Error() string { return e.Msg }
 // returned in a freshly allocated resp.Data. n is the frame's size on the
 // wire, copied how many payload bytes went through the reader's buffer.
 func (f *frameReader) readResponse(resp *Response, recv [][]byte) (n, copied int, err error) {
-	kind, hdr, payLen, err := f.readHeader()
+	k, hdr, payLen, err := f.readHeader()
 	if err != nil {
 		return 0, 0, err
 	}
-	if kind != kindResponse {
-		return 0, 0, fmt.Errorf("cluster: expected a response frame, got kind 0x%02x", kind)
+	if k != kindResponse {
+		return 0, 0, fmt.Errorf("cluster: expected a response frame, got kind 0x%02x", byte(k))
 	}
 	if err := decodeResponseHeader(hdr, resp); err != nil {
 		return 0, 0, err
 	}
 	n = framePrefixLen + len(hdr) + payLen
-	if resp.Err != "" && payLen > 0 {
+	if resp.Err != nil && payLen > 0 {
 		// An error response never carries a payload; a peer that sends
 		// one is desynced. Tear the connection down rather than guess.
 		return 0, 0, fmt.Errorf("cluster: error response carried %d payload bytes", payLen)
 	}
 	resp.Data = nil
 	switch {
-	case recv != nil && resp.Err == "":
+	case recv != nil && resp.Err == nil:
 		copied, err = f.readPayload(payLen, recv...)
 	case payLen > 0:
 		resp.Data = make([]byte, payLen)
@@ -380,7 +473,7 @@ func serveConn(conn net.Conn, sc *srvConn, cs *connSet, h connHandler, m *server
 	var req Request
 	var resp Response
 	for {
-		kind, hdr, payLen, err := in.readHeader()
+		k, hdr, payLen, err := in.readHeader()
 		if err != nil {
 			// EOF at a frame boundary is a clean close; a timeout here is
 			// the drain wake-up; anything else (bad magic, truncation) is
@@ -398,7 +491,7 @@ func serveConn(conn net.Conn, sc *srvConn, cs *connSet, h connHandler, m *server
 		var staged *[]byte
 		var dst []byte
 		var release func()
-		refused := decodeRequestHeader(kind, hdr, &req)
+		refused := decodeRequestHeader(k, hdr, &req)
 		if refused == nil && payLen > 0 {
 			dst, release, refused = h.payloadSink(&req, payLen)
 		}
@@ -408,7 +501,8 @@ func serveConn(conn net.Conn, sc *srvConn, cs *connSet, h connHandler, m *server
 			if in.discardPayload(payLen) != nil {
 				return
 			}
-			resp.Err = refused.Error()
+			resp.Err = refused
+			m.record(kindInvalid, &resp) // an error, never served
 		} else {
 			copied, rerr := in.readPayload(payLen, dst)
 			if rerr == nil {
@@ -416,6 +510,7 @@ func serveConn(conn net.Conn, sc *srvConn, cs *connSet, h connHandler, m *server
 				req.Data = dst
 				staged = h.serveReq(&req, &resp)
 				req.Data = nil
+				m.record(req.Kind, &resp)
 			}
 			if release != nil {
 				release()

@@ -89,8 +89,8 @@ func (l localNode) node() (*MemoryNode, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: node %d not registered", l.id)
 	}
-	if l.epoch != 0 && n.Incarnation() != l.epoch {
-		return nil, fmt.Errorf("cluster: node %d incarnation %d, want %d", l.id, n.Incarnation(), l.epoch)
+	if err := n.checkIncarnation(l.epoch); err != nil {
+		return nil, err
 	}
 	return n, nil
 }

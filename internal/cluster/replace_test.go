@@ -531,7 +531,7 @@ func TestMigrationPreservesBytesUnderConcurrentWrites(t *testing.T) {
 	// The old extent stays sealed through its hold-down: a straggler
 	// writer still holding the pre-flip placement fails loudly instead of
 	// writing into a window that could be recycled.
-	if err := srcNode.WriteAt(src.RemoteOff, make([]byte, 64)); !IsSealedErr(err) {
+	if err := srcNode.WriteAt(src.RemoteOff, make([]byte, 64)); !errors.Is(err, ErrSealed) {
 		t.Fatalf("straggler write to retired extent = %v, want sealed error", err)
 	}
 	// No load reports ever arrived, so SweepOnce only ages retirements.
@@ -561,7 +561,7 @@ func TestSealRejectsWritesAndWholeLogBatches(t *testing.T) {
 	n := NewMemoryNode(0, 1<<20)
 	n.Seal(8192, 4096)
 
-	if err := n.WriteAt(8192, make([]byte, 64)); !IsSealedErr(err) {
+	if err := n.WriteAt(8192, make([]byte, 64)); !errors.Is(err, ErrSealed) {
 		t.Fatalf("write into sealed extent = %v, want sealed error", err)
 	}
 	// Writes outside the sealed range proceed.
@@ -579,7 +579,7 @@ func TestSealRejectsWritesAndWholeLogBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied, _, err := n.UnpackLog(packed)
-	if !IsSealedErr(err) {
+	if !errors.Is(err, ErrSealed) {
 		t.Fatalf("UnpackLog into sealed extent = %v, want sealed error", err)
 	}
 	if applied != 0 {
@@ -990,8 +990,8 @@ func TestNodeAccessConformance(t *testing.T) {
 				"Seal":          stale.Seal(src.RemoteOff, src.Size),
 				"Unseal":        stale.Unseal(src.RemoteOff, src.Size),
 			} {
-				if err == nil {
-					t.Errorf("%s with a stale incarnation was served", verb)
+				if !errors.Is(err, ErrStaleIncarnation) {
+					t.Errorf("%s with a stale incarnation: got %v, want ErrStaleIncarnation", verb, err)
 				}
 			}
 			if !bytes.Equal(extent(pool0, src), want) {
@@ -1064,11 +1064,11 @@ func TestNodeAccessConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := append([]byte(nil), pool0[:2*ps]...)
-			if err := from.WriteVec(src.RemoteOff+ps, line); !IsSealedErr(err) {
+			if err := from.WriteVec(src.RemoteOff+ps, line); !errors.Is(err, ErrSealed) {
 				t.Fatalf("write into a sealed extent = %v, want sealed error", err)
 			}
 			batch := logAt(ps, src.RemoteOff) // a clean entry, then a sealed one
-			if applied, err := b.shipLog(batch); !IsSealedErr(err) || applied != 0 {
+			if applied, err := b.shipLog(batch); !errors.Is(err, ErrSealed) || applied != 0 {
 				t.Fatalf("log batch into a sealed extent: applied %d, %v; want 0, sealed error", applied, err)
 			}
 			if !bytes.Equal(pool0[:2*ps], before) {
@@ -1130,7 +1130,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 		if st := e.Stats(); st.Retired != 0 {
 			t.Fatalf("window released on the sweep its unseal failed (retired=%d)", st.Retired)
 		}
-		if err := real.WriteAt(old.RemoteOff, line); !IsSealedErr(err) {
+		if err := real.WriteAt(old.RemoteOff, line); !errors.Is(err, ErrSealed) {
 			t.Fatalf("write to the held extent = %v, want sealed error", err)
 		}
 		// Next sweep the unseal is acknowledged and the window goes back.
@@ -1172,7 +1172,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 			t.Fatalf("flip committed onto a node that died after seal")
 		}
 		srcNode, _ := c.Node(old.Node)
-		if err := srcNode.WriteAt(old.RemoteOff, line); !IsSealedErr(err) {
+		if err := srcNode.WriteAt(old.RemoteOff, line); !errors.Is(err, ErrSealed) {
 			t.Fatalf("write after the failed unseal = %v, want sealed error", err)
 		}
 		// The owed unseal is retried on the next sweep; the member is still

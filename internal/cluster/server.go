@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -17,9 +18,9 @@ import (
 // time so the handler path never touches the registry's map lock. nil
 // disables.
 type serverMetrics struct {
-	served  map[string]*telemetry.Counter
-	txBytes map[string]*telemetry.Counter
-	rxBytes map[string]*telemetry.Counter
+	served  [len(kinds)]*telemetry.Counter
+	txBytes [len(kinds)]*telemetry.Counter
+	rxBytes [len(kinds)]*telemetry.Counter
 	// payloadCopies counts payload bytes staged through an intermediate
 	// buffer on their way between the wire and their true destination:
 	// the head of an inbound payload that arrived in the connection
@@ -36,39 +37,38 @@ func newServerMetrics(reg *telemetry.Registry, role string) *serverMetrics {
 		return nil
 	}
 	m := &serverMetrics{
-		served:        make(map[string]*telemetry.Counter, len(rpcKinds)),
-		txBytes:       make(map[string]*telemetry.Counter, len(rpcKinds)),
-		rxBytes:       make(map[string]*telemetry.Counter, len(rpcKinds)),
 		payloadCopies: reg.Counter("cluster." + role + ".payload_copies"),
 		errors:        reg.Counter("cluster." + role + ".errors"),
 		trace:         reg.Trace(),
 	}
-	for _, kind := range rpcKinds {
-		m.served[kind] = reg.Counter("cluster." + role + ".served." + kind)
-		m.txBytes[kind] = reg.Counter("cluster." + role + ".tx_bytes." + kind)
-		m.rxBytes[kind] = reg.Counter("cluster." + role + ".rx_bytes." + kind)
+	for k := kindInvalid + 1; int(k) < len(kinds); k++ {
+		m.served[k] = reg.Counter("cluster." + role + ".served." + k.String())
+		m.txBytes[k] = reg.Counter("cluster." + role + ".tx_bytes." + k.String())
+		m.rxBytes[k] = reg.Counter("cluster." + role + ".rx_bytes." + k.String())
 	}
 	return m
 }
 
-// record counts one handled request; unknown kinds count as errors only.
-func (m *serverMetrics) record(kind string, resp *Response) {
+// record counts one answered request: as served under its kind, and as
+// an error when refused. A frame refused before it reached a handler is
+// recorded under kindInvalid, which has no served counter.
+func (m *serverMetrics) record(k kind, resp *Response) {
 	if m == nil {
 		return
 	}
-	m.served[kind].Inc()
-	if resp.Err != "" {
+	m.served[k].Inc()
+	if resp.Err != nil {
 		m.errors.Inc()
 	}
 }
 
 // countWire records one exchange's request/response wire volume.
-func (m *serverMetrics) countWire(kind string, rx, tx int) {
+func (m *serverMetrics) countWire(k kind, rx, tx int) {
 	if m == nil {
 		return
 	}
-	m.rxBytes[kind].Add(uint64(rx))
-	m.txBytes[kind].Add(uint64(tx))
+	m.rxBytes[k].Add(uint64(rx))
+	m.txBytes[k].Add(uint64(tx))
 }
 
 // countCopies records payload bytes that took an intermediate staging
@@ -225,7 +225,7 @@ func pingAddr(addr string, timeout time.Duration) error {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := writeRequestFrame(conn, &Request{Kind: msgPing, ID: nextReqID()}); err != nil {
+	if _, err := writeRequestFrame(conn, &Request{Kind: kindPing, ID: nextReqID()}); err != nil {
 		return err
 	}
 	in := frameReader{src: conn}
@@ -233,7 +233,7 @@ func pingAddr(addr string, timeout time.Duration) error {
 	if _, _, err := in.readResponse(&resp, nil); err != nil {
 		return err
 	}
-	return resp.errOf()
+	return resp.Err
 }
 
 // NodeAddr returns the daemon address a node registered with.
@@ -282,21 +282,19 @@ func (s *ControllerServer) serveReq(req *Request, resp *Response) *[]byte {
 func (s *ControllerServer) handle(req *Request) *Response {
 	// AllocSlab mutates node state and is retried by clients; answer a
 	// replayed request with its original slab rather than carving twice.
-	if req.Kind == msgAllocSlab && req.ID != 0 {
+	if req.Kind == kindAllocSlab && req.ID != 0 {
 		if resp, ok := s.dedup.get(req.ID); ok {
 			if s.m != nil {
 				s.m.trace.Emit("controller.dedup", fmt.Sprintf("alloc-slab id=%d replayed", req.ID))
 			}
-			s.m.record(req.Kind, resp)
 			return resp
 		}
 	}
 	resp := s.dispatch(req)
-	if req.Kind == msgAllocSlab && req.ID != 0 {
+	if req.Kind == kindAllocSlab && req.ID != 0 {
 		s.dedup.put(req.ID, resp)
 	}
-	s.m.record(req.Kind, resp)
-	if req.Kind == msgRegisterNode && resp.Err == "" {
+	if req.Kind == kindRegisterNode && resp.Err == nil {
 		// Set (not Inc): a crash-rejoin re-registers the same id, which
 		// must not double-count.
 		s.nodes.Set(int64(s.ctrl.Nodes()))
@@ -310,80 +308,80 @@ func (s *ControllerServer) handle(req *Request) *Response {
 
 func (s *ControllerServer) dispatch(req *Request) *Response {
 	switch req.Kind {
-	case msgRegisterNode:
+	case kindRegisterNode:
 		n := NewMemoryNode(req.NodeID, req.Capacity)
 		// Register probes any incumbent via probeNode, which pings the
 		// OLD daemon address (addrs is updated only after admission) —
 		// a live holder rejects the duplicate, a dead one is expelled
 		// and the newcomer admitted under a higher incarnation.
 		if err := s.ctrl.Register(n); err != nil {
-			return &Response{Err: err.Error()}
+			return &Response{Err: err}
 		}
 		s.mu.Lock()
 		s.addrs[req.NodeID] = req.Addr
 		s.mu.Unlock()
 		return &Response{Epoch: n.Incarnation()}
-	case msgAllocSlab:
+	case kindAllocSlab:
 		if req.Replicas > 1 {
 			slabs, err := s.ctrl.AllocReplicatedSlab(req.Size, req.Replicas)
 			if err != nil {
-				return &Response{Err: err.Error()}
+				return &Response{Err: err}
 			}
 			return &Response{Slabs: slabs, Addrs: s.snapshotAddrs()}
 		}
 		sl, err := s.ctrl.AllocSlab(req.Size)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return &Response{Err: err}
 		}
 		return &Response{Slabs: []slab.Slab{sl}, Addrs: s.snapshotAddrs()}
-	case msgReleaseSlab:
+	case kindReleaseSlab:
 		err := s.ctrl.ReleaseSlab(slab.Slab{Node: req.NodeID, RemoteOff: req.Offset, Size: req.Size})
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return &Response{Err: err}
 		}
 		return &Response{}
-	case msgNodeAddr:
+	case kindNodeAddr:
 		return &Response{Addrs: s.snapshotAddrs()}
-	case msgSlabPlacements:
+	case kindSlabPlacements:
 		members, ok := s.ctrl.Placements(req.SlabID)
 		if !ok {
-			return &Response{Err: fmt.Sprintf("controller: unknown placement group %d", req.SlabID)}
+			return &Response{Err: fmt.Errorf("controller: unknown placement group %d", req.SlabID)}
 		}
 		return &Response{Slabs: members, Addrs: s.snapshotAddrs(), Epoch: s.ctrl.PlacementEpoch()}
-	case msgReportFailure:
+	case kindReportFailure:
 		removed := s.ctrl.ReportNodeFailure(req.NodeID)
 		resp := &Response{Epoch: s.ctrl.PlacementEpoch()}
 		if removed {
 			resp.Entries = 1
 		}
 		return resp
-	case msgReportLoad:
+	case kindReportLoad:
 		sample, err := decodeLoadSample(req.Data)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return &Response{Err: err}
 		}
 		s.ctrl.ReportLoad(req.NodeID, sample)
 		s.publishLoad(req.NodeID)
 		return &Response{}
-	case msgLeaseAcquire:
+	case kindLeaseAcquire:
 		g, err := s.ctrl.AcquireLease(req.SlabID, req.Runtime, req.Length, time.Duration(req.Size))
 		return s.leaseResponse(g, err)
-	case msgLeaseRenew:
+	case kindLeaseRenew:
 		g, err := s.ctrl.RenewLease(req.SlabID, req.Runtime, req.Length, time.Duration(req.Size))
 		return s.leaseResponse(g, err)
-	case msgLeaseRelease:
+	case kindLeaseRelease:
 		if err := s.ctrl.ReleaseLease(req.SlabID, req.Runtime); err != nil {
-			return &Response{Err: err.Error()}
+			return &Response{Err: err}
 		}
 		s.publishLeases()
 		return &Response{}
-	case msgLeaseInvalidate:
+	case kindLeaseInvalidate:
 		g, err := s.ctrl.PublishLease(req.SlabID, req.Runtime)
 		return s.leaseResponse(g, err)
-	case msgPing:
+	case kindPing:
 		return &Response{Epoch: s.ctrl.PlacementEpoch()}
 	default:
-		return &Response{Err: fmt.Sprintf("controller: unknown request %q", req.Kind)}
+		return &Response{Err: fmt.Errorf("controller: unknown request %q", req.Kind)}
 	}
 }
 
@@ -392,7 +390,7 @@ func (s *ControllerServer) dispatch(req *Request) *Response {
 func (s *ControllerServer) leaseResponse(g LeaseGrant, err error) *Response {
 	s.publishLeases()
 	if err != nil {
-		return &Response{Err: err.Error()}
+		return &Response{Err: err}
 	}
 	data := appendU64(make([]byte, 0, 16), g.Version)
 	data = appendU64(data, uint64(g.TTL))
@@ -533,7 +531,7 @@ func (s *MemoryNodeServer) Shutdown(grace time.Duration) int {
 // the head that arrived with its frame header. Everything else stages
 // through a pooled buffer.
 func (s *MemoryNodeServer) payloadSink(req *Request, n int) ([]byte, func(), error) {
-	if req.Kind == msgWriteLog {
+	if req.Kind == kindWriteLog {
 		logBuf := s.node.logMR.Bytes()
 		if n > len(logBuf) {
 			return nil, nil, fmt.Errorf("memnode: log too large")
@@ -544,40 +542,23 @@ func (s *MemoryNodeServer) payloadSink(req *Request, n int) ([]byte, func(), err
 	return stagePayload(n)
 }
 
-// serveReq implements connHandler.
+// serveReq implements connHandler: it executes req into resp. Read and
+// ReadPages return the pooled staging buffer resp.Data aliases, which the
+// serve loop recycles only after the frame has hit the wire.
 func (s *MemoryNodeServer) serveReq(req *Request, resp *Response) *[]byte {
-	staged := s.dispatch(req, resp)
-	s.m.record(req.Kind, resp)
-	return staged
-}
-
-// dispatch executes req into resp. Read and ReadPages return the pooled
-// staging buffer resp.Data aliases, which the serve loop recycles only
-// after the frame has hit the wire.
-func (s *MemoryNodeServer) dispatch(req *Request, resp *Response) *[]byte {
-	// Epoch fence (DESIGN.md §10): a data RPC stamped with an incarnation
-	// this node instance does not hold is from a peer whose placements
-	// predate a crash-restart. Reject it as a RemoteError — delivered and
-	// processed, never retried — so the stale peer refreshes instead of
+	// Epoch fence (DESIGN.md §10): a refusal is a RemoteError — delivered
+	// and processed, never retried — so the stale peer refreshes instead of
 	// corrupting the new incarnation's pool.
-	switch req.Kind {
-	case msgRead, msgReadPages, msgWrite, msgWriteLog,
-		msgCaptureStart, msgCaptureDrain, msgCaptureStop,
-		msgSealExtent, msgUnsealExtent, msgLeaseFence:
-		if req.Epoch != 0 {
-			if inc := s.node.Incarnation(); inc != 0 && inc != req.Epoch {
-				resp.Err = fmt.Sprintf(
-					"memnode %d: epoch fence: request for incarnation %d, node is %d",
-					s.node.ID(), req.Epoch, inc)
-				return nil
-			}
+	if kinds[req.Kind].fenced {
+		if resp.Err = s.node.checkIncarnation(req.Epoch); resp.Err != nil {
+			return nil
 		}
 	}
 	var err error
 	switch req.Kind {
-	case msgRead:
+	case kindRead:
 		if req.Length <= 0 || req.Length > maxFrameSize {
-			resp.Err = fmt.Sprintf("memnode: bad read length %d", req.Length)
+			resp.Err = fmt.Errorf("memnode: bad read length %d", req.Length)
 			return nil
 		}
 		bp, buf := getPayloadBuf(req.Length)
@@ -589,24 +570,24 @@ func (s *MemoryNodeServer) dispatch(req *Request, resp *Response) *[]byte {
 		s.readBytes.Add(uint64(req.Length))
 		resp.Data = buf
 		return bp
-	case msgReadPages:
+	case kindReadPages:
 		// Scatter-gather read: each offset names one page-sized span; the
 		// payloads are concatenated in request order so the whole batch
 		// costs one frame each way.
 		if req.Length <= 0 || len(req.Offsets) == 0 {
-			resp.Err = "memnode: empty read-pages request"
+			resp.Err = errors.New("memnode: empty read-pages request")
 			return nil
 		}
 		total := req.Length * len(req.Offsets)
 		if total > maxFrameSize/2 {
-			resp.Err = "memnode: read-pages batch too large"
+			resp.Err = errors.New("memnode: read-pages batch too large")
 			return nil
 		}
 		bp, data := getPayloadBuf(total)
 		for i, off := range req.Offsets {
 			if err = s.node.ReadAt(off, data[i*req.Length:(i+1)*req.Length]); err != nil {
 				putPayloadBuf(bp)
-				resp.Err = err.Error()
+				resp.Err = err
 				return nil
 			}
 		}
@@ -616,13 +597,13 @@ func (s *MemoryNodeServer) dispatch(req *Request, resp *Response) *[]byte {
 		s.readPagesBytes.Add(uint64(total))
 		resp.Data = data
 		return bp
-	case msgWrite:
+	case kindWrite:
 		if err = s.node.WriteAtFrom(req.Runtime, req.Offset, req.Data); err != nil {
 			break
 		}
 		s.m.countCopies(len(req.Data))
 		s.writeBytes.Add(uint64(len(req.Data)))
-	case msgWriteLog:
+	case kindWriteLog:
 		// The payload already sits in the log region (payloadSink holds
 		// logMu until this handler returns); all that is left is to run
 		// the receiver over it.
@@ -636,9 +617,9 @@ func (s *MemoryNodeServer) dispatch(req *Request, resp *Response) *[]byte {
 			s.m.trace.EmitAt(0, "memnode.writeback", "node=%d entries=%d bytes=%d",
 				uint64(s.node.ID()), uint64(resp.Entries), uint64(len(req.Data)))
 		}
-	case msgCaptureStart:
+	case kindCaptureStart:
 		s.node.StartCapture(req.Offset, req.Size, uint64(req.Length))
-	case msgCaptureDrain:
+	case kindCaptureDrain:
 		offs := s.node.DrainCapture(req.Offset, req.Size)
 		if len(offs) > 0 {
 			resp.Data = make([]byte, 0, len(offs)*8)
@@ -647,20 +628,18 @@ func (s *MemoryNodeServer) dispatch(req *Request, resp *Response) *[]byte {
 			}
 			resp.Entries = len(offs)
 		}
-	case msgCaptureStop:
+	case kindCaptureStop:
 		s.node.StopCapture(req.Offset, req.Size)
-	case msgSealExtent:
+	case kindSealExtent:
 		s.node.Seal(req.Offset, req.Size)
-	case msgUnsealExtent:
+	case kindUnsealExtent:
 		s.node.Unseal(req.Offset, req.Size)
-	case msgLeaseFence:
+	case kindLeaseFence:
 		s.node.LeaseFence(req.Offset, req.Size, req.Runtime)
-	case msgPing:
+	case kindPing:
 	default:
-		resp.Err = fmt.Sprintf("memnode: unknown request %q", req.Kind)
+		err = fmt.Errorf("memnode: unknown request %q", req.Kind)
 	}
-	if err != nil {
-		resp.Err = err.Error()
-	}
+	resp.Err = err
 	return nil
 }

@@ -81,51 +81,12 @@ func init() { reqID.Store(uint64(time.Now().UnixNano())) }
 
 func nextReqID() uint64 { return reqID.Add(1) }
 
-// retryable reports whether a request may be re-sent after a transport
-// error without changing its effect: Read/ReadPages/Ping/NodeAddr are
-// stateless, Write is a pure overwrite of the same bytes, and AllocSlab
-// carries a request ID the server deduplicates on. RegisterNode,
-// ReleaseSlab and WriteLog are not safe to replay.
-// Of the capacity-management RPCs, everything but CaptureDrain is safe
-// to replay (load reports are absorbed idempotently by the EWMA,
-// seal/unseal and capture start/stop are level-triggered); a drain
-// CLEARS the dirty set it returns, so a replay after a lost response
-// would silently drop delta pages.
-func retryable(kind string) bool {
-	switch kind {
-	case msgRead, msgReadPages, msgPing, msgNodeAddr, msgWrite, msgAllocSlab,
-		msgSlabPlacements, msgReportFailure, msgReportLoad,
-		msgCaptureStart, msgCaptureStop, msgSealExtent, msgUnsealExtent,
-		msgLeaseAcquire, msgLeaseRenew, msgLeaseRelease,
-		msgLeaseInvalidate, msgLeaseFence:
-		// Lease RPCs replay safely: acquire/renew re-grant to the same
-		// holder, release of a non-held lease is a no-op, invalidate
-		// (publish) is keyed by holder so a replay cannot double-bump past
-		// another writer, and fence is level-triggered.
-		return true
-	}
-	return false
-}
-
-// rpcKinds is the closed set of wire messages; poolMetrics pre-resolves
-// one latency histogram and one tx/rx byte counter per kind so the
-// request path never takes the registry's map lock.
-var rpcKinds = []string{
-	msgRegisterNode, msgAllocSlab, msgNodeAddr, msgRead, msgReadPages,
-	msgWrite, msgWriteLog, msgReleaseSlab, msgPing,
-	msgSlabPlacements, msgReportFailure, msgReportLoad,
-	msgCaptureStart, msgCaptureDrain, msgCaptureStop,
-	msgSealExtent, msgUnsealExtent,
-	msgLeaseAcquire, msgLeaseRenew, msgLeaseRelease,
-	msgLeaseInvalidate, msgLeaseFence,
-}
-
 // poolMetrics is one pool's pre-resolved telemetry handles. A nil
 // *poolMetrics is the disabled state; sites check it once per round trip.
 type poolMetrics struct {
-	latency map[string]*telemetry.Histogram // per-kind RPC latency, µs
-	txBytes map[string]*telemetry.Counter   // per-kind request wire volume
-	rxBytes map[string]*telemetry.Counter   // per-kind response wire volume
+	latency [len(kinds)]*telemetry.Histogram // per-kind RPC latency, µs
+	txBytes [len(kinds)]*telemetry.Counter   // per-kind request wire volume
+	rxBytes [len(kinds)]*telemetry.Counter   // per-kind response wire volume
 	// payloadCopies counts reply payload bytes that took a user-space
 	// copy on their way to the caller: the head of a reply that arrived
 	// in the connection buffer, and everything the legacy Read/ReadPages
@@ -141,9 +102,6 @@ type poolMetrics struct {
 
 func newPoolMetrics(reg *telemetry.Registry, addr string) *poolMetrics {
 	m := &poolMetrics{
-		latency:       make(map[string]*telemetry.Histogram, len(rpcKinds)),
-		txBytes:       make(map[string]*telemetry.Counter, len(rpcKinds)),
-		rxBytes:       make(map[string]*telemetry.Counter, len(rpcKinds)),
 		payloadCopies: reg.Counter("cluster.rpc.payload_copies"),
 		retries:       reg.Counter("cluster.rpc.retries"),
 		redials:       reg.Counter("cluster.rpc.redials"),
@@ -155,10 +113,10 @@ func newPoolMetrics(reg *telemetry.Registry, addr string) *poolMetrics {
 	// 1µs..32ms exponential latency buckets: localhost RPCs land in the
 	// low hundreds of µs, injected delays and real networks in the ms.
 	bounds := telemetry.ExpBounds(1, 2, 16)
-	for _, kind := range rpcKinds {
-		m.latency[kind] = reg.Histogram("cluster.rpc."+kind+".latency_us", bounds)
-		m.txBytes[kind] = reg.Counter("cluster.rpc.tx_bytes." + kind)
-		m.rxBytes[kind] = reg.Counter("cluster.rpc.rx_bytes." + kind)
+	for k := kindInvalid + 1; int(k) < len(kinds); k++ {
+		m.latency[k] = reg.Histogram("cluster.rpc."+k.String()+".latency_us", bounds)
+		m.txBytes[k] = reg.Counter("cluster.rpc.tx_bytes." + k.String())
+		m.rxBytes[k] = reg.Counter("cluster.rpc.rx_bytes." + k.String())
 	}
 	return m
 }
@@ -357,7 +315,7 @@ func (p *pool) roundTripIO(req *Request, send, recv [][]byte) (Response, error) 
 		defer p.m.inflight.Dec()
 	}
 	attempts := 1
-	if retryable(req.Kind) {
+	if kinds[req.Kind].retryable {
 		attempts += p.tr.MaxRetries
 	}
 	var lastErr error
@@ -375,7 +333,7 @@ func (p *pool) roundTripIO(req *Request, send, recv [][]byte) (Response, error) 
 			if p.m != nil {
 				p.m.latency[req.Kind].Observe(time.Since(start).Microseconds())
 			}
-			return resp, resp.errOf()
+			return resp, resp.Err
 		}
 	}
 	if p.m != nil {

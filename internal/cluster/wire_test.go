@@ -46,7 +46,7 @@ func TestEmptyPayloadVectors(t *testing.T) {
 	}
 	for i, segs := range cases {
 		var buf bytes.Buffer
-		if _, err := writeRequestFrame(&buf, &Request{Kind: msgPing, ID: 7}, segs...); err != nil {
+		if _, err := writeRequestFrame(&buf, &Request{Kind: kindPing, ID: 7}, segs...); err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
 		}
 		out, err := decodeRequest(buf.Bytes())
@@ -61,7 +61,7 @@ func TestEmptyPayloadVectors(t *testing.T) {
 	// Zero-length segments among real ones must neither ship bytes nor
 	// desync the length accounting.
 	var buf bytes.Buffer
-	if _, err := writeRequestFrame(&buf, &Request{Kind: msgWrite},
+	if _, err := writeRequestFrame(&buf, &Request{Kind: kindWrite},
 		nil, []byte("ab"), []byte{}, []byte("cd"), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestEmptyPayloadVectors(t *testing.T) {
 func TestPayloadAtMaxFrameSize(t *testing.T) {
 	payload := make([]byte, maxFrameSize)
 	var w countWriter
-	n, err := writeRequestFrame(&w, &Request{Kind: msgWriteLog}, payload)
+	n, err := writeRequestFrame(&w, &Request{Kind: kindWriteLog}, payload)
 	if err != nil {
 		t.Fatalf("payload at limit rejected: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestPayloadAtMaxFrameSize(t *testing.T) {
 	}
 
 	var w2 countWriter
-	if _, err := writeRequestFrame(&w2, &Request{Kind: msgWriteLog}, payload, []byte{0}); err == nil {
+	if _, err := writeRequestFrame(&w2, &Request{Kind: kindWriteLog}, payload, []byte{0}); err == nil {
 		t.Fatal("payload over limit accepted")
 	}
 	if w2.n != 0 {
@@ -99,7 +99,7 @@ func TestPayloadAtMaxFrameSize(t *testing.T) {
 
 	// A frame prefix claiming an over-limit payload must be rejected
 	// before any allocation.
-	pre := []byte{frameMagic0, frameMagic1, frameVersion, kindPing, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
+	pre := []byte{frameMagic0, frameMagic1, frameVersion, byte(kindPing), 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, _, _, err := (&frameReader{src: bytes.NewReader(pre)}).readHeader(); err == nil {
 		t.Fatal("length-bomb prefix accepted")
 	}
@@ -111,7 +111,7 @@ func TestPayloadAtMaxFrameSize(t *testing.T) {
 func TestLegacyGobPeerRejected(t *testing.T) {
 	var legacy bytes.Buffer
 	legacy.Write([]byte{0, 0, 0, 200}) // old 4-byte BE length prefix
-	if err := gob.NewEncoder(&legacy).Encode(&Request{Kind: msgPing}); err != nil {
+	if err := gob.NewEncoder(&legacy).Encode(&Request{Kind: kindPing}); err != nil {
 		t.Fatal(err)
 	}
 	_, _, _, err := (&frameReader{src: &legacy}).readHeader()
@@ -119,7 +119,7 @@ func TestLegacyGobPeerRejected(t *testing.T) {
 		t.Fatalf("legacy gob frame: got %v, want magic-check rejection", err)
 	}
 
-	bad := []byte{frameMagic0, frameMagic1, frameVersion + 1, kindPing, 0, 0, 0, 0, 0, 0, 0, 0}
+	bad := []byte{frameMagic0, frameMagic1, frameVersion + 1, byte(kindPing), 0, 0, 0, 0, 0, 0, 0, 0}
 	_, _, _, err = (&frameReader{src: bytes.NewReader(bad)}).readHeader()
 	if err == nil || !strings.Contains(err.Error(), "wire version mismatch") {
 		t.Fatalf("wrong version: got %v, want version-mismatch rejection", err)
@@ -144,7 +144,7 @@ func TestLegacyGobPeerRejected(t *testing.T) {
 		_ = gob.NewEncoder(&resp).Encode(&Response{})
 		_, _ = conn.Write(resp.Bytes())
 	}()
-	_, err = roundTripOnce(l.Addr().String(), &Request{Kind: msgPing})
+	_, err = roundTripOnce(l.Addr().String(), &Request{Kind: kindPing})
 	if err == nil || !strings.Contains(err.Error(), "does not speak the kw wire protocol") {
 		t.Fatalf("gob-era peer round trip: got %v, want magic-check rejection", err)
 	}
@@ -179,7 +179,7 @@ func (c *chokeWriter) Write(b []byte) (int, error) {
 func TestPartialVecWriteNoDesync(t *testing.T) {
 	var wire bytes.Buffer
 	cw := &chokeWriter{w: &wire, limit: framePrefixLen + 64} // dies inside the first payload segment
-	n, err := writeRequestFrame(cw, &Request{Kind: msgWriteLog},
+	n, err := writeRequestFrame(cw, &Request{Kind: kindWriteLog},
 		bytes.Repeat([]byte{1}, 256), bytes.Repeat([]byte{2}, 256))
 	if err == nil {
 		t.Fatal("mid-iovec partial write reported success")
@@ -295,13 +295,16 @@ func TestReadPagesIntoScatteredFrames(t *testing.T) {
 // TestOversizedWriteLogDrainsAndAnswers checks the drain path: a
 // WriteLog payload larger than the node's log region is refused by the
 // payload sink, but the connection stays framed — the server drains the
-// body, answers with the error, and keeps serving on the same conn.
+// body, answers with the error, and keeps serving on the same conn. The
+// refused frame counts as an error and is not served.
 func TestOversizedWriteLogDrainsAndAnswers(t *testing.T) {
+	reg := telemetry.New(0)
 	node := NewMemoryNode(1, 1<<20)
-	srv, err := ServeMemoryNode(node, "127.0.0.1:0")
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := ServeMemoryNodeOnWith(node, inner, reg)
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -311,22 +314,27 @@ func TestOversizedWriteLogDrainsAndAnswers(t *testing.T) {
 	defer conn.Close()
 
 	big := make([]byte, LogRegionSize+1)
-	if _, err := writeRequestFrame(conn, &Request{Kind: msgWriteLog, ID: nextReqID()}, big); err != nil {
+	if _, err := writeRequestFrame(conn, &Request{Kind: kindWriteLog, ID: nextReqID()}, big); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
 	if err := recvResponse(conn, &resp); err != nil {
 		t.Fatalf("oversized log tore the connection: %v", err)
 	}
-	if !strings.Contains(resp.Err, "log too large") {
-		t.Fatalf("got %q, want log-too-large refusal", resp.Err)
+	if resp.Err == nil || !strings.Contains(resp.Err.Error(), "log too large") {
+		t.Fatalf("got %v, want log-too-large refusal", resp.Err)
 	}
 	// Same connection must still serve.
-	if _, err := writeRequestFrame(conn, &Request{Kind: msgPing, ID: nextReqID()}); err != nil {
+	if _, err := writeRequestFrame(conn, &Request{Kind: kindPing, ID: nextReqID()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := recvResponse(conn, &resp); err != nil || resp.Err != "" {
-		t.Fatalf("connection desynced after drained payload: %v %q", err, resp.Err)
+	if err := recvResponse(conn, &resp); err != nil || resp.Err != nil {
+		t.Fatalf("connection desynced after drained payload: %v %v", err, resp.Err)
+	}
+	c := reg.Snapshot().Counters
+	if c["cluster.memnode.errors"] != 1 || c["cluster.memnode.served.write-log"] != 0 || c["cluster.memnode.served.ping"] != 1 {
+		t.Fatalf("errors=%d served.write-log=%d served.ping=%d; want 1, 0, 1",
+			c["cluster.memnode.errors"], c["cluster.memnode.served.write-log"], c["cluster.memnode.served.ping"])
 	}
 }
 
@@ -361,13 +369,13 @@ func TestWireTelemetryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := clientReg.Counter("cluster.rpc.tx_bytes." + msgWriteLog).Value(); got < uint64(len(logA)) {
+	if got := clientReg.Counter("cluster.rpc.tx_bytes.write-log").Value(); got < uint64(len(logA)) {
 		t.Fatalf("write-log tx_bytes %d, want >= payload %d", got, len(logA))
 	}
-	if got := clientReg.Counter("cluster.rpc.rx_bytes." + msgRead).Value(); got < uint64(len(frame)) {
+	if got := clientReg.Counter("cluster.rpc.rx_bytes.read").Value(); got < uint64(len(frame)) {
 		t.Fatalf("read rx_bytes %d, want >= payload %d", got, len(frame))
 	}
-	if got := serverReg.Counter("cluster.memnode.rx_bytes." + msgWriteLog).Value(); got < uint64(len(logA)) {
+	if got := serverReg.Counter("cluster.memnode.rx_bytes.write-log").Value(); got < uint64(len(logA)) {
 		t.Fatalf("server write-log rx_bytes %d, want >= payload %d", got, len(logA))
 	}
 	if got := clientReg.Counter("cluster.rpc.payload_copies").Value(); got != uint64(len(frame)) {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -195,7 +196,7 @@ func TestChaosCoherenceReadersOverWire(t *testing.T) {
 		t.Fatalf("takeover after writer idled past TTL: %v", err)
 	}
 	wnow = mustWrite(t, w, wnow, base, cohRecord(0, cohFinalRound+1))
-	if _, err := w.Sync(wnow); !cluster.IsLeaseFencedErr(err) && !cluster.IsLeaseConflictErr(err) {
+	if _, err := w.Sync(wnow); !errors.Is(err, cluster.ErrLeaseFenced) && !errors.Is(err, cluster.ErrLeaseConflict) {
 		t.Fatalf("zombie writer sync: got %v, want lease-fenced or lease-conflict", err)
 	}
 

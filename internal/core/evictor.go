@@ -496,13 +496,13 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 //
 // Caller holds flushMu.
 func (e *evictor) retainAfterErrLocked(nb *nodeBatch, err error) bool {
-	if cluster.IsSealedErr(err) {
+	if errors.Is(err, cluster.ErrSealed) {
 		e.rm.shipBounced(nb.link.key(), nb.entries)
 		e.sealedRetains.Add(1)
 		e.m.sealedRetains.Inc()
 		return true
 	}
-	if cluster.IsLeaseFencedErr(err) {
+	if errors.Is(err, cluster.ErrLeaseFenced) {
 		e.leaseFenced.Add(1)
 		e.m.leaseFenced.Inc()
 		return false

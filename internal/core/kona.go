@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,7 +345,7 @@ func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 	if err == nil {
 		err = k.takeEvictErr()
 	}
-	if cluster.IsLeaseFencedErr(err) {
+	if errors.Is(err, cluster.ErrLeaseFenced) {
 		k.dropWriterGroups()
 	}
 	if err == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -101,7 +102,7 @@ func TestSharedRegionWriterPublishesReaderObserves(t *testing.T) {
 
 	// Reader-mode writes fault with a lease conflict while the writer
 	// lease is live...
-	if _, err := r.Write(rnow, addr, verA); !cluster.IsLeaseConflictErr(err) {
+	if _, err := r.Write(rnow, addr, verA); !errors.Is(err, cluster.ErrLeaseConflict) {
 		t.Fatalf("reader write: got %v, want lease conflict", err)
 	}
 	// ...and upgrade in place once it is released.
@@ -114,7 +115,7 @@ func TestSharedRegionWriterPublishesReaderObserves(t *testing.T) {
 		t.Fatalf("upgraded reader sync: %v", err)
 	}
 	// The old writer now conflicts in turn.
-	if _, err := w.ShareWriter(addr); !cluster.IsLeaseConflictErr(err) {
+	if _, err := w.ShareWriter(addr); !errors.Is(err, cluster.ErrLeaseConflict) {
 		t.Fatalf("re-share after handover: got %v, want lease conflict", err)
 	}
 	if rnow, err = r.ReleaseWriter(rnow, group); err != nil {
@@ -219,7 +220,7 @@ func TestSharedZombieWriterFencedOnFlush(t *testing.T) {
 	// is rejected at the memnode and the error surfaces out of Sync
 	// instead of being retried forever.
 	wnow = mustWrite(t, w, wnow, addr, bytes.Repeat([]byte{0xEE}, 64))
-	if _, err = w.Sync(wnow); !cluster.IsLeaseFencedErr(err) {
+	if _, err = w.Sync(wnow); !errors.Is(err, cluster.ErrLeaseFenced) {
 		t.Fatalf("zombie sync: got %v, want lease-fenced", err)
 	}
 	if fs := w.FailureStats(); fs.LeaseFencedShips == 0 {

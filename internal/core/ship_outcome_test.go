@@ -114,11 +114,8 @@ type shipOutcome struct {
 // whether the page stays pending. It then heals the link and requires the
 // held entries to leave the batch only through an acknowledged ship.
 func TestShipOutcomeTable(t *testing.T) {
-	sealedErr := errors.New("memnode: extent sealed for migration")
-	fencedErr := errors.New("memnode: extent lease-fenced")
-	if !cluster.IsSealedErr(sealedErr) || !cluster.IsLeaseFencedErr(fencedErr) {
-		t.Fatal("test errors do not match the cluster predicates")
-	}
+	sealedErr := fmt.Errorf("memnode: write refused: %w", cluster.ErrSealed)
+	fencedErr := fmt.Errorf("memnode: write refused: %w", cluster.ErrLeaseFenced)
 	plainErr := errors.New("connection reset")
 
 	type row struct {
@@ -189,9 +186,9 @@ func TestShipOutcomeTable(t *testing.T) {
 		}
 		switch {
 		case err == nil:
-		case cluster.IsSealedErr(err):
+		case errors.Is(err, cluster.ErrSealed):
 			out.surfaced = "sealed"
-		case cluster.IsLeaseFencedErr(err):
+		case errors.Is(err, cluster.ErrLeaseFenced):
 			out.surfaced = "lease-fenced"
 		default:
 			out.surfaced = "error"
