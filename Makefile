@@ -106,10 +106,12 @@ chaos:
 		-run 'Chaos|Rejoin|Repair|ByteBudget|Migrat|Replace|NodeAccess|FailedUnseal|TwoGroupsOneDeadNode' ./internal/core ./internal/cluster ./internal/kv
 
 # The ROADMAP's net-negative goal as a command: non-test lines in the
-# packages it sets budgets for.
+# packages it sets budgets for, then the core + cluster sum the goal is
+# stated in.
 loc:
 	@for d in internal/core internal/cluster internal/fpga; do \
 		echo "$$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
+	@echo "core+cluster $$(find internal/core internal/cluster -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # KV service SLO guard (DESIGN.md §12): the fixed-seed open-loop zipfian
 # run against kona-kvd on a full TCP rack — the tail must hold under the

@@ -193,7 +193,7 @@ func TestControllerChaosAllocNoLeak(t *testing.T) {
 	const n, size = 16, uint64(1 << 20)
 	seen := map[uint64]bool{}
 	for i := 0; i < n; i++ {
-		s, _, err := cc.AllocSlab(size)
+		s, err := cc.AllocSlab(size)
 		if err != nil {
 			t.Fatalf("alloc %d through faults: %v", i, err)
 		}

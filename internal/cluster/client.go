@@ -49,14 +49,14 @@ func (c *ControllerClient) RegisterNodeEpoch(id int, capacity uint64, nodeAddr s
 	return resp.Epoch, nil
 }
 
-// SlabPlacements returns a placement group's current members and the
-// node address map — the compute-side refresh after a repair flip.
-func (c *ControllerClient) SlabPlacements(group uint64) ([]slab.Slab, map[int]string, error) {
+// SlabPlacements returns a placement group's current members — the
+// compute-side refresh after a repair flip.
+func (c *ControllerClient) SlabPlacements(group uint64) ([]slab.Slab, error) {
 	resp, err := c.pool.roundTrip(&Request{Kind: kindSlabPlacements, SlabID: group})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return resp.Slabs, resp.Addrs, nil
+	return resp.Slabs, nil
 }
 
 // ReportFailure tells the controller a node's log ships keep failing.
@@ -91,28 +91,27 @@ func (c *ControllerClient) Epoch() (uint64, error) {
 	return resp.Epoch, nil
 }
 
-// AllocSlab requests one slab and returns it with the hosting node's
-// address. Retried transparently: the request ID lets the controller
-// deduplicate replays, so a lost response cannot leak a slab.
-func (c *ControllerClient) AllocSlab(size uint64) (slab.Slab, string, error) {
+// AllocSlab requests one slab. Retried transparently: the request ID lets
+// the controller deduplicate replays, so a lost response cannot leak a
+// slab. The hosting node's address is NodeAddrs's to tell.
+func (c *ControllerClient) AllocSlab(size uint64) (slab.Slab, error) {
 	resp, err := c.pool.roundTrip(&Request{Kind: kindAllocSlab, Size: size})
 	if err != nil {
-		return slab.Slab{}, "", err
+		return slab.Slab{}, err
 	}
 	if len(resp.Slabs) != 1 {
-		return slab.Slab{}, "", fmt.Errorf("cluster: controller returned %d slabs", len(resp.Slabs))
+		return slab.Slab{}, fmt.Errorf("cluster: controller returned %d slabs", len(resp.Slabs))
 	}
-	s := resp.Slabs[0]
-	return s, resp.Addrs[s.Node], nil
+	return resp.Slabs[0], nil
 }
 
 // AllocReplicatedSlab requests a slab placed on `replicas` distinct nodes.
-func (c *ControllerClient) AllocReplicatedSlab(size uint64, replicas int) ([]slab.Slab, map[int]string, error) {
+func (c *ControllerClient) AllocReplicatedSlab(size uint64, replicas int) ([]slab.Slab, error) {
 	resp, err := c.pool.roundTrip(&Request{Kind: kindAllocSlab, Size: size, Replicas: replicas})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return resp.Slabs, resp.Addrs, nil
+	return resp.Slabs, nil
 }
 
 // ReleaseSlab returns a slab's memory to its node.
@@ -123,7 +122,8 @@ func (c *ControllerClient) ReleaseSlab(s slab.Slab) error {
 	return err
 }
 
-// NodeAddrs returns the controller's current node-id -> TCP address map.
+// NodeAddrs returns the controller's current node-id -> TCP address map,
+// the one reply that carries addresses.
 func (c *ControllerClient) NodeAddrs() (map[int]string, error) {
 	resp, err := c.pool.roundTrip(&Request{Kind: kindNodeAddr})
 	if err != nil {

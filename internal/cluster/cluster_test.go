@@ -229,14 +229,18 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 
 	// Allocate a slab; write and read back through the hosting node.
-	s, nodeAddr, err := cc.AllocSlab(1 << 20)
+	s, err := cc.AllocSlab(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodeAddr == "" {
-		t.Fatalf("controller returned no node address")
+	addrs, err := cc.NodeAddrs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	mc := DialMemoryNode(nodeAddr)
+	if addrs[s.Node] == "" {
+		t.Fatalf("controller returned no address for node %d", s.Node)
+	}
+	mc := DialMemoryNode(addrs[s.Node])
 	if err := mc.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,19 +275,19 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 
 	// Replicated allocation over TCP.
-	slabs, addrs, err := cc.AllocReplicatedSlab(1<<20, 2)
+	slabs, err := cc.AllocReplicatedSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slabs) != 2 || len(addrs) != 2 {
-		t.Fatalf("replicated alloc: %d slabs, %d addrs", len(slabs), len(addrs))
+	if len(slabs) != 2 || slabs[0].Node == slabs[1].Node || addrs[slabs[1].Node] == "" {
+		t.Fatalf("replicated alloc: %d slabs %+v, addrs %v", len(slabs), slabs, addrs)
 	}
 
 	// Error paths over the wire.
 	if _, err := readFrom(mc, 1<<40, 10); err == nil {
 		t.Errorf("out-of-range TCP read succeeded")
 	}
-	if _, _, err := cc.AllocSlab(1 << 40); err == nil {
+	if _, err := cc.AllocSlab(1 << 40); err == nil {
 		t.Errorf("oversized TCP alloc succeeded")
 	}
 	_ = nodeSrvs
@@ -355,7 +359,7 @@ func TestTCPProtocolRobustness(t *testing.T) {
 		t.Errorf("release for unknown node accepted")
 	}
 	// Release round trip.
-	s, _, err := cc.AllocSlab(1 << 20)
+	s, err := cc.AllocSlab(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +387,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := cc.AllocSlab(1 << 20); err != nil {
+			if _, err := cc.AllocSlab(1 << 20); err != nil {
 				errs <- err
 			}
 		}()

@@ -262,7 +262,7 @@ func (c *Controller) PlacementEpoch() uint64 {
 	return c.epoch
 }
 
-// Placements returns the current members of a placement group, replica
+// SlabPlacements returns the current members of a placement group, replica
 // order preserved (index 0 is the primary). Dead members are returned
 // too, deliberately: a member whose node was expelled stays in its group
 // (degraded) until repair flips it, and compute runtimes need the dead
@@ -270,19 +270,19 @@ func (c *Controller) PlacementEpoch() uint64 {
 // retained-entry protocol — they substitute a deadLink stand-in locally.
 // Callers that need liveness resolved on the controller side use
 // PlacementsHealth.
-func (c *Controller) Placements(group uint64) ([]slab.Slab, bool) {
+func (c *Controller) SlabPlacements(group uint64) ([]slab.Slab, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	members, ok := c.groups[group]
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("controller: unknown placement group %d", group)
 	}
 	out := make([]slab.Slab, len(members))
 	copy(out, members)
-	return out, true
+	return out, nil
 }
 
-// PlacementsHealth is Placements plus a per-member liveness flag,
+// PlacementsHealth is SlabPlacements plus a per-member liveness flag,
 // computed under the same critical section the membership copy is taken
 // in — so a read racing removeLocked sees either the pre-removal state
 // (member live) or the post-removal state (member flagged dead), never a

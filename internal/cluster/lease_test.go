@@ -244,7 +244,11 @@ func TestLeaseRefusalsArriveTyped(t *testing.T) {
 	_, cs, _ := tcpRack(t, 1)
 	cc := DialController(cs.Addr())
 	defer cc.Close()
-	s, addr, err := cc.AllocSlab(1 << 20)
+	s, err := cc.AllocSlab(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, err := cc.NodeAddrs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +259,7 @@ func TestLeaseRefusalsArriveTyped(t *testing.T) {
 	if _, err := cc.AcquireLease(s.ID, bob, LeaseWriter, 0); !errors.Is(err, ErrLeaseConflict) || errors.Is(err, ErrLeaseFenced) {
 		t.Fatalf("conflicting acquire over TCP: got %v, want ErrLeaseConflict", err)
 	}
-	mc := DialMemoryNode(addr)
+	mc := DialMemoryNode(addrs[s.Node])
 	defer mc.Close()
 	mc.SetEpoch(s.Epoch)
 	mc.SetRuntime(bob)

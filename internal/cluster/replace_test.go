@@ -175,8 +175,8 @@ func TestRepairRestoresReplication(t *testing.T) {
 		t.Fatalf("placement epoch did not advance across remove+flip")
 	}
 
-	cur, ok := c.Placements(gid)
-	if !ok || len(cur) != 2 {
+	cur, err := c.SlabPlacements(gid)
+	if err != nil || len(cur) != 2 {
 		t.Fatalf("placements = %v", cur)
 	}
 	for _, m := range cur {
@@ -247,7 +247,7 @@ func TestRepairSkipsLostNodeAsTarget(t *testing.T) {
 	}
 	c.AbandonExtent(target)
 	drainRepairs(t, e, c)
-	cur, _ := c.Placements(members[0].ID)
+	cur, _ := c.SlabPlacements(members[0].ID)
 	for _, m := range cur {
 		if got := readMember(t, c, m); !bytes.Equal(got, want) {
 			t.Fatalf("member on node %d diverged after rejoin repair", m.Node)
@@ -307,7 +307,7 @@ func TestCommitReplacementFencesStaleFlips(t *testing.T) {
 	if err := c.Register(NewMemoryNode(d.Node, 8<<20)); err != nil {
 		t.Fatal(err)
 	}
-	live, _ := c.Placements(d.ID)
+	live, _ := c.SlabPlacements(d.ID)
 	_, dst, err := c.CarveReplacement(live[0])
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestRegisterArbitratesRejoin(t *testing.T) {
 
 	e := localEngine(c, ReplaceConfig{})
 	drainRepairs(t, e, c)
-	cur, _ := c.Placements(members[0].ID)
+	cur, _ := c.SlabPlacements(members[0].ID)
 	if len(cur) != 2 {
 		t.Fatalf("placements = %+v", cur)
 	}
@@ -516,8 +516,8 @@ func TestMigrationPreservesBytesUnderConcurrentWrites(t *testing.T) {
 		t.Fatalf("placement epoch did not advance across the flip")
 	}
 
-	members, ok := c.Placements(src.ID)
-	if !ok || len(members) != 1 {
+	members, err := c.SlabPlacements(src.ID)
+	if err != nil || len(members) != 1 {
 		t.Fatalf("placements = %+v", members)
 	}
 	dst := members[0]
@@ -630,7 +630,7 @@ func TestMigrationAbortUnwinds(t *testing.T) {
 	if st := e.Stats(); st.Migrate.Failures != 1 || st.Migrate.Flips != 0 {
 		t.Fatalf("stats = %+v, want 1 failure / 0 moves", st)
 	}
-	members, _ := c.Placements(src.ID)
+	members, _ := c.SlabPlacements(src.ID)
 	if len(members) != 1 || members[0].Node != src.Node || members[0].RemoteOff != src.RemoteOff {
 		t.Fatalf("placement changed by an aborted migration: %+v", members)
 	}
@@ -655,7 +655,7 @@ func TestMigrationAbortUnwinds(t *testing.T) {
 	if err := e2.replaceMember(src2); err == nil {
 		t.Fatalf("flip committed onto a node that died after seal")
 	}
-	members2, _ := c2.Placements(src2.ID)
+	members2, _ := c2.SlabPlacements(src2.ID)
 	if len(members2) != 1 || members2[0].Node != src2.Node {
 		t.Fatalf("placement changed by a post-seal abort: %+v", members2)
 	}
@@ -1181,7 +1181,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 		if err := srcNode.WriteAt(old.RemoteOff, line); err != nil {
 			t.Fatalf("still-current member left sealed after the retry: %v", err)
 		}
-		if members, _ := c.Placements(old.ID); len(members) != 1 || members[0] != old {
+		if members, _ := c.SlabPlacements(old.ID); len(members) != 1 || members[0] != old {
 			t.Fatalf("placement changed by an unwound migration: %+v", members)
 		}
 		if st := e.Stats(); st.Retired != 0 || len(e.held) != 0 {
@@ -1254,7 +1254,7 @@ func TestReplaceEngineRun(t *testing.T) {
 	if c.DegradedCount() != 0 {
 		t.Fatalf("degraded = %d after the loop repaired", c.DegradedCount())
 	}
-	cur, _ := c.Placements(members[0].ID)
+	cur, _ := c.SlabPlacements(members[0].ID)
 	for _, m := range cur {
 		if got := readMember(t, c, m); !bytes.Equal(got, want) {
 			t.Fatalf("member on node %d diverged", m.Node)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -327,13 +328,13 @@ func (s *ControllerServer) dispatch(req *Request) *Response {
 			if err != nil {
 				return &Response{Err: err}
 			}
-			return &Response{Slabs: slabs, Addrs: s.snapshotAddrs()}
+			return &Response{Slabs: slabs}
 		}
 		sl, err := s.ctrl.AllocSlab(req.Size)
 		if err != nil {
 			return &Response{Err: err}
 		}
-		return &Response{Slabs: []slab.Slab{sl}, Addrs: s.snapshotAddrs()}
+		return &Response{Slabs: []slab.Slab{sl}}
 	case kindReleaseSlab:
 		err := s.ctrl.ReleaseSlab(slab.Slab{Node: req.NodeID, RemoteOff: req.Offset, Size: req.Size})
 		if err != nil {
@@ -341,13 +342,16 @@ func (s *ControllerServer) dispatch(req *Request) *Response {
 		}
 		return &Response{}
 	case kindNodeAddr:
-		return &Response{Addrs: s.snapshotAddrs()}
+		s.mu.Lock()
+		addrs := maps.Clone(s.addrs)
+		s.mu.Unlock()
+		return &Response{Addrs: addrs}
 	case kindSlabPlacements:
-		members, ok := s.ctrl.Placements(req.SlabID)
-		if !ok {
-			return &Response{Err: fmt.Errorf("controller: unknown placement group %d", req.SlabID)}
+		members, err := s.ctrl.SlabPlacements(req.SlabID)
+		if err != nil {
+			return &Response{Err: err}
 		}
-		return &Response{Slabs: members, Addrs: s.snapshotAddrs(), Epoch: s.ctrl.PlacementEpoch()}
+		return &Response{Slabs: members, Epoch: s.ctrl.PlacementEpoch()}
 	case kindReportFailure:
 		removed := s.ctrl.ReportNodeFailure(req.NodeID)
 		resp := &Response{Epoch: s.ctrl.PlacementEpoch()}
@@ -434,16 +438,6 @@ func (s *ControllerServer) publishLoad(node int) {
 		s.reg.Counter(prefix + "write_bytes").Store(nl.Totals.WriteBytes)
 		return
 	}
-}
-
-func (s *ControllerServer) snapshotAddrs() map[int]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]string, len(s.addrs))
-	for k, v := range s.addrs {
-		out[k] = v
-	}
-	return out
 }
 
 // MemoryNodeServer exposes a MemoryNode's pool over TCP: remote reads,

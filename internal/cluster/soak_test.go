@@ -71,12 +71,17 @@ func TestSoakNoLostWrites(t *testing.T) {
 			c.Close()
 		}
 	}()
+	addrs, err := cc.NodeAddrs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	regions := make([]region, workers)
 	for i := range regions {
-		s, addr, err := cc.AllocSlab(1 << 20)
+		s, err := cc.AllocSlab(1 << 20)
 		if err != nil {
 			t.Fatalf("soak alloc %d: %v", i, err)
 		}
+		addr := addrs[s.Node]
 		if clients[addr] == nil {
 			clients[addr] = DialMemoryNodeTransport(addr, tr)
 		}

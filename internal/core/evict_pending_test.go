@@ -12,11 +12,11 @@ import (
 
 // pendingRig is an evictor over fake links with one 64-page slab mapped.
 type pendingRig struct {
-	rack *fakeRack
-	rm   *resourceManager
-	e    *evictor
-	base mem.Addr
-	reg  *telemetry.Registry
+	links *fakeLinks
+	rm    *resourceManager
+	e     *evictor
+	base  mem.Addr
+	reg   *telemetry.Registry
 }
 
 func newPendingRig(t *testing.T, replicas, shards int) *pendingRig {
@@ -26,13 +26,13 @@ func newPendingRig(t *testing.T, replicas, shards int) *pendingRig {
 	cfg.Shards = shards
 	cfg.Metrics = telemetry.New(0)
 	cfg = cfg.withDefaults()
-	rack := &fakeRack{simRack: newSimRack(newCluster(3)), links: make(map[int]*fakeLink)}
-	rm := newResourceManager(cfg, rack)
+	fl := newFakeLinks(false)
+	rm := newResourceManager(cfg, fl, localControl{newCluster(3)})
 	base, err := rm.Malloc(64 * mem.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &pendingRig{rack: rack, rm: rm, e: newEvictor(rm, cfg), base: base, reg: cfg.Metrics}
+	return &pendingRig{links: fl, rm: rm, e: newEvictor(rm, cfg), base: base, reg: cfg.Metrics}
 }
 
 func (r *pendingRig) page(p int) mem.Addr { return r.base + mem.Addr(p)*mem.PageSize }
@@ -64,7 +64,7 @@ func (r *pendingRig) pendingPages() []mem.Addr {
 
 func (r *pendingRig) ships() int {
 	n := 0
-	for _, l := range r.rack.links {
+	for _, l := range r.links.links {
 		n += l.ships
 	}
 	return n
@@ -257,18 +257,18 @@ func TestFirstUseDuringHarvestIsCovered(t *testing.T) {
 	}
 }
 
-// flipRack is a fakeRack whose controller view of one group can be
-// overridden, to stage a placement flip.
-type flipRack struct {
-	*fakeRack
+// flipControl is a controller whose view of one group can be overridden,
+// to stage a placement flip.
+type flipControl struct {
+	control
 	flipped map[uint64][]Slab
 }
 
-func (r *flipRack) slabPlacements(group uint64) ([]Slab, error) {
-	if m, ok := r.flipped[group]; ok {
+func (c *flipControl) SlabPlacements(group uint64) ([]Slab, error) {
+	if m, ok := c.flipped[group]; ok {
 		return m, nil
 	}
-	return r.fakeRack.slabPlacements(group)
+	return c.control.SlabPlacements(group)
 }
 
 // TestEvictFollowsPlacementFlip: the destination buffer is resolved from
@@ -279,8 +279,8 @@ func (r *flipRack) slabPlacements(group uint64) ([]Slab, error) {
 // batches: each shard resolves a destination once.
 func TestEvictFollowsPlacementFlip(t *testing.T) {
 	r := newPendingRig(t, 2, 1)
-	rack := &flipRack{fakeRack: r.rack, flipped: make(map[uint64][]Slab)}
-	r.rm.rack = rack
+	ctrl := &flipControl{control: r.rm.ctrl, flipped: make(map[uint64][]Slab)}
+	r.rm.ctrl = ctrl
 	g := mustGroup(t, r)
 	old := r.rm.replicas[g.ID].members
 	keep, gone := old[0], old[1]
@@ -291,7 +291,7 @@ func TestEvictFollowsPlacementFlip(t *testing.T) {
 	newKey := linkKeyFor(repl.Node, repl.Epoch)
 
 	r.evict(t, 1)
-	rack.flipped[g.ID] = []Slab{keep.Slab, repl}
+	ctrl.flipped[g.ID] = []Slab{keep.Slab, repl}
 	moves, changed, err := r.rm.refreshPlacements()
 	if err != nil || !changed || len(moves) != 1 {
 		t.Fatalf("refresh: %d moves, changed=%v, err=%v; want one move", len(moves), changed, err)
@@ -348,7 +348,7 @@ func TestEvictFollowsPlacementFlip(t *testing.T) {
 	if l := gone.link.(*fakeLink); l.ships != 0 {
 		t.Errorf("replaced member was shipped to %d times", l.ships)
 	}
-	if l := rack.links[repl.Node]; l == nil || l.ships != 1 {
+	if l := r.links.links[repl.Node]; l == nil || l.ships != 1 {
 		t.Error("new member did not receive exactly one ship")
 	}
 }

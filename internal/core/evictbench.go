@@ -21,7 +21,7 @@ import (
 // Receiver, whose acknowledgment timing feeds the AckWait slice.
 func EvictionBench(ctrl *cluster.Controller, cfg Config, pages int, dirty mem.LineBitmap) (simclock.Duration, Breakdown, EvictStats, error) {
 	cfg = cfg.withDefaults()
-	rm := newResourceManager(cfg, newSimRack(ctrl))
+	rm := newResourceManager(cfg, newSimLinks(ctrl, 0), localControl{ctrl})
 	ev := newEvictor(rm, cfg)
 
 	if !dirty.Any() {
@@ -59,8 +59,8 @@ func EvictionBench(ctrl *cluster.Controller, cfg Config, pages int, dirty mem.Li
 // comparison for the ablation experiment.
 func EvictionBenchSG(ctrl *cluster.Controller, cfg Config, pages int, dirty mem.LineBitmap) (simclock.Duration, error) {
 	cfg = cfg.withDefaults()
-	sr := newSimRack(ctrl)
-	rm := newResourceManager(cfg, sr)
+	sl := newSimLinks(ctrl, 0)
+	rm := newResourceManager(cfg, sl, localControl{ctrl})
 	if !dirty.Any() {
 		return 0, fmt.Errorf("core: eviction bench needs at least one dirty line")
 	}
@@ -70,7 +70,7 @@ func EvictionBenchSG(ctrl *cluster.Controller, cfg Config, pages int, dirty mem.
 	}
 	// The FMem frames are registered with the NIC, so gathers read them
 	// directly — the no-copy advantage of the approach.
-	frame := sr.localEP.RegisterMR(mem.PageSize)
+	frame := sl.localEP.RegisterMR(mem.PageSize)
 	segs := dirty.Segments()
 	var now simclock.Duration
 	const batch = 16

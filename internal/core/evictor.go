@@ -369,7 +369,7 @@ func newEvictor(rm *resourceManager, cfg Config) *evictor {
 	for i := range e.shards {
 		e.shards[i].arena = newPayloadArena(cfg.LogBytes)
 	}
-	if rm.rack.pipelined() {
+	if rm.links.pipelined() {
 		e.sem = make(chan struct{}, evictInflight)
 	}
 	return e
@@ -525,7 +525,8 @@ func (e *evictor) reportShipFailureLocked(nb *nodeBatch) {
 	nb.reported = true
 	e.shipReports.Add(1)
 	e.m.shipFailures.Inc()
-	_ = e.rm.rack.reportShipFailure(nb.link.id())
+	// Best-effort: a lost report leaves the node to the controller's sweep.
+	_, _ = e.rm.ctrl.ReportFailure(nb.link.id())
 }
 
 // batchFor finds or creates the global merge batch for a destination

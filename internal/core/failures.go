@@ -103,7 +103,7 @@ func (k *Kona) FailureStats() FailureStats {
 // node (failure injection; 0 clears). Only the simulated transport
 // supports it.
 func (k *Kona) InjectNetworkDelay(nodeID int, d simclock.Duration) error {
-	l, err := k.rm.rack.link(nodeID, 0)
+	l, err := k.rm.links.link(nodeID, 0)
 	if err != nil {
 		return err
 	}

@@ -132,33 +132,35 @@ func (k *Kona) takeEvictErr() error {
 // simulated RDMA transport). The controller must have registered memory
 // nodes.
 func NewKona(cfg Config, ctrl *cluster.Controller) *Kona {
-	return newKona(cfg.withDefaults(), newSimRack(ctrl))
+	id := nextRuntimeID()
+	return newKona(cfg.withDefaults(), id, newSimLinks(ctrl, id), localControl{ctrl})
 }
 
 // NewKonaTCP builds a runtime against a remote controller daemon reached
 // over TCP (cmd/kona-controller + cmd/kona-memnode). Data moves over real
 // sockets; measured wall-clock latencies fold into the virtual clock.
 func NewKonaTCP(cfg Config, controllerAddr string) *Kona {
-	return newKona(cfg.withDefaults(), newTCPRack(controllerAddr))
+	return NewKonaTCPWith(cfg, controllerAddr, cluster.DefaultTransport())
 }
 
 // NewKonaTCPWith is NewKonaTCP with an explicit wire policy (deadlines,
 // retry budget, connection-pool size) for the controller and node links.
 func NewKonaTCPWith(cfg Config, controllerAddr string, tr cluster.Transport) *Kona {
-	return newKona(cfg.withDefaults(), newTCPRackWith(controllerAddr, tr))
+	id := nextRuntimeID()
+	cc := cluster.DialControllerTransport(controllerAddr, tr)
+	return newKona(cfg.withDefaults(), id, newTCPLinks(cc, tr, id), cc)
 }
 
-func newKona(cfg Config, r rack) *Kona {
-	rm := newResourceManager(cfg, r)
+// newKona builds runtime id over links that already stamp id on every
+// data-path write, for lease fencing.
+func newKona(cfg Config, id uint64, l links, c control) *Kona {
+	rm := newResourceManager(cfg, l, c)
 	k := &Kona{
 		cfg: cfg, rm: rm, m: newCoreMetrics(cfg.Metrics),
-		runtimeID:    nextRuntimeID(),
+		runtimeID:    id,
 		writerGroups: make(map[uint64]struct{}),
 		readerGroups: make(map[uint64]*readerShare),
 	}
-	// Stamp the identity before any link exists so every data-path write
-	// carries it for lease fencing.
-	r.setRuntime(k.runtimeID)
 	k.evict = newEvictor(rm, cfg)
 	k.fpga = fpga.New(fpga.Config{
 		FMemSize:      cfg.LocalCacheBytes,
@@ -172,7 +174,7 @@ func newKona(cfg Config, r rack) *Kona {
 	// Scatter-gather fetches only pay off when round trips are real;
 	// the simulated fabric keeps the serial path so virtual time stays
 	// byte-reproducible.
-	if r.pipelined() {
+	if l.pipelined() {
 		k.fpga.EnableBatchFetch()
 	}
 	k.fpga.SetFreshCheck(rm.pageFresh)
@@ -326,14 +328,14 @@ func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 	k.loadMu.Lock()
 	k.loadScratch = k.evict.pendingLoads(k.loadScratch)
 	for _, np := range k.loadScratch {
-		_ = k.rm.rack.reportLoad(np.node, np.bytes)
+		_ = k.rm.ctrl.ReportLoad(np.node, cluster.LoadSample{PendingBytes: np.bytes})
 	}
 	k.loadMu.Unlock()
 	// Pick up repair flips before flushing so retained entries land on the
 	// repaired replica in this drain, not the next. The epoch check is one
 	// control-path lookup; in a healthy steady state the epoch never moves
 	// and no refresh happens.
-	if ep, eerr := k.rm.rack.placementEpoch(); eerr == nil {
+	if ep, eerr := k.rm.ctrl.Epoch(); eerr == nil {
 		if k.placementEpoch.Swap(ep) != ep {
 			if _, rerr := k.RefreshPlacements(); rerr != nil {
 				k.noteEvictErr(rerr)

@@ -112,26 +112,9 @@ type KonaVM struct {
 // controller (simulated RDMA transport).
 func NewKonaVM(cfg Config, ctrl *cluster.Controller) *KonaVM {
 	cfg = cfg.withDefaults()
-	return newKonaVM(cfg, newSimRack(ctrl))
-}
-
-// NewKonaVMTCP builds the baseline runtime against a remote controller
-// daemon (TCP transport; wall-clock latencies fold into virtual time).
-func NewKonaVMTCP(cfg Config, controllerAddr string) *KonaVM {
-	cfg = cfg.withDefaults()
-	return newKonaVM(cfg, newTCPRack(controllerAddr))
-}
-
-// NewKonaVMTCPWith is NewKonaVMTCP with an explicit wire policy.
-func NewKonaVMTCPWith(cfg Config, controllerAddr string, tr cluster.Transport) *KonaVM {
-	cfg = cfg.withDefaults()
-	return newKonaVM(cfg, newTCPRackWith(controllerAddr, tr))
-}
-
-func newKonaVM(cfg Config, r rack) *KonaVM {
 	return &KonaVM{
 		cfg:           cfg,
-		rm:            newResourceManager(cfg, r),
+		rm:            newResourceManager(cfg, newSimLinks(ctrl, 0), localControl{ctrl}),
 		as:            vm.NewAddressSpace(),
 		WriteProtect:  true,
 		EvictEnabled:  true,

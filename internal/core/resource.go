@@ -70,7 +70,7 @@ var (
 
 // member is one row of the member table: a replica of a placement group,
 // the link that reaches it, and its state. The link is resolved once, when
-// the membership is installed; an incarnation the rack cannot link gets
+// the membership is installed; an incarnation that cannot be linked gets
 // the deadLink null object (every ship to it fails and is retained, §10),
 // re-tried on each refresh. All fields are guarded by rm.mu; the slab and
 // slot never change after install.
@@ -111,7 +111,8 @@ type resourceManager struct {
 	mu sync.Mutex
 
 	cfg   Config
-	rack  rack
+	links links
+	ctrl  control
 	alloc *slab.Allocator
 	trace *telemetry.Trace
 
@@ -134,10 +135,11 @@ type resourceManager struct {
 	attached map[uint64]struct{}
 }
 
-func newResourceManager(cfg Config, r rack) *resourceManager {
+func newResourceManager(cfg Config, l links, c control) *resourceManager {
 	return &resourceManager{
 		cfg:      cfg,
-		rack:     r,
+		links:    l,
+		ctrl:     c,
 		alloc:    slab.NewAllocator(),
 		trace:    cfg.Metrics.Trace(),
 		replicas: make(map[uint64]*group),
@@ -203,9 +205,9 @@ func (rm *resourceManager) inState(st memberState) int {
 }
 
 // resolve links a slab's hosting incarnation, substituting the deadLink
-// null object when the rack cannot (expelled node, stale incarnation).
+// null object when it cannot be linked (expelled node, stale incarnation).
 func (rm *resourceManager) resolve(s Slab) nodeLink {
-	l, err := rm.rack.link(s.Node, s.Epoch)
+	l, err := rm.links.link(s.Node, s.Epoch)
 	if err != nil {
 		return deadLink{nodeID: s.Node, ep: s.Epoch}
 	}
@@ -229,9 +231,9 @@ func (rm *resourceManager) growLocked() error {
 	slabs := make([]Slab, 1)
 	var err error
 	if rm.cfg.Replicas > 1 {
-		slabs, err = rm.rack.allocReplicated(rm.cfg.SlabSize, rm.cfg.Replicas)
+		slabs, err = rm.ctrl.AllocReplicatedSlab(rm.cfg.SlabSize, rm.cfg.Replicas)
 	} else {
-		slabs[0], err = rm.rack.allocSlab(rm.cfg.SlabSize)
+		slabs[0], err = rm.ctrl.AllocSlab(rm.cfg.SlabSize)
 	}
 	if err != nil {
 		return fmt.Errorf("core: slab allocation: %w", err)
@@ -518,9 +520,10 @@ type replicaMove struct {
 	// A migration source, by contrast, stays registered and its pool
 	// window is eventually reused by a fresh carve; once the retained
 	// entries have drained, the move must be deleted or it would silently
-	// rewrite entries bound for the window's next tenant. The TCP rack has
-	// no registry to ask and links any incarnation it has an address for,
-	// so over TCP every move retires — the safe side of the two.
+	// rewrite entries bound for the window's next tenant. The TCP link
+	// factory has no registry to ask and links any incarnation of a node
+	// the controller has an address for — which outlives an expulsion —
+	// so over TCP every move retires: the safe side of the two.
 	retire bool
 }
 
@@ -543,7 +546,7 @@ func (rm *resourceManager) refreshPlacements() ([]replicaMove, bool, error) {
 	changed := false
 	for gid, g := range rm.replicas {
 		old := g.members
-		cur, err := rm.rack.slabPlacements(gid)
+		cur, err := rm.ctrl.SlabPlacements(gid)
 		if err != nil {
 			return moves, changed, fmt.Errorf("core: placement refresh for group %d: %w", gid, err)
 		}
@@ -562,9 +565,9 @@ func (rm *resourceManager) refreshPlacements() ([]replicaMove, bool, error) {
 			}
 			nm := &member{Slab: n, slot: i, link: rm.resolve(n)}
 			rm.transition(nm, evFlip)
-			// If the rack still links the old incarnation, its node is
-			// alive: this is a migration flip, and the move must retire.
-			_, oldLinkErr := rm.rack.link(o.Node, o.Epoch)
+			// If the old incarnation still links, its node is alive: this
+			// is a migration flip, and the move must retire.
+			_, oldLinkErr := rm.links.link(o.Node, o.Epoch)
 			moves = append(moves, replicaMove{
 				from:    extent{link: o.link.key(), off: o.RemoteOff},
 				size:    o.Size,
@@ -704,7 +707,7 @@ func (rm *resourceManager) releaseAll() error {
 		// writer returns them to the rack.
 		if _, att := rm.attached[id]; !att {
 			for _, m := range g.members {
-				if err := rm.rack.release(m.Slab); err != nil && firstErr == nil {
+				if err := rm.ctrl.ReleaseSlab(m.Slab); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}

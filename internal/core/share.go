@@ -64,7 +64,7 @@ func (k *Kona) ShareWriter(addr mem.Addr) (uint64, error) {
 	if _, held := k.writerGroups[s.ID]; held {
 		return s.ID, nil
 	}
-	if _, err := k.rm.rack.acquireLease(s.ID, k.runtimeID, cluster.LeaseWriter, 0); err != nil {
+	if _, err := k.rm.ctrl.AcquireLease(s.ID, k.runtimeID, cluster.LeaseWriter, 0); err != nil {
 		return 0, err
 	}
 	k.writerGroups[s.ID] = struct{}{}
@@ -96,7 +96,7 @@ func (k *Kona) ReleaseWriter(now simclock.Duration, group uint64) (simclock.Dura
 	defer k.shareMu.Unlock()
 	delete(k.writerGroups, group)
 	k.dropGroup(group)
-	return now, k.rm.rack.releaseLease(group, k.runtimeID)
+	return now, k.rm.ctrl.ReleaseLease(group, k.runtimeID)
 }
 
 // dropGroup invalidates every cached page of a mapped placement group.
@@ -130,18 +130,18 @@ func (k *Kona) AttachReader(group uint64) (mem.Addr, uint64, error) {
 	if rs, ok := k.readerGroups[group]; ok {
 		return rs.slab.Base, rs.slab.Size, nil
 	}
-	g, err := k.rm.rack.acquireLease(group, k.runtimeID, cluster.LeaseReader, 0)
+	g, err := k.rm.ctrl.AcquireLease(group, k.runtimeID, cluster.LeaseReader, 0)
 	if err != nil {
 		return 0, 0, err
 	}
-	members, err := k.rm.rack.slabPlacements(group)
+	members, err := k.rm.ctrl.SlabPlacements(group)
 	if err != nil {
-		_ = k.rm.rack.releaseLease(group, k.runtimeID)
+		_ = k.rm.ctrl.ReleaseLease(group, k.runtimeID)
 		return 0, 0, err
 	}
 	primary, err := k.rm.attachGroup(members)
 	if err != nil {
-		_ = k.rm.rack.releaseLease(group, k.runtimeID)
+		_ = k.rm.ctrl.ReleaseLease(group, k.runtimeID)
 		return 0, 0, err
 	}
 	k.readerGroups[group] = &readerShare{
@@ -166,7 +166,7 @@ func (k *Kona) DetachReader(group uint64) error {
 	k.rm.detachGroup(group)
 	delete(k.readerGroups, group)
 	k.readerCount.Add(-1)
-	return k.rm.rack.releaseLease(group, k.runtimeID)
+	return k.rm.ctrl.ReleaseLease(group, k.runtimeID)
 }
 
 // PollInvalidations renews every reader lease and applies pending
@@ -194,7 +194,7 @@ func (k *Kona) PollInvalidations() (int, error) {
 // invalidation, reporting whether pages were dropped. Caller holds
 // shareMu (DropRange takes fpga shard locks; no shard lock may be held).
 func (k *Kona) renewReaderLocked(group uint64, rs *readerShare) bool {
-	g, err := k.rm.rack.renewLease(group, k.runtimeID, cluster.LeaseReader, 0)
+	g, err := k.rm.ctrl.RenewLease(group, k.runtimeID, cluster.LeaseReader, 0)
 	rs.err = err
 	if err != nil {
 		return false
@@ -244,7 +244,7 @@ func (k *Kona) upgradeIfReader(addr mem.Addr) error {
 	if _, held := k.writerGroups[s.ID]; held {
 		return nil
 	}
-	if _, err := k.rm.rack.acquireLease(s.ID, k.runtimeID, cluster.LeaseWriter, 0); err != nil {
+	if _, err := k.rm.ctrl.AcquireLease(s.ID, k.runtimeID, cluster.LeaseWriter, 0); err != nil {
 		return fmt.Errorf("core: write to reader-mode region %v: %w", addr, err)
 	}
 	if _, wasReader := k.readerGroups[s.ID]; wasReader {
@@ -264,7 +264,7 @@ func (k *Kona) publishShared() error {
 	defer k.shareMu.Unlock()
 	var firstErr error
 	for group := range k.writerGroups {
-		if _, err := k.rm.rack.publishLease(group, k.runtimeID); err != nil && firstErr == nil {
+		if _, err := k.rm.ctrl.PublishLease(group, k.runtimeID); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -276,13 +276,13 @@ func (k *Kona) releaseShares() {
 	k.shareMu.Lock()
 	defer k.shareMu.Unlock()
 	for group := range k.writerGroups {
-		_ = k.rm.rack.releaseLease(group, k.runtimeID)
+		_ = k.rm.ctrl.ReleaseLease(group, k.runtimeID)
 		delete(k.writerGroups, group)
 	}
 	for group, rs := range k.readerGroups {
 		k.fpga.DropRange(rs.slab.Base, rs.slab.Size)
 		k.rm.detachGroup(group)
-		_ = k.rm.rack.releaseLease(group, k.runtimeID)
+		_ = k.rm.ctrl.ReleaseLease(group, k.runtimeID)
 		delete(k.readerGroups, group)
 		k.readerCount.Add(-1)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kona/internal/cluster"
@@ -62,21 +63,22 @@ func (l *fakeLink) shipLog(now simclock.Duration, packed [][]byte) (simclock.Dur
 }
 func (l *fakeLink) injectDelay(simclock.Duration) error { return nil }
 
-// fakeRack is the in-process rack with fake links: allocation goes to a
-// real controller, every link is a fakeLink, and the test chooses which
-// executor the evictor gets.
-type fakeRack struct {
-	*simRack
+// fakeLinks is a link factory of fakeLinks, one per node, whose test
+// chooses which executor the evictor gets.
+type fakeLinks struct {
 	pipe bool
 
-	mu      sync.Mutex
-	links   map[int]*fakeLink
-	reports int
+	mu    sync.Mutex
+	links map[int]*fakeLink
 }
 
-func (r *fakeRack) pipelined() bool { return r.pipe }
+func newFakeLinks(pipe bool) *fakeLinks {
+	return &fakeLinks{pipe: pipe, links: make(map[int]*fakeLink)}
+}
 
-func (r *fakeRack) link(node int, epoch uint64) (nodeLink, error) {
+func (r *fakeLinks) pipelined() bool { return r.pipe }
+
+func (r *fakeLinks) link(node int, epoch uint64) (nodeLink, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.links[node]
@@ -87,11 +89,16 @@ func (r *fakeRack) link(node int, epoch uint64) (nodeLink, error) {
 	return l, nil
 }
 
-func (r *fakeRack) reportShipFailure(node int) error {
-	r.mu.Lock()
-	r.reports++
-	r.mu.Unlock()
-	return nil
+// reportCounter is a real controller that counts failure reports instead
+// of acting on them.
+type reportCounter struct {
+	control
+	reports atomic.Int64
+}
+
+func (c *reportCounter) ReportFailure(node int) (bool, error) {
+	c.reports.Add(1)
+	return false, nil
 }
 
 // shipOutcome is everything a flush cycle leaves behind for one faulty
@@ -155,8 +162,8 @@ func TestShipOutcomeTable(t *testing.T) {
 	run := func(t *testing.T, r row, replicas int, pipelined bool) shipOutcome {
 		cfg := smallConfig()
 		cfg.Replicas = replicas
-		rack := &fakeRack{simRack: newSimRack(newCluster(2)), pipe: pipelined, links: make(map[int]*fakeLink)}
-		rm := newResourceManager(cfg.withDefaults(), rack)
+		ctrl := &reportCounter{control: localControl{newCluster(2)}}
+		rm := newResourceManager(cfg.withDefaults(), newFakeLinks(pipelined), ctrl)
 		e := newEvictor(rm, cfg.withDefaults())
 		if (e.sem != nil) != pipelined {
 			t.Fatalf("executor: pipelined=%v, want %v", e.sem != nil, pipelined)
@@ -198,7 +205,7 @@ func TestShipOutcomeTable(t *testing.T) {
 		out.pendingMarked = sh.pending.has(base)
 		out.attempts = fl.ships
 		out.heldEntries = len(nb.entries)
-		out.reports = rack.reports
+		out.reports = int(ctrl.reports.Load())
 		out.state = faulty.state
 		out.sealedRetains = e.sealedRetains.Load()
 		out.leaseFenced = e.leaseFenced.Load()

@@ -217,7 +217,7 @@ func TestMemberTransitionTable(t *testing.T) {
 	cfg := smallConfig()
 	reg := telemetry.New(64)
 	cfg.Metrics = reg
-	rm := newResourceManager(cfg.withDefaults(), newSimRack(newCluster(1)))
+	rm := newResourceManager(cfg.withDefaults(), nil, nil)
 	for from, row := range want {
 		for ev, to := range row {
 			m := &member{Slab: Slab{ID: 7, Node: 3, Epoch: 2}, slot: 1, link: deadLink{}, state: from}
@@ -245,7 +245,7 @@ func TestMemberTransitionTable(t *testing.T) {
 	}
 	// Without a registry the transition still happens and formats nothing.
 	cfg.Metrics = nil
-	rm = newResourceManager(cfg.withDefaults(), newSimRack(newCluster(1)))
+	rm = newResourceManager(cfg.withDefaults(), nil, nil)
 	m := &member{link: deadLink{}}
 	rm.notify(m, evSeal)
 	if m.state != sea {

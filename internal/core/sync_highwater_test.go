@@ -42,8 +42,7 @@ func TestSyncCostIgnoresHighWater(t *testing.T) {
 		}
 		cfg := smallConfig()
 		cfg.Shards = 1 // one pending set takes the whole high-water mark
-		rack := &fakeRack{simRack: newSimRack(ctrl), links: make(map[int]*fakeLink)}
-		k := newKona(cfg.withDefaults(), rack)
+		k := newKona(cfg.withDefaults(), nextRuntimeID(), newFakeLinks(false), localControl{ctrl})
 		var pages []mem.Addr
 		for len(pages) < loadPages {
 			base, err := k.Malloc(chunk)

@@ -117,6 +117,106 @@ func TestTCPReplicaFailoverOverWire(t *testing.T) {
 	}
 }
 
+// TestTCPRepairOntoUnlinkedNode: over TCP, a repair may flip a member onto
+// a memnode the runtime has never linked, whose address it learns only
+// when it builds that link. An R=2 slab lives on nodes 0 and 1; node 1 dies
+// and is repaired onto node 2; writes made after the repair copy leave
+// entries retained for node 1, which the refresh remaps and the next Sync
+// ships to node 2. With node 0 dead too, every page must then read back
+// from node 2 alone.
+func TestTCPRepairOntoUnlinkedNode(t *testing.T) {
+	ctrl := cluster.NewController()
+	cs, err := cluster.ServeController(ctrl, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	cc := cluster.DialController(cs.Addr())
+	t.Cleanup(func() { cc.Close() })
+	var nodes []*cluster.MemoryNode
+	var srvs []*cluster.MemoryNodeServer
+	serve := func(id int) {
+		node := cluster.NewMemoryNode(id, 64<<20)
+		ns, err := cluster.ServeMemoryNode(node, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ns.Close() })
+		if err := cc.RegisterNode(id, 64<<20, ns.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		nodes, srvs = append(nodes, node), append(srvs, ns)
+	}
+	serve(0)
+	serve(1)
+
+	const pages = 24
+	cfg := smallConfig()
+	cfg.Replicas = 2
+	cfg.LocalCacheBytes = 8 * mem.PageSize
+	k := NewKonaTCPWith(cfg, cs.Addr(), chaosTr())
+	base, err := k.Malloc(pages * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(2) // joins after the carve: nothing of this runtime's is on it
+	page := func(p int) mem.Addr { return base + mem.Addr(p)*mem.PageSize }
+	content := func(p, version int) []byte {
+		return bytes.Repeat([]byte{byte(version), byte(p)}, mem.PageSize/2)
+	}
+	var now simDurT
+	writeAll := func(version int) {
+		for p := 0; p < pages; p++ {
+			now = mustWrite(t, k, now, page(p), content(p, version))
+		}
+	}
+	sync := func() {
+		t.Helper()
+		if now, err = k.Sync(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writeAll(1)
+	sync()
+	if ms := groupMembersFor(k, base); len(ms) != 2 || ms[0].Node != 0 || ms[1].Node != 1 {
+		t.Fatalf("members = %+v, want nodes 0 and 1", ms)
+	}
+	srvs[1].Close()
+	writeAll(2)
+	sync() // the ship failure report gets node 1 expelled
+	ctrl.HealthSweep()
+	if ctrl.DegradedCount() == 0 {
+		t.Fatal("node 1's loss not detected")
+	}
+	drainRepairs(t, cluster.NewReplaceEngine(ctrl, cs.DialNode, cluster.ReplaceConfig{}), ctrl)
+
+	writeAll(3) // no Sync: the member table still names node 1
+	if changed, err := k.RefreshPlacements(); err != nil || !changed {
+		t.Fatalf("refresh after the repair: changed=%v err=%v", changed, err)
+	}
+	sync()
+	if fs := k.FailureStats(); fs.RemappedEntries == 0 || fs.SuspectMembers != 0 {
+		t.Fatalf("retained entries did not drain onto node 2: %+v", fs)
+	}
+	srvs[0].Close()
+
+	members := groupMembersFor(k, base)
+	if len(members) != 2 || members[1].Node != 2 {
+		t.Fatalf("members after the repair = %+v, want node 2 in slot 1", members)
+	}
+	buf := make([]byte, mem.PageSize)
+	for p := 0; p < pages; p++ {
+		off := members[1].RemoteOff + uint64(page(p)-members[1].Base)
+		if err := nodes[2].ReadAt(off, buf); err != nil || !bytes.Equal(buf, content(p, 3)) {
+			t.Fatalf("page %d on node 2: err=%v, not version 3", p, err)
+		}
+		if now, err = k.Read(now, page(p), buf); err != nil || !bytes.Equal(buf, content(p, 3)) {
+			t.Fatalf("page %d through the runtime: err=%v, not version 3", p, err)
+		}
+	}
+}
+
 // TestTCPMCEPathOverWire is §4.5 network delay, over real sockets: a
 // memory node whose listener stalls every I/O makes remote fetches exceed
 // MCETimeout; ReadChecked must record the would-be machine checks and

@@ -114,29 +114,6 @@ func TestKonaOverTCPEvictionChurn(t *testing.T) {
 	}
 }
 
-func TestKonaVMOverTCP(t *testing.T) {
-	addr, _ := tcpRig(t, 1)
-	k := NewKonaVMTCP(smallConfig(), addr)
-	base, err := k.Malloc(8 * mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("vm over tcp")
-	if _, err := k.Write(0, base, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Sync(0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(payload))
-	if _, err := k.Read(0, base, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, payload) {
-		t.Fatalf("vm TCP round trip failed")
-	}
-}
-
 func TestTCPDelayInjectionUnsupported(t *testing.T) {
 	addr, _ := tcpRig(t, 1)
 	k := NewKonaTCP(smallConfig(), addr)

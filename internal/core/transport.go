@@ -12,15 +12,19 @@ import (
 	"kona/internal/simclock"
 )
 
-// The runtime's data plane is transport-agnostic: every memory node is
-// reached through a nodeLink, and node discovery/slab allocation through a
-// rack. Two implementations exist:
+// The runtime meets the rack on two planes, as KLib does (§4.1). Data
+// moves to a memory node through a nodeLink, built by a links factory that
+// stamps the runtime's identity on every write. Slabs, placements, failure
+// and load reports and leases are asked of the controller itself, through
+// control. Two transports exist:
 //
-//   - the simulated RDMA fabric (simRack/rdmaLink): in-process, with the
-//     calibrated virtual-time cost model — what the experiments use;
-//   - real TCP daemons (tcpRack/tcpLink): cmd/kona-controller and
-//     cmd/kona-memnode processes, with wall-clock time folded into the
-//     virtual clock — what a networked deployment uses.
+//   - the simulated RDMA fabric (simLinks/rdmaLink, with the in-process
+//     controller as localControl): the calibrated virtual-time cost model
+//     the experiments use;
+//   - real TCP daemons (tcpLinks/tcpLink, with *cluster.ControllerClient):
+//     cmd/kona-controller and cmd/kona-memnode processes, with wall-clock
+//     time folded into the virtual clock — what a networked deployment
+//     uses.
 
 // nodeLink is the transport to one memory node incarnation.
 type nodeLink interface {
@@ -51,45 +55,58 @@ type nodeLink interface {
 	injectDelay(d simclock.Duration) error
 }
 
-// rack is the control plane: slab allocation, release, link construction
-// and the fault-tolerance surface (failure reports, placement refresh).
-type rack interface {
-	allocSlab(size uint64) (slab Slab, err error)
-	allocReplicated(size uint64, replicas int) ([]Slab, error)
-	release(s Slab) error
+// links is the data plane: a factory of node links, each stamping on its
+// writes the runtime identity the factory was built with, so memnode lease
+// fences can tell holders apart.
+type links interface {
 	// link returns the transport to a node at a specific incarnation
-	// (epoch); 0 means "the current incarnation". Linking a node the
-	// rack no longer knows (or a stale incarnation) errors; the member
-	// table substitutes a deadLink for such a placement.
+	// (epoch). Linking a node the rack no longer knows (or a stale
+	// incarnation) errors; the member table substitutes a deadLink for
+	// such a placement. Epoch 0 asks for no particular incarnation.
 	link(node int, epoch uint64) (nodeLink, error)
-	// reportShipFailure tells the controller a node's log ships keep
-	// failing so it can probe and expel the node (DESIGN.md §10).
-	reportShipFailure(node int) error
-	// reportLoad pushes this runtime's ship-pending backlog toward one
-	// node into the controller's load map (DESIGN.md §13). Best-effort:
-	// a lost report only delays the next load-map update.
-	reportLoad(node int, pending uint64) error
-	// slabPlacements returns a placement group's current members.
-	slabPlacements(group uint64) ([]Slab, error)
-	// Lease verbs drive the controller's per-group ownership directory
-	// (DESIGN.md §14): one writer or N readers per placement group, with
-	// epoch fencing on handover.
-	acquireLease(group, runtime uint64, mode int, ttl time.Duration) (cluster.LeaseGrant, error)
-	renewLease(group, runtime uint64, mode int, ttl time.Duration) (cluster.LeaseGrant, error)
-	releaseLease(group, runtime uint64) error
-	publishLease(group, runtime uint64) (cluster.LeaseGrant, error)
-	// setRuntime stamps this runtime's identity onto data-path writes so
-	// memnode lease fences can tell holders apart. Must be called before
-	// the first link is constructed.
-	setRuntime(id uint64)
-	// placementEpoch returns the controller's placement epoch; a change
-	// means cached placements may be stale.
-	placementEpoch() (uint64, error)
 	// pipelined reports whether the transport benefits from concurrent
 	// per-node operations. The simulated fabric serializes everything
 	// through one virtual-time NIC model and must stay single-threaded
 	// for reproducibility; real TCP links overlap round trips.
 	pipelined() bool
+}
+
+// control is the control plane, in the wire client's shapes: slab
+// allocation and placement refresh, the failure report that lets the
+// controller probe and expel a node whose ships keep failing (DESIGN.md
+// §10), the best-effort load report of this runtime's ship-pending
+// backlog (§13), the placement epoch (a change means cached placements
+// may be stale) and the per-group lease directory (§14).
+type control interface {
+	AllocSlab(size uint64) (Slab, error)
+	AllocReplicatedSlab(size uint64, replicas int) ([]Slab, error)
+	ReleaseSlab(s Slab) error
+	SlabPlacements(group uint64) ([]Slab, error)
+	Epoch() (uint64, error)
+	ReportFailure(node int) (bool, error)
+	ReportLoad(node int, s cluster.LoadSample) error
+	AcquireLease(group, runtime uint64, mode int, ttl time.Duration) (cluster.LeaseGrant, error)
+	RenewLease(group, runtime uint64, mode int, ttl time.Duration) (cluster.LeaseGrant, error)
+	ReleaseLease(group, runtime uint64) error
+	PublishLease(group, runtime uint64) (cluster.LeaseGrant, error)
+}
+
+var (
+	_ control = (*cluster.ControllerClient)(nil)
+	_ control = localControl{}
+)
+
+// localControl is the in-process controller as a control: the three verbs
+// that cannot fail in process gain the wire client's error results.
+type localControl struct{ *cluster.Controller }
+
+func (c localControl) Epoch() (uint64, error) { return c.PlacementEpoch(), nil }
+
+func (c localControl) ReportFailure(node int) (bool, error) { return c.ReportNodeFailure(node), nil }
+
+func (c localControl) ReportLoad(node int, s cluster.LoadSample) error {
+	c.Controller.ReportLoad(node, s)
+	return nil
 }
 
 // linkKeyFor packs a (node id, incarnation) pair into one evictor/link
@@ -98,7 +115,7 @@ func linkKeyFor(node int, epoch uint64) uint64 {
 	return uint64(uint32(node))<<32 | (epoch & 0xffffffff)
 }
 
-// deadLink stands in for a placement whose node the rack cannot link —
+// deadLink stands in for a placement whose node cannot be linked —
 // removed from the controller, or a stale incarnation. Every operation
 // errors and healthy() is false, but its existence lets the evictor keep
 // buffering entries for the lost replica (the retained-entry protocol)
@@ -136,79 +153,29 @@ func (l deadLink) injectDelay(simclock.Duration) error { return l.err() }
 
 // --- simulated RDMA transport -----------------------------------------
 
-// simRack adapts the in-process controller. mu guards the link map and
-// the runtime identity stamped into new links.
-type simRack struct {
+// simLinks links the in-process controller's nodes over the simulated
+// fabric. mu guards the link map.
+type simLinks struct {
 	ctrl    *cluster.Controller
 	localEP *rdma.Endpoint
+	runtime uint64 // writer identity stamped on log ships
 	mu      sync.Mutex
-	runtime uint64               // writer identity stamped on log ships
 	links   map[uint64]*rdmaLink // keyed by linkKeyFor(node, incarnation)
 }
 
-func newSimRack(ctrl *cluster.Controller) *simRack {
-	return &simRack{
+func newSimLinks(ctrl *cluster.Controller, runtime uint64) *simLinks {
+	return &simLinks{
 		ctrl:    ctrl,
 		localEP: rdma.NewEndpoint("klib"),
+		runtime: runtime,
 		links:   make(map[uint64]*rdmaLink),
 	}
 }
 
-func (r *simRack) allocSlab(size uint64) (Slab, error) { return r.ctrl.AllocSlab(size) }
+func (r *simLinks) pipelined() bool { return false }
 
-func (r *simRack) allocReplicated(size uint64, replicas int) ([]Slab, error) {
-	return r.ctrl.AllocReplicatedSlab(size, replicas)
-}
-
-func (r *simRack) release(s Slab) error { return r.ctrl.ReleaseSlab(s) }
-
-func (r *simRack) pipelined() bool { return false }
-
-func (r *simRack) reportShipFailure(node int) error {
-	r.ctrl.ReportNodeFailure(node)
-	return nil
-}
-
-func (r *simRack) reportLoad(node int, pending uint64) error {
-	r.ctrl.ReportLoad(node, cluster.LoadSample{PendingBytes: pending})
-	return nil
-}
-
-func (r *simRack) slabPlacements(group uint64) ([]Slab, error) {
-	members, ok := r.ctrl.Placements(group)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown placement group %d", group)
-	}
-	return members, nil
-}
-
-func (r *simRack) placementEpoch() (uint64, error) {
-	return r.ctrl.PlacementEpoch(), nil
-}
-
-func (r *simRack) acquireLease(group, runtime uint64, mode int, ttl time.Duration) (cluster.LeaseGrant, error) {
-	return r.ctrl.AcquireLease(group, runtime, mode, ttl)
-}
-
-func (r *simRack) renewLease(group, runtime uint64, mode int, ttl time.Duration) (cluster.LeaseGrant, error) {
-	return r.ctrl.RenewLease(group, runtime, mode, ttl)
-}
-
-func (r *simRack) releaseLease(group, runtime uint64) error {
-	return r.ctrl.ReleaseLease(group, runtime)
-}
-
-func (r *simRack) publishLease(group, runtime uint64) (cluster.LeaseGrant, error) {
-	return r.ctrl.PublishLease(group, runtime)
-}
-
-func (r *simRack) setRuntime(id uint64) {
-	r.mu.Lock()
-	r.runtime = id
-	r.mu.Unlock()
-}
-
-func (r *simRack) link(node int, epoch uint64) (nodeLink, error) {
+// link resolves epoch 0 to the node's current incarnation.
+func (r *simLinks) link(node int, epoch uint64) (nodeLink, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Registration is checked before the cache: an expelled or rejoined
@@ -220,7 +187,7 @@ func (r *simRack) link(node int, epoch uint64) (nodeLink, error) {
 		return nil, fmt.Errorf("core: memory node %d not registered", node)
 	}
 	if inc := n.Incarnation(); epoch == 0 {
-		epoch = inc // resolve "current incarnation"
+		epoch = inc
 	} else if inc != 0 && inc != epoch {
 		return nil, fmt.Errorf("core: memory node %d is incarnation %d, want %d", node, inc, epoch)
 	}
@@ -346,141 +313,45 @@ func (l *rdmaLink) injectDelay(d simclock.Duration) error {
 
 // --- TCP transport ------------------------------------------------------
 
-// tcpRack adapts a remote controller daemon; wall-clock latencies are
-// folded into the virtual clock. The cluster.Transport policy (deadlines,
-// retry budget, pool size) it is built with applies to the controller
-// client and to every node link it constructs.
-type tcpRack struct {
-	mu      sync.Mutex
+// tcpLinks dials memory-node daemons; wall-clock latencies are folded into
+// the virtual clock. The cluster.Transport policy (deadlines, retry budget,
+// pool size) it is built with applies to every node link it constructs.
+type tcpLinks struct {
+	ctrl    *cluster.ControllerClient // asked for a node's address
 	tr      cluster.Transport
-	client  *cluster.ControllerClient
 	runtime uint64 // writer identity stamped on node-link writes
-	addrs   map[int]string
-	// epochs is the last incarnation learned for each node (from slab
-	// epochs and placement refreshes); link(node, 0) resolves through it.
-	epochs map[int]uint64
-	links  map[uint64]*tcpLink // keyed by linkKeyFor(node, incarnation)
+	mu      sync.Mutex
+	links   map[uint64]*tcpLink // keyed by linkKeyFor(node, incarnation)
 }
 
-func newTCPRack(controllerAddr string) *tcpRack {
-	return newTCPRackWith(controllerAddr, cluster.DefaultTransport())
+func newTCPLinks(ctrl *cluster.ControllerClient, tr cluster.Transport, runtime uint64) *tcpLinks {
+	return &tcpLinks{ctrl: ctrl, tr: tr, runtime: runtime, links: make(map[uint64]*tcpLink)}
 }
 
-func newTCPRackWith(controllerAddr string, tr cluster.Transport) *tcpRack {
-	return &tcpRack{
-		tr:     tr,
-		client: cluster.DialControllerTransport(controllerAddr, tr),
-		addrs:  make(map[int]string),
-		epochs: make(map[int]uint64),
-		links:  make(map[uint64]*tcpLink),
-	}
-}
+func (r *tcpLinks) pipelined() bool { return true }
 
-// noteEpochLocked records a node's incarnation learned from a slab.
-func (r *tcpRack) noteEpochLocked(s Slab) {
-	if s.Epoch != 0 {
-		r.epochs[s.Node] = s.Epoch
-	}
-}
-
-func (r *tcpRack) allocSlab(size uint64) (Slab, error) {
-	s, addr, err := r.client.AllocSlab(size)
-	if err != nil {
-		return Slab{}, err
-	}
-	r.mu.Lock()
-	r.addrs[s.Node] = addr
-	r.noteEpochLocked(s)
-	r.mu.Unlock()
-	return s, nil
-}
-
-func (r *tcpRack) allocReplicated(size uint64, replicas int) ([]Slab, error) {
-	slabs, addrs, err := r.client.AllocReplicatedSlab(size, replicas)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	for id, a := range addrs {
-		r.addrs[id] = a
-	}
-	for _, s := range slabs {
-		r.noteEpochLocked(s)
-	}
-	r.mu.Unlock()
-	return slabs, nil
-}
-
-func (r *tcpRack) release(s Slab) error { return r.client.ReleaseSlab(s) }
-
-func (r *tcpRack) pipelined() bool { return true }
-
-func (r *tcpRack) reportShipFailure(node int) error {
-	_, err := r.client.ReportFailure(node)
-	return err
-}
-
-func (r *tcpRack) reportLoad(node int, pending uint64) error {
-	return r.client.ReportLoad(node, cluster.LoadSample{PendingBytes: pending})
-}
-
-func (r *tcpRack) slabPlacements(group uint64) ([]Slab, error) {
-	members, addrs, err := r.client.SlabPlacements(group)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	for id, a := range addrs {
-		r.addrs[id] = a
-	}
-	for _, s := range members {
-		r.noteEpochLocked(s)
-	}
-	r.mu.Unlock()
-	return members, nil
-}
-
-func (r *tcpRack) placementEpoch() (uint64, error) { return r.client.Epoch() }
-
-func (r *tcpRack) acquireLease(group, runtime uint64, mode int, ttl time.Duration) (cluster.LeaseGrant, error) {
-	return r.client.AcquireLease(group, runtime, mode, ttl)
-}
-
-func (r *tcpRack) renewLease(group, runtime uint64, mode int, ttl time.Duration) (cluster.LeaseGrant, error) {
-	return r.client.RenewLease(group, runtime, mode, ttl)
-}
-
-func (r *tcpRack) releaseLease(group, runtime uint64) error {
-	return r.client.ReleaseLease(group, runtime)
-}
-
-func (r *tcpRack) publishLease(group, runtime uint64) (cluster.LeaseGrant, error) {
-	return r.client.PublishLease(group, runtime)
-}
-
-func (r *tcpRack) setRuntime(id uint64) {
-	r.mu.Lock()
-	r.runtime = id
-	r.mu.Unlock()
-}
-
-func (r *tcpRack) link(node int, epoch uint64) (nodeLink, error) {
+// link stamps epoch on the link's requests, so the daemon refuses them
+// once the node has rejoined under another incarnation; epoch 0 stamps
+// nothing.
+func (r *tcpLinks) link(node int, epoch uint64) (nodeLink, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if epoch == 0 {
-		epoch = r.epochs[node]
-	}
 	k := linkKeyFor(node, epoch)
 	if l, ok := r.links[k]; ok {
 		return l, nil
 	}
-	addr, ok := r.addrs[node]
+	// Links are made when a membership is installed (a control-path
+	// step), never from the fetch or ship path, so the address lookup
+	// costs one control RPC per new (node, incarnation), and making it
+	// under the lock stalls no data.
+	addrs, err := r.ctrl.NodeAddrs()
+	if err != nil {
+		return nil, err
+	}
+	addr, ok := addrs[node]
 	if !ok {
 		return nil, fmt.Errorf("core: no address known for memory node %d", node)
 	}
-	// Links are made when a membership is installed (a control-path
-	// step), never from the fetch or ship path, so constructing the
-	// client under the rack lock stalls no data.
 	l := &tcpLink{nodeID: node, epoch: epoch, client: cluster.DialMemoryNodeTransport(addr, r.tr)}
 	l.client.SetEpoch(epoch)
 	l.client.SetRuntime(r.runtime)

@@ -100,8 +100,8 @@ func runExtPlacement(cfg Config) (*Result, error) {
 		nodeRates := func() []float64 {
 			rates := make([]float64, nodes)
 			for _, gid := range gids {
-				members, ok := ctrl.Placements(gid)
-				if !ok || len(members) == 0 {
+				members, err := ctrl.SlabPlacements(gid)
+				if err != nil || len(members) == 0 {
 					continue
 				}
 				rates[members[0].Node] += heatOf[gid]
@@ -172,7 +172,7 @@ func runExtPlacement(cfg Config) (*Result, error) {
 		cdf := make([]float64, slabs)
 		acc := 0.0
 		for k, gid := range gids {
-			members, _ := ctrl.Placements(gid)
+			members, _ := ctrl.SlabPlacements(gid)
 			slabNode[k] = members[0].Node
 			acc += heatOf[gid]
 			cdf[k] = acc

@@ -131,11 +131,6 @@ func NewTCP(cfg Config, controllerAddr string) *Runtime {
 	return core.NewKonaTCP(cfg, controllerAddr)
 }
 
-// NewVMTCP builds the Kona-VM baseline against a remote rack over TCP.
-func NewVMTCP(cfg Config, controllerAddr string) *VMRuntime {
-	return core.NewKonaVMTCP(cfg, controllerAddr)
-}
-
 // TransportPolicy configures the TCP wire layer: dial and per-request
 // deadlines, the retry budget with exponential backoff + jitter for
 // idempotent RPCs, and the persistent-connection pool size per peer.
@@ -147,11 +142,6 @@ func DefaultTransportPolicy() TransportPolicy { return cluster.DefaultTransport(
 // NewTCPWith is NewTCP with an explicit wire policy.
 func NewTCPWith(cfg Config, controllerAddr string, tr TransportPolicy) *Runtime {
 	return core.NewKonaTCPWith(cfg, controllerAddr, tr)
-}
-
-// NewVMTCPWith is NewVMTCP with an explicit wire policy.
-func NewVMTCPWith(cfg Config, controllerAddr string, tr TransportPolicy) *VMRuntime {
-	return core.NewKonaVMTCPWith(cfg, controllerAddr, tr)
 }
 
 // AllocLib is the allocation-interposition layer (§4.1): it places small
