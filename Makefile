@@ -46,12 +46,12 @@ bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkFlushFanout|BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
 
-# Five single-test guards. The first three run on the simulated fabric and
+# Six single-test guards. The first three run on the simulated fabric and
 # bound counts or *virtual-time* p99s — latency computed on the simulated
 # fabric's clock, which nothing off the measured path can touch — so they
 # are deterministic and have no noise floor to state. The fourth is
-# wall-clock; its test comment states the floor. The fifth counts RPCs on
-# loopback TCP and times nothing.
+# wall-clock; its test comment states the floor. The last two count RPCs on
+# loopback TCP and time nothing.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
 #    frame to the eviction handler, and the read pass after it must not
@@ -72,9 +72,14 @@ bench-evict:
 #  - Fresh allocations (DESIGN.md §16): loading 20k keys into a kv.Store
 #    serves zero memnode read RPCs (5 006 when the value heap's chunks come
 #    from Malloc) and the same number of write-log RPCs either way.
+#  - One class per page (DESIGN.md §12): after a mixed-size load and a
+#    Sync, a get of a record of at most 4 KB makes at most one `read` RPC
+#    and no `read-pages`, and a get of an 8 KB value at most one
+#    `read-pages` and no `read` (the shared carve cursor it replaced let
+#    half the 2 KB records straddle two pages).
 guards:
 	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater' -count=1 -v ./internal/core
-	$(GO) test -run 'TestFreshLoadFetchesNothing' -count=1 -v ./internal/kv
+	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths
@@ -109,7 +114,7 @@ chaos:
 # packages it sets budgets for, then the core + cluster sum the goal is
 # stated in.
 loc:
-	@for d in internal/core internal/cluster internal/fpga; do \
+	@for d in internal/core internal/cluster internal/fpga internal/kv; do \
 		echo "$$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 	@echo "core+cluster $$(find internal/core internal/cluster -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 

@@ -35,11 +35,14 @@ type coreMetrics struct {
 	// freshFills is published the same way: fills of fresh pages, which
 	// never reach the fetch hook and so are not in fetches.
 	freshFills *telemetry.Counter
-	trace      *telemetry.Trace
+	// fetchesBy is the FPGA's remote fetches split by cause, published the
+	// same way as core.fpga.fetches.<cause>.
+	fetchesBy [fpga.NumFetchCauses]*telemetry.Counter
+	trace     *telemetry.Trace
 }
 
 func newCoreMetrics(reg *telemetry.Registry) coreMetrics {
-	return coreMetrics{
+	m := coreMetrics{
 		fetches:            reg.Counter("core.fetches"),
 		evictions:          reg.Counter("core.evictions"),
 		dirtyEvictions:     reg.Counter("core.dirty_evictions"),
@@ -56,6 +59,10 @@ func newCoreMetrics(reg *telemetry.Registry) coreMetrics {
 		freshFills:         reg.Counter("core.fresh_fills"),
 		trace:              reg.Trace(),
 	}
+	for c := range m.fetchesBy {
+		m.fetchesBy[c] = reg.Counter("core.fpga.fetches." + fpga.FetchCause(c).String())
+	}
+	return m
 }
 
 // Kona is the coherence-based remote memory runtime (§4). Applications
@@ -379,6 +386,9 @@ func (k *Kona) PublishTelemetry() {
 	k.m.prefetches.Store(st.Prefetches)
 	k.m.bytesFetched.Store(st.BytesFetched)
 	k.m.freshFills.Store(st.FreshFills)
+	for c, n := range st.Fetches {
+		k.m.fetchesBy[c].Store(n)
+	}
 }
 
 // Close drains the runtime (Sync) and returns every slab to the rack.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"kona/internal/cluster"
+	"kona/internal/fpga"
 	"kona/internal/mem"
 	"kona/internal/telemetry"
 )
@@ -118,8 +119,22 @@ func TestTelemetryEndToEndTCP(t *testing.T) {
 	if fetches == 0 {
 		t.Fatalf("core.fetches = 0 after a 64-page walk through an 8-page cache")
 	}
-	if st := k.FPGAStats(); fetches != st.RemoteFetches {
+	st := k.FPGAStats()
+	if fetches != st.RemoteFetches {
 		t.Errorf("core.fetches = %d, FPGA counted %d", fetches, st.RemoteFetches)
+	}
+	// The fetch-cause split is published whole: every cause as the FPGA
+	// counted it, and the causes sum to the total.
+	var causes uint64
+	for c := fpga.FetchCause(0); c < fpga.NumFetchCauses; c++ {
+		got := snap.Counters["core.fpga.fetches."+c.String()]
+		if got != st.Fetches[c] {
+			t.Errorf("core.fpga.fetches.%s = %d, FPGA counted %d", c, got, st.Fetches[c])
+		}
+		causes += got
+	}
+	if causes != fetches {
+		t.Errorf("core.fpga.fetches.{read,rfo,prefetch} sum to %d, core.fetches = %d", causes, fetches)
 	}
 	if snap.Counters["core.evictions"] == 0 {
 		t.Errorf("core.evictions = 0, want eviction pressure")

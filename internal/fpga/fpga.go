@@ -153,6 +153,29 @@ type Stats struct {
 	// FreshFills counts fetch-granularity blocks of fresh pages zero-filled
 	// locally instead of fetched (see FreshCheck).
 	FreshFills uint64
+	// Fetches splits RemoteFetches by cause; the entries sum to it.
+	Fetches [NumFetchCauses]uint64
+}
+
+// FetchCause says why a remote fetch was made.
+type FetchCause uint8
+
+const (
+	// FetchRead is a demand fill: a load found its line missing.
+	FetchRead FetchCause = iota
+	// FetchRFO is a read-for-ownership: a write covering part of a line
+	// needs the line's remote contents first.
+	FetchRFO
+	// FetchPrefetch is a speculative fill by the next-page or stride
+	// prefetcher.
+	FetchPrefetch
+	// NumFetchCauses is the number of causes.
+	NumFetchCauses
+)
+
+// String names the cause as telemetry publishes it.
+func (c FetchCause) String() string {
+	return [NumFetchCauses]string{"read", "rfo", "prefetch"}[c]
 }
 
 // add accumulates o into s (shard-stat merge for Stats()).
@@ -167,6 +190,9 @@ func (s *Stats) add(o Stats) {
 	s.Bypasses += o.Bypasses
 	s.BytesFetched += o.BytesFetched
 	s.FreshFills += o.FreshFills
+	for c := range s.Fetches {
+		s.Fetches[c] += o.Fetches[c]
+	}
 }
 
 // FetchHook runs before a remote page fetch. The runtime uses it to
@@ -433,14 +459,14 @@ func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr) (
 			fr.prefetched = false
 			f.markPrefetchUseful()
 		}
-		done, err := f.ensureLinesLocked(sh, now, fr, page, line, line)
+		done, err := f.ensureLinesLocked(sh, now, fr, page, line, line, FetchRead)
 		if err != nil {
 			return now, nil, prefetchIntent{}, err
 		}
 		return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
 	}
 	fr := f.demandFrameLocked(sh, now, page)
-	done, err := f.ensureLinesLocked(sh, now, fr, page, line, line)
+	done, err := f.ensureLinesLocked(sh, now, fr, page, line, line, FetchRead)
 	if err != nil {
 		return now, nil, prefetchIntent{}, err
 	}
@@ -484,12 +510,14 @@ func (f *FPGA) runPrefetch(pf prefetchIntent) {
 }
 
 // prefetchOne pulls one page speculatively under its shard lock,
-// skipping pages already (or concurrently made) resident.
+// skipping pages already (or concurrently made) resident and fresh pages:
+// zero-filling a page nobody has written into a frame buys nothing and
+// evicts a cached one (collectPage leaves them out of a batch likewise).
 func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 	sh := f.shardFor(target)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if f.lookupLocked(target) != nil {
+	if f.lookupLocked(target) != nil || f.isFresh(mem.PageBase(target)) {
 		return
 	}
 	if _, fr, err := f.fetchPageLocked(sh, now, target); err == nil {
@@ -559,14 +587,19 @@ func (bs *batchScratch) size() {
 // target before any wire traffic: targets were non-resident at collect
 // time, so no install during the batch can buffer new eviction entries
 // for them. speculative marks the frames as prefetched (accuracy
-// accounting); errors leave the pages absent for the demand path to
-// refetch and report. A page whose shard epoch moved since collection is
-// re-checked and skipped if a concurrent fill already installed it.
+// accounting) and counts the fetches as FetchPrefetch, not FetchRead;
+// errors leave the pages absent for the demand path to refetch and
+// report. A page whose shard epoch moved since collection is re-checked
+// and skipped if a concurrent fill already installed it.
 func (f *FPGA) fetchBatch(now simclock.Duration, bs *batchScratch, speculative bool) (simclock.Duration, error) {
 	if f.onFetch != nil {
 		for _, base := range bs.bases {
 			now = f.onFetch(now, base)
 		}
+	}
+	cause := FetchRead
+	if speculative {
+		cause = FetchPrefetch
 	}
 	bufs := bs.bufs[:len(bs.bases)]
 	done, err := f.batch.ReadPagesBatch(now, bs.bases, bufs)
@@ -589,6 +622,7 @@ func (f *FPGA) fetchBatch(now simclock.Duration, bs *batchScratch, speculative b
 		fr.readyAt = done
 		fr.prefetched = speculative
 		sh.stats.RemoteFetches++
+		sh.stats.Fetches[cause]++
 		sh.stats.BytesFetched += mem.PageSize
 		if speculative {
 			sh.stats.Prefetches++
@@ -625,13 +659,13 @@ func (f *FPGA) demandFrameLocked(sh *shard, now simclock.Duration, page uint64) 
 }
 
 // ensureLinesLocked fetches the missing fetch-granularity blocks covering
-// lines [lo, hi] of the frame, returning the completion time.
-// Already-filled lines are never overwritten (they may hold newer local
-// writes). A fresh page's missing lines are zeroed in place of the fetch.
+// lines [lo, hi] of the frame, returning the completion time; the caller
+// names the cause the fetches count under. Already-filled lines are never
+// overwritten (they may hold newer local writes). A fresh page's missing lines are zeroed in place of the fetch.
 // Caller holds sh.mu; the remote read happens under it, which is what makes
 // concurrent misses on one page single-flight: the losers block here and
 // find the lines filled.
-func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, page uint64, lo, hi int) (simclock.Duration, error) {
+func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, page uint64, lo, hi int, cause FetchCause) (simclock.Duration, error) {
 	fb := int(f.cfg.FetchBytes)
 	linesPerBlock := fb / mem.CacheLineSize
 	done := now
@@ -682,6 +716,7 @@ func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, pa
 			return now, fmt.Errorf("fpga: remote fetch %v+%d: %w", base, off, err)
 		}
 		sh.stats.RemoteFetches++
+		sh.stats.Fetches[cause]++
 		sh.stats.BytesFetched += uint64(fb)
 		for l := first; staged && l < first+linesPerBlock; l++ {
 			if !have.Get(l) {
@@ -702,7 +737,7 @@ func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, pa
 // page's shard lock.
 func (f *FPGA) fetchPageLocked(sh *shard, now simclock.Duration, page uint64) (simclock.Duration, *frame, error) {
 	fr := f.demandFrameLocked(sh, now, page)
-	done, err := f.ensureLinesLocked(sh, now, fr, page, 0, mem.LinesPerPage-1)
+	done, err := f.ensureLinesLocked(sh, now, fr, page, 0, mem.LinesPerPage-1, FetchPrefetch)
 	if err != nil {
 		return now, nil, err
 	}
@@ -818,12 +853,12 @@ func (f *FPGA) observeWritebackLocked(sh *shard, now simclock.Duration, addr mem
 	firstLineStart := uint64(firstLine) * mem.CacheLineSize
 	lastLineEnd := uint64(lastLine+1) * mem.CacheLineSize
 	if len(data) == 0 || off > firstLineStart || end < firstLineStart+mem.CacheLineSize {
-		if now, err = f.ensureLinesLocked(sh, now, fr, page, firstLine, firstLine); err != nil {
+		if now, err = f.ensureLinesLocked(sh, now, fr, page, firstLine, firstLine, FetchRFO); err != nil {
 			return now, fr, err
 		}
 	}
 	if lastLine != firstLine && end < lastLineEnd {
-		if now, err = f.ensureLinesLocked(sh, now, fr, page, lastLine, lastLine); err != nil {
+		if now, err = f.ensureLinesLocked(sh, now, fr, page, lastLine, lastLine, FetchRFO); err != nil {
 			return now, fr, err
 		}
 	}
@@ -925,7 +960,7 @@ func (f *FPGA) Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.
 		// With sub-page fetch granularity the chunk may span blocks the
 		// LineFill did not cover.
 		lastLine := int((pageOff + uint64(n) - 1) / mem.CacheLineSize)
-		if now, err = f.ensureLinesLocked(sh, now, fr, page, a.LineInPage(), lastLine); err != nil {
+		if now, err = f.ensureLinesLocked(sh, now, fr, page, a.LineInPage(), lastLine, FetchRead); err != nil {
 			sh.mu.Unlock()
 			return now, err
 		}

@@ -171,15 +171,18 @@ func TestFreshPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 		t.Fatalf("fetch hook ran %d times, want 2 (the pages that are not fresh)", r.hooks)
 	}
 
-	// Sequential fills of fresh pages: the next-page prefetch zero-fills too.
+	// Sequential fills of fresh pages: the next page is fresh too, and the
+	// next-page prefetch leaves it out — a zero-filled frame buys nothing and
+	// would evict a cached page.
 	p := newFreshRig(Config{FMemSize: 64 * mem.PageSize, Assoc: 4, Prefetch: true}, 8)
 	for i := 0; i < 2; i++ {
 		if _, err := p.f.LineFill(0, rigBase+mem.Addr(i)*mem.PageSize); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !p.f.Resident(rigBase+2*mem.PageSize) || p.f.Stats().Prefetches == 0 {
-		t.Fatal("sequential fills of fresh pages did not prefetch")
+	if p.f.Resident(rigBase+2*mem.PageSize) || p.f.Stats().Prefetches != 0 {
+		t.Fatalf("sequential fills of fresh pages prefetched the next fresh page: resident %t, Prefetches %d",
+			p.f.Resident(rigBase+2*mem.PageSize), p.f.Stats().Prefetches)
 	}
 	p.untouched(t)
 }

@@ -8,6 +8,7 @@ import (
 
 	"kona/internal/cluster"
 	"kona/internal/core"
+	"kona/internal/fpga"
 	"kona/internal/mem"
 	"kona/internal/telemetry"
 )
@@ -103,5 +104,43 @@ func TestFreshLoadFetchesNothing(t *testing.T) {
 	}
 	if freshLogs != mallocLogs {
 		t.Errorf("load served %d write-log RPCs, %d over Malloc chunks: write-back must not change", freshLogs, mallocLogs)
+	}
+}
+
+// TestMallocChunkLoadFetchesAreRFO recovers the finding behind fresh
+// allocations from the fetch-cause counters alone: a 20 000-key load whose
+// heap chunks come from Malloc fetches almost only to read for ownership —
+// the set that carves a block out of a page ends in a partial line, and the
+// line's remote contents must be read before it is written. Over
+// MallocFresh chunks the same load fetches nothing.
+func TestMallocChunkLoadFetchesAreRFO(t *testing.T) {
+	const keys = 20_000
+	load := func(wrap func(*core.Kona) Runtime) fpga.Stats {
+		k := simRuntime(t, 16<<20)
+		s := NewStore(wrap(k), Config{Shards: 16})
+		value := bytes.Repeat([]byte{0x5A}, 512)
+		for i := 0; i < keys; i++ {
+			if _, err := s.Set(0, fmt.Sprintf("key-%06d", i), value, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return k.FPGAStats()
+	}
+	st := load(func(k *core.Kona) Runtime { return mallocChunks{k} })
+	var sum uint64
+	for _, n := range st.Fetches {
+		sum += n
+	}
+	rfo := st.Fetches[fpga.FetchRFO]
+	t.Logf("Malloc-chunk load: %d fetches (read %d, rfo %d, prefetch %d)",
+		st.RemoteFetches, st.Fetches[fpga.FetchRead], rfo, st.Fetches[fpga.FetchPrefetch])
+	if sum != st.RemoteFetches || st.RemoteFetches == 0 {
+		t.Fatalf("causes %v sum to %d, RemoteFetches %d", st.Fetches, sum, st.RemoteFetches)
+	}
+	if rfo*100 < st.RemoteFetches*99 {
+		t.Errorf("%d of %d fetches are read-for-ownership, want ≥ 99%%", rfo, st.RemoteFetches)
+	}
+	if fresh := load(func(k *core.Kona) Runtime { return k }); fresh.RemoteFetches != 0 {
+		t.Errorf("MallocFresh-chunk load fetched %d times (by cause %v), want 0", fresh.RemoteFetches, fresh.Fetches)
 	}
 }

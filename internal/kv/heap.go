@@ -15,24 +15,45 @@ import (
 // store's set/delete churn does not consume new disaggregated address
 // space forever.
 //
+// Each class carves from chunks of its own, so a page of the heap holds
+// blocks of one class only — memcached's slab classes, and for the same
+// reason: FMem caches a page at a time, and a page shared by 95 B records
+// and the tail of a 16 KB block caches few of either. A class's cursor
+// starts on a page boundary and its chunks are whole pages, which gives the
+// layout invariant the fetch path depends on:
+//
+//	a block of class c lies inside one page when blockBytes(c) ≤ mem.PageSize,
+//	and starts on a page boundary otherwise.
+//
+// So a get of a record up to 4 KB is at most one page fetch, and a larger
+// record spans exactly the pages it needs. The heap enforces the boundary
+// itself (newChunk) rather than trusting the runtime's allocator to return
+// page-aligned chunks.
+//
 // Each shard owns one heap, so the heap itself needs no locking: all
 // calls happen under the owning shard's mutex.
 type valueHeap struct {
 	rt Runtime
-	// chunkBytes is the MallocFresh granularity: big enough to amortize the
-	// controller round trip, small enough that a lightly-used shard does
-	// not pin much remote memory.
+	// chunkBytes is the MallocFresh granularity, a whole number of pages:
+	// big enough to amortize the controller round trip, small enough that a
+	// lightly-used shard does not pin much remote memory.
 	chunkBytes uint64
 	// free[c] holds recycled blocks of class c (block size minBlock<<c).
 	free [nClasses][]mem.Addr
-	// carve is the bump allocator over the newest chunk.
-	carveAddr mem.Addr
-	carveLeft uint64
+	// carve[c] is class c's bump cursor over its newest chunk.
+	carve [nClasses]cursor
 
 	// liveBytes is the block bytes currently held by the index;
-	// chunkCount the chunks allocated. Exposed through StoreStats.
+	// chunkCount the chunks allocated, over all classes. Exposed through
+	// StoreStats.
 	liveBytes  uint64
 	chunkCount int
+}
+
+// cursor is the uncarved tail of a class's newest chunk.
+type cursor struct {
+	addr mem.Addr
+	left uint64
 }
 
 const (
@@ -60,11 +81,11 @@ func newValueHeap(rt Runtime, chunkBytes uint64) *valueHeap {
 	if chunkBytes == 0 {
 		chunkBytes = defaultChunk
 	}
-	return &valueHeap{rt: rt, chunkBytes: chunkBytes}
+	return &valueHeap{rt: rt, chunkBytes: uint64(mem.Addr(chunkBytes).AlignUp(mem.PageSize))}
 }
 
 // alloc returns a block that holds n bytes, reusing a freed block of the
-// class when one exists and carving from the current chunk otherwise.
+// class when one exists and carving from the class's chunk otherwise.
 func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 	if n > maxRecordLen {
 		return 0, 0, fmt.Errorf("%w: %d-byte record", ErrTooLarge, n)
@@ -77,23 +98,38 @@ func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 		return a, c, nil
 	}
 	size := blockBytes(c)
-	if h.carveLeft < size {
-		chunk := h.chunkBytes
-		if chunk < size {
-			chunk = size
+	cur := &h.carve[c]
+	if cur.left < size {
+		if err := h.newChunk(cur, size); err != nil {
+			return 0, 0, err
 		}
-		base, err := h.rt.MallocFresh(chunk)
-		if err != nil {
-			return 0, 0, fmt.Errorf("kv: value heap: %w", err)
-		}
-		h.carveAddr, h.carveLeft = base, chunk
-		h.chunkCount++
 	}
-	a := h.carveAddr
-	h.carveAddr += mem.Addr(size)
-	h.carveLeft -= size
+	a := cur.addr
+	cur.addr += mem.Addr(size)
+	cur.left -= size
 	h.liveBytes += size
 	return a, c, nil
+}
+
+// newChunk points cur at a new chunk for blocks of the given size, starting
+// on a page boundary. The chunk is a whole number of pages and at least one
+// block long, so every block carved from it keeps the layout invariant. A
+// runtime whose allocator returns a base off a page boundary (another caller
+// left it mid-page) costs one more request, one page longer, whose first
+// boundary starts the cursor; the misaligned chunk is not used.
+func (h *valueHeap) newChunk(cur *cursor, size uint64) error {
+	chunk := max(h.chunkBytes, size)
+	base, err := h.rt.MallocFresh(chunk)
+	if err == nil && base.PageOffset() != 0 {
+		h.chunkCount++
+		base, err = h.rt.MallocFresh(chunk + mem.PageSize)
+	}
+	if err != nil {
+		return fmt.Errorf("kv: value heap: %w", err)
+	}
+	h.chunkCount++
+	*cur = cursor{addr: base.AlignUp(mem.PageSize), left: chunk}
+	return nil
 }
 
 // release returns a block of class c to its free list.

@@ -15,7 +15,8 @@
 //     checksum) shared by the store and the examples/kvstore demo.
 //     Checksums make torn or misdirected writes detectable at read time.
 //   - heap.go: a size-class value-heap allocator over Runtime.MallocFresh —
-//     MallocFresh carves coarse chunks, the heap carves blocks, frees
+//     MallocFresh hands out coarse chunks, each class carves blocks from
+//     chunks of its own (so a record of ≤ 4 KB lies in one page), frees
 //     recycle blocks onto per-class free lists.
 //   - ring.go: consistent-hash key→shard routing (vnode ring), so the
 //     shard count can change without remapping the whole keyspace.

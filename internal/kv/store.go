@@ -15,14 +15,15 @@ import (
 type Config struct {
 	// Shards is the number of independently locked store shards; keys
 	// route to shards by consistent hashing. 0 defaults to 16. More
-	// shards = more concurrent gets/sets, one Malloc chunk of remote
-	// memory pinned per active shard.
+	// shards = more concurrent gets/sets, one partly carved chunk of
+	// remote memory pinned per size class in use per shard.
 	Shards int
 	// MaxBytes caps the live value-heap footprint across all shards;
 	// past it the store evicts least-recently-used entries
 	// (memcached semantics: it is a cache, not a database). 0 = no cap.
 	MaxBytes uint64
-	// ChunkBytes is the value heap's Malloc granularity (default 256KB).
+	// ChunkBytes is the value heap's MallocFresh granularity, rounded up
+	// to whole pages (default 256KB); each size class carves its own.
 	ChunkBytes uint64
 	// Metrics receives hit/miss/set/delete/eviction counters and
 	// footprint gauges (DESIGN.md §12). nil disables.
@@ -33,7 +34,7 @@ type Config struct {
 type StoreStats struct {
 	Keys      uint64
 	LiveBytes uint64 // block bytes held by the index
-	Chunks    int    // Malloc regions carved by the heaps
+	Chunks    int    // MallocFresh chunks taken by the heaps, one class each
 	Hits      uint64
 	Misses    uint64
 	Sets      uint64

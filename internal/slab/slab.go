@@ -50,7 +50,7 @@ type block struct {
 // of granted slabs. It is not safe for concurrent use; the runtime
 // serializes allocation (allocation is a control-path operation, §3).
 type Allocator struct {
-	slabs map[uint64]Slab
+	slabs []Slab  // sorted by Base, non-overlapping
 	free  []block // sorted by addr, non-adjacent (coalesced)
 	live  map[mem.Addr]uint64
 
@@ -59,27 +59,15 @@ type Allocator struct {
 
 // NewAllocator returns an empty allocator; Grant slabs before Alloc.
 func NewAllocator() *Allocator {
-	return &Allocator{
-		slabs: make(map[uint64]Slab),
-		live:  make(map[mem.Addr]uint64),
-	}
+	return &Allocator{live: make(map[mem.Addr]uint64)}
 }
 
 // Grant adds a slab's space to the allocator. Overlapping or duplicate
 // slabs are rejected.
 func (a *Allocator) Grant(s Slab) error {
-	if s.Size == 0 {
-		return fmt.Errorf("slab: zero-size grant")
+	if err := a.insertSlab(s, "grant"); err != nil {
+		return err
 	}
-	if _, dup := a.slabs[s.ID]; dup {
-		return fmt.Errorf("slab: duplicate slab id %d", s.ID)
-	}
-	for _, other := range a.slabs {
-		if s.Range().Overlaps(other.Range()) {
-			return fmt.Errorf("slab: grant %v overlaps slab %d", s.Range(), other.ID)
-		}
-	}
-	a.slabs[s.ID] = s
 	a.insertFree(block{addr: s.Base, size: s.Size})
 	a.granted += s.Size
 	return nil
@@ -90,48 +78,68 @@ func (a *Allocator) Grant(s Slab) error {
 // in reader mode shares the writer's addresses (same Base VA) but must
 // never allocate out of them; the space belongs to the writer's
 // allocator.
-func (a *Allocator) Attach(s Slab) error {
+func (a *Allocator) Attach(s Slab) error { return a.insertSlab(s, "attach") }
+
+// insertSlab enters s into the base-sorted slab list. In a sorted list of
+// disjoint ranges only the two neighbours of s's position can overlap it.
+func (a *Allocator) insertSlab(s Slab, verb string) error {
 	if s.Size == 0 {
-		return fmt.Errorf("slab: zero-size attach")
-	}
-	if _, dup := a.slabs[s.ID]; dup {
-		return fmt.Errorf("slab: duplicate slab id %d", s.ID)
+		return fmt.Errorf("slab: zero-size %s", verb)
 	}
 	for _, other := range a.slabs {
-		if s.Range().Overlaps(other.Range()) {
-			return fmt.Errorf("slab: attach %v overlaps slab %d", s.Range(), other.ID)
+		if other.ID == s.ID {
+			return fmt.Errorf("slab: duplicate slab id %d", s.ID)
 		}
 	}
-	a.slabs[s.ID] = s
+	i := a.above(s.Base)
+	for _, n := range [2]int{i - 1, i} {
+		if n >= 0 && n < len(a.slabs) && s.Range().Overlaps(a.slabs[n].Range()) {
+			return fmt.Errorf("slab: %s %v overlaps slab %d", verb, s.Range(), a.slabs[n].ID)
+		}
+	}
+	a.slabs = append(a.slabs, Slab{})
+	copy(a.slabs[i+1:], a.slabs[i:])
+	a.slabs[i] = s
 	return nil
+}
+
+// above returns the index of the first slab whose base is above addr.
+func (a *Allocator) above(addr mem.Addr) int {
+	lo, hi := 0, len(a.slabs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a.slabs[m].Base <= addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Detach removes a slab registered via Attach. It must not be used on
 // granted slabs (their space is threaded through the free list).
 func (a *Allocator) Detach(id uint64) {
-	delete(a.slabs, id)
+	for i, s := range a.slabs {
+		if s.ID == id {
+			a.slabs = append(a.slabs[:i], a.slabs[i+1:]...)
+			return
+		}
+	}
 }
 
 // SlabFor returns the slab containing addr, for remote-translation
-// lookups (the hashmap of §4.4).
+// lookups (the hashmap of §4.4): a binary search of the base-sorted list.
 func (a *Allocator) SlabFor(addr mem.Addr) (Slab, bool) {
-	for _, s := range a.slabs {
-		if s.Range().Contains(addr) {
-			return s, true
-		}
+	if i := a.above(addr) - 1; i >= 0 && a.slabs[i].Range().Contains(addr) {
+		return a.slabs[i], true
 	}
 	return Slab{}, false
 }
 
-// Slabs returns all granted slabs, ordered by base address.
-func (a *Allocator) Slabs() []Slab {
-	out := make([]Slab, 0, len(a.slabs))
-	for _, s := range a.slabs {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
-}
+// Slabs returns a copy of all granted and attached slabs, ordered by base
+// address.
+func (a *Allocator) Slabs() []Slab { return append([]Slab(nil), a.slabs...) }
 
 // Alloc reserves size bytes (rounded up to a cache line, so no two
 // allocations share a line) and returns the base address.

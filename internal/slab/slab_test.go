@@ -121,6 +121,81 @@ func TestSlabFor(t *testing.T) {
 	if got := len(a.Slabs()); got != 2 {
 		t.Errorf("Slabs() = %d entries", got)
 	}
+
+	// Many slabs granted and attached out of base order, with gaps between
+	// them: every address resolves to the slab a linear scan finds, and a
+	// detached slab stops resolving while its neighbours still do.
+	b := NewAllocator()
+	rng := rand.New(rand.NewSource(3))
+	const n = 64
+	var all []Slab
+	for _, i := range rng.Perm(n) {
+		s := Slab{ID: uint64(100 + i), Base: mem.Addr(i) << 21, Size: 1 << 20}
+		add := b.Grant
+		if i%3 == 0 {
+			add = b.Attach
+		}
+		if err := add(s); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, s)
+	}
+	linear := func(addr mem.Addr) (Slab, bool) {
+		for _, s := range all {
+			if s.Range().Contains(addr) {
+				return s, true
+			}
+		}
+		return Slab{}, false
+	}
+	check := func() {
+		t.Helper()
+		for i := 0; i < 2000; i++ {
+			addr := mem.Addr(rng.Int63n(int64(n+1) << 21))
+			got, ok := b.SlabFor(addr)
+			want, wantOK := linear(addr)
+			if ok != wantOK || got != want {
+				t.Fatalf("SlabFor(%#x) = %+v %t, want %+v %t", addr, got, ok, want, wantOK)
+			}
+		}
+		slabs := b.Slabs()
+		if len(slabs) != len(all) {
+			t.Fatalf("Slabs() = %d entries, want %d", len(slabs), len(all))
+		}
+		for i := 1; i < len(slabs); i++ {
+			if slabs[i-1].Base >= slabs[i].Base {
+				t.Fatalf("Slabs() out of base order at %d", i)
+			}
+		}
+	}
+	check()
+	// Overlaps with either neighbour and duplicate ids are refused.
+	for _, s := range []Slab{
+		{ID: 999, Base: 5<<21 + 1<<19, Size: 1 << 20},     // tail of slab 5
+		{ID: 999, Base: 5<<21 - 1<<19, Size: 1 << 20},     // gap into slab 5's head
+		{ID: 999, Base: 5<<21 + 1<<20, Size: 3 << 20},     // gap across slab 6
+		{ID: 105, Base: mem.Addr(n) << 21, Size: 1 << 20}, // duplicate id
+	} {
+		if err := b.Attach(s); err == nil {
+			t.Fatalf("attach of %+v accepted", s)
+		}
+	}
+	for _, i := range []int{0, 3, 33, 63} { // attached slabs, first and last included
+		b.Detach(uint64(100 + i))
+		for j, s := range all {
+			if s.ID == uint64(100+i) {
+				all = append(all[:j], all[j+1:]...)
+				break
+			}
+		}
+	}
+	check()
+	if _, ok := b.SlabFor(33<<21 + 5); ok {
+		t.Fatal("detached slab still resolves")
+	}
+	// Slabs returns a copy: the caller cannot reorder the allocator's list.
+	b.Slabs()[0] = Slab{}
+	check()
 }
 
 // Property: live allocations never overlap, stay within granted slabs,
