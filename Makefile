@@ -37,13 +37,12 @@ fuzz:
 bench-quick:
 	$(GO) run -race ./cmd/kona-bench -run all -quick -parallel 0 -out /dev/null
 
-# Eviction-path guard (DESIGN.md §8): the pipelined 3-replica flush over
-# real TCP daemons, the steady-state evict and
+# Eviction-path guard (DESIGN.md §8): the steady-state evict and
 # fetch-hit allocation checks (-benchmem must report 0 allocs/op on the
 # arena-backed paths), and the single-vs-batched ReadPages round trip.
 # -benchtime=1x keeps it a smoke run; compare properly with -benchtime=2s.
 bench-evict:
-	$(GO) test -run='^$$' -bench='BenchmarkFlushFanout|BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
+	$(GO) test -run='^$$' -bench='BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
 
 # Six single-test guards. The first three run on the simulated fabric and

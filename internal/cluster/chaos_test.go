@@ -151,7 +151,7 @@ func TestAllocSlabDedup(t *testing.T) {
 	}
 	defer cs.Close()
 
-	req := &Request{Kind: kindAllocSlab, Size: 1 << 20, ID: nextReqID()}
+	req := &Request{Kind: kindAllocSlab, Size: 1 << 20, Replicas: 1, ID: nextReqID()}
 	first, err := roundTripOnce(cs.Addr(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestControllerChaosAllocNoLeak(t *testing.T) {
 	const n, size = 16, uint64(1 << 20)
 	seen := map[uint64]bool{}
 	for i := 0; i < n; i++ {
-		s, err := cc.AllocSlab(size)
+		s, err := allocOne(cc, size)
 		if err != nil {
 			t.Fatalf("alloc %d through faults: %v", i, err)
 		}

@@ -91,25 +91,17 @@ func (c *ControllerClient) Epoch() (uint64, error) {
 	return resp.Epoch, nil
 }
 
-// AllocSlab requests one slab. Retried transparently: the request ID lets
-// the controller deduplicate replays, so a lost response cannot leak a
-// slab. The hosting node's address is NodeAddrs's to tell.
-func (c *ControllerClient) AllocSlab(size uint64) (slab.Slab, error) {
-	resp, err := c.pool.roundTrip(&Request{Kind: kindAllocSlab, Size: size})
-	if err != nil {
-		return slab.Slab{}, err
-	}
-	if len(resp.Slabs) != 1 {
-		return slab.Slab{}, fmt.Errorf("cluster: controller returned %d slabs", len(resp.Slabs))
-	}
-	return resp.Slabs[0], nil
-}
-
-// AllocReplicatedSlab requests a slab placed on `replicas` distinct nodes.
-func (c *ControllerClient) AllocReplicatedSlab(size uint64, replicas int) ([]slab.Slab, error) {
+// AllocSlab requests a slab placed on `replicas` distinct nodes, one
+// member each. Retried transparently: the request ID lets the controller
+// deduplicate replays, so a lost response cannot leak a slab. The hosting
+// nodes' addresses are NodeAddrs's to tell.
+func (c *ControllerClient) AllocSlab(size uint64, replicas int) ([]slab.Slab, error) {
 	resp, err := c.pool.roundTrip(&Request{Kind: kindAllocSlab, Size: size, Replicas: replicas})
 	if err != nil {
 		return nil, err
+	}
+	if len(resp.Slabs) != replicas {
+		return nil, fmt.Errorf("cluster: controller returned %d slabs for %d replicas", len(resp.Slabs), replicas)
 	}
 	return resp.Slabs, nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -14,7 +15,7 @@ import (
 
 func TestControllerRoundRobin(t *testing.T) {
 	c := NewController()
-	if _, err := c.AllocSlab(1 << 20); err == nil {
+	if _, err := allocOne(c, 1<<20); err == nil {
 		t.Fatalf("alloc with no nodes succeeded")
 	}
 	n0 := NewMemoryNode(0, 64<<20)
@@ -28,11 +29,11 @@ func TestControllerRoundRobin(t *testing.T) {
 	if err := c.Register(n1); err != nil {
 		t.Fatal(err)
 	}
-	s1, err := c.AllocSlab(16 << 20)
+	s1, err := allocOne(c, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.AllocSlab(16 << 20)
+	s2, err := allocOne(c, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestControllerSkipsFullAndFailedNodes(t *testing.T) {
 	}
 	// 8MB slab only fits on the big node, repeatedly.
 	for i := 0; i < 3; i++ {
-		s, err := c.AllocSlab(8 << 20)
+		s, err := allocOne(c, 8<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +72,14 @@ func TestControllerSkipsFullAndFailedNodes(t *testing.T) {
 		}
 	}
 	big.Fail()
-	if _, err := c.AllocSlab(8 << 20); err == nil {
+	if _, err := allocOne(c, 8<<20); err == nil {
 		t.Errorf("allocation on failed node succeeded")
 	}
 	// Oversized request fails cleanly.
-	if _, err := c.AllocSlab(1 << 40); err == nil {
+	if _, err := allocOne(c, 1<<40); err == nil {
 		t.Errorf("oversized slab succeeded")
 	}
-	if _, err := c.AllocSlab(0); err == nil {
+	if _, err := allocOne(c, 0); err == nil {
 		t.Errorf("zero slab succeeded")
 	}
 }
@@ -90,7 +91,7 @@ func TestReplicatedSlabPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	slabs, err := c.AllocReplicatedSlab(8<<20, 2)
+	slabs, err := c.AllocSlab(8<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,75 @@ func TestReplicatedSlabPlacement(t *testing.T) {
 	if slabs[0].Base != slabs[1].Base {
 		t.Errorf("replica bases differ: %v vs %v", slabs[0].Base, slabs[1].Base)
 	}
-	if _, err := c.AllocReplicatedSlab(8<<20, 4); err == nil {
+	if _, err := c.AllocSlab(8<<20, 4); err == nil {
 		t.Errorf("4 replicas on 3 nodes succeeded")
 	}
-	if _, err := c.AllocReplicatedSlab(8<<20, 0); err == nil {
+	if _, err := c.AllocSlab(8<<20, 0); err == nil {
 		t.Errorf("0 replicas succeeded")
+	}
+}
+
+// slabAllocator is the one slab-allocation verb, in process or over TCP.
+type slabAllocator interface {
+	AllocSlab(size uint64, replicas int) ([]slab.Slab, error)
+}
+
+// allocOne allocates a plain slab: a placement group of one.
+func allocOne(a slabAllocator, size uint64) (slab.Slab, error) {
+	ss, err := a.AllocSlab(size, 1)
+	if err != nil {
+		return slab.Slab{}, err
+	}
+	return ss[0], nil
+}
+
+// TestAllocSlabRefusesZeroSize: a zero-size slab is refused at every
+// replica count, in process and over the wire, and the refusal spends no
+// group id and no VFMem range — the next slab is group 1 at VFMemBase.
+func TestAllocSlabRefusesZeroSize(t *testing.T) {
+	check := func(t *testing.T, a slabAllocator, r int) {
+		if _, err := a.AllocSlab(0, r); err == nil || !strings.Contains(err.Error(), "zero-size slab") {
+			t.Fatalf("AllocSlab(0, %d) = %v, want the zero-size refusal", r, err)
+		}
+		ss, err := a.AllocSlab(4096, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ss) != r {
+			t.Fatalf("AllocSlab(4096, %d) returned %d members", r, len(ss))
+		}
+		for _, s := range ss {
+			if s.ID != 1 || s.Base != VFMemBase || s.Size != 4096 {
+				t.Errorf("member %+v, want group 1 of 4096 bytes at %v", s, VFMemBase)
+			}
+		}
+	}
+	for r := 1; r <= 3; r++ {
+		t.Run(fmt.Sprintf("R=%d/local", r), func(t *testing.T) {
+			c := NewController()
+			for i := 0; i < 3; i++ {
+				if err := c.Register(NewMemoryNode(i, 1<<20)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(t, c, r)
+		})
+		t.Run(fmt.Sprintf("R=%d/tcp", r), func(t *testing.T) {
+			cs, err := ServeController(NewController(), "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cs.Close()
+			cc := DialController(cs.Addr())
+			defer cc.Close()
+			for i := 0; i < 3; i++ {
+				// Allocation never dials a node: the address is only recorded.
+				if err := cc.RegisterNode(i, 1<<20, fmt.Sprintf("127.0.0.1:%d", 1+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(t, cc, r)
+		})
 	}
 }
 
@@ -124,7 +189,7 @@ func TestControllerRemove(t *testing.T) {
 		t.Fatalf("nodes = %d", c.Nodes())
 	}
 	for i := 0; i < 2; i++ {
-		s, err := c.AllocSlab(1 << 20)
+		s, err := allocOne(c, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +294,7 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 
 	// Allocate a slab; write and read back through the hosting node.
-	s, err := cc.AllocSlab(1 << 20)
+	s, err := allocOne(cc, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +340,7 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 
 	// Replicated allocation over TCP.
-	slabs, err := cc.AllocReplicatedSlab(1<<20, 2)
+	slabs, err := cc.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +352,7 @@ func TestTCPEndToEnd(t *testing.T) {
 	if _, err := readFrom(mc, 1<<40, 10); err == nil {
 		t.Errorf("out-of-range TCP read succeeded")
 	}
-	if _, err := cc.AllocSlab(1 << 40); err == nil {
+	if _, err := allocOne(cc, 1<<40); err == nil {
 		t.Errorf("oversized TCP alloc succeeded")
 	}
 	_ = nodeSrvs
@@ -314,7 +379,7 @@ func TestHealthSweep(t *testing.T) {
 	}
 	// Allocation no longer lands on the removed node.
 	for i := 0; i < 4; i++ {
-		s, err := c.AllocSlab(1 << 20)
+		s, err := allocOne(c, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +424,7 @@ func TestTCPProtocolRobustness(t *testing.T) {
 		t.Errorf("release for unknown node accepted")
 	}
 	// Release round trip.
-	s, err := cc.AllocSlab(1 << 20)
+	s, err := allocOne(cc, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +452,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := cc.AllocSlab(1 << 20); err != nil {
+			if _, err := allocOne(cc, 1<<20); err != nil {
 				errs <- err
 			}
 		}()

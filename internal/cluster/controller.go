@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -585,17 +586,24 @@ func (c *Controller) AbandonExtent(s slab.Slab) {
 	}
 }
 
-// AllocSlab places a slab of the given size on a memory node (round-robin
-// over nodes with room, skipping failed ones) and returns the slab
-// descriptor. The returned slab's Base is a fresh VFMem-space address.
-func (c *Controller) AllocSlab(size uint64) (slab.Slab, error) {
+// AllocSlab places one logical slab of the given size on `replicas`
+// distinct memory nodes (round-robin over nodes with room, skipping failed
+// ones, or coldest-first under PolicyLoad) and returns one descriptor per
+// member, primary first. The members form one placement group: they share
+// the group id and one fresh VFMem-space Base, so the compute node
+// addresses them identically (§4.5). A plain slab is a group of one.
+func (c *Controller) AllocSlab(size uint64, replicas int) ([]slab.Slab, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if size == 0 {
-		return slab.Slab{}, fmt.Errorf("controller: zero-size slab")
-	}
-	if len(c.rr) == 0 {
-		return slab.Slab{}, fmt.Errorf("controller: no memory nodes registered")
+	switch {
+	case size == 0:
+		return nil, fmt.Errorf("controller: zero-size slab")
+	case replicas <= 0:
+		return nil, fmt.Errorf("controller: replicas must be positive")
+	case len(c.rr) == 0:
+		return nil, fmt.Errorf("controller: no memory nodes registered")
+	case len(c.rr) < replicas:
+		return nil, fmt.Errorf("controller: %d replicas requested, %d nodes registered", replicas, len(c.rr))
 	}
 	// PolicyLoad walks nodes coldest-first; the default rr rotation is
 	// untouched so fixed-seed runs stay byte-identical.
@@ -603,83 +611,36 @@ func (c *Controller) AllocSlab(size uint64) (slab.Slab, error) {
 	if c.policy == PolicyLoad {
 		order = c.loadOrderLocked()
 	}
-	for tries := 0; tries < len(c.rr); tries++ {
+	gid := c.nextSlabID + 1
+	var out []slab.Slab
+	for tries := 0; tries < len(c.rr) && len(out) < replicas; tries++ {
 		id := c.candidateLocked(order, tries)
+		if slices.ContainsFunc(out, func(s slab.Slab) bool { return s.Node == id }) {
+			continue
+		}
 		n := c.nodes[id]
 		off, err := n.CarveSlab(size)
 		if err != nil {
 			continue // node full or failed; try the next
 		}
-		c.nextSlabID++
-		s := slab.Slab{
-			ID:        c.nextSlabID,
+		out = append(out, slab.Slab{
+			ID:        gid,
 			Base:      c.nextVA,
 			Size:      size,
 			Node:      id,
 			RemoteKey: n.PoolKey(),
 			RemoteOff: off,
 			Epoch:     c.incarn[id],
-		}
-		c.nextVA += mem.Addr(size)
-		c.groups[s.ID] = []slab.Slab{s}
-		return s, nil
-	}
-	return slab.Slab{}, fmt.Errorf("controller: no node can host %d bytes", size)
-}
-
-// AllocReplicatedSlab places the same logical slab on `replicas` distinct
-// nodes and returns one descriptor per replica. All members share one
-// group id and one Base (the compute node addresses them identically);
-// they form one placement group for degraded-state tracking. Used by the
-// §4.5 replication path.
-func (c *Controller) AllocReplicatedSlab(size uint64, replicas int) ([]slab.Slab, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if replicas <= 0 {
-		return nil, fmt.Errorf("controller: replicas must be positive")
-	}
-	if len(c.rr) < replicas {
-		return nil, fmt.Errorf("controller: %d replicas requested, %d nodes registered", replicas, len(c.rr))
-	}
-	var out []slab.Slab
-	base := c.nextVA
-	gid := c.nextSlabID + 1
-	placed := map[int]bool{}
-	var order []int
-	if c.policy == PolicyLoad {
-		order = c.loadOrderLocked()
-	}
-	for tries := 0; tries < len(c.rr) && len(out) < replicas; tries++ {
-		id := c.candidateLocked(order, tries)
-		if placed[id] {
-			continue
-		}
-		n := c.nodes[id]
-		off, err := n.CarveSlab(size)
-		if err != nil {
-			continue
-		}
-		out = append(out, slab.Slab{
-			ID:        gid,
-			Base:      base,
-			Size:      size,
-			Node:      id,
-			RemoteKey: n.PoolKey(),
-			RemoteOff: off,
-			Epoch:     c.incarn[id],
 		})
-		placed[id] = true
 	}
 	if len(out) < replicas {
 		for _, s := range out {
 			c.nodes[s.Node].ReleaseSlab(s.RemoteOff, s.Size)
 		}
-		return nil, fmt.Errorf("controller: only %d of %d replicas placeable", len(out), replicas)
+		return nil, fmt.Errorf("controller: no node can host %d bytes (%d of %d members placed)", size, len(out), replicas)
 	}
 	c.nextSlabID = gid
 	c.nextVA += mem.Addr(size)
-	members := make([]slab.Slab, len(out))
-	copy(members, out)
-	c.groups[gid] = members
+	c.groups[gid] = slices.Clone(out)
 	return out, nil
 }

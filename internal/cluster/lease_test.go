@@ -32,7 +32,7 @@ func leaseRack(t *testing.T, n int) (*Controller, *time.Time) {
 
 func TestLeaseDirectoryStateMachine(t *testing.T) {
 	c, _ := leaseRack(t, 1)
-	s, err := c.AllocSlab(1 << 20)
+	s, err := allocOne(c, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestLeaseDirectoryStateMachine(t *testing.T) {
 func TestLeaseTTLExpiryAndTakeover(t *testing.T) {
 	c, now := leaseRack(t, 1)
 	c.SetLeaseTTL(time.Second)
-	s, err := c.AllocSlab(1 << 20)
+	s, err := allocOne(c, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func packInto(t *testing.T, n *MemoryNode, entries []cllog.Entry) int {
 func TestZombieWriterWriteLogFencedWholeBatch(t *testing.T) {
 	c, now := leaseRack(t, 1)
 	c.SetLeaseTTL(time.Second)
-	s, err := c.AllocSlab(1 << 20)
+	s, err := allocOne(c, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestLeaseRefusalsArriveTyped(t *testing.T) {
 	_, cs, _ := tcpRack(t, 1)
 	cc := DialController(cs.Addr())
 	defer cc.Close()
-	s, err := cc.AllocSlab(1 << 20)
+	s, err := allocOne(cc, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestLeaseRefusalsArriveTyped(t *testing.T) {
 // extent must reject the same stale writers the old one did.
 func TestLeaseSurvivesRepairFlip(t *testing.T) {
 	c, _ := leaseRack(t, 3)
-	members, err := c.AllocReplicatedSlab(1<<20, 2)
+	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestLeaseSurvivesRepairFlip(t *testing.T) {
 // member re-arms the writer's fence on the migration target.
 func TestLeaseSurvivesMigrationFlip(t *testing.T) {
 	c, _ := leaseRack(t, 2)
-	s, err := c.AllocSlab(1 << 20)
+	s, err := allocOne(c, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

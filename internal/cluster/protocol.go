@@ -201,7 +201,8 @@ type Request struct {
 	Capacity uint64
 	Addr     string
 
-	// AllocSlab
+	// AllocSlab: Replicas is the placement group's member count, 1 for a
+	// plain slab; the controller refuses 0.
 	Size     uint64
 	Replicas int
 

@@ -135,7 +135,7 @@ func drainRepairs(t *testing.T, e *ReplaceEngine, c *Controller) {
 // and the new member's bytes match the surviving source exactly.
 func TestRepairRestoresReplication(t *testing.T) {
 	c := repairRack(t, 3)
-	members, err := c.AllocReplicatedSlab(1<<20, 2)
+	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRepairRestoresReplication(t *testing.T) {
 // same id rejoining under a fresh incarnation is a valid target.
 func TestRepairSkipsLostNodeAsTarget(t *testing.T) {
 	c := repairRack(t, 2)
-	members, err := c.AllocReplicatedSlab(1<<20, 2)
+	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestRepairSkipsLostNodeAsTarget(t *testing.T) {
 // degraded entry.
 func TestCommitReplacementFencesStaleFlips(t *testing.T) {
 	c := repairRack(t, 3)
-	members, err := c.AllocReplicatedSlab(1<<20, 2)
+	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func mustServeNode(t *testing.T, n *MemoryNode) *MemoryNodeServer {
 // then land the lost replica back on the rejoined node.
 func TestRegisterArbitratesRejoin(t *testing.T) {
 	c := repairRack(t, 2)
-	members, err := c.AllocReplicatedSlab(1<<20, 2)
+	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestByteBudgetUnlimited(t *testing.T) {
 // configured share of the fabric.
 func TestRepairRespectsByteBudget(t *testing.T) {
 	c := repairRack(t, 3)
-	members, err := c.AllocReplicatedSlab(256<<10, 2)
+	members, err := c.AllocSlab(256<<10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func (w *concurrentWriter) hooks() *nodeHooks {
 // target, and the delta counters must show it actually happened.
 func TestMigrationPreservesBytesUnderConcurrentWrites(t *testing.T) {
 	c := repairRack(t, 2)
-	src, err := c.AllocSlab(256 << 10)
+	src, err := allocOne(c, 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func killOn(c *Controller, victim int) func(int) {
 func TestMigrationAbortUnwinds(t *testing.T) {
 	// Target dies mid-copy: the first Write to it fails the node.
 	c := repairRack(t, 2)
-	src, err := c.AllocSlab(128 << 10)
+	src, err := allocOne(c, 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +645,7 @@ func TestMigrationAbortUnwinds(t *testing.T) {
 	// Target dies between seal and flip: the commit must refuse and the
 	// unwind must lift the seal so writers resume.
 	c2 := repairRack(t, 2)
-	src2, err := c2.AllocSlab(128 << 10)
+	src2, err := allocOne(c2, 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +703,7 @@ func TestLoadMapScoresAndPolicy(t *testing.T) {
 	}
 	// Node 1 now carries the bigger effective load (pending gauge), so a
 	// load-aware carve must land on node 0.
-	s, err := c.AllocSlab(1 << 20)
+	s, err := allocOne(c, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,7 +712,7 @@ func TestLoadMapScoresAndPolicy(t *testing.T) {
 	}
 	// Anti-affinity: replicas of one group avoid sharing a node even when
 	// it is the coldest.
-	members, err := c.AllocReplicatedSlab(1<<20, 2)
+	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +730,7 @@ func TestLoadMapScoresAndPolicy(t *testing.T) {
 // locking.
 func TestPlacementsHealthConsistentWithRemove(t *testing.T) {
 	c := repairRack(t, 3)
-	members, err := c.AllocReplicatedSlab(1<<20, 2)
+	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,7 +810,7 @@ func TestPlacementsHealthConsistentWithRemove(t *testing.T) {
 // says which.
 func TestCarveReplacementRules(t *testing.T) {
 	c := repairRack(t, 3)
-	members, err := c.AllocReplicatedSlab(1<<20, 2)
+	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1113,7 +1113,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 
 	t.Run("retire", func(t *testing.T) {
 		ctrl, cs, nodes := tcpRack(t, 2)
-		old, err := ctrl.AllocSlab(256 << 10)
+		old, err := allocOne(ctrl, 256<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1142,7 +1142,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 		// The next tenant of the window can write to it.
 		var next slab.Slab
 		for i := 0; i < 2 && next.Node != old.Node; i++ {
-			if next, err = ctrl.AllocSlab(old.Size); err != nil {
+			if next, err = allocOne(ctrl, old.Size); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1160,7 +1160,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 
 	t.Run("unwind", func(t *testing.T) {
 		c := repairRack(t, 2)
-		old, err := c.AllocSlab(128 << 10)
+		old, err := allocOne(c, 128<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1201,7 +1201,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 // for the unwound attempt.
 func TestReplaceEngineRun(t *testing.T) {
 	c := repairRack(t, 4)
-	members, err := c.AllocReplicatedSlab(64<<10, 2) // group 1 on nodes 0 and 1
+	members, err := c.AllocSlab(64<<10, 2) // group 1 on nodes 0 and 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1210,7 +1210,7 @@ func TestReplaceEngineRun(t *testing.T) {
 	// slab there.
 	var single slab.Slab
 	for single.Node != hot || single.ID == 0 {
-		if single, err = c.AllocSlab(64 << 10); err != nil {
+		if single, err = allocOne(c, 64<<10); err != nil {
 			t.Fatal(err)
 		}
 	}

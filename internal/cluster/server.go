@@ -323,18 +323,11 @@ func (s *ControllerServer) dispatch(req *Request) *Response {
 		s.mu.Unlock()
 		return &Response{Epoch: n.Incarnation()}
 	case kindAllocSlab:
-		if req.Replicas > 1 {
-			slabs, err := s.ctrl.AllocReplicatedSlab(req.Size, req.Replicas)
-			if err != nil {
-				return &Response{Err: err}
-			}
-			return &Response{Slabs: slabs}
-		}
-		sl, err := s.ctrl.AllocSlab(req.Size)
+		slabs, err := s.ctrl.AllocSlab(req.Size, req.Replicas)
 		if err != nil {
 			return &Response{Err: err}
 		}
-		return &Response{Slabs: []slab.Slab{sl}}
+		return &Response{Slabs: slabs}
 	case kindReleaseSlab:
 		err := s.ctrl.ReleaseSlab(slab.Slab{Node: req.NodeID, RemoteOff: req.Offset, Size: req.Size})
 		if err != nil {

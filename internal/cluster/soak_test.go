@@ -77,7 +77,7 @@ func TestSoakNoLostWrites(t *testing.T) {
 	}
 	regions := make([]region, workers)
 	for i := range regions {
-		s, err := cc.AllocSlab(1 << 20)
+		s, err := allocOne(cc, 1<<20)
 		if err != nil {
 			t.Fatalf("soak alloc %d: %v", i, err)
 		}

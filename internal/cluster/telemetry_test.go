@@ -156,7 +156,7 @@ func TestServerTelemetryCounters(t *testing.T) {
 	if err := cc.RegisterNode(3, 1<<20, ns.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.AllocSlab(4096); err != nil {
+	if _, err := allocOne(cc, 4096); err != nil {
 		t.Fatal(err)
 	}
 	mc := DialMemoryNode(ns.Addr())

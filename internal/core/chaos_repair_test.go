@@ -412,7 +412,7 @@ func TestReplacementDoesNotStarveFetchP99(t *testing.T) {
 		setup func(t *testing.T, ctrl *cluster.Controller, eng *cluster.ReplaceEngine) (crank func() int, flips func() uint64)
 	}{
 		{"lost", func(t *testing.T, ctrl *cluster.Controller, eng *cluster.ReplaceEngine) (func() int, func() uint64) {
-			members, err := ctrl.AllocReplicatedSlab(4<<20, 2)
+			members, err := ctrl.AllocSlab(4<<20, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,12 +422,12 @@ func TestReplacementDoesNotStarveFetchP99(t *testing.T) {
 			return eng.RepairOnce, func() uint64 { return eng.Stats().Repair.Flips }
 		}},
 		{"live", func(t *testing.T, ctrl *cluster.Controller, eng *cluster.ReplaceEngine) (func() int, func() uint64) {
-			src, err := ctrl.AllocSlab(4 << 20)
+			src, err := ctrl.AllocSlab(4<<20, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Make the hosting node hot so the sweep picks its slab.
-			ctrl.ReportLoad(src.Node, cluster.LoadSample{ReadBytes: 64 << 20})
+			ctrl.ReportLoad(src[0].Node, cluster.LoadSample{ReadBytes: 64 << 20})
 			return eng.SweepOnce, func() uint64 { return eng.Stats().Migrate.Flips }
 		}},
 	}

@@ -45,13 +45,6 @@ type Config struct {
 	// paper's choice; §4.4 "Kona can choose the data movement size
 	// between page and cache-line granularity").
 	FetchBytes uint64
-	// BackpressureBytes bounds the evictor's ship-pending backlog
-	// (DESIGN.md §13): when the unshipped log bytes across every
-	// destination exceed this, Write charges a bounded virtual-time
-	// admission-control delay so dirty-byte production slows to eviction
-	// bandwidth instead of growing the backlog without bound. 0 — the
-	// default — disables admission control.
-	BackpressureBytes uint64
 	// Shards is the lock-stripe count for the concurrent data path: FMem
 	// frame state and the eviction handler's append side are partitioned
 	// into this many independently locked shards (DESIGN.md §9). Rounded

@@ -1085,18 +1085,6 @@ func (e *evictor) pendingLoads(dst []nodePending) []nodePending {
 	return dst
 }
 
-// totalPendingBytes sums every destination's unshipped log bytes — the
-// write-path admission-control signal.
-func (e *evictor) totalPendingBytes() uint64 {
-	var total int64
-	for _, nb := range e.orderSnapshot() {
-		if p := nb.pendingBytes.Load(); p > 0 {
-			total += p
-		}
-	}
-	return uint64(total)
-}
-
 // release returns pooled resources at runtime shutdown. The evictor must
 // not be used afterwards.
 func (e *evictor) release() {

@@ -59,9 +59,6 @@ type FailureStats struct {
 	// migration, with the entries retained until the flip was picked up
 	// (DESIGN.md §13).
 	SealedRetains uint64
-	// BackpressureStalls counts writes delayed by admission control when
-	// the ship-pending backlog exceeded Config.BackpressureBytes.
-	BackpressureStalls uint64
 	// LeaseFencedShips counts eviction-log ships rejected whole by a
 	// memnode lease fence: this runtime's writer lease was taken over and
 	// a successor's fence rejected the zombie batch (DESIGN.md §14).
@@ -94,7 +91,6 @@ func (k *Kona) FailureStats() FailureStats {
 	k.failures.PlacementRefreshes = k.refreshes.Load()
 	k.failures.RemappedEntries = k.evict.remapped.Load()
 	k.failures.SealedRetains = k.evict.sealedRetains.Load()
-	k.failures.BackpressureStalls = k.backpressureStalls.Load()
 	k.failures.LeaseFencedShips = k.evict.leaseFenced.Load()
 	return k.failures
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kona/internal/cluster"
 	"kona/internal/fpga"
@@ -25,10 +24,6 @@ type coreMetrics struct {
 	// syncFlushed/syncRetained describe the latest Sync: dirty pages it
 	// pushed through the eviction path and clean pages it left in FMem.
 	syncFlushed, syncRetained *telemetry.Counter
-	// backpressureStalls/backpressureDelay count writes delayed by
-	// admission control and the total virtual time charged (DESIGN.md
-	// §13).
-	backpressureStalls, backpressureDelay *telemetry.Counter
 	// Published absolute values of the FPGA's own counters (Store-synced
 	// at Sync/Close and on PublishTelemetry).
 	lineFills, fmemHits, writebacks, prefetches, bytesFetched *telemetry.Counter
@@ -43,21 +38,19 @@ type coreMetrics struct {
 
 func newCoreMetrics(reg *telemetry.Registry) coreMetrics {
 	m := coreMetrics{
-		fetches:            reg.Counter("core.fetches"),
-		evictions:          reg.Counter("core.evictions"),
-		dirtyEvictions:     reg.Counter("core.dirty_evictions"),
-		syncs:              reg.Counter("core.syncs"),
-		syncFlushed:        reg.Counter("core.sync.flushed_pages"),
-		syncRetained:       reg.Counter("core.sync.retained_pages"),
-		backpressureStalls: reg.Counter("core.backpressure.stalls"),
-		backpressureDelay:  reg.Counter("core.backpressure.delay_ns"),
-		lineFills:          reg.Counter("core.fpga.line_fills"),
-		fmemHits:           reg.Counter("core.fpga.fmem_hits"),
-		writebacks:         reg.Counter("core.fpga.writebacks"),
-		prefetches:         reg.Counter("core.fpga.prefetches"),
-		bytesFetched:       reg.Counter("core.fpga.bytes_fetched"),
-		freshFills:         reg.Counter("core.fresh_fills"),
-		trace:              reg.Trace(),
+		fetches:        reg.Counter("core.fetches"),
+		evictions:      reg.Counter("core.evictions"),
+		dirtyEvictions: reg.Counter("core.dirty_evictions"),
+		syncs:          reg.Counter("core.syncs"),
+		syncFlushed:    reg.Counter("core.sync.flushed_pages"),
+		syncRetained:   reg.Counter("core.sync.retained_pages"),
+		lineFills:      reg.Counter("core.fpga.line_fills"),
+		fmemHits:       reg.Counter("core.fpga.fmem_hits"),
+		writebacks:     reg.Counter("core.fpga.writebacks"),
+		prefetches:     reg.Counter("core.fpga.prefetches"),
+		bytesFetched:   reg.Counter("core.fpga.bytes_fetched"),
+		freshFills:     reg.Counter("core.fresh_fills"),
+		trace:          reg.Trace(),
 	}
 	for c := range m.fetchesBy {
 		m.fetchesBy[c] = reg.Counter("core.fpga.fetches." + fpga.FetchCause(c).String())
@@ -91,10 +84,6 @@ type Kona struct {
 	placementEpoch atomic.Uint64
 	// refreshes counts completed placement refreshes (FailureStats).
 	refreshes atomic.Uint64
-
-	// backpressureStalls counts writes delayed by admission control
-	// (Config.BackpressureBytes).
-	backpressureStalls atomic.Uint64
 
 	// loadMu guards loadScratch, the reusable per-Sync scratch for
 	// reporting ship-pending backlog to the controller's load map.
@@ -252,12 +241,7 @@ func (k *Kona) Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.
 }
 
 // Write stores buf to remote memory through FMem, tracking dirty lines,
-// and returns the completion time. With Config.BackpressureBytes set,
-// writes issued while the ship-pending backlog exceeds the bound are
-// charged a bounded admission-control delay (DESIGN.md §13): the backlog
-// means dirty bytes are being produced faster than eviction bandwidth
-// drains them, and an unbounded backlog turns into unbounded retained
-// memory and unbounded catch-up flushes.
+// and returns the completion time.
 func (k *Kona) Write(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error) {
 	if k.readerCount.Load() != 0 {
 		// A store into a reader-mode shared region must first win the
@@ -266,33 +250,7 @@ func (k *Kona) Write(now simclock.Duration, addr mem.Addr, buf []byte) (simclock
 			return now, err
 		}
 	}
-	if limit := k.cfg.BackpressureBytes; limit > 0 {
-		if p := k.evict.totalPendingBytes(); p > limit {
-			d := backpressureDelay(p, limit)
-			now += d
-			k.backpressureStalls.Add(1)
-			k.m.backpressureStalls.Inc()
-			k.m.backpressureDelay.Add(uint64(d))
-		}
-	}
 	return k.fpga.Write(now, addr, buf)
-}
-
-// backpressureMaxDelay caps one write's admission-control stall: the
-// delay slows the writer to eviction speed, it does not block it.
-const backpressureMaxDelay = 50 * time.Microsecond
-
-// backpressureDelay converts pending-byte overshoot into a bounded
-// virtual-time stall, modeling a ~64 B/ns drain of the excess.
-func backpressureDelay(pending, limit uint64) simclock.Duration {
-	d := simclock.Duration((pending - limit) / 64)
-	if d > backpressureMaxDelay {
-		d = backpressureMaxDelay
-	}
-	if d < time.Nanosecond {
-		d = time.Nanosecond
-	}
-	return d
 }
 
 // RefreshPlacements re-fetches every placement group from the controller

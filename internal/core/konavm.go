@@ -254,17 +254,10 @@ func (k *KonaVM) majorFault(now simclock.Duration, a mem.Addr, write bool) (simc
 		// Nothing remote worth reading: the new zero page is the fill.
 		k.stats.FreshFills++
 	} else {
-		// Page read from the primary placement (failing over past dead
-		// replicas, like the Kona fetch path).
-		pls, err := k.rm.placementsFor(base)
-		if err != nil {
-			return now, err
-		}
-		pl, ok := liveFirst(pls)
-		if !ok {
-			return now, fmt.Errorf("core: vm fetch: %w", ErrRemoteUnavailable)
-		}
-		if done, err = pl.link.readPage(now, pl.remoteOff, pg.data); err != nil {
+		// The same translator Kona's FPGA reads through: primary first,
+		// failing over to a live replica.
+		var err error
+		if done, err = k.rm.ReadRange(now, base, 0, pg.data); err != nil {
 			return now, fmt.Errorf("core: vm fetch: %w", err)
 		}
 		k.stats.Fetches++
@@ -308,13 +301,8 @@ func (k *KonaVM) leapPrefetch(now simclock.Duration, a mem.Addr) simclock.Durati
 		if _, cached := k.cache[page]; cached || k.rm.pageFresh(base) {
 			continue // present, or nothing remote to bring in
 		}
-		pls, err := k.rm.placementsFor(base)
-		if err != nil {
+		if _, mapped := k.rm.groupFor(base); !mapped {
 			continue // outside the mapped region: skip quietly
-		}
-		pl, ok := liveFirst(pls)
-		if !ok {
-			continue
 		}
 		if k.EvictEnabled {
 			if n, err := k.evictIfFull(now); err == nil {
@@ -322,7 +310,7 @@ func (k *KonaVM) leapPrefetch(now simclock.Duration, a mem.Addr) simclock.Durati
 			}
 		}
 		pg := &vmPage{page: page, data: make([]byte, mem.PageSize)}
-		done, err := pl.link.readPage(now, pl.remoteOff, pg.data)
+		done, err := k.rm.ReadRange(now, base, 0, pg.data)
 		if err != nil {
 			continue
 		}
@@ -365,7 +353,18 @@ func (k *KonaVM) evictIfFull(now simclock.Duration) (simclock.Duration, error) {
 	// page-granularity amplification. The write is asynchronous; only the
 	// copy stalls the app.
 	now += pageCopyFixed + copyCost(mem.PageSize)
-	pls, err := k.rm.placementsInto(base, nil, true)
+	if _, err := k.writeBack(now, pg); err != nil {
+		return now, fmt.Errorf("core: vm eviction write: %w", err)
+	}
+	return now, nil
+}
+
+// writeBack writes one whole page to every replica of its group, one
+// write after another, and returns when the last lands. A dead replica is
+// skipped while another one carries the page; with none written the page
+// is unavailable.
+func (k *KonaVM) writeBack(now simclock.Duration, pg *vmPage) (simclock.Duration, error) {
+	pls, err := k.rm.placementsInto(mem.PageBase(pg.page), nil, true)
 	if err != nil {
 		return now, err
 	}
@@ -374,26 +373,16 @@ func (k *KonaVM) evictIfFull(now simclock.Duration) (simclock.Duration, error) {
 		if len(pls) > 1 && !pl.link.healthy() {
 			continue // dead replica; the live copies carry the page
 		}
-		if _, err := pl.link.writePage(now, pl.remoteOff, pg.data); err != nil {
-			return now, fmt.Errorf("core: vm eviction write: %w", err)
+		if now, err = pl.link.writePage(now, pl.remoteOff, pg.data); err != nil {
+			return now, err
 		}
 		wrote = true
 		k.stats.WireBytes += mem.PageSize
 	}
 	if !wrote {
-		return now, fmt.Errorf("core: vm eviction write: %w", ErrRemoteUnavailable)
+		return now, ErrRemoteUnavailable
 	}
 	return now, nil
-}
-
-// liveFirst returns the first healthy placement (read failover order).
-func liveFirst(pls []placement) (placement, bool) {
-	for _, pl := range pls {
-		if pl.link.healthy() {
-			return pl, true
-		}
-	}
-	return placement{}, false
 }
 
 // touch promotes a page in the LRU on hit. Called from access's cache-hit
@@ -410,32 +399,15 @@ func (k *KonaVM) Sync(now simclock.Duration) (simclock.Duration, error) {
 		if !pg.dirty {
 			continue
 		}
-		base := mem.PageBase(pg.page)
 		now += pageCopyFixed + copyCost(mem.PageSize)
-		pls, err := k.rm.placementsInto(base, nil, true)
-		if err != nil {
-			return now, err
-		}
-		wrote := false
-		for _, pl := range pls {
-			if len(pls) > 1 && !pl.link.healthy() {
-				continue // dead replica; the live copies carry the page
-			}
-			done, err := pl.link.writePage(now, pl.remoteOff, pg.data)
-			if err != nil {
-				return now, err
-			}
-			wrote = true
-			now = done
-			k.stats.WireBytes += mem.PageSize
-		}
-		if !wrote {
-			return now, fmt.Errorf("core: vm sync write: %w", ErrRemoteUnavailable)
+		var err error
+		if now, err = k.writeBack(now, pg); err != nil {
+			return now, fmt.Errorf("core: vm sync write: %w", err)
 		}
 		pg.dirty = false
 		// Re-arm tracking for the next epoch.
 		if k.WriteProtect {
-			k.as.WriteProtect(mem.Range{Start: base, Len: mem.PageSize})
+			k.as.WriteProtect(mem.Range{Start: mem.PageBase(pg.page), Len: mem.PageSize})
 			pg.writable = false
 		}
 	}

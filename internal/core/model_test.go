@@ -115,6 +115,47 @@ func TestModelKonaReplicatedWithFailover(t *testing.T) {
 	runModel(t, rt, 6, 1000)
 }
 
+// TestModelKonaVMReplicatedWithFailover is the KonaVM twin of the test
+// above: faults read through the shared translator, which must fail over
+// past the dead node, and each write-back skips the dead replica while a
+// live one takes the page.
+func TestModelKonaVMReplicatedWithFailover(t *testing.T) {
+	ctrl := newCluster(3)
+	// Step the round-robin cursor past node 0, so the runtime's slab is
+	// placed on nodes 1 and 2 and failing node 1 fails its primary.
+	if _, err := ctrl.AllocSlab(mem.PageSize, 1); err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.LocalCacheBytes = 8 * mem.PageSize
+	cfg.Replicas = 2
+	rt := NewKonaVM(cfg, ctrl)
+
+	runModel(t, rt, 5, 1500)
+
+	n, _ := ctrl.Node(1)
+	n.Fail()
+	// The simulated fabric still lands a write on a failed node, so the
+	// skip is checked on the dead member's extent: nothing may change it.
+	var dead []byte
+	for _, g := range rt.rm.replicas {
+		if m := g.members[0]; m.Node == 1 {
+			dead = n.PoolBytes()[m.RemoteOff : m.RemoteOff+m.Size]
+		}
+	}
+	frozen := bytes.Clone(dead)
+	runModel(t, rt, 6, 1000)
+	if dead == nil || !bytes.Equal(dead, frozen) {
+		t.Fatal("a write-back reached the dead replica")
+	}
+	if st := rt.Stats(); st.Fetches == 0 || st.DirtyEvicted == 0 {
+		t.Fatalf("stats %+v: the model never reached remote memory", st)
+	}
+	if rt.rm.failovers == 0 {
+		t.Fatal("no fault read failed over past the dead primary")
+	}
+}
+
 func TestModelKonaSubPageFetch(t *testing.T) {
 	// Sub-page (512B) fetch granularity with heavy eviction churn: the
 	// partial-fill and read-modify-write paths must stay data-correct.

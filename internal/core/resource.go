@@ -99,6 +99,11 @@ type group struct {
 	// shared marks a group another runtime may write (shared or attached,
 	// share.go): none of its pages is fresh, now or later.
 	shared bool
+	// attached marks a placement group mapped from another runtime
+	// (reader-mode shares, DESIGN.md §14). Its slab translates like any
+	// other, but the space is never allocated from and releaseAll must not
+	// return it to the rack — the owning writer does that.
+	attached bool
 }
 
 // resourceManager is KLib's Resource Manager (§4.1): it pre-allocates
@@ -127,12 +132,6 @@ type resourceManager struct {
 
 	// failovers counts translations that skipped a dead primary.
 	failovers uint64
-
-	// attached holds placement groups mapped from another runtime
-	// (reader-mode shares, DESIGN.md §14). Their slabs translate like any
-	// other, but the space is never allocated from and releaseAll must
-	// not return them to the rack — the owning writer does that.
-	attached map[uint64]struct{}
 }
 
 func newResourceManager(cfg Config, l links, c control) *resourceManager {
@@ -143,7 +142,6 @@ func newResourceManager(cfg Config, l links, c control) *resourceManager {
 		alloc:    slab.NewAllocator(),
 		trace:    cfg.Metrics.Trace(),
 		replicas: make(map[uint64]*group),
-		attached: make(map[uint64]struct{}),
 	}
 }
 
@@ -228,13 +226,7 @@ func (rm *resourceManager) installLocked(slabs []Slab) *group {
 
 // growLocked requests one more slab (with replicas) from the controller.
 func (rm *resourceManager) growLocked() error {
-	slabs := make([]Slab, 1)
-	var err error
-	if rm.cfg.Replicas > 1 {
-		slabs, err = rm.ctrl.AllocReplicatedSlab(rm.cfg.SlabSize, rm.cfg.Replicas)
-	} else {
-		slabs[0], err = rm.ctrl.AllocSlab(rm.cfg.SlabSize)
-	}
+	slabs, err := rm.ctrl.AllocSlab(rm.cfg.SlabSize, rm.cfg.Replicas)
 	if err != nil {
 		return fmt.Errorf("core: slab allocation: %w", err)
 	}
@@ -606,8 +598,8 @@ func (rm *resourceManager) attachGroup(members []Slab) (Slab, error) {
 	if err := rm.alloc.Attach(primary); err != nil {
 		return Slab{}, err
 	}
-	rm.installLocked(members).shared = true
-	rm.attached[primary.ID] = struct{}{}
+	g := rm.installLocked(members)
+	g.shared, g.attached = true, true
 	return primary, nil
 }
 
@@ -615,12 +607,11 @@ func (rm *resourceManager) attachGroup(members []Slab) (Slab, error) {
 func (rm *resourceManager) detachGroup(group uint64) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	if _, ok := rm.attached[group]; !ok {
+	if g := rm.replicas[group]; g == nil || !g.attached {
 		return
 	}
 	rm.alloc.Detach(group)
 	delete(rm.replicas, group)
-	delete(rm.attached, group)
 }
 
 // groupFor resolves addr to its placement group and primary slab.
@@ -648,10 +639,7 @@ func (rm *resourceManager) attachedGroupFor(addr mem.Addr) (Slab, bool) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	s, ok := rm.alloc.SlabFor(addr)
-	if !ok {
-		return Slab{}, false
-	}
-	if _, at := rm.attached[s.ID]; !at {
+	if !ok || !rm.replicas[s.ID].attached {
 		return Slab{}, false
 	}
 	return s, true
@@ -705,7 +693,7 @@ func (rm *resourceManager) releaseAll() error {
 	for id, g := range rm.replicas {
 		// Reader-mode attachments are not ours to release: the owning
 		// writer returns them to the rack.
-		if _, att := rm.attached[id]; !att {
+		if !g.attached {
 			for _, m := range g.members {
 				if err := rm.ctrl.ReleaseSlab(m.Slab); err != nil && firstErr == nil {
 					firstErr = err
@@ -713,7 +701,6 @@ func (rm *resourceManager) releaseAll() error {
 			}
 		}
 		delete(rm.replicas, id)
-		delete(rm.attached, id)
 	}
 	rm.alloc = slab.NewAllocator()
 	return firstErr

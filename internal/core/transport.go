@@ -78,8 +78,7 @@ type links interface {
 // backlog (§13), the placement epoch (a change means cached placements
 // may be stale) and the per-group lease directory (§14).
 type control interface {
-	AllocSlab(size uint64) (Slab, error)
-	AllocReplicatedSlab(size uint64, replicas int) ([]Slab, error)
+	AllocSlab(size uint64, replicas int) ([]Slab, error)
 	ReleaseSlab(s Slab) error
 	SlabPlacements(group uint64) ([]Slab, error)
 	Epoch() (uint64, error)

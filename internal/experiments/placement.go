@@ -120,12 +120,12 @@ func runExtPlacement(cfg Config) (*Result, error) {
 		}
 
 		for k := 0; k < slabs; k++ {
-			s, err := ctrl.AllocSlab(slabSize)
+			s, err := ctrl.AllocSlab(slabSize, 1)
 			if err != nil {
 				return nil, fmt.Errorf("%s: carve %d: %w", sc.name, k, err)
 			}
-			gids = append(gids, s.ID)
-			heatOf[s.ID] = heats[k]
+			gids = append(gids, s[0].ID)
+			heatOf[s[0].ID] = heats[k]
 			if sc.policy == cluster.PolicyLoad {
 				// The controller only knows the heat of slabs already
 				// carved — placement decisions see the load map as it was

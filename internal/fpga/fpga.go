@@ -349,7 +349,7 @@ func New(cfg Config, tr Translator, onEvict EvictHandler) *FPGA {
 	}
 	f.batchPool.New = func() any { return &batchScratch{} }
 	if cfg.Prefetch && cfg.PrefetchDepth > 1 {
-		f.front.stride = newPrefetcher(cfg.PrefetchDepth)
+		f.front.stride = prefetch.New(cfg.PrefetchDepth)
 	}
 	return f
 }

@@ -1,9 +1,6 @@
 package fpga
 
-import (
-	"kona/internal/prefetch"
-	"kona/internal/simclock"
-)
+import "kona/internal/simclock"
 
 // Adaptive stride prefetching over the shared detector (package prefetch).
 // Kona can prefetch across page boundaries because its fills never fault —
@@ -41,6 +38,3 @@ func (f *FPGA) prefetchStride(now simclock.Duration, page uint64) {
 		f.prefetchOne(now, target)
 	}
 }
-
-// newPrefetcher keeps the FPGA-local constructor name.
-func newPrefetcher(maxDepth int) *prefetch.Detector { return prefetch.New(maxDepth) }
