@@ -45,12 +45,12 @@ bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
 
-# Six single-test guards. The first three run on the simulated fabric and
+# Seven single-test guards. The first three run on the simulated fabric and
 # bound counts or *virtual-time* p99s — latency computed on the simulated
 # fabric's clock, which nothing off the measured path can touch — so they
 # are deterministic and have no noise floor to state. The fourth is
-# wall-clock; its test comment states the floor. The last two count RPCs on
-# loopback TCP and time nothing.
+# wall-clock; its test comment states the floor. The last three count RPCs
+# or bytes on loopback TCP and time nothing.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
 #    frame to the eviction handler, and the read pass after it must not
@@ -68,6 +68,10 @@ bench-evict:
 #    now. A runtime that once buffered 64k dirty pages must Sync 200 dirty
 #    pages within 2x of a fresh runtime's time (minimum of 20; 1.0x here,
 #    3.3x before the pending set stopped being a map that was cleared).
+#  - Cache-line log bytes (DESIGN.md §8): 1 000 pages with one dirty line
+#    each, synced at R=2, put exactly 2 x 1000 x (64 + 5) bytes plus one
+#    4-byte terminator per write-log on the memnodes' log_bytes counter
+#    (10-byte entry headers and 8-byte terminators before).
 #  - Fresh allocations (DESIGN.md §16): loading 20k keys into a kv.Store
 #    serves zero memnode read RPCs (5 006 when the value heap's chunks come
 #    from Malloc) and the same number of write-log RPCs either way.
@@ -77,7 +81,7 @@ bench-evict:
 #    `read-pages` and no `read` (the shared carve cursor it replaced let
 #    half the 2 KB records straddle two pages).
 guards:
-	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater' -count=1 -v ./internal/core
+	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine' -count=1 -v ./internal/core
 	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the

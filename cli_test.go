@@ -7,8 +7,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"kona/internal/cllog"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -41,6 +44,19 @@ func TestCLIKonaBench(t *testing.T) {
 	}
 	if !strings.Contains(string(saved), "Copy %") {
 		t.Errorf("-out file missing content")
+	}
+}
+
+// TestCLIMemnodeCapacityBound: a pool the cache-line log cannot address
+// is refused at start-up, before any memory is registered.
+func TestCLIMemnodeCapacityBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the tools")
+	}
+	capacity := strconv.FormatUint(cllog.MaxRegion+64, 10)
+	out, err := exec.Command("go", "run", "./cmd/kona-memnode", "-capacity", capacity).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "line-index limit") {
+		t.Fatalf("kona-memnode -capacity %s: err=%v, want a refusal naming the line-index limit\n%s", capacity, err, out)
 	}
 }
 

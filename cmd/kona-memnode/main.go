@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"kona/internal/cllog"
 	"kona/internal/cluster"
 	"kona/internal/telemetry"
 )
@@ -54,6 +55,11 @@ func main() {
 		faultSeed    = flag.Int64("fault-seed", 0, "fault-injection RNG seed (0 = from clock)")
 	)
 	flag.Parse()
+	if *capacity > cllog.MaxRegion {
+		fmt.Fprintf(os.Stderr, "kona-memnode: -capacity %d exceeds %d bytes, the cache-line log's line-index limit (a u32 index of 64 B lines)\n",
+			*capacity, cllog.MaxRegion)
+		os.Exit(1)
+	}
 
 	var reg *telemetry.Registry // nil keeps every metric site a no-op
 	if *metricsAddr != "" {

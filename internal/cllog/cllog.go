@@ -4,13 +4,16 @@
 // one large RDMA write, and that the Cache-line Log Receiver on the memory
 // node unpacks back into place.
 //
-// Layout: a sequence of entries, each
+// Layout: a sequence of line-addressed entries, each
 //
-//	[8B remote offset][2B length][payload bytes]
+//	[4B line index][1B line count][count × 64 payload bytes]
 //
-// terminated by an offset of all-ones. Lengths are multiples of 64 in
-// normal operation (whole cache lines, possibly coalesced segments), but
-// the codec accepts any length for generality.
+// terminated by a 4-byte line index of all-ones. An entry is 1 to 255
+// whole cache lines (an eviction entry is one run of a page's dirty
+// bitmap, at most 64 lines); its byte offset is index × 64, so one log
+// addresses a region of up to MaxRegion bytes — 2³² − 1 lines, 64 B short
+// of 256 GiB. Pack refuses anything that is not whole lines, and Unpack
+// hands back byte offsets and lengths, so callers speak bytes either way.
 package cllog
 
 import (
@@ -18,13 +21,27 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"kona/internal/mem"
 )
 
-// HeaderSize is the per-entry header length.
-const HeaderSize = 10
+const (
+	// HeaderSize is the per-entry header length.
+	HeaderSize = 5
+	// TerminatorSize is the end-of-log marker's length.
+	TerminatorSize = 4
+	// MaxLines is the most cache lines one entry carries.
+	MaxLines = 0xFF
+	// MaxRegion bounds the region a log addresses: every entry ends at or
+	// below it.
+	MaxRegion = uint64(terminator) * mem.CacheLineSize
+)
 
-// terminator marks the end of the packed log.
-const terminator = ^uint64(0)
+// terminator is the reserved line index that ends a packed log.
+const terminator = ^uint32(0)
+
+// EntrySize is the packed size of an entry carrying n payload bytes.
+func EntrySize(n int) int { return HeaderSize + n }
 
 // Entry is one dirty segment destined for remote memory.
 type Entry struct {
@@ -62,15 +79,16 @@ func PutEntries(s []Entry) {
 
 // PackedSize returns the buffer space entries require when packed.
 func PackedSize(entries []Entry) int {
-	n := 8 // terminator
+	n := TerminatorSize
 	for _, e := range entries {
-		n += HeaderSize + len(e.Data)
+		n += EntrySize(len(e.Data))
 	}
 	return n
 }
 
 // Pack serializes entries into buf and returns the bytes used. It fails if
-// buf is too small or an entry exceeds the 2-byte length field.
+// buf is too small or an entry is not 1 to MaxLines whole cache lines
+// ending within MaxRegion.
 func Pack(entries []Entry, buf []byte) (int, error) {
 	need := PackedSize(entries)
 	if len(buf) < need {
@@ -78,46 +96,50 @@ func Pack(entries []Entry, buf []byte) (int, error) {
 	}
 	off := 0
 	for i, e := range entries {
-		if len(e.Data) > 0xFFFF {
-			return 0, fmt.Errorf("cllog: entry %d payload %d exceeds 64KB", i, len(e.Data))
+		lines := len(e.Data) / mem.CacheLineSize
+		switch {
+		case lines == 0 || e.RemoteOff%mem.CacheLineSize != 0 || len(e.Data)%mem.CacheLineSize != 0:
+			return 0, fmt.Errorf("cllog: entry %d [%d,+%d) is not whole cache lines", i, e.RemoteOff, len(e.Data))
+		case lines > MaxLines:
+			return 0, fmt.Errorf("cllog: entry %d spans %d lines, more than %d", i, lines, MaxLines)
+		case e.RemoteOff > MaxRegion-uint64(len(e.Data)):
+			return 0, fmt.Errorf("cllog: entry %d at %d ends past the log's %d-byte line-index limit", i, e.RemoteOff, MaxRegion)
 		}
-		if e.RemoteOff == terminator {
-			return 0, fmt.Errorf("cllog: entry %d uses reserved offset", i)
-		}
-		binary.LittleEndian.PutUint64(buf[off:], e.RemoteOff)
-		binary.LittleEndian.PutUint16(buf[off+8:], uint16(len(e.Data)))
+		binary.LittleEndian.PutUint32(buf[off:], uint32(e.RemoteOff/mem.CacheLineSize))
+		buf[off+4] = byte(lines)
 		copy(buf[off+HeaderSize:], e.Data)
-		off += HeaderSize + len(e.Data)
+		off += EntrySize(len(e.Data))
 	}
-	binary.LittleEndian.PutUint64(buf[off:], terminator)
-	return off + 8, nil
+	binary.LittleEndian.PutUint32(buf[off:], terminator)
+	return off + TerminatorSize, nil
 }
 
 // Unpack parses a packed log, invoking apply for each entry in order. The
-// callback receives the entry's payload aliased into buf; implementations
-// must copy if they retain it. Unpack returns the number of entries.
+// callback receives the entry's byte offset and its payload aliased into
+// buf; implementations must copy if they retain it. Unpack returns the
+// number of entries.
 func Unpack(buf []byte, apply func(Entry) error) (int, error) {
 	off, n := 0, 0
 	for {
-		if off+8 > len(buf) {
+		if off+TerminatorSize > len(buf) {
 			return n, ErrTruncated
 		}
-		remoteOff := binary.LittleEndian.Uint64(buf[off:])
-		if remoteOff == terminator {
+		line := binary.LittleEndian.Uint32(buf[off:])
+		if line == terminator {
 			return n, nil
 		}
 		if off+HeaderSize > len(buf) {
 			return n, ErrTruncated
 		}
-		length := int(binary.LittleEndian.Uint16(buf[off+8:]))
-		if off+HeaderSize+length > len(buf) {
+		end := off + EntrySize(int(buf[off+4])*mem.CacheLineSize)
+		if end > len(buf) {
 			return n, ErrTruncated
 		}
-		e := Entry{RemoteOff: remoteOff, Data: buf[off+HeaderSize : off+HeaderSize+length]}
+		e := Entry{RemoteOff: uint64(line) * mem.CacheLineSize, Data: buf[off+HeaderSize : end]}
 		if err := apply(e); err != nil {
 			return n, err
 		}
-		off += HeaderSize + length
+		off = end
 		n++
 	}
 }

@@ -8,13 +8,19 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"kona/internal/mem"
 )
+
+// lines returns n whole cache lines of byte b.
+func lines(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n*mem.CacheLineSize) }
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	entries := []Entry{
-		{RemoteOff: 0, Data: bytes.Repeat([]byte{1}, 64)},
-		{RemoteOff: 4096, Data: bytes.Repeat([]byte{2}, 128)},
-		{RemoteOff: 1 << 30, Data: []byte{9}},
+		{RemoteOff: 0, Data: lines(1, 1)},
+		{RemoteOff: 4096, Data: lines(2, 2)},
+		{RemoteOff: 1 << 30, Data: lines(MaxLines, 9)},
+		{RemoteOff: MaxRegion - 64, Data: lines(1, 7)}, // the last addressable line
 	}
 	buf := make([]byte, PackedSize(entries))
 	n, err := Pack(entries, buf)
@@ -29,7 +35,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		got = append(got, Entry{RemoteOff: e.RemoteOff, Data: append([]byte(nil), e.Data...)})
 		return nil
 	})
-	if err != nil || cnt != 3 {
+	if err != nil || cnt != len(entries) {
 		t.Fatalf("unpack: cnt=%d err=%v", cnt, err)
 	}
 	for i := range entries {
@@ -41,8 +47,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 
 func TestEmptyLog(t *testing.T) {
 	buf := make([]byte, PackedSize(nil))
-	if _, err := Pack(nil, buf); err != nil {
-		t.Fatal(err)
+	if n, err := Pack(nil, buf); err != nil || n != TerminatorSize {
+		t.Fatalf("empty pack: %d %v", n, err)
 	}
 	cnt, err := Unpack(buf, func(Entry) error { t.Fatal("callback on empty log"); return nil })
 	if err != nil || cnt != 0 {
@@ -50,40 +56,71 @@ func TestEmptyLog(t *testing.T) {
 	}
 }
 
+func TestEntrySize(t *testing.T) {
+	if HeaderSize != 5 || TerminatorSize != 4 || EntrySize(64) != 69 {
+		t.Fatalf("layout: header %d, terminator %d, one-line entry %d; want 5, 4, 69",
+			HeaderSize, TerminatorSize, EntrySize(64))
+	}
+	entries := []Entry{{RemoteOff: 64, Data: lines(1, 1)}, {RemoteOff: 4096, Data: lines(3, 2)}}
+	if got, want := PackedSize(entries), EntrySize(64)+EntrySize(192)+TerminatorSize; got != want {
+		t.Errorf("PackedSize = %d, want %d", got, want)
+	}
+}
+
+// TestPackErrors pins what the line-addressed layout cannot carry:
+// each row is refused, never packed into a log that would unpack to
+// different bytes.
 func TestPackErrors(t *testing.T) {
-	if _, err := Pack([]Entry{{Data: make([]byte, 64)}}, make([]byte, 10)); err == nil {
+	for _, tc := range []struct {
+		name string
+		e    Entry
+	}{
+		{"offset not line-aligned", Entry{RemoteOff: 10, Data: lines(1, 1)}},
+		{"partial-line length", Entry{RemoteOff: 64, Data: make([]byte, 70)}},
+		{"sub-line length", Entry{RemoteOff: 64, Data: []byte{1}}},
+		{"empty entry", Entry{RemoteOff: 64}},
+		{"more than 255 lines", Entry{RemoteOff: 0, Data: lines(MaxLines+1, 1)}},
+		{"line index equal to the terminator", Entry{RemoteOff: MaxRegion, Data: lines(1, 1)}},
+		{"line index past the terminator", Entry{RemoteOff: ^uint64(0) &^ 63, Data: lines(1, 1)}},
+		{"run crossing the terminator", Entry{RemoteOff: MaxRegion - 64, Data: lines(2, 1)}},
+	} {
+		entries := []Entry{{RemoteOff: 0, Data: lines(1, 1)}, tc.e}
+		if _, err := Pack(entries, make([]byte, 1<<16)); err == nil {
+			t.Errorf("%s: packed", tc.name)
+		}
+	}
+	if _, err := Pack([]Entry{{Data: lines(1, 1)}}, make([]byte, 10)); err == nil {
 		t.Errorf("small buffer accepted")
-	}
-	if _, err := Pack([]Entry{{Data: make([]byte, 70000)}}, make([]byte, 80000)); err == nil {
-		t.Errorf("oversized payload accepted")
-	}
-	if _, err := Pack([]Entry{{RemoteOff: ^uint64(0), Data: []byte{1}}}, make([]byte, 64)); err == nil {
-		t.Errorf("reserved offset accepted")
 	}
 }
 
 func TestUnpackTruncated(t *testing.T) {
-	entries := []Entry{{RemoteOff: 10, Data: make([]byte, 64)}}
+	entries := []Entry{{RemoteOff: 640, Data: lines(1, 1)}}
 	buf := make([]byte, PackedSize(entries))
 	if _, err := Pack(entries, buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{3, 9, 50, len(buf) - 9} {
+	for _, cut := range []int{0, 3, HeaderSize - 1, HeaderSize, 50, len(buf) - 1} {
 		if _, err := Unpack(buf[:cut], func(Entry) error { return nil }); !errors.Is(err, ErrTruncated) {
 			t.Errorf("cut=%d: err=%v, want ErrTruncated", cut, err)
 		}
 	}
+	// A count byte claiming more lines than the buffer holds.
+	buf[4] = 2
+	if _, err := Unpack(buf, func(Entry) error { t.Fatal("overrunning entry applied"); return nil }); !errors.Is(err, ErrTruncated) {
+		t.Errorf("overrunning count: err=%v, want ErrTruncated", err)
+	}
 }
 
 func TestUnpackCallbackError(t *testing.T) {
-	entries := []Entry{{RemoteOff: 1, Data: []byte{1}}, {RemoteOff: 2, Data: []byte{2}}}
+	entries := []Entry{{RemoteOff: 64, Data: lines(1, 1)}, {RemoteOff: 128, Data: lines(1, 2)}}
 	buf := make([]byte, PackedSize(entries))
 	if _, err := Pack(entries, buf); err != nil {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("stop")
 	n, err := Unpack(buf, func(e Entry) error {
-		if e.RemoteOff == 2 {
+		if e.RemoteOff == 128 {
 			return sentinel
 		}
 		return nil
@@ -100,10 +137,10 @@ func TestRoundTripQuick(t *testing.T) {
 		n := int(count) % 32
 		entries := make([]Entry, n)
 		for i := range entries {
-			sz := rng.Intn(256) + 1
-			d := make([]byte, sz)
+			d := make([]byte, (rng.Intn(MaxLines)+1)*mem.CacheLineSize)
 			rng.Read(d)
-			entries[i] = Entry{RemoteOff: rng.Uint64() >> 1, Data: d}
+			line := rng.Uint64() % (uint64(terminator) - MaxLines)
+			entries[i] = Entry{RemoteOff: line * mem.CacheLineSize, Data: d}
 		}
 		buf := make([]byte, PackedSize(entries))
 		if _, err := Pack(entries, buf); err != nil {
@@ -127,18 +164,20 @@ func TestRoundTripQuick(t *testing.T) {
 // FuzzUnpack exercises the decoder against arbitrary bytes: it must never
 // panic and must account every reported entry within bounds.
 func FuzzUnpack(f *testing.F) {
-	entries := []Entry{{RemoteOff: 64, Data: []byte("seed-payload")}}
+	entries := []Entry{{RemoteOff: 64, Data: lines(2, 's')}}
 	buf := make([]byte, PackedSize(entries))
 	if _, err := Pack(entries, buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf)
 	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{1, 0, 0, 0, 0xFF, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, err := Unpack(data, func(e Entry) error {
-			if len(e.Data) > 0xFFFF {
-				t.Fatalf("oversized entry surfaced: %d", len(e.Data))
+			if len(e.Data) > MaxLines*mem.CacheLineSize || len(e.Data)%mem.CacheLineSize != 0 ||
+				e.RemoteOff%mem.CacheLineSize != 0 {
+				t.Fatalf("entry [%d,+%d) is not whole lines", e.RemoteOff, len(e.Data))
 			}
 			return nil
 		})
@@ -164,10 +203,10 @@ func TestEntryPoolConcurrent(t *testing.T) {
 			for iter := 0; iter < 200; iter++ {
 				entries := GetEntries()
 				for i := 0; i < 16; i++ {
-					payload := bytes.Repeat([]byte{byte(g + 1)}, 64)
+					line := uint64(g)<<16 | uint64(iter)<<4 | uint64(i)
 					entries = append(entries, Entry{
-						RemoteOff: uint64(g)<<32 | uint64(iter)<<8 | uint64(i),
-						Data:      payload,
+						RemoteOff: line * mem.CacheLineSize,
+						Data:      lines(1, byte(g+1)),
 					})
 				}
 				buf := make([]byte, PackedSize(entries))

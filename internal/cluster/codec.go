@@ -63,11 +63,15 @@ func appendRequestHeader(b []byte, req *Request) []byte {
 	for _, off := range req.Offsets {
 		b = appendU64(b, off)
 	}
-	// Appended in kw v2 rev 3 (lease protocol); the layout is append-only,
-	// so Runtime travels last.
+	// Appended in kw v2 rev 3 (lease protocol); the layout is append-only.
 	b = appendU64(b, req.Runtime)
-	return b
+	// Appended in rev 5 (line-addressed cache-line log), so a rev-4 peer's
+	// write-log, whose entries carry 10-byte headers, is refused unparsed.
+	return append(b, requestRev)
 }
+
+// requestRev is the request layout revision the last header byte names.
+const requestRev = 5
 
 // appendResponseHeader serializes every Response field except Data.
 func appendResponseHeader(b []byte, resp *Response) []byte {
@@ -211,6 +215,9 @@ func decodeRequestHeader(k kind, hdr []byte, req *Request) error {
 		req.Offsets = nil
 	}
 	req.Runtime = r.u64()
+	if rev := r.u8(); r.bad || rev != requestRev {
+		return fmt.Errorf("cluster: request header is not kw v2 rev %d (a peer built before the line-addressed cache-line log?)", requestRev)
+	}
 	return r.done("request")
 }
 

@@ -110,7 +110,9 @@ type freedExtent struct{ off, size uint64 }
 // LogRegionSize is the receive buffer for cache-line logs.
 const LogRegionSize = 4 << 20
 
-// NewMemoryNode registers capacity bytes of offerable memory.
+// NewMemoryNode registers capacity bytes of offerable memory. capacity is
+// at most cllog.MaxRegion, 64 B short of 256 GiB: write-logs address the
+// pool by a u32 cache-line index.
 func NewMemoryNode(id int, capacity uint64) *MemoryNode {
 	ep := rdma.NewEndpoint(fmt.Sprintf("memnode-%d", id))
 	return &MemoryNode{

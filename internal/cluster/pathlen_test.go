@@ -155,7 +155,7 @@ func TestPageFetchPathLength(t *testing.T) {
 // region, and every entry lands in the pool.
 func TestLargeWriteLogBypassesBuffer(t *testing.T) {
 	mc, _, serverReg := wireRig(t)
-	const lines = 15000 // x (64 B + entry header) > 1 MB
+	lines := 1<<20/cllog.EntrySize(64) + 1 // one-line entries past 1 MB
 	entries := make([]cllog.Entry, lines)
 	for i := range entries {
 		entries[i] = cllog.Entry{RemoteOff: uint64(i) * 64, Data: bytes.Repeat([]byte{byte(i%251 + 1)}, 64)}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -335,6 +336,66 @@ func TestOversizedWriteLogDrainsAndAnswers(t *testing.T) {
 	if c["cluster.memnode.errors"] != 1 || c["cluster.memnode.served.write-log"] != 0 || c["cluster.memnode.served.ping"] != 1 {
 		t.Fatalf("errors=%d served.write-log=%d served.ping=%d; want 1, 0, 1",
 			c["cluster.memnode.errors"], c["cluster.memnode.served.write-log"], c["cluster.memnode.served.ping"])
+	}
+}
+
+// TestRev4WriteLogRefused sends a write-log framed the way a rev-4 build
+// frames it — no revision byte at the end of the request header, entries
+// with an 8-byte offset and 2-byte length, an 8-byte terminator. Its four
+// lines are meant for pool offset 4096; read in the line-addressed layout,
+// the offset's high bytes and the length field form an entry header for
+// pool line 0, so the first line would land at offset 0. The memnode must
+// refuse the request, leave the pool untouched and keep serving the
+// connection.
+func TestRev4WriteLogRefused(t *testing.T) {
+	node := NewMemoryNode(1, 1<<20)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeMemoryNodeOn(node, inner)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var oldLog []byte
+	oldLog = binary.LittleEndian.AppendUint64(oldLog, 4096)
+	oldLog = binary.LittleEndian.AppendUint16(oldLog, 256)
+	oldLog = append(oldLog, bytes.Repeat([]byte{0xAB}, 256)...)
+	oldLog = binary.LittleEndian.AppendUint64(oldLog, ^uint64(0))
+	frame := appendRequestHeader(framePrefix(nil, kindWriteLog), &Request{Kind: kindWriteLog, ID: nextReqID()})
+	frame = frame[:len(frame)-1] // rev 4 ends at Runtime
+	binary.BigEndian.PutUint32(frame[4:8], uint32(len(frame)-framePrefixLen))
+	binary.BigEndian.PutUint32(frame[8:12], uint32(len(oldLog)))
+	before := bytes.Clone(node.PoolBytes())
+	if _, err := conn.Write(append(frame, oldLog...)); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := recvResponse(conn, &resp); err != nil {
+		t.Fatalf("rev-4 write-log tore the connection: %v", err)
+	}
+	if resp.Err == nil || !strings.Contains(resp.Err.Error(), "rev 5") {
+		t.Fatalf("rev-4 write-log: got %v, want a refusal naming rev 5", resp.Err)
+	}
+	if !bytes.Equal(node.PoolBytes(), before) {
+		t.Fatal("refused rev-4 log changed the pool")
+	}
+	if logs, _ := node.ReceiverStats(); logs != 0 {
+		t.Fatalf("receiver ran %d times on a refused log", logs)
+	}
+	// The same line in the current layout, on the same connection, lands.
+	if _, err := writeRequestFrame(conn, &Request{Kind: kindWriteLog, ID: nextReqID()}, buildLog(t, 4096, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := recvResponse(conn, &resp); err != nil || resp.Err != nil || resp.Entries != 1 {
+		t.Fatalf("rev-5 write-log after the refusal: entries=%d %v %v", resp.Entries, err, resp.Err)
+	}
+	if got := node.PoolBytes()[4096]; got != 3 {
+		t.Fatalf("rev-5 line did not land: pool[4096] = %#x", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"kona/internal/cllog"
 	"kona/internal/mem"
 )
 
@@ -166,7 +167,7 @@ func TestEvictionAccountingQuick(t *testing.T) {
 			return false
 		}
 		segs := uint64(len(dirty.Segments()))
-		wantWire := wantPayload + segs*uint64(pages)*10 + st.Flushes*8
+		wantWire := wantPayload + segs*uint64(pages)*cllog.HeaderSize + st.Flushes*cllog.TerminatorSize
 		return st.WireBytes == wantWire && st.DirtyPages == uint64(pages)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

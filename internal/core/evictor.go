@@ -441,7 +441,7 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 		sh.stats.PayloadBytes += uint64(length)
 		linesN += uint64(seg.N)
 		payloadN += uint64(length)
-		logBytes += cllog.HeaderSize + length
+		logBytes += cllog.EntrySize(length)
 
 		for _, pl := range placements {
 			pl.batch.entries = append(pl.batch.entries, cllog.Entry{
@@ -901,9 +901,9 @@ type chunkShip struct {
 func shipChunks(now simclock.Duration, l nodeLink, entries []cllog.Entry, buf []byte, vec *[1][]byte, prevAck simclock.Duration) (chunkShip, error) {
 	cs := chunkShip{done: now, ackDue: prevAck}
 	for len(entries) > 0 {
-		n, size := 0, 8 // terminator
+		n, size := 0, cllog.TerminatorSize
 		for n < len(entries) {
-			esz := cllog.HeaderSize + len(entries[n].Data)
+			esz := cllog.EntrySize(len(entries[n].Data))
 			if size+esz > len(buf) {
 				break
 			}
@@ -1042,7 +1042,7 @@ func moveEntries(srcEntries, dstEntries *[]cllog.Entry, mv replicaMove, account 
 			kept = append(kept, en)
 			continue
 		}
-		n := cllog.HeaderSize + len(en.Data)
+		n := cllog.EntrySize(len(en.Data))
 		en.RemoteOff = mv.settles.RemoteOff + (en.RemoteOff - mv.from.off)
 		*dstEntries = append(*dstEntries, en)
 		account(n)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"kona/internal/cllog"
 	"kona/internal/cluster"
 	"kona/internal/fpga"
 	"kona/internal/mem"
@@ -42,6 +43,49 @@ func telemetryRig(t *testing.T, reg *telemetry.Registry, n int) string {
 		}
 	}
 	return cs.Addr()
+}
+
+// TestLogBytesPerDirtyLine is the cache-line log's byte guard (DESIGN.md
+// §8): a page with one dirty line ships that line behind a 5-byte entry
+// header, once per replica, and each write-log adds one 4-byte
+// terminator — counted at the memnodes over TCP, never timed. With the
+// 10-byte offset/length headers and 8-byte terminators it replaced, the
+// same 1 000 pages at R=2 cost 10 000 bytes more plus 4 per log.
+func TestLogBytesPerDirtyLine(t *testing.T) {
+	const pages, replicas = 1000, 2
+	const perLine = mem.CacheLineSize + 5 // one line and its entry header
+	if cllog.EntrySize(mem.CacheLineSize) != perLine {
+		t.Fatalf("a one-line entry packs to %d bytes, want %d", cllog.EntrySize(mem.CacheLineSize), perLine)
+	}
+	reg := telemetry.New(0)
+	addr := telemetryRig(t, reg, replicas)
+	cfg := smallConfig()
+	cfg.LocalCacheBytes = 2 * pages * mem.PageSize // nothing evicts before the Sync
+	cfg.Replicas = replicas
+	k := NewKonaTCPWith(cfg, addr, cluster.DefaultTransport())
+	base, err := k.MallocFresh(pages * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := bytes.Repeat([]byte{0x5A}, mem.CacheLineSize)
+	var now simDurT
+	for p := mem.Addr(0); p < pages; p++ {
+		if now, err = k.Write(now, base+p*mem.PageSize+2*mem.CacheLineSize, line); err != nil {
+			t.Fatalf("write page %d: %v", p, err)
+		}
+	}
+	if _, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	c := reg.Snapshot().Counters
+	logs, entries, got := c["cluster.memnode.served.write-log"], c["cluster.memnode.log_entries"], c["cluster.memnode.log_bytes"]
+	if entries != replicas*pages || logs == 0 {
+		t.Fatalf("memnodes applied %d entries in %d write-logs, want %d entries", entries, logs, replicas*pages)
+	}
+	if want := uint64(replicas*pages*perLine) + logs*cllog.TerminatorSize; got != want {
+		t.Errorf("memnodes received %d log bytes for %d one-line pages at R=%d in %d write-logs, want %d",
+			got, pages, replicas, logs, want)
+	}
 }
 
 // TestTelemetryEndToEndTCP is the observability acceptance test: a Kona

@@ -169,7 +169,7 @@ func runExtReadShare(cfg Config) (*Result, error) {
 	res.Text = t.String()
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("%d rounds × %d records (%dKB region); every record observed by every reader is verified against its round's deterministic bytes — stale/torn must be 0", rounds, slots, region>>10),
-		fmt.Sprintf("writer flush p99 with 4 readers is %.2fx the unshared baseline: the shared Sync adds one publish RPC after the flush, nothing per reader (guarded by `make bench-lease`)", float64(maxSharedP99)/float64(baselineP99)),
+		fmt.Sprintf("writer flush p99 with 4 readers is %.2fx the unshared baseline: the shared Sync adds one publish RPC after the flush, nothing per reader (guarded by `make guards`)", float64(maxSharedP99)/float64(baselineP99)),
 		"reader refresh is the pull-based coherence bill: each publish drops the reader's cached pages and the next read refetches them (fault-injected variant: TestChaosCoherenceReadersOverWire in `make chaos`)")
 	return res, nil
 }
