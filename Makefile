@@ -45,11 +45,11 @@ bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
 
-# Seven single-test guards. The first three run on the simulated fabric and
+# Eight single-test guards. The first three run on the simulated fabric and
 # bound counts or *virtual-time* p99s — latency computed on the simulated
 # fabric's clock, which nothing off the measured path can touch — so they
 # are deterministic and have no noise floor to state. The fourth is
-# wall-clock; its test comment states the floor. The last three count RPCs
+# wall-clock; its test comment states the floor. The last four count RPCs
 # or bytes on loopback TCP and time nothing.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
@@ -77,12 +77,17 @@ bench-evict:
 #    from Malloc) and the same number of write-log RPCs either way.
 #  - One class per page (DESIGN.md §12): after a mixed-size load and a
 #    Sync, a get of a record of at most 4 KB makes at most one `read` RPC
-#    and no `read-pages`, and a get of an 8 KB value at most one
-#    `read-pages` and no `read` (the shared carve cursor it replaced let
-#    half the 2 KB records straddle two pages).
+#    and no `read-pages`, and a get of an 8 KB value at most one RPC in all
+#    (the shared carve cursor it replaced let half the 2 KB records
+#    straddle two pages).
+#  - Object pages (DESIGN.md §16): cold gets of 2 KB and 8 KB records
+#    fetch exactly the records' lines — core.fpga.bytes_fetched grows by
+#    each record's length rounded up to 64 B — with one `read` RPC per
+#    record (4 KB and 12 KB per record, the 8 KB ones in `read-pages`,
+#    before object pages).
 guards:
 	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine' -count=1 -v ./internal/core
-	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage' -count=1 -v ./internal/kv
+	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths

@@ -48,7 +48,7 @@ func TestFreshWriteReachesRemoteMemoryAndComesBack(t *testing.T) {
 			snap.Counters["core.fetches"], snap.Counters["core.fresh_fills"], pages)
 	}
 	for p := 0; p < pages; p++ {
-		if k.rm.pageFresh(base + mem.Addr(p)*mem.PageSize) {
+		if k.rm.Lookup(base + mem.Addr(p)*mem.PageSize).Fresh {
 			t.Fatalf("page %d still fresh after its dirty lines were logged", p)
 		}
 	}
@@ -102,7 +102,7 @@ func TestCleanEvictionKeepsPageFresh(t *testing.T) {
 	if st := k.EvictStats(); st.SilentEvicted != 1 || st.DirtyPages != 0 {
 		t.Fatalf("eviction was not clean: %+v", st)
 	}
-	if !k.rm.pageFresh(base) {
+	if !k.rm.Lookup(base).Fresh {
 		t.Fatal("a clean eviction ended the page's freshness")
 	}
 	mustRead(t, k, now, base, mem.PageSize)
@@ -135,7 +135,7 @@ func TestPartialPagesOfUnalignedAllocationAreNeverFresh(t *testing.T) {
 	}
 	page0 := neighbour
 	for p, want := range []bool{false, true, true, false} {
-		if got := k.rm.pageFresh(page0 + mem.Addr(p)*mem.PageSize); got != want {
+		if got := k.rm.Lookup(page0 + mem.Addr(p)*mem.PageSize).Fresh; got != want {
 			t.Errorf("page %d fresh = %v, want %v", p, got, want)
 		}
 	}
@@ -151,7 +151,7 @@ func TestPartialPagesOfUnalignedAllocationAreNeverFresh(t *testing.T) {
 // on (fig7 reads never-written Malloc pages as remote data).
 func TestMallocPagesStillFetch(t *testing.T) {
 	k := NewKona(smallConfig(), newCluster(1))
-	if _, err := k.MallocFresh(mem.PageSize); err != nil { // raises anyFresh
+	if _, err := k.MallocFresh(mem.PageSize); err != nil { // makes the group's fresh bitmap
 		t.Fatal(err)
 	}
 	base, err := k.Malloc(4 * mem.PageSize)
@@ -233,14 +233,14 @@ func TestSharedGroupIsNeverFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.rm.pageFresh(addr) {
+	if !a.rm.Lookup(addr).Fresh {
 		t.Fatal("allocation not fresh before sharing")
 	}
 	group, err := a.ShareWriter(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.rm.pageFresh(addr) {
+	if a.rm.Lookup(addr).Fresh {
 		t.Error("page of a shared group still fresh")
 	}
 	if anow, err = a.ReleaseWriter(anow, group); err != nil {
@@ -262,7 +262,7 @@ func TestSharedGroupIsNeverFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := a.rm.groupFor(later); s.ID == group && a.rm.pageFresh(later) {
+	if s, _ := a.rm.groupFor(later); s.ID == group && a.rm.Lookup(later).Fresh {
 		t.Fatal("MallocFresh marked a page of a shared group")
 	}
 }

@@ -173,7 +173,6 @@ func newKona(cfg Config, id uint64, l links, c control) *Kona {
 	if l.pipelined() {
 		k.fpga.EnableBatchFetch()
 	}
-	k.fpga.SetFreshCheck(rm.pageFresh)
 	// Write-before-read ordering: a page refetch must not observe remote
 	// memory that is missing buffered eviction-log entries. The hook runs
 	// on every remote fetch, which makes it the caching handler's
@@ -229,6 +228,14 @@ func (k *Kona) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size) 
 // costs no round trip (DESIGN.md §16). Malloc makes no such promise: its
 // pages are fetched, whatever the memory node's extent holds.
 func (k *Kona) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
+
+// MallocObjects is MallocFresh for memory the caller carves into objects
+// of a page or more, each starting on a page boundary, so that no page
+// holds bytes of two objects and no read wants a page's bytes past its
+// object's end. A fill of such an object page fetches only the lines the
+// read or write reaches, not the whole page (DESIGN.md §16). Free ends the
+// promise for the freed pages.
+func (k *Kona) MallocObjects(size uint64) (mem.Addr, error) { return k.rm.MallocObjects(size) }
 
 // Free releases an allocation.
 func (k *Kona) Free(addr mem.Addr) error { return k.rm.Free(addr) }

@@ -132,6 +132,11 @@ func (k *KonaVM) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size
 // never written back maps a zero page without a fetch.
 func (k *KonaVM) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
 
+// MallocObjects is MallocFresh for memory carved into objects of a page or
+// more (see Kona.MallocObjects). KonaVM records the attribute and ignores
+// it: a page fault moves a whole page.
+func (k *KonaVM) MallocObjects(size uint64) (mem.Addr, error) { return k.rm.MallocObjects(size) }
+
 // Free releases an allocation.
 func (k *KonaVM) Free(addr mem.Addr) error { return k.rm.Free(addr) }
 
@@ -250,14 +255,14 @@ func (k *KonaVM) majorFault(now simclock.Duration, a mem.Addr, write bool) (simc
 
 	pg := &vmPage{page: a.Page(), data: make([]byte, mem.PageSize)}
 	done := now
-	if base := a.AlignDown(mem.PageSize); k.rm.pageFresh(base) {
+	if p := k.rm.Lookup(a.AlignDown(mem.PageSize)); p.Fresh {
 		// Nothing remote worth reading: the new zero page is the fill.
 		k.stats.FreshFills++
 	} else {
 		// The same translator Kona's FPGA reads through: primary first,
 		// failing over to a live replica.
 		var err error
-		if done, err = k.rm.ReadRange(now, base, 0, pg.data); err != nil {
+		if done, err = k.rm.ReadRange(now, p, 0, pg.data); err != nil {
 			return now, fmt.Errorf("core: vm fetch: %w", err)
 		}
 		k.stats.Fetches++
@@ -298,8 +303,12 @@ func (k *KonaVM) leapPrefetch(now simclock.Duration, a mem.Addr) simclock.Durati
 	const leapIssueCost = 500 * time.Nanosecond // predict + map + post
 	for _, page := range k.leap.Observe(a.Page()) {
 		base := mem.PageBase(page)
-		if _, cached := k.cache[page]; cached || k.rm.pageFresh(base) {
-			continue // present, or nothing remote to bring in
+		if _, cached := k.cache[page]; cached {
+			continue // present
+		}
+		p := k.rm.Lookup(base)
+		if p.Fresh {
+			continue // nothing remote to bring in
 		}
 		if _, mapped := k.rm.groupFor(base); !mapped {
 			continue // outside the mapped region: skip quietly
@@ -310,7 +319,7 @@ func (k *KonaVM) leapPrefetch(now simclock.Duration, a mem.Addr) simclock.Durati
 			}
 		}
 		pg := &vmPage{page: page, data: make([]byte, mem.PageSize)}
-		done, err := k.rm.ReadRange(now, base, 0, pg.data)
+		done, err := k.rm.ReadRange(now, p, 0, pg.data)
 		if err != nil {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"kona/internal/cllog"
+	"kona/internal/fpga"
 	"kona/internal/mem"
 	"kona/internal/simclock"
 	"kona/internal/slab"
@@ -96,6 +97,11 @@ type group struct {
 	// memory holds nothing of it worth reading and a fill zero-fills locally
 	// (DESIGN.md §16). Nil until the group's first MallocFresh.
 	fresh []uint64
+	// object holds one bit per page of the slab, set by MallocObjects and
+	// cleared by Free: one object owns the page, from its start, so a fill
+	// fetches only the lines a read or write reaches (DESIGN.md §16). Nil
+	// until the group's first MallocObjects.
+	object []uint64
 	// shared marks a group another runtime may write (shared or attached,
 	// share.go): none of its pages is fresh, now or later.
 	shared bool
@@ -126,9 +132,11 @@ type resourceManager struct {
 	// batchPool recycles ReadPagesBatch's grouping scratch.
 	batchPool sync.Pool
 
-	// anyFresh is raised when the first fresh bitmap is made, so a runtime
-	// that never calls MallocFresh pays one load per fill and takes no lock.
-	anyFresh atomic.Bool
+	// gen advances, under mu, whenever a translation the table gave out
+	// may have gone stale: a member changed state or was replaced. A route
+	// Lookup stamped with an older gen is translated again before it is
+	// read (ReadRange).
+	gen atomic.Uint64
 
 	// failovers counts translations that skipped a dead primary.
 	failovers uint64
@@ -151,6 +159,9 @@ func newResourceManager(cfg Config, l links, c control) *resourceManager {
 func (rm *resourceManager) transition(m *member, ev memberEvent) {
 	from := m.state
 	m.state = memberNext[from][ev]
+	if m.state != from {
+		rm.gen.Add(1)
+	}
 	if m.state != from && rm.trace != nil {
 		rm.trace.Emit("core.member", fmt.Sprintf("group=%d slot=%d node=%d/%d %s→%s cause=%s",
 			m.ID, m.slot, m.Node, m.Epoch, memberStateNames[from], memberStateNames[m.state], memberEventNames[ev]))
@@ -246,6 +257,12 @@ func (rm *resourceManager) translateLocked(addr mem.Addr) (nodeLink, uint64, err
 	if !ok {
 		return nil, 0, fmt.Errorf("core: address %v not in any slab", addr)
 	}
+	return rm.routeLocked(s, addr)
+}
+
+// routeLocked is translateLocked for an address already resolved to its
+// group's primary slab s.
+func (rm *resourceManager) routeLocked(s Slab, addr mem.Addr) (nodeLink, uint64, error) {
 	members := rm.replicas[s.ID].members
 	pick := -1
 	for i, m := range members {
@@ -276,23 +293,51 @@ func (rm *resourceManager) translate(addr mem.Addr) (nodeLink, uint64, error) {
 	return rm.translateLocked(addr)
 }
 
+// Lookup implements fpga.Translator: the page's fresh and object bits and
+// its route, under one hold of rm.mu — the one acquisition a fill makes.
+// A fresh page is not routed: nothing reads it. A page whose translation
+// fails gets no route, and ReadRange reports the failure.
+func (rm *resourceManager) Lookup(base mem.Addr) fpga.Page {
+	p := fpga.Page{Base: base}
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	s, ok := rm.alloc.SlabFor(base)
+	if !ok {
+		return p
+	}
+	g := rm.replicas[s.ID]
+	w, bit := pageBit(s, base)
+	p.Fresh = g.fresh != nil && g.fresh[w]&bit != 0
+	p.Object = g.object != nil && g.object[w]&bit != 0
+	if !p.Fresh {
+		if l, off, err := rm.routeLocked(s, base); err == nil {
+			p.Route = fpga.Route{Via: l, Off: off, Gen: rm.gen.Load()}
+		}
+	}
+	return p
+}
+
 // ReadRange implements fpga.Translator over the slab map: it reads from
-// the page's primary placement, failing over to a live replica. A failed
-// read invalidates the link's cached health verdict
-// (tcpLink.noteFailure), so the single re-translate probes the node live
-// and fails over to a replica that is still answering — without that
-// retry, a node dying inside the health cache's TTL would surface as a
-// read error instead of a failover.
-func (rm *resourceManager) ReadRange(now simclock.Duration, base mem.Addr, off uint64, buf []byte) (simclock.Duration, error) {
-	l, poolOff, err := rm.translate(base)
-	if err != nil {
-		return now, err
+// the member Lookup routed the page to, translating again if the route is
+// missing or the table has changed since. A failed read invalidates the
+// link's cached health verdict (tcpLink.noteFailure), so the single
+// re-translate probes the node live and fails over to a replica that is
+// still answering — without that retry, a node dying inside the health
+// cache's TTL would surface as a read error instead of a failover.
+func (rm *resourceManager) ReadRange(now simclock.Duration, p fpga.Page, off uint64, buf []byte) (simclock.Duration, error) {
+	l, _ := p.Route.Via.(nodeLink)
+	poolOff := p.Route.Off
+	if l == nil || p.Route.Gen != rm.gen.Load() {
+		var err error
+		if l, poolOff, err = rm.translate(p.Base); err != nil {
+			return now, err
+		}
 	}
 	done, err := l.readPage(now, poolOff+off, buf)
 	if err == nil {
 		return done, nil
 	}
-	l, poolOff, terr := rm.translate(base)
+	l, poolOff, terr := rm.translate(p.Base)
 	if terr != nil {
 		return now, err
 	}
@@ -414,45 +459,34 @@ func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement, writeB
 	if len(dst) == 0 {
 		return dst, fmt.Errorf("core: address %v has no configured placement", addr)
 	}
-	if writeBack && g.fresh != nil {
-		w, bit := freshBit(s, addr)
-		g.fresh[w] &^= bit
+	if writeBack {
+		g.fresh = setPageBit(g.fresh, s, addr, false)
 	}
 	return dst, nil
 }
 
-// freshBit locates the bit of addr's page in its group's fresh bitmap.
-func freshBit(s Slab, addr mem.Addr) (word, bit uint64) {
+// pageBit locates the bit of addr's page in its group's page bitmaps.
+func pageBit(s Slab, addr mem.Addr) (word, bit uint64) {
 	i := uint64(addr-s.Base) / mem.PageSize
 	return i / 64, 1 << (i % 64)
 }
 
-// pageFresh reports whether the page at base is fresh: inside a MallocFresh
-// allocation and never written back. A fresh page has nothing remote worth
-// reading, so the fill paths zero-fill it instead of fetching.
-func (rm *resourceManager) pageFresh(base mem.Addr) bool {
-	if !rm.anyFresh.Load() {
-		return false
-	}
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	s, ok := rm.alloc.SlabFor(base)
-	if !ok {
-		return false
-	}
-	g := rm.replicas[s.ID]
-	if g.fresh == nil {
-		return false
-	}
-	w, bit := freshBit(s, base)
-	return g.fresh[w]&bit != 0
-}
+// allocAttr is what an allocation's caller promises about its pages.
+type allocAttr uint8
 
-// markFreshLocked sets the fresh bit of every page wholly inside
-// [addr, addr+size). A page the allocation only partly covers shares its
-// bytes with a neighbour whose contents are defined, so it is never fresh;
-// neither is any page of a shared group. Caller holds rm.mu.
-func (rm *resourceManager) markFreshLocked(addr mem.Addr, size uint64) {
+const (
+	// attrFresh: the contents are undefined until written (group.fresh).
+	attrFresh allocAttr = 1 << iota
+	// attrObjects: one object owns each page, from its start (group.object).
+	attrObjects
+)
+
+// markLocked sets the bits attr names for every page wholly inside
+// [addr, addr+size), or, with set false, clears them. A page the
+// allocation only partly covers shares its bytes with a neighbour, so it
+// is never fresh and never an object page; neither is any page of a shared
+// group fresh. Caller holds rm.mu.
+func (rm *resourceManager) markLocked(addr mem.Addr, size uint64, attr allocAttr, set bool) {
 	end := (addr + mem.Addr(size)).AlignDown(mem.PageSize)
 	var s Slab
 	var g *group
@@ -463,16 +497,27 @@ func (rm *resourceManager) markFreshLocked(addr mem.Addr, size uint64) {
 			s, _ = rm.alloc.SlabFor(p)
 			g = rm.replicas[s.ID]
 		}
-		if g.shared {
-			continue
+		if attr&attrFresh != 0 && !g.shared {
+			g.fresh = setPageBit(g.fresh, s, p, set)
 		}
-		if g.fresh == nil {
-			g.fresh = make([]uint64, (s.Size/mem.PageSize+63)/64)
-			rm.anyFresh.Store(true)
+		if attr&attrObjects != 0 {
+			g.object = setPageBit(g.object, s, p, set)
 		}
-		w, bit := freshBit(s, p)
-		g.fresh[w] |= bit
 	}
+}
+
+// setPageBit raises or lowers p's bit in one of a group's page bitmaps,
+// making the bitmap on the first raise.
+func setPageBit(bm []uint64, s Slab, p mem.Addr, set bool) []uint64 {
+	if bm == nil && set {
+		bm = make([]uint64, (s.Size/mem.PageSize+63)/64)
+	}
+	if w, bit := pageBit(s, p); set {
+		bm[w] |= bit
+	} else if bm != nil {
+		bm[w] &^= bit
+	}
+	return bm
 }
 
 // markShared records that another runtime may write the group: every
@@ -552,6 +597,7 @@ func (rm *resourceManager) refreshPlacements() ([]replicaMove, bool, error) {
 			if o.Node == n.Node && o.Epoch == n.Epoch && o.RemoteOff == n.RemoteOff {
 				if _, dead := o.link.(deadLink); dead {
 					o.link = rm.resolve(o.Slab)
+					rm.gen.Add(1)
 				}
 				continue
 			}
@@ -575,6 +621,7 @@ func (rm *resourceManager) refreshPlacements() ([]replicaMove, bool, error) {
 		if next != nil {
 			g.members = next
 			changed = true
+			rm.gen.Add(1)
 		}
 	}
 	return moves, changed, nil
@@ -648,14 +695,24 @@ func (rm *resourceManager) attachedGroupFor(addr mem.Addr) (Slab, bool) {
 // Malloc allocates size bytes of disaggregated memory, growing the slab
 // pool as needed. The first access to each page fetches whatever the
 // memory node's extent holds.
-func (rm *resourceManager) Malloc(size uint64) (mem.Addr, error) { return rm.malloc(size, false) }
+func (rm *resourceManager) Malloc(size uint64) (mem.Addr, error) { return rm.malloc(size, 0) }
 
 // MallocFresh is Malloc for memory whose contents the caller treats as
 // undefined until it writes them: the allocation's whole pages are marked
 // fresh, and a fill of a fresh page costs no round trip.
-func (rm *resourceManager) MallocFresh(size uint64) (mem.Addr, error) { return rm.malloc(size, true) }
+func (rm *resourceManager) MallocFresh(size uint64) (mem.Addr, error) {
+	return rm.malloc(size, attrFresh)
+}
 
-func (rm *resourceManager) malloc(size uint64, fresh bool) (mem.Addr, error) {
+// MallocObjects is MallocFresh for memory the caller carves into objects
+// of at least a page, each starting on a page boundary: the allocation's
+// whole pages are also marked object pages, and a fill of one fetches only
+// the lines asked for.
+func (rm *resourceManager) MallocObjects(size uint64) (mem.Addr, error) {
+	return rm.malloc(size, attrFresh|attrObjects)
+}
+
+func (rm *resourceManager) malloc(size uint64, attr allocAttr) (mem.Addr, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("core: zero-size malloc")
 	}
@@ -671,17 +728,25 @@ func (rm *resourceManager) malloc(size uint64, fresh bool) (mem.Addr, error) {
 		}
 		addr, err = rm.alloc.Alloc(size)
 	}
-	if err == nil && fresh {
-		rm.markFreshLocked(addr, size)
+	if err == nil && attr != 0 {
+		rm.markLocked(addr, size, attr, true)
 	}
 	return addr, err
 }
 
-// Free releases an allocation.
+// Free releases an allocation. Its pages stop being object pages: the
+// space may be handed out again in smaller pieces.
 func (rm *resourceManager) Free(addr mem.Addr) error {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	return rm.alloc.Free(addr)
+	size, ok := rm.alloc.Size(addr)
+	if err := rm.alloc.Free(addr); err != nil {
+		return err
+	}
+	if ok {
+		rm.markLocked(addr, size, attrObjects, false)
+	}
+	return nil
 }
 
 // releaseAll returns every slab (and replica) to the rack. The address

@@ -48,10 +48,48 @@ import (
 // transport — the simulated RDMA fabric or a TCP memory-node connection;
 // the FPGA only consults it (§4.4).
 type Translator interface {
-	// ReadRange fills buf with the remote contents of the page at base,
-	// starting at byte offset off within the page, beginning at virtual
-	// time now, and returns the completion time.
-	ReadRange(now simclock.Duration, base mem.Addr, off uint64, buf []byte) (simclock.Duration, error)
+	// Lookup answers, in one step, everything a fill of the page at base
+	// asks the translator: the page's allocation attributes and its route
+	// to remote memory. The FPGA calls it once per fill that misses, never
+	// on an FMem hit, from every shard concurrently.
+	Lookup(base mem.Addr) Page
+	// ReadRange fills buf with the remote contents of the looked-up page
+	// p, starting at byte offset off within the page, beginning at virtual
+	// time now, and returns the completion time. A buf that runs past the
+	// page's end reads on into the bytes that follow it at p's route; the
+	// FPGA asks that only when the pages it covers have contiguous routes.
+	ReadRange(now simclock.Duration, p Page, off uint64, buf []byte) (simclock.Duration, error)
+}
+
+// Page is the translator's answer about one page (DESIGN.md §16).
+type Page struct {
+	Base mem.Addr
+	// Fresh: remote memory holds nothing of the page worth reading (its
+	// contents are undefined until written, and it was never written back).
+	// A fill zeroes the lines the frame is missing — a recycled frame holds
+	// another page's bytes — with no ReadRange and no fetch hook.
+	Fresh bool
+	// Object: one object owns the page, from its start, so no read wants
+	// the bytes past that object's end. A fill fetches only the lines asked
+	// for, not the FetchBytes block around them: no neighbour's later hit
+	// would pay for the rest.
+	Object bool
+	Route  Route
+}
+
+// Route locates a page's bytes in remote memory; the FPGA hands it back to
+// ReadRange, and compares two only to tell whether their bytes are
+// contiguous. Via and Gen are the translator's own.
+type Route struct {
+	Via any    // the endpoint holding the bytes; nil if none was resolved
+	Off uint64 // the page's byte offset at Via
+	Gen uint64 // the translator's table version the route was read at
+}
+
+// contiguous reports whether page q's bytes follow r's by dist bytes at
+// the same endpoint, so one read from r reaches them.
+func (r Route) contiguous(q Route, dist uint64) bool {
+	return r.Via != nil && q.Via == r.Via && q.Off-r.Off == dist
 }
 
 // BatchTranslator is the optional scatter-gather extension of
@@ -134,6 +172,9 @@ type frame struct {
 	// prefetched marks frames installed speculatively and not yet used,
 	// for prefetcher accuracy accounting.
 	prefetched bool
+	// object records a Lookup's Page.Object for the frame's page, so a hit
+	// on the lines it holds asks the translator nothing.
+	object bool
 }
 
 // Stats counts FPGA activity.
@@ -150,8 +191,9 @@ type Stats struct {
 	// BytesFetched is the total remote payload pulled (goodput numerator
 	// for fetch-granularity studies).
 	BytesFetched uint64
-	// FreshFills counts fetch-granularity blocks of fresh pages zero-filled
-	// locally instead of fetched (see FreshCheck).
+	// FreshFills counts fills of fresh pages zeroed locally instead of
+	// fetched (see Page.Fresh): one per fetch-granularity block, or one per
+	// fill of an object page.
 	FreshFills uint64
 	// Fetches splits RemoteFetches by cause; the entries sum to it.
 	Fetches [NumFetchCauses]uint64
@@ -202,16 +244,6 @@ func (s *Stats) add(o Stats) {
 // after its work. The hook must synchronize itself; it is invoked
 // concurrently from every shard.
 type FetchHook func(now simclock.Duration, pageBase mem.Addr) simclock.Duration
-
-// FreshCheck reports whether a page is fresh: allocated with contents
-// undefined until written, and never written back, so remote memory holds
-// nothing of it worth reading. Every fill of a fresh page zero-fills the
-// lines the frame is missing instead of fetching them — no translator
-// call, no fetch hook, no RemoteFetches or BytesFetched. The lines are
-// zeroed rather than left as they are because a frame is recycled: what it
-// holds is some other page's bytes. Like the fetch hook, the check must
-// synchronize itself.
-type FreshCheck func(pageBase mem.Addr) bool
 
 // shard is one lock stripe of FMem. It owns every set whose index maps
 // to it and all per-access state that set's frames need: the LRU tick,
@@ -275,6 +307,18 @@ type batchScratch struct {
 	bases  []mem.Addr
 	epochs []uint64
 	bufs   [][]byte
+	// objects are the object pages of a multi-page Read that are missing
+	// lines it reads, in address order; span stages their one read.
+	objects []spanPage
+	span    []byte
+}
+
+// spanPage is one object page a multi-page Read found missing lines of.
+type spanPage struct {
+	page     Page
+	epoch    uint64
+	resident bool
+	missing  mem.LineBitmap
 }
 
 // FPGA is the memory agent.
@@ -283,7 +327,6 @@ type FPGA struct {
 	translate Translator
 	onEvict   EvictHandler
 	onFetch   FetchHook
-	fresh     FreshCheck
 
 	// batch, when non-nil, coalesces multi-page fetches (prefetch windows
 	// and page-spanning Reads) into scatter-gather reads — see
@@ -374,9 +417,6 @@ func shardCount(want int, nsets uint64) uint64 {
 	return n
 }
 
-// Shards reports the number of lock stripes chosen for this geometry.
-func (f *FPGA) Shards() int { return len(f.shards) }
-
 // Stats returns a consistent-enough snapshot of the counters: each
 // shard's block is read under its lock, so per-shard values are exact
 // and the sum is at worst a few in-flight operations stale.
@@ -426,7 +466,7 @@ func (f *FPGA) Resident(addr mem.Addr) bool {
 func (f *FPGA) LineFill(now simclock.Duration, addr mem.Addr) (simclock.Duration, error) {
 	sh := f.shardFor(addr.Page())
 	sh.mu.Lock()
-	done, _, pf, err := f.lineFillLocked(sh, now, addr)
+	done, _, pf, err := f.lineFillLocked(sh, now, addr, addr.LineInPage())
 	sh.mu.Unlock()
 	if err != nil {
 		return done, err
@@ -435,10 +475,12 @@ func (f *FPGA) LineFill(now simclock.Duration, addr mem.Addr) (simclock.Duration
 	return done, nil
 }
 
-// lineFillLocked is LineFill under the page's shard lock. It returns the
-// page's frame, so Read can copy out of it without a second lookup, and the
-// prefetch intent for the caller to execute once the lock is dropped.
-func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr) (simclock.Duration, *frame, prefetchIntent, error) {
+// lineFillLocked is LineFill under the page's shard lock; reach is the
+// last line of the page the caller goes on to read (see ensureLinesLocked).
+// It returns the page's frame, so Read can copy out of it without a second
+// lookup, and the prefetch intent for the caller to execute once the lock
+// is dropped.
+func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr, reach int) (simclock.Duration, *frame, prefetchIntent, error) {
 	sh.stats.LineFills++
 	// The directory bank serializes this stripe's requests.
 	now = sh.directory.Serve(now, simclock.FPGADirectory)
@@ -459,14 +501,14 @@ func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr) (
 			fr.prefetched = false
 			f.markPrefetchUseful()
 		}
-		done, err := f.ensureLinesLocked(sh, now, fr, page, line, line, FetchRead)
+		done, err := f.ensureLinesLocked(sh, now, fr, page, line, line, reach, FetchRead)
 		if err != nil {
 			return now, nil, prefetchIntent{}, err
 		}
 		return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
 	}
 	fr := f.demandFrameLocked(sh, now, page)
-	done, err := f.ensureLinesLocked(sh, now, fr, page, line, line, FetchRead)
+	done, err := f.ensureLinesLocked(sh, now, fr, page, line, line, reach, FetchRead)
 	if err != nil {
 		return now, nil, prefetchIntent{}, err
 	}
@@ -509,18 +551,26 @@ func (f *FPGA) runPrefetch(pf prefetchIntent) {
 	f.prefetchOne(pf.at, pf.page+1)
 }
 
-// prefetchOne pulls one page speculatively under its shard lock,
-// skipping pages already (or concurrently made) resident and fresh pages:
-// zero-filling a page nobody has written into a frame buys nothing and
-// evicts a cached one (collectPage leaves them out of a batch likewise).
+// prefetchOne pulls one page speculatively under its shard lock. It skips
+// pages already (or concurrently made) resident, fresh pages — zero-filling
+// a page nobody has written into a frame buys nothing and evicts a cached
+// one — and object pages, whose next page is another object's or the
+// untouched tail of its own (collectPage leaves both out of a batch
+// likewise).
 func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 	sh := f.shardFor(target)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if f.lookupLocked(target) != nil || f.isFresh(mem.PageBase(target)) {
+	if f.lookupLocked(target) != nil {
 		return
 	}
-	if _, fr, err := f.fetchPageLocked(sh, now, target); err == nil {
+	pg := f.translate.Lookup(mem.PageBase(target))
+	if pg.Fresh || pg.Object {
+		return
+	}
+	fr := f.demandFrameLocked(sh, now, target)
+	if done, err := f.fillLocked(sh, now, fr, pg, 0, mem.LinesPerPage-1, mem.LinesPerPage-1, FetchPrefetch); err == nil {
+		fr.readyAt = done
 		fr.prefetched = true
 		sh.stats.Prefetches++
 	}
@@ -528,12 +578,6 @@ func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 
 // SetFetchHook installs the pre-fetch ordering hook.
 func (f *FPGA) SetFetchHook(h FetchHook) { f.onFetch = h }
-
-// SetFreshCheck installs the fresh-page check.
-func (f *FPGA) SetFreshCheck(c FreshCheck) { f.fresh = c }
-
-// isFresh consults the fresh-page check, if one is installed.
-func (f *FPGA) isFresh(base mem.Addr) bool { return f.fresh != nil && f.fresh(base) }
 
 // EnableBatchFetch turns on scatter-gather multi-page fetches when the
 // translator supports them (and fetches are page-granularity). The
@@ -548,29 +592,49 @@ func (f *FPGA) EnableBatchFetch() {
 	}
 }
 
-// collectBatch fills bs with the pages among targets that a fetch would
-// have to bring in.
+// collectBatch fills bs with the whole pages among targets that a fetch
+// would have to bring in.
 func (f *FPGA) collectBatch(bs *batchScratch, targets []uint64) {
-	bs.bases = bs.bases[:0]
-	bs.epochs = bs.epochs[:0]
+	bs.reset()
 	for _, t := range targets {
-		f.collectPage(bs, t)
+		f.collectPage(bs, t, 0, mem.LinesPerPage-1)
 	}
 	bs.size()
 }
 
-// collectPage adds the page to bs unless it is resident, recording its
-// shard epoch so the install step can detect a concurrent install/evict in
-// that stripe. A fresh page has nothing to fetch and is left out: the
-// per-page path zero-fills it.
-func (f *FPGA) collectPage(bs *batchScratch, page uint64) {
+// reset empties the collected pages.
+func (bs *batchScratch) reset() {
+	bs.bases = bs.bases[:0]
+	bs.epochs = bs.epochs[:0]
+	bs.objects = bs.objects[:0]
+}
+
+// collectPage adds the page to bs if a read of its lines [lo, hi] would
+// have to fetch, recording its shard epoch so the install step can detect
+// a concurrent install/evict in that stripe. An object page goes to
+// bs.objects, to be fetched only that far; any other page that is not
+// resident goes to bs.bases, to be fetched whole. A fresh page has nothing
+// to fetch and is left out: the per-page path zero-fills it.
+func (f *FPGA) collectPage(bs *batchScratch, page uint64, lo, hi int) {
 	sh := f.shardFor(page)
 	sh.mu.Lock()
-	resident := f.lookupLocked(page) != nil
+	var missing mem.LineBitmap
+	missing.SetRange(lo, hi+1)
+	fr := f.lookupLocked(page)
+	if fr != nil {
+		missing &^= fr.filled
+	}
 	epoch := sh.epoch.Load()
 	sh.mu.Unlock()
-	if base := mem.PageBase(page); !resident && !f.isFresh(base) {
-		bs.bases = append(bs.bases, base)
+	if missing == 0 {
+		return
+	}
+	switch pg := f.translate.Lookup(mem.PageBase(page)); {
+	case pg.Fresh:
+	case pg.Object:
+		bs.objects = append(bs.objects, spanPage{page: pg, epoch: epoch, resident: fr != nil, missing: missing})
+	case fr == nil:
+		bs.bases = append(bs.bases, pg.Base)
 		bs.epochs = append(bs.epochs, epoch)
 	}
 }
@@ -658,91 +722,104 @@ func (f *FPGA) demandFrameLocked(sh *shard, now simclock.Duration, page uint64) 
 	return fr
 }
 
-// ensureLinesLocked fetches the missing fetch-granularity blocks covering
-// lines [lo, hi] of the frame, returning the completion time; the caller
-// names the cause the fetches count under. Already-filled lines are never
-// overwritten (they may hold newer local writes). A fresh page's missing lines are zeroed in place of the fetch.
+// ensureLinesLocked makes lines [lo, hi] of the frame present and returns
+// the completion time; the caller names the cause the fetches count under,
+// and reach (≥ hi), the last line of the page it goes on to read. Lines
+// already present cost nothing, so an FMem hit asks the translator
+// nothing; otherwise one Lookup says how the page fills (fillLocked).
 // Caller holds sh.mu; the remote read happens under it, which is what makes
 // concurrent misses on one page single-flight: the losers block here and
 // find the lines filled.
-func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, page uint64, lo, hi int, cause FetchCause) (simclock.Duration, error) {
-	fb := int(f.cfg.FetchBytes)
-	linesPerBlock := fb / mem.CacheLineSize
+func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, page uint64, lo, hi, reach int, cause FetchCause) (simclock.Duration, error) {
+	var want mem.LineBitmap
+	if fr.object {
+		want.SetRange(lo, reach+1)
+	} else {
+		lpb := int(f.cfg.FetchBytes) / mem.CacheLineSize
+		want.SetRange(lo/lpb*lpb, (hi/lpb+1)*lpb)
+	}
+	if fr.filled&want == want {
+		return now, nil
+	}
+	return f.fillLocked(sh, now, fr, f.translate.Lookup(mem.PageBase(page)), lo, hi, reach, cause)
+}
+
+// fillLocked fetches what lines [lo, hi] of the looked-up page pg are
+// missing from the frame. An object page's fill is exact: only its
+// missing lines in [lo, reach], one ReadRange per contiguous run of them,
+// straight into the frame (no line read is present, so nothing needs
+// staging). Any other page fetches the missing FetchBytes blocks covering
+// [lo, hi]. A fresh page's missing lines are zeroed in place of the fetch,
+// counting one FreshFills per block or run.
+// Lines already present are never overwritten: they may hold newer local
+// writes. Caller holds sh.mu.
+func (f *FPGA) fillLocked(sh *shard, now simclock.Duration, fr *frame, pg Page, lo, hi, reach int, cause FetchCause) (simclock.Duration, error) {
+	lpb := int(f.cfg.FetchBytes) / mem.CacheLineSize
+	if pg.Object {
+		fr.object = true
+		hi, lpb = reach, 1
+	}
+	var missing mem.LineBitmap
+	missing.SetRange(lo/lpb*lpb, (hi/lpb+1)*lpb)
+	missing &^= fr.filled
 	done := now
-	fetching, fresh := false, false
-	base := mem.PageBase(page)
-	for block := lo / linesPerBlock; block <= hi/linesPerBlock; block++ {
-		first := block * linesPerBlock
-		var blockMask mem.LineBitmap
-		blockMask.SetRange(first, first+linesPerBlock)
-		have := fr.filled & blockMask
-		if have == blockMask {
-			continue
+	if missing != 0 && !pg.Fresh && f.onFetch != nil {
+		now = f.onFetch(now, pg.Base)
+		done = max(done, now)
+	}
+	for missing != 0 {
+		// The next run to fill: a run of missing lines on an object page,
+		// one FetchBytes block otherwise.
+		first := bits.TrailingZeros64(uint64(missing))
+		n := lpb
+		if pg.Object {
+			n = bits.TrailingZeros64(^uint64(missing >> first))
 		}
-		if !fetching {
-			fetching = true
-			if fresh = f.isFresh(base); !fresh && f.onFetch != nil {
-				now = f.onFetch(now, base)
-				if now > done {
-					done = now
-				}
-			}
-		}
-		if fresh {
-			for l := first; l < first+linesPerBlock; l++ {
+		first = first / lpb * lpb
+		var run mem.LineBitmap
+		run.SetRange(first, first+n)
+		have := fr.filled & run
+		missing &^= run
+		if pg.Fresh {
+			for l := first; l < first+n; l++ {
 				if !have.Get(l) {
 					clear(fr.data[l*mem.CacheLineSize : (l+1)*mem.CacheLineSize])
 				}
 			}
 			sh.stats.FreshFills++
-			fr.filled |= blockMask
+			fr.filled |= run
 			continue
 		}
-		// A block with no line present — every demand miss of a newly
-		// installed frame — is read straight into the frame. A partly
-		// filled one (RFO boundary lines, sub-page fills) is staged, and
-		// only its missing lines are merged in: the present ones may be
-		// newer.
-		off := first * mem.CacheLineSize
-		dst, staged := fr.data[off:off+fb], have != 0
+		// A run with no line present — every demand miss of a newly
+		// installed frame, every object-page run — is read straight into
+		// the frame. A partly filled block (RFO boundary lines, sub-page
+		// fills) is staged, and only its missing lines are merged in: the
+		// present ones may be newer.
+		off, size := first*mem.CacheLineSize, n*mem.CacheLineSize
+		dst, staged := fr.data[off:off+size], have != 0
 		if staged {
 			if sh.scratch == nil {
 				sh.scratch = make([]byte, mem.PageSize)
 			}
-			dst = sh.scratch[:fb]
+			dst = sh.scratch[:size]
 		}
-		blockDone, err := f.translate.ReadRange(now, base, uint64(off), dst)
+		runDone, err := f.translate.ReadRange(now, pg, uint64(off), dst)
 		if err != nil {
-			return now, fmt.Errorf("fpga: remote fetch %v+%d: %w", base, off, err)
+			return now, fmt.Errorf("fpga: remote fetch %v+%d: %w", pg.Base, off, err)
 		}
 		sh.stats.RemoteFetches++
 		sh.stats.Fetches[cause]++
-		sh.stats.BytesFetched += uint64(fb)
-		for l := first; staged && l < first+linesPerBlock; l++ {
+		sh.stats.BytesFetched += uint64(size)
+		for l := first; staged && l < first+n; l++ {
 			if !have.Get(l) {
 				lineOff := l * mem.CacheLineSize
 				copy(fr.data[lineOff:lineOff+mem.CacheLineSize], dst[lineOff-off:])
 			}
 		}
-		fr.filled |= blockMask
-		if blockDone > done {
-			done = blockDone
-		}
+		fr.filled |= run
+		done = max(done, runDone)
 	}
 	return done, nil
-}
-
-// fetchPageLocked pulls a whole page from remote memory into FMem — the
-// prefetcher's fill path (page-granularity mode only). Caller holds the
-// page's shard lock.
-func (f *FPGA) fetchPageLocked(sh *shard, now simclock.Duration, page uint64) (simclock.Duration, *frame, error) {
-	fr := f.demandFrameLocked(sh, now, page)
-	done, err := f.ensureLinesLocked(sh, now, fr, page, 0, mem.LinesPerPage-1, FetchPrefetch)
-	if err != nil {
-		return now, nil, err
-	}
-	fr.readyAt = done
-	return done, fr, nil
 }
 
 // streamRunThreshold is the sequential-run length after which fills are
@@ -781,6 +858,7 @@ func (f *FPGA) installLocked(sh *shard, now simclock.Duration, base mem.Addr) *f
 	victim.lastUse = sh.tick
 	victim.readyAt = now
 	victim.prefetched = false
+	victim.object = false
 	return victim
 }
 
@@ -853,12 +931,12 @@ func (f *FPGA) observeWritebackLocked(sh *shard, now simclock.Duration, addr mem
 	firstLineStart := uint64(firstLine) * mem.CacheLineSize
 	lastLineEnd := uint64(lastLine+1) * mem.CacheLineSize
 	if len(data) == 0 || off > firstLineStart || end < firstLineStart+mem.CacheLineSize {
-		if now, err = f.ensureLinesLocked(sh, now, fr, page, firstLine, firstLine, FetchRFO); err != nil {
+		if now, err = f.ensureLinesLocked(sh, now, fr, page, firstLine, firstLine, firstLine, FetchRFO); err != nil {
 			return now, fr, err
 		}
 	}
 	if lastLine != firstLine && end < lastLineEnd {
-		if now, err = f.ensureLinesLocked(sh, now, fr, page, lastLine, lastLine, FetchRFO); err != nil {
+		if now, err = f.ensureLinesLocked(sh, now, fr, page, lastLine, lastLine, lastLine, FetchRFO); err != nil {
 			return now, fr, err
 		}
 	}
@@ -903,23 +981,31 @@ func (f *FPGA) OnCoherenceEvent(e coherence.Event) {
 	}
 }
 
-// batchFillSpan pre-stages the non-resident pages a multi-page Read
-// spans with one scatter-gather fetch per node, so the per-page loop
-// below runs at FMem-hit cost. Best-effort: an error leaves the pages
-// absent and the serial path surfaces the real failure.
+// batchFillSpan pre-stages the pages a multi-page Read spans, so the
+// per-page loop below runs at FMem-hit cost: the non-resident pages with
+// one scatter-gather fetch per node, and the object pages' missing lines
+// with one contiguous read (fetchObjectSpan). Best-effort: an error leaves
+// the lines absent and the serial path surfaces the real failure.
 func (f *FPGA) batchFillSpan(now simclock.Duration, addr mem.Addr, n int) simclock.Duration {
-	firstPage := addr.Page()
-	lastPage := (addr + mem.Addr(n-1)).Page()
+	end := addr + mem.Addr(n-1)
+	firstPage, lastPage := addr.Page(), end.Page()
 	if lastPage <= firstPage {
 		return now
 	}
 	bs := f.batchPool.Get().(*batchScratch)
 	defer f.batchPool.Put(bs)
-	bs.bases = bs.bases[:0]
-	bs.epochs = bs.epochs[:0]
+	bs.reset()
 	for p := firstPage; p <= lastPage; p++ {
-		f.collectPage(bs, p)
+		lo, hi := 0, mem.LinesPerPage-1
+		if p == firstPage {
+			lo = addr.LineInPage()
+		}
+		if p == lastPage {
+			hi = end.LineInPage()
+		}
+		f.collectPage(bs, p, lo, hi)
 	}
+	now = f.fetchObjectSpan(now, bs)
 	bs.size()
 	if len(bs.bases) < 2 {
 		return now
@@ -927,6 +1013,82 @@ func (f *FPGA) batchFillSpan(now simclock.Duration, addr mem.Addr, n int) simclo
 	done, err := f.fetchBatch(now, bs, false)
 	if err != nil {
 		return now
+	}
+	return done
+}
+
+// fetchObjectSpan reads the missing lines of the object pages in
+// bs.objects — the pages of one record — with one ReadRange, from the first
+// missing line of the first page to the last missing line of the last, and
+// merges each page's missing lines into its frame. It needs two or more
+// pages (one page's lines are one read on the per-page path anyway) with
+// contiguous routes. The write-before-read hook runs for every page before
+// the read; each page counts one FetchRead. A page is merged only if
+// nothing but this call installed or evicted a frame in its stripe since
+// collection and its frame is the one collection saw (or still none); any
+// other page is left for the per-page path.
+func (f *FPGA) fetchObjectSpan(now simclock.Duration, bs *batchScratch) simclock.Duration {
+	objs := bs.objects
+	if len(objs) < 2 {
+		return now
+	}
+	first, last := objs[0].page, objs[len(objs)-1].page
+	for _, o := range objs[1:] {
+		if !first.Route.contiguous(o.page.Route, uint64(o.page.Base-first.Base)) {
+			return now
+		}
+	}
+	lo := bits.TrailingZeros64(uint64(objs[0].missing)) * mem.CacheLineSize
+	size := int(last.Base-first.Base) + (mem.LinesPerPage-bits.LeadingZeros64(uint64(objs[len(objs)-1].missing)))*mem.CacheLineSize - lo
+	if cap(bs.span) < size {
+		bs.span = make([]byte, size)
+	}
+	buf := bs.span[:size]
+	if f.onFetch != nil {
+		for _, o := range objs {
+			now = f.onFetch(now, o.page.Base)
+		}
+	}
+	done, err := f.translate.ReadRange(now, first, uint64(lo), buf)
+	if err != nil {
+		return now
+	}
+	for i, o := range objs {
+		at := int(o.page.Base-first.Base) - lo // page start's offset in buf
+		next := size
+		if i+1 < len(objs) {
+			next = int(objs[i+1].page.Base-first.Base) - lo
+		}
+		page := o.page.Base.Page()
+		sh := f.shardFor(page)
+		sh.mu.Lock()
+		sh.stats.RemoteFetches++
+		sh.stats.Fetches[FetchRead]++
+		sh.stats.BytesFetched += uint64(next - max(at, 0))
+		fr := f.lookupLocked(page)
+		if sh.epoch.Load() != o.epoch || (fr != nil) != o.resident {
+			sh.mu.Unlock()
+			continue
+		}
+		if fr == nil {
+			fr = f.demandFrameLocked(sh, now, page)
+			for j := i + 1; j < len(objs); j++ {
+				if f.shardFor(objs[j].page.Base.Page()) == sh && objs[j].epoch == o.epoch {
+					objs[j].epoch = sh.epoch.Load()
+				}
+			}
+		}
+		take := o.missing &^ fr.filled
+		for l := 0; l < mem.LinesPerPage; l++ {
+			if take.Get(l) {
+				off := l * mem.CacheLineSize
+				copy(fr.data[off:off+mem.CacheLineSize], buf[at+off:])
+			}
+		}
+		fr.filled |= take
+		fr.object = true
+		fr.readyAt = max(fr.readyAt, done)
+		sh.mu.Unlock()
 	}
 	return done
 }
@@ -945,22 +1107,22 @@ func (f *FPGA) Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.
 		a := addr + mem.Addr(off)
 		page := a.Page()
 		sh := f.shardFor(page)
-		sh.mu.Lock()
-		done, fr, pf, err := f.lineFillLocked(sh, now, a)
-		if err != nil {
-			sh.mu.Unlock()
-			return now, err
-		}
-		now = done
 		pageOff := a.PageOffset()
 		n := len(buf) - off
 		if rem := int(mem.PageSize - pageOff); n > rem {
 			n = rem
 		}
+		lastLine := int((pageOff + uint64(n) - 1) / mem.CacheLineSize)
+		sh.mu.Lock()
+		done, fr, pf, err := f.lineFillLocked(sh, now, a, lastLine)
+		if err != nil {
+			sh.mu.Unlock()
+			return now, err
+		}
+		now = done
 		// With sub-page fetch granularity the chunk may span blocks the
 		// LineFill did not cover.
-		lastLine := int((pageOff + uint64(n) - 1) / mem.CacheLineSize)
-		if now, err = f.ensureLinesLocked(sh, now, fr, page, a.LineInPage(), lastLine, FetchRead); err != nil {
+		if now, err = f.ensureLinesLocked(sh, now, fr, page, a.LineInPage(), lastLine, lastLine, FetchRead); err != nil {
 			sh.mu.Unlock()
 			return now, err
 		}

@@ -28,8 +28,15 @@ type rigTranslator struct {
 	poolKey uint32
 }
 
+// Lookup implements Translator: the rig's pages are plain, routed to their
+// offset in the pool.
+func (t *rigTranslator) Lookup(base mem.Addr) Page {
+	return Page{Base: base, Route: Route{Via: t, Off: uint64(base - t.base)}}
+}
+
 // ReadRange implements Translator over the test rig's QP.
-func (t *rigTranslator) ReadRange(now simclock.Duration, addr mem.Addr, off uint64, buf []byte) (simclock.Duration, error) {
+func (t *rigTranslator) ReadRange(now simclock.Duration, p Page, off uint64, buf []byte) (simclock.Duration, error) {
+	addr := p.Base
 	if addr < t.base || uint64(addr-t.base) >= t.size {
 		return now, fmt.Errorf("no slab for %v", addr)
 	}

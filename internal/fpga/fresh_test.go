@@ -8,18 +8,24 @@ import (
 	"kona/internal/simclock"
 )
 
-// Fresh pages (DESIGN.md §16): a fill of a page the FreshCheck names never
-// reaches the translator or the fetch hook; the lines the frame is missing
-// are zeroed, the lines already written are kept.
+// Fresh pages (DESIGN.md §16): a fill of a page the translator's Lookup
+// calls fresh never reaches ReadRange or the fetch hook; the lines the frame
+// is missing are zeroed, the lines already written are kept.
 
 // staleTranslator is remote memory in which every byte is 0xEE — what a
 // recycled memnode extent might hold — and which counts how it was asked.
-// It implements Translator and BatchTranslator.
+// The pages of [rigBase, fresh) are fresh. It implements Translator and
+// BatchTranslator.
 type staleTranslator struct {
+	fresh          mem.Addr
 	reads, batches int
 }
 
-func (s *staleTranslator) ReadRange(now simclock.Duration, base mem.Addr, off uint64, buf []byte) (simclock.Duration, error) {
+func (s *staleTranslator) Lookup(base mem.Addr) Page {
+	return Page{Base: base, Fresh: base >= rigBase && base < s.fresh}
+}
+
+func (s *staleTranslator) ReadRange(now simclock.Duration, _ Page, off uint64, buf []byte) (simclock.Duration, error) {
 	s.reads++
 	for i := range buf {
 		buf[i] = 0xEE
@@ -46,14 +52,12 @@ type freshRig struct {
 }
 
 func newFreshRig(cfg Config, freshPages int) *freshRig {
-	r := &freshRig{tr: &staleTranslator{}}
+	r := &freshRig{tr: &staleTranslator{fresh: rigBase + mem.Addr(freshPages)*mem.PageSize}}
 	r.f = New(cfg, r.tr, nil)
 	r.f.SetFetchHook(func(now simclock.Duration, _ mem.Addr) simclock.Duration {
 		r.hooks++
 		return now
 	})
-	end := rigBase + mem.Addr(freshPages)*mem.PageSize
-	r.f.SetFreshCheck(func(base mem.Addr) bool { return base >= rigBase && base < end })
 	return r
 }
 

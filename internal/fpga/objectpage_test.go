@@ -1,0 +1,295 @@
+package fpga
+
+import (
+	"bytes"
+	"testing"
+
+	"kona/internal/mem"
+	"kona/internal/simclock"
+)
+
+// Object pages (DESIGN.md §16): a fill of a page the translator's Lookup
+// calls an object page fetches exactly the missing lines asked for, one
+// ReadRange per contiguous run of them; the batch collectors and the
+// prefetchers never pull one whole.
+
+// objTranslator is remote memory holding a known pattern over
+// [rigBase, rigBase+objRemote). Pages below objects are object pages,
+// pages below fresh are fresh; every ReadRange is logged. Routes are
+// contiguous unless split names a page whose route starts a new endpoint.
+// It implements Translator and BatchTranslator.
+type objTranslator struct {
+	remote          []byte
+	objects, fresh  mem.Addr
+	split           mem.Addr
+	reads           []objRead
+	batches, lookup int
+}
+
+// objRead is one logged ReadRange: the page, the offset in it, the length.
+type objRead struct {
+	base     mem.Addr
+	off, len int
+}
+
+const objRemote = 16 * mem.PageSize
+
+func newObjTranslator(objectPages, freshPages int) *objTranslator {
+	t := &objTranslator{
+		remote:  make([]byte, objRemote),
+		objects: rigBase + mem.Addr(objectPages)*mem.PageSize,
+		fresh:   rigBase + mem.Addr(freshPages)*mem.PageSize,
+	}
+	for i := range t.remote {
+		t.remote[i] = byte(i/mem.CacheLineSize) ^ 0x5A
+	}
+	return t
+}
+
+func (t *objTranslator) Lookup(base mem.Addr) Page {
+	t.lookup++
+	via := any(t)
+	if t.split != 0 && base >= t.split {
+		via = &t.split // another endpoint
+	}
+	return Page{
+		Base:   base,
+		Fresh:  base < t.fresh,
+		Object: base < t.objects,
+		Route:  Route{Via: via, Off: uint64(base - rigBase)},
+	}
+}
+
+func (t *objTranslator) ReadRange(now simclock.Duration, p Page, off uint64, buf []byte) (simclock.Duration, error) {
+	t.reads = append(t.reads, objRead{p.Base, int(off), len(buf)})
+	copy(buf, t.remote[uint64(p.Base-rigBase)+off:])
+	return now + 1000, nil
+}
+
+func (t *objTranslator) ReadPagesBatch(now simclock.Duration, bases []mem.Addr, bufs [][]byte) (simclock.Duration, error) {
+	t.batches++
+	for i, b := range bases {
+		copy(bufs[i], t.remote[b-rigBase:])
+	}
+	return now + 1000, nil
+}
+
+// remoteAt is remote memory's bytes at [addr, addr+n).
+func (t *objTranslator) remoteAt(addr mem.Addr, n int) []byte {
+	return t.remote[addr-rigBase : int(addr-rigBase)+n]
+}
+
+// wantReads fails the test unless the logged reads are exactly want.
+func (t *objTranslator) wantReads(tb testing.TB, want ...objRead) {
+	tb.Helper()
+	if len(t.reads) != len(want) {
+		tb.Fatalf("reads = %+v, want %+v", t.reads, want)
+	}
+	for i := range want {
+		if t.reads[i] != want[i] {
+			tb.Fatalf("read %d = %+v, want %+v", i, t.reads[i], want[i])
+		}
+	}
+}
+
+func objFPGA(cfg Config, tr *objTranslator) *FPGA {
+	if cfg.FMemSize == 0 {
+		cfg.FMemSize = 64 * mem.PageSize
+	}
+	cfg.Assoc = 4
+	return New(cfg, tr, nil)
+}
+
+const line = mem.CacheLineSize
+
+func TestObjectDemandFillReadsExactlyTheLines(t *testing.T) {
+	tr := newObjTranslator(4, 0)
+	f := objFPGA(Config{}, tr)
+	// 300 bytes from 20 into line 3: lines 3..7, one run.
+	addr := rigBase + 3*line + 20
+	buf := make([]byte, 300)
+	if _, err := f.Read(0, addr, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, tr.remoteAt(addr, len(buf))) {
+		t.Fatal("object-page read returned the wrong bytes")
+	}
+	tr.wantReads(t, objRead{rigBase, 3 * line, 5 * line})
+	st := f.Stats()
+	if st.RemoteFetches != 1 || st.Fetches[FetchRead] != 1 || st.BytesFetched != 5*line {
+		t.Fatalf("RemoteFetches %d (read %d), BytesFetched %d; want 1, 1, %d",
+			st.RemoteFetches, st.Fetches[FetchRead], st.BytesFetched, 5*line)
+	}
+	// The same lines again are an FMem hit: no read, no Lookup.
+	lookups := tr.lookup
+	if _, err := f.Read(0, addr, buf); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.reads) != 1 || tr.lookup != lookups {
+		t.Fatalf("a hit on present lines made %d reads and %d Lookups", len(tr.reads)-1, tr.lookup-lookups)
+	}
+	// A plain page (page 4 and up) still fetches its whole block.
+	if _, err := f.Read(0, rigBase+4*mem.PageSize+line, buf[:10]); err != nil {
+		t.Fatal(err)
+	}
+	tr.wantReads(t, objRead{rigBase, 3 * line, 5 * line}, objRead{rigBase + 4*mem.PageSize, 0, mem.PageSize})
+}
+
+func TestObjectRFOReadsOneLine(t *testing.T) {
+	tr := newObjTranslator(4, 0)
+	f := objFPGA(Config{}, tr)
+	// A write that covers part of line 5 only.
+	data := bytes.Repeat([]byte{0xC7}, 10)
+	addr := rigBase + 5*line + 8
+	if _, err := f.Write(0, addr, data); err != nil {
+		t.Fatal(err)
+	}
+	tr.wantReads(t, objRead{rigBase, 5 * line, line})
+	st := f.Stats()
+	if st.Fetches[FetchRFO] != 1 || st.BytesFetched != line {
+		t.Fatalf("rfo fetches %d, BytesFetched %d; want 1, %d", st.Fetches[FetchRFO], st.BytesFetched, line)
+	}
+	got := make([]byte, line)
+	if _, err := f.Read(0, rigBase+5*line, got); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), tr.remoteAt(rigBase+5*line, line)...)
+	copy(want[8:], data)
+	if !bytes.Equal(got, want) || len(tr.reads) != 1 {
+		t.Fatalf("line after the RFO: bytes intact %t, %d reads; want true, 1", bytes.Equal(got, want), len(tr.reads))
+	}
+}
+
+func TestObjectFillKeepsWrittenLines(t *testing.T) {
+	tr := newObjTranslator(4, 0)
+	f := objFPGA(Config{}, tr)
+	// Line 4 claimed whole, without a fill; then a read of lines 2..6.
+	whole := bytes.Repeat([]byte{0xA1}, line)
+	if _, err := f.Write(0, rigBase+4*line, whole); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.reads) != 0 {
+		t.Fatalf("a whole-line write read %d times", len(tr.reads))
+	}
+	got := make([]byte, 5*line)
+	if _, err := f.Read(0, rigBase+2*line, got); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), tr.remoteAt(rigBase+2*line, 5*line)...)
+	copy(want[2*line:], whole)
+	if !bytes.Equal(got, want) {
+		t.Fatal("the fill overwrote the written line, or missed a remote one")
+	}
+	// Two runs of missing lines around the written one: two reads.
+	tr.wantReads(t, objRead{rigBase, 2 * line, 2 * line}, objRead{rigBase, 5 * line, 2 * line})
+}
+
+func TestObjectFreshPageZeroFills(t *testing.T) {
+	tr := newObjTranslator(4, 1)
+	f := objFPGA(Config{}, tr)
+	hooks := 0
+	f.SetFetchHook(func(now simclock.Duration, _ mem.Addr) simclock.Duration { hooks++; return now })
+	got := bytes.Repeat([]byte{0xFF}, 200)
+	if _, err := f.Read(0, rigBase+line, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("fresh object page read back non-zero bytes")
+	}
+	st := f.Stats()
+	if len(tr.reads) != 0 || hooks != 0 || st.RemoteFetches != 0 || st.FreshFills != 1 {
+		t.Fatalf("fresh object fill: %d reads, %d hook calls, RemoteFetches %d, FreshFills %d; want 0, 0, 0, 1",
+			len(tr.reads), hooks, st.RemoteFetches, st.FreshFills)
+	}
+}
+
+func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
+	// A record of 2 pages + 100 B starting at page 1: one contiguous read of
+	// its lines, no scatter-gather batch, and the hook once per page.
+	tr := newObjTranslator(8, 0)
+	f := objFPGA(Config{}, tr)
+	f.EnableBatchFetch()
+	var hooked []mem.Addr
+	f.SetFetchHook(func(now simclock.Duration, base mem.Addr) simclock.Duration {
+		hooked = append(hooked, base)
+		return now
+	})
+	addr := rigBase + mem.PageSize
+	n := 2*mem.PageSize + 100
+	got := make([]byte, n)
+	if _, err := f.Read(0, addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, tr.remoteAt(addr, n)) {
+		t.Fatal("span read returned the wrong bytes")
+	}
+	tr.wantReads(t, objRead{addr, 0, 2*mem.PageSize + 2*line})
+	st := f.Stats()
+	if tr.batches != 0 || len(hooked) != 3 || st.RemoteFetches != 3 || st.BytesFetched != 2*mem.PageSize+2*line {
+		t.Fatalf("span: %d batches, %d hook calls, RemoteFetches %d, BytesFetched %d; want 0, 3, 3, %d",
+			tr.batches, len(hooked), st.RemoteFetches, st.BytesFetched, 2*mem.PageSize+2*line)
+	}
+	// The rest of the record's last page is dead tail: not resident lines,
+	// and a re-read of the record is all hits.
+	if _, err := f.Read(0, addr, got); err != nil || len(tr.reads) != 1 {
+		t.Fatalf("re-read: err %v, %d reads; want one read in all", err, len(tr.reads))
+	}
+
+	// A line written into the record's middle page before the span read
+	// survives it; the span is still one read.
+	tr = newObjTranslator(8, 0)
+	f = objFPGA(Config{}, tr)
+	f.EnableBatchFetch()
+	whole := bytes.Repeat([]byte{0xA1}, line)
+	if _, err := f.Write(0, addr+mem.PageSize+3*line, whole); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Read(0, addr, got); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), tr.remoteAt(addr, n)...)
+	copy(want[mem.PageSize+3*line:], whole)
+	if !bytes.Equal(got, want) {
+		t.Fatal("span read overwrote a written line, or missed a remote one")
+	}
+	tr.wantReads(t, objRead{addr, 0, 2*mem.PageSize + 2*line})
+
+	// Routes that are not contiguous: each page reads its own lines.
+	tr = newObjTranslator(8, 0)
+	tr.split = rigBase + 2*mem.PageSize
+	f = objFPGA(Config{}, tr)
+	f.EnableBatchFetch()
+	if _, err := f.Read(0, addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, tr.remoteAt(addr, n)) {
+		t.Fatal("per-page object reads returned the wrong bytes")
+	}
+	tr.wantReads(t, objRead{addr, 0, mem.PageSize}, objRead{addr + mem.PageSize, 0, mem.PageSize},
+		objRead{addr + 2*mem.PageSize, 0, 2 * line})
+
+	// The stride window's collector leaves object pages out.
+	tr = newObjTranslator(8, 0)
+	f = objFPGA(Config{}, tr)
+	f.EnableBatchFetch()
+	bs := &batchScratch{}
+	f.collectBatch(bs, []uint64{rigBase.Page() + 1, rigBase.Page() + 2, rigBase.Page() + 9})
+	if len(bs.bases) != 1 || bs.bases[0] != rigBase+9*mem.PageSize {
+		t.Fatalf("stride collector took %v, want only the plain page", bs.bases)
+	}
+
+	// Sequential fills of object pages never prefetch the next page.
+	tr = newObjTranslator(8, 0)
+	f = objFPGA(Config{Prefetch: true}, tr)
+	for i := 0; i < 3; i++ {
+		if _, err := f.LineFill(0, rigBase+mem.Addr(i)*mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.Resident(rigBase+3*mem.PageSize) || f.Stats().Prefetches != 0 || tr.batches != 0 {
+		t.Fatalf("sequential object-page fills prefetched: resident %t, Prefetches %d",
+			f.Resident(rigBase+3*mem.PageSize), f.Stats().Prefetches)
+	}
+	tr.wantReads(t, objRead{rigBase, 0, line}, objRead{rigBase + mem.PageSize, 0, line},
+		objRead{rigBase + 2*mem.PageSize, 0, line})
+}

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +10,13 @@ import (
 	"strings"
 	"time"
 )
+
+// ErrRefused wraps every reply in which the server answered a request in
+// band with something other than success — SERVER_ERROR, CLIENT_ERROR, a
+// status the verb does not expect. The reply was a whole line, so the
+// connection stays framed and usable; any other Client error may have left
+// it mid-reply and calls for a redial.
+var ErrRefused = errors.New("kv: request refused")
 
 // Client is one text-protocol connection to a kvd server. It is not
 // safe for concurrent use — the load engine gives each worker its own
@@ -64,7 +72,7 @@ func (c *Client) Set(key string, flags uint32, value []byte) error {
 		return err
 	}
 	if string(line) != "STORED" {
-		return fmt.Errorf("kv: set %q: server answered %q", key, line)
+		return fmt.Errorf("%w: set %q: server answered %q", ErrRefused, key, line)
 	}
 	return nil
 }
@@ -90,7 +98,7 @@ func (c *Client) Get(key string) (value []byte, flags uint32, ok bool, err error
 		// is read over it.
 		c.fields = splitFields(line, c.fields[:0])
 		if len(c.fields) == 0 || string(c.fields[0]) != "VALUE" {
-			return nil, 0, false, fmt.Errorf("kv: get %q: server answered %q", key, line)
+			return nil, 0, false, fmt.Errorf("%w: get %q: server answered %q", ErrRefused, key, line)
 		}
 		if len(c.fields) != 4 || string(c.fields[1]) != key {
 			return nil, 0, false, fmt.Errorf("kv: get %q: bad VALUE line %q", key, line)
@@ -129,7 +137,7 @@ func (c *Client) Delete(key string) (ok bool, err error) {
 	case "NOT_FOUND":
 		return false, nil
 	}
-	return false, fmt.Errorf("kv: delete %q: server answered %q", key, line)
+	return false, fmt.Errorf("%w: delete %q: server answered %q", ErrRefused, key, line)
 }
 
 // Stats fetches the server's stats map.

@@ -13,12 +13,13 @@ import (
 	"kona/internal/telemetry"
 )
 
-// mallocChunks is a runtime whose value-heap chunks come from Malloc: the
-// parent commit's behaviour, kept here as the reference the guard counts
-// against.
+// mallocChunks is a runtime whose value-heap chunks all come from Malloc,
+// whatever the class: the behaviour before fresh allocations, kept here as
+// the reference the guard counts against.
 type mallocChunks struct{ *core.Kona }
 
-func (m mallocChunks) MallocFresh(size uint64) (mem.Addr, error) { return m.Malloc(size) }
+func (m mallocChunks) MallocFresh(size uint64) (mem.Addr, error)   { return m.Malloc(size) }
+func (m mallocChunks) MallocObjects(size uint64) (mem.Addr, error) { return m.Malloc(size) }
 
 // countedRack is a controller and two memory-node daemons on loopback TCP
 // whose memnodes count what they serve into one registry.

@@ -30,6 +30,12 @@ import (
 // itself (newChunk) rather than trusting the runtime's allocator to return
 // page-aligned chunks.
 //
+// A block of a page or more owns its pages outright, so the chunks of
+// those classes come from MallocObjects: a fill of one of their pages
+// fetches only the lines the record reaches, not the dead tail of the block
+// after it. A page of a smaller class holds several blocks and stays
+// fetched whole — its neighbours' later hits pay for the extra bytes.
+//
 // Each shard owns one heap, so the heap itself needs no locking: all
 // calls happen under the owning shard's mutex.
 type valueHeap struct {
@@ -119,10 +125,14 @@ func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 // boundary starts the cursor; the misaligned chunk is not used.
 func (h *valueHeap) newChunk(cur *cursor, size uint64) error {
 	chunk := max(h.chunkBytes, size)
-	base, err := h.rt.MallocFresh(chunk)
+	malloc := h.rt.MallocFresh
+	if size >= mem.PageSize {
+		malloc = h.rt.MallocObjects
+	}
+	base, err := malloc(chunk)
 	if err == nil && base.PageOffset() != 0 {
 		h.chunkCount++
-		base, err = h.rt.MallocFresh(chunk + mem.PageSize)
+		base, err = malloc(chunk + mem.PageSize)
 	}
 	if err != nil {
 		return fmt.Errorf("kv: value heap: %w", err)

@@ -1,8 +1,8 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -328,10 +328,10 @@ func (w *loadWorker) execute(item workItem) {
 	}
 	if err != nil {
 		w.e.errors.Add(1)
-		// In-band rejections (SERVER_ERROR and friends surface as
-		// "server answered" errors) leave the conn framed and usable;
-		// anything else is a transport failure and needs a redial.
-		if !strings.Contains(err.Error(), "server answered") {
+		// In-band rejections (SERVER_ERROR and friends, ErrRefused) leave
+		// the conn framed and usable; anything else is a transport or
+		// framing failure and needs a redial.
+		if !errors.Is(err, ErrRefused) {
 			w.redial()
 		}
 	} else {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -157,3 +158,45 @@ func (p *halfPipe) Read(b []byte) (int, error) {
 func (p *halfPipe) WriteString(s string) { p.more <- s }
 func (p *halfPipe) close()               { close(p.more) }
 func (p *halfPipe) consumed() int        { return p.read }
+
+// TestClientRefusalIsTyped pins what the load engine's redial decision
+// rests on: an in-band refusal (a whole SERVER_ERROR line) matches
+// ErrRefused, so the connection is kept; a malformed VALUE line does not,
+// so it is redialled.
+func TestClientRefusalIsTyped(t *testing.T) {
+	reply := func(wire string, op func(*Client) error) error {
+		cc, sc := net.Pipe()
+		defer cc.Close()
+		go func() {
+			defer sc.Close()
+			br := bufio.NewReader(sc)
+			if _, err := br.ReadString('\n'); err != nil {
+				return
+			}
+			sc.Write([]byte(wire))
+		}()
+		return op(NewClient(cc))
+	}
+	set := func(c *Client) error { return c.Set("k", 0, nil) }
+	get := func(c *Client) error { _, _, _, err := c.Get("k"); return err }
+	del := func(c *Client) error { _, err := c.Delete("k"); return err }
+	for _, tc := range []struct {
+		name    string
+		wire    string
+		op      func(*Client) error
+		refused bool
+	}{
+		{"set SERVER_ERROR", "SERVER_ERROR out of memory\r\n", set, true},
+		{"get SERVER_ERROR", "SERVER_ERROR remote memory unavailable\r\n", get, true},
+		{"delete CLIENT_ERROR", "CLIENT_ERROR bad command line format\r\n", del, true},
+		{"get malformed VALUE", "VALUE k 0\r\n", get, false},
+	} {
+		err := reply(tc.wire, tc.op)
+		if err == nil {
+			t.Fatalf("%s: no error", tc.name)
+		}
+		if errors.Is(err, ErrRefused) != tc.refused {
+			t.Errorf("%s: errors.Is(%v, ErrRefused) = %t, want %t", tc.name, err, !tc.refused, tc.refused)
+		}
+	}
+}

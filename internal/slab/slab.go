@@ -164,6 +164,12 @@ func (a *Allocator) Alloc(size uint64) (mem.Addr, error) {
 	return 0, fmt.Errorf("slab: out of memory for %d bytes (granted %d, allocated %d)", size, a.granted, a.allocated)
 }
 
+// Size returns the size of the live allocation at addr, as Alloc rounded it.
+func (a *Allocator) Size(addr mem.Addr) (uint64, bool) {
+	size, ok := a.live[addr]
+	return size, ok
+}
+
 // Free releases an allocation made by Alloc.
 func (a *Allocator) Free(addr mem.Addr) error {
 	size, ok := a.live[addr]
