@@ -39,17 +39,18 @@ bench-quick:
 
 # Eviction-path guard (DESIGN.md §8): the steady-state evict and
 # fetch-hit allocation checks (-benchmem must report 0 allocs/op on the
-# arena-backed paths), and the single-vs-batched ReadPages round trip.
+# arena-backed paths), and the wire's single-vs-batched ReadPages round
+# trip (the `read-pages` kind the replacement engine's copy uses).
 # -benchtime=1x keeps it a smoke run; compare properly with -benchtime=2s.
 bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
 
-# Eight single-test guards. The first three run on the simulated fabric and
+# Nine single-test guards. The first three run on the simulated fabric and
 # bound counts or *virtual-time* p99s — latency computed on the simulated
 # fabric's clock, which nothing off the measured path can touch — so they
 # are deterministic and have no noise floor to state. The fourth is
-# wall-clock; its test comment states the floor. The last four count RPCs
+# wall-clock; its test comment states the floor. The last five count RPCs
 # or bytes on loopback TCP and time nothing.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
@@ -72,6 +73,10 @@ bench-evict:
 #    each, synced at R=2, put exactly 2 x 1000 x (64 + 5) bytes plus one
 #    4-byte terminator per write-log on the memnodes' log_bytes counter
 #    (10-byte entry headers and 8-byte terminators before).
+#  - Span reads (DESIGN.md §16): a cold Read of 3 plain pages is one
+#    memnode `read` RPC and no `read-pages`, and fetches exactly the 3 x
+#    4 096 bytes (one `read-pages` when a whole-page scatter-gather batch
+#    served it).
 #  - Fresh allocations (DESIGN.md §16): loading 20k keys into a kv.Store
 #    serves zero memnode read RPCs (5 006 when the value heap's chunks come
 #    from Malloc) and the same number of write-log RPCs either way.
@@ -86,7 +91,7 @@ bench-evict:
 #    record (4 KB and 12 KB per record, the 8 KB ones in `read-pages`,
 #    before object pages).
 guards:
-	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine' -count=1 -v ./internal/core
+	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine|TestMultiPageReadIsOneRPC' -count=1 -v ./internal/core
 	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the

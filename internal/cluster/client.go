@@ -241,8 +241,8 @@ func (c *MemoryNodeClient) ReadInto(offset uint64, buf []byte) error {
 }
 
 // ReadPagesInto gathers one span at each of the given pool offsets in a
-// single round trip — the scatter-gather read the prefetcher, bulk-replay
-// and member-replacement paths use to avoid one RPC per page — with the
+// single round trip — the scatter-gather read the member-replacement copy
+// uses to avoid one RPC per page — with the
 // reply scattered directly into the caller's buffers (typically
 // non-contiguous page frames), one per offset, all the same length. The
 // concatenated reply payload is read off the socket segment by segment

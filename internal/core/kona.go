@@ -167,11 +167,11 @@ func newKona(cfg Config, id uint64, l links, c control) *Kona {
 		StreamBypass:  cfg.StreamBypass,
 		FetchBytes:    cfg.FetchBytes,
 	}, rm, k.onEvict)
-	// Scatter-gather fetches only pay off when round trips are real;
-	// the simulated fabric keeps the serial path so virtual time stays
+	// A span read saves round trips only when they are real; the simulated
+	// fabric keeps the per-page path so virtual time stays
 	// byte-reproducible.
 	if l.pipelined() {
-		k.fpga.EnableBatchFetch()
+		k.fpga.EnableSpanReads()
 	}
 	// Write-before-read ordering: a page refetch must not observe remote
 	// memory that is missing buffered eviction-log entries. The hook runs

@@ -129,8 +129,6 @@ type resourceManager struct {
 
 	// replicas is the member table: a primary slab ID to the group.
 	replicas map[uint64]*group
-	// batchPool recycles ReadPagesBatch's grouping scratch.
-	batchPool sync.Pool
 
 	// gen advances, under mu, whenever a translation the table gave out
 	// may have gone stale: a member changed state or was replaced. A route
@@ -342,77 +340,6 @@ func (rm *resourceManager) ReadRange(now simclock.Duration, p fpga.Page, off uin
 		return now, err
 	}
 	return l.readPage(now, poolOff+off, buf)
-}
-
-// batchGroup accumulates one node's share of a scatter-gather read.
-type batchGroup struct {
-	link nodeLink
-	offs []uint64
-	bufs [][]byte
-}
-
-// batchGroups is ReadPagesBatch's grouping scratch, pooled so a batch read
-// allocates nothing once its slices have grown: a group keeps its offs and
-// bufs arrays across uses.
-type batchGroups struct{ groups []batchGroup }
-
-// ReadPagesBatch implements fpga.BatchTranslator: it resolves every base
-// to its live placement, groups the pages by destination node, and
-// issues one scatter-gather read per node. All bases are resolved before
-// any wire traffic, so a translation failure aborts with no partial
-// fetch; per-node reads then run back to back (the caller overlaps
-// batches with demand work, not nodes with each other — one stalled node
-// failing fast beats interleaved partial fills).
-func (rm *resourceManager) ReadPagesBatch(now simclock.Duration, bases []mem.Addr, bufs [][]byte) (simclock.Duration, error) {
-	if len(bases) != len(bufs) {
-		return now, fmt.Errorf("core: batch read: %d bases, %d buffers", len(bases), len(bufs))
-	}
-	bg, _ := rm.batchPool.Get().(*batchGroups)
-	if bg == nil {
-		bg = new(batchGroups)
-	}
-	defer rm.batchPool.Put(bg)
-	bg.groups = bg.groups[:0]
-	rm.mu.Lock()
-	for i, base := range bases {
-		l, off, err := rm.translateLocked(base)
-		if err != nil {
-			rm.mu.Unlock()
-			return now, err
-		}
-		// A rack's nodes are few: scan for the destination's group.
-		var g *batchGroup
-		for j := range bg.groups {
-			if bg.groups[j].link.key() == l.key() {
-				g = &bg.groups[j]
-				break
-			}
-		}
-		if g == nil {
-			if n := len(bg.groups); n < cap(bg.groups) {
-				bg.groups = bg.groups[:n+1]
-			} else {
-				bg.groups = append(bg.groups, batchGroup{})
-			}
-			g = &bg.groups[len(bg.groups)-1]
-			g.link, g.offs, g.bufs = l, g.offs[:0], g.bufs[:0]
-		}
-		g.offs = append(g.offs, off)
-		g.bufs = append(g.bufs, bufs[i])
-	}
-	rm.mu.Unlock()
-	latest := now
-	for i := range bg.groups {
-		g := &bg.groups[i]
-		done, err := g.link.readPages(now, g.offs, g.bufs)
-		if err != nil {
-			return now, err
-		}
-		if done > latest {
-			latest = done
-		}
-	}
-	return latest, nil
 }
 
 // placement is one eviction destination for an address.

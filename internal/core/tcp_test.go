@@ -3,16 +3,24 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"net"
 	"testing"
 
 	"kona/internal/cluster"
 	"kona/internal/mem"
+	"kona/internal/telemetry"
 )
 
 // tcpRig spins a controller daemon and n memory-node daemons on localhost
 // and returns the controller's address plus the daemon node objects. It
 // takes testing.TB so benchmarks share the rig.
 func tcpRig(t testing.TB, n int) (string, []*cluster.MemoryNode) {
+	t.Helper()
+	return tcpRigWith(t, n, nil)
+}
+
+// tcpRigWith is tcpRig with the memory-node daemons reporting into reg.
+func tcpRigWith(t testing.TB, n int, reg *telemetry.Registry) (string, []*cluster.MemoryNode) {
 	t.Helper()
 	ctrl := cluster.NewController()
 	cs, err := cluster.ServeController(ctrl, "127.0.0.1:0")
@@ -24,10 +32,11 @@ func tcpRig(t testing.TB, n int) (string, []*cluster.MemoryNode) {
 	var nodes []*cluster.MemoryNode
 	for i := 0; i < n; i++ {
 		node := cluster.NewMemoryNode(i, 64<<20)
-		ns, err := cluster.ServeMemoryNode(node, "127.0.0.1:0")
+		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		ns := cluster.ServeMemoryNodeOnWith(node, l, reg)
 		t.Cleanup(func() { ns.Close() })
 		if err := cc.RegisterNode(i, 64<<20, ns.Addr()); err != nil {
 			t.Fatal(err)
@@ -35,6 +44,53 @@ func tcpRig(t testing.TB, n int) (string, []*cluster.MemoryNode) {
 		nodes = append(nodes, node)
 	}
 	return cs.Addr(), nodes
+}
+
+// TestMultiPageReadIsOneRPC is the `make guards` count guard for span reads
+// (DESIGN.md §16), no timing in it: a cold Read of a 3-page region of plain
+// pages over loopback TCP makes exactly one memnode `read` RPC and no
+// `read-pages` (the whole-page scatter-gather batch that served it before
+// made one `read-pages`), and fetches the region's 3 x 4 096 bytes.
+func TestMultiPageReadIsOneRPC(t *testing.T) {
+	reg := telemetry.New(0)
+	addr, _ := tcpRigWith(t, 1, reg)
+	served := func(kind string) uint64 { return reg.Counter("cluster.memnode.served." + kind).Value() }
+	cfg := smallConfig()
+	cfg.Metrics = telemetry.New(0)
+	k := NewKonaTCP(cfg, addr)
+	const size = 3 * mem.PageSize
+	base, err := k.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.PageOffset() != 0 {
+		t.Fatalf("Malloc placed the region at %v, test expects a page boundary", base)
+	}
+	data := make([]byte, size)
+	rand.New(rand.NewSource(3)).Read(data)
+	now := mustWrite(t, k, 0, base, data)
+	if now, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	coldCache(k)
+	k.PublishTelemetry()
+	fetched := cfg.Metrics.Counter("core.fpga.bytes_fetched")
+	bytes0, reads0, pages0 := fetched.Value(), served("read"), served("read-pages")
+	if _, got := mustRead(t, k, now, base, size); !bytes.Equal(got, data) {
+		t.Fatal("the region did not come back from remote memory")
+	}
+	k.PublishTelemetry()
+	dBytes, dReads, dPages := fetched.Value()-bytes0, served("read")-reads0, served("read-pages")-pages0
+	t.Logf("cold 3-page read: %d read RPCs, %d read-pages RPCs, %d B fetched", dReads, dPages, dBytes)
+	if dReads != 1 || dPages != 0 {
+		t.Errorf("the read made %d read and %d read-pages RPCs, want 1 and 0", dReads, dPages)
+	}
+	if dBytes != size {
+		t.Errorf("the read fetched %d B, want %d", dBytes, size)
+	}
+	if err := k.Close(0); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestKonaOverTCP(t *testing.T) {

@@ -35,12 +35,8 @@ type nodeLink interface {
 	// inheriting the dead incarnation's retained entries.
 	key() uint64
 	healthy() bool
-	// readPage fills buf with one page at pool offset off.
+	// readPage fills buf with the bytes at pool offset off.
 	readPage(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error)
-	// readPages gathers len(offs) equally-sized spans into the matching
-	// bufs elements, coalescing into one round trip when the transport
-	// supports scatter-gather reads.
-	readPages(now simclock.Duration, offs []uint64, bufs [][]byte) (simclock.Duration, error)
 	// writePage stores data at pool offset off.
 	writePage(now simclock.Duration, off uint64, data []byte) (simclock.Duration, error)
 	// shipLog delivers a packed cache-line log — given as scatter
@@ -136,10 +132,6 @@ func (l deadLink) readPage(now simclock.Duration, off uint64, buf []byte) (simcl
 	return now, l.err()
 }
 
-func (l deadLink) readPages(now simclock.Duration, offs []uint64, bufs [][]byte) (simclock.Duration, error) {
-	return now, l.err()
-}
-
 func (l deadLink) writePage(now simclock.Duration, off uint64, data []byte) (simclock.Duration, error) {
 	return now, l.err()
 }
@@ -230,10 +222,6 @@ func (l *rdmaLink) healthy() bool { return !l.node.Failed() }
 func (l *rdmaLink) readPage(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.readPageLocked(now, off, buf)
-}
-
-func (l *rdmaLink) readPageLocked(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error) {
 	done, err := l.qp.PostSend(now, []rdma.WR{{
 		Op: rdma.OpRead, Local: l.staging, RemoteKey: l.node.PoolKey(),
 		RemoteOff: int(off), Len: len(buf), Signaled: true,
@@ -244,21 +232,6 @@ func (l *rdmaLink) readPageLocked(now simclock.Duration, off uint64, buf []byte)
 	l.qp.PollCQ()
 	copy(buf, l.staging.Bytes())
 	return done, nil
-}
-
-// readPages on the simulated fabric issues the reads back to back: the
-// virtual-time NIC model serializes verbs anyway, so a batched form
-// would not change the timeline — it exists for interface parity.
-func (l *rdmaLink) readPages(now simclock.Duration, offs []uint64, bufs [][]byte) (simclock.Duration, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var err error
-	for i, off := range offs {
-		if now, err = l.readPageLocked(now, off, bufs[i]); err != nil {
-			return now, err
-		}
-	}
-	return now, nil
 }
 
 func (l *rdmaLink) writePage(now simclock.Duration, off uint64, data []byte) (simclock.Duration, error) {
@@ -418,21 +391,6 @@ func (l *tcpLink) readPage(now simclock.Duration, off uint64, buf []byte) (simcl
 	// ReadInto lands the reply payload directly in the caller's page
 	// frame — no staging allocation, no copy.
 	if err := l.client.ReadInto(off, buf); err != nil {
-		l.noteFailure()
-		return now, err
-	}
-	return elapse(now, start), nil
-}
-
-// readPages gathers every span with one scatter-gather RPC instead of
-// len(offs) Read round trips; the concatenated reply is scattered off
-// the socket directly into the (non-contiguous) caller frames.
-func (l *tcpLink) readPages(now simclock.Duration, offs []uint64, bufs [][]byte) (simclock.Duration, error) {
-	if len(offs) == 0 {
-		return now, nil
-	}
-	start := time.Now()
-	if err := l.client.ReadPagesInto(offs, bufs); err != nil {
 		l.noteFailure()
 		return now, err
 	}

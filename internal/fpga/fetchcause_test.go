@@ -9,15 +9,15 @@ import (
 // Every remote fetch is counted under the cause its caller named: a demand
 // fill (read), a read-for-ownership of a partly written line (rfo), or a
 // speculative fill (prefetch). The causes sum to RemoteFetches on every
-// fill path: single-page, sub-page block, batched span and prefetch window.
+// fill path: single-page, sub-page block, span read and prefetch window.
 func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 	at := func(page, off uint64) mem.Addr { return rigBase + mem.Addr(page*mem.PageSize+off) }
 	cases := []struct {
 		name string
 		cfg  Config
-		// batch enables scatter-gather span and window fetches.
-		batch bool
-		run   func(t *testing.T, f *FPGA)
+		// span enables span reads.
+		span bool
+		run  func(t *testing.T, f *FPGA)
 		// want is the exact split; nil asserts only the sum and that the
 		// read and prefetch causes both occurred.
 		want *[NumFetchCauses]uint64
@@ -67,9 +67,9 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 			want: &[NumFetchCauses]uint64{2, 1, 0},
 		},
 		{
-			name:  "batched multi-page span",
-			cfg:   Config{FMemSize: 64 * mem.PageSize, Assoc: 4},
-			batch: true,
+			name: "multi-page span read",
+			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4},
+			span: true,
 			run: func(t *testing.T, f *FPGA) {
 				if _, err := f.Read(0, at(20, 0), make([]byte, 3*mem.PageSize)); err != nil {
 					t.Fatal(err)
@@ -78,9 +78,9 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 			want: &[NumFetchCauses]uint64{3, 0, 0},
 		},
 		{
-			name:  "batched stride window",
-			cfg:   Config{FMemSize: 64 * mem.PageSize, Assoc: 4, Prefetch: true, PrefetchDepth: 4},
-			batch: true,
+			name: "stride window with span reads",
+			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4, Prefetch: true, PrefetchDepth: 4},
+			span: true,
 			run: func(t *testing.T, f *FPGA) {
 				for p := uint64(0); p < 20; p += 2 {
 					if _, err := f.LineFill(0, at(p, 0)); err != nil {
@@ -93,8 +93,8 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newFreshRig(tc.cfg, 0)
-			if tc.batch {
-				r.f.EnableBatchFetch()
+			if tc.span {
+				r.f.EnableSpanReads()
 			}
 			tc.run(t, r.f)
 			st := r.f.Stats()

@@ -24,11 +24,11 @@
 // Concurrency: FMem state is lock-striped into power-of-two shards, each
 // owning the sets whose index maps to it (DESIGN.md §9). Every per-page
 // operation takes exactly one shard lock; cross-shard work (prefetch
-// issue, multi-page batch fills, FlushDirty) takes shard locks one at a
+// issue, multi-page span reads, FlushDirty) takes shard locks one at a
 // time, never two at once, so no lock cycle exists. A shard's epoch
-// counter advances on every install/evict, letting optimistic multi-page
-// collectors detect a frame torn out between their residency scan and
-// their install without re-walking the set.
+// counter advances on every install/evict, letting the multi-page
+// collector detect a frame torn out between its residency scan and its
+// install without re-walking the set.
 package fpga
 
 import (
@@ -90,15 +90,6 @@ type Route struct {
 // the same endpoint, so one read from r reaches them.
 func (r Route) contiguous(q Route, dist uint64) bool {
 	return r.Via != nil && q.Via == r.Via && q.Off-r.Off == dist
-}
-
-// BatchTranslator is the optional scatter-gather extension of
-// Translator: ReadPagesBatch fetches whole pages for several VFMem bases
-// at once, coalescing the round trips per destination node. The
-// TCP-backed resource manager implements it; the simulated fabric keeps
-// the serial path so its virtual-time NIC ordering stays reproducible.
-type BatchTranslator interface {
-	ReadPagesBatch(now simclock.Duration, bases []mem.Addr, bufs [][]byte) (simclock.Duration, error)
 }
 
 // Victim is an FMem page displaced by a fill, handed to the Eviction
@@ -252,10 +243,9 @@ type FetchHook func(now simclock.Duration, pageBase mem.Addr) simclock.Duration
 type shard struct {
 	mu sync.Mutex
 	// epoch counts structural changes (install/evict) to the shard's
-	// frames. Optimistic cross-shard collectors (batch fills, prefetch
-	// windows) snapshot it during their residency scan and revalidate at
-	// install time: an unchanged epoch proves no frame was installed or
-	// torn out in between.
+	// frames. The span read's collector snapshots it during its residency
+	// scan and revalidates at install time: an unchanged epoch proves no
+	// frame was installed or torn out in between.
 	epoch   atomic.Uint64
 	tick    uint64
 	scratch []byte
@@ -297,23 +287,17 @@ type prefetchIntent struct {
 	page uint64
 }
 
-// batchScratch is the pooled staging area for scatter-gather fetches.
-// Each concurrent batch fill owns one instance for the duration of the
-// wire read, because targets are read into scratch buffers first and
-// only then installed — installing mid-batch can evict an earlier
-// target's frame and the install would alias a buffer still being
-// filled.
-type batchScratch struct {
-	bases  []mem.Addr
-	epochs []uint64
-	bufs   [][]byte
-	// objects are the object pages of a multi-page Read that are missing
-	// lines it reads, in address order; span stages their one read.
-	objects []spanPage
-	span    []byte
+// spanScratch is the pooled staging area of a span read: the pages of a
+// multi-page Read that are missing lines it reads, in address order, and
+// the buffer their one read lands in. Each concurrent Read owns one for
+// the duration of the read, because the bytes are staged first and only
+// then merged — installing mid-read can evict an earlier page's frame.
+type spanScratch struct {
+	pages []spanPage
+	buf   []byte
 }
 
-// spanPage is one object page a multi-page Read found missing lines of.
+// spanPage is one page a multi-page Read found missing lines of.
 type spanPage struct {
 	page     Page
 	epoch    uint64
@@ -328,11 +312,10 @@ type FPGA struct {
 	onEvict   EvictHandler
 	onFetch   FetchHook
 
-	// batch, when non-nil, coalesces multi-page fetches (prefetch windows
-	// and page-spanning Reads) into scatter-gather reads — see
-	// EnableBatchFetch.
-	batch     BatchTranslator
-	batchPool sync.Pool
+	// spanReads fetches a page-spanning Read's missing lines with one
+	// ReadRange — see EnableSpanReads.
+	spanReads bool
+	spanPool  sync.Pool
 
 	sets  [][]frame
 	nsets uint64
@@ -390,7 +373,7 @@ func New(cfg Config, tr Translator, onEvict EvictHandler) *FPGA {
 		shards:    make([]shard, nshards),
 		shardMask: nshards - 1,
 	}
-	f.batchPool.New = func() any { return &batchScratch{} }
+	f.spanPool.New = func() any { return &spanScratch{} }
 	if cfg.Prefetch && cfg.PrefetchDepth > 1 {
 		f.front.stride = prefetch.New(cfg.PrefetchDepth)
 	}
@@ -555,8 +538,7 @@ func (f *FPGA) runPrefetch(pf prefetchIntent) {
 // pages already (or concurrently made) resident, fresh pages — zero-filling
 // a page nobody has written into a frame buys nothing and evicts a cached
 // one — and object pages, whose next page is another object's or the
-// untouched tail of its own (collectPage leaves both out of a batch
-// likewise).
+// untouched tail of its own.
 func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 	sh := f.shardFor(target)
 	sh.mu.Lock()
@@ -579,121 +561,39 @@ func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 // SetFetchHook installs the pre-fetch ordering hook.
 func (f *FPGA) SetFetchHook(h FetchHook) { f.onFetch = h }
 
-// EnableBatchFetch turns on scatter-gather multi-page fetches when the
-// translator supports them (and fetches are page-granularity). The
-// runtime enables this only on the TCP transport, where coalescing N
-// page reads into one frame per node saves N-1 round trips.
-func (f *FPGA) EnableBatchFetch() {
-	if f.cfg.FetchBytes != mem.PageSize {
-		return
-	}
-	if bt, ok := f.translate.(BatchTranslator); ok {
-		f.batch = bt
-	}
-}
+// EnableSpanReads makes a multi-page Read fetch the lines its pages are
+// missing with one ReadRange when their routes are contiguous. The runtime
+// enables it only on the TCP transport, where the one read saves a round
+// trip per page; the simulated fabric keeps the per-page path so its
+// virtual-time NIC ordering stays reproducible.
+func (f *FPGA) EnableSpanReads() { f.spanReads = true }
 
-// collectBatch fills bs with the whole pages among targets that a fetch
-// would have to bring in.
-func (f *FPGA) collectBatch(bs *batchScratch, targets []uint64) {
-	bs.reset()
-	for _, t := range targets {
-		f.collectPage(bs, t, 0, mem.LinesPerPage-1)
-	}
-	bs.size()
-}
-
-// reset empties the collected pages.
-func (bs *batchScratch) reset() {
-	bs.bases = bs.bases[:0]
-	bs.epochs = bs.epochs[:0]
-	bs.objects = bs.objects[:0]
-}
-
-// collectPage adds the page to bs if a read of its lines [lo, hi] would
-// have to fetch, recording its shard epoch so the install step can detect
-// a concurrent install/evict in that stripe. An object page goes to
-// bs.objects, to be fetched only that far; any other page that is not
-// resident goes to bs.bases, to be fetched whole. A fresh page has nothing
-// to fetch and is left out: the per-page path zero-fills it.
-func (f *FPGA) collectPage(bs *batchScratch, page uint64, lo, hi int) {
+// collectPage adds the page to ss if a read of its lines [lo, hi] would
+// have to fetch, with the lines it is missing, recording its shard epoch so
+// the merge step can detect a concurrent install/evict in that stripe. The
+// lines are the fill's (fillLines): an object page's up to the line the
+// read reaches, any other page's FetchBytes blocks around them. Residency
+// is checked before the Lookup, so a page the read hits asks the translator
+// nothing. A fresh page has nothing to fetch and is left out: the per-page
+// path zero-fills it.
+func (f *FPGA) collectPage(ss *spanScratch, page uint64, lo, hi int) {
 	sh := f.shardFor(page)
 	sh.mu.Lock()
-	var missing mem.LineBitmap
-	missing.SetRange(lo, hi+1)
 	fr := f.lookupLocked(page)
+	var filled mem.LineBitmap
 	if fr != nil {
-		missing &^= fr.filled
+		filled = fr.filled
+		if f.fillLines(fr.object, lo, hi, hi)&^filled == 0 {
+			sh.mu.Unlock()
+			return
+		}
 	}
 	epoch := sh.epoch.Load()
 	sh.mu.Unlock()
-	if missing == 0 {
-		return
+	pg := f.translate.Lookup(mem.PageBase(page))
+	if missing := f.fillLines(pg.Object, lo, hi, hi) &^ filled; !pg.Fresh && missing != 0 {
+		ss.pages = append(ss.pages, spanPage{page: pg, epoch: epoch, resident: fr != nil, missing: missing})
 	}
-	switch pg := f.translate.Lookup(mem.PageBase(page)); {
-	case pg.Fresh:
-	case pg.Object:
-		bs.objects = append(bs.objects, spanPage{page: pg, epoch: epoch, resident: fr != nil, missing: missing})
-	case fr == nil:
-		bs.bases = append(bs.bases, pg.Base)
-		bs.epochs = append(bs.epochs, epoch)
-	}
-}
-
-// size grows bufs to cover the collected bases.
-func (bs *batchScratch) size() {
-	for len(bs.bufs) < len(bs.bases) {
-		bs.bufs = append(bs.bufs, make([]byte, mem.PageSize))
-	}
-}
-
-// fetchBatch pulls every base in bs with one scatter-gather read per
-// node and installs the pages. The write-before-read hook runs for every
-// target before any wire traffic: targets were non-resident at collect
-// time, so no install during the batch can buffer new eviction entries
-// for them. speculative marks the frames as prefetched (accuracy
-// accounting) and counts the fetches as FetchPrefetch, not FetchRead;
-// errors leave the pages absent for the demand path to refetch and
-// report. A page whose shard epoch moved since collection is re-checked
-// and skipped if a concurrent fill already installed it.
-func (f *FPGA) fetchBatch(now simclock.Duration, bs *batchScratch, speculative bool) (simclock.Duration, error) {
-	if f.onFetch != nil {
-		for _, base := range bs.bases {
-			now = f.onFetch(now, base)
-		}
-	}
-	cause := FetchRead
-	if speculative {
-		cause = FetchPrefetch
-	}
-	bufs := bs.bufs[:len(bs.bases)]
-	done, err := f.batch.ReadPagesBatch(now, bs.bases, bufs)
-	if err != nil {
-		return now, err
-	}
-	for i, base := range bs.bases {
-		page := base.Page()
-		sh := f.shardFor(page)
-		sh.mu.Lock()
-		if sh.epoch.Load() != bs.epochs[i] && f.lookupLocked(page) != nil {
-			// The stripe changed under us and a concurrent fill won the
-			// page; its frame may hold newer local writes — keep it.
-			sh.mu.Unlock()
-			continue
-		}
-		fr := f.demandFrameLocked(sh, now, page)
-		copy(fr.data, bufs[i])
-		fr.filled = ^mem.LineBitmap(0)
-		fr.readyAt = done
-		fr.prefetched = speculative
-		sh.stats.RemoteFetches++
-		sh.stats.Fetches[cause]++
-		sh.stats.BytesFetched += mem.PageSize
-		if speculative {
-			sh.stats.Prefetches++
-		}
-		sh.mu.Unlock()
-	}
-	return done, nil
 }
 
 // demandFrameLocked installs an (empty) frame for a demanded page,
@@ -731,17 +631,24 @@ func (f *FPGA) demandFrameLocked(sh *shard, now simclock.Duration, page uint64) 
 // concurrent misses on one page single-flight: the losers block here and
 // find the lines filled.
 func (f *FPGA) ensureLinesLocked(sh *shard, now simclock.Duration, fr *frame, page uint64, lo, hi, reach int, cause FetchCause) (simclock.Duration, error) {
-	var want mem.LineBitmap
-	if fr.object {
-		want.SetRange(lo, reach+1)
-	} else {
-		lpb := int(f.cfg.FetchBytes) / mem.CacheLineSize
-		want.SetRange(lo/lpb*lpb, (hi/lpb+1)*lpb)
-	}
-	if fr.filled&want == want {
+	if f.fillLines(fr.object, lo, hi, reach)&^fr.filled == 0 {
 		return now, nil
 	}
 	return f.fillLocked(sh, now, fr, f.translate.Lookup(mem.PageBase(page)), lo, hi, reach, cause)
+}
+
+// fillLines is the lines a fill for lines [lo, hi] of a page brings in,
+// reach (≥ hi) being the last line the caller goes on to read: exactly
+// [lo, reach] on an object page, the FetchBytes blocks covering [lo, hi] on
+// any other.
+func (f *FPGA) fillLines(object bool, lo, hi, reach int) (lines mem.LineBitmap) {
+	if object {
+		lines.SetRange(lo, reach+1)
+		return lines
+	}
+	lpb := int(f.cfg.FetchBytes) / mem.CacheLineSize
+	lines.SetRange(lo/lpb*lpb, (hi/lpb+1)*lpb)
+	return lines
 }
 
 // fillLocked fetches what lines [lo, hi] of the looked-up page pg are
@@ -757,11 +664,9 @@ func (f *FPGA) fillLocked(sh *shard, now simclock.Duration, fr *frame, pg Page, 
 	lpb := int(f.cfg.FetchBytes) / mem.CacheLineSize
 	if pg.Object {
 		fr.object = true
-		hi, lpb = reach, 1
+		lpb = 1
 	}
-	var missing mem.LineBitmap
-	missing.SetRange(lo/lpb*lpb, (hi/lpb+1)*lpb)
-	missing &^= fr.filled
+	missing := f.fillLines(pg.Object, lo, hi, reach) &^ fr.filled
 	done := now
 	if missing != 0 && !pg.Fresh && f.onFetch != nil {
 		now = f.onFetch(now, pg.Base)
@@ -981,20 +886,20 @@ func (f *FPGA) OnCoherenceEvent(e coherence.Event) {
 	}
 }
 
-// batchFillSpan pre-stages the pages a multi-page Read spans, so the
-// per-page loop below runs at FMem-hit cost: the non-resident pages with
-// one scatter-gather fetch per node, and the object pages' missing lines
-// with one contiguous read (fetchObjectSpan). Best-effort: an error leaves
-// the lines absent and the serial path surfaces the real failure.
-func (f *FPGA) batchFillSpan(now simclock.Duration, addr mem.Addr, n int) simclock.Duration {
+// prefillSpan pre-stages the pages a multi-page Read spans, so the
+// per-page loop below runs at FMem-hit cost: the lines the read is missing,
+// on every page that is not fresh, come in with one contiguous read
+// (fetchSpan). Best-effort: an error leaves the lines absent and the
+// per-page path surfaces the real failure.
+func (f *FPGA) prefillSpan(now simclock.Duration, addr mem.Addr, n int) simclock.Duration {
 	end := addr + mem.Addr(n-1)
 	firstPage, lastPage := addr.Page(), end.Page()
 	if lastPage <= firstPage {
 		return now
 	}
-	bs := f.batchPool.Get().(*batchScratch)
-	defer f.batchPool.Put(bs)
-	bs.reset()
+	ss := f.spanPool.Get().(*spanScratch)
+	defer f.spanPool.Put(ss)
+	ss.pages = ss.pages[:0]
 	for p := firstPage; p <= lastPage; p++ {
 		lo, hi := 0, mem.LinesPerPage-1
 		if p == firstPage {
@@ -1003,49 +908,40 @@ func (f *FPGA) batchFillSpan(now simclock.Duration, addr mem.Addr, n int) simclo
 		if p == lastPage {
 			hi = end.LineInPage()
 		}
-		f.collectPage(bs, p, lo, hi)
+		f.collectPage(ss, p, lo, hi)
 	}
-	now = f.fetchObjectSpan(now, bs)
-	bs.size()
-	if len(bs.bases) < 2 {
-		return now
-	}
-	done, err := f.fetchBatch(now, bs, false)
-	if err != nil {
-		return now
-	}
-	return done
+	return f.fetchSpan(now, ss)
 }
 
-// fetchObjectSpan reads the missing lines of the object pages in
-// bs.objects — the pages of one record — with one ReadRange, from the first
-// missing line of the first page to the last missing line of the last, and
-// merges each page's missing lines into its frame. It needs two or more
-// pages (one page's lines are one read on the per-page path anyway) with
-// contiguous routes. The write-before-read hook runs for every page before
-// the read; each page counts one FetchRead. A page is merged only if
+// fetchSpan reads the missing lines of the pages in ss.pages with one
+// ReadRange, from the first missing line of the first page to the last
+// missing line of the last, and merges each page's missing lines into its
+// frame. It needs two or more pages (one page's lines are one read on the
+// per-page path anyway) with contiguous routes; otherwise every page is left
+// for the per-page path. The write-before-read hook runs for every page
+// before the read; each page counts one FetchRead. A page is merged only if
 // nothing but this call installed or evicted a frame in its stripe since
 // collection and its frame is the one collection saw (or still none); any
 // other page is left for the per-page path.
-func (f *FPGA) fetchObjectSpan(now simclock.Duration, bs *batchScratch) simclock.Duration {
-	objs := bs.objects
-	if len(objs) < 2 {
+func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Duration {
+	pages := ss.pages
+	if len(pages) < 2 {
 		return now
 	}
-	first, last := objs[0].page, objs[len(objs)-1].page
-	for _, o := range objs[1:] {
+	first, last := pages[0].page, pages[len(pages)-1].page
+	for _, o := range pages[1:] {
 		if !first.Route.contiguous(o.page.Route, uint64(o.page.Base-first.Base)) {
 			return now
 		}
 	}
-	lo := bits.TrailingZeros64(uint64(objs[0].missing)) * mem.CacheLineSize
-	size := int(last.Base-first.Base) + (mem.LinesPerPage-bits.LeadingZeros64(uint64(objs[len(objs)-1].missing)))*mem.CacheLineSize - lo
-	if cap(bs.span) < size {
-		bs.span = make([]byte, size)
+	lo := bits.TrailingZeros64(uint64(pages[0].missing)) * mem.CacheLineSize
+	size := int(last.Base-first.Base) + (mem.LinesPerPage-bits.LeadingZeros64(uint64(pages[len(pages)-1].missing)))*mem.CacheLineSize - lo
+	if cap(ss.buf) < size {
+		ss.buf = make([]byte, size)
 	}
-	buf := bs.span[:size]
+	buf := ss.buf[:size]
 	if f.onFetch != nil {
-		for _, o := range objs {
+		for _, o := range pages {
 			now = f.onFetch(now, o.page.Base)
 		}
 	}
@@ -1053,11 +949,11 @@ func (f *FPGA) fetchObjectSpan(now simclock.Duration, bs *batchScratch) simclock
 	if err != nil {
 		return now
 	}
-	for i, o := range objs {
+	for i, o := range pages {
 		at := int(o.page.Base-first.Base) - lo // page start's offset in buf
 		next := size
-		if i+1 < len(objs) {
-			next = int(objs[i+1].page.Base-first.Base) - lo
+		if i+1 < len(pages) {
+			next = int(pages[i+1].page.Base-first.Base) - lo
 		}
 		page := o.page.Base.Page()
 		sh := f.shardFor(page)
@@ -1072,9 +968,9 @@ func (f *FPGA) fetchObjectSpan(now simclock.Duration, bs *batchScratch) simclock
 		}
 		if fr == nil {
 			fr = f.demandFrameLocked(sh, now, page)
-			for j := i + 1; j < len(objs); j++ {
-				if f.shardFor(objs[j].page.Base.Page()) == sh && objs[j].epoch == o.epoch {
-					objs[j].epoch = sh.epoch.Load()
+			for j := i + 1; j < len(pages); j++ {
+				if f.shardFor(pages[j].page.Base.Page()) == sh && pages[j].epoch == o.epoch {
+					pages[j].epoch = sh.epoch.Load()
 				}
 			}
 		}
@@ -1086,7 +982,7 @@ func (f *FPGA) fetchObjectSpan(now simclock.Duration, bs *batchScratch) simclock
 			}
 		}
 		fr.filled |= take
-		fr.object = true
+		fr.object = o.page.Object
 		fr.readyAt = max(fr.readyAt, done)
 		sh.mu.Unlock()
 	}
@@ -1099,8 +995,8 @@ func (f *FPGA) fetchObjectSpan(now simclock.Duration, bs *batchScratch) simclock
 // under that page's shard lock, so single-page reads are atomic with
 // respect to concurrent writers; multi-page reads are atomic per page.
 func (f *FPGA) Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error) {
-	if f.batch != nil && len(buf) > 0 {
-		now = f.batchFillSpan(now, addr, len(buf))
+	if f.spanReads && len(buf) > 0 {
+		now = f.prefillSpan(now, addr, len(buf))
 	}
 	off := 0
 	for off < len(buf) {

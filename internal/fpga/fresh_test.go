@@ -14,31 +14,25 @@ import (
 
 // staleTranslator is remote memory in which every byte is 0xEE — what a
 // recycled memnode extent might hold — and which counts how it was asked.
-// The pages of [rigBase, fresh) are fresh. It implements Translator and
-// BatchTranslator.
+// The pages of [rigBase, fresh) are fresh; the others' routes are
+// contiguous.
 type staleTranslator struct {
-	fresh          mem.Addr
-	reads, batches int
+	fresh mem.Addr
+	reads int
 }
 
 func (s *staleTranslator) Lookup(base mem.Addr) Page {
-	return Page{Base: base, Fresh: base >= rigBase && base < s.fresh}
+	fresh := base >= rigBase && base < s.fresh
+	if fresh {
+		return Page{Base: base, Fresh: true}
+	}
+	return Page{Base: base, Route: Route{Via: s, Off: uint64(base)}}
 }
 
 func (s *staleTranslator) ReadRange(now simclock.Duration, _ Page, off uint64, buf []byte) (simclock.Duration, error) {
 	s.reads++
 	for i := range buf {
 		buf[i] = 0xEE
-	}
-	return now + 1000, nil
-}
-
-func (s *staleTranslator) ReadPagesBatch(now simclock.Duration, bases []mem.Addr, bufs [][]byte) (simclock.Duration, error) {
-	s.batches++
-	for _, b := range bufs {
-		for i := range b {
-			b[i] = 0xEE
-		}
 	}
 	return now + 1000, nil
 }
@@ -65,9 +59,9 @@ func newFreshRig(cfg Config, freshPages int) *freshRig {
 func (r *freshRig) untouched(t *testing.T) {
 	t.Helper()
 	st := r.f.Stats()
-	if r.tr.reads != 0 || r.tr.batches != 0 || r.hooks != 0 || st.RemoteFetches != 0 || st.BytesFetched != 0 {
-		t.Fatalf("fresh fill reached remote memory: %d reads, %d batch reads, %d hook calls, RemoteFetches %d, BytesFetched %d",
-			r.tr.reads, r.tr.batches, r.hooks, st.RemoteFetches, st.BytesFetched)
+	if r.tr.reads != 0 || r.hooks != 0 || st.RemoteFetches != 0 || st.BytesFetched != 0 {
+		t.Fatalf("fresh fill reached remote memory: %d reads, %d hook calls, RemoteFetches %d, BytesFetched %d",
+			r.tr.reads, r.hooks, st.RemoteFetches, st.BytesFetched)
 	}
 }
 
@@ -153,9 +147,10 @@ func TestFreshSubPageFillZeroesOnlyMissingLines(t *testing.T) {
 }
 
 func TestFreshPagesStayOutOfBatchAndPrefetch(t *testing.T) {
-	// Pages 0..3 fresh, 4..5 not: a six-page Read batches only the two.
+	// Pages 0..3 fresh, 4..5 not: a six-page Read's span read covers only
+	// the two.
 	r := newFreshRig(Config{FMemSize: 64 * mem.PageSize, Assoc: 4}, 4)
-	r.f.EnableBatchFetch()
+	r.f.EnableSpanReads()
 	buf := make([]byte, 6*mem.PageSize)
 	if _, err := r.f.Read(0, rigBase, buf); err != nil {
 		t.Fatal(err)
@@ -167,9 +162,9 @@ func TestFreshPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 		t.Fatal("fetched pages of the span are not remote memory's bytes")
 	}
 	st := r.f.Stats()
-	if r.tr.batches != 1 || st.RemoteFetches != 2 || st.BytesFetched != 2*mem.PageSize {
-		t.Fatalf("span fetched %d batches, RemoteFetches %d, BytesFetched %d; want 1, 2, %d",
-			r.tr.batches, st.RemoteFetches, st.BytesFetched, 2*mem.PageSize)
+	if r.tr.reads != 1 || st.RemoteFetches != 2 || st.BytesFetched != 2*mem.PageSize {
+		t.Fatalf("span made %d reads, RemoteFetches %d, BytesFetched %d; want 1, 2, %d",
+			r.tr.reads, st.RemoteFetches, st.BytesFetched, 2*mem.PageSize)
 	}
 	if r.hooks != 2 {
 		t.Fatalf("fetch hook ran %d times, want 2 (the pages that are not fresh)", r.hooks)

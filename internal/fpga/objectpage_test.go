@@ -10,20 +10,19 @@ import (
 
 // Object pages (DESIGN.md §16): a fill of a page the translator's Lookup
 // calls an object page fetches exactly the missing lines asked for, one
-// ReadRange per contiguous run of them; the batch collectors and the
-// prefetchers never pull one whole.
+// ReadRange per contiguous run of them; a span read takes only those lines
+// and the prefetchers never pull one whole.
 
 // objTranslator is remote memory holding a known pattern over
 // [rigBase, rigBase+objRemote). Pages below objects are object pages,
 // pages below fresh are fresh; every ReadRange is logged. Routes are
 // contiguous unless split names a page whose route starts a new endpoint.
-// It implements Translator and BatchTranslator.
 type objTranslator struct {
-	remote          []byte
-	objects, fresh  mem.Addr
-	split           mem.Addr
-	reads           []objRead
-	batches, lookup int
+	remote         []byte
+	objects, fresh mem.Addr
+	split          mem.Addr
+	reads          []objRead
+	lookup         int
 }
 
 // objRead is one logged ReadRange: the page, the offset in it, the length.
@@ -63,14 +62,6 @@ func (t *objTranslator) Lookup(base mem.Addr) Page {
 func (t *objTranslator) ReadRange(now simclock.Duration, p Page, off uint64, buf []byte) (simclock.Duration, error) {
 	t.reads = append(t.reads, objRead{p.Base, int(off), len(buf)})
 	copy(buf, t.remote[uint64(p.Base-rigBase)+off:])
-	return now + 1000, nil
-}
-
-func (t *objTranslator) ReadPagesBatch(now simclock.Duration, bases []mem.Addr, bufs [][]byte) (simclock.Duration, error) {
-	t.batches++
-	for i, b := range bases {
-		copy(bufs[i], t.remote[b-rigBase:])
-	}
 	return now + 1000, nil
 }
 
@@ -205,10 +196,10 @@ func TestObjectFreshPageZeroFills(t *testing.T) {
 
 func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// A record of 2 pages + 100 B starting at page 1: one contiguous read of
-	// its lines, no scatter-gather batch, and the hook once per page.
+	// its lines, and the hook once per page.
 	tr := newObjTranslator(8, 0)
 	f := objFPGA(Config{}, tr)
-	f.EnableBatchFetch()
+	f.EnableSpanReads()
 	var hooked []mem.Addr
 	f.SetFetchHook(func(now simclock.Duration, base mem.Addr) simclock.Duration {
 		hooked = append(hooked, base)
@@ -225,9 +216,9 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	}
 	tr.wantReads(t, objRead{addr, 0, 2*mem.PageSize + 2*line})
 	st := f.Stats()
-	if tr.batches != 0 || len(hooked) != 3 || st.RemoteFetches != 3 || st.BytesFetched != 2*mem.PageSize+2*line {
-		t.Fatalf("span: %d batches, %d hook calls, RemoteFetches %d, BytesFetched %d; want 0, 3, 3, %d",
-			tr.batches, len(hooked), st.RemoteFetches, st.BytesFetched, 2*mem.PageSize+2*line)
+	if len(hooked) != 3 || st.RemoteFetches != 3 || st.BytesFetched != 2*mem.PageSize+2*line {
+		t.Fatalf("span: %d hook calls, RemoteFetches %d, BytesFetched %d; want 3, 3, %d",
+			len(hooked), st.RemoteFetches, st.BytesFetched, 2*mem.PageSize+2*line)
 	}
 	// The rest of the record's last page is dead tail: not resident lines,
 	// and a re-read of the record is all hits.
@@ -239,7 +230,7 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// survives it; the span is still one read.
 	tr = newObjTranslator(8, 0)
 	f = objFPGA(Config{}, tr)
-	f.EnableBatchFetch()
+	f.EnableSpanReads()
 	whole := bytes.Repeat([]byte{0xA1}, line)
 	if _, err := f.Write(0, addr+mem.PageSize+3*line, whole); err != nil {
 		t.Fatal(err)
@@ -258,7 +249,7 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	tr = newObjTranslator(8, 0)
 	tr.split = rigBase + 2*mem.PageSize
 	f = objFPGA(Config{}, tr)
-	f.EnableBatchFetch()
+	f.EnableSpanReads()
 	if _, err := f.Read(0, addr, got); err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +259,22 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	tr.wantReads(t, objRead{addr, 0, mem.PageSize}, objRead{addr + mem.PageSize, 0, mem.PageSize},
 		objRead{addr + 2*mem.PageSize, 0, 2 * line})
 
-	// The stride window's collector leaves object pages out.
-	tr = newObjTranslator(8, 0)
-	f = objFPGA(Config{}, tr)
-	f.EnableBatchFetch()
-	bs := &batchScratch{}
-	f.collectBatch(bs, []uint64{rigBase.Page() + 1, rigBase.Page() + 2, rigBase.Page() + 9})
-	if len(bs.bases) != 1 || bs.bases[0] != rigBase+9*mem.PageSize {
-		t.Fatalf("stride collector took %v, want only the plain page", bs.bases)
+	// The stride prefetcher's window leaves object pages out: strided fills
+	// of object pages prefetch nothing, where the same fills of plain pages
+	// do.
+	// The window never runs past the translator's 16 pages.
+	for _, objects := range []int{16, 0} {
+		tr = newObjTranslator(objects, 0)
+		f = objFPGA(Config{Prefetch: true, PrefetchDepth: 4}, tr)
+		f.EnableSpanReads()
+		for p := 0; p < 8; p += 2 {
+			if _, err := f.LineFill(0, rigBase+mem.Addr(p)*mem.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pf := f.Stats().Prefetches; (pf == 0) != (objects > 0) {
+			t.Fatalf("strided fills over %d object pages prefetched %d pages", objects, pf)
+		}
 	}
 
 	// Sequential fills of object pages never prefetch the next page.
@@ -286,10 +285,38 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Resident(rigBase+3*mem.PageSize) || f.Stats().Prefetches != 0 || tr.batches != 0 {
+	if f.Resident(rigBase+3*mem.PageSize) || f.Stats().Prefetches != 0 {
 		t.Fatalf("sequential object-page fills prefetched: resident %t, Prefetches %d",
 			f.Resident(rigBase+3*mem.PageSize), f.Stats().Prefetches)
 	}
 	tr.wantReads(t, objRead{rigBase, 0, line}, objRead{rigBase + mem.PageSize, 0, line},
 		objRead{rigBase + 2*mem.PageSize, 0, line})
+}
+
+func TestSpanReadHitAsksNoLookup(t *testing.T) {
+	// A multi-page Read whose lines are all resident checks residency before
+	// it asks the translator anything: the re-read makes no read and no
+	// Lookup, on object pages and plain pages alike.
+	for _, objects := range []int{8, 0} {
+		tr := newObjTranslator(objects, 0)
+		f := objFPGA(Config{}, tr)
+		f.EnableSpanReads()
+		addr := rigBase + mem.PageSize + 3*line
+		got := make([]byte, 2*mem.PageSize)
+		if _, err := f.Read(0, addr, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, tr.remoteAt(addr, len(got))) || len(tr.reads) != 1 {
+			t.Fatalf("objects %d: span read: bytes intact %t, %d reads; want true, 1",
+				objects, bytes.Equal(got, tr.remoteAt(addr, len(got))), len(tr.reads))
+		}
+		lookups := tr.lookup
+		if _, err := f.Read(0, addr, got); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.reads) != 1 || tr.lookup != lookups {
+			t.Fatalf("objects %d: a hit on resident lines made %d reads and %d Lookups",
+				objects, len(tr.reads)-1, tr.lookup-lookups)
+		}
+	}
 }

@@ -26,7 +26,8 @@ type Config struct {
 	// to whole pages (default 256KB); each size class carves its own.
 	ChunkBytes uint64
 	// Metrics receives hit/miss/set/delete/eviction counters and
-	// footprint gauges (DESIGN.md §12). nil disables.
+	// footprint gauges (DESIGN.md §12); Stats reads the counters back, so
+	// one registry serves one store. nil keeps them in a private registry.
 	Metrics *telemetry.Registry
 }
 
@@ -67,8 +68,6 @@ type storeShard struct {
 	heap    *valueHeap
 	budget  uint64 // heap.liveBytes cap, 0 = unlimited
 	scratch []byte // record encode/decode buffer, guarded by mu
-
-	hits, misses, sets, deletes, evictions, corrupt uint64
 }
 
 type entry struct {
@@ -91,6 +90,9 @@ func NewStore(rt Runtime, cfg Config) *Store {
 		shards: make([]*storeShard, cfg.Shards),
 	}
 	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.New(0)
+	}
 	s.m = storeMetrics{
 		hits:      reg.Counter("kv.hits"),
 		misses:    reg.Counter("kv.misses"),
@@ -161,7 +163,6 @@ func get[K keyBytes](s *Store, sh *storeShard, now simclock.Duration, key K, dst
 	defer sh.mu.Unlock()
 	e, present := sh.idx[string(key)]
 	if !present {
-		sh.misses++
 		s.m.misses.Inc()
 		return nil, 0, now, false, nil
 	}
@@ -174,13 +175,11 @@ func get[K keyBytes](s *Store, sh *storeShard, now simclock.Duration, key K, dst
 	}
 	v, _, derr := decodeRecord(buf, key)
 	if derr != nil {
-		sh.corrupt++
 		s.m.corrupt.Inc()
 		sh.dropLocked(string(key), e, false, &s.m)
 		return nil, 0, t, false, derr
 	}
 	sh.lru.MoveToFront(e.elem)
-	sh.hits++
 	s.m.hits.Inc()
 	return append(dst[:0], v...), e.flags, t, true, nil
 }
@@ -236,7 +235,6 @@ func set[K keyBytes](s *Store, sh *storeShard, now simclock.Duration, key K, val
 		e.elem = sh.lru.PushFront(owned)
 		sh.idx[owned] = e
 	}
-	sh.sets++
 	s.m.sets.Inc()
 	sh.evictOverBudgetLocked(&s.m)
 	return t, nil
@@ -252,7 +250,6 @@ func (s *Store) Delete(now simclock.Duration, key string) (t simclock.Duration, 
 		return now, false, nil
 	}
 	sh.dropLocked(key, e, true, &s.m)
-	sh.deletes++
 	s.m.deletes.Inc()
 	return now, true, nil
 }
@@ -285,7 +282,6 @@ func (sh *storeShard) evictOverBudgetLocked(m *storeMetrics) {
 		key := tail.Value.(string)
 		e := sh.idx[key]
 		sh.dropLocked(key, e, true, m)
-		sh.evictions++
 		m.evictions.Inc()
 	}
 }
@@ -302,21 +298,23 @@ func (s *Store) Sync(now simclock.Duration) (simclock.Duration, error) {
 	return t, err
 }
 
-// Stats sums per-shard counters. It takes every shard lock briefly, so
-// it is consistent per shard but not across shards — fine for stats.
+// Stats reads the kv.* counters and sums the shards' footprints. It takes
+// every shard lock briefly, so it is consistent per shard but not across
+// shards — fine for stats.
 func (s *Store) Stats() StoreStats {
-	var st StoreStats
+	st := StoreStats{
+		Hits:      s.m.hits.Value(),
+		Misses:    s.m.misses.Value(),
+		Sets:      s.m.sets.Value(),
+		Deletes:   s.m.deletes.Value(),
+		Evictions: s.m.evictions.Value(),
+		Corrupt:   s.m.corrupt.Value(),
+	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		st.Keys += uint64(len(sh.idx))
 		st.LiveBytes += sh.heap.liveBytes
 		st.Chunks += sh.heap.chunkCount
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Sets += sh.sets
-		st.Deletes += sh.deletes
-		st.Evictions += sh.evictions
-		st.Corrupt += sh.corrupt
 		sh.mu.Unlock()
 	}
 	return st
