@@ -12,7 +12,8 @@
 //	kona-controller -listen 127.0.0.1:7070 -fault-drop 0.01 -fault-delay 0.2 -fault-max-delay 5ms -fault-seed 1
 //
 // -metrics-addr serves the telemetry registry over HTTP (DESIGN.md §7):
-// GET /metrics (text, or ?format=json) and GET /debug/events.
+// GET /metrics (text, or ?format=json), GET /debug/events and the Go
+// profiles under GET /debug/pprof/.
 //
 //	kona-controller -listen 127.0.0.1:7070 -metrics-addr 127.0.0.1:9090
 package main
@@ -32,7 +33,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7070", "TCP listen address")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/events on this HTTP address (empty = telemetry disabled)")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/events and /debug/pprof/ on this HTTP address (empty = telemetry and profiling disabled)")
 	sweepInterval := flag.Duration("sweep-interval", 500*time.Millisecond, "health-sweep + repair cadence (0 disables repair)")
 	repairBudget := flag.Float64("repair-budget", 64<<20, "re-replication copy budget in bytes/sec (0 = unlimited)")
 	placement := flag.String("placement", cluster.PolicyRR, "slab placement policy: rr (deterministic round-robin) or load (least-loaded with replica anti-affinity)")

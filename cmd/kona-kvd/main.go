@@ -9,6 +9,10 @@
 //	kona-kvd -listen 127.0.0.1:11211 -controller 127.0.0.1:7070 \
 //	         -cache-bytes 8388608 -replicas 2 -metrics-addr 127.0.0.1:9092
 //
+// -metrics-addr serves the telemetry registry over HTTP (DESIGN.md §7):
+// GET /metrics, GET /debug/events and the Go profiles under
+// GET /debug/pprof/, e.g. `go tool pprof http://127.0.0.1:9092/debug/pprof/profile?seconds=10`.
+//
 // With no -controller it builds an in-process simulated rack — a
 // single-binary demo target for kona-kvload.
 //
@@ -45,7 +49,7 @@ func main() {
 		simCapacity = flag.Uint64("sim-capacity", 256<<20, "per-node capacity of the in-process rack")
 		syncEvery   = flag.Duration("sync-interval", 100*time.Millisecond, "background cache-line-log sync cadence")
 		grace       = flag.Duration("drain-grace", 5*time.Second, "shutdown drain budget for in-flight commands")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/events on this HTTP address (empty = telemetry disabled)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/events and /debug/pprof/ on this HTTP address (empty = telemetry and profiling disabled)")
 
 		dialTimeout = flag.Duration("dial-timeout", 2*time.Second, "TCP dial timeout to the rack")
 		reqTimeout  = flag.Duration("req-timeout", 5*time.Second, "per-attempt rack request deadline")

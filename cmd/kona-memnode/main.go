@@ -11,8 +11,8 @@
 // inject faults for chaos testing (-fault-drop, -fault-delay, ...).
 //
 // -metrics-addr serves the node's telemetry registry over HTTP
-// (DESIGN.md §7): GET /metrics (text, or ?format=json) and
-// GET /debug/events. The registry covers both the serving side (request
+// (DESIGN.md §7): GET /metrics (text, or ?format=json),
+// GET /debug/events and the Go profiles under GET /debug/pprof/. The registry covers both the serving side (request
 // counters, log/read/write byte volumes) and the registration client's
 // RPC latency histograms.
 package main
@@ -37,7 +37,7 @@ func main() {
 		capacity    = flag.Uint64("capacity", 64<<20, "offered memory in bytes")
 		listen      = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		ctrlAddr    = flag.String("controller", "", "controller address to register with (optional)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/events on this HTTP address (empty = telemetry disabled)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/events and /debug/pprof/ on this HTTP address (empty = telemetry and profiling disabled)")
 
 		loadInterval = flag.Duration("load-interval", 500*time.Millisecond, "cadence of load reports pushed to the controller (0 disables)")
 

@@ -7,6 +7,7 @@ import (
 
 	"kona/internal/cluster"
 	"kona/internal/mem"
+	"kona/internal/simclock"
 )
 
 // newCluster builds a controller with n memory nodes of 64MB each.
@@ -211,6 +212,35 @@ func TestKonaVMRoundTrip(t *testing.T) {
 	}
 	if st.WPFaults != 1 {
 		t.Errorf("wp faults = %d, want 1 (first store)", st.WPFaults)
+	}
+}
+
+// Cached answers from each runtime's own cache: Kona per FMem line (a
+// plain page fills whole, so every line of a fetched page is cached),
+// KonaVM per cached page; an untouched page is cached in neither.
+func TestCachedFollowsTheCache(t *testing.T) {
+	for name, rt := range map[string]interface {
+		Malloc(uint64) (mem.Addr, error)
+		Read(simclock.Duration, mem.Addr, []byte) (simclock.Duration, error)
+		Cached(mem.Addr) bool
+	}{
+		"kona":   NewKona(smallConfig(), newCluster(1)),
+		"konavm": NewKonaVM(smallConfig(), newCluster(1)),
+	} {
+		addr, err := rt.Malloc(4 * mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Cached(addr) {
+			t.Errorf("%s: line of a page never touched reported cached", name)
+		}
+		if _, err := rt.Read(0, addr+100, make([]byte, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if !rt.Cached(addr+100) || !rt.Cached(addr+mem.PageSize-1) || rt.Cached(addr+mem.PageSize) {
+			t.Errorf("%s: after a read of page 0, cached = %t (read line), %t (its last line), %t (page 1); want true, true, false",
+				name, rt.Cached(addr+100), rt.Cached(addr+mem.PageSize-1), rt.Cached(addr+mem.PageSize))
+		}
 	}
 }
 

@@ -260,6 +260,11 @@ func (k *Kona) Write(now simclock.Duration, addr mem.Addr, buf []byte) (simclock
 	return k.fpga.Write(now, addr, buf)
 }
 
+// Cached reports whether the line holding addr is in FMem now, so a
+// write ending part-way through it needs no read-for-ownership. It is a
+// hint: the line may leave FMem before the caller writes it.
+func (k *Kona) Cached(addr mem.Addr) bool { return k.fpga.Cached(addr) }
+
 // RefreshPlacements re-fetches every placement group from the controller
 // and, when a repair flip replaced a member, remaps the evictor's
 // retained entries onto the replacement node. It reports whether any

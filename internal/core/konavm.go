@@ -431,6 +431,14 @@ func (k *KonaVM) Close(now simclock.Duration) error {
 	return k.rm.releaseAll()
 }
 
+// Cached reports whether the page holding addr is in the local page
+// cache now: a write to it faults nothing in. Like Kona.Cached, a hint.
+func (k *KonaVM) Cached(addr mem.Addr) bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.cache[addr.Page()] != nil
+}
+
 // CachedPages returns the current cache occupancy.
 func (k *KonaVM) CachedPages() int {
 	k.mu.Lock()

@@ -442,6 +442,18 @@ func (f *FPGA) Resident(addr mem.Addr) bool {
 	return f.lookupLocked(page) != nil
 }
 
+// Cached reports whether the line holding addr is present in FMem: its
+// page is resident and the line's contents are filled, so a write ending
+// part-way through it needs no read-for-ownership.
+func (f *FPGA) Cached(addr mem.Addr) bool {
+	page := addr.Page()
+	sh := f.shardFor(page)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fr := f.lookupLocked(page)
+	return fr != nil && fr.filled.Get(addr.LineInPage())
+}
+
 // LineFill services one CPU cache-line request to VFMem at virtual time
 // now and returns the completion time. This is the cache-remote-data
 // primitive: no page fault is involved; a miss in FMem triggers a

@@ -329,3 +329,35 @@ func TestCoherenceIntegration(t *testing.T) {
 		t.Errorf("dirty after CPU writeback = %b", got)
 	}
 }
+
+// Cached answers for one line, not its page: with 64 B fetches a read of
+// line 2 leaves only that line present, and a write ending part-way
+// through a cached line reads nothing for ownership, while one ending in
+// an uncached line of the same resident page does.
+func TestCachedIsPerLine(t *testing.T) {
+	rig := newRig(t, 8, false)
+	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize, Assoc: 4, FetchBytes: mem.CacheLineSize})
+	line := func(l int) mem.Addr { return rigBase + mem.Addr(l*mem.CacheLineSize) }
+	if f.Cached(line(2)) {
+		t.Fatal("line of an empty FMem reported cached")
+	}
+	if _, err := f.Read(0, line(2), make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Cached(line(2)) || !f.Cached(line(2)+63) {
+		t.Fatal("line just read is not cached")
+	}
+	if !f.Resident(line(3)) || f.Cached(line(3)) || f.Cached(rigBase+mem.PageSize) {
+		t.Fatal("a line never fetched, or a page never touched, reported cached")
+	}
+	rfo := func() uint64 { return f.Stats().Fetches[FetchRFO] }
+	if _, err := f.Write(0, line(2), make([]byte, 10)); err != nil || rfo() != 0 {
+		t.Fatalf("write into a cached line: err=%v, %d RFOs, want 0", err, rfo())
+	}
+	if _, err := f.Write(0, line(3), make([]byte, 10)); err != nil || rfo() != 1 {
+		t.Fatalf("write into an uncached line: err=%v, %d RFOs, want 1", err, rfo())
+	}
+	if !f.Cached(line(3)) {
+		t.Fatal("line written after its RFO is not cached")
+	}
+}

@@ -35,7 +35,7 @@ func TestClassOfBoundaries(t *testing.T) {
 }
 
 func TestHeapReuseAndAccounting(t *testing.T) {
-	h := newValueHeap(simRuntime(t, 1<<20), 64<<10)
+	h := newValueHeap(simRuntime(t, 1<<20), 64<<10, nil)
 	a1, c1, err := h.alloc(100) // class 1 (128B)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestHeapReuseAndAccounting(t *testing.T) {
 
 // offPageRuntime hands out MallocFresh and MallocObjects regions a cache
 // line past wherever the previous one ended: the allocator of a runtime
-// that some other caller has left mid-page. The heap uses nothing else of
-// it.
+// that some other caller has left mid-page, with nothing cached. The heap
+// uses nothing else of it.
 type offPageRuntime struct {
 	Runtime
 	next mem.Addr
@@ -90,6 +90,8 @@ func (r *offPageRuntime) MallocFresh(size uint64) (mem.Addr, error) {
 }
 
 func (r *offPageRuntime) MallocObjects(size uint64) (mem.Addr, error) { return r.MallocFresh(size) }
+
+func (r *offPageRuntime) Cached(mem.Addr) bool { return false }
 
 // objectPages records the pages a runtime's MallocObjects marks as object
 // pages: every page wholly inside one of its allocations (the runtime's
@@ -173,7 +175,7 @@ func TestHeapPagesHoldOneClass(t *testing.T) {
 	for name, rt := range heapRuntimes(t) {
 		t.Run(name, func(t *testing.T) {
 			owner := map[uint64]int{} // page -> class of every block ever carved in it
-			churnHeap(t, newValueHeap(rt, 0), func(a mem.Addr, c int) {
+			churnHeap(t, newValueHeap(rt, 0, nil), func(a mem.Addr, c int) {
 				size := blockBytes(c)
 				if size <= mem.PageSize && a.Page() != (a+mem.Addr(size)-1).Page() {
 					t.Fatalf("%d B block at %#x crosses a page boundary", size, a)
@@ -203,7 +205,7 @@ func TestHeapObjectPagesHoldOneBlock(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rec := &objectPages{Runtime: rt, marked: map[uint64]bool{}}
 			owner := map[uint64]mem.Addr{} // object page -> the block covering it
-			churnHeap(t, newValueHeap(rec, 0), func(a mem.Addr, c int) {
+			churnHeap(t, newValueHeap(rec, 0, nil), func(a mem.Addr, c int) {
 				size := blockBytes(c)
 				for p := a.Page(); p <= (a + mem.Addr(size) - 1).Page(); p++ {
 					switch {
@@ -382,5 +384,230 @@ func TestRingRoutingStableAndSpread(t *testing.T) {
 	}
 	if total != 10000 {
 		t.Fatalf("routed %d/10000", total)
+	}
+}
+
+// cachedLines is a runtime whose Cached answers from a set of cached line
+// addresses and records every address it is asked about.
+type cachedLines struct {
+	Runtime
+	lines  map[mem.Addr]bool
+	probes []mem.Addr
+}
+
+func (r *cachedLines) Cached(a mem.Addr) bool {
+	r.probes = append(r.probes, a)
+	return r.lines[a.AlignDown(mem.CacheLineSize)]
+}
+
+// TestHeapReusesCachedBlockFirst pins alloc's reuse order (valueHeap's doc
+// comment): the newest freed block of the class whose record-ending line is
+// cached wins, searched among the newest cachedScan only; with none cached
+// the order is LIFO; and a record ending on a line boundary probes nothing.
+func TestHeapReusesCachedBlockFirst(t *testing.T) {
+	const n = 100 // a class-1 record: 128 B blocks, ending in line 1 of its block
+	base := mem.Addr(1 << 30)
+	block := func(i int) mem.Addr { return base + mem.Addr(i)*128 }
+	endLine := func(i int) mem.Addr { return (block(i) + n - 1).AlignDown(mem.CacheLineSize) }
+	setup := func(cached ...int) (*valueHeap, *cachedLines, *telemetry.Counter) {
+		rt := &cachedLines{lines: map[mem.Addr]bool{}}
+		for _, i := range cached {
+			rt.lines[endLine(i)] = true
+		}
+		reuses := telemetry.New(0).Counter("kv.heap.cached_reuses")
+		h := newValueHeap(rt, 0, reuses)
+		for i := 0; i < cachedScan+10; i++ {
+			h.free[1] = append(h.free[1], block(i))
+		}
+		return h, rt, reuses
+	}
+	top := cachedScan + 9
+	alloc := func(t *testing.T, h *valueHeap, n int) mem.Addr {
+		t.Helper()
+		a, c, err := h.alloc(n)
+		if err != nil || c != 1 {
+			t.Fatalf("alloc(%d) = class %d, err %v", n, c, err)
+		}
+		return a
+	}
+
+	t.Run("newest cached block in the window wins", func(t *testing.T) {
+		h, _, reuses := setup(top-4, top-8)
+		if a := alloc(t, h, n); a != block(top-4) {
+			t.Fatalf("reused %#x, want the newest cached block %#x", a, block(top-4))
+		}
+		// The block it displaced from the top took its slot; the rest keep
+		// their order.
+		if got := h.free[1][top-4]; got != block(top) {
+			t.Fatalf("slot of the reused block holds %#x, want the old top %#x", got, block(top))
+		}
+		if a := alloc(t, h, n); a != block(top-8) {
+			t.Fatalf("second alloc reused %#x, want the other cached block %#x", a, block(top-8))
+		}
+		if a := alloc(t, h, n); a != block(top-2) {
+			t.Fatalf("third alloc reused %#x, want the newest freed block %#x", a, block(top-2))
+		}
+		if reuses.Value() != 2 {
+			t.Fatalf("kv.heap.cached_reuses = %d, want 2", reuses.Value())
+		}
+	})
+	t.Run("LIFO when nothing is cached", func(t *testing.T) {
+		h, rt, reuses := setup()
+		for i := top; i > top-3; i-- {
+			if a := alloc(t, h, n); a != block(i) {
+				t.Fatalf("reused %#x, want the newest freed block %#x", a, block(i))
+			}
+		}
+		if len(rt.probes) != 3*cachedScan || reuses.Value() != 0 {
+			t.Fatalf("%d probes and %d cached reuses for 3 allocs, want %d and 0", len(rt.probes), reuses.Value(), 3*cachedScan)
+		}
+	})
+	t.Run("no probe for a record ending on a line boundary", func(t *testing.T) {
+		h, rt, _ := setup(top - 1)
+		if a := alloc(t, h, 128); a != block(top) || len(rt.probes) != 0 {
+			t.Fatalf("128 B record reused %#x after %d probes, want %#x after none", a, len(rt.probes), block(top))
+		}
+	})
+	t.Run("nothing past cachedScan is probed", func(t *testing.T) {
+		h, rt, _ := setup(top - cachedScan)
+		if a := alloc(t, h, n); a != block(top) {
+			t.Fatalf("reused %#x, want the top %#x: the cached block lies past the window", a, block(top))
+		}
+		if len(rt.probes) != cachedScan || rt.probes[cachedScan-1] != block(top-cachedScan+1)+n-1 {
+			t.Fatalf("probes %v, want the record ends of the newest %d blocks", rt.probes, cachedScan)
+		}
+	})
+	t.Run("a reuse allocates nothing", func(t *testing.T) {
+		h, _, reuses := setup()
+		h.rt = cachedAll{cached: true}
+		if got := testing.AllocsPerRun(100, func() {
+			a, c, _ := h.alloc(n)
+			h.release(a, c)
+		}); got != 0 || reuses.Value() == 0 {
+			t.Fatalf("%.1f allocs per reuse, %d cached reuses counted; want 0 and > 0", got, reuses.Value())
+		}
+	})
+}
+
+// cachedAll is a runtime whose Cached gives one answer for every line.
+type cachedAll struct {
+	Runtime
+	cached bool
+}
+
+func (r cachedAll) Cached(mem.Addr) bool { return r.cached }
+
+// TestOneSizeChurnKeepsLIFOOrder is the control for the stores the reuse
+// order must not move (kv-cold, kv-hot): with one value size, Set allocates
+// before it releases, so a class's free list never holds more than one
+// block and the block sequence is the same whatever Cached answers. The
+// kv.heap.cached_reuses counter counts every reuse when every line is
+// cached (all overwrites but the first, which carves) and none when none
+// is.
+func TestOneSizeChurnKeepsLIFOOrder(t *testing.T) {
+	const keys, sets = 200, 2000
+	key := func(i int) string { return fmt.Sprintf("key-%04d", i) }
+	churn := func(cached bool) ([]mem.Addr, uint64) {
+		reg := telemetry.New(0)
+		s := NewStore(cachedAll{simRuntime(t, 1<<20), cached}, Config{Shards: 1, Metrics: reg})
+		rng := rand.New(rand.NewSource(5))
+		value := bytes.Repeat([]byte{0xC0}, 512)
+		var seq []mem.Addr
+		for i := 0; i < keys+sets; i++ {
+			k := key(i)
+			if i >= keys {
+				k = key(rng.Intn(keys))
+			}
+			if _, err := s.Set(0, k, value, 0); err != nil {
+				t.Fatal(err)
+			}
+			seq = append(seq, s.shards[0].idx[k].addr)
+		}
+		return seq, reg.Counter("kv.heap.cached_reuses").Value()
+	}
+	plain, none := churn(false)
+	hinted, all := churn(true)
+	for i := range plain {
+		if plain[i] != hinted[i] {
+			t.Fatalf("set %d landed in %#x with every line cached, %#x with none", i, hinted[i], plain[i])
+		}
+	}
+	if none != 0 || all != sets-1 {
+		t.Fatalf("kv.heap.cached_reuses = %d with no line cached and %d with all, want 0 and %d", none, all, sets-1)
+	}
+}
+
+// TestSetReusesCachedBlock is the `make guards` count guard for the reuse
+// order (DESIGN.md §12), over a loopback TCP rack, never timed. One class
+// of a one-shard store is churned so that its free list holds blocks on
+// several pages, and the Sync that follows writes them back and leaves FMem
+// cold. A get then brings in a page that holds a free block below the top
+// of the free list, and a set of that class lands in that block: its
+// record ends in a cached line, so the set makes no read-for-ownership —
+// no `rfo` fetch and no memnode `read` RPC. Taking the top of the free
+// list instead, as plain LIFO does, costs one of each.
+func TestSetReusesCachedBlock(t *testing.T) {
+	const keys = 64
+	key := func(i int) string { return fmt.Sprintf("key-%03d", i) }
+	value := bytes.Repeat([]byte{0x3C}, 280) // a 307 B record: 512 B blocks, 8 to a page
+
+	ctrlAddr, served := countedRack(t)
+	cfg := core.DefaultConfig(16 << 20)
+	cfg.Metrics = telemetry.New(0)
+	k := core.NewKonaTCPWith(cfg, ctrlAddr, kvTransport())
+	s := NewStore(k, Config{Shards: 1})
+	sh := s.shards[0]
+	for i := 0; i < keys; i++ {
+		if _, err := s.Set(0, key(i), value, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One key deleted from each of five pages: the class's free list holds
+	// a block on each, the last deleted on top.
+	for i := 0; i < 5; i++ {
+		if _, ok, err := s.Delete(0, key(9*i)); err != nil || !ok {
+			t.Fatalf("delete %s: ok=%t err=%v", key(9*i), ok, err)
+		}
+	}
+	if _, err := s.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	free := sh.heap.free[classOf(recordSize(len(key(0)), len(value)))]
+	if len(free) != 5 || free[2].Page() == free[4].Page() {
+		t.Fatalf("free list %v: want 5 blocks, the third on another page than the top", free)
+	}
+	cachedPage, topPage := free[2].Page(), free[4].Page()
+	// A get of a key on the third free block's page caches that page.
+	var neighbour string
+	for kk, e := range sh.idx {
+		if e.addr.Page() == cachedPage {
+			neighbour = kk
+		}
+	}
+	if _, _, _, ok, err := s.Get(0, neighbour, nil); err != nil || !ok {
+		t.Fatalf("get %s: ok=%t err=%v", neighbour, ok, err)
+	}
+	rfo := cfg.Metrics.Counter("core.fpga.fetches.rfo")
+	k.PublishTelemetry()
+	rfo0, reads0 := rfo.Value(), served("read")
+	if _, err := s.Set(0, "new-key", value, 0); err != nil {
+		t.Fatal(err)
+	}
+	k.PublishTelemetry()
+	dRFO, dReads := rfo.Value()-rfo0, served("read")-reads0
+	landed := sh.idx["new-key"].addr.Page()
+	t.Logf("set into a reused block: landed on page %#x (cached page %#x, top of free list on %#x); %d rfo fetches, %d read RPCs",
+		landed, cachedPage, topPage, dRFO, dReads)
+	if landed != cachedPage {
+		t.Errorf("set landed on page %#x, want the cached page %#x", landed, cachedPage)
+	}
+	if dRFO != 0 || dReads != 0 {
+		t.Errorf("set made %d rfo fetches and %d memnode read RPCs, want 0 and 0", dRFO, dReads)
+	}
+	if got, _, _, ok, err := s.Get(0, "new-key", nil); err != nil || !ok || !bytes.Equal(got, value) {
+		t.Fatalf("get new-key: ok=%t err=%v, value intact=%t", ok, err, bytes.Equal(got, value))
+	}
+	if err := k.Close(0); err != nil {
+		t.Fatal(err)
 	}
 }

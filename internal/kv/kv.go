@@ -56,4 +56,8 @@ type Runtime interface {
 	Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error)
 	Write(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error)
 	Sync(now simclock.Duration) (simclock.Duration, error)
+	// Cached reports whether the line holding addr is in the local cache
+	// now, so a write ending part-way through it reads nothing for
+	// ownership. A hint: the heap reuses such blocks first.
+	Cached(addr mem.Addr) bool
 }

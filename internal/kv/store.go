@@ -57,8 +57,8 @@ type Store struct {
 }
 
 type storeMetrics struct {
-	hits, misses, sets, deletes, evictions, corrupt *telemetry.Counter
-	keys, liveBytes                                 *telemetry.Gauge
+	hits, misses, sets, deletes, evictions, corrupt, cachedReuses *telemetry.Counter
+	keys, liveBytes                                               *telemetry.Gauge
 }
 
 type storeShard struct {
@@ -94,20 +94,21 @@ func NewStore(rt Runtime, cfg Config) *Store {
 		reg = telemetry.New(0)
 	}
 	s.m = storeMetrics{
-		hits:      reg.Counter("kv.hits"),
-		misses:    reg.Counter("kv.misses"),
-		sets:      reg.Counter("kv.sets"),
-		deletes:   reg.Counter("kv.deletes"),
-		evictions: reg.Counter("kv.evictions"),
-		corrupt:   reg.Counter("kv.corrupt"),
-		keys:      reg.Gauge("kv.keys"),
-		liveBytes: reg.Gauge("kv.live_bytes"),
+		hits:         reg.Counter("kv.hits"),
+		misses:       reg.Counter("kv.misses"),
+		sets:         reg.Counter("kv.sets"),
+		deletes:      reg.Counter("kv.deletes"),
+		evictions:    reg.Counter("kv.evictions"),
+		corrupt:      reg.Counter("kv.corrupt"),
+		cachedReuses: reg.Counter("kv.heap.cached_reuses"),
+		keys:         reg.Gauge("kv.keys"),
+		liveBytes:    reg.Gauge("kv.live_bytes"),
 	}
 	for i := range s.shards {
 		s.shards[i] = &storeShard{
 			idx:    make(map[string]entry),
 			lru:    list.New(),
-			heap:   newValueHeap(rt, cfg.ChunkBytes),
+			heap:   newValueHeap(rt, cfg.ChunkBytes, s.m.cachedReuses),
 			budget: cfg.MaxBytes / uint64(cfg.Shards),
 		}
 	}

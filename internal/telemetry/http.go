@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 )
 
@@ -13,9 +14,12 @@ import (
 //	GET /metrics              sorted "name value" text (Snapshot.Text)
 //	GET /metrics?format=json  the full Snapshot as JSON
 //	GET /debug/events         the retained event ring as JSON, oldest first
+//	GET /debug/pprof/...      the Go runtime's profiles (net/http/pprof)
 //
 // A nil registry serves empty snapshots, so a daemon can wire the
-// endpoint unconditionally and gate only the registry itself.
+// endpoint unconditionally and gate only the registry itself. The pprof
+// handlers are registered on this mux, not on http.DefaultServeMux, so
+// they are served exactly where the metrics are and nowhere else.
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -44,6 +48,11 @@ func Handler(reg *Registry) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(b)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

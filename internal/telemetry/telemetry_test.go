@@ -262,3 +262,24 @@ func TestServeNilRegistry(t *testing.T) {
 		t.Fatalf("nil registry /metrics status %d", resp.StatusCode)
 	}
 }
+
+// The metrics endpoint serves the Go runtime's profiles too, so a daemon
+// started with -metrics-addr can be profiled live; the handlers sit on the
+// endpoint's own mux, not on http.DefaultServeMux.
+func TestServeProfiles(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, path := range []string{"/debug/pprof/cmdline", "/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+}
