@@ -129,11 +129,17 @@ chaos:
 
 # The ROADMAP's net-negative goal as a command: non-test lines in the
 # packages it sets budgets for, then the core + cluster sum the goal is
-# stated in.
+# stated in. Then the knob count: the settable fields of each
+# configuration struct, counted per field, not per line ("A, B float64"
+# is two).
 loc:
 	@for d in internal/core internal/cluster internal/fpga internal/kv; do \
 		echo "$$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 	@echo "core+cluster $$(find internal/core internal/cluster -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@for s in core:Config fpga:Config kv:Config cluster:Transport cluster:ReplaceConfig; do \
+		echo "$${s%%:*}.$${s#*:} fields $$(find internal/$${s%%:*} -name '*.go' ! -name '*_test.go' | xargs cat | \
+		awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" {on = 1; next} on && /^}/ {on = 0} \
+			on && NF && $$1 !~ /^\/\// {n++; for (i = 1; i < NF && $$i ~ /,$$/; i++) n++} END {print n + 0}')"; done
 
 # KV service SLO guard (DESIGN.md §12): the fixed-seed open-loop zipfian
 # run against kona-kvd on a full TCP rack — the tail must hold under the

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,15 +18,16 @@ var (
 	citedName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*(?:-\n[ \t>]*\w+|\*)?`)
 	// declaredName matches a top-level test function declaration.
 	declaredName = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// selectorFlag matches a -run, -bench or -fuzz pattern on a go test
+	// command line, quoted or bare.
+	selectorFlag = regexp.MustCompile(`-(run|bench|fuzz)[= ](?:'([^']*)'|(\S+))`)
 )
 
-// TestDesignCitesLiveTests keeps the documents' proof surface honest:
-// every Test…, Benchmark… or Fuzz… name that DESIGN.md, README.md or
-// EXPERIMENTS.md cites must be declared by some _test.go in the repository
-// (a glob like BenchmarkAblation* by at least one). A renamed or deleted
-// test leaves its citations behind; this test names them.
-func TestDesignCitesLiveTests(t *testing.T) {
-	declared := map[string]bool{}
+// declaredTests maps every Test…, Benchmark… and Fuzz… function a
+// _test.go in the repository declares to the directories declaring it.
+func declaredTests(t *testing.T) map[string][]string {
+	t.Helper()
+	declared := map[string][]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -41,13 +43,23 @@ func TestDesignCitesLiveTests(t *testing.T) {
 			return err
 		}
 		for _, m := range declaredName.FindAllSubmatch(src, -1) {
-			declared[string(m[1])] = true
+			declared[string(m[1])] = append(declared[string(m[1])], filepath.Dir(path))
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return declared
+}
+
+// TestDesignCitesLiveTests keeps the documents' proof surface honest:
+// every Test…, Benchmark… or Fuzz… name that DESIGN.md, README.md or
+// EXPERIMENTS.md cites must be declared by some _test.go in the repository
+// (a glob like BenchmarkAblation* by at least one). A renamed or deleted
+// test leaves its citations behind; this test names them.
+func TestDesignCitesLiveTests(t *testing.T) {
+	declared := declaredTests(t)
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -65,7 +77,7 @@ func TestDesignCitesLiveTests(t *testing.T) {
 			if i := strings.Index(name, "-\n"); i >= 0 {
 				name = name[:i] + strings.TrimLeft(name[i+2:], " \t>")
 			}
-			if !declared[name] {
+			if declared[name] == nil {
 				t.Errorf("%s cites %s, which no _test.go declares", doc, name)
 			}
 		}
@@ -75,7 +87,70 @@ func TestDesignCitesLiveTests(t *testing.T) {
 	}
 }
 
-func anyWithPrefix(names map[string]bool, prefix string) bool {
+// TestMakefileRunsLiveTests keeps the Makefile's selections honest: each
+// |-separated alternative of every -run, -bench and -fuzz pattern on a go
+// test line (bar the match-nothing ^$) must match a function of its kind
+// declared in one of the packages that line tests. go test passes silently
+// when an alternative matches nothing, so a renamed guard would otherwise
+// drop out of make guards, bench-wire or chaos unseen.
+func TestMakefileRunsLiveTests(t *testing.T) {
+	declared := declaredTests(t)
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string][]string{"run": {"Test", "Fuzz"}, "bench": {"Benchmark"}, "fuzz": {"Fuzz"}}
+	selections := 0
+	for _, line := range strings.Split(strings.ReplaceAll(string(src), "\\\n", " "), "\n") {
+		if !strings.Contains(line, "$(GO) test") {
+			continue
+		}
+		var pkgs []string
+		for _, f := range strings.Fields(line) {
+			if strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, filepath.Clean(f))
+			}
+		}
+		for _, m := range selectorFlag.FindAllStringSubmatch(line, -1) {
+			pattern := m[2] + m[3]
+			if pattern == "^$$" {
+				continue
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				selections++
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("Makefile -%s %q: %v", m[1], alt, err)
+					continue
+				}
+				if !selectsDeclared(declared, re, kinds[m[1]], pkgs) {
+					t.Errorf("Makefile -%s %q selects no %s in %v", m[1], alt, strings.Join(kinds[m[1]], "/"), pkgs)
+				}
+			}
+		}
+	}
+	if selections == 0 {
+		t.Error("found no -run, -bench or -fuzz selection in the Makefile: the scan is broken")
+	}
+}
+
+// selectsDeclared reports whether re matches a function whose name has one
+// of the prefixes and that one of pkgs declares.
+func selectsDeclared(declared map[string][]string, re *regexp.Regexp, prefixes, pkgs []string) bool {
+	for name, dirs := range declared {
+		if !re.MatchString(name) || !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) }) {
+			continue
+		}
+		for _, d := range dirs {
+			if slices.Contains(pkgs, d) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func anyWithPrefix(names map[string][]string, prefix string) bool {
 	for n := range names {
 		if strings.HasPrefix(n, prefix) {
 			return true

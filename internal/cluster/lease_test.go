@@ -348,3 +348,41 @@ func TestLeaseSurvivesMigrationFlip(t *testing.T) {
 		t.Fatalf("holder write to migrated member: %v", err)
 	}
 }
+
+// TestReleasedExtentKeepsNoGuard pins ReleaseSlab's contract: a released
+// extent re-carved at the same offset inherits no seal, no lease fence and
+// no capture from the slab that held it before. A plain write and a log
+// batch by a runtime that is not the old fence holder both land, and the
+// old capture records neither.
+func TestReleasedExtentKeepsNoGuard(t *testing.T) {
+	const size, alice, bob = 1 << 16, 7, 8
+	n := NewMemoryNode(0, 1<<20)
+	off, err := n.CarveSlab(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Seal(off, size)
+	n.LeaseFence(off, size, alice)
+	n.StartCapture(off, size, mem.PageSize)
+
+	n.ReleaseSlab(off, size)
+	if again, err := n.CarveSlab(size); err != nil || again != off {
+		t.Fatalf("re-carve = %d, %v; want the released offset %d", again, err, off)
+	}
+	line := bytes.Repeat([]byte{0xB0}, mem.CacheLineSize)
+	if err := n.WriteAtFrom(bob, off, line); err != nil {
+		t.Fatalf("write into the re-carved extent: %v", err)
+	}
+	logged := bytes.Repeat([]byte{0xB1}, mem.CacheLineSize)
+	batch := []cllog.Entry{{RemoteOff: off + mem.PageSize, Data: logged}}
+	if _, _, err := n.UnpackLogFrom(bob, packInto(t, n, batch)); err != nil {
+		t.Fatalf("log batch into the re-carved extent: %v", err)
+	}
+	pool := n.PoolBytes()
+	if !bytes.Equal(pool[off:off+mem.CacheLineSize], line) || !bytes.Equal(pool[off+mem.PageSize:off+mem.PageSize+mem.CacheLineSize], logged) {
+		t.Fatal("a write into the re-carved extent did not land")
+	}
+	if got := n.DrainCapture(off, size); got != nil {
+		t.Fatalf("released capture still records writes: %v", got)
+	}
+}

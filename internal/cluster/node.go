@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -166,50 +167,21 @@ func (n *MemoryNode) CarveSlab(size uint64) (offset uint64, err error) {
 	return offset, nil
 }
 
-// ReleaseSlab returns a carved extent to the node for reuse. Any seal or
-// capture overlapping the extent dies with it — the window may be
-// re-carved for an unrelated slab and must not inherit a stale fence.
+// ReleaseSlab returns a carved extent to the node for reuse. Any seal,
+// lease fence or capture overlapping the extent dies with it — the window
+// may be re-carved for an unrelated slab and must not inherit a stale
+// fence.
 func (n *MemoryNode) ReleaseSlab(offset, size uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.freed = append(n.freed, freedExtent{off: offset, size: size})
-	n.dropSealsLocked(offset, size)
-	n.dropCapturesLocked(offset, size)
-	n.dropFencesLocked(offset, size)
+	n.seals = slices.DeleteFunc(n.seals, func(s sealRange) bool { return overlaps(s.off, s.size, offset, size) })
+	n.captures = slices.DeleteFunc(n.captures, func(c *captureState) bool { return overlaps(c.off, c.size, offset, size) })
+	n.fences = slices.DeleteFunc(n.fences, func(f leaseFence) bool { return overlaps(f.off, f.size, offset, size) })
 }
 
 func overlaps(aOff, aSize, bOff, bSize uint64) bool {
 	return aOff < bOff+bSize && bOff < aOff+aSize
-}
-
-func (n *MemoryNode) dropSealsLocked(off, size uint64) {
-	kept := n.seals[:0]
-	for _, s := range n.seals {
-		if !overlaps(s.off, s.size, off, size) {
-			kept = append(kept, s)
-		}
-	}
-	n.seals = kept
-}
-
-func (n *MemoryNode) dropFencesLocked(off, size uint64) {
-	kept := n.fences[:0]
-	for _, f := range n.fences {
-		if !overlaps(f.off, f.size, off, size) {
-			kept = append(kept, f)
-		}
-	}
-	n.fences = kept
-}
-
-func (n *MemoryNode) dropCapturesLocked(off, size uint64) {
-	kept := n.captures[:0]
-	for _, c := range n.captures {
-		if !overlaps(c.off, c.size, off, size) {
-			kept = append(kept, c)
-		}
-	}
-	n.captures = kept
 }
 
 // admitLocked is the node's one write admission check, for a direct
@@ -241,14 +213,7 @@ func (n *MemoryNode) admitLocked(off uint64, size int, writer uint64) error {
 func (n *MemoryNode) LeaseFence(off, size, holder uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	kept := n.fences[:0]
-	for _, f := range n.fences {
-		if f.off == off && f.size == size {
-			continue
-		}
-		kept = append(kept, f)
-	}
-	n.fences = kept
+	n.fences = slices.DeleteFunc(n.fences, func(f leaseFence) bool { return f.off == off && f.size == size })
 	if holder != 0 {
 		n.fences = append(n.fences, leaseFence{off: off, size: size, holder: holder})
 	}
@@ -273,14 +238,7 @@ func (n *MemoryNode) Seal(off, size uint64) {
 func (n *MemoryNode) Unseal(off, size uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	kept := n.seals[:0]
-	for _, s := range n.seals {
-		if s.off == off && s.size == size {
-			continue
-		}
-		kept = append(kept, s)
-	}
-	n.seals = kept
+	n.seals = slices.DeleteFunc(n.seals, func(s sealRange) bool { return s.off == off && s.size == size })
 }
 
 // StartCapture begins recording page-granular writes landing inside
@@ -331,14 +289,7 @@ func (n *MemoryNode) DrainCapture(off, size uint64) []uint64 {
 func (n *MemoryNode) StopCapture(off, size uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	kept := n.captures[:0]
-	for _, c := range n.captures {
-		if c.off == off && c.size == size {
-			continue
-		}
-		kept = append(kept, c)
-	}
-	n.captures = kept
+	n.captures = slices.DeleteFunc(n.captures, func(c *captureState) bool { return c.off == off && c.size == size })
 }
 
 // Fail marks the node crashed; subsequent operations error. Used by the

@@ -1,10 +1,12 @@
 // Package core implements KLib, the Kona runtime (§4): the Resource
 // Manager that pre-allocates disaggregated memory in slabs, the Caching
 // Handler (the FPGA model's line-fill path), the Dirty Data Tracker (the
-// FPGA's writeback-driven bitmaps), the Eviction Handler (the cache-line
-// log), and the Poller. It also implements Kona-VM, the paper's own
-// virtual-memory baseline, sharing the same caching and eviction policy so
-// comparisons isolate the tracking mechanism (§6.1).
+// FPGA's writeback-driven bitmaps) and the Eviction Handler (the cache-line
+// log). KLib's Poller is not a component here: each link consumes its own
+// completions inline — the RDMA link polls its queue pair right after each
+// post, the TCP links block on the reply. It also implements Kona-VM, the
+// paper's own virtual-memory baseline, sharing the same caching and
+// eviction policy so comparisons isolate the tracking mechanism (§6.1).
 package core
 
 import (
@@ -38,9 +40,6 @@ type Config struct {
 	// PrefetchDepth caps the adaptive stride prefetcher's window; 0 or 1
 	// keeps the classic depth-1 next-page behavior (see fpga.Config).
 	PrefetchDepth int
-	// StreamBypass inserts long sequential streams at LRU position in
-	// FMem, protecting the reused working set (§4.4's caching decision).
-	StreamBypass bool
 	// FetchBytes is the remote fetch granularity, 64B..4KB (0 = 4KB, the
 	// paper's choice; §4.4 "Kona can choose the data movement size
 	// between page and cache-line granularity").

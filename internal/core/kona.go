@@ -164,7 +164,6 @@ func newKona(cfg Config, id uint64, l links, c control) *Kona {
 		Shards:        cfg.Shards,
 		Prefetch:      cfg.Prefetch,
 		PrefetchDepth: cfg.PrefetchDepth,
-		StreamBypass:  cfg.StreamBypass,
 		FetchBytes:    cfg.FetchBytes,
 	}, rm, k.onEvict)
 	// A span read saves round trips only when they are real; the simulated

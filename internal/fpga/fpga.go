@@ -37,7 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kona/internal/coherence"
 	"kona/internal/mem"
 	"kona/internal/prefetch"
 	"kona/internal/simclock"
@@ -133,12 +132,6 @@ type Config struct {
 	// random access; Fig 8d quantifies the trade at simulator level and
 	// abl-fetchgran at runtime level.
 	FetchBytes uint64
-	// StreamBypass implements §4.4's caching decision ("the FPGA ...
-	// decides whether to cache the data in FMem or not"): pages arriving
-	// in a long sequential run are unlikely to be re-referenced, so they
-	// are inserted at LRU position and leave FMem first, protecting the
-	// reused working set from streaming pollution.
-	StreamBypass bool
 }
 
 // DefaultConfig returns the paper's FMem geometry for the given capacity.
@@ -177,8 +170,6 @@ type Stats struct {
 	Evictions     uint64
 	DirtyEvicts   uint64
 	Prefetches    uint64
-	// Bypasses counts streaming pages inserted at LRU position.
-	Bypasses uint64
 	// BytesFetched is the total remote payload pulled (goodput numerator
 	// for fetch-granularity studies).
 	BytesFetched uint64
@@ -220,7 +211,6 @@ func (s *Stats) add(o Stats) {
 	s.Evictions += o.Evictions
 	s.DirtyEvicts += o.DirtyEvicts
 	s.Prefetches += o.Prefetches
-	s.Bypasses += o.Bypasses
 	s.BytesFetched += o.BytesFetched
 	s.FreshFills += o.FreshFills
 	for c := range s.Fetches {
@@ -263,16 +253,13 @@ type shard struct {
 	directory simclock.Server
 }
 
-// front is the fill-pattern tracker feeding the prefetcher and the
-// stream-bypass policy. It is deliberately tiny: one mutex over a few
-// words, taken only when Prefetch or StreamBypass is configured. Lock
-// order: a shard lock may be held when front.mu is taken, never the
-// reverse.
+// front is the fill-pattern tracker feeding the prefetcher. It is
+// deliberately tiny: one mutex over a few words, taken only when Prefetch
+// is configured. Lock order: a shard lock may be held when front.mu is
+// taken, never the reverse.
 type front struct {
-	mu             sync.Mutex
-	lastFillPage   uint64
-	seqRun         int
-	lastDemandPage uint64
+	mu           sync.Mutex
+	lastFillPage uint64
 	// stride is the adaptive stride prefetcher (PrefetchDepth > 1).
 	stride *prefetch.Detector
 }
@@ -502,7 +489,7 @@ func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr, r
 		}
 		return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
 	}
-	fr := f.demandFrameLocked(sh, now, page)
+	fr := f.installLocked(sh, now, mem.PageBase(page))
 	done, err := f.ensureLinesLocked(sh, now, fr, page, line, line, reach, FetchRead)
 	if err != nil {
 		return now, nil, prefetchIntent{}, err
@@ -562,7 +549,7 @@ func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 	if pg.Fresh || pg.Object {
 		return
 	}
-	fr := f.demandFrameLocked(sh, now, target)
+	fr := f.installLocked(sh, now, mem.PageBase(target))
 	if done, err := f.fillLocked(sh, now, fr, pg, 0, mem.LinesPerPage-1, mem.LinesPerPage-1, FetchPrefetch); err == nil {
 		fr.readyAt = done
 		fr.prefetched = true
@@ -606,32 +593,6 @@ func (f *FPGA) collectPage(ss *spanScratch, page uint64, lo, hi int) {
 	if missing := f.fillLines(pg.Object, lo, hi, hi) &^ filled; !pg.Fresh && missing != 0 {
 		ss.pages = append(ss.pages, spanPage{page: pg, epoch: epoch, resident: fr != nil, missing: missing})
 	}
-}
-
-// demandFrameLocked installs an (empty) frame for a demanded page,
-// applying the stream-bypass insertion policy. Caller holds sh.mu.
-func (f *FPGA) demandFrameLocked(sh *shard, now simclock.Duration, page uint64) *frame {
-	fr := f.installLocked(sh, now, mem.PageBase(page))
-	if f.cfg.StreamBypass {
-		// Stream detection keys on demand fetches only, so interleaved
-		// hits on a hot working set do not break the run.
-		f.front.mu.Lock()
-		if page == f.front.lastDemandPage+1 {
-			f.front.seqRun++
-		} else if page != f.front.lastDemandPage {
-			f.front.seqRun = 0
-		}
-		f.front.lastDemandPage = page
-		streaming := f.front.seqRun > streamRunThreshold
-		f.front.mu.Unlock()
-		if streaming {
-			// Transient insertion: the page leaves FMem before any
-			// re-referenced frame in its set.
-			fr.lastUse = 0
-			sh.stats.Bypasses++
-		}
-	}
-	return fr
 }
 
 // ensureLinesLocked makes lines [lo, hi] of the frame present and returns
@@ -739,10 +700,6 @@ func (f *FPGA) fillLocked(sh *shard, now simclock.Duration, fr *frame, pg Page, 
 	return done, nil
 }
 
-// streamRunThreshold is the sequential-run length after which fills are
-// treated as streaming.
-const streamRunThreshold = 16
-
 // installLocked places a page frame, evicting the set's LRU victim if
 // needed, and advances the shard epoch so optimistic collectors see the
 // structural change. Caller holds sh.mu.
@@ -801,29 +758,21 @@ func (f *FPGA) evictFrameLocked(sh *shard, now simclock.Duration, fr *frame) {
 	sh.resident--
 }
 
-// ObserveWriteback records a modified-line writeback from the CPU caches:
-// the data lands in the FMem frame and the line's dirty bit is set. This
-// is the track-local-data primitive. Writebacks to non-resident pages
-// re-fetch the page first (the CPU held the line longer than FMem held the
-// page).
-func (f *FPGA) ObserveWriteback(now simclock.Duration, addr mem.Addr, data []byte) (simclock.Duration, error) {
-	sh := f.shardFor(addr.Page())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	done, _, err := f.observeWritebackLocked(sh, now, addr, data)
-	return done, err
-}
-
-// observeWritebackLocked is ObserveWriteback under the page's shard
-// lock; it also returns the frame so Write can extend the dirty marking
-// to the rest of its chunk without a second lookup.
+// observeWritebackLocked records a modified-line writeback from the CPU
+// caches: data, a non-empty chunk of one page starting at addr, lands in
+// the page's FMem frame and the first line's dirty bit is set. This is the
+// track-local-data primitive. A writeback to a non-resident page installs
+// its frame first (the CPU held the line longer than FMem held the page).
+// Caller holds the page's shard lock; the frame is returned so Write can
+// extend the dirty marking to the rest of its chunk without a second
+// lookup.
 func (f *FPGA) observeWritebackLocked(sh *shard, now simclock.Duration, addr mem.Addr, data []byte) (simclock.Duration, *frame, error) {
 	sh.stats.Writebacks++
 	now = sh.directory.Serve(now, simclock.FPGADirectory)
 	page := addr.Page()
 	fr := f.lookupLocked(page)
 	if fr == nil {
-		fr = f.demandFrameLocked(sh, now, page)
+		fr = f.installLocked(sh, now, mem.PageBase(page))
 	} else {
 		sh.tick++
 		fr.lastUse = sh.tick // LRU refresh on write hit
@@ -837,17 +786,14 @@ func (f *FPGA) observeWritebackLocked(sh *shard, now simclock.Duration, addr mem
 		end = mem.PageSize
 	}
 	firstLine := addr.LineInPage()
-	lastLine := firstLine
-	if len(data) > 0 {
-		lastLine = int((end - 1) / mem.CacheLineSize)
-	}
+	lastLine := int((end - 1) / mem.CacheLineSize)
 	// Read-for-ownership: partially overwritten boundary lines need their
 	// remote contents first (read-modify-write); fully covered lines are
-	// simply claimed. A legacy nil-data writeback claims its whole line.
+	// simply claimed.
 	var err error
 	firstLineStart := uint64(firstLine) * mem.CacheLineSize
 	lastLineEnd := uint64(lastLine+1) * mem.CacheLineSize
-	if len(data) == 0 || off > firstLineStart || end < firstLineStart+mem.CacheLineSize {
+	if off > firstLineStart || end < firstLineStart+mem.CacheLineSize {
 		if now, err = f.ensureLinesLocked(sh, now, fr, page, firstLine, firstLine, firstLine, FetchRFO); err != nil {
 			return now, fr, err
 		}
@@ -857,10 +803,8 @@ func (f *FPGA) observeWritebackLocked(sh *shard, now simclock.Duration, addr mem
 			return now, fr, err
 		}
 	}
-	if len(data) > 0 {
-		copy(fr.data[off:end], data)
-		fr.filled.SetRange(firstLine, lastLine+1)
-	}
+	copy(fr.data[off:end], data)
+	fr.filled.SetRange(firstLine, lastLine+1)
 	if !fr.dirty.Any() {
 		f.setDirtyBit(f.setIndex(page), true)
 	}
@@ -881,20 +825,6 @@ func (f *FPGA) setDirtyBit(si uint64, up bool) {
 		if next == old || w.CompareAndSwap(old, next) {
 			return
 		}
-	}
-}
-
-// OnCoherenceEvent adapts the FPGA to a coherence.System observer: fills
-// trigger LineFill, writebacks trigger ObserveWriteback. Used when the
-// runtime routes traffic through the MESI simulator for full fidelity;
-// data movement then happens through Read/Write.
-func (f *FPGA) OnCoherenceEvent(e coherence.Event) {
-	addr := mem.LineBase(e.Line)
-	switch e.Kind {
-	case coherence.FillRead, coherence.FillRFO:
-		_, _ = f.LineFill(0, addr)
-	case coherence.Writeback:
-		_, _ = f.ObserveWriteback(0, addr, nil)
 	}
 }
 
@@ -979,7 +909,7 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 			continue
 		}
 		if fr == nil {
-			fr = f.demandFrameLocked(sh, now, page)
+			fr = f.installLocked(sh, now, mem.PageBase(page))
 			for j := i + 1; j < len(pages); j++ {
 				if f.shardFor(pages[j].page.Base.Page()) == sh && pages[j].epoch == o.epoch {
 					pages[j].epoch = sh.epoch.Load()

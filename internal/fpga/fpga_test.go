@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"kona/internal/coherence"
 	"kona/internal/mem"
 	"kona/internal/rdma"
 	"kona/internal/simclock"
@@ -306,27 +305,6 @@ func TestGeometryPanics(t *testing.T) {
 			}()
 			New(cfg, nil, nil)
 		}()
-	}
-}
-
-func TestCoherenceIntegration(t *testing.T) {
-	// Route CPU traffic through the MESI simulator; the FPGA observes the
-	// protocol events for a VFMem page.
-	rig := newRig(t, 8, false)
-	f := rig.fpga
-	sys := coherence.NewSystem(1, 64, 4, f.OnCoherenceEvent)
-	cpu := sys.Cache(0)
-	cpu.Read(rigBase)  // fill-read -> FPGA LineFill -> remote fetch
-	cpu.Write(rigBase) // E->M silent upgrade: no event
-	st := f.Stats()
-	if st.LineFills != 1 || st.RemoteFetches != 1 {
-		t.Fatalf("stats after read = %+v", st)
-	}
-	// Evict the dirty line from the CPU cache: writeback reaches the FPGA
-	// and sets the dirty bit.
-	cpu.FlushAll()
-	if got := f.DirtyLines(rigBase); got.Count() != 1 || !got.Get(0) {
-		t.Errorf("dirty after CPU writeback = %b", got)
 	}
 }
 

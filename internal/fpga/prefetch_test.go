@@ -35,59 +35,6 @@ func newRigDepth(t *testing.T, fmemPages, depth int) *testRig {
 	return rig
 }
 
-func TestStreamBypassProtectsWorkingSet(t *testing.T) {
-	mk := func(bypass bool) (*FPGA, *testRig) {
-		rig := newRig(t, 8, false) // 8 pages, assoc 4 => 2 sets
-		cfg := Config{FMemSize: 8 * mem.PageSize, Assoc: 4, StreamBypass: bypass}
-		rig.fpga = New(cfg, rig.fpga.translate, nil)
-		return rig.fpga, rig
-	}
-	run := func(bypass bool) (hotResident int, f *FPGA) {
-		f, _ = mk(bypass)
-		// Hot working set: pages 0 and 1, touched repeatedly.
-		for i := 0; i < 4; i++ {
-			for pg := uint64(0); pg < 2; pg++ {
-				if _, err := f.LineFill(0, rigBase+mem.Addr(pg*mem.PageSize)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		// A long sequential stream of 64 pages floods FMem while the hot
-		// pages keep being touched (the mixed pattern the policy targets).
-		for pg := uint64(4); pg < 68; pg++ {
-			if _, err := f.LineFill(0, rigBase+mem.Addr(pg*mem.PageSize)); err != nil {
-				t.Fatal(err)
-			}
-			if pg%4 == 0 {
-				for hot := uint64(0); hot < 2; hot++ {
-					if f.Resident(rigBase + mem.Addr(hot*mem.PageSize)) {
-						if _, err := f.LineFill(0, rigBase+mem.Addr(hot*mem.PageSize)); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
-		}
-		for pg := uint64(0); pg < 2; pg++ {
-			if f.Resident(rigBase + mem.Addr(pg*mem.PageSize)) {
-				hotResident++
-			}
-		}
-		return hotResident, f
-	}
-	without, _ := run(false)
-	with, f := run(true)
-	if f.Stats().Bypasses == 0 {
-		t.Fatalf("stream never detected")
-	}
-	if with < without {
-		t.Errorf("bypass made things worse: %d resident vs %d", with, without)
-	}
-	if with == 0 {
-		t.Errorf("bypass failed to protect the hot set")
-	}
-}
-
 func TestSubPageFetchMovesLessData(t *testing.T) {
 	mkF := func(fetch uint64) *FPGA {
 		rig := newRig(t, 64, false)

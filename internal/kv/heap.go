@@ -49,10 +49,6 @@ import (
 // runtime's cache lock under it, the order Write already takes them in).
 type valueHeap struct {
 	rt Runtime
-	// chunkBytes is the MallocFresh granularity, a whole number of pages:
-	// big enough to amortize the controller round trip, small enough that a
-	// lightly-used shard does not pin much remote memory.
-	chunkBytes uint64
 	// free[c] holds recycled blocks of class c (block size minBlock<<c).
 	free [nClasses][]mem.Addr
 	// carve[c] is class c's bump cursor over its newest chunk.
@@ -79,7 +75,10 @@ const (
 	minBlock      = 1 << minBlockShift
 	nClasses      = 16 // 64B .. 2MB: the top class covers maxRecordLen
 	// (a max-size value plus key and header is just over 1MB).
-	defaultChunk = 256 << 10
+	// chunkBytes is the MallocFresh granularity, a whole number of pages:
+	// big enough to amortize the controller round trip, small enough that a
+	// lightly-used shard does not pin much remote memory.
+	chunkBytes = 256 << 10
 	// cachedScan is how many of a class's newest freed blocks alloc probes
 	// for one whose record-ending line is cached. Sized on bench kv-write
 	// (seed 901, 10 s, 2-vCPU host): rtts_per_op 0.8077 with no probe,
@@ -101,11 +100,8 @@ func classOf(n int) int {
 // blockBytes returns class c's block size.
 func blockBytes(c int) uint64 { return minBlock << uint(c) }
 
-func newValueHeap(rt Runtime, chunkBytes uint64, cachedReuses *telemetry.Counter) *valueHeap {
-	if chunkBytes == 0 {
-		chunkBytes = defaultChunk
-	}
-	return &valueHeap{rt: rt, chunkBytes: uint64(mem.Addr(chunkBytes).AlignUp(mem.PageSize)), cachedReuses: cachedReuses}
+func newValueHeap(rt Runtime, cachedReuses *telemetry.Counter) *valueHeap {
+	return &valueHeap{rt: rt, cachedReuses: cachedReuses}
 }
 
 // alloc returns a block that holds n bytes, reusing a freed block of the
@@ -151,7 +147,7 @@ func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 // left it mid-page) costs one more request, one page longer, whose first
 // boundary starts the cursor; the misaligned chunk is not used.
 func (h *valueHeap) newChunk(cur *cursor, size uint64) error {
-	chunk := max(h.chunkBytes, size)
+	chunk := max(chunkBytes, size)
 	malloc := h.rt.MallocFresh
 	if size >= mem.PageSize {
 		malloc = h.rt.MallocObjects

@@ -35,7 +35,7 @@ func TestClassOfBoundaries(t *testing.T) {
 }
 
 func TestHeapReuseAndAccounting(t *testing.T) {
-	h := newValueHeap(simRuntime(t, 1<<20), 64<<10, nil)
+	h := newValueHeap(simRuntime(t, 1<<20), nil)
 	a1, c1, err := h.alloc(100) // class 1 (128B)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestHeapPagesHoldOneClass(t *testing.T) {
 	for name, rt := range heapRuntimes(t) {
 		t.Run(name, func(t *testing.T) {
 			owner := map[uint64]int{} // page -> class of every block ever carved in it
-			churnHeap(t, newValueHeap(rt, 0, nil), func(a mem.Addr, c int) {
+			churnHeap(t, newValueHeap(rt, nil), func(a mem.Addr, c int) {
 				size := blockBytes(c)
 				if size <= mem.PageSize && a.Page() != (a+mem.Addr(size)-1).Page() {
 					t.Fatalf("%d B block at %#x crosses a page boundary", size, a)
@@ -205,7 +205,7 @@ func TestHeapObjectPagesHoldOneBlock(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rec := &objectPages{Runtime: rt, marked: map[uint64]bool{}}
 			owner := map[uint64]mem.Addr{} // object page -> the block covering it
-			churnHeap(t, newValueHeap(rec, 0, nil), func(a mem.Addr, c int) {
+			churnHeap(t, newValueHeap(rec, nil), func(a mem.Addr, c int) {
 				size := blockBytes(c)
 				for p := a.Page(); p <= (a + mem.Addr(size) - 1).Page(); p++ {
 					switch {
@@ -415,7 +415,7 @@ func TestHeapReusesCachedBlockFirst(t *testing.T) {
 			rt.lines[endLine(i)] = true
 		}
 		reuses := telemetry.New(0).Counter("kv.heap.cached_reuses")
-		h := newValueHeap(rt, 0, reuses)
+		h := newValueHeap(rt, reuses)
 		for i := 0; i < cachedScan+10; i++ {
 			h.free[1] = append(h.free[1], block(i))
 		}

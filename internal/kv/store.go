@@ -22,9 +22,6 @@ type Config struct {
 	// past it the store evicts least-recently-used entries
 	// (memcached semantics: it is a cache, not a database). 0 = no cap.
 	MaxBytes uint64
-	// ChunkBytes is the value heap's MallocFresh granularity, rounded up
-	// to whole pages (default 256KB); each size class carves its own.
-	ChunkBytes uint64
 	// Metrics receives hit/miss/set/delete/eviction counters and
 	// footprint gauges (DESIGN.md §12); Stats reads the counters back, so
 	// one registry serves one store. nil keeps them in a private registry.
@@ -108,7 +105,7 @@ func NewStore(rt Runtime, cfg Config) *Store {
 		s.shards[i] = &storeShard{
 			idx:    make(map[string]entry),
 			lru:    list.New(),
-			heap:   newValueHeap(rt, cfg.ChunkBytes, s.m.cachedReuses),
+			heap:   newValueHeap(rt, s.m.cachedReuses),
 			budget: cfg.MaxBytes / uint64(cfg.Shards),
 		}
 	}

@@ -34,9 +34,6 @@ func (b *LineBitmap) SetRange(lo, hi int) {
 	*b |= (LineBitmap(1)<<uint(hi) - 1) &^ (LineBitmap(1)<<uint(lo) - 1)
 }
 
-// Union merges another bitmap into b.
-func (b *LineBitmap) Union(o LineBitmap) { *b |= o }
-
 // Reset clears all lines.
 func (b *LineBitmap) Reset() { *b = 0 }
 

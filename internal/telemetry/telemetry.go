@@ -2,8 +2,8 @@
 // atomic counters, gauges and fixed-bucket histograms behind a Registry,
 // plus a bounded structured-event ring (Trace) for annotated runtime
 // events. Every component of the data path — the FPGA caching handler,
-// the evictor, the poller, the cluster transport, the simulators — reports
-// into a Registry it is handed at construction time.
+// the evictor, the cluster transport, the simulators — reports into a
+// Registry it is handed at construction time.
 //
 // Two properties shape the design:
 //
@@ -27,6 +27,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -251,15 +252,14 @@ func (h HistogramSnapshot) Mean() float64 {
 }
 
 // Quantile returns the upper bound of the bucket holding the q-th
-// quantile (the overflow bucket reports the largest bound).
+// quantile (the overflow bucket reports the largest bound). The quantile
+// is the nearest-rank observation, rank ⌈q·n⌉: the smallest value v with
+// P(X ≤ v) ≥ q, as stats.CDF.Quantile defines it.
 func (h HistogramSnapshot) Quantile(q float64) int64 {
 	if h.Count == 0 || len(h.Bounds) == 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.Count))
-	if target == 0 {
-		target = 1
-	}
+	target := max(uint64(math.Ceil(q*float64(h.Count))), 1)
 	var cum uint64
 	for i, n := range h.Counts {
 		cum += n

@@ -101,6 +101,26 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 }
 
+// A quantile is the nearest-rank observation, rank ⌈q·n⌉: of 150
+// observations p99 is the 149th, which lies in the ≤ 100 bucket, not the
+// 148th (⌊q·n⌋), the last one ≤ 10.
+func TestHistogramQuantileIsNearestRank(t *testing.T) {
+	r := New(0)
+	h := r.Histogram("lat", []int64{10, 100})
+	for i := 0; i < 148; i++ {
+		h.Observe(5)
+	}
+	h.Observe(50)
+	h.Observe(50)
+	s := r.Snapshot().Histograms["lat"]
+	if q := s.Quantile(0.99); q != 100 {
+		t.Fatalf("p99 = %d, want 100", q)
+	}
+	if q := s.Quantile(0.5); q != 10 {
+		t.Fatalf("p50 = %d, want 10", q)
+	}
+}
+
 func TestConcurrentIncrements(t *testing.T) {
 	r := New(0)
 	c := r.Counter("c")
