@@ -46,11 +46,11 @@ bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
 
-# Ten single-test guards. The first three run on the simulated fabric and
+# Eleven single-test guards. The first three run on the simulated fabric and
 # bound counts or *virtual-time* p99s — latency computed on the simulated
 # fabric's clock, which nothing off the measured path can touch — so they
 # are deterministic and have no noise floor to state. The fourth is
-# wall-clock; its test comment states the floor. The last six count RPCs
+# wall-clock; its test comment states the floor. The last seven count RPCs
 # or bytes on loopback TCP and time nothing.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
@@ -94,9 +94,14 @@ bench-evict:
 #    one whose record-ending line is in FMem, below the top of the free
 #    list, and so makes no `rfo` fetch and no memnode `read` RPC (one of
 #    each when the top of the free list was taken).
+#  - Object sets (DESIGN.md §12, §16): sets of 2 KB and 8 KB records into
+#    freed blocks of flushed object pages write out to the end of their
+#    last line and so make no `rfo` fetch and no memnode `read` RPC (one of
+#    each per set when the partial last line was read), while a 300 B set
+#    into a flushed shared page still makes exactly one `rfo`.
 guards:
 	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine|TestMultiPageReadIsOneRPC' -count=1 -v ./internal/core
-	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines|TestSetReusesCachedBlock' -count=1 -v ./internal/kv
+	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines|TestSetReusesCachedBlock|TestObjectSetClaimsItsLastLine' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths

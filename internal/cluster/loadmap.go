@@ -35,12 +35,12 @@ type NodeLoad struct {
 	Totals  LoadSample
 }
 
-// ReportLoad folds one load sample for node into the map. Counter fields
-// are cumulative; a sample whose counters run backwards (node restart)
-// contributes its absolute values as the delta. Samples carrying only
-// PendingBytes (compute-side reports) update the gauge without touching
-// the EWMA.
-func (c *Controller) ReportLoad(node int, s LoadSample) {
+// ReportLoad folds one load sample for node into the map and returns the
+// node's entry after it. Counter fields are cumulative; a sample whose
+// counters run backwards (node restart) contributes its absolute values as
+// the delta. Samples carrying only PendingBytes (compute-side reports)
+// update the gauge without touching the EWMA.
+func (c *Controller) ReportLoad(node int, s LoadSample) NodeLoad {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.load == nil {
@@ -60,6 +60,7 @@ func (c *Controller) ReportLoad(node int, s LoadSample) {
 	if s.PendingBytes > 0 || nl.pending > 0 {
 		nl.pending = s.PendingBytes
 	}
+	return nl.snapshot(node)
 }
 
 // sub is a counter-reset-tolerant delta: a counter that ran backwards
@@ -81,6 +82,10 @@ func (c *Controller) loadScoreLocked(node int) float64 {
 	return nl.score + float64(nl.pending)
 }
 
+func (nl *nodeLoad) snapshot(id int) NodeLoad {
+	return NodeLoad{Node: id, Score: nl.score, Pending: nl.pending, Reports: nl.reports, Totals: nl.last}
+}
+
 // LoadMap snapshots every node's load entry, ordered by id — the
 // /metrics and experiment surface.
 func (c *Controller) LoadMap() []NodeLoad {
@@ -88,10 +93,7 @@ func (c *Controller) LoadMap() []NodeLoad {
 	defer c.mu.Unlock()
 	out := make([]NodeLoad, 0, len(c.load))
 	for id, nl := range c.load {
-		out = append(out, NodeLoad{
-			Node: id, Score: nl.score, Pending: nl.pending,
-			Reports: nl.reports, Totals: nl.last,
-		})
+		out = append(out, nl.snapshot(id))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out

@@ -127,12 +127,13 @@ type ControllerServer struct {
 	m     *serverMetrics
 	nodes *telemetry.Gauge
 	// reg backs the per-node cluster.load.node.<id>.* metrics; the
-	// node-id set is open, so handles resolve lazily per report (load
-	// reports are control-path, one per node per interval).
+	// node-id set is open, so a node's handles resolve at its first load
+	// report and are kept in loads.
 	reg *telemetry.Registry
 
 	mu    sync.Mutex
 	addrs map[int]string // node id -> TCP address
+	loads map[int]*loadMetrics
 	// daemons holds the one connection pool per registered daemon address
 	// that fence pushes and the replacement engine's copies travel on.
 	daemons nodeClients
@@ -168,6 +169,7 @@ func ServeControllerOnWith(ctrl *Controller, l net.Listener, reg *telemetry.Regi
 		nodes: reg.Gauge("cluster.controller.nodes"),
 		reg:   reg,
 		addrs: make(map[int]string),
+		loads: make(map[int]*loadMetrics),
 	}
 	s.daemons = nodeClients{addr: s.NodeAddr, tr: DefaultTransport()}
 	// Arbitrate rejoins and failure reports by pinging the node's daemon
@@ -357,8 +359,7 @@ func (s *ControllerServer) dispatch(req *Request) *Response {
 		if err != nil {
 			return &Response{Err: err}
 		}
-		s.ctrl.ReportLoad(req.NodeID, sample)
-		s.publishLoad(req.NodeID)
+		s.publishLoad(s.ctrl.ReportLoad(req.NodeID, sample))
 		return &Response{}
 	case kindLeaseAcquire:
 		g, err := s.ctrl.AcquireLease(req.SlabID, req.Runtime, req.Length, time.Duration(req.Size))
@@ -414,23 +415,32 @@ func (s *ControllerServer) publishLeases() {
 // cluster.load.node.<id>.score and .pending gauges plus absolute
 // traffic counters — what kona-kvload scrapes to print the per-memnode
 // op/byte distribution.
-func (s *ControllerServer) publishLoad(node int) {
+func (s *ControllerServer) publishLoad(nl NodeLoad) {
 	if s.reg == nil {
 		return
 	}
-	for _, nl := range s.ctrl.LoadMap() {
-		if nl.Node != node {
-			continue
-		}
-		prefix := fmt.Sprintf("cluster.load.node.%d.", nl.Node)
-		s.reg.Gauge(prefix + "score").Set(int64(nl.Score))
-		s.reg.Gauge(prefix + "pending").Set(int64(nl.Pending))
-		s.reg.Counter(prefix + "read_ops").Store(nl.Totals.ReadOps)
-		s.reg.Counter(prefix + "write_ops").Store(nl.Totals.WriteOps)
-		s.reg.Counter(prefix + "read_bytes").Store(nl.Totals.ReadBytes)
-		s.reg.Counter(prefix + "write_bytes").Store(nl.Totals.WriteBytes)
-		return
+	s.mu.Lock()
+	m := s.loads[nl.Node]
+	if m == nil {
+		p := fmt.Sprintf("cluster.load.node.%d.", nl.Node)
+		m = &loadMetrics{s.reg.Gauge(p + "score"), s.reg.Gauge(p + "pending"),
+			s.reg.Counter(p + "read_ops"), s.reg.Counter(p + "write_ops"),
+			s.reg.Counter(p + "read_bytes"), s.reg.Counter(p + "write_bytes")}
+		s.loads[nl.Node] = m
 	}
+	s.mu.Unlock()
+	m.score.Set(int64(nl.Score))
+	m.pending.Set(int64(nl.Pending))
+	m.readOps.Store(nl.Totals.ReadOps)
+	m.writeOps.Store(nl.Totals.WriteOps)
+	m.readBytes.Store(nl.Totals.ReadBytes)
+	m.writeBytes.Store(nl.Totals.WriteBytes)
+}
+
+// loadMetrics are one node's cluster.load.node.<id>.* handles.
+type loadMetrics struct {
+	score, pending                           *telemetry.Gauge
+	readOps, writeOps, readBytes, writeBytes *telemetry.Counter
 }
 
 // MemoryNodeServer exposes a MemoryNode's pool over TCP: remote reads,

@@ -193,6 +193,39 @@ func TestServerTelemetryCounters(t *testing.T) {
 	}
 }
 
+// TestReportLoadAllocatesLikePing: a report-load publishes its node's
+// cluster.load.node.<id>.* metrics through handles cached at the node's
+// first report, so handling one allocates no more than handling a ping
+// (each builds its response and nothing else). Building the whole load map
+// and formatting the six metric names cost 10 allocations per report.
+func TestReportLoadAllocatesLikePing(t *testing.T) {
+	reg := telemetry.New(0)
+	cl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := ServeControllerOnWith(NewController(), cl, reg)
+	defer cs.Close()
+	for node := 0; node < 4; node++ {
+		cs.ctrl.ReportLoad(node, LoadSample{ReadOps: 1})
+	}
+	sample := LoadSample{ReadOps: 7, WriteOps: 3, ReadBytes: 7 << 12, WriteBytes: 3 << 6, PendingBytes: 4096}
+	report := &Request{Kind: kindReportLoad, NodeID: 2, Data: appendLoadSample(nil, sample)}
+	ping := &Request{Kind: kindPing}
+	reportAllocs := testing.AllocsPerRun(200, func() { cs.handle(report) })
+	pingAllocs := testing.AllocsPerRun(200, func() { cs.handle(ping) })
+	if reportAllocs > pingAllocs {
+		t.Errorf("report-load allocates %.1f per request, ping %.1f: want no more than ping", reportAllocs, pingAllocs)
+	}
+	s := reg.Snapshot()
+	if got := s.Counters["cluster.load.node.2.read_bytes"]; got != sample.ReadBytes {
+		t.Errorf("cluster.load.node.2.read_bytes = %d, want %d", got, sample.ReadBytes)
+	}
+	if got := s.Gauges["cluster.load.node.2.pending"]; got != int64(sample.PendingBytes) {
+		t.Errorf("cluster.load.node.2.pending = %d, want %d", got, sample.PendingBytes)
+	}
+}
+
 // BenchmarkTelemetryOverheadTCPRead pins the tentpole's hot-path budget
 // on the wire layer: MemoryNodeClient.Read over the pooled transport with
 // telemetry disabled (nil registry, the default) must stay within 2% of

@@ -79,8 +79,8 @@ type Kona struct {
 	evictErr error
 
 	// placementEpoch is the controller's placement epoch as of the last
-	// refresh; Sync re-checks it and refreshes placements when a repair
-	// flip (or membership change) advanced it.
+	// successful refresh; Sync re-checks it and refreshes placements when a
+	// repair flip (or membership change) advanced it.
 	placementEpoch atomic.Uint64
 	// refreshes counts completed placement refreshes (FailureStats).
 	refreshes atomic.Uint64
@@ -310,12 +310,13 @@ func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 	// Pick up repair flips before flushing so retained entries land on the
 	// repaired replica in this drain, not the next. The epoch check is one
 	// control-path lookup; in a healthy steady state the epoch never moves
-	// and no refresh happens.
-	if ep, eerr := k.rm.ctrl.Epoch(); eerr == nil {
-		if k.placementEpoch.Swap(ep) != ep {
-			if _, rerr := k.RefreshPlacements(); rerr != nil {
-				k.noteEvictErr(rerr)
-			}
+	// and no refresh happens. A failed refresh leaves the epoch unrecorded,
+	// so the next Sync retries it (two racing Syncs may both refresh).
+	if ep, eerr := k.rm.ctrl.Epoch(); eerr == nil && k.placementEpoch.Load() != ep {
+		if _, rerr := k.RefreshPlacements(); rerr != nil {
+			k.noteEvictErr(rerr)
+		} else {
+			k.placementEpoch.Store(ep)
 		}
 	}
 	flushed, retained := k.fpga.FlushDirty(now)

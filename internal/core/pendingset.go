@@ -8,8 +8,11 @@ import "kona/internal/mem"
 // for what a Go map does badly here: emptying. A drain zeroes exactly the
 // slots in use, so it costs the pages pending now; a map's iterate-and-
 // clear costs the capacity the load phase once needed, on every cycle.
-// The table only grows (to under 4x the high-water mark, reached during
-// load), so steady state allocates nothing. Guarded by the shard's lock.
+// The table grows to under 4x the pages pending at once. A drain leaving it
+// over 16x both the pages it held and 1 024 (a load's burst is over) drops
+// it, and add regrows it; a smaller table is kept, so Sync and
+// write-before-read drains allocate nothing in steady state. Guarded by the
+// shard's lock.
 type pendingSet struct {
 	// slots holds base|1 — page bases are aligned, zero means empty. The
 	// length is a power of two; probing is linear.
@@ -55,6 +58,10 @@ func (s *pendingSet) drainInto(dst []mem.Addr) []mem.Addr {
 		dst = append(dst, s.slots[i]&^1)
 		s.slots[i] = 0
 	}
-	s.order = s.order[:0]
+	if len(s.slots) > 16*max(len(s.order), 1024) {
+		*s = pendingSet{} // add regrows it to today's backlog
+	} else {
+		s.order = s.order[:0]
+	}
 	return dst
 }

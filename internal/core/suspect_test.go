@@ -387,3 +387,65 @@ func TestPerMemberFencing(t *testing.T) {
 		sealedGroup.verifyReplicas(2)
 	})
 }
+
+// failingPlacements is a controller whose SlabPlacements fails while fail
+// is set, as a controller that drops a refresh's lookups part-way would.
+type failingPlacements struct {
+	control
+	fail bool
+}
+
+func (c *failingPlacements) SlabPlacements(group uint64) ([]Slab, error) {
+	if c.fail {
+		return nil, fmt.Errorf("injected placement lookup failure for group %d", group)
+	}
+	return c.control.SlabPlacements(group)
+}
+
+// TestFailedRefreshRetriedNextSync: a Sync whose placement refresh fails
+// must leave the placement epoch unrecorded, so the next Sync refreshes
+// again. Recording the epoch first let that next Sync skip the refresh and
+// return nil while the group still held the dead member: its ships were
+// withheld and retained, and the repaired replica never got this
+// runtime's writes.
+func TestFailedRefreshRetriedNextSync(t *testing.T) {
+	ctrl := newCluster(3)
+	cfg := smallConfig()
+	cfg.LocalCacheBytes = 8 * mem.PageSize
+	cfg.Replicas = 2
+	k := NewKona(cfg, ctrl)
+	w := newChaosWorkload(t, k, ctrl, 11, 64)
+	w.run(800)
+	w.sync()
+
+	victim := groupMembersFor(k, w.base)[0]
+	vn, ok := ctrl.Node(victim.Node)
+	if !ok {
+		t.Fatalf("victim node %d not registered", victim.Node)
+	}
+	vn.Fail()
+	w.run(600)
+	ctrl.HealthSweep()
+	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
+	drainRepairs(t, engine, ctrl)
+
+	fc := &failingPlacements{control: k.rm.ctrl, fail: true}
+	k.rm.ctrl = fc
+	var err error
+	if w.now, err = k.Sync(w.now); err == nil {
+		t.Fatal("Sync with a failing placement refresh returned nil")
+	}
+	fc.fail = false
+	w.sync()
+	if m := groupMembersFor(k, w.base)[0]; m.Node == victim.Node && m.Epoch == victim.Epoch {
+		t.Fatalf("member 0 still the dead victim %+v after the next Sync: the refresh was never retried", m)
+	}
+	if n := suspectCount(k); n != 0 {
+		t.Fatalf("%d members still suspect after the retried refresh's drain", n)
+	}
+	w.run(400)
+	w.sync()
+	w.verifyReplicas(2)
+	w.verifyThroughRuntime()
+}

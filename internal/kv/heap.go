@@ -37,12 +37,15 @@ import (
 // after it. A page of a smaller class holds several blocks and stays
 // fetched whole — its neighbours' later hits pay for the extra bytes.
 //
-// A freed block is reused newest first, except that a record ending
-// part-way through a line takes the newest of the class's last cachedScan
-// freed blocks whose record-ending line Runtime.Cached reports: a write
-// ending in a line the cache lacks first reads it for ownership, a round
-// trip. A one-size store has no choice to make: Set allocates before it
-// releases, so each free list holds at most one block.
+// A write ending part-way through a line the cache lacks first reads it for
+// ownership, a round trip; one covering the line claims it. So a set into
+// an object block writes out to the end of its last line (writeLen). A
+// smaller record's last line is a neighbour's too, so a freed block is
+// reused newest first, except that a write ending part-way through a line
+// takes the newest of the class's last cachedScan freed blocks whose
+// record-ending line Runtime.Cached reports. A one-size store has no choice
+// to make: Set allocates before it releases, so each free list holds at
+// most one block.
 //
 // Each shard owns one heap, so the heap itself needs no locking: all
 // calls happen under the owning shard's mutex (and Cached takes the
@@ -100,6 +103,16 @@ func classOf(n int) int {
 // blockBytes returns class c's block size.
 func blockBytes(c int) uint64 { return minBlock << uint(c) }
 
+// writeLen is how many bytes Set writes for an n-byte record: an object
+// block's record runs on, zero-filled, to the end of its last line (no read
+// wants an object page's bytes past the record).
+func writeLen(n int) int {
+	if blockBytes(classOf(n)) < mem.PageSize {
+		return n
+	}
+	return int(mem.Addr(n).AlignUp(minBlock))
+}
+
 func newValueHeap(rt Runtime, cachedReuses *telemetry.Counter) *valueHeap {
 	return &valueHeap{rt: rt, cachedReuses: cachedReuses}
 }
@@ -113,8 +126,8 @@ func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 	c := classOf(n)
 	if l := len(h.free[c]); l > 0 {
 		free := h.free[c]
-		// A record ending on a line boundary reads nothing for ownership.
-		for i := l - 1; n%minBlock != 0 && i >= max(0, l-cachedScan); i-- {
+		// A write ending on a line boundary reads nothing for ownership.
+		for i := l - 1; writeLen(n)%minBlock != 0 && i >= max(0, l-cachedScan); i-- {
 			if h.rt.Cached(free[i] + mem.Addr(n-1)) {
 				free[i], free[l-1] = free[l-1], free[i]
 				h.cachedReuses.Inc()

@@ -403,7 +403,8 @@ func (r *cachedLines) Cached(a mem.Addr) bool {
 // TestHeapReusesCachedBlockFirst pins alloc's reuse order (valueHeap's doc
 // comment): the newest freed block of the class whose record-ending line is
 // cached wins, searched among the newest cachedScan only; with none cached
-// the order is LIFO; and a record ending on a line boundary probes nothing.
+// the order is LIFO; and a record ending on a line boundary, or written out
+// to one because its block is an object block, probes nothing.
 func TestHeapReusesCachedBlockFirst(t *testing.T) {
 	const n = 100 // a class-1 record: 128 B blocks, ending in line 1 of its block
 	base := mem.Addr(1 << 30)
@@ -466,6 +467,14 @@ func TestHeapReusesCachedBlockFirst(t *testing.T) {
 		h, rt, _ := setup(top - 1)
 		if a := alloc(t, h, 128); a != block(top) || len(rt.probes) != 0 {
 			t.Fatalf("128 B record reused %#x after %d probes, want %#x after none", a, len(rt.probes), block(top))
+		}
+	})
+	t.Run("no probe for a record of an object class", func(t *testing.T) {
+		const obj = 4000 // a 4 KB block, written out to the end of its last line
+		h, rt, _ := setup()
+		h.free[classOf(obj)] = []mem.Addr{base, base + mem.PageSize}
+		if a, _, err := h.alloc(obj); err != nil || a != base+mem.PageSize || len(rt.probes) != 0 {
+			t.Fatalf("%d B record reused %#x (err %v) after %d probes, want %#x after none", obj, a, err, len(rt.probes), base+mem.PageSize)
 		}
 	})
 	t.Run("nothing past cachedScan is probed", func(t *testing.T) {
@@ -606,6 +615,99 @@ func TestSetReusesCachedBlock(t *testing.T) {
 	}
 	if got, _, _, ok, err := s.Get(0, "new-key", nil); err != nil || !ok || !bytes.Equal(got, value) {
 		t.Fatalf("get new-key: ok=%t err=%v, value intact=%t", ok, err, bytes.Equal(got, value))
+	}
+	if err := k.Close(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestObjectSetClaimsItsLastLine is the `make guards` count guard for sets
+// into object blocks (DESIGN.md §12, §16), over a loopback TCP rack, never
+// timed. Records of 2 KB and 8 KB values are loaded, some are deleted, and
+// a Sync writes their pages back and leaves FMem cold. Replacements of the
+// same sizes then reuse the freed blocks: each is written out to the end
+// of its last line, so it claims that line and makes no `rfo` fetch and no
+// memnode `read` RPC (one of each per set when the record's partial last
+// line was read for ownership). The control is a 300 B record reusing a
+// block of a flushed shared page: its last line is a neighbour's too, and
+// the set still reads it, exactly one `rfo`.
+func TestObjectSetClaimsItsLastLine(t *testing.T) {
+	const n, freed = 40, 10
+	sizes := []int{2048, 8192}
+	key := func(i int) string { return fmt.Sprintf("obj-%05d", i) }
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8)}, sizes[i%2]/2) }
+	small := bytes.Repeat([]byte{0x5A}, 280) // a 309 B record: 512 B blocks, 8 to a page
+
+	ctrlAddr, served := countedRack(t)
+	cfg := core.DefaultConfig(16 << 20)
+	cfg.Metrics = telemetry.New(0)
+	k := core.NewKonaTCPWith(cfg, ctrlAddr, kvTransport())
+	s := NewStore(k, Config{Shards: 1})
+	sh := s.shards[0]
+	for i := 0; i < 2*n; i++ {
+		if _, err := s.Set(0, key(i), value(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := s.Set(0, fmt.Sprintf("small-%d", i), small, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*freed; i++ {
+		if _, ok, err := s.Delete(0, key(i)); err != nil || !ok {
+			t.Fatalf("delete %s: ok=%t err=%v", key(i), ok, err)
+		}
+	}
+	if _, _, err := s.Delete(0, "small-3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	rfo := cfg.Metrics.Counter("core.fpga.fetches.rfo")
+	counts := func() (uint64, uint64) {
+		k.PublishTelemetry()
+		return rfo.Value(), served("read")
+	}
+	rfo0, reads0 := counts()
+	freeBlocks := map[mem.Addr]bool{}
+	for _, c := range []int{classOf(recordSize(len(key(0)), sizes[0])), classOf(recordSize(len(key(1)), sizes[1]))} {
+		if blockBytes(c) < mem.PageSize {
+			t.Fatalf("class %d (%d B blocks) is not an object class", c, blockBytes(c))
+		}
+		for _, a := range sh.heap.free[c] {
+			freeBlocks[a] = true
+		}
+	}
+	for i := 2 * n; i < 2*n+2*freed; i++ {
+		if _, err := s.Set(0, key(i), value(i), 0); err != nil {
+			t.Fatal(err)
+		}
+		if a := sh.idx[key(i)].addr; !freeBlocks[a] {
+			t.Fatalf("set %s carved %#x, want a reused block", key(i), a)
+		}
+	}
+	rfo1, reads1 := counts()
+	t.Logf("%d sets into reused object blocks: %d rfo fetches, %d read RPCs", 2*freed, rfo1-rfo0, reads1-reads0)
+	if rfo1 != rfo0 || reads1 != reads0 {
+		t.Errorf("object sets made %d rfo fetches and %d memnode read RPCs, want 0 and 0", rfo1-rfo0, reads1-reads0)
+	}
+	if _, err := s.Set(0, "small-new", small, 0); err != nil {
+		t.Fatal(err)
+	}
+	rfo2, reads2 := counts()
+	t.Logf("a 309 B set into a flushed shared page: %d rfo fetches, %d read RPCs", rfo2-rfo1, reads2-reads1)
+	if rfo2-rfo1 != 1 {
+		t.Errorf("shared-page set made %d rfo fetches, want exactly 1", rfo2-rfo1)
+	}
+	for i := 2 * freed; i < 2*n+2*freed; i++ {
+		if got, _, _, ok, err := s.Get(0, key(i), nil); err != nil || !ok || !bytes.Equal(got, value(i)) {
+			t.Fatalf("get %s: ok=%t err=%v, value intact=%t", key(i), ok, err, bytes.Equal(got, value(i)))
+		}
+	}
+	if got, _, _, ok, err := s.Get(0, "small-new", nil); err != nil || !ok || !bytes.Equal(got, small) {
+		t.Fatalf("get small-new: ok=%t err=%v, value intact=%t", ok, err, bytes.Equal(got, small))
 	}
 	if err := k.Close(0); err != nil {
 		t.Fatal(err)

@@ -209,8 +209,10 @@ func set[K keyBytes](s *Store, sh *storeShard, now simclock.Duration, key K, val
 	if err != nil {
 		return now, err
 	}
-	buf := sh.grow(n)
-	encodeRecord(buf, key, value, seq)
+	w := writeLen(n)
+	buf := sh.grow(w)
+	encodeRecord(buf[:n], key, value, seq)
+	clear(buf[n:])
 	t, err = s.rt.Write(now, addr, buf)
 	s.advance(t)
 	if err != nil {
