@@ -39,18 +39,19 @@ bench-quick:
 
 # Eviction-path guard (DESIGN.md §8): the steady-state evict and
 # fetch-hit allocation checks (-benchmem must report 0 allocs/op on the
-# arena-backed paths), and the wire's single-vs-batched ReadPages round
-# trip (the `read-pages` kind the replacement engine's copy uses).
+# arena-backed paths), the wire's single-vs-batched ReadPages round
+# trip (the `read-pages` kind the replacement engine's copy uses), and a
+# fill's gather of a page's written lines against one 4 KB `read`.
 # -benchtime=1x keeps it a smoke run; compare properly with -benchtime=2s.
 bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
-	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle' -benchtime=1x ./internal/cluster
+	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle|BenchmarkGatherVsPageRead' -benchtime=1x ./internal/cluster
 
-# Eleven single-test guards. The first three run on the simulated fabric and
+# Twelve single-test guards. The first three run on the simulated fabric and
 # bound counts or *virtual-time* p99s — latency computed on the simulated
 # fabric's clock, which nothing off the measured path can touch — so they
 # are deterministic and have no noise floor to state. The fourth is
-# wall-clock; its test comment states the floor. The last seven count RPCs
+# wall-clock; its test comment states the floor. The last eight count RPCs
 # or bytes on loopback TCP and time nothing.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
@@ -81,10 +82,9 @@ bench-evict:
 #    serves zero memnode read RPCs (5 006 when the value heap's chunks come
 #    from Malloc) and the same number of write-log RPCs either way.
 #  - One class per page (DESIGN.md §12): after a mixed-size load and a
-#    Sync, a get of a record of at most 4 KB makes at most one `read` RPC
-#    and no `read-pages`, and a get of an 8 KB value at most one RPC in all
-#    (the shared carve cursor it replaced let half the 2 KB records
-#    straddle two pages).
+#    Sync, every get makes at most one RPC in all — a `read`, or a
+#    `read-pages` gathering a page's written lines (the shared carve cursor
+#    it replaced let half the 2 KB records straddle two pages).
 #  - Object pages (DESIGN.md §16): cold gets of 2 KB and 8 KB records
 #    fetch exactly the records' lines — core.fpga.bytes_fetched grows by
 #    each record's length rounded up to 64 B — with one `read` RPC per
@@ -99,9 +99,14 @@ bench-evict:
 #    last line and so make no `rfo` fetch and no memnode `read` RPC (one of
 #    each per set when the partial last line was read), while a 300 B set
 #    into a flushed shared page still makes exactly one `rfo`.
+#  - Written lines (DESIGN.md §16): a cold get from a page of four 536 B
+#    records makes one RPC, and the memnodes send exactly their 4 x 9
+#    written lines (the whole 4 KB page before written-lines masks); a set
+#    ending in a line no record ever reached makes no `rfo` fetch and no
+#    memnode RPC (one of each before).
 guards:
 	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine|TestMultiPageReadIsOneRPC' -count=1 -v ./internal/core
-	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines|TestSetReusesCachedBlock|TestObjectSetClaimsItsLastLine' -count=1 -v ./internal/kv
+	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines|TestSetReusesCachedBlock|TestObjectSetClaimsItsLastLine|TestGetFetchesOnlyWrittenLines' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -487,6 +488,37 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	if off2 != off {
 		t.Errorf("released extent not reused: %d vs %d", off2, off)
+	}
+}
+
+// TestControllerRegisterAllocatesNoPool registers a 1 GiB memnode with a
+// controller daemon: the controller keeps a record for carve accounting,
+// not a pool, so registration adds well under 1 MB to the heap's
+// cumulative allocation (it made the whole capacity when the record was a
+// full MemoryNode), and the node still carves slabs.
+func TestControllerRegisterAllocatesNoPool(t *testing.T) {
+	cs, err := ServeController(NewController(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	cc := DialController(cs.Addr())
+	defer cc.Close()
+	if err := cc.Ping(); err != nil { // warm the connection
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := cc.RegisterNode(0, 1<<30, "127.0.0.1:1"); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("registering a 1 GiB node allocated %d bytes at the controller, want < 1 MB", d)
+	}
+	slabs, err := cc.AllocSlab(16<<20, 1)
+	if err != nil || len(slabs) != 1 || slabs[0].Node != 0 || slabs[0].Size != 16<<20 {
+		t.Fatalf("carve from the registered node: %+v, %v", slabs, err)
 	}
 }
 

@@ -125,6 +125,15 @@ func NewMemoryNode(id int, capacity uint64) *MemoryNode {
 	}
 }
 
+// newNodeRecord is the controller's record of a memnode daemon that
+// registered over the wire: carve accounting, incarnation and failure
+// state. The pool lives in the daemon, so the record's is empty and it has
+// no log region; only the controller's own calls reach it.
+func newNodeRecord(id int, capacity uint64) *MemoryNode {
+	ep := rdma.NewEndpoint(fmt.Sprintf("memnode-%d", id))
+	return &MemoryNode{id: id, endpoint: ep, pool: ep.RegisterMR(0), capacity: capacity}
+}
+
 // ID returns the node identifier.
 func (n *MemoryNode) ID() int { return n.id }
 

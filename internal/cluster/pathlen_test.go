@@ -149,6 +149,43 @@ func TestPageFetchPathLength(t *testing.T) {
 	}
 }
 
+// TestMixedReadKindsDoNotAllocate alternates `read` and `read-pages` on one
+// connection, the order a fill that gathers a page's written lines puts
+// them in: once warm, neither end allocates for either kind. The serve
+// loop keeps its Offsets array across requests; a request without offsets
+// decodes to nil, so keeping the decoded field instead drops the array at
+// every `read`, and the next `read-pages` allocates it again.
+func TestMixedReadKindsDoNotAllocate(t *testing.T) {
+	mc, node, _, _ := countedRig(t)
+	pool := node.PoolBytes()
+	for i := range pool[:2*4096] {
+		pool[i] = byte(i * 7)
+	}
+	page := make([]byte, 4096)
+	offs := []uint64{0, 1024, 2048, 3072}
+	bufs := [][]byte{make([]byte, 576), make([]byte, 576), make([]byte, 576), make([]byte, 576)}
+	round := func() {
+		if err := mc.ReadInto(4096, page); err != nil {
+			t.Fatal(err)
+		}
+		if err := mc.ReadPagesInto(offs, bufs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm pools and scratch
+	if n := testing.AllocsPerRun(200, round); n != 0 && !raceEnabled {
+		t.Errorf("a read and a read-pages on one connection allocate %v objects per pair across both ends, want 0", n)
+	}
+	if !bytes.Equal(page, pool[4096:8192]) {
+		t.Fatal("read returned wrong bytes")
+	}
+	for i, off := range offs {
+		if !bytes.Equal(bufs[i], pool[off:off+576]) {
+			t.Fatalf("read-pages span %d returned wrong bytes", i)
+		}
+	}
+}
+
 // TestLargeWriteLogBypassesBuffer ships a ~1 MB log: only the head that
 // arrived with the frame header may take the copy through the
 // connection buffer, the rest is read from the socket into the log

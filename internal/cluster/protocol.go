@@ -473,6 +473,9 @@ func serveConn(conn net.Conn, sc *srvConn, cs *connSet, h connHandler, m *server
 	in := &frameReader{src: conn}
 	var req Request
 	var resp Response
+	// offs keeps the Offsets backing array across requests: a request
+	// without offsets decodes to nil, and the next read-pages reuses it.
+	var offs []uint64
 	for {
 		k, hdr, payLen, err := in.readHeader()
 		if err != nil {
@@ -485,14 +488,15 @@ func serveConn(conn net.Conn, sc *srvConn, cs *connSet, h connHandler, m *server
 		// it under one deadline, under the same lock drain uses, so a
 		// concurrent drain waits for us.
 		cs.beginReq(conn, sc)
-		// Reset the envelopes but keep the Offsets backing array so
-		// steady-state ReadPages decoding reuses it.
-		req = Request{Offsets: req.Offsets}
+		req = Request{Offsets: offs}
 		resp = Response{}
 		var staged *[]byte
 		var dst []byte
 		var release func()
 		refused := decodeRequestHeader(k, hdr, &req)
+		if req.Offsets != nil {
+			offs = req.Offsets[:0]
+		}
 		if refused == nil && payLen > 0 {
 			dst, release, refused = h.payloadSink(&req, payLen)
 		}

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"net"
 	"testing"
 
 	"kona/internal/mem"
+	"kona/internal/telemetry"
 )
 
 // readPagesRig serves one memory-node daemon and returns a client for it
@@ -89,6 +91,77 @@ func TestReadPagesErrors(t *testing.T) {
 	}
 }
 
+// TestReadKindsRetrySafely drives the two kinds a fill reads with — a
+// `read` of one run and a `read-pages` gather of several, of equal spans
+// or of single lines — through a memnode whose listener drops
+// connections. Both kinds are retried by the transport, so every reply
+// that comes back must equal the pool byte for byte (a retry must never
+// leave a torn or shifted reply behind), some replies must have needed a
+// retry, and the pool must be unchanged afterwards: a read is never
+// replayed as a write.
+func TestReadKindsRetrySafely(t *testing.T) {
+	reg := telemetry.New(0)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := NewFaultListener(inner, FaultConfig{Seed: 19, DropProb: 0.1, Metrics: reg})
+	node := NewMemoryNode(0, 1<<20)
+	pool := node.PoolBytes()
+	for i := range pool {
+		pool[i] = byte(i*131 + i>>9)
+	}
+	want := bytes.Clone(pool)
+	ns := ServeMemoryNodeOn(node, fl)
+	defer ns.Close()
+	tr := chaosTransport(19)
+	tr.Metrics = reg
+	mc := DialMemoryNodeTransport(ns.Addr(), tr)
+	defer mc.Close()
+
+	const line = mem.CacheLineSize
+	for i := 0; i < 150; i++ {
+		page := uint64(i%200) * mem.PageSize
+		run := make([]byte, (1+i%9)*line)
+		off := page + uint64(i%7)*line
+		if err := mc.ReadInto(off, run); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !bytes.Equal(run, want[off:off+uint64(len(run))]) {
+			t.Fatalf("read %d at %d: reply differs from the pool", i, off)
+		}
+		// Four equal runs of 9 lines, one per 1 KB block; then single lines.
+		span := 9 * line
+		offs := []uint64{page, page + 1024, page + 2048, page + 3072}
+		if i%2 == 1 {
+			span = line
+			offs = []uint64{page + 5*line, page + 6*line, page + 20*line, page + 63*line}
+		}
+		bufs := make([][]byte, len(offs))
+		for j := range bufs {
+			bufs[j] = make([]byte, span)
+		}
+		if err := mc.ReadPagesInto(offs, bufs); err != nil {
+			t.Fatalf("gather %d: %v", i, err)
+		}
+		for j, o := range offs {
+			if !bytes.Equal(bufs[j], want[o:o+uint64(span)]) {
+				t.Fatalf("gather %d span %d at %d: reply differs from the pool", i, j, o)
+			}
+		}
+	}
+	s := reg.Snapshot()
+	if s.Counters["faultconn.drops"] == 0 || s.Counters["cluster.rpc.retries"] == 0 {
+		t.Fatalf("drops %d, retries %d: the faults never reached a read, the test proves nothing",
+			s.Counters["faultconn.drops"], s.Counters["cluster.rpc.retries"])
+	}
+	if !bytes.Equal(node.PoolBytes(), want) {
+		t.Fatal("reads under retry changed the pool")
+	}
+	t.Logf("%d drops, %d retries, %d redials", s.Counters["faultconn.drops"],
+		s.Counters["cluster.rpc.retries"], s.Counters["cluster.rpc.redials"])
+}
+
 // BenchmarkReadPagesVsSingle quantifies the round-trip coalescing: 8
 // pages as 8 Read RPCs vs one ReadPages frame.
 func BenchmarkReadPagesVsSingle(b *testing.B) {
@@ -117,4 +190,41 @@ func BenchmarkReadPagesVsSingle(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGatherVsPageRead is the fill's choice on a page of four 536 B
+// records: one `read` of the whole 4 KB page, or one `read-pages` gather
+// of the records' 4 × 576 B — and, for a page whose written runs differ in
+// length, a gather of one 64 B span per line (36 spans).
+func BenchmarkGatherVsPageRead(b *testing.B) {
+	c, _ := readPagesRig(b)
+	page := make([]byte, mem.PageSize)
+	gather := func(span int, offs []uint64) func(b *testing.B) {
+		bufs := make([][]byte, len(offs))
+		for i := range bufs {
+			bufs[i] = page[offs[i] : offs[i]+uint64(span)]
+		}
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := c.ReadPagesInto(offs, bufs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("read-4096", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := c.ReadInto(0, page); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("gather-4x576", gather(576, []uint64{0, 1024, 2048, 3072}))
+	var lines []uint64
+	for blk := uint64(0); blk < 4; blk++ {
+		for l := uint64(0); l < 9; l++ {
+			lines = append(lines, blk*1024+l*64)
+		}
+	}
+	b.Run("gather-36x64", gather(64, lines))
 }

@@ -312,7 +312,7 @@ func (s *ControllerServer) handle(req *Request) *Response {
 func (s *ControllerServer) dispatch(req *Request) *Response {
 	switch req.Kind {
 	case kindRegisterNode:
-		n := NewMemoryNode(req.NodeID, req.Capacity)
+		n := newNodeRecord(req.NodeID, req.Capacity)
 		// Register probes any incumbent via probeNode, which pings the
 		// OLD daemon address (addrs is updated only after admission) —
 		// a live holder rejects the duplicate, a dead one is expelled

@@ -412,7 +412,7 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 	sh.bitmapT += bitmapScanCost
 	now += bitmapScanCost
 
-	placements, err := e.rm.placementsInto(v.Base, sh.plScratch, true)
+	placements, err := e.rm.placementsInto(v.Base, sh.plScratch, v.Dirty)
 	sh.plScratch = placements[:0]
 	if err != nil {
 		sh.mu.Unlock()

@@ -48,7 +48,7 @@ func TestFreshWriteReachesRemoteMemoryAndComesBack(t *testing.T) {
 			snap.Counters["core.fetches"], snap.Counters["core.fresh_fills"], pages)
 	}
 	for p := 0; p < pages; p++ {
-		if k.rm.Lookup(base + mem.Addr(p)*mem.PageSize).Fresh {
+		if k.rm.Lookup(base + mem.Addr(p)*mem.PageSize).Unwritten.Full() {
 			t.Fatalf("page %d still fresh after its dirty lines were logged", p)
 		}
 	}
@@ -102,7 +102,7 @@ func TestCleanEvictionKeepsPageFresh(t *testing.T) {
 	if st := k.EvictStats(); st.SilentEvicted != 1 || st.DirtyPages != 0 {
 		t.Fatalf("eviction was not clean: %+v", st)
 	}
-	if !k.rm.Lookup(base).Fresh {
+	if !k.rm.Lookup(base).Unwritten.Full() {
 		t.Fatal("a clean eviction ended the page's freshness")
 	}
 	mustRead(t, k, now, base, mem.PageSize)
@@ -135,7 +135,7 @@ func TestPartialPagesOfUnalignedAllocationAreNeverFresh(t *testing.T) {
 	}
 	page0 := neighbour
 	for p, want := range []bool{false, true, true, false} {
-		if got := k.rm.Lookup(page0 + mem.Addr(p)*mem.PageSize).Fresh; got != want {
+		if got := k.rm.Lookup(page0 + mem.Addr(p)*mem.PageSize).Unwritten.Full(); got != want {
 			t.Errorf("page %d fresh = %v, want %v", p, got, want)
 		}
 	}
@@ -233,14 +233,14 @@ func TestSharedGroupIsNeverFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.rm.Lookup(addr).Fresh {
+	if !a.rm.Lookup(addr).Unwritten.Full() {
 		t.Fatal("allocation not fresh before sharing")
 	}
 	group, err := a.ShareWriter(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.rm.Lookup(addr).Fresh {
+	if a.rm.Lookup(addr).Unwritten.Full() {
 		t.Error("page of a shared group still fresh")
 	}
 	if anow, err = a.ReleaseWriter(anow, group); err != nil {
@@ -262,7 +262,7 @@ func TestSharedGroupIsNeverFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, _ := a.rm.groupFor(later); s.ID == group && a.rm.Lookup(later).Fresh {
+	if s, _ := a.rm.groupFor(later); s.ID == group && a.rm.Lookup(later).Unwritten.Full() {
 		t.Fatal("MallocFresh marked a page of a shared group")
 	}
 }
@@ -330,4 +330,160 @@ func TestFreshConcurrentCarving(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-syncDone
+}
+
+// Written-lines masks (DESIGN.md §16): a fill zeroes the lines of a
+// MallocFresh page that no write-back has carried and fetches the rest.
+
+// TestWrittenLinesFetchWhilePending: two records' lines are evicted dirty
+// and their log entries are still buffered when the page is read again.
+// The written lines fetch anyway — the page's mask took them when the
+// eviction asked for its placements — and the write-before-read hook ships
+// the entries first, so the fetch sees the records; the lines between them
+// read as zeros without being fetched.
+func TestWrittenLinesFetchWhilePending(t *testing.T) {
+	k := NewKona(smallConfig(), newCluster(1))
+	base, err := k.MallocFresh(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, mem.PageSize)
+	a := bytes.Repeat([]byte{0xA5}, 543) // lines 0..8
+	b := bytes.Repeat([]byte{0x5B}, 543) // lines 16..24
+	copy(want, a)
+	copy(want[1024:], b)
+	now := mustWrite(t, k, 0, base, a)
+	now = mustWrite(t, k, now, base+1024, b)
+	if !k.fpga.FlushPage(now, base) {
+		t.Fatal("page was not resident")
+	}
+	if st := k.EvictStats(); st.DirtyPages != 1 || st.Flushes != 0 {
+		t.Fatalf("eviction: %d dirty pages, %d flushes; want 1 dirty page still buffered", st.DirtyPages, st.Flushes)
+	}
+	var written mem.LineBitmap
+	written.SetRange(0, 9)
+	written.SetRange(16, 25)
+	if got := k.rm.Lookup(base).Unwritten; got != ^written {
+		t.Fatalf("unwritten lines %#x, want %#x", uint64(got), uint64(^written))
+	}
+	before := k.FPGAStats()
+	if _, got := mustRead(t, k, now, base, mem.PageSize); !bytes.Equal(got, want) {
+		t.Fatal("read of a page with a pending write-back lost its records or did not zero the rest")
+	}
+	st := k.FPGAStats()
+	if d := st.RemoteFetches - before.RemoteFetches; d != 1 {
+		t.Fatalf("read made %d fetches, want 1", d)
+	}
+	if d := st.BytesFetched - before.BytesFetched; d != 18*mem.CacheLineSize {
+		t.Fatalf("read fetched %d B, want the 18 written lines, %d B", d, 18*mem.CacheLineSize)
+	}
+	if ev := k.EvictStats(); ev.Flushes == 0 || ev.RemoteEntries != ev.Segments {
+		t.Fatalf("the fetch did not ship the pending entries first: %d flushes, %d of %d entries applied",
+			ev.Flushes, ev.RemoteEntries, ev.Segments)
+	}
+}
+
+// TestSharedGroupFetchesEveryLine: A writes one record into a fresh page,
+// syncs and shares the group; B writes a line A never wrote. Sharing made
+// every line of the group read as written, so A's cold read fetches the
+// whole page, B's line with it.
+func TestSharedGroupFetchesEveryLine(t *testing.T) {
+	ctrl := newCluster(1)
+	a := NewKona(smallConfig(), ctrl)
+	b := NewKona(smallConfig(), ctrl)
+	var anow, bnow simDurT
+	defer a.Close(anow)
+	defer b.Close(bnow)
+
+	addr, err := a.MallocFresh(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte{0xA0}, 543)
+	anow = mustWrite(t, a, anow, addr, rec)
+	if anow, err = a.Sync(anow); err != nil {
+		t.Fatal(err)
+	}
+	if a.rm.Lookup(addr).Unwritten == 0 {
+		t.Fatal("a page with one record written back reads as all written before sharing")
+	}
+	group, err := a.ShareWriter(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := a.rm.Lookup(addr).Unwritten; u != 0 {
+		t.Fatalf("page of a shared group has unwritten lines %#x", uint64(u))
+	}
+	if anow, err = a.ReleaseWriter(anow, group); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err = b.AttachReader(group); err != nil {
+		t.Fatal(err)
+	}
+	line := bytes.Repeat([]byte{0xB1}, mem.CacheLineSize)
+	bnow = mustWrite(t, b, bnow, addr+40*mem.CacheLineSize, line)
+	if bnow, err = b.ReleaseWriter(bnow, group); err != nil {
+		t.Fatal(err)
+	}
+	coldCache(a)
+	before := a.FPGAStats()
+	_, got := mustRead(t, a, anow, addr, mem.PageSize)
+	if !bytes.Equal(got[:len(rec)], rec) || !bytes.Equal(got[40*mem.CacheLineSize:41*mem.CacheLineSize], line) {
+		t.Fatal("A lost its record or did not see B's line")
+	}
+	if d := a.FPGAStats().BytesFetched - before.BytesFetched; d != mem.PageSize {
+		t.Fatalf("cold read of a shared page fetched %d B, want the whole page", d)
+	}
+}
+
+// TestKonaVMWriteBackMarksWholePage: the VM runtime writes back and faults
+// in whole pages, so a write-back marks every line written and the next
+// fault reads the page as before masks — one 4 KB fetch, the bytes the
+// write-back carried (zeros around the record included).
+func TestKonaVMWriteBackMarksWholePage(t *testing.T) {
+	cfg := smallConfig()
+	cfg.LocalCacheBytes = 4 * mem.PageSize
+	k := NewKonaVM(cfg, newCluster(1))
+	base, err := k.MallocFresh(mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !k.rm.Lookup(base).Unwritten.Full() {
+		t.Fatal("fresh VM page has written lines")
+	}
+	want := make([]byte, mem.PageSize)
+	rec := bytes.Repeat([]byte{0xC4}, 300)
+	copy(want[100:], rec)
+	now, err := k.Write(0, base+100, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	if u := k.rm.Lookup(base).Unwritten; u != 0 {
+		t.Fatalf("VM write-back left unwritten lines %#x, want none", uint64(u))
+	}
+	// Evict the page by faulting in four others.
+	other, err := k.Malloc(4 * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, mem.PageSize)
+	for p := 0; p < 4; p++ {
+		if now, err = k.Read(now, other+mem.Addr(p)*mem.PageSize, buf[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := k.Stats()
+	if _, err = k.Read(now, base, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("VM page read back wrong bytes")
+	}
+	if st := k.Stats(); st.Fetches != before.Fetches+1 || st.FreshFills != before.FreshFills {
+		t.Fatalf("fault on a written-back page: %d fetches, %d fresh fills; want 1 and 0",
+			st.Fetches-before.Fetches, st.FreshFills-before.FreshFills)
+	}
 }

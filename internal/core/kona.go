@@ -27,8 +27,8 @@ type coreMetrics struct {
 	// Published absolute values of the FPGA's own counters (Store-synced
 	// at Sync/Close and on PublishTelemetry).
 	lineFills, fmemHits, writebacks, prefetches, bytesFetched *telemetry.Counter
-	// freshFills is published the same way: fills of fresh pages, which
-	// never reach the fetch hook and so are not in fetches.
+	// freshFills is published the same way: fills that zeroed unwritten
+	// lines, which need no fetch hook for them and so are not in fetches.
 	freshFills *telemetry.Counter
 	// fetchesBy is the FPGA's remote fetches split by cause, published the
 	// same way as core.fpga.fetches.<cause>.
@@ -221,11 +221,11 @@ func (k *Kona) onEvict(now simclock.Duration, v fpga.Victim) simclock.Duration {
 func (k *Kona) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size) }
 
 // MallocFresh is Malloc for memory the caller will write before it reads:
-// the contents are undefined until written. Pages wholly inside the
-// allocation are fresh — until one is written back, or its placement group
-// is shared with another runtime, every fill of it zero-fills locally and
-// costs no round trip (DESIGN.md §16). Malloc makes no such promise: its
-// pages are fetched, whatever the memory node's extent holds.
+// the contents are undefined until written. A line of a page wholly inside
+// the allocation that no write-back has carried (and no other runtime may
+// have written, §14) is zero-filled locally, not fetched (DESIGN.md §16).
+// Malloc makes no such promise: its pages are fetched, whatever the memory
+// node's extent holds.
 func (k *Kona) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
 
 // MallocObjects is MallocFresh for memory the caller carves into objects

@@ -255,7 +255,7 @@ func (k *KonaVM) majorFault(now simclock.Duration, a mem.Addr, write bool) (simc
 
 	pg := &vmPage{page: a.Page(), data: make([]byte, mem.PageSize)}
 	done := now
-	if p := k.rm.Lookup(a.AlignDown(mem.PageSize)); p.Fresh {
+	if p := k.rm.Lookup(a.AlignDown(mem.PageSize)); p.Unwritten.Full() {
 		// Nothing remote worth reading: the new zero page is the fill.
 		k.stats.FreshFills++
 	} else {
@@ -307,7 +307,7 @@ func (k *KonaVM) leapPrefetch(now simclock.Duration, a mem.Addr) simclock.Durati
 			continue // present
 		}
 		p := k.rm.Lookup(base)
-		if p.Fresh {
+		if p.Unwritten.Full() {
 			continue // nothing remote to bring in
 		}
 		if _, mapped := k.rm.groupFor(base); !mapped {
@@ -373,7 +373,7 @@ func (k *KonaVM) evictIfFull(now simclock.Duration) (simclock.Duration, error) {
 // skipped while another one carries the page; with none written the page
 // is unavailable.
 func (k *KonaVM) writeBack(now simclock.Duration, pg *vmPage) (simclock.Duration, error) {
-	pls, err := k.rm.placementsInto(mem.PageBase(pg.page), nil, true)
+	pls, err := k.rm.placementsInto(mem.PageBase(pg.page), nil, ^mem.LineBitmap(0))
 	if err != nil {
 		return now, err
 	}

@@ -92,18 +92,19 @@ func (m *member) readable() bool {
 type group struct {
 	// members are the group's replicas, primary first.
 	members []*member
-	// fresh holds one bit per page of the slab, set by MallocFresh: no dirty
-	// line of the page has ever been appended to the eviction log, so remote
-	// memory holds nothing of it worth reading and a fill zero-fills locally
-	// (DESIGN.md §16). Nil until the group's first MallocFresh.
-	fresh []uint64
+	// unwritten holds one line mask per page of the slab: the lines no
+	// dirty write-back has carried since MallocFresh set the mask. Remote
+	// memory holds nothing of them worth reading, and a fill zeroes them
+	// locally (DESIGN.md §16). Nil until the group's first MallocFresh; a
+	// zero mask, like a page never allocated fresh, has every line written.
+	unwritten []mem.LineBitmap
 	// object holds one bit per page of the slab, set by MallocObjects and
 	// cleared by Free: one object owns the page, from its start, so a fill
 	// fetches only the lines a read or write reaches (DESIGN.md §16). Nil
 	// until the group's first MallocObjects.
 	object []uint64
 	// shared marks a group another runtime may write (shared or attached,
-	// share.go): none of its pages is fresh, now or later.
+	// share.go): every line of it reads as written, now and later.
 	shared bool
 	// attached marks a placement group mapped from another runtime
 	// (reader-mode shares, DESIGN.md §14). Its slab translates like any
@@ -291,10 +292,11 @@ func (rm *resourceManager) translate(addr mem.Addr) (nodeLink, uint64, error) {
 	return rm.translateLocked(addr)
 }
 
-// Lookup implements fpga.Translator: the page's fresh and object bits and
-// its route, under one hold of rm.mu — the one acquisition a fill makes.
-// A fresh page is not routed: nothing reads it. A page whose translation
-// fails gets no route, and ReadRange reports the failure.
+// Lookup implements fpga.Translator: the page's unwritten lines, its object
+// bit and its route, under one hold of rm.mu — the one acquisition a fill
+// makes. A page with no line written is not routed: nothing reads it. A
+// page whose translation fails gets no route, and ReadRange reports the
+// failure.
 func (rm *resourceManager) Lookup(base mem.Addr) fpga.Page {
 	p := fpga.Page{Base: base}
 	rm.mu.Lock()
@@ -304,10 +306,12 @@ func (rm *resourceManager) Lookup(base mem.Addr) fpga.Page {
 		return p
 	}
 	g := rm.replicas[s.ID]
+	if g.unwritten != nil {
+		p.Unwritten = g.unwritten[pageIndex(s, base)]
+	}
 	w, bit := pageBit(s, base)
-	p.Fresh = g.fresh != nil && g.fresh[w]&bit != 0
 	p.Object = g.object != nil && g.object[w]&bit != 0
-	if !p.Fresh {
+	if !p.Unwritten.Full() {
 		if l, off, err := rm.routeLocked(s, base); err == nil {
 			p.Route = fpga.Route{Via: l, Off: off, Gen: rm.gen.Load()}
 		}
@@ -315,14 +319,34 @@ func (rm *resourceManager) Lookup(base mem.Addr) fpga.Page {
 	return p
 }
 
-// ReadRange implements fpga.Translator over the slab map: it reads from
-// the member Lookup routed the page to, translating again if the route is
-// missing or the table has changed since. A failed read invalidates the
-// link's cached health verdict (tcpLink.noteFailure), so the single
-// re-translate probes the node live and fails over to a replica that is
-// still answering — without that retry, a node dying inside the health
-// cache's TTL would surface as a read error instead of a failover.
+// ReadRange implements fpga.Translator over the slab map (readRoute).
 func (rm *resourceManager) ReadRange(now simclock.Duration, p fpga.Page, off uint64, buf []byte) (simclock.Duration, error) {
+	return rm.readRoute(now, p, func(l nodeLink, poolOff uint64) (simclock.Duration, error) {
+		return l.readPage(now, poolOff+off, buf)
+	})
+}
+
+// ReadGather implements fpga.Translator as ReadRange does, in one
+// read-pages round trip, rebasing offs onto the member's pool in place.
+func (rm *resourceManager) ReadGather(now simclock.Duration, p fpga.Page, offs []uint64, bufs [][]byte) (simclock.Duration, error) {
+	var base uint64
+	return rm.readRoute(now, p, func(l nodeLink, poolOff uint64) (simclock.Duration, error) {
+		for i := range offs {
+			offs[i] += poolOff - base
+		}
+		base = poolOff
+		return l.readPages(now, offs, bufs)
+	})
+}
+
+// readRoute runs read against the member Lookup routed the page to,
+// translating again if the route is missing or the table has changed
+// since. A failed read invalidates the link's cached health verdict
+// (tcpLink.noteFailure), so the single re-translate probes the node live
+// and fails over to a replica that is still answering — without that
+// retry, a node dying inside the health cache's TTL would surface as a
+// read error instead of a failover.
+func (rm *resourceManager) readRoute(now simclock.Duration, p fpga.Page, read func(l nodeLink, poolOff uint64) (simclock.Duration, error)) (simclock.Duration, error) {
 	l, _ := p.Route.Via.(nodeLink)
 	poolOff := p.Route.Off
 	if l == nil || p.Route.Gen != rm.gen.Load() {
@@ -331,15 +355,14 @@ func (rm *resourceManager) ReadRange(now simclock.Duration, p fpga.Page, off uin
 			return now, err
 		}
 	}
-	done, err := l.readPage(now, poolOff+off, buf)
+	done, err := read(l, poolOff)
 	if err == nil {
 		return done, nil
 	}
-	l, poolOff, terr := rm.translate(p.Base)
-	if terr != nil {
-		return now, err
+	if l, poolOff, terr := rm.translate(p.Base); terr == nil {
+		return read(l, poolOff)
 	}
-	return l.readPage(now, poolOff+off, buf)
+	return now, err
 }
 
 // placement is one eviction destination for an address.
@@ -352,7 +375,7 @@ type placement struct {
 
 // placementsFor returns every configured replica destination for addr.
 func (rm *resourceManager) placementsFor(addr mem.Addr) ([]placement, error) {
-	return rm.placementsInto(addr, nil, false)
+	return rm.placementsInto(addr, nil, 0)
 }
 
 // placementsInto is placementsFor appending into a caller-owned scratch
@@ -364,11 +387,12 @@ func (rm *resourceManager) placementsFor(addr mem.Addr) ([]placement, error) {
 // Dropping a dead placement here would silently discard the only copy of
 // a victim's dirty lines.
 //
-// writeBack says the caller is about to send dirty bytes of addr's page to
-// these destinations (a dirty eviction, a VM page write-back): the page
-// stops being fresh in this critical section, before any of them can land,
-// so no later fill can zero-fill over what remote memory now holds.
-func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement, writeBack bool) ([]placement, error) {
+// writeBack names the lines of addr's page the caller is about to send to
+// these destinations (a dirty eviction's dirty lines, all of a VM page
+// write-back): they leave the page's unwritten mask in this critical
+// section, before any of them can land, so no later fill can zero-fill
+// over what remote memory now holds.
+func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement, writeBack mem.LineBitmap) ([]placement, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	dst = dst[:0]
@@ -386,15 +410,18 @@ func (rm *resourceManager) placementsInto(addr mem.Addr, dst []placement, writeB
 	if len(dst) == 0 {
 		return dst, fmt.Errorf("core: address %v has no configured placement", addr)
 	}
-	if writeBack {
-		g.fresh = setPageBit(g.fresh, s, addr, false)
+	if g.unwritten != nil {
+		g.unwritten[pageIndex(s, addr)] &^= writeBack
 	}
 	return dst, nil
 }
 
+// pageIndex is the index of addr's page in its slab.
+func pageIndex(s Slab, addr mem.Addr) uint64 { return uint64(addr-s.Base) / mem.PageSize }
+
 // pageBit locates the bit of addr's page in its group's page bitmaps.
 func pageBit(s Slab, addr mem.Addr) (word, bit uint64) {
-	i := uint64(addr-s.Base) / mem.PageSize
+	i := pageIndex(s, addr)
 	return i / 64, 1 << (i % 64)
 }
 
@@ -402,17 +429,18 @@ func pageBit(s Slab, addr mem.Addr) (word, bit uint64) {
 type allocAttr uint8
 
 const (
-	// attrFresh: the contents are undefined until written (group.fresh).
+	// attrFresh: the contents are undefined until written (group.unwritten).
 	attrFresh allocAttr = 1 << iota
 	// attrObjects: one object owns each page, from its start (group.object).
 	attrObjects
 )
 
-// markLocked sets the bits attr names for every page wholly inside
-// [addr, addr+size), or, with set false, clears them. A page the
+// markLocked marks every page wholly inside [addr, addr+size) as attr
+// names, or, with set false, unmarks its object bit: attrFresh makes every
+// line of the page unwritten, attrObjects sets its object bit. A page the
 // allocation only partly covers shares its bytes with a neighbour, so it
-// is never fresh and never an object page; neither is any page of a shared
-// group fresh. Caller holds rm.mu.
+// keeps its mask and is never an object page; a page of a shared group
+// keeps every line written. Caller holds rm.mu.
 func (rm *resourceManager) markLocked(addr mem.Addr, size uint64, attr allocAttr, set bool) {
 	end := (addr + mem.Addr(size)).AlignDown(mem.PageSize)
 	var s Slab
@@ -424,8 +452,11 @@ func (rm *resourceManager) markLocked(addr mem.Addr, size uint64, attr allocAttr
 			s, _ = rm.alloc.SlabFor(p)
 			g = rm.replicas[s.ID]
 		}
-		if attr&attrFresh != 0 && !g.shared {
-			g.fresh = setPageBit(g.fresh, s, p, set)
+		if attr&attrFresh != 0 && set && !g.shared {
+			if g.unwritten == nil {
+				g.unwritten = make([]mem.LineBitmap, s.Size/mem.PageSize)
+			}
+			g.unwritten[pageIndex(s, p)] = ^mem.LineBitmap(0)
 		}
 		if attr&attrObjects != 0 {
 			g.object = setPageBit(g.object, s, p, set)
@@ -447,13 +478,13 @@ func setPageBit(bm []uint64, s Slab, p mem.Addr, set bool) []uint64 {
 	return bm
 }
 
-// markShared records that another runtime may write the group: every
-// fresh bit it has goes, and MallocFresh sets none in it again.
+// markShared records that another runtime may write the group: every line
+// of it reads as written from now on, whatever MallocFresh is asked.
 func (rm *resourceManager) markShared(group uint64) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	if g := rm.replicas[group]; g != nil {
-		g.shared, g.fresh = true, nil
+		g.shared, g.unwritten = true, nil
 	}
 }
 
@@ -625,8 +656,9 @@ func (rm *resourceManager) attachedGroupFor(addr mem.Addr) (Slab, bool) {
 func (rm *resourceManager) Malloc(size uint64) (mem.Addr, error) { return rm.malloc(size, 0) }
 
 // MallocFresh is Malloc for memory whose contents the caller treats as
-// undefined until it writes them: the allocation's whole pages are marked
-// fresh, and a fill of a fresh page costs no round trip.
+// undefined until it writes them: every line of the allocation's whole
+// pages is marked unwritten, and a fill fetches only lines written back
+// since.
 func (rm *resourceManager) MallocFresh(size uint64) (mem.Addr, error) {
 	return rm.malloc(size, attrFresh)
 }

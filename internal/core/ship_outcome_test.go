@@ -43,6 +43,9 @@ func (l *fakeLink) healthy() bool {
 func (l *fakeLink) readPage(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error) {
 	return now, nil
 }
+func (l *fakeLink) readPages(now simclock.Duration, offs []uint64, bufs [][]byte) (simclock.Duration, error) {
+	return now, nil
+}
 func (l *fakeLink) writePage(now simclock.Duration, off uint64, data []byte) (simclock.Duration, error) {
 	return now, nil
 }

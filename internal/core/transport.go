@@ -37,6 +37,9 @@ type nodeLink interface {
 	healthy() bool
 	// readPage fills buf with the bytes at pool offset off.
 	readPage(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error)
+	// readPages fills each bufs[i], all of one length, with the bytes at
+	// pool offset offs[i], in one round trip.
+	readPages(now simclock.Duration, offs []uint64, bufs [][]byte) (simclock.Duration, error)
 	// writePage stores data at pool offset off.
 	writePage(now simclock.Duration, off uint64, data []byte) (simclock.Duration, error)
 	// shipLog delivers a packed cache-line log — given as scatter
@@ -129,6 +132,10 @@ func (l deadLink) err() error {
 }
 
 func (l deadLink) readPage(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error) {
+	return now, l.err()
+}
+
+func (l deadLink) readPages(now simclock.Duration, _ []uint64, _ [][]byte) (simclock.Duration, error) {
 	return now, l.err()
 }
 
@@ -231,6 +238,17 @@ func (l *rdmaLink) readPage(now simclock.Duration, off uint64, buf []byte) (simc
 	}
 	l.qp.PollCQ()
 	copy(buf, l.staging.Bytes())
+	return done, nil
+}
+
+// readPages posts the spans' reads back to back: the NIC serializes their
+// occupancy, and the propagation overlaps, as in one gather batch.
+func (l *rdmaLink) readPages(now simclock.Duration, offs []uint64, bufs [][]byte) (done simclock.Duration, err error) {
+	for i, off := range offs {
+		if done, err = l.readPage(now, off, bufs[i]); err != nil {
+			return now, err
+		}
+	}
 	return done, nil
 }
 
@@ -391,6 +409,16 @@ func (l *tcpLink) readPage(now simclock.Duration, off uint64, buf []byte) (simcl
 	// ReadInto lands the reply payload directly in the caller's page
 	// frame — no staging allocation, no copy.
 	if err := l.client.ReadInto(off, buf); err != nil {
+		l.noteFailure()
+		return now, err
+	}
+	return elapse(now, start), nil
+}
+
+// readPages is one read-pages RPC; the reply lands in bufs directly.
+func (l *tcpLink) readPages(now simclock.Duration, offs []uint64, bufs [][]byte) (simclock.Duration, error) {
+	start := time.Now()
+	if err := l.client.ReadPagesInto(offs, bufs); err != nil {
 		l.noteFailure()
 		return now, err
 	}

@@ -58,16 +58,23 @@ type Translator interface {
 	// page's end reads on into the bytes that follow it at p's route; the
 	// FPGA asks that only when the pages it covers have contiguous routes.
 	ReadRange(now simclock.Duration, p Page, off uint64, buf []byte) (simclock.Duration, error)
+	// ReadGather is ReadRange for several spans of p in one round trip:
+	// bufs[i], all of one length, is filled from byte offset offs[i] within
+	// the page. offs is the caller's scratch; the translator may rewrite it.
+	ReadGather(now simclock.Duration, p Page, offs []uint64, bufs [][]byte) (simclock.Duration, error)
 }
 
 // Page is the translator's answer about one page (DESIGN.md §16).
 type Page struct {
 	Base mem.Addr
-	// Fresh: remote memory holds nothing of the page worth reading (its
-	// contents are undefined until written, and it was never written back).
-	// A fill zeroes the lines the frame is missing — a recycled frame holds
-	// another page's bytes — with no ReadRange and no fetch hook.
-	Fresh bool
+	// Unwritten marks the lines remote memory holds nothing of worth
+	// reading: their contents are undefined until written, and no
+	// write-back has carried them. A fill zeroes the missing ones — a
+	// recycled frame holds another page's bytes — and fetches only the
+	// missing lines that were written; with every line unwritten it makes
+	// no ReadRange and runs no fetch hook. The zero value fetches
+	// everything.
+	Unwritten mem.LineBitmap
 	// Object: one object owns the page, from its start, so no read wants
 	// the bytes past that object's end. A fill fetches only the lines asked
 	// for, not the FetchBytes block around them: no neighbour's later hit
@@ -173,9 +180,8 @@ type Stats struct {
 	// BytesFetched is the total remote payload pulled (goodput numerator
 	// for fetch-granularity studies).
 	BytesFetched uint64
-	// FreshFills counts fills of fresh pages zeroed locally instead of
-	// fetched (see Page.Fresh): one per fetch-granularity block, or one per
-	// fill of an object page.
+	// FreshFills counts fills that zeroed unwritten lines locally instead
+	// of fetching them (see Page.Unwritten): one per fill that zeroed any.
 	FreshFills uint64
 	// Fetches splits RemoteFetches by cause; the entries sum to it.
 	Fetches [NumFetchCauses]uint64
@@ -239,7 +245,11 @@ type shard struct {
 	epoch   atomic.Uint64
 	tick    uint64
 	scratch []byte
-	stats   Stats
+	// runs, offs and bufs stage one gather of written lines (readLines).
+	runs  []mem.Segment
+	offs  []uint64
+	bufs  [][]byte
+	stats Stats
 	// resident counts the shard's valid frames, so Occupancy and
 	// FlushDirty's retained count need no walk over the sets.
 	resident int
@@ -534,10 +544,10 @@ func (f *FPGA) runPrefetch(pf prefetchIntent) {
 }
 
 // prefetchOne pulls one page speculatively under its shard lock. It skips
-// pages already (or concurrently made) resident, fresh pages — zero-filling
-// a page nobody has written into a frame buys nothing and evicts a cached
-// one — and object pages, whose next page is another object's or the
-// untouched tail of its own.
+// pages already (or concurrently made) resident, pages with no line
+// written — zero-filling a page nobody has written into a frame buys
+// nothing and evicts a cached one — and object pages, whose next page is
+// another object's or the untouched tail of its own.
 func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 	sh := f.shardFor(target)
 	sh.mu.Lock()
@@ -546,7 +556,7 @@ func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 		return
 	}
 	pg := f.translate.Lookup(mem.PageBase(target))
-	if pg.Fresh || pg.Object {
+	if pg.Unwritten.Full() || pg.Object {
 		return
 	}
 	fr := f.installLocked(sh, now, mem.PageBase(target))
@@ -573,8 +583,8 @@ func (f *FPGA) EnableSpanReads() { f.spanReads = true }
 // lines are the fill's (fillLines): an object page's up to the line the
 // read reaches, any other page's FetchBytes blocks around them. Residency
 // is checked before the Lookup, so a page the read hits asks the translator
-// nothing. A fresh page has nothing to fetch and is left out: the per-page
-// path zero-fills it.
+// nothing. Only the written lines are collected: the per-page path zeroes
+// the unwritten ones, and a page with none written is left out.
 func (f *FPGA) collectPage(ss *spanScratch, page uint64, lo, hi int) {
 	sh := f.shardFor(page)
 	sh.mu.Lock()
@@ -590,7 +600,7 @@ func (f *FPGA) collectPage(ss *spanScratch, page uint64, lo, hi int) {
 	epoch := sh.epoch.Load()
 	sh.mu.Unlock()
 	pg := f.translate.Lookup(mem.PageBase(page))
-	if missing := f.fillLines(pg.Object, lo, hi, hi) &^ filled; !pg.Fresh && missing != 0 {
+	if missing := f.fillLines(pg.Object, lo, hi, hi) &^ filled &^ pg.Unwritten; missing != 0 {
 		ss.pages = append(ss.pages, spanPage{page: pg, epoch: epoch, resident: fr != nil, missing: missing})
 	}
 }
@@ -625,55 +635,67 @@ func (f *FPGA) fillLines(object bool, lo, hi, reach int) (lines mem.LineBitmap) 
 }
 
 // fillLocked fetches what lines [lo, hi] of the looked-up page pg are
-// missing from the frame. An object page's fill is exact: only its
-// missing lines in [lo, reach], one ReadRange per contiguous run of them,
-// straight into the frame (no line read is present, so nothing needs
-// staging). Any other page fetches the missing FetchBytes blocks covering
-// [lo, hi]. A fresh page's missing lines are zeroed in place of the fetch,
-// counting one FreshFills per block or run.
+// missing from the frame. A page with an unwritten line, and an object
+// page, fill exactly: the missing unwritten lines are zeroed (one
+// FreshFills), and the missing written ones — an object page's in [lo,
+// reach], any other page's in the FetchBytes blocks covering [lo, hi] — come
+// over in one round trip straight into the frame (readLines), if any line
+// of [lo, reach] is among them: a write ending in an unwritten line reads
+// nothing for ownership. Any other page fetches its missing FetchBytes
+// blocks whole, one ReadRange each.
 // Lines already present are never overwritten: they may hold newer local
 // writes. Caller holds sh.mu.
 func (f *FPGA) fillLocked(sh *shard, now simclock.Duration, fr *frame, pg Page, lo, hi, reach int, cause FetchCause) (simclock.Duration, error) {
-	lpb := int(f.cfg.FetchBytes) / mem.CacheLineSize
 	if pg.Object {
 		fr.object = true
-		lpb = 1
 	}
 	missing := f.fillLines(pg.Object, lo, hi, reach) &^ fr.filled
+	if zero := missing & pg.Unwritten; zero != 0 {
+		for z := uint64(zero); z != 0; z &= z - 1 {
+			l := bits.TrailingZeros64(z)
+			clear(fr.data[l*mem.CacheLineSize : (l+1)*mem.CacheLineSize])
+		}
+		fr.filled |= zero
+		missing &^= zero
+		sh.stats.FreshFills++
+	}
+	var need mem.LineBitmap
+	need.SetRange(lo, reach+1)
+	if missing == 0 || pg.Unwritten != 0 && missing&need == 0 {
+		// Nothing the caller reads is missing: the block's other written
+		// lines wait for a fill that needs them.
+		return now, nil
+	}
 	done := now
-	if missing != 0 && !pg.Fresh && f.onFetch != nil {
+	if f.onFetch != nil {
 		now = f.onFetch(now, pg.Base)
 		done = max(done, now)
 	}
-	for missing != 0 {
-		// The next run to fill: a run of missing lines on an object page,
-		// one FetchBytes block otherwise.
-		first := bits.TrailingZeros64(uint64(missing))
-		n := lpb
-		if pg.Object {
-			n = bits.TrailingZeros64(^uint64(missing >> first))
+	if pg.Object || pg.Unwritten != 0 {
+		runDone, err := f.readLines(sh, now, fr, pg, missing)
+		if err != nil {
+			return now, fmt.Errorf("fpga: remote fetch %v: %w", pg.Base, err)
 		}
-		first = first / lpb * lpb
+		sh.stats.RemoteFetches++
+		sh.stats.Fetches[cause]++
+		sh.stats.BytesFetched += uint64(missing.Count() * mem.CacheLineSize)
+		fr.filled |= missing
+		return max(done, runDone), nil
+	}
+	lpb := int(f.cfg.FetchBytes) / mem.CacheLineSize
+	for missing != 0 {
+		// The next FetchBytes block to fill.
+		first := bits.TrailingZeros64(uint64(missing)) / lpb * lpb
 		var run mem.LineBitmap
-		run.SetRange(first, first+n)
+		run.SetRange(first, first+lpb)
 		have := fr.filled & run
 		missing &^= run
-		if pg.Fresh {
-			for l := first; l < first+n; l++ {
-				if !have.Get(l) {
-					clear(fr.data[l*mem.CacheLineSize : (l+1)*mem.CacheLineSize])
-				}
-			}
-			sh.stats.FreshFills++
-			fr.filled |= run
-			continue
-		}
-		// A run with no line present — every demand miss of a newly
-		// installed frame, every object-page run — is read straight into
-		// the frame. A partly filled block (RFO boundary lines, sub-page
-		// fills) is staged, and only its missing lines are merged in: the
-		// present ones may be newer.
-		off, size := first*mem.CacheLineSize, n*mem.CacheLineSize
+		// A block with no line present — every demand miss of a newly
+		// installed frame — is read straight into the frame. A partly
+		// filled block (RFO boundary lines, sub-page fills) is staged, and
+		// only its missing lines are merged in: the present ones may be
+		// newer.
+		off, size := first*mem.CacheLineSize, lpb*mem.CacheLineSize
 		dst, staged := fr.data[off:off+size], have != 0
 		if staged {
 			if sh.scratch == nil {
@@ -688,7 +710,7 @@ func (f *FPGA) fillLocked(sh *shard, now simclock.Duration, fr *frame, pg Page, 
 		sh.stats.RemoteFetches++
 		sh.stats.Fetches[cause]++
 		sh.stats.BytesFetched += uint64(size)
-		for l := first; staged && l < first+n; l++ {
+		for l := first; staged && l < first+lpb; l++ {
 			if !have.Get(l) {
 				lineOff := l * mem.CacheLineSize
 				copy(fr.data[lineOff:lineOff+mem.CacheLineSize], dst[lineOff-off:])
@@ -698,6 +720,35 @@ func (f *FPGA) fillLocked(sh *shard, now simclock.Duration, fr *frame, pg Page, 
 		done = max(done, runDone)
 	}
 	return done, nil
+}
+
+// readLines reads the given lines of pg into the same lines of the frame,
+// none of them present, in one round trip: one ReadRange when they form
+// one run, otherwise one ReadGather with a span per run when the runs are
+// of equal length and a span per line when they are not. Caller holds
+// sh.mu, which guards the shard's gather scratch.
+func (f *FPGA) readLines(sh *shard, now simclock.Duration, fr *frame, pg Page, lines mem.LineBitmap) (simclock.Duration, error) {
+	sh.runs = lines.AppendSegments(sh.runs[:0])
+	if len(sh.runs) == 1 {
+		off, size := sh.runs[0].First*mem.CacheLineSize, sh.runs[0].N*mem.CacheLineSize
+		return f.translate.ReadRange(now, pg, uint64(off), fr.data[off:off+size])
+	}
+	span := sh.runs[0].N
+	for _, r := range sh.runs[1:] {
+		if r.N != span {
+			span = 1
+			break
+		}
+	}
+	sh.offs, sh.bufs = sh.offs[:0], sh.bufs[:0]
+	for _, r := range sh.runs {
+		for l := r.First; l < r.First+r.N; l += span {
+			off := l * mem.CacheLineSize
+			sh.offs = append(sh.offs, uint64(off))
+			sh.bufs = append(sh.bufs, fr.data[off:off+span*mem.CacheLineSize])
+		}
+	}
+	return f.translate.ReadGather(now, pg, sh.offs, sh.bufs)
 }
 
 // installLocked places a page frame, evicting the set's LRU victim if
@@ -829,10 +880,10 @@ func (f *FPGA) setDirtyBit(si uint64, up bool) {
 }
 
 // prefillSpan pre-stages the pages a multi-page Read spans, so the
-// per-page loop below runs at FMem-hit cost: the lines the read is missing,
-// on every page that is not fresh, come in with one contiguous read
-// (fetchSpan). Best-effort: an error leaves the lines absent and the
-// per-page path surfaces the real failure.
+// per-page loop below runs at FMem-hit cost: the written lines the read is
+// missing, on every page, come in with one contiguous read (fetchSpan).
+// Best-effort: an error leaves the lines absent and the per-page path
+// surfaces the real failure.
 func (f *FPGA) prefillSpan(now simclock.Duration, addr mem.Addr, n int) simclock.Duration {
 	end := addr + mem.Addr(n-1)
 	firstPage, lastPage := addr.Page(), end.Page()

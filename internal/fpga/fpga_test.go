@@ -51,6 +51,18 @@ func (t *rigTranslator) ReadRange(now simclock.Duration, p Page, off uint64, buf
 	return done, nil
 }
 
+// ReadGather implements Translator as one ReadRange per span.
+func (t *rigTranslator) ReadGather(now simclock.Duration, p Page, offs []uint64, bufs [][]byte) (simclock.Duration, error) {
+	done := now
+	for i, off := range offs {
+		var err error
+		if done, err = t.ReadRange(done, p, off, bufs[i]); err != nil {
+			return now, err
+		}
+	}
+	return done, nil
+}
+
 const rigBase = mem.Addr(1 << 40)
 
 func newRig(t *testing.T, fmemPages int, prefetch bool) *testRig {

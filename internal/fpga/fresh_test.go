@@ -22,9 +22,8 @@ type staleTranslator struct {
 }
 
 func (s *staleTranslator) Lookup(base mem.Addr) Page {
-	fresh := base >= rigBase && base < s.fresh
-	if fresh {
-		return Page{Base: base, Fresh: true}
+	if base >= rigBase && base < s.fresh {
+		return Page{Base: base, Unwritten: ^mem.LineBitmap(0)}
 	}
 	return Page{Base: base, Route: Route{Via: s, Off: uint64(base)}}
 }
@@ -33,6 +32,16 @@ func (s *staleTranslator) ReadRange(now simclock.Duration, _ Page, off uint64, b
 	s.reads++
 	for i := range buf {
 		buf[i] = 0xEE
+	}
+	return now + 1000, nil
+}
+
+func (s *staleTranslator) ReadGather(now simclock.Duration, _ Page, _ []uint64, bufs [][]byte) (simclock.Duration, error) {
+	s.reads++
+	for _, b := range bufs {
+		for i := range b {
+			b[i] = 0xEE
+		}
 	}
 	return now + 1000, nil
 }

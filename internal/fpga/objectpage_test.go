@@ -15,14 +15,18 @@ import (
 
 // objTranslator is remote memory holding a known pattern over
 // [rigBase, rigBase+objRemote). Pages below objects are object pages,
-// pages below fresh are fresh; every ReadRange is logged. Routes are
-// contiguous unless split names a page whose route starts a new endpoint.
+// pages below fresh have no line written; every ReadRange is logged in
+// reads, every ReadGather in gathers. Routes are contiguous unless split
+// names a page whose route starts a new endpoint.
 type objTranslator struct {
 	remote         []byte
 	objects, fresh mem.Addr
 	split          mem.Addr
 	reads          []objRead
+	gathers        [][]objRead
 	lookup         int
+	// unwritten, when it names a page, is that page's Page.Unwritten.
+	unwritten map[mem.Addr]mem.LineBitmap
 }
 
 // objRead is one logged ReadRange: the page, the offset in it, the length.
@@ -51,17 +55,29 @@ func (t *objTranslator) Lookup(base mem.Addr) Page {
 	if t.split != 0 && base >= t.split {
 		via = &t.split // another endpoint
 	}
-	return Page{
-		Base:   base,
-		Fresh:  base < t.fresh,
-		Object: base < t.objects,
-		Route:  Route{Via: via, Off: uint64(base - rigBase)},
+	p := Page{Base: base, Object: base < t.objects, Route: Route{Via: via, Off: uint64(base - rigBase)}}
+	if base < t.fresh {
+		p.Unwritten = ^mem.LineBitmap(0)
 	}
+	if u, ok := t.unwritten[base]; ok {
+		p.Unwritten = u
+	}
+	return p
 }
 
 func (t *objTranslator) ReadRange(now simclock.Duration, p Page, off uint64, buf []byte) (simclock.Duration, error) {
 	t.reads = append(t.reads, objRead{p.Base, int(off), len(buf)})
 	copy(buf, t.remote[uint64(p.Base-rigBase)+off:])
+	return now + 1000, nil
+}
+
+func (t *objTranslator) ReadGather(now simclock.Duration, p Page, offs []uint64, bufs [][]byte) (simclock.Duration, error) {
+	var g []objRead
+	for i, off := range offs {
+		g = append(g, objRead{p.Base, int(off), len(bufs[i])})
+		copy(bufs[i], t.remote[uint64(p.Base-rigBase)+off:])
+	}
+	t.gathers = append(t.gathers, g)
 	return now + 1000, nil
 }
 
@@ -171,8 +187,16 @@ func TestObjectFillKeepsWrittenLines(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("the fill overwrote the written line, or missed a remote one")
 	}
-	// Two runs of missing lines around the written one: two reads.
-	tr.wantReads(t, objRead{rigBase, 2 * line, 2 * line}, objRead{rigBase, 5 * line, 2 * line})
+	// Two runs of missing lines around the written one, of equal length:
+	// one gather of a span per run, one round trip.
+	tr.wantReads(t)
+	if len(tr.gathers) != 1 || len(tr.gathers[0]) != 2 ||
+		tr.gathers[0][0] != (objRead{rigBase, 2 * line, 2 * line}) || tr.gathers[0][1] != (objRead{rigBase, 5 * line, 2 * line}) {
+		t.Fatalf("gathers = %+v, want one of lines 2..3 and 5..6", tr.gathers)
+	}
+	if st := f.Stats(); st.RemoteFetches != 1 || st.BytesFetched != 4*line {
+		t.Fatalf("RemoteFetches %d, BytesFetched %d; want 1, %d", st.RemoteFetches, st.BytesFetched, 4*line)
+	}
 }
 
 func TestObjectFreshPageZeroFills(t *testing.T) {

@@ -25,6 +25,15 @@ func (m mallocChunks) MallocObjects(size uint64) (mem.Addr, error) { return m.Ma
 // whose memnodes count what they serve into one registry.
 func countedRack(t *testing.T) (ctrlAddr string, served func(kind string) uint64) {
 	t.Helper()
+	ctrlAddr, reg := countedRackReg(t)
+	return ctrlAddr, func(kind string) uint64 {
+		return reg.Counter("cluster.memnode.served." + kind).Value()
+	}
+}
+
+// countedRackReg is countedRack handing out the memnodes' registry itself.
+func countedRackReg(t *testing.T) (ctrlAddr string, reg *telemetry.Registry) {
+	t.Helper()
 	cs, err := cluster.ServeController(cluster.NewController(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +41,7 @@ func countedRack(t *testing.T) (ctrlAddr string, served func(kind string) uint64
 	t.Cleanup(func() { cs.Close() })
 	cc := cluster.DialController(cs.Addr())
 	defer cc.Close()
-	reg := telemetry.New(0)
+	reg = telemetry.New(0)
 	for i := 0; i < 2; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -44,9 +53,7 @@ func countedRack(t *testing.T) (ctrlAddr string, served func(kind string) uint64
 			t.Fatal(err)
 		}
 	}
-	return cs.Addr(), func(kind string) uint64 {
-		return reg.Counter("cluster.memnode.served." + kind).Value()
-	}
+	return cs.Addr(), reg
 }
 
 // TestFreshLoadFetchesNothing is the `make guards` count guard for fresh
@@ -143,5 +150,102 @@ func TestMallocChunkLoadFetchesAreRFO(t *testing.T) {
 	}
 	if fresh := load(func(k *core.Kona) Runtime { return k }); fresh.RemoteFetches != 0 {
 		t.Errorf("MallocFresh-chunk load fetched %d times (by cause %v), want 0", fresh.RemoteFetches, fresh.Fetches)
+	}
+}
+
+// TestGetFetchesOnlyWrittenLines is the `make guards` count guard for
+// written-lines masks (DESIGN.md §16), over a loopback TCP rack, never
+// timed. A one-shard store takes eight 512 B values, four to a page of the
+// 1 KB class: each 536 B record writes 9 of its block's 16 lines. A Sync
+// writes them back and leaves FMem cold. Then:
+//   - a get makes exactly one RPC, and the memnodes send exactly the
+//     page's 4 × 9 written lines (the whole 4 KB page before masks);
+//   - a set of a 900 B value into a freed block of the other page, whose
+//     record ends in a line the old record never reached, zeroes that line
+//     instead of reading it: no `rfo` fetch and no memnode read RPC (one
+//     of each before masks).
+func TestGetFetchesOnlyWrittenLines(t *testing.T) {
+	key := func(i int) string { return fmt.Sprintf("w-%02d", i) }
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 512) }
+	if c := classOf(recordSize(len(key(0)), 512)); blockBytes(c) != 1024 || recordSize(len(key(0)), 512) > 9*mem.CacheLineSize {
+		t.Fatalf("a %d B record takes class %d (%d B blocks), want 9 lines of a 1 KB block",
+			recordSize(len(key(0)), 512), c, blockBytes(c))
+	}
+	ctrlAddr, reg := countedRackReg(t)
+	counter := func(name string) uint64 { return reg.Counter(name).Value() }
+	rpcs := func() uint64 {
+		return counter("cluster.memnode.served.read") + counter("cluster.memnode.served.read-pages")
+	}
+	cfg := core.DefaultConfig(16 << 20)
+	cfg.Metrics = telemetry.New(0)
+	k := core.NewKonaTCPWith(cfg, ctrlAddr, kvTransport())
+	s := NewStore(k, Config{Shards: 1})
+	sh := s.shards[0]
+	for i := 0; i < 8; i++ {
+		if _, err := s.Set(0, key(i), value(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pageA, pageB := sh.idx[key(0)].addr.Page(), sh.idx[key(4)].addr.Page()
+	for i := 0; i < 8; i++ {
+		if p := sh.idx[key(i)].addr.Page(); p != pageA && i < 4 || p != pageB && i >= 4 || pageA == pageB {
+			t.Fatalf("key %d on page %#x; want keys 0-3 on one page, 4-7 on another", i, p)
+		}
+	}
+	if _, err := s.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+
+	rpcs0, bytes0 := rpcs(), counter("cluster.memnode.read_bytes")
+	got, _, _, ok, err := s.Get(0, key(2), nil)
+	if err != nil || !ok || !bytes.Equal(got, value(2)) {
+		t.Fatalf("get %s: ok=%t err=%v, value intact=%t", key(2), ok, err, bytes.Equal(got, value(2)))
+	}
+	dRPCs, dBytes := rpcs()-rpcs0, counter("cluster.memnode.read_bytes")-bytes0
+	t.Logf("cold get: %d RPCs, %d B sent by the memnodes", dRPCs, dBytes)
+	if dRPCs != 1 || dBytes != 4*9*mem.CacheLineSize {
+		t.Errorf("cold get: %d RPCs and %d B; want 1 and the 4 × 9 written lines, %d B", dRPCs, dBytes, 4*9*mem.CacheLineSize)
+	}
+	for i := 0; i < 4; i++ { // the rest of the page came with it
+		if got, _, _, ok, err = s.Get(0, key(i), got); err != nil || !ok || !bytes.Equal(got, value(i)) {
+			t.Fatalf("get %s: ok=%t err=%v, value intact=%t", key(i), ok, err, bytes.Equal(got, value(i)))
+		}
+	}
+	if rpcs() != rpcs0+1 {
+		t.Errorf("gets of the page's other keys made %d RPCs, want 0", rpcs()-rpcs0-1)
+	}
+
+	if _, ok, err := s.Delete(0, key(5)); err != nil || !ok {
+		t.Fatalf("delete %s: ok=%t err=%v", key(5), ok, err)
+	}
+	freed := sh.idx[key(6)].addr - 1024
+	big := bytes.Repeat([]byte{0xB9}, 900)
+	rfo := cfg.Metrics.Counter("core.fpga.fetches.rfo")
+	k.PublishTelemetry()
+	rfo0, rpcs1 := rfo.Value(), rpcs()
+	if _, err := s.Set(0, "w-big", big, 0); err != nil {
+		t.Fatal(err)
+	}
+	k.PublishTelemetry()
+	if a := sh.idx["w-big"].addr; a != freed {
+		t.Fatalf("set landed at %#x, want the freed block %#x", a, freed)
+	}
+	t.Logf("set into a freed block past its old record's lines: %d rfo fetches, %d RPCs", rfo.Value()-rfo0, rpcs()-rpcs1)
+	if rfo.Value() != rfo0 || rpcs() != rpcs1 {
+		t.Errorf("set made %d rfo fetches and %d RPCs, want 0 and 0", rfo.Value()-rfo0, rpcs()-rpcs1)
+	}
+	for i := 0; i < 8; i++ {
+		if i == 5 {
+			continue
+		}
+		if got, _, _, ok, err = s.Get(0, key(i), got); err != nil || !ok || !bytes.Equal(got, value(i)) {
+			t.Fatalf("get %s: ok=%t err=%v, value intact=%t", key(i), ok, err, bytes.Equal(got, value(i)))
+		}
+	}
+	if got, _, _, ok, err = s.Get(0, "w-big", got); err != nil || !ok || !bytes.Equal(got, big) {
+		t.Fatalf("get w-big: ok=%t err=%v, value intact=%t", ok, err, bytes.Equal(got, big))
+	}
+	if err := k.Close(0); err != nil {
+		t.Fatal(err)
 	}
 }
