@@ -37,9 +37,9 @@ fuzz:
 bench-quick:
 	$(GO) run -race ./cmd/kona-bench -run all -quick -parallel 0 -out /dev/null
 
-# Eviction-path guard (DESIGN.md §8): the steady-state evict and
-# fetch-hit allocation checks (-benchmem must report 0 allocs/op on the
-# arena-backed paths), the wire's single-vs-batched ReadPages round
+# Eviction-path guard (DESIGN.md §8): the steady-state evict (one memnode
+# and two) and fetch-hit allocation checks (-benchmem must report
+# 0 allocs/op on the arena-backed paths), the wire's single-vs-batched ReadPages round
 # trip (the `read-pages` kind the replacement engine's copy uses), and a
 # fill's gather of a page's written lines against one 4 KB `read`.
 # -benchtime=1x keeps it a smoke run; compare properly with -benchtime=2s.
@@ -47,12 +47,13 @@ bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle|BenchmarkGatherVsPageRead' -benchtime=1x ./internal/cluster
 
-# Twelve single-test guards. The first three run on the simulated fabric and
+# Thirteen single-test guards. The first three run on the simulated fabric and
 # bound counts or *virtual-time* p99s — latency computed on the simulated
 # fabric's clock, which nothing off the measured path can touch — so they
 # are deterministic and have no noise floor to state. The fourth is
-# wall-clock; its test comment states the floor. The last eight count RPCs
-# or bytes on loopback TCP and time nothing.
+# wall-clock; its test comment states the floor. The next eight count RPCs
+# or bytes on loopback TCP and time nothing. The last bounds the bytes the
+# eviction arena holds, on the simulated fabric.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
 #    frame to the eviction handler, and the read pass after it must not
@@ -104,8 +105,12 @@ bench-evict:
 #    written lines (the whole 4 KB page before written-lines masks); a set
 #    ending in a line no record ever reached makes no `rfo` fetch and no
 #    memnode RPC (one of each before).
+#  - Arena lifetime (DESIGN.md §8): with pages on two memnodes filling at
+#    different rates and no Sync, so only threshold cycles run, 2 040 dirty
+#    evictions leave core.evict.arena_bytes at most 4 x LogBytes (4 MB, 16
+#    chunks, when an arena recycled only once every batch was empty).
 guards:
-	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine|TestMultiPageReadIsOneRPC' -count=1 -v ./internal/core
+	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine|TestMultiPageReadIsOneRPC|TestEvictArenaBoundedAcrossDestinations' -count=1 -v ./internal/core
 	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines|TestSetReusesCachedBlock|TestObjectSetClaimsItsLastLine|TestGetFetchesOnlyWrittenLines' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the

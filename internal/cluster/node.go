@@ -362,19 +362,41 @@ func (n *MemoryNode) checkIncarnation(epoch uint64) error {
 // (and the memnode server's data RPCs) can read concurrently with
 // UnpackLog scattering lines into the pool.
 func (n *MemoryNode) ReadAt(off uint64, buf []byte) error {
+	return n.ReadSpans([]uint64{off}, len(buf), buf)
+}
+
+// ReadSpans is one read-pages gather: it copies len(offs) spans of length
+// bytes, the i-th from pool offset offs[i], into consecutive length-byte
+// slots of dst. It takes the lock once and bounds-checks every span before
+// copying any, so a gather with an overrunning span fails whole; a gather
+// counts as one read op, its bytes as their total.
+func (n *MemoryNode) ReadSpans(offs []uint64, length int, dst []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.failed {
 		return fmt.Errorf("memnode %d: failed", n.id)
 	}
-	pool := n.pool.Bytes()
-	if off+uint64(len(buf)) > uint64(len(pool)) {
-		return fmt.Errorf("memnode %d: read [%d,+%d) overruns pool", n.id, off, len(buf))
+	if len(dst) != len(offs)*length {
+		return fmt.Errorf("memnode %d: gather of %d x %d bytes into %d", n.id, len(offs), length, len(dst))
 	}
-	copy(buf, pool[off:])
+	pool := n.pool.Bytes()
+	for _, off := range offs {
+		if overruns(off, length, pool) {
+			return fmt.Errorf("memnode %d: read [%d,+%d) overruns pool", n.id, off, length)
+		}
+	}
+	for i, off := range offs {
+		copy(dst[i*length:(i+1)*length], pool[off:])
+	}
 	n.readOps++
-	n.readBytes += uint64(len(buf))
+	n.readBytes += uint64(len(dst))
 	return nil
+}
+
+// overruns reports whether [off, off+n) reaches past the pool; an offset
+// near 2^64 must not wrap into range.
+func overruns(off uint64, n int, pool []byte) bool {
+	return off > uint64(len(pool)) || uint64(n) > uint64(len(pool))-off
 }
 
 // WriteAt stores data into the pool at off, synchronized like ReadAt.
@@ -393,7 +415,7 @@ func (n *MemoryNode) WriteAtFrom(writer, off uint64, data []byte) error {
 		return fmt.Errorf("memnode %d: failed", n.id)
 	}
 	pool := n.pool.Bytes()
-	if off+uint64(len(data)) > uint64(len(pool)) {
+	if overruns(off, len(data), pool) {
 		return fmt.Errorf("memnode %d: write [%d,+%d) overruns pool", n.id, off, len(data))
 	}
 	if err := n.admitLocked(off, len(data), writer); err != nil {

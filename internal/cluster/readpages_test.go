@@ -2,7 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
+	"math/rand"
 	"net"
+	"slices"
 	"testing"
 
 	"kona/internal/mem"
@@ -160,6 +164,146 @@ func TestReadKindsRetrySafely(t *testing.T) {
 	}
 	t.Logf("%d drops, %d retries, %d redials", s.Counters["faultconn.drops"],
 		s.Counters["cluster.rpc.retries"], s.Counters["cluster.rpc.redials"])
+}
+
+// TestMutatingKindsRetrySafely is the next slice of retry safety: `write`
+// (a pure overwrite), `seal-extent` and `unseal-extent` (level-triggered)
+// through the same dropping FaultListener as TestReadKindsRetrySafely. A
+// seeded stream of writes, seals and unseals goes to the faulted memnode
+// over the wire and, delivered once each, to a reference node in process.
+// Some requests must have needed a retry; every outcome (a write refused
+// by a seal, or accepted) must match the clean delivery's, and so must
+// the final pool bytes and seal set.
+func TestMutatingKindsRetrySafely(t *testing.T) {
+	reg := telemetry.New(0)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := NewFaultListener(inner, FaultConfig{Seed: 23, DropProb: 0.1, Metrics: reg})
+	node, ref := NewMemoryNode(0, 1<<20), NewMemoryNode(1, 1<<20)
+	ns := ServeMemoryNodeOn(node, fl)
+	defer ns.Close()
+	tr := chaosTransport(23)
+	tr.Metrics = reg
+	mc := DialMemoryNodeTransport(ns.Addr(), tr)
+	defer mc.Close()
+
+	const extent = 8 * mem.PageSize // eight sealable extents over the first 64 pages
+	rng := rand.New(rand.NewSource(23))
+	sealed, writes := 0, 0
+	for i := 0; i < 300; i++ {
+		ext := uint64(rng.Intn(8)) * extent
+		var got, want error
+		switch op := rng.Intn(4); op {
+		case 0:
+			got, want = mc.Seal(ext, extent), nil
+			ref.Seal(ext, extent)
+		case 1:
+			got, want = mc.Unseal(ext, extent), nil
+			ref.Unseal(ext, extent)
+		default:
+			off := ext + uint64(rng.Intn(int(extent)-512))
+			data := bytes.Repeat([]byte{byte(i + 1)}, 1+rng.Intn(512))
+			got, want = mc.WriteVec(off, data[:len(data)/2], data[len(data)/2:]), ref.WriteAt(off, data)
+			writes++
+		}
+		if errors.Is(got, ErrSealed) != errors.Is(want, ErrSealed) || (got == nil) != (want == nil) {
+			t.Fatalf("op %d: faulted delivery returned %v, clean delivery %v", i, got, want)
+		}
+		if errors.Is(want, ErrSealed) {
+			sealed++
+		}
+	}
+	s := reg.Snapshot()
+	if s.Counters["faultconn.drops"] == 0 || s.Counters["cluster.rpc.retries"] == 0 {
+		t.Fatalf("drops %d, retries %d: the faults never reached a request, the test proves nothing",
+			s.Counters["faultconn.drops"], s.Counters["cluster.rpc.retries"])
+	}
+	if sealed == 0 || sealed == writes {
+		t.Fatalf("%d of %d writes refused by a seal: the stream never mixed both outcomes", sealed, writes)
+	}
+	if !bytes.Equal(node.PoolBytes(), ref.PoolBytes()) {
+		t.Fatal("pool after retried delivery differs from one clean delivery")
+	}
+	seals := func(n *MemoryNode) []sealRange {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		out := slices.Clone(n.seals)
+		slices.SortFunc(out, func(a, b sealRange) int { return cmp.Compare(a.off, b.off) })
+		return out
+	}
+	if got, want := seals(node), seals(ref); !slices.Equal(got, want) {
+		t.Fatalf("seal set after retried delivery %v, after one clean delivery %v", got, want)
+	}
+	t.Logf("%d drops, %d retries; %d of %d writes refused by a seal", s.Counters["faultconn.drops"],
+		s.Counters["cluster.rpc.retries"], sealed, writes)
+}
+
+// TestGatherIsOneReadOp pins MemoryNode.ReadSpans, the memnode side of a
+// `read-pages` gather: a 36-span gather of single lines, in process or
+// over the wire, adds exactly one read op and its bytes to the load map
+// and returns the pool's bytes. A gather with one overrunning span (past
+// the pool's end, or an offset that would wrap past 2^64) fails whole:
+// nothing copied, nothing counted; a `read` at such an offset fails too,
+// where the wrap once panicked the memnode.
+func TestGatherIsOneReadOp(t *testing.T) {
+	c, node := readPagesRig(t)
+	pool := node.PoolBytes()
+	for i := range pool {
+		pool[i] = byte(i*7 + i>>12)
+	}
+	const line = mem.CacheLineSize
+	offs := make([]uint64, 36)
+	for i := range offs {
+		offs[i] = uint64(i%3)*mem.PageSize + uint64(i)*line
+	}
+	before := node.LoadCounters()
+	dst := make([]byte, len(offs)*line)
+	if err := node.ReadSpans(offs, line, dst); err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([][]byte, len(offs))
+	for i := range bufs {
+		bufs[i] = make([]byte, line)
+	}
+	if err := c.ReadPagesInto(offs, bufs); err != nil {
+		t.Fatal(err)
+	}
+	after := node.LoadCounters()
+	if ops, n := after.ReadOps-before.ReadOps, after.ReadBytes-before.ReadBytes; ops != 2 || n != 2*36*line {
+		t.Fatalf("two 36-span gathers counted %d read ops / %d bytes, want 2 / %d", ops, n, 2*36*line)
+	}
+	for i, off := range offs {
+		want := pool[off : off+line]
+		if !bytes.Equal(dst[i*line:(i+1)*line], want) || !bytes.Equal(bufs[i], want) {
+			t.Fatalf("span %d at %d differs from the pool", i, off)
+		}
+	}
+
+	for _, bad := range []uint64{uint64(len(pool)) - line/2, ^uint64(0) - 10} {
+		offs := append(slices.Clone(offs[:35]), bad)
+		before := node.LoadCounters()
+		dst := bytes.Repeat([]byte{0xEE}, len(offs)*line)
+		if err := node.ReadSpans(offs, line, dst); err == nil {
+			t.Fatalf("gather with a span at %d succeeded", bad)
+		}
+		if err := c.ReadPagesInto(offs, bufs); err == nil {
+			t.Fatalf("gather over the wire with a span at %d succeeded", bad)
+		}
+		if err := node.ReadAt(bad, dst[:line]); err == nil {
+			t.Fatalf("read at %d succeeded", bad)
+		}
+		if err := c.ReadInto(bad, bufs[0]); err == nil {
+			t.Fatalf("read over the wire at %d succeeded", bad)
+		}
+		if !bytes.Equal(dst, bytes.Repeat([]byte{0xEE}, len(dst))) {
+			t.Fatalf("failed gather with a span at %d copied into dst", bad)
+		}
+		if after := node.LoadCounters(); after != before {
+			t.Fatalf("failed gather with a span at %d counted: %+v -> %+v", bad, before, after)
+		}
+	}
 }
 
 // BenchmarkReadPagesVsSingle quantifies the round-trip coalescing: 8

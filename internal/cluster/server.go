@@ -568,9 +568,10 @@ func (s *MemoryNodeServer) serveReq(req *Request, resp *Response) *[]byte {
 		resp.Data = buf
 		return bp
 	case kindReadPages:
-		// Scatter-gather read: each offset names one page-sized span; the
-		// payloads are concatenated in request order so the whole batch
-		// costs one frame each way.
+		// Scatter-gather read: each offset names one span of req.Length
+		// bytes; the payloads are concatenated in request order so the
+		// whole batch costs one frame each way, one node lock and one
+		// read op in the load map.
 		if req.Length <= 0 || len(req.Offsets) == 0 {
 			resp.Err = errors.New("memnode: empty read-pages request")
 			return nil
@@ -581,12 +582,10 @@ func (s *MemoryNodeServer) serveReq(req *Request, resp *Response) *[]byte {
 			return nil
 		}
 		bp, data := getPayloadBuf(total)
-		for i, off := range req.Offsets {
-			if err = s.node.ReadAt(off, data[i*req.Length:(i+1)*req.Length]); err != nil {
-				putPayloadBuf(bp)
-				resp.Err = err
-				return nil
-			}
+		if err = s.node.ReadSpans(req.Offsets, req.Length, data); err != nil {
+			putPayloadBuf(bp)
+			resp.Err = err
+			return nil
 		}
 		s.m.countCopies(total)
 		s.readBytes.Add(uint64(total))

@@ -460,15 +460,32 @@ func TestReplacementDoesNotStarveFetchP99(t *testing.T) {
 	}
 }
 
-// arenaBytes sums the payload bytes every evict shard's arena currently
-// holds (active chunk plus retired chunks).
+// arenaBytes sums the payload bytes of every arena chunk still in use:
+// each chunk some buffered or retained entry aliases, counted once.
 func arenaBytes(k *Kona) uint64 {
-	var n uint64
-	for i := range k.evict.shards {
-		sh := &k.evict.shards[i]
+	e := k.evict
+	inUse := make(map[*arenaChunk]bool)
+	mark := func(l *entryList) {
+		for _, r := range l.runs {
+			inUse[r.c] = true
+		}
+	}
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	for _, nb := range e.orderSnapshot() {
+		mark(&nb.entryList)
+	}
+	for i := range e.shards {
+		sh := &e.shards[i]
 		sh.mu.Lock()
-		n += uint64(len(sh.arena.buf) + sh.arena.spill)
+		for _, sb := range sh.batches {
+			mark(&sb.entryList)
+		}
 		sh.mu.Unlock()
+	}
+	var n uint64
+	for c := range inUse {
+		n += uint64(len(c.buf))
 	}
 	return n
 }
@@ -562,7 +579,8 @@ func TestTwoGroupsOneDeadNode(t *testing.T) {
 	})
 
 	// A Sync-free stretch: write-before-read flushes must recycle the
-	// arenas — a retained entry anywhere would pin every one of them.
+	// arena chunks — a dead member's batch kept forever would pin every
+	// chunk its entries alias.
 	before, shipped := arenaBytes(k), k.EvictStats().PayloadBytes
 	each(func(w *chaosWorkload) { w.drive(400, false) })
 	grew := k.EvictStats().PayloadBytes - shipped

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"kona/internal/mem"
@@ -11,32 +12,47 @@ import (
 // simulated transport with a cache 8x smaller than the working set, so
 // every write evicts a dirty page through segment scan, arena copy, log
 // pack and ship. The arena + scratch reuse should hold it at 0 allocs/op
-// once warm.
+// once warm, with one destination and with two that fill at different
+// rates (so threshold cycles ship one while the other's entries keep
+// their arena chunks).
 func BenchmarkEvictSteadyState(b *testing.B) {
-	cfg := smallConfig()
-	cfg.LocalCacheBytes = 8 * mem.PageSize
-	k := NewKona(cfg, newCluster(1))
-	const pages = 64
-	base, err := k.Malloc(pages * mem.PageSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0xCD}, 256)
-	var now simDurT
-	// Warm: touch every page once so slabs, frames, batches and the
-	// arena reach steady state.
-	for p := 0; p < pages; p++ {
-		if now, err = k.Write(now, base+mem.Addr(p)*mem.PageSize, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := base + mem.Addr(i%pages)*mem.PageSize
-		if now, err = k.Write(now, addr, payload); err != nil {
-			b.Fatal(err)
-		}
+	for _, nodes := range []int{1, 2} {
+		b.Run(fmt.Sprintf("memnodes=%d", nodes), func(b *testing.B) {
+			cfg := smallConfig()
+			cfg.LocalCacheBytes = 8 * mem.PageSize
+			k := NewKona(cfg, newCluster(nodes))
+			const pages = 64
+			// One slab per memnode (round-robin carve), the second written
+			// three times as heavily as the first.
+			var bases []mem.Addr
+			var payloads [][]byte
+			for i := 0; i < nodes; i++ {
+				base, err := k.Malloc(pages * mem.PageSize)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bases = append(bases, base)
+				payloads = append(payloads, bytes.Repeat([]byte{0xCD}, 256*(2*i+1)))
+			}
+			var now simDurT
+			var err error
+			write := func(i int) {
+				addr := bases[i%nodes] + mem.Addr(i/nodes%pages)*mem.PageSize
+				if now, err = k.Write(now, addr, payloads[i%nodes]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Warm: touch every page once so slabs, frames, batches and the
+			// arena reach steady state.
+			for i := 0; i < nodes*pages; i++ {
+				write(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				write(i)
+			}
+		})
 	}
 }
 

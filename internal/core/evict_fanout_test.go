@@ -8,42 +8,175 @@ import (
 	"sync"
 	"testing"
 
+	"kona/internal/cllog"
 	"kona/internal/cluster"
 	"kona/internal/mem"
 	"kona/internal/telemetry"
 )
 
 // TestPayloadArena pins the arena contract: copied payloads stay stable
-// across later copyIns (including chunk spills), and a spilled cycle
-// coalesces on reset so the next cycle fits one chunk.
+// across later copyIns (including chunk switches); a chunk stays held
+// while any entry's charge remains; once its entries are released a
+// retired chunk goes on the free list — up to arenaFreeChunks, the rest
+// back to the GC — and is reused before a new chunk is made.
 func TestPayloadArena(t *testing.T) {
-	a := newPayloadArena(0) // clamps to one page
-	var got [][]byte
+	sh := &evictShard{}
+	sh.arena = payloadArena{sh: sh, size: mem.PageSize}
+	a := &sh.arena
+	// 3 pages' worth of 257-byte payloads fill four chunks, each copy
+	// backing one entry per replica.
+	var first, second entryList
 	var want [][]byte
-	// 3 pages' worth of 257-byte payloads forces at least two spills.
 	for i := 0; i < 3*int(mem.PageSize)/257; i++ {
 		src := bytes.Repeat([]byte{byte(i + 1)}, 257)
-		got = append(got, a.copyIn(src))
+		p, c := a.copyIn(src, 2)
+		first.add(cllog.Entry{Data: p}, c)
+		second.add(cllog.Entry{Data: p}, c)
 		want = append(want, src)
 	}
-	for i := range got {
-		if !bytes.Equal(got[i], want[i]) {
+	for i, w := range want {
+		if !bytes.Equal(first.entries[i].Data, w) {
 			t.Fatalf("payload %d corrupted after later copyIns", i)
 		}
 	}
-	if len(a.old) == 0 {
-		t.Fatalf("expected chunk spills, got none (cap=%d)", cap(a.buf))
+	if a.held != 4 || len(a.free) != 0 || len(first.runs) != 4 {
+		t.Fatalf("held %d chunks, %d free, %d runs; want 4 held, none free, 4 runs", a.held, len(a.free), len(first.runs))
 	}
-	a.reset()
-	if len(a.old) != 0 || a.spill != 0 {
-		t.Fatalf("reset did not coalesce: old=%d spill=%d", len(a.old), a.spill)
+	// One replica's entries shipped: every chunk is still aliased.
+	first.release()
+	if a.held != 4 || len(a.free) != 0 {
+		t.Fatalf("after half the charges: held %d, %d free; want 4, 0", a.held, len(a.free))
 	}
-	// The coalesced chunk must absorb the same cycle without spilling.
-	for i := 0; i < 3*int(mem.PageSize)/257; i++ {
-		a.copyIn(want[i])
+	for i, w := range want {
+		if !bytes.Equal(second.entries[i].Data, w) {
+			t.Fatalf("payload %d recycled while an entry still aliased it", i)
+		}
 	}
-	if len(a.old) != 0 {
-		t.Fatalf("coalesced arena spilled again: old=%d", len(a.old))
+	// The other replica's too: the three retired chunks free up — two onto
+	// the free list, one back to the GC — and the active one stays.
+	entries := second.entries
+	second.release()
+	if a.held != 3 || len(a.free) != arenaFreeChunks {
+		t.Fatalf("after every charge: held %d, %d free; want 3, %d", a.held, len(a.free), arenaFreeChunks)
+	}
+	if len(second.entries) != 0 || entries[0].Data != nil {
+		t.Fatal("released entries still pin their chunk")
+	}
+	// The next three chunks' worth rewinds the active chunk and reuses
+	// the free ones.
+	for _, w := range want[:3*(int(mem.PageSize)/257)] {
+		a.copyIn(w, 1)
+	}
+	if a.held != 3 || len(a.free) != 0 {
+		t.Fatalf("next cycle: held %d, %d free; want 3 reused, 0 free", a.held, len(a.free))
+	}
+}
+
+// TestMoveEntriesKeepsChunkRuns pins moveEntries on the chunk runs: the
+// entries a move takes carry their chunk to the destination list, the
+// ones it leaves keep theirs, order is kept on both sides, and each
+// list's runs still cover exactly its entries.
+func TestMoveEntriesKeepsChunkRuns(t *testing.T) {
+	c1, c2 := &arenaChunk{buf: []byte{1}}, &arenaChunk{buf: []byte{2}}
+	var src, dst entryList
+	// Offsets 0..9 in pairs from alternating chunks; the move takes [2, 7).
+	for off := 0; off < 10; off++ {
+		c := []*arenaChunk{c1, c2}[off/2%2]
+		src.add(cllog.Entry{RemoteOff: uint64(off), Data: c.buf}, c)
+	}
+	mv := replicaMove{from: extent{off: 2}, size: 5, settles: &member{Slab: Slab{RemoteOff: 100}}}
+	bytesMoved := 0
+	if n := moveEntries(&src, &dst, mv, func(n int) { bytesMoved += n }); n != 5 || bytesMoved != 5*cllog.EntrySize(1) {
+		t.Fatalf("moved %d entries / %d bytes, want 5 / %d", n, bytesMoved, 5*cllog.EntrySize(1))
+	}
+	check := func(name string, l *entryList, offs []uint64) {
+		i := 0
+		for _, r := range l.runs {
+			for j := 0; j < r.n; j++ {
+				if i >= len(l.entries) || l.entries[i].Data[0] != r.c.buf[0] {
+					t.Fatalf("%s: entry %d is not covered by the run of its chunk", name, i)
+				}
+				i++
+			}
+		}
+		if i != len(l.entries) || len(l.entries) != len(offs) {
+			t.Fatalf("%s: runs cover %d of %d entries, want %d", name, i, len(l.entries), len(offs))
+		}
+		for k, off := range offs {
+			if l.entries[k].RemoteOff != off {
+				t.Fatalf("%s: entry %d at %d, want %d", name, k, l.entries[k].RemoteOff, off)
+			}
+		}
+	}
+	check("kept", &src, []uint64{0, 1, 7, 8, 9})
+	check("moved", &dst, []uint64{100, 101, 102, 103, 104})
+}
+
+// TestEvictArenaBoundedAcrossDestinations is the guard for per-chunk
+// arena release (DESIGN.md §8). Pages live on two memnodes and nothing
+// Syncs or refetches, so only threshold cycles run: each ships the
+// destination past the threshold while the other keeps a partial batch;
+// the two fill at different rates (3 KB and 1 KB per eviction), so no
+// moment ever finds every batch empty. The arena must still hold at most
+// four chunks (the active one, one the other destination's entries pin,
+// two free). Recycled only when every batch was empty at once, it held
+// 16 chunks (4 MB) by the end.
+func TestEvictArenaBoundedAcrossDestinations(t *testing.T) {
+	cfg := smallConfig()
+	cfg.LocalCacheBytes = 8 * mem.PageSize
+	cfg.Shards = 1 // the bound is per shard
+	reg := telemetry.New(0)
+	cfg.Metrics = reg
+	k := NewKona(cfg, newCluster(2))
+	var bases [2]mem.Addr
+	for i := range bases {
+		base, err := k.Malloc(cfg.SlabSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[i] = base
+	}
+	if a, b := groupMembersFor(k, bases[0])[0].Node, groupMembersFor(k, bases[1])[0].Node; a == b {
+		t.Fatalf("both slabs on node %d, want one per memnode", a)
+	}
+	pages := int(cfg.SlabSize / mem.PageSize)
+	sizes := [2]int{3072, 1024}
+	gauge := reg.Gauge("core.evict.arena_bytes")
+	var now simDurT
+	var err error
+	peak := int64(0)
+	for i := 0; i < 2*pages; i++ {
+		addr := bases[i%2] + mem.Addr(i/2)*mem.PageSize
+		if now, err = k.Write(now, addr, bytes.Repeat([]byte{byte(i + 1)}, sizes[i%2])); err != nil {
+			t.Fatal(err)
+		}
+		k.PublishTelemetry()
+		peak = max(peak, gauge.Value())
+	}
+	st := k.EvictStats()
+	if st.DirtyPages < 2000 || st.Flushes == 0 {
+		t.Fatalf("%d dirty evictions, %d flushes: the scenario never formed", st.DirtyPages, st.Flushes)
+	}
+	if limit := int64(4 * cfg.LogBytes); peak > limit {
+		t.Fatalf("arena held %d bytes at peak, want <= %d (4 x LogBytes)", peak, limit)
+	}
+	t.Logf("%d dirty evictions, %d flushes, arena peak %d bytes", st.DirtyPages, st.Flushes, peak)
+	if a := testing.AllocsPerRun(10, k.PublishTelemetry); a != 0 {
+		t.Errorf("publishing the gauge allocated %.0f times", a)
+	}
+	// A chunk recycled while an entry still aliased it ships another
+	// page's bytes.
+	if now, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*pages; i++ {
+		got := make([]byte, sizes[i%2])
+		if now, err = k.Read(now, bases[i%2]+mem.Addr(i/2)*mem.PageSize, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, len(got))) {
+			t.Fatalf("page %d of slab %d read back wrong bytes", i/2, i%2)
+		}
 	}
 }
 

@@ -28,9 +28,10 @@ type evictMetrics struct {
 	shipFailures, remapped, sealedRetains, leaseFenced *telemetry.Counter
 	// inflight tracks ships currently on the wire (0..1 on the inline
 	// executor, up to evictInflight on the pipelined one); pendingPages is
-	// the page backlog the latest full cycle had to cover.
-	inflight, pendingPages *telemetry.Gauge
-	trace                  *telemetry.Trace
+	// the page backlog the latest full cycle had to cover; arenaBytes is
+	// the arenas' chunk bytes (published by PublishTelemetry).
+	inflight, pendingPages, arenaBytes *telemetry.Gauge
+	trace                              *telemetry.Trace
 }
 
 func newEvictMetrics(reg *telemetry.Registry) evictMetrics {
@@ -48,6 +49,7 @@ func newEvictMetrics(reg *telemetry.Registry) evictMetrics {
 		leaseFenced:   reg.Counter("core.evict.lease_fenced"),
 		inflight:      reg.Gauge("core.evict.inflight"),
 		pendingPages:  reg.Gauge("core.evict.pending_pages"),
+		arenaBytes:    reg.Gauge("core.evict.arena_bytes"),
 		trace:         reg.Trace(),
 	}
 }
@@ -102,61 +104,112 @@ func (s *EvictStats) add(o EvictStats) {
 }
 
 // payloadArena hands out stable payload slices for eviction-log entries
-// without a per-segment heap allocation. copyIn appends into a chunk and
-// returns an alias; the alias stays valid until reset. When demand
-// outgrows the active chunk mid-cycle the chunk is retired (outstanding
-// entries still alias it) and a larger one takes over; reset then
-// coalesces to a single right-sized chunk, so a steady-state workload
-// settles into zero allocations.
+// from fixed chunks. Each chunk counts the batch entries that alias it;
+// one back at zero is rewound if active, else free-listed (past the
+// list's cap, dropped to the GC). So the arena holds what unshipped
+// entries alias plus a few spare chunks, and a steady state allocates
+// nothing. Guarded by the owning shard's mu.
 type payloadArena struct {
-	buf   []byte   // active chunk; len(buf) is the used prefix
-	old   [][]byte // retired chunks, pinned until reset
-	spill int      // bytes handed out from retired chunks
-	chunk int      // minimum size for fresh chunks
+	sh     *evictShard // owner, whose mu guards the arena and its chunks
+	active *arenaChunk
+	free   []*arenaChunk
+	size   int // bytes per chunk; an entry (at most a page) always fits
+	held   int // chunks in use or free-listed, for core.evict.arena_bytes
 }
 
-func newPayloadArena(chunk int) *payloadArena {
-	if chunk < mem.PageSize {
-		chunk = mem.PageSize
+// arenaChunk is one fixed slab of an arena; len(buf) is the used prefix.
+type arenaChunk struct {
+	buf  []byte
+	refs int // batch entries aliasing buf
+	sh   *evictShard
+}
+
+const arenaFreeChunks = 2 // cap on each arena's free list
+
+// copyIn copies data into the active chunk, charges the chunk refs times,
+// and returns a stable alias with the chunk that backs it.
+func (a *payloadArena) copyIn(data []byte, refs int) ([]byte, *arenaChunk) {
+	c := a.active
+	if c != nil && c.refs == 0 {
+		c.buf = c.buf[:0]
 	}
-	return &payloadArena{buf: make([]byte, 0, chunk), chunk: chunk}
-}
-
-// copyIn copies data into the arena and returns a stable alias, valid
-// until reset.
-func (a *payloadArena) copyIn(data []byte) []byte {
-	if len(a.buf)+len(data) > cap(a.buf) {
-		a.spill += len(a.buf)
-		a.old = append(a.old, a.buf)
-		n := a.chunk
-		for n < len(data) {
-			n *= 2
+	if c == nil || len(c.buf)+len(data) > cap(c.buf) {
+		// A charged chunk retires here; its last release frees it.
+		if n := len(a.free); n > 0 {
+			c, a.free = a.free[n-1], a.free[:n-1]
+		} else {
+			c = &arenaChunk{buf: make([]byte, 0, a.size), sh: a.sh}
+			a.held++
 		}
-		a.buf = make([]byte, 0, n)
+		a.active = c
 	}
-	off := len(a.buf)
-	a.buf = a.buf[:off+len(data)]
-	p := a.buf[off : off+len(data) : off+len(data)]
+	off := len(c.buf)
+	c.buf = c.buf[:off+len(data)]
+	p := c.buf[off : off+len(data) : off+len(data)]
 	copy(p, data)
-	return p
+	c.refs += refs
+	return p, c
 }
 
-// reset recycles the arena. The caller guarantees no outstanding entry
-// aliases it (every destination batch has been packed and shipped).
-func (a *payloadArena) reset() {
-	if len(a.old) == 0 {
-		a.buf = a.buf[:0]
+// release drops n charges from c. A retired chunk that reaches zero is
+// rewound onto the free list, or dropped once the list is full.
+func (a *payloadArena) release(c *arenaChunk, n int) {
+	if c.refs -= n; c.refs > 0 || c == a.active {
 		return
 	}
-	// The cycle spilled past the active chunk: coalesce so the next one
-	// fits in a single chunk and stops allocating.
-	n := a.chunk
-	for n < a.spill+len(a.buf) {
-		n *= 2
+	c.buf = c.buf[:0]
+	if len(a.free) < arenaFreeChunks {
+		a.free = append(a.free, c)
+	} else {
+		a.held--
 	}
-	a.buf = make([]byte, 0, n)
-	a.old = nil
-	a.spill = 0
+}
+
+// entryList is a batch's log entries and, run-length encoded, the arena
+// chunk each one aliases: runs[i] covers the next runs[i].n entries. Kept
+// beside the entries, not in them, so cllog.Entry stays 32 bytes.
+type entryList struct {
+	entries []cllog.Entry
+	runs    []chunkRun
+}
+
+// chunkRun is a run of consecutive entries whose payloads share a chunk.
+type chunkRun struct {
+	c *arenaChunk
+	n int
+}
+
+func addRun(runs []chunkRun, c *arenaChunk, n int) []chunkRun {
+	if k := len(runs) - 1; k >= 0 && runs[k].c == c {
+		runs[k].n += n
+		return runs
+	}
+	return append(runs, chunkRun{c, n})
+}
+
+// add appends en, whose payload c backs.
+func (l *entryList) add(en cllog.Entry, c *arenaChunk) {
+	l.entries = append(l.entries, en)
+	l.runs = addRun(l.runs, c, 1)
+}
+
+// reset empties the list, clearing it so its backing arrays pin no chunk.
+func (l *entryList) reset() {
+	clear(l.entries)
+	clear(l.runs)
+	l.entries, l.runs = l.entries[:0], l.runs[:0]
+}
+
+// release drops every entry's charge on its chunk (one shard lock per
+// run) and empties the list. Only the fold calls it, after the batch's
+// ship waited out the node's previous ack. Caller holds flushMu.
+func (l *entryList) release() {
+	for _, r := range l.runs {
+		r.c.sh.mu.Lock()
+		r.c.sh.arena.release(r.c, r.n)
+		r.c.sh.mu.Unlock()
+	}
+	l.reset()
 }
 
 // evictor is KLib's Eviction Handler (§4.4): it aggregates dirty cache
@@ -272,9 +325,9 @@ const evictInflight = 4
 // nothing.
 type evictShard struct {
 	mu sync.Mutex
-	// arena backs this shard's entry payloads; it recycles once no
-	// buffered or retained entry can alias it (see maybeRecycleLocked).
-	arena *payloadArena
+	// arena backs this shard's entry payloads; each chunk recycles once
+	// no buffered or retained entry aliases it (entryList.release).
+	arena payloadArena
 	// segScratch/plScratch are reused across EvictPage calls so the
 	// steady-state eviction path performs no heap allocation.
 	segScratch []mem.Segment
@@ -294,9 +347,9 @@ type evictShard struct {
 
 // shardBatch is one shard's buffered entries for one destination node.
 type shardBatch struct {
-	nb      *nodeBatch // the destination's merge batch, fixed at creation
-	entries []cllog.Entry
-	bytes   int
+	nb *nodeBatch // the destination's merge batch, fixed at creation
+	entryList
+	bytes int
 }
 
 // nodeBatch is the per-destination merge point: harvested entries from
@@ -313,7 +366,7 @@ type nodeBatch struct {
 	pendingBytes atomic.Int64
 	// entries/entryBytes are the harvested (and, after a failure,
 	// retained) log content awaiting ship.
-	entries    []cllog.Entry
+	entryList
 	entryBytes int
 	// packBuf is the batch's pack scratch (each in-flight destination
 	// needs its own packed image). Lazily sized to logBytes.
@@ -367,7 +420,7 @@ func newEvictor(rm *resourceManager, cfg Config) *evictor {
 		m:          newEvictMetrics(cfg.Metrics),
 	}
 	for i := range e.shards {
-		e.shards[i].arena = newPayloadArena(cfg.LogBytes)
+		e.shards[i].arena = payloadArena{sh: &e.shards[i], size: max(cfg.LogBytes, mem.PageSize)}
 	}
 	if rm.links.pipelined() {
 		e.sem = make(chan struct{}, evictInflight)
@@ -434,7 +487,7 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 		c := segmentCopyFixed + copyCost(length)
 		sh.copyT += c
 		now += c
-		payload := sh.arena.copyIn(data)
+		payload, chunk := sh.arena.copyIn(data, len(placements))
 
 		sh.stats.Segments++
 		sh.stats.LinesShipped += uint64(seg.N)
@@ -444,10 +497,7 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 		logBytes += cllog.EntrySize(length)
 
 		for _, pl := range placements {
-			pl.batch.entries = append(pl.batch.entries, cllog.Entry{
-				RemoteOff: pl.remoteOff + uint64(off),
-				Data:      payload,
-			})
+			pl.batch.add(cllog.Entry{RemoteOff: pl.remoteOff + uint64(off), Data: payload}, chunk)
 		}
 	}
 	for _, pl := range placements {
@@ -537,7 +587,7 @@ func (e *evictor) batchFor(l nodeLink) *nodeBatch {
 	defer e.nodeMu.Unlock()
 	nb := e.nodes[k]
 	if nb == nil {
-		nb = &nodeBatch{link: l, entries: cllog.GetEntries()}
+		nb = &nodeBatch{link: l, entryList: entryList{entries: cllog.GetEntries()}}
 		e.nodes[k] = nb
 		e.order = append(e.order, nb)
 	}
@@ -554,7 +604,7 @@ func (e *evictor) shardBatchFor(sh *evictShard, l nodeLink) *shardBatch {
 			return sb
 		}
 	}
-	sb := &shardBatch{nb: e.batchFor(l), entries: cllog.GetEntries()}
+	sb := &shardBatch{nb: e.batchFor(l), entryList: entryList{entries: cllog.GetEntries()}}
 	sh.batches = append(sh.batches, sb)
 	return sb
 }
@@ -585,8 +635,11 @@ func (e *evictor) harvestLocked(all bool) {
 		for _, sb := range sh.batches {
 			if nb := sb.nb; (all || nb.overThreshold) && len(sb.entries) > 0 {
 				nb.entries = append(nb.entries, sb.entries...)
+				for _, r := range sb.runs {
+					nb.runs = addRun(nb.runs, r.c, r.n)
+				}
+				sb.reset()
 				nb.entryBytes += sb.bytes
-				sb.entries = sb.entries[:0]
 				sb.bytes = 0
 			}
 		}
@@ -613,37 +666,6 @@ func (e *evictor) settleStolenLocked(restore bool) {
 	}
 	e.stolen = e.stolen[:0]
 	e.stealing.Store(0)
-}
-
-// maybeRecycleLocked resets shard arenas once no entry can alias them: a
-// payload alias lives either in a shard's unharvested batch (that
-// shard's arena) or in a node's harvested/retained merge batch (some
-// shard's arena — untracked, so any retained entry blocks every reset).
-// A batch only empties after its ship completed — which in turn waited
-// out the node's previous ack — so by construction the reset never
-// reclaims bytes a receiver has not yet made durable. Caller holds
-// flushMu.
-func (e *evictor) maybeRecycleLocked() {
-	for _, nb := range e.orderSnapshot() {
-		if len(nb.entries) > 0 {
-			return
-		}
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		empty := true
-		for _, sb := range sh.batches {
-			if len(sb.entries) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			sh.arena.reset()
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // FlushIfPending ships all buffered entries when the page at base has
@@ -795,7 +817,6 @@ func (e *evictor) cycleLocked(now simclock.Duration, kind cycleKind) (simclock.D
 	if full {
 		e.settleMovesLocked()
 	}
-	e.maybeRecycleLocked()
 	return latest, nil
 }
 
@@ -873,7 +894,7 @@ func (e *evictor) foldShipLocked(nb *nodeBatch, res *shipResult) {
 	nb.reported = false
 	nb.pendingBytes.Add(-int64(nb.entryBytes))
 	nb.entryBytes = 0
-	nb.entries = nb.entries[:0]
+	nb.release()
 }
 
 // chunkShip is the outcome of shipping one merge batch, possibly split
@@ -970,14 +991,14 @@ func (e *evictor) applyMovesLocked() {
 		}
 		// Merge-batch entries (harvested/retained) first — they are older
 		// than anything still buffered in the shards.
-		moved += moveEntries(&src.entries, &dst.entries, mv, func(n int) {
+		moved += moveEntries(&src.entryList, &dst.entryList, mv, func(n int) {
 			src.entryBytes -= n
 			src.pendingBytes.Add(-int64(n))
 			dst.entryBytes += n
 			dst.pendingBytes.Add(int64(n))
 		})
 		// Then each shard's buffered entries, staying within the shard so
-		// arena-recycle tracking keeps working.
+		// a page's entries keep to the one shard its harvest walks.
 		for i := range e.shards {
 			sh := &e.shards[i]
 			sh.mu.Lock()
@@ -986,7 +1007,7 @@ func (e *evictor) applyMovesLocked() {
 					continue
 				}
 				dsb := e.shardBatchFor(sh, dst.link)
-				moved += moveEntries(&sb.entries, &dsb.entries, mv, func(n int) {
+				moved += moveEntries(&sb.entryList, &dsb.entryList, mv, func(n int) {
 					sb.bytes -= n
 					src.pendingBytes.Add(-int64(n))
 					dsb.bytes += n
@@ -1031,24 +1052,29 @@ func (e *evictor) settleMovesLocked() {
 	}
 }
 
-// moveEntries filters *srcEntries in place, rebasing every entry inside
-// the move's old-extent window onto the new extent and appending it to
-// *dstEntries. account is called with each moved entry's log bytes.
-func moveEntries(srcEntries, dstEntries *[]cllog.Entry, mv replicaMove, account func(n int)) int {
-	moved := 0
-	kept := (*srcEntries)[:0]
-	for _, en := range *srcEntries {
-		if en.RemoteOff < mv.from.off || en.RemoteOff >= mv.from.off+mv.size {
-			kept = append(kept, en)
-			continue
+// moveEntries filters src in place, rebasing every entry inside the
+// move's old-extent window onto the new extent and appending it to dst,
+// charges and all. account is called with each moved entry's log bytes.
+func moveEntries(src, dst *entryList, mv replicaMove, account func(n int)) int {
+	moved, i := 0, 0
+	kept, keptRuns := src.entries[:0], src.runs[:0]
+	for _, r := range src.runs {
+		for end := i + r.n; i < end; i++ {
+			en := src.entries[i]
+			if en.RemoteOff < mv.from.off || en.RemoteOff >= mv.from.off+mv.size {
+				kept = append(kept, en)
+				keptRuns = addRun(keptRuns, r.c, 1)
+				continue
+			}
+			account(cllog.EntrySize(len(en.Data)))
+			en.RemoteOff = mv.settles.RemoteOff + (en.RemoteOff - mv.from.off)
+			dst.add(en, r.c)
+			moved++
 		}
-		n := cllog.EntrySize(len(en.Data))
-		en.RemoteOff = mv.settles.RemoteOff + (en.RemoteOff - mv.from.off)
-		*dstEntries = append(*dstEntries, en)
-		account(n)
-		moved++
 	}
-	*srcEntries = kept
+	clear(src.entries[len(kept):])
+	clear(src.runs[len(keptRuns):])
+	src.entries, src.runs = kept, keptRuns
 	return moved
 }
 
@@ -1108,6 +1134,19 @@ func (e *evictor) release() {
 		sh.batches = nil
 		sh.mu.Unlock()
 	}
+}
+
+// arenaHeld returns the chunk bytes every shard's arena holds, in use
+// plus free-listed.
+func (e *evictor) arenaHeld() int64 {
+	var n int64
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		n += int64(sh.arena.held * sh.arena.size)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // Breakdown returns the accumulated Fig 11c accounting.

@@ -340,11 +340,11 @@ func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 	return done, err
 }
 
-// PublishTelemetry syncs the FPGA model's private counters into the
-// configured registry (Store, so re-publishing is idempotent). Sync and
-// Close publish automatically; callers scraping /metrics mid-run can call
-// it directly for fresher caching-handler numbers. No-op without a
-// registry.
+// PublishTelemetry syncs the FPGA model's private counters and the
+// eviction arenas' held bytes into the configured registry (Store and Set,
+// so re-publishing is idempotent). Sync and Close publish automatically;
+// callers scraping /metrics mid-run can call it directly for fresher
+// numbers. No-op without a registry.
 func (k *Kona) PublishTelemetry() {
 	if k.cfg.Metrics == nil {
 		return
@@ -359,6 +359,7 @@ func (k *Kona) PublishTelemetry() {
 	for c, n := range st.Fetches {
 		k.m.fetchesBy[c].Store(n)
 	}
+	k.evict.m.arenaBytes.Set(k.evict.arenaHeld())
 }
 
 // Close drains the runtime (Sync) and returns every slab to the rack.
