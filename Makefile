@@ -47,13 +47,13 @@ bench-evict:
 	$(GO) test -run='^$$' -bench='BenchmarkEvictSteadyState|BenchmarkFetchHitSteadyState' -benchmem -benchtime=1x ./internal/core
 	$(GO) test -run='^$$' -bench='BenchmarkReadPagesVsSingle|BenchmarkGatherVsPageRead' -benchtime=1x ./internal/cluster
 
-# Thirteen single-test guards. The first three run on the simulated fabric and
+# Fourteen single-test guards. The first three run on the simulated fabric and
 # bound counts or *virtual-time* p99s — latency computed on the simulated
 # fabric's clock, which nothing off the measured path can touch — so they
 # are deterministic and have no noise floor to state. The fourth is
 # wall-clock; its test comment states the floor. The next eight count RPCs
-# or bytes on loopback TCP and time nothing. The last bounds the bytes the
-# eviction arena holds, on the simulated fabric.
+# or bytes on loopback TCP and time nothing. The last two bound the bytes
+# the eviction arena and the value heap hold, on the simulated fabric.
 #  - Sync contract (DESIGN.md §15): Sync is a write-back barrier, not an
 #    invalidation. A Sync over a clean, resident working set must hand no
 #    frame to the eviction handler, and the read pass after it must not
@@ -109,9 +109,12 @@ bench-evict:
 #    different rates and no Sync, so only threshold cycles run, 2 040 dirty
 #    evictions leave core.evict.arena_bytes at most 4 x LogBytes (4 MB, 16
 #    chunks, when an arena recycled only once every batch was empty).
+#  - Large records (DESIGN.md §12): 2 KB and 8 KB values hold at most 1.06
+#    block bytes per value byte, their classes being whole lines laid end to
+#    end (2.00 when each took a power-of-two block on a page boundary).
 guards:
 	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine|TestMultiPageReadIsOneRPC|TestEvictArenaBoundedAcrossDestinations' -count=1 -v ./internal/core
-	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines|TestSetReusesCachedBlock|TestObjectSetClaimsItsLastLine|TestGetFetchesOnlyWrittenLines' -count=1 -v ./internal/kv
+	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines|TestSetReusesCachedBlock|TestObjectSetClaimsItsLastLine|TestGetFetchesOnlyWrittenLines|TestLargeRecordsPackEndToEnd' -count=1 -v ./internal/kv
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths

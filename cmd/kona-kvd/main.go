@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -67,7 +68,7 @@ func main() {
 	cfg.Replicas = *replicas
 	cfg.Metrics = reg
 
-	var rt kv.Runtime
+	var rt *kona.Runtime
 	if *ctrlAddr != "" {
 		tr := kona.DefaultTransportPolicy()
 		tr.DialTimeout = *dialTimeout
@@ -95,7 +96,7 @@ func main() {
 
 	metrics := "off"
 	if reg != nil {
-		ms, err := telemetry.Serve(*metricsAddr, reg)
+		ms, err := telemetry.ServeHandler(*metricsAddr, metricsHandler(reg, rt))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kona-kvd: metrics listener: %v\n", err)
 			os.Exit(1)
@@ -143,4 +144,18 @@ func main() {
 	st := store.Stats()
 	fmt.Printf("kona-kvd: drained %d connections; served %d keys, %d hits, %d misses, %d evictions\n",
 		drained, st.Keys, st.Hits, st.Misses, st.Evictions)
+}
+
+// metricsHandler serves reg, first publishing rt's private counters — the
+// FPGA model's (core.fpga.*) and the eviction arenas' bytes — which
+// otherwise reach the registry only at a Sync, so a scrape between two
+// sync ticks reads them current.
+func metricsHandler(reg *telemetry.Registry, rt *kona.Runtime) http.Handler {
+	h := telemetry.Handler(reg)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			rt.PublishTelemetry()
+		}
+		h.ServeHTTP(w, r)
+	})
 }

@@ -371,25 +371,44 @@ func (n *MemoryNode) ReadAt(off uint64, buf []byte) error {
 // copying any, so a gather with an overrunning span fails whole; a gather
 // counts as one read op, its bytes as their total.
 func (n *MemoryNode) ReadSpans(offs []uint64, length int, dst []byte) error {
+	if len(dst) != len(offs)*length {
+		return fmt.Errorf("memnode %d: gather of %d x %d bytes into %d", n.id, len(offs), length, len(dst))
+	}
+	return n.gather(offs, func(i int) []byte { return dst[i*length : (i+1)*length] })
+}
+
+// ReadPagesInto is ReadSpans into separate buffers: the i-th span fills
+// bufs[i] from pool offset offs[i]. The in-process replacement copy gathers
+// with it.
+func (n *MemoryNode) ReadPagesInto(offs []uint64, bufs [][]byte) error {
+	if len(bufs) != len(offs) {
+		return fmt.Errorf("memnode %d: read-pages: %d offsets but %d buffers", n.id, len(offs), len(bufs))
+	}
+	return n.gather(offs, func(i int) []byte { return bufs[i] })
+}
+
+// gather copies pool bytes from each offs[i] into span(i), all or nothing,
+// under one hold of the lock, and counts one read op.
+func (n *MemoryNode) gather(offs []uint64, span func(i int) []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.failed {
 		return fmt.Errorf("memnode %d: failed", n.id)
 	}
-	if len(dst) != len(offs)*length {
-		return fmt.Errorf("memnode %d: gather of %d x %d bytes into %d", n.id, len(offs), length, len(dst))
-	}
 	pool := n.pool.Bytes()
-	for _, off := range offs {
-		if overruns(off, length, pool) {
-			return fmt.Errorf("memnode %d: read [%d,+%d) overruns pool", n.id, off, length)
+	total := 0
+	for i, off := range offs {
+		l := len(span(i))
+		if overruns(off, l, pool) {
+			return fmt.Errorf("memnode %d: read [%d,+%d) overruns pool", n.id, off, l)
 		}
+		total += l
 	}
 	for i, off := range offs {
-		copy(dst[i*length:(i+1)*length], pool[off:])
+		copy(span(i), pool[off:])
 	}
 	n.readOps++
-	n.readBytes += uint64(len(dst))
+	n.readBytes += uint64(total)
 	return nil
 }
 

@@ -306,6 +306,63 @@ func TestGatherIsOneReadOp(t *testing.T) {
 	}
 }
 
+// TestLocalCopyGatherIsOneReadOp is TestGatherIsOneReadOp for the
+// in-process replacement copy (LocalNodes): a 16-page batch into separate
+// page buffers is one lock hold and one read op, and copies the pool's
+// bytes; a batch with one overrunning page fails whole, copies nothing and
+// counts nothing.
+func TestLocalCopyGatherIsOneReadOp(t *testing.T) {
+	c := NewController()
+	node := NewMemoryNode(0, 1<<20)
+	if err := c.Register(node); err != nil {
+		t.Fatal(err)
+	}
+	pool := node.PoolBytes()
+	for i := range pool {
+		pool[i] = byte(i*5 + i>>12)
+	}
+	src, err := LocalNodes(c)(0, node.Incarnation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := make([]uint64, 16)
+	bufs := make([][]byte, len(offs))
+	for i := range offs {
+		offs[i] = uint64(i*i%97) * mem.PageSize
+		bufs[i] = make([]byte, mem.PageSize)
+	}
+	before := node.LoadCounters()
+	if err := src.ReadPagesInto(offs, bufs); err != nil {
+		t.Fatal(err)
+	}
+	after := node.LoadCounters()
+	if ops, n := after.ReadOps-before.ReadOps, after.ReadBytes-before.ReadBytes; ops != 1 || n != 16*mem.PageSize {
+		t.Fatalf("a 16-page copy batch counted %d read ops / %d bytes, want 1 / %d", ops, n, 16*mem.PageSize)
+	}
+	for i, off := range offs {
+		if !bytes.Equal(bufs[i], pool[off:off+mem.PageSize]) {
+			t.Fatalf("page %d at %d differs from the pool", i, off)
+		}
+	}
+
+	offs[9] = uint64(len(pool)) - mem.PageSize/2
+	for i := range bufs {
+		bufs[i] = bytes.Repeat([]byte{0xEE}, int(mem.PageSize))
+	}
+	before = node.LoadCounters()
+	if err := src.ReadPagesInto(offs, bufs); err == nil {
+		t.Fatal("a copy batch with an overrunning page succeeded")
+	}
+	for i := range bufs {
+		if !bytes.Equal(bufs[i], bytes.Repeat([]byte{0xEE}, int(mem.PageSize))) {
+			t.Fatalf("failed copy batch wrote page %d", i)
+		}
+	}
+	if after := node.LoadCounters(); after != before {
+		t.Fatalf("failed copy batch counted: %+v -> %+v", before, after)
+	}
+}
+
 // BenchmarkReadPagesVsSingle quantifies the round-trip coalescing: 8
 // pages as 8 Read RPCs vs one ReadPages frame.
 func BenchmarkReadPagesVsSingle(b *testing.B) {

@@ -96,14 +96,11 @@ func (l localNode) node() (*MemoryNode, error) {
 }
 
 func (l localNode) ReadPagesInto(offsets []uint64, bufs [][]byte) error {
-	if len(bufs) != len(offsets) {
-		return fmt.Errorf("cluster: read-pages: %d offsets but %d buffers", len(offsets), len(bufs))
-	}
 	n, err := l.node()
-	for i := 0; err == nil && i < len(offsets); i++ {
-		err = n.ReadAt(offsets[i], bufs[i])
+	if err != nil {
+		return err
 	}
-	return err
+	return n.ReadPagesInto(offsets, bufs)
 }
 
 func (l localNode) WriteVec(offset uint64, segs ...[]byte) error {

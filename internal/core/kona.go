@@ -229,11 +229,11 @@ func (k *Kona) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size) 
 func (k *Kona) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
 
 // MallocObjects is MallocFresh for memory the caller carves into objects
-// of a page or more, each starting on a page boundary, so that no page
-// holds bytes of two objects and no read wants a page's bytes past its
-// object's end. A fill of such an object page fetches only the lines the
-// read or write reaches, not the whole page (DESIGN.md §16). Free ends the
-// promise for the freed pages.
+// larger than half a page, so that every object on a page is larger than
+// half a page and no read wants a page's bytes outside its own object. A
+// fill of such an object page fetches only the lines the read or write
+// reaches, not the whole page (DESIGN.md §16). Free ends the promise for
+// the freed pages.
 func (k *Kona) MallocObjects(size uint64) (mem.Addr, error) { return k.rm.MallocObjects(size) }
 
 // Free releases an allocation.

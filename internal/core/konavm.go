@@ -132,8 +132,8 @@ func (k *KonaVM) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size
 // never written back maps a zero page without a fetch.
 func (k *KonaVM) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
 
-// MallocObjects is MallocFresh for memory carved into objects of a page or
-// more (see Kona.MallocObjects). KonaVM records the attribute and ignores
+// MallocObjects is MallocFresh for memory carved into objects larger than
+// half a page (see Kona.MallocObjects). KonaVM records the attribute and ignores
 // it: a page fault moves a whole page.
 func (k *KonaVM) MallocObjects(size uint64) (mem.Addr, error) { return k.rm.MallocObjects(size) }
 

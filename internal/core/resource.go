@@ -99,8 +99,9 @@ type group struct {
 	// zero mask, like a page never allocated fresh, has every line written.
 	unwritten []mem.LineBitmap
 	// object holds one bit per page of the slab, set by MallocObjects and
-	// cleared by Free: one object owns the page, from its start, so a fill
-	// fetches only the lines a read or write reaches (DESIGN.md §16). Nil
+	// cleared by Free: every object on the page is larger than half a page,
+	// so a fill fetches only the lines a read or write reaches (DESIGN.md
+	// §16). Nil
 	// until the group's first MallocObjects.
 	object []uint64
 	// shared marks a group another runtime may write (shared or attached,
@@ -431,7 +432,8 @@ type allocAttr uint8
 const (
 	// attrFresh: the contents are undefined until written (group.unwritten).
 	attrFresh allocAttr = 1 << iota
-	// attrObjects: one object owns each page, from its start (group.object).
+	// attrObjects: every object on a page is larger than half a page
+	// (group.object).
 	attrObjects
 )
 
@@ -664,9 +666,8 @@ func (rm *resourceManager) MallocFresh(size uint64) (mem.Addr, error) {
 }
 
 // MallocObjects is MallocFresh for memory the caller carves into objects
-// of at least a page, each starting on a page boundary: the allocation's
-// whole pages are also marked object pages, and a fill of one fetches only
-// the lines asked for.
+// larger than half a page: the allocation's whole pages are also marked
+// object pages, and a fill of one fetches only the lines asked for.
 func (rm *resourceManager) MallocObjects(size uint64) (mem.Addr, error) {
 	return rm.malloc(size, attrFresh|attrObjects)
 }

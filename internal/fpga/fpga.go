@@ -75,10 +75,10 @@ type Page struct {
 	// no ReadRange and runs no fetch hook. The zero value fetches
 	// everything.
 	Unwritten mem.LineBitmap
-	// Object: one object owns the page, from its start, so no read wants
-	// the bytes past that object's end. A fill fetches only the lines asked
-	// for, not the FetchBytes block around them: no neighbour's later hit
-	// would pay for the rest.
+	// Object: every object on the page is larger than half a page, so no
+	// read wants a line of the page its object does not cover. A fill
+	// fetches only the lines asked for, not the FetchBytes block around
+	// them: no neighbour's later hit would pay for the rest.
 	Object bool
 	Route  Route
 }
@@ -546,8 +546,9 @@ func (f *FPGA) runPrefetch(pf prefetchIntent) {
 // prefetchOne pulls one page speculatively under its shard lock. It skips
 // pages already (or concurrently made) resident, pages with no line
 // written — zero-filling a page nobody has written into a frame buys
-// nothing and evicts a cached one — and object pages, whose next page is
-// another object's or the untouched tail of its own.
+// nothing and evicts a cached one — and object pages and the page after
+// one: an object page's next page holds another object's lines, the
+// untouched tail of its own, or another allocation's.
 func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 	sh := f.shardFor(target)
 	sh.mu.Lock()
@@ -556,7 +557,7 @@ func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 		return
 	}
 	pg := f.translate.Lookup(mem.PageBase(target))
-	if pg.Unwritten.Full() || pg.Object {
+	if pg.Unwritten.Full() || pg.Object || f.translate.Lookup(mem.PageBase(target-1)).Object {
 		return
 	}
 	fr := f.installLocked(sh, now, mem.PageBase(target))

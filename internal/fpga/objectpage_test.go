@@ -315,6 +315,20 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	}
 	tr.wantReads(t, objRead{rigBase, 0, line}, objRead{rigBase + mem.PageSize, 0, line},
 		objRead{rigBase + 2*mem.PageSize, 0, line})
+
+	// Nor the plain page after the last of them: a record ending on an
+	// object chunk's last page is followed by another allocation's lines.
+	tr = newObjTranslator(3, 0)
+	f = objFPGA(Config{Prefetch: true}, tr)
+	for i := 1; i < 3; i++ {
+		if _, err := f.LineFill(0, rigBase+mem.Addr(i)*mem.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.Resident(rigBase+3*mem.PageSize) || f.Stats().Prefetches != 0 {
+		t.Fatalf("sequential fills into the last object page prefetched the plain page after it: resident %t, Prefetches %d",
+			f.Resident(rigBase+3*mem.PageSize), f.Stats().Prefetches)
+	}
 }
 
 func TestSpanReadHitAsksNoLookup(t *testing.T) {

@@ -2,7 +2,7 @@ package kv
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"kona/internal/mem"
 	"kona/internal/telemetry"
@@ -11,30 +11,34 @@ import (
 // valueHeap is a size-class block allocator over Runtime.MallocFresh (a
 // record is written before it is read, so a chunk's never-used pages need
 // no fetch on first touch). The runtime hands out coarse regions
-// (slab-backed, page-granular); the heap carves them into power-of-two
-// blocks and recycles freed blocks onto per-class free lists, so the
-// store's set/delete churn does not consume new disaggregated address
-// space forever.
+// (slab-backed, page-granular); the heap carves them into blocks and
+// recycles freed blocks onto per-class free lists, so the store's
+// set/delete churn does not consume new disaggregated address space
+// forever.
 //
 // Each class carves from chunks of its own, so a page of the heap holds
 // blocks of one class only — memcached's slab classes, and for the same
 // reason: FMem caches a page at a time, and a page shared by 95 B records
-// and the tail of a 16 KB block caches few of either. A class's cursor
-// starts on a page boundary and its chunks are whole pages, which gives the
-// layout invariant the fetch path depends on:
+// and the tail of a 16 KB block caches few of either. Classes up to half a
+// page are powers of two; above it a class is a whole number of lines, each
+// ×1.25 the last (memcached's factor), and its blocks are laid end to end
+// across page boundaries. A class's cursor starts on a page boundary and its
+// chunks are whole pages, which gives the layout invariant the fetch path
+// depends on:
 //
-//	a block of class c lies inside one page when blockBytes(c) ≤ mem.PageSize,
-//	and starts on a page boundary otherwise.
+//	a block of class c lies inside one page when blockBytes(c) ≤ mem.PageSize/2,
+//	and starts on a line boundary otherwise.
 //
-// So a get of a record up to 4 KB is at most one page fetch, and a larger
-// record spans exactly the pages it needs. The heap enforces the boundary
-// itself (newChunk) rather than trusting the runtime's allocator to return
-// page-aligned chunks.
+// So a get of a record up to 2 KB is at most one page fetch, and a larger
+// record spans only the lines it needs: a page holds the tail of one such
+// record and the head of the next, not a block's dead tail. The heap
+// enforces the boundary itself (newChunk) rather than trusting the
+// runtime's allocator to return page-aligned chunks.
 //
-// A block of a page or more owns its pages outright, so the chunks of
-// those classes come from MallocObjects: a fill of one of their pages
-// fetches only the lines the record reaches, not the dead tail of the block
-// after it. A page of a smaller class holds several blocks and stays
+// Every block on a page of a class above half a page is larger than half a
+// page, so the chunks of those classes come from MallocObjects: a fill of
+// one of their pages fetches only the lines the record reaches, not its
+// neighbours'. A page of a smaller class holds several blocks and stays
 // fetched whole — its neighbours' later hits pay for the extra bytes.
 //
 // A write ending part-way through a line the cache lacks first reads it for
@@ -52,7 +56,7 @@ import (
 // runtime's cache lock under it, the order Write already takes them in).
 type valueHeap struct {
 	rt Runtime
-	// free[c] holds recycled blocks of class c (block size minBlock<<c).
+	// free[c] holds recycled blocks of class c (block size blockBytes(c)).
 	free [nClasses][]mem.Addr
 	// carve[c] is class c's bump cursor over its newest chunk.
 	carve [nClasses]cursor
@@ -74,10 +78,11 @@ type cursor struct {
 }
 
 const (
-	minBlockShift = 6 // 64B: one cache line, the dirty-tracking grain
-	minBlock      = 1 << minBlockShift
-	nClasses      = 16 // 64B .. 2MB: the top class covers maxRecordLen
-	// (a max-size value plus key and header is just over 1MB).
+	minBlock = 64 // one cache line, the dirty-tracking grain
+	// nClasses: 64 B .. 2 KB in powers of two, then 33 lines ×1.25 up to
+	// 18 063 lines, the first class past maxRecordLen (a max-size value plus
+	// key and header is just over 1 MB).
+	nClasses = 6 + 29
 	// chunkBytes is the MallocFresh granularity, a whole number of pages:
 	// big enough to amortize the controller round trip, small enough that a
 	// lightly-used shard does not pin much remote memory.
@@ -90,24 +95,42 @@ const (
 	cachedScan = 64
 )
 
-// classOf returns the size class for an n-byte record: the smallest
-// power-of-two block ≥ n (and ≥ 64B).
-func classOf(n int) int {
-	if n <= minBlock {
-		return 0
+// classBytes[c] is class c's block size: powers of two from one line up to
+// half a page, then whole lines, each class ×1.25 the last rounded up.
+var classBytes = func() (b [nClasses]uint64) {
+	b[0] = minBlock
+	for c := 1; c < nClasses; c++ {
+		switch {
+		case b[c-1] < mem.PageSize/2:
+			b[c] = 2 * b[c-1]
+		case b[c-1] == mem.PageSize/2:
+			b[c] = b[c-1] + minBlock
+		default:
+			b[c] = (b[c-1]/minBlock*5 + 3) / 4 * minBlock
+		}
 	}
-	c := bits.Len(uint(n-1)) - minBlockShift
+	return b
+}()
+
+// classOf returns the size class for an n-byte record: the smallest block
+// ≥ n.
+func classOf(n int) int {
+	c, _ := slices.BinarySearch(classBytes[:], uint64(n))
 	return c
 }
 
 // blockBytes returns class c's block size.
-func blockBytes(c int) uint64 { return minBlock << uint(c) }
+func blockBytes(c int) uint64 { return classBytes[c] }
+
+// objectClass reports whether class c's blocks are larger than half a page,
+// so its chunks are object memory (MallocObjects).
+func objectClass(c int) bool { return blockBytes(c) > mem.PageSize/2 }
 
 // writeLen is how many bytes Set writes for an n-byte record: an object
 // block's record runs on, zero-filled, to the end of its last line (no read
 // wants an object page's bytes past the record).
 func writeLen(n int) int {
-	if blockBytes(classOf(n)) < mem.PageSize {
+	if !objectClass(classOf(n)) {
 		return n
 	}
 	return int(mem.Addr(n).AlignUp(minBlock))
@@ -142,7 +165,7 @@ func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 	size := blockBytes(c)
 	cur := &h.carve[c]
 	if cur.left < size {
-		if err := h.newChunk(cur, size); err != nil {
+		if err := h.newChunk(cur, c); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -153,16 +176,18 @@ func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 	return a, c, nil
 }
 
-// newChunk points cur at a new chunk for blocks of the given size, starting
-// on a page boundary. The chunk is a whole number of pages and at least one
-// block long, so every block carved from it keeps the layout invariant. A
-// runtime whose allocator returns a base off a page boundary (another caller
-// left it mid-page) costs one more request, one page longer, whose first
-// boundary starts the cursor; the misaligned chunk is not used.
-func (h *valueHeap) newChunk(cur *cursor, size uint64) error {
-	chunk := max(chunkBytes, size)
+// newChunk points cur at a new chunk for class c's blocks, starting on a
+// page boundary. The chunk is the fewest whole pages that hold chunkBytes of
+// blocks (rounded up to a whole block), so every block carved from it keeps
+// the layout invariant and its uncarved tail is under a page.
+// A runtime whose allocator returns a base off a page boundary (another
+// caller left it mid-page) costs one more request, one page longer, whose
+// first boundary starts the cursor; the misaligned chunk is not used.
+func (h *valueHeap) newChunk(cur *cursor, c int) error {
+	size := blockBytes(c)
+	chunk := uint64(mem.Addr((chunkBytes + size - 1) / size * size).AlignUp(mem.PageSize))
 	malloc := h.rt.MallocFresh
-	if size >= mem.PageSize {
+	if objectClass(c) {
 		malloc = h.rt.MallocObjects
 	}
 	base, err := malloc(chunk)

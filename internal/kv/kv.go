@@ -16,9 +16,10 @@
 //     Checksums make torn or misdirected writes detectable at read time.
 //   - heap.go: a size-class value-heap allocator over Runtime.MallocFresh
 //     and MallocObjects — they hand out coarse chunks, each class carves
-//     blocks from chunks of its own (so a record of ≤ 4 KB lies in one
-//     page, and a block of a page or more owns its pages), frees recycle
-//     blocks onto per-class free lists.
+//     blocks from chunks of its own (so a record of ≤ 2 KB lies in one
+//     page, and larger blocks, whole lines, are laid end to end on pages
+//     of their class only), frees recycle blocks onto per-class free
+//     lists.
 //   - ring.go: consistent-hash key→shard routing (vnode ring), so the
 //     shard count can change without remapping the whole keyspace.
 //   - store.go: the sharded store — per-shard local index + heap +
@@ -48,10 +49,10 @@ type Runtime interface {
 	// touch of its pages fetches nothing. The value heap carves its chunks
 	// with it — a get reads only the record a set wrote into the block.
 	MallocFresh(size uint64) (mem.Addr, error)
-	// MallocObjects is MallocFresh for memory carved into blocks of a page
-	// or more, each on a page boundary: a fill of one of its pages fetches
-	// only the lines a get or set reaches. The heap carves the chunks of
-	// every class whose block is at least a page with it.
+	// MallocObjects is MallocFresh for memory carved into blocks larger
+	// than half a page: a fill of one of its pages fetches only the lines a
+	// get or set reaches. The heap carves the chunks of every class whose
+	// block is larger than half a page with it.
 	MallocObjects(size uint64) (mem.Addr, error)
 	Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error)
 	Write(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error)

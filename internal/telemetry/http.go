@@ -64,12 +64,16 @@ type Server struct {
 
 // Serve exposes reg on addr (":0" for ephemeral) and returns the running
 // server. Close stops it.
-func Serve(addr string, reg *Registry) (*Server, error) {
+func Serve(addr string, reg *Registry) (*Server, error) { return ServeHandler(addr, Handler(reg)) }
+
+// ServeHandler is Serve for a handler that wraps Handler, e.g. one that
+// publishes a component's private counters before a scrape.
+func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s := &Server{l: l, srv: &http.Server{Handler: Handler(reg)}}
+	s := &Server{l: l, srv: &http.Server{Handler: h}}
 	go s.srv.Serve(l)
 	return s, nil
 }

@@ -22,10 +22,10 @@
 // ever written there and fills the page with zeros locally, until the
 // page is written back or its placement group is shared with another
 // runtime (DESIGN.md §16). MallocObjects adds one more promise to
-// MallocFresh's: the caller carves the memory into objects of a page or
-// more, each starting on a page boundary, so no read wants a page's bytes
-// past its object's end — and a fill of such a page fetches only the
-// lines the read or write reaches.
+// MallocFresh's: the caller carves the memory into objects larger than
+// half a page, so every object on a page is larger than half a page and no
+// read wants a page's bytes outside its own object — and a fill of such a
+// page fetches only the lines the read or write reaches.
 //
 // Sync is a write-back barrier, not an invalidation: when it returns
 // without error every earlier write is in remote memory (on every live
