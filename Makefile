@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test quick race fuzz bench-quick bench-telemetry bench-evict guards bench-concurrent bench-wire kv-bench kv-soak cover stress chaos loc verify
+.PHONY: build vet test quick race fuzz bench-quick bench-telemetry bench-evict guards bench-gates bench-concurrent bench-wire kv-bench kv-soak cover stress chaos loc verify
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,23 @@ bench-evict:
 guards:
 	$(GO) test -run 'TestSyncKeepsCleanWorkingSet|TestReplacementDoesNotStarveFetchP99|TestLeaseIdleReadersDoNotDegradeWriterFlushP99|TestSyncCostIgnoresHighWater|TestLogBytesPerDirtyLine|TestMultiPageReadIsOneRPC|TestEvictArenaBoundedAcrossDestinations' -count=1 -v ./internal/core
 	$(GO) test -run 'TestFreshLoadFetchesNothing|TestMixedSizeGetsFetchOnePage|TestObjectPageGetsFetchTheirLines|TestSetReusesCachedBlock|TestObjectSetClaimsItsLastLine|TestGetFetchesOnlyWrittenLines|TestLargeRecordsPackEndToEnd' -count=1 -v ./internal/kv
+
+# The benchmark's own gates at full size, which TestSmoke's miniatures do
+# not reach: every workload's plain and traced pass (bench/run.sh, seed 1,
+# 2 s each, about 100 s in all). A pass exits nonzero on a failed op, a run
+# error, a workload outside its fetches/op range (kv-cold's floor is 0.9),
+# or, traced, a layer budget that misses the end-to-end mean by more than
+# 5%. That budget check can fail on a disturbed host: the pass's JSON line
+# (printed before the failure) carries loadgen.disturbed_frac, near 1 when
+# the host was busy. Prints each failing pass's stderr; not part of verify.
+bench-gates:
+	@fail=0; err=$$(mktemp); \
+	for w in kv-hot kv-cold kv-write rt-page; do for t in 0 1; do \
+		echo "bench-gates: $$w trace=$$t"; \
+		if ! bash bench/run.sh -workload $$w -seed 1 -seconds 2 -trace $$t 2>$$err; then \
+			echo "bench-gates: $$w trace=$$t FAILED:" >&2; cat $$err >&2; fail=1; \
+		fi; \
+	done; done; rm -f $$err; exit $$fail
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths

@@ -87,6 +87,22 @@ func TestDesignCitesLiveTests(t *testing.T) {
 	}
 }
 
+// designMaxLines is DESIGN.md's length ceiling. The document may only
+// shrink: a change that adds lines to it deletes at least as many. Lower
+// the constant when the document gets shorter.
+const designMaxLines = 2238
+
+// TestDesignOnlyShrinks holds DESIGN.md to designMaxLines lines.
+func TestDesignOnlyShrinks(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(text), "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md has %d lines, more than designMaxLines = %d: shorten it", n, designMaxLines)
+	}
+}
+
 // TestMakefileRunsLiveTests keeps the Makefile's selections honest: each
 // |-separated alternative of every -run, -bench and -fuzz pattern on a go
 // test line (bar the match-nothing ^$) must match a function of its kind

@@ -9,7 +9,7 @@ import (
 	"kona/internal/telemetry"
 )
 
-// Fresh allocations (DESIGN.md §16): a page of a MallocFresh allocation
+// Fresh allocations (DESIGN.md §16): a page of a MallocBlocks allocation
 // that has never been written back is filled with zeros locally; the first
 // dirty write-back of the page, or sharing its group, ends that.
 
@@ -22,7 +22,7 @@ func TestFreshWriteReachesRemoteMemoryAndComesBack(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Metrics = reg
 	k := NewKona(cfg, newCluster(1))
-	base, err := k.MallocFresh(pages * mem.PageSize)
+	base, err := k.MallocBlocks(pages*mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFreshWriteReachesRemoteMemoryAndComesBack(t *testing.T) {
 // from a page whose earlier blocks were already written back must see them.
 func TestFreshEndsAtFirstWriteBack(t *testing.T) {
 	k := NewKona(smallConfig(), newCluster(1))
-	base, err := k.MallocFresh(mem.PageSize)
+	base, err := k.MallocBlocks(mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFreshEndsAtFirstWriteBack(t *testing.T) {
 
 func TestCleanEvictionKeepsPageFresh(t *testing.T) {
 	k := NewKona(smallConfig(), newCluster(1))
-	base, err := k.MallocFresh(mem.PageSize)
+	base, err := k.MallocBlocks(mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPartialPagesOfUnalignedAllocationAreNeverFresh(t *testing.T) {
 	coldCache(k)
 	// Three pages starting 64 B into that page: it covers part of pages 0
 	// and 3 and all of pages 1 and 2.
-	base, err := k.MallocFresh(3 * mem.PageSize)
+	base, err := k.MallocBlocks(3*mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPartialPagesOfUnalignedAllocationAreNeverFresh(t *testing.T) {
 // on (fig7 reads never-written Malloc pages as remote data).
 func TestMallocPagesStillFetch(t *testing.T) {
 	k := NewKona(smallConfig(), newCluster(1))
-	if _, err := k.MallocFresh(mem.PageSize); err != nil { // makes the group's fresh bitmap
+	if _, err := k.MallocBlocks(mem.PageSize, mem.CacheLineSize); err != nil { // makes the group's fresh bitmap
 		t.Fatal(err)
 	}
 	base, err := k.Malloc(4 * mem.PageSize)
@@ -172,7 +172,7 @@ func TestKonaVMFreshAllocation(t *testing.T) {
 	cfg := smallConfig()
 	cfg.LocalCacheBytes = 4 * mem.PageSize // half the region: writes evict
 	k := NewKonaVM(cfg, newCluster(1))
-	base, err := k.MallocFresh(pages * mem.PageSize)
+	base, err := k.MallocBlocks(pages*mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSharedGroupIsNeverFresh(t *testing.T) {
 	defer a.Close(anow)
 	defer b.Close(bnow)
 
-	addr, err := a.MallocFresh(2 * mem.PageSize)
+	addr, err := a.MallocBlocks(2*mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,12 @@ func TestSharedGroupIsNeverFresh(t *testing.T) {
 		t.Fatalf("A read %x…, want B's bytes %x…", got[:4], want[:4])
 	}
 	// The group stays shared: a later fresh allocation in it marks nothing.
-	later, err := a.MallocFresh(mem.PageSize)
+	later, err := a.MallocBlocks(mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s, _ := a.rm.groupFor(later); s.ID == group && a.rm.Lookup(later).Unwritten.Full() {
-		t.Fatal("MallocFresh marked a page of a shared group")
+		t.Fatal("MallocBlocks marked a page of a shared group")
 	}
 }
 
@@ -298,7 +298,7 @@ func TestFreshConcurrentCarving(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			base, err := k.MallocFresh(pages * mem.PageSize)
+			base, err := k.MallocBlocks(pages*mem.PageSize, mem.CacheLineSize)
 			if err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return
@@ -333,7 +333,7 @@ func TestFreshConcurrentCarving(t *testing.T) {
 }
 
 // Written-lines masks (DESIGN.md §16): a fill zeroes the lines of a
-// MallocFresh page that no write-back has carried and fetches the rest.
+// MallocBlocks page that no write-back has carried and fetches the rest.
 
 // TestWrittenLinesFetchWhilePending: two records' lines are evicted dirty
 // and their log entries are still buffered when the page is read again.
@@ -343,7 +343,7 @@ func TestFreshConcurrentCarving(t *testing.T) {
 // read as zeros without being fetched.
 func TestWrittenLinesFetchWhilePending(t *testing.T) {
 	k := NewKona(smallConfig(), newCluster(1))
-	base, err := k.MallocFresh(mem.PageSize)
+	base, err := k.MallocBlocks(mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestSharedGroupFetchesEveryLine(t *testing.T) {
 	defer a.Close(anow)
 	defer b.Close(bnow)
 
-	addr, err := a.MallocFresh(mem.PageSize)
+	addr, err := a.MallocBlocks(mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestKonaVMWriteBackMarksWholePage(t *testing.T) {
 	cfg := smallConfig()
 	cfg.LocalCacheBytes = 4 * mem.PageSize
 	k := NewKonaVM(cfg, newCluster(1))
-	base, err := k.MallocFresh(mem.PageSize)
+	base, err := k.MallocBlocks(mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,21 +220,15 @@ func (k *Kona) onEvict(now simclock.Duration, v fpga.Victim) simclock.Duration {
 // happens on the common path.
 func (k *Kona) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size) }
 
-// MallocFresh is Malloc for memory the caller will write before it reads:
-// the contents are undefined until written. A line of a page wholly inside
-// the allocation that no write-back has carried (and no other runtime may
-// have written, §14) is zero-filled locally, not fetched (DESIGN.md §16).
-// Malloc makes no such promise: its pages are fetched, whatever the memory
-// node's extent holds.
-func (k *Kona) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
-
-// MallocObjects is MallocFresh for memory the caller carves into objects
-// larger than half a page, so that every object on a page is larger than
-// half a page and no read wants a page's bytes outside its own object. A
-// fill of such an object page fetches only the lines the read or write
-// reaches, not the whole page (DESIGN.md §16). Free ends the promise for
-// the freed pages.
-func (k *Kona) MallocObjects(size uint64) (mem.Addr, error) { return k.rm.MallocObjects(size) }
+// MallocBlocks is Malloc for memory the caller carves into block-byte
+// blocks laid end to end, each written before it is read. A line of a page
+// wholly inside the allocation that no write-back has carried (and no
+// other runtime may have written, §14) is zero-filled locally, not
+// fetched; when a block is larger than half a page, a fill of such a page
+// fetches only the lines the read or write reaches (DESIGN.md §16).
+func (k *Kona) MallocBlocks(size, block uint64) (mem.Addr, error) {
+	return k.rm.MallocBlocks(size, block)
+}
 
 // Free releases an allocation.
 func (k *Kona) Free(addr mem.Addr) error { return k.rm.Free(addr) }

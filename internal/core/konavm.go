@@ -127,15 +127,12 @@ func NewKonaVM(cfg Config, ctrl *cluster.Controller) *KonaVM {
 // Malloc allocates disaggregated memory (shared Resource Manager).
 func (k *KonaVM) Malloc(size uint64) (mem.Addr, error) { return k.rm.Malloc(size) }
 
-// MallocFresh allocates memory whose contents are undefined until written
-// (see Kona.MallocFresh): a major fault on one of its whole pages that was
-// never written back maps a zero page without a fetch.
-func (k *KonaVM) MallocFresh(size uint64) (mem.Addr, error) { return k.rm.MallocFresh(size) }
-
-// MallocObjects is MallocFresh for memory carved into objects larger than
-// half a page (see Kona.MallocObjects). KonaVM records the attribute and ignores
-// it: a page fault moves a whole page.
-func (k *KonaVM) MallocObjects(size uint64) (mem.Addr, error) { return k.rm.MallocObjects(size) }
+// MallocBlocks is Kona.MallocBlocks: a major fault on one of its whole pages
+// that was never written back maps a zero page without a fetch. A fault
+// moves a whole page, so KonaVM ignores the object pages it marks.
+func (k *KonaVM) MallocBlocks(size, block uint64) (mem.Addr, error) {
+	return k.rm.MallocBlocks(size, block)
+}
 
 // Free releases an allocation.
 func (k *KonaVM) Free(addr mem.Addr) error { return k.rm.Free(addr) }

@@ -93,16 +93,15 @@ type group struct {
 	// members are the group's replicas, primary first.
 	members []*member
 	// unwritten holds one line mask per page of the slab: the lines no
-	// dirty write-back has carried since MallocFresh set the mask. Remote
+	// dirty write-back has carried since MallocBlocks set the mask. Remote
 	// memory holds nothing of them worth reading, and a fill zeroes them
-	// locally (DESIGN.md §16). Nil until the group's first MallocFresh; a
+	// locally (DESIGN.md §16). Nil until the group's first MallocBlocks; a
 	// zero mask, like a page never allocated fresh, has every line written.
 	unwritten []mem.LineBitmap
-	// object holds one bit per page of the slab, set by MallocObjects and
-	// cleared by Free: every object on the page is larger than half a page,
-	// so a fill fetches only the lines a read or write reaches (DESIGN.md
-	// §16). Nil
-	// until the group's first MallocObjects.
+	// object holds one bit per page of the slab, set by MallocBlocks for
+	// blocks larger than half a page and cleared by Free: every block on the
+	// page is larger than half a page, so a fill fetches only the lines a
+	// read or write reaches (DESIGN.md §16). Nil until first set.
 	object []uint64
 	// shared marks a group another runtime may write (shared or attached,
 	// share.go): every line of it reads as written, now and later.
@@ -426,24 +425,12 @@ func pageBit(s Slab, addr mem.Addr) (word, bit uint64) {
 	return i / 64, 1 << (i % 64)
 }
 
-// allocAttr is what an allocation's caller promises about its pages.
-type allocAttr uint8
-
-const (
-	// attrFresh: the contents are undefined until written (group.unwritten).
-	attrFresh allocAttr = 1 << iota
-	// attrObjects: every object on a page is larger than half a page
-	// (group.object).
-	attrObjects
-)
-
-// markLocked marks every page wholly inside [addr, addr+size) as attr
-// names, or, with set false, unmarks its object bit: attrFresh makes every
-// line of the page unwritten, attrObjects sets its object bit. A page the
-// allocation only partly covers shares its bytes with a neighbour, so it
-// keeps its mask and is never an object page; a page of a shared group
-// keeps every line written. Caller holds rm.mu.
-func (rm *resourceManager) markLocked(addr mem.Addr, size uint64, attr allocAttr, set bool) {
+// markLocked marks every page wholly inside [addr, addr+size): fresh makes
+// every line of the page unwritten, and object sets its object bit or
+// clears it. A page the allocation only partly covers shares its bytes with
+// a neighbour, so it keeps its mask and is never an object page; a page of
+// a shared group keeps every line written. Caller holds rm.mu.
+func (rm *resourceManager) markLocked(addr mem.Addr, size uint64, fresh, object bool) {
 	end := (addr + mem.Addr(size)).AlignDown(mem.PageSize)
 	var s Slab
 	var g *group
@@ -454,15 +441,13 @@ func (rm *resourceManager) markLocked(addr mem.Addr, size uint64, attr allocAttr
 			s, _ = rm.alloc.SlabFor(p)
 			g = rm.replicas[s.ID]
 		}
-		if attr&attrFresh != 0 && set && !g.shared {
+		if fresh && !g.shared {
 			if g.unwritten == nil {
 				g.unwritten = make([]mem.LineBitmap, s.Size/mem.PageSize)
 			}
 			g.unwritten[pageIndex(s, p)] = ^mem.LineBitmap(0)
 		}
-		if attr&attrObjects != 0 {
-			g.object = setPageBit(g.object, s, p, set)
-		}
+		g.object = setPageBit(g.object, s, p, object)
 	}
 }
 
@@ -481,7 +466,7 @@ func setPageBit(bm []uint64, s Slab, p mem.Addr, set bool) []uint64 {
 }
 
 // markShared records that another runtime may write the group: every line
-// of it reads as written from now on, whatever MallocFresh is asked.
+// of it reads as written from now on, whatever MallocBlocks is asked.
 func (rm *resourceManager) markShared(group uint64) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
@@ -657,22 +642,23 @@ func (rm *resourceManager) attachedGroupFor(addr mem.Addr) (Slab, bool) {
 // memory node's extent holds.
 func (rm *resourceManager) Malloc(size uint64) (mem.Addr, error) { return rm.malloc(size, 0) }
 
-// MallocFresh is Malloc for memory whose contents the caller treats as
-// undefined until it writes them: every line of the allocation's whole
-// pages is marked unwritten, and a fill fetches only lines written back
-// since.
-func (rm *resourceManager) MallocFresh(size uint64) (mem.Addr, error) {
-	return rm.malloc(size, attrFresh)
+// MallocBlocks is Malloc for memory the caller carves into block-byte
+// blocks laid end to end, each written before it is read. Every line of the
+// allocation's whole pages is marked unwritten, and a fill fetches only
+// lines written back since. When a block is larger than half a page, every
+// block on a page is, so those pages are also marked object pages and a
+// fill of one fetches only the lines asked for (DESIGN.md §16). This is the
+// one place the runtime applies that half-page rule.
+func (rm *resourceManager) MallocBlocks(size, block uint64) (mem.Addr, error) {
+	if block == 0 {
+		return 0, fmt.Errorf("core: zero-size block")
+	}
+	return rm.malloc(size, block)
 }
 
-// MallocObjects is MallocFresh for memory the caller carves into objects
-// larger than half a page: the allocation's whole pages are also marked
-// object pages, and a fill of one fetches only the lines asked for.
-func (rm *resourceManager) MallocObjects(size uint64) (mem.Addr, error) {
-	return rm.malloc(size, attrFresh|attrObjects)
-}
-
-func (rm *resourceManager) malloc(size uint64, attr allocAttr) (mem.Addr, error) {
+// malloc allocates size bytes; a nonzero block marks them as MallocBlocks
+// says.
+func (rm *resourceManager) malloc(size, block uint64) (mem.Addr, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("core: zero-size malloc")
 	}
@@ -688,8 +674,8 @@ func (rm *resourceManager) malloc(size uint64, attr allocAttr) (mem.Addr, error)
 		}
 		addr, err = rm.alloc.Alloc(size)
 	}
-	if err == nil && attr != 0 {
-		rm.markLocked(addr, size, attr, true)
+	if err == nil && block != 0 {
+		rm.markLocked(addr, size, true, block > mem.PageSize/2)
 	}
 	return addr, err
 }
@@ -704,7 +690,7 @@ func (rm *resourceManager) Free(addr mem.Addr) error {
 		return err
 	}
 	if ok {
-		rm.markLocked(addr, size, attrObjects, false)
+		rm.markLocked(addr, size, false, false)
 	}
 	return nil
 }

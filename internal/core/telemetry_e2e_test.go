@@ -63,7 +63,7 @@ func TestLogBytesPerDirtyLine(t *testing.T) {
 	cfg.LocalCacheBytes = 2 * pages * mem.PageSize // nothing evicts before the Sync
 	cfg.Replicas = replicas
 	k := NewKonaTCPWith(cfg, addr, cluster.DefaultTransport())
-	base, err := k.MallocFresh(pages * mem.PageSize)
+	base, err := k.MallocBlocks(pages*mem.PageSize, mem.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
 	}

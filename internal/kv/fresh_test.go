@@ -18,8 +18,7 @@ import (
 // the reference the guard counts against.
 type mallocChunks struct{ *core.Kona }
 
-func (m mallocChunks) MallocFresh(size uint64) (mem.Addr, error)   { return m.Malloc(size) }
-func (m mallocChunks) MallocObjects(size uint64) (mem.Addr, error) { return m.Malloc(size) }
+func (m mallocChunks) MallocBlocks(size, _ uint64) (mem.Addr, error) { return m.Malloc(size) }
 
 // countedRack is a controller and two memory-node daemons on loopback TCP
 // whose memnodes count what they serve into one registry.
@@ -120,7 +119,7 @@ func TestFreshLoadFetchesNothing(t *testing.T) {
 // heap chunks come from Malloc fetches almost only to read for ownership —
 // the set that carves a block out of a page ends in a partial line, and the
 // line's remote contents must be read before it is written. Over
-// MallocFresh chunks the same load fetches nothing.
+// MallocBlocks chunks the same load fetches nothing.
 func TestMallocChunkLoadFetchesAreRFO(t *testing.T) {
 	const keys = 20_000
 	load := func(wrap func(*core.Kona) Runtime) fpga.Stats {
@@ -149,7 +148,7 @@ func TestMallocChunkLoadFetchesAreRFO(t *testing.T) {
 		t.Errorf("%d of %d fetches are read-for-ownership, want ≥ 99%%", rfo, st.RemoteFetches)
 	}
 	if fresh := load(func(k *core.Kona) Runtime { return k }); fresh.RemoteFetches != 0 {
-		t.Errorf("MallocFresh-chunk load fetched %d times (by cause %v), want 0", fresh.RemoteFetches, fresh.Fetches)
+		t.Errorf("MallocBlocks-chunk load fetched %d times (by cause %v), want 0", fresh.RemoteFetches, fresh.Fetches)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"kona/internal/telemetry"
 )
 
-// valueHeap is a size-class block allocator over Runtime.MallocFresh (a
+// valueHeap is a size-class block allocator over Runtime.MallocBlocks (a
 // record is written before it is read, so a chunk's never-used pages need
 // no fetch on first touch). The runtime hands out coarse regions
 // (slab-backed, page-granular); the heap carves them into blocks and
@@ -35,11 +35,10 @@ import (
 // enforces the boundary itself (newChunk) rather than trusting the
 // runtime's allocator to return page-aligned chunks.
 //
-// Every block on a page of a class above half a page is larger than half a
-// page, so the chunks of those classes come from MallocObjects: a fill of
-// one of their pages fetches only the lines the record reaches, not its
-// neighbours'. A page of a smaller class holds several blocks and stays
-// fetched whole — its neighbours' later hits pay for the extra bytes.
+// A chunk's MallocBlocks call names its class's block size, and the runtime
+// fills a page of a class above half a page only as far as a record reaches,
+// not its neighbours'. A page of a smaller class holds several blocks and
+// stays fetched whole — its neighbours' later hits pay for the extra bytes.
 //
 // A write ending part-way through a line the cache lacks first reads it for
 // ownership, a round trip; one covering the line claims it. So a set into
@@ -83,7 +82,7 @@ const (
 	// 18 063 lines, the first class past maxRecordLen (a max-size value plus
 	// key and header is just over 1 MB).
 	nClasses = 6 + 29
-	// chunkBytes is the MallocFresh granularity, a whole number of pages:
+	// chunkBytes is the MallocBlocks granularity, a whole number of pages:
 	// big enough to amortize the controller round trip, small enough that a
 	// lightly-used shard does not pin much remote memory.
 	chunkBytes = 256 << 10
@@ -123,7 +122,7 @@ func classOf(n int) int {
 func blockBytes(c int) uint64 { return classBytes[c] }
 
 // objectClass reports whether class c's blocks are larger than half a page,
-// so its chunks are object memory (MallocObjects).
+// so the runtime fills its chunks' pages only as far as a record reaches.
 func objectClass(c int) bool { return blockBytes(c) > mem.PageSize/2 }
 
 // writeLen is how many bytes Set writes for an n-byte record: an object
@@ -186,14 +185,10 @@ func (h *valueHeap) alloc(n int) (mem.Addr, int, error) {
 func (h *valueHeap) newChunk(cur *cursor, c int) error {
 	size := blockBytes(c)
 	chunk := uint64(mem.Addr((chunkBytes + size - 1) / size * size).AlignUp(mem.PageSize))
-	malloc := h.rt.MallocFresh
-	if objectClass(c) {
-		malloc = h.rt.MallocObjects
-	}
-	base, err := malloc(chunk)
+	base, err := h.rt.MallocBlocks(chunk, size)
 	if err == nil && base.PageOffset() != 0 {
 		h.chunkCount++
-		base, err = malloc(chunk + mem.PageSize)
+		base, err = h.rt.MallocBlocks(chunk+mem.PageSize, size)
 	}
 	if err != nil {
 		return fmt.Errorf("kv: value heap: %w", err)

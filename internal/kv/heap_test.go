@@ -95,38 +95,36 @@ func TestHeapReuseAndAccounting(t *testing.T) {
 	}
 }
 
-// offPageRuntime hands out MallocFresh and MallocObjects regions a cache
-// line past wherever the previous one ended: the allocator of a runtime
-// that some other caller has left mid-page, with nothing cached. The heap
-// uses nothing else of it.
+// offPageRuntime hands out MallocBlocks regions a cache line past wherever
+// the previous one ended: the allocator of a runtime that some other caller
+// has left mid-page, with nothing cached. The heap uses nothing else of it.
 type offPageRuntime struct {
 	Runtime
 	next mem.Addr
 }
 
-func (r *offPageRuntime) MallocFresh(size uint64) (mem.Addr, error) {
+func (r *offPageRuntime) MallocBlocks(size, _ uint64) (mem.Addr, error) {
 	a := r.next
 	r.next += mem.Addr(size) + mem.CacheLineSize
 	return a, nil
 }
 
-func (r *offPageRuntime) MallocObjects(size uint64) (mem.Addr, error) { return r.MallocFresh(size) }
-
 func (r *offPageRuntime) Cached(mem.Addr) bool { return false }
 
-// objectPages records the pages a runtime's MallocObjects marks as object
-// pages: every page wholly inside one of its allocations (the runtime's
-// rule, pinned by core's TestObjectPagesAreWholePagesOfMallocObjects).
+// objectPages records, for every page wholly inside a MallocBlocks
+// allocation, the block size the call named: the pages the runtime marks,
+// as object pages when the block is larger than half a page (the runtime's
+// rule, pinned by core's TestObjectPagesAreWholePagesOfLargeBlocks).
 type objectPages struct {
 	Runtime
-	marked map[uint64]bool
+	block map[uint64]uint64 // page -> block size of its chunk
 }
 
-func (r *objectPages) MallocObjects(size uint64) (mem.Addr, error) {
-	a, err := r.Runtime.MallocObjects(size)
+func (r *objectPages) MallocBlocks(size, block uint64) (mem.Addr, error) {
+	a, err := r.Runtime.MallocBlocks(size, block)
 	if err == nil {
 		for p := a.AlignUp(mem.PageSize); p+mem.PageSize <= a+mem.Addr(size); p += mem.PageSize {
-			r.marked[p.Page()] = true
+			r.block[p.Page()] = block
 		}
 	}
 	return a, err
@@ -216,33 +214,31 @@ func TestHeapPagesHoldOneClass(t *testing.T) {
 }
 
 // TestHeapObjectPagesHoldOneBlock is the object-page half of the heap's
-// layout (DESIGN.md §16), over the same churn: every page a block larger
-// than half a page covers is an object page, so every block on an object
-// page is larger than half a page (MallocObjects' promise), and no page
-// holding a block of a class up to half a page is ever one — its
+// layout (DESIGN.md §16), over the same churn: every page a block covers
+// came from a MallocBlocks call naming that block's class size, so the
+// runtime makes every page a block larger than half a page covers an object
+// page, and no page holding a block of a class up to half a page — its
 // neighbours' hits are what pay for fetching it whole. Object pages shared
 // by two blocks must turn up, or the end-to-end layout is not exercised.
 func TestHeapObjectPagesHoldOneBlock(t *testing.T) {
 	for name, rt := range heapRuntimes(t) {
 		t.Run(name, func(t *testing.T) {
-			rec := &objectPages{Runtime: rt, marked: map[uint64]bool{}}
+			rec := &objectPages{Runtime: rt, block: map[uint64]uint64{}}
 			owner := map[uint64]mem.Addr{} // object page -> a block covering it
 			shared := 0
 			churnHeap(t, newValueHeap(rec, nil), func(a mem.Addr, c int) {
 				size := blockBytes(c)
 				for p := a.Page(); p <= (a + mem.Addr(size) - 1).Page(); p++ {
-					switch {
-					case !objectClass(c) && rec.marked[p]:
-						t.Fatalf("page %#x of a %d B block is an object page", p, size)
-					case objectClass(c) && !rec.marked[p]:
-						t.Fatalf("page %#x of a %d B block is not an object page", p, size)
+					if rec.block[p] != size {
+						t.Fatalf("page %#x of a %d B block came from a chunk of %d B blocks", p, size, rec.block[p])
+					}
+					if !objectClass(c) {
+						continue
 					}
 					if b, ok := owner[p]; ok && b != a {
 						shared++
 					}
-					if rec.marked[p] {
-						owner[p] = a
-					}
+					owner[p] = a
 				}
 			})
 			if len(owner) == 0 || shared == 0 {

@@ -14,12 +14,11 @@
 //   - layout.go: the remote record format (header + key + value +
 //     checksum) shared by the store and the examples/kvstore demo.
 //     Checksums make torn or misdirected writes detectable at read time.
-//   - heap.go: a size-class value-heap allocator over Runtime.MallocFresh
-//     and MallocObjects — they hand out coarse chunks, each class carves
-//     blocks from chunks of its own (so a record of ≤ 2 KB lies in one
-//     page, and larger blocks, whole lines, are laid end to end on pages
-//     of their class only), frees recycle blocks onto per-class free
-//     lists.
+//   - heap.go: a size-class value-heap allocator over Runtime.MallocBlocks
+//     — it hands out coarse chunks, each class carves blocks from chunks
+//     of its own (so a record of ≤ 2 KB lies in one page, and larger
+//     blocks, whole lines, are laid end to end on pages of their class
+//     only), frees recycle blocks onto per-class free lists.
 //   - ring.go: consistent-hash key→shard routing (vnode ring), so the
 //     shard count can change without remapping the whole keyspace.
 //   - store.go: the sharded store — per-shard local index + heap +
@@ -45,15 +44,11 @@ import (
 // examples/kvstore run the same store over both and compare.
 type Runtime interface {
 	Malloc(size uint64) (mem.Addr, error)
-	// MallocFresh is Malloc for memory written before it is read: a first
-	// touch of its pages fetches nothing. The value heap carves its chunks
-	// with it — a get reads only the record a set wrote into the block.
-	MallocFresh(size uint64) (mem.Addr, error)
-	// MallocObjects is MallocFresh for memory carved into blocks larger
-	// than half a page: a fill of one of its pages fetches only the lines a
-	// get or set reaches. The heap carves the chunks of every class whose
-	// block is larger than half a page with it.
-	MallocObjects(size uint64) (mem.Addr, error)
+	// MallocBlocks is Malloc for memory carved into block-byte blocks,
+	// each written before it is read: a first touch of its pages fetches
+	// nothing, and the runtime decides from block how much of a page a fill
+	// fetches. The value heap carves every chunk with it.
+	MallocBlocks(size, block uint64) (mem.Addr, error)
 	Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error)
 	Write(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error)
 	Sync(now simclock.Duration) (simclock.Duration, error)

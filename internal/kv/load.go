@@ -65,9 +65,11 @@ type Result struct {
 	Get, Set, All             LatencySummary
 	// SLOViolated is set when a configured objective was missed.
 	SLOViolated bool
-	// Verify-pass tallies (Verify=true): acknowledged keys checked,
-	// missing entirely, failing the payload pattern, or answering with
-	// an older write than the last acknowledged one.
+	// VerifiedKeys and Missing are verify-pass tallies (Verify=true):
+	// acknowledged keys checked, and those missing entirely. Torn and
+	// Stale count values seen at any read, in the run or the verify pass,
+	// that fail the payload pattern or answer with a write older than the
+	// last acknowledged one (or newer than the last sent).
 	VerifiedKeys, Missing, Torn, Stale uint64
 }
 
@@ -81,6 +83,7 @@ type Engine struct {
 	completed      atomic.Uint64
 	errors         atomic.Uint64
 	hits, misses   atomic.Uint64
+	torn, stale    atomic.Uint64
 }
 
 // NewEngine validates the config.
@@ -219,17 +222,16 @@ func (e *Engine) Run(addr string) (Result, error) {
 			vwg.Add(1)
 			go func(w *loadWorker) {
 				defer vwg.Done()
-				vk, missing, torn, stale := w.verify()
+				vk, missing := w.verify()
 				vmu.Lock()
 				res.VerifiedKeys += vk
 				res.Missing += missing
-				res.Torn += torn
-				res.Stale += stale
 				vmu.Unlock()
 			}(w)
 		}
 		vwg.Wait()
 	}
+	res.Torn, res.Stale = e.torn.Load(), e.stale.Load()
 	for _, w := range workers {
 		if w.client != nil {
 			w.client.Close()
@@ -302,11 +304,13 @@ func (w *loadWorker) execute(item workItem) {
 	}
 	var err error
 	if op.Read {
+		var val []byte
 		var ok bool
-		_, _, ok, err = w.client.Get(op.Key)
+		val, _, ok, err = w.client.Get(op.Key)
 		if err == nil {
 			if ok {
 				w.e.hits.Add(1)
+				w.check(op.Key, val)
 			} else {
 				w.e.misses.Add(1)
 			}
@@ -345,20 +349,35 @@ func (w *loadWorker) execute(item workItem) {
 	w.lastDone.Store(time.Now().UnixNano())
 }
 
-// verify re-reads every key this worker acknowledged a write for. A key
-// may legitimately answer a *newer* seq than the last acked one (a set
-// whose ack was lost with its connection still landed); anything older,
-// missing, or pattern-broken is a violation.
-func (w *loadWorker) verify() (checked, missing, torn, stale uint64) {
-	if w.client == nil && !w.redial() {
-		return 0, uint64(len(w.acked)), 0, 0
+// check counts a get's value torn or stale. A key this worker has an
+// acknowledged write for must answer a seq from the last acknowledged one
+// to the last sent (a set whose ack was lost with its connection may still
+// have landed); a key with none may hold anything intact, a value an
+// earlier run left. A miss is legal: the store's budget evicts.
+func (w *loadWorker) check(key string, val []byte) {
+	seq, intact := ParseValue(val)
+	ackSeq, acked := w.acked[key]
+	switch {
+	case !intact:
+		w.e.torn.Add(1)
+	case acked && (seq < ackSeq || seq > w.issued[key]):
+		w.e.stale.Add(1)
 	}
-	for key, ackSeq := range w.acked {
+}
+
+// verify re-reads every key this worker acknowledged a write for, checking
+// each value as a get in the run is checked; a key that answers no value
+// is missing.
+func (w *loadWorker) verify() (checked, missing uint64) {
+	if w.client == nil && !w.redial() {
+		return 0, uint64(len(w.acked))
+	}
+	for key := range w.acked {
 		val, _, ok, err := w.client.Get(key)
 		if err != nil {
 			if !w.redial() {
 				missing += uint64(len(w.acked)) - checked
-				return checked, missing, torn, stale
+				return checked, missing
 			}
 			val, _, ok, err = w.client.Get(key)
 			if err != nil {
@@ -372,13 +391,7 @@ func (w *loadWorker) verify() (checked, missing, torn, stale uint64) {
 			missing++
 			continue
 		}
-		seq, intact := ParseValue(val)
-		switch {
-		case !intact:
-			torn++
-		case seq < ackSeq:
-			stale++
-		}
+		w.check(key, val)
 	}
-	return checked, missing, torn, stale
+	return checked, missing
 }

@@ -32,7 +32,7 @@ type Config struct {
 type StoreStats struct {
 	Keys      uint64
 	LiveBytes uint64 // block bytes held by the index
-	Chunks    int    // MallocFresh chunks taken by the heaps, one class each
+	Chunks    int    // MallocBlocks chunks taken by the heaps, one class each
 	Hits      uint64
 	Misses    uint64
 	Sets      uint64

@@ -14,18 +14,16 @@
 //	t, _ = rt.Read(t, addr, buf)
 //	rt.Sync(t) // write dirty lines back; remote memory is current on return
 //
-// Malloc and MallocFresh differ in one promise. The first access to a
+// Malloc and MallocBlocks differ in one promise. The first access to a
 // page of a Malloc allocation fetches whatever the memory node's extent
-// holds. MallocFresh is for memory the caller writes before it reads —
-// the contents are undefined until written — and in exchange a first
-// touch of its pages costs no round trip: the runtime knows nothing was
-// ever written there and fills the page with zeros locally, until the
-// page is written back or its placement group is shared with another
-// runtime (DESIGN.md §16). MallocObjects adds one more promise to
-// MallocFresh's: the caller carves the memory into objects larger than
-// half a page, so every object on a page is larger than half a page and no
-// read wants a page's bytes outside its own object — and a fill of such a
-// page fetches only the lines the read or write reaches.
+// holds. MallocBlocks(size, block) is for memory the caller carves into
+// block-byte blocks and writes before it reads — the contents are undefined
+// until written — and in exchange a first touch of its pages costs no round
+// trip: the runtime knows nothing was ever written there and fills the page
+// with zeros locally, until the page is written back or its placement group
+// is shared with another runtime. When a block is larger than half a page,
+// no read wants a page's bytes outside its own block, so a fill of such a
+// page fetches only the lines the read or write reaches (DESIGN.md §16).
 //
 // Sync is a write-back barrier, not an invalidation: when it returns
 // without error every earlier write is in remote memory (on every live
