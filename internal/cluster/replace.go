@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kona/internal/mem"
@@ -259,36 +258,24 @@ type ReplaceStats struct {
 	Retired uint64
 }
 
-// tally is one lifetime count, kept for Stats and mirrored into the
-// registry (a nil handle when telemetry is off).
-type tally struct {
-	n atomic.Uint64
-	m *telemetry.Counter
-}
-
-func (t *tally) add(n uint64) {
-	t.n.Add(n)
-	t.m.Add(n)
-}
-
 // cause is one reason a member is replaced, with its own copy budget and
 // counters.
 type cause struct {
 	name                   string
 	budget                 *byteBudget
-	flips, failures, bytes tally
+	flips, failures, bytes *telemetry.Counter
 }
 
 func (c *cause) init(reg *telemetry.Registry, name, flips string, bytesPerSec float64) {
 	c.name = name
 	c.budget = newByteBudget(bytesPerSec, 0)
-	c.flips.m = reg.Counter("cluster." + name + "." + flips)
-	c.failures.m = reg.Counter("cluster." + name + ".failures")
-	c.bytes.m = reg.Counter("cluster." + name + ".bytes_copied")
+	c.flips = reg.Counter("cluster." + name + "." + flips)
+	c.failures = reg.Counter("cluster." + name + ".failures")
+	c.bytes = reg.Counter("cluster." + name + ".bytes_copied")
 }
 
 func (c *cause) stats() CauseStats {
-	return CauseStats{Flips: c.flips.n.Load(), Failures: c.failures.n.Load(), BytesCopied: c.bytes.n.Load()}
+	return CauseStats{Flips: c.flips.Value(), Failures: c.failures.Value(), BytesCopied: c.bytes.Value()}
 }
 
 // heldExtent is one extent whose seal the engine still owes an Unseal: a
@@ -313,7 +300,7 @@ type ReplaceEngine struct {
 	cfg  ReplaceConfig
 
 	repair, migrate     cause
-	deltaPages, retired tally
+	deltaPages, retired *telemetry.Counter
 	mDegraded           *telemetry.Gauge
 	mRetiring           *telemetry.Gauge
 	trace               *telemetry.Trace
@@ -329,31 +316,37 @@ type ReplaceEngine struct {
 // its nodes.
 func NewReplaceEngine(ctrl *Controller, dial NodeDialer, cfg ReplaceConfig) *ReplaceEngine {
 	cfg = cfg.withDefaults()
+	// The counters are Stats' only copy, so they need a registry even
+	// when telemetry is off; trace events stay off with it.
 	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.New(0)
+	}
 	e := &ReplaceEngine{
-		ctrl:      ctrl,
-		dial:      dial,
-		cfg:       cfg,
-		mDegraded: reg.Gauge("cluster.repair.degraded"),
-		mRetiring: reg.Gauge("cluster.migrate.retiring"),
-		trace:     reg.Trace(),
-		buf:       make([]byte, copyBatchPages*copyPageSize),
-		bufs:      make([][]byte, copyBatchPages),
+		ctrl:       ctrl,
+		dial:       dial,
+		cfg:        cfg,
+		deltaPages: reg.Counter("cluster.migrate.delta_pages"),
+		retired:    reg.Counter("cluster.migrate.retired"),
+		mDegraded:  reg.Gauge("cluster.repair.degraded"),
+		mRetiring:  reg.Gauge("cluster.migrate.retiring"),
+		trace:      cfg.Metrics.Trace(),
+		buf:        make([]byte, copyBatchPages*copyPageSize),
+		bufs:       make([][]byte, copyBatchPages),
 	}
 	e.repair.init(reg, "repair", "flips", cfg.RepairBytesPerSec)
 	e.migrate.init(reg, "migrate", "moves", cfg.MigrateBytesPerSec)
-	e.deltaPages.m = reg.Counter("cluster.migrate.delta_pages")
-	e.retired.m = reg.Counter("cluster.migrate.retired")
 	return e
 }
 
-// Stats returns the engine's lifetime counters.
+// Stats returns the engine's lifetime counters, read back from its
+// registry: engines sharing one report their sum.
 func (e *ReplaceEngine) Stats() ReplaceStats {
 	return ReplaceStats{
 		Repair:     e.repair.stats(),
 		Migrate:    e.migrate.stats(),
-		DeltaPages: e.deltaPages.n.Load(),
-		Retired:    e.retired.n.Load(),
+		DeltaPages: e.deltaPages.Value(),
+		Retired:    e.retired.Value(),
 	}
 }
 
@@ -483,7 +476,7 @@ func (e *ReplaceEngine) replaceMember(old slab.Slab) (err error) {
 			_ = m.from.CaptureStop(old.RemoteOff, old.Size)
 		}
 		e.ctrl.AbandonExtent(target)
-		m.c.failures.add(1)
+		m.c.failures.Inc()
 		if e.trace != nil {
 			e.trace.Emit("cluster.replace.abandon", fmt.Sprintf("%s err=%v", m, err))
 		}
@@ -530,7 +523,7 @@ func (e *ReplaceEngine) replaceMember(old slab.Slab) (err error) {
 		// writing into a recycled window; release comes in a later sweep.
 		e.hold(heldExtent{s: old, sweeps: e.cfg.RetireSweeps, retired: true})
 	}
-	m.c.flips.add(1)
+	m.c.flips.Inc()
 	if e.trace != nil {
 		e.trace.Emit("cluster.replace", m.String())
 	}
@@ -571,7 +564,7 @@ func (m *move) copyDelta() (int, error) {
 		return 0, err
 	}
 	m.deltaPages += uint64(len(offs))
-	m.e.deltaPages.add(uint64(len(offs)))
+	m.e.deltaPages.Add(uint64(len(offs)))
 	return len(offs), nil
 }
 
@@ -613,7 +606,7 @@ func (m *move) copyPages(offs []uint64) error {
 			i = j
 		}
 		m.bytes += span
-		m.c.bytes.add(span)
+		m.c.bytes.Add(span)
 	}
 	return nil
 }
@@ -648,7 +641,7 @@ func (e *ReplaceEngine) ageHoldDowns() {
 		}
 		if h.retired {
 			e.ctrl.AbandonExtent(h.s)
-			e.retired.add(1)
+			e.retired.Inc()
 		}
 	}
 	e.held = kept

@@ -52,10 +52,12 @@ type Config struct {
 	// Sharding changes lock granularity only — for a fixed seed the
 	// virtual-time results are identical at any value.
 	Shards int
-	// Metrics receives the runtime's live telemetry: fetch/eviction
-	// counters, writeback volume, and annotated trace events on the
-	// bounded ring (DESIGN.md §7). nil — the default — disables
-	// instrumentation at the cost of one nil check per site.
+	// Metrics receives the runtime's telemetry (DESIGN.md §7): live
+	// gauges and annotated trace events on the bounded ring, and
+	// fetch/eviction/writeback counts published at Sync, Close and
+	// PublishTelemetry, summed over the runtimes sharing the registry.
+	// nil — the default — disables instrumentation at the cost of one nil
+	// check per site.
 	Metrics *telemetry.Registry
 }
 

@@ -8,6 +8,7 @@ import (
 	"kona/internal/cluster"
 	"kona/internal/mem"
 	"kona/internal/simclock"
+	"kona/internal/telemetry"
 )
 
 // newCluster builds a controller with n memory nodes of 64MB each.
@@ -378,4 +379,37 @@ func TestKonaBeatsKonaVM(t *testing.T) {
 		t.Errorf("Kona (%v) not at least 2x faster than Kona-VM (%v)", tk, tv)
 	}
 	t.Logf("Kona %v vs Kona-VM %v (%.1fx)", tk, tv, float64(tv)/float64(tk))
+}
+
+// TestPrefetchStopsAtEndOfMemory reads every page of a one-slab region
+// with the next-page prefetcher on. The page past the slab is in no slab,
+// so the prefetcher leaves it alone: no frame is installed for it, and no
+// fetch is started for it.
+func TestPrefetchStopsAtEndOfMemory(t *testing.T) {
+	const pages = 16
+	cfg := smallConfig()
+	cfg.SlabSize = pages * mem.PageSize
+	cfg.Prefetch = true
+	cfg.Metrics = telemetry.New(0)
+	k := NewKona(cfg, newCluster(1))
+	addr, err := k.Malloc(pages * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := simDur(0)
+	buf := make([]byte, 8)
+	for p := 0; p < pages; p++ {
+		if now, err = k.Read(now, addr+mem.Addr(p*mem.PageSize), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.PublishTelemetry()
+	fetches := cfg.Metrics.Snapshot().Counters["core.fetches"]
+	if n := k.fpga.Occupancy(); n != pages || k.fpga.Resident(addr+pages*mem.PageSize) {
+		t.Errorf("%d frames resident after reading %d pages (past-the-end page resident: %v)",
+			n, pages, k.fpga.Resident(addr+pages*mem.PageSize))
+	}
+	if st := k.FPGAStats(); st.RemoteFetches != pages || fetches != pages {
+		t.Errorf("RemoteFetches %d, core.fetches %d; want %d each", st.RemoteFetches, fetches, pages)
+	}
 }

@@ -14,18 +14,11 @@ import (
 	"kona/internal/telemetry"
 )
 
-// evictMetrics mirrors EvictStats into a registry as the eviction path
-// runs, plus batch-flush trace events. All handles are nil (no-op) when
-// telemetry is disabled.
+// evictMetrics is the eviction path's live gauges and batch-flush trace
+// events; its counts live in EvictStats and the failure atomics, which
+// PublishTelemetry publishes. All handles are nil (no-op) when telemetry
+// is disabled.
 type evictMetrics struct {
-	dirtyPages, silent, lines, payloadBytes *telemetry.Counter
-	wireBytes, flushes, remoteEntries       *telemetry.Counter
-	// shipFailures counts outages reported to the controller; remapped
-	// counts retained entries rebased onto a repaired replica;
-	// sealedRetains counts ships rejected by a migration seal;
-	// leaseFenced counts ships rejected by a lease fence (this runtime's
-	// writer lease was taken over).
-	shipFailures, remapped, sealedRetains, leaseFenced *telemetry.Counter
 	// inflight tracks ships currently on the wire (0..1 on the inline
 	// executor, up to evictInflight on the pipelined one); pendingPages is
 	// the page backlog the latest full cycle had to cover; arenaBytes is
@@ -36,21 +29,10 @@ type evictMetrics struct {
 
 func newEvictMetrics(reg *telemetry.Registry) evictMetrics {
 	return evictMetrics{
-		dirtyPages:    reg.Counter("core.evict.dirty_pages"),
-		silent:        reg.Counter("core.evict.silent"),
-		lines:         reg.Counter("core.evict.lines_shipped"),
-		payloadBytes:  reg.Counter("core.evict.payload_bytes"),
-		wireBytes:     reg.Counter("core.evict.wire_bytes"),
-		flushes:       reg.Counter("core.evict.flushes"),
-		remoteEntries: reg.Counter("core.evict.remote_entries"),
-		shipFailures:  reg.Counter("core.evict.ship_failure_reports"),
-		remapped:      reg.Counter("core.evict.remapped_entries"),
-		sealedRetains: reg.Counter("core.evict.sealed_retains"),
-		leaseFenced:   reg.Counter("core.evict.lease_fenced"),
-		inflight:      reg.Gauge("core.evict.inflight"),
-		pendingPages:  reg.Gauge("core.evict.pending_pages"),
-		arenaBytes:    reg.Gauge("core.evict.arena_bytes"),
-		trace:         reg.Trace(),
+		inflight:     reg.Gauge("core.evict.inflight"),
+		pendingPages: reg.Gauge("core.evict.pending_pages"),
+		arenaBytes:   reg.Gauge("core.evict.arena_bytes"),
+		trace:        reg.Trace(),
 	}
 }
 
@@ -74,7 +56,7 @@ func (b Breakdown) Total() simclock.Duration {
 
 // EvictStats counts eviction activity.
 type EvictStats struct {
-	PagesEvicted  uint64
+	PagesEvicted  uint64 // DirtyPages + SilentEvicted, derived by Stats
 	DirtyPages    uint64
 	Segments      uint64
 	LinesShipped  uint64
@@ -91,7 +73,6 @@ type EvictStats struct {
 
 // add accumulates o into s (shard-stat merge).
 func (s *EvictStats) add(o EvictStats) {
-	s.PagesEvicted += o.PagesEvicted
 	s.DirtyPages += o.DirtyPages
 	s.Segments += o.Segments
 	s.LinesShipped += o.LinesShipped
@@ -254,7 +235,7 @@ type evictor struct {
 	// error surfaces, because no other copy of the dirty lines exists.
 	replicated bool
 	// shipReports/remapped/sealedRetains/leaseFenced are fault-tolerance
-	// counters (FailureStats).
+	// counters (FailureStats, published by PublishTelemetry).
 	shipReports   atomic.Uint64
 	remapped      atomic.Uint64
 	sealedRetains atomic.Uint64
@@ -338,8 +319,8 @@ type evictShard struct {
 	// pending tracks pages with buffered (unflushed) entries, for the
 	// write-before-read ordering check on refetch.
 	pending pendingSet
-	// stats holds the append-side counters (PagesEvicted, DirtyPages,
-	// SilentEvicted, Segments, LinesShipped, PayloadBytes).
+	// stats holds the append-side counters (DirtyPages, SilentEvicted,
+	// Segments, LinesShipped, PayloadBytes).
 	stats EvictStats
 	// bitmapT/copyT are the append-side Breakdown slices.
 	bitmapT, copyT simclock.Duration
@@ -449,11 +430,9 @@ func (e *evictor) orderSnapshot() []*nodeBatch {
 func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Duration, error) {
 	sh := e.shardFor(v.Base)
 	sh.mu.Lock()
-	sh.stats.PagesEvicted++
 	if !v.Dirty.Any() {
 		sh.stats.SilentEvicted++
 		sh.mu.Unlock()
-		e.m.silent.Inc()
 		return now, nil
 	}
 	sh.stats.DirtyPages++
@@ -476,7 +455,6 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 	for i := range placements {
 		placements[i].batch = e.shardBatchFor(sh, placements[i].link)
 	}
-	var linesN, payloadN uint64
 	logBytes := 0
 	for _, seg := range segs {
 		off := seg.First * mem.CacheLineSize
@@ -492,8 +470,6 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 		sh.stats.Segments++
 		sh.stats.LinesShipped += uint64(seg.N)
 		sh.stats.PayloadBytes += uint64(length)
-		linesN += uint64(seg.N)
-		payloadN += uint64(length)
 		logBytes += cllog.EntrySize(length)
 
 		for _, pl := range placements {
@@ -505,9 +481,6 @@ func (e *evictor) EvictPage(now simclock.Duration, v fpga.Victim) (simclock.Dura
 		pl.batch.nb.pendingBytes.Add(int64(logBytes))
 	}
 	sh.mu.Unlock()
-	e.m.dirtyPages.Inc()
-	e.m.lines.Add(linesN)
-	e.m.payloadBytes.Add(payloadN)
 
 	// Flush any destination whose pending log crossed the threshold.
 	full := false
@@ -549,12 +522,10 @@ func (e *evictor) retainAfterErrLocked(nb *nodeBatch, err error) bool {
 	if errors.Is(err, cluster.ErrSealed) {
 		e.rm.shipBounced(nb.link.key(), nb.entries)
 		e.sealedRetains.Add(1)
-		e.m.sealedRetains.Inc()
 		return true
 	}
 	if errors.Is(err, cluster.ErrLeaseFenced) {
 		e.leaseFenced.Add(1)
-		e.m.leaseFenced.Inc()
 		return false
 	}
 	if !e.replicated {
@@ -574,7 +545,6 @@ func (e *evictor) reportShipFailureLocked(nb *nodeBatch) {
 	}
 	nb.reported = true
 	e.shipReports.Add(1)
-	e.m.shipFailures.Inc()
 	// Best-effort: a lost report leaves the node to the controller's sweep.
 	_, _ = e.rm.ctrl.ReportFailure(nb.link.id())
 }
@@ -885,9 +855,6 @@ func (e *evictor) foldShipLocked(nb *nodeBatch, res *shipResult) {
 	e.fstats.WireBytes += uint64(res.packed)
 	e.fstats.Flushes += uint64(res.flushes)
 	e.fstats.RemoteEntries += uint64(res.remote)
-	e.m.wireBytes.Add(uint64(res.packed))
-	e.m.flushes.Add(uint64(res.flushes))
-	e.m.remoteEntries.Add(uint64(res.remote))
 	e.m.trace.EmitAt(res.done, "core.evict.flush", "node=%d entries=%d bytes=%d",
 		uint64(nb.link.id()), uint64(len(nb.entries)), uint64(res.packed))
 	nb.ackDue = res.ackDue
@@ -1019,7 +986,6 @@ func (e *evictor) applyMovesLocked() {
 	}
 	if moved > 0 {
 		e.remapped.Add(uint64(moved))
-		e.m.remapped.Add(uint64(moved))
 	}
 }
 
@@ -1176,5 +1142,6 @@ func (e *evictor) Stats() EvictStats {
 		out.add(sh.stats)
 		sh.mu.Unlock()
 	}
+	out.PagesEvicted = out.DirtyPages + out.SilentEvicted
 	return out
 }

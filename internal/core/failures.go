@@ -75,7 +75,7 @@ func (k *Kona) ReadChecked(now simclock.Duration, addr mem.Addr, buf []byte) (si
 		return done, err
 	}
 	if !resident && done-now > MCETimeout {
-		k.failures.MCEs++
+		k.mces.Add(1)
 	}
 	return done, nil
 }
@@ -84,15 +84,18 @@ func (k *Kona) ReadChecked(now simclock.Duration, addr mem.Addr, buf []byte) (si
 // by the Resource Manager when Translate skips a dead primary.
 func (k *Kona) FailureStats() FailureStats {
 	k.rm.mu.Lock()
-	k.failures.Failovers = k.rm.failovers
+	failovers := k.rm.failovers
 	k.rm.mu.Unlock()
-	k.failures.SuspectMembers = k.rm.inState(memberCatchingUp)
-	k.failures.ShipFailureReports = k.evict.shipReports.Load()
-	k.failures.PlacementRefreshes = k.refreshes.Load()
-	k.failures.RemappedEntries = k.evict.remapped.Load()
-	k.failures.SealedRetains = k.evict.sealedRetains.Load()
-	k.failures.LeaseFencedShips = k.evict.leaseFenced.Load()
-	return k.failures
+	return FailureStats{
+		MCEs:               k.mces.Load(),
+		Failovers:          failovers,
+		SuspectMembers:     k.rm.inState(memberCatchingUp),
+		ShipFailureReports: k.evict.shipReports.Load(),
+		PlacementRefreshes: k.refreshes.Load(),
+		RemappedEntries:    k.evict.remapped.Load(),
+		SealedRetains:      k.evict.sealedRetains.Load(),
+		LeaseFencedShips:   k.evict.leaseFenced.Load(),
+	}
 }
 
 // InjectNetworkDelay adds d to every operation toward the given memory

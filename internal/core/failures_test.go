@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"kona/internal/mem"
+	"kona/internal/telemetry"
 )
 
 func TestReplicationSurvivesPrimaryFailure(t *testing.T) {
@@ -209,5 +211,47 @@ func TestOutageRecoveryRetry(t *testing.T) {
 	}
 	if !bytes.Equal(buf, payload) {
 		t.Fatalf("data lost across outage: %q", buf)
+	}
+}
+
+// TestCountsConcurrentWithReadChecked reads FailureStats and publishes
+// while ReadChecked counts machine checks from two goroutines: each
+// FailureStats call builds its own value, every slow fetch is counted
+// once, and the publishes together add each fetch once.
+func TestCountsConcurrentWithReadChecked(t *testing.T) {
+	const perG = 50
+	cfg := smallConfig()
+	cfg.Metrics = telemetry.New(0)
+	k := NewKona(cfg, newCluster(1))
+	addr, err := k.Malloc(2 * perG * mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.InjectNetworkDelay(0, 2*MCETimeout); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 8)
+			for i := 0; i < perG; i++ {
+				if _, err := k.ReadChecked(0, addr+mem.Addr((g*perG+i)*mem.PageSize), buf); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = k.FailureStats()
+				k.PublishTelemetry()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := k.FailureStats().MCEs; n != 2*perG {
+		t.Errorf("MCEs = %d, want %d", n, 2*perG)
+	}
+	k.PublishTelemetry()
+	if got, want := cfg.Metrics.Snapshot().Counters["core.fetches"], k.FPGAStats().RemoteFetches; got != want || want != 2*perG {
+		t.Errorf("core.fetches = %d, RemoteFetches %d; want %d each", got, want, 2*perG)
 	}
 }

@@ -17,45 +17,64 @@ import (
 // pointer check; trace-detail formatting is additionally gated so the
 // disabled path never allocates.
 type coreMetrics struct {
-	fetches        *telemetry.Counter
-	evictions      *telemetry.Counter
-	dirtyEvictions *telemetry.Counter
-	syncs          *telemetry.Counter
+	syncs *telemetry.Counter
 	// syncFlushed/syncRetained describe the latest Sync: dirty pages it
 	// pushed through the eviction path and clean pages it left in FMem.
 	syncFlushed, syncRetained *telemetry.Counter
-	// Published absolute values of the FPGA's own counters (Store-synced
-	// at Sync/Close and on PublishTelemetry).
-	lineFills, fmemHits, writebacks, prefetches, bytesFetched *telemetry.Counter
-	// freshFills is published the same way: fills that zeroed unwritten
-	// lines, which need no fetch hook for them and so are not in fetches.
-	freshFills *telemetry.Counter
-	// fetchesBy is the FPGA's remote fetches split by cause, published the
-	// same way as core.fpga.fetches.<cause>.
-	fetchesBy [fpga.NumFetchCauses]*telemetry.Counter
-	trace     *telemetry.Trace
+	// counts holds one handle per row of publishedCounts.
+	counts [len(publishedCounts)]*telemetry.Counter
+	trace  *telemetry.Trace
 }
 
 func newCoreMetrics(reg *telemetry.Registry) coreMetrics {
 	m := coreMetrics{
-		fetches:        reg.Counter("core.fetches"),
-		evictions:      reg.Counter("core.evictions"),
-		dirtyEvictions: reg.Counter("core.dirty_evictions"),
-		syncs:          reg.Counter("core.syncs"),
-		syncFlushed:    reg.Counter("core.sync.flushed_pages"),
-		syncRetained:   reg.Counter("core.sync.retained_pages"),
-		lineFills:      reg.Counter("core.fpga.line_fills"),
-		fmemHits:       reg.Counter("core.fpga.fmem_hits"),
-		writebacks:     reg.Counter("core.fpga.writebacks"),
-		prefetches:     reg.Counter("core.fpga.prefetches"),
-		bytesFetched:   reg.Counter("core.fpga.bytes_fetched"),
-		freshFills:     reg.Counter("core.fresh_fills"),
-		trace:          reg.Trace(),
+		syncs:        reg.Counter("core.syncs"),
+		syncFlushed:  reg.Counter("core.sync.flushed_pages"),
+		syncRetained: reg.Counter("core.sync.retained_pages"),
+		trace:        reg.Trace(),
 	}
-	for c := range m.fetchesBy {
-		m.fetchesBy[c] = reg.Counter("core.fpga.fetches." + fpga.FetchCause(c).String())
+	for i, row := range &publishedCounts {
+		m.counts[i] = reg.Counter(row.name)
 	}
 	return m
+}
+
+// counts is one reading of the structs that keep a runtime's counts.
+type counts struct {
+	fpga  fpga.Stats
+	evict EvictStats
+	fail  FailureStats
+}
+
+// publishedCounts pairs each published core.* counter with the field it
+// reads. Each count is kept once, by the struct whose lock guards it; the
+// registry only shows it (PublishTelemetry).
+var publishedCounts = [...]struct {
+	name string
+	get  func(counts) uint64 // by value: a pointer would escape
+}{
+	{"core.fetches", func(c counts) uint64 { return c.fpga.RemoteFetches }},
+	{"core.fpga.fetches." + fpga.FetchRead.String(), func(c counts) uint64 { return c.fpga.Fetches[fpga.FetchRead] }},
+	{"core.fpga.fetches." + fpga.FetchRFO.String(), func(c counts) uint64 { return c.fpga.Fetches[fpga.FetchRFO] }},
+	{"core.fpga.fetches." + fpga.FetchPrefetch.String(), func(c counts) uint64 { return c.fpga.Fetches[fpga.FetchPrefetch] }},
+	{"core.fpga.line_fills", func(c counts) uint64 { return c.fpga.LineFills }},
+	{"core.fpga.fmem_hits", func(c counts) uint64 { return c.fpga.FMemHits }},
+	{"core.fpga.writebacks", func(c counts) uint64 { return c.fpga.Writebacks }},
+	{"core.fpga.prefetches", func(c counts) uint64 { return c.fpga.Prefetches }},
+	{"core.fpga.bytes_fetched", func(c counts) uint64 { return c.fpga.BytesFetched }},
+	{"core.fresh_fills", func(c counts) uint64 { return c.fpga.FreshFills }},
+	{"core.evictions", func(c counts) uint64 { return c.evict.PagesEvicted }},
+	{"core.dirty_evictions", func(c counts) uint64 { return c.evict.DirtyPages }},
+	{"core.evict.silent", func(c counts) uint64 { return c.evict.SilentEvicted }},
+	{"core.evict.lines_shipped", func(c counts) uint64 { return c.evict.LinesShipped }},
+	{"core.evict.payload_bytes", func(c counts) uint64 { return c.evict.PayloadBytes }},
+	{"core.evict.wire_bytes", func(c counts) uint64 { return c.evict.WireBytes }},
+	{"core.evict.flushes", func(c counts) uint64 { return c.evict.Flushes }},
+	{"core.evict.remote_entries", func(c counts) uint64 { return c.evict.RemoteEntries }},
+	{"core.evict.ship_failure_reports", func(c counts) uint64 { return c.fail.ShipFailureReports }},
+	{"core.evict.remapped_entries", func(c counts) uint64 { return c.fail.RemappedEntries }},
+	{"core.evict.sealed_retains", func(c counts) uint64 { return c.fail.SealedRetains }},
+	{"core.evict.lease_fenced", func(c counts) uint64 { return c.fail.LeaseFencedShips }},
 }
 
 // Kona is the coherence-based remote memory runtime (§4). Applications
@@ -100,7 +119,14 @@ type Kona struct {
 	readerGroups map[uint64]*readerShare
 	readerCount  atomic.Int64
 
-	failures FailureStats
+	// mces counts ReadChecked fetches past MCETimeout (FailureStats).
+	mces atomic.Uint64
+
+	// pubMu guards pubCounts/pubArena: what PublishTelemetry last added to
+	// the registry, so each publish adds only the growth since.
+	pubMu     sync.Mutex
+	pubCounts [len(publishedCounts)]uint64
+	pubArena  int64
 }
 
 // noteEvictErr latches the first asynchronous eviction failure.
@@ -174,10 +200,8 @@ func newKona(cfg Config, id uint64, l links, c control) *Kona {
 	}
 	// Write-before-read ordering: a page refetch must not observe remote
 	// memory that is missing buffered eviction-log entries. The hook runs
-	// on every remote fetch, which makes it the caching handler's
-	// fetch-telemetry point too.
+	// before every remote fetch, which makes it the fetch trace point too.
 	k.fpga.SetFetchHook(func(now simclock.Duration, base mem.Addr) simclock.Duration {
-		k.m.fetches.Inc()
 		k.m.trace.EmitAt(now, "core.fetch", "page=%#x", uint64(base))
 		done, err := k.evict.FlushIfPending(now, base)
 		k.noteEvictErr(err)
@@ -206,10 +230,6 @@ func newKona(cfg Config, id uint64, l links, c control) *Kona {
 // caller's clock — but it shares the NIC with fetches, so heavy eviction
 // still delays fetch traffic through queueing.
 func (k *Kona) onEvict(now simclock.Duration, v fpga.Victim) simclock.Duration {
-	k.m.evictions.Inc()
-	if v.Dirty.Any() {
-		k.m.dirtyEvictions.Inc()
-	}
 	done, err := k.evict.EvictPage(now, v)
 	k.noteEvictErr(err)
 	return done - now
@@ -334,26 +354,27 @@ func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 	return done, err
 }
 
-// PublishTelemetry syncs the FPGA model's private counters and the
-// eviction arenas' held bytes into the configured registry (Store and Set,
-// so re-publishing is idempotent). Sync and Close publish automatically;
-// callers scraping /metrics mid-run can call it directly for fresher
-// numbers. No-op without a registry.
+// PublishTelemetry adds to the configured registry what each published
+// count (publishedCounts) and the eviction arenas' held bytes grew by since
+// this runtime last published, so runtimes sharing a registry show their
+// sum and re-publishing adds nothing. Sync and Close publish
+// automatically; callers scraping /metrics mid-run can call it directly
+// for fresher numbers. No-op without a registry.
 func (k *Kona) PublishTelemetry() {
 	if k.cfg.Metrics == nil {
 		return
 	}
-	st := k.fpga.Stats()
-	k.m.lineFills.Store(st.LineFills)
-	k.m.fmemHits.Store(st.FMemHits)
-	k.m.writebacks.Store(st.Writebacks)
-	k.m.prefetches.Store(st.Prefetches)
-	k.m.bytesFetched.Store(st.BytesFetched)
-	k.m.freshFills.Store(st.FreshFills)
-	for c, n := range st.Fetches {
-		k.m.fetchesBy[c].Store(n)
+	k.pubMu.Lock()
+	defer k.pubMu.Unlock()
+	c := counts{fpga: k.fpga.Stats(), evict: k.evict.Stats(), fail: k.FailureStats()}
+	for i, row := range &publishedCounts {
+		v := row.get(c)
+		k.m.counts[i].Add(v - k.pubCounts[i])
+		k.pubCounts[i] = v
 	}
-	k.evict.m.arenaBytes.Set(k.evict.arenaHeld())
+	held := k.evict.arenaHeld()
+	k.evict.m.arenaBytes.Add(held - k.pubArena)
+	k.pubArena = held
 }
 
 // Close drains the runtime (Sync) and returns every slab to the rack.

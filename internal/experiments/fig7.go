@@ -116,7 +116,10 @@ func fig7Variant(name string, threads, pages int, reg *telemetry.Registry) (simc
 
 	switch name {
 	case "Kona", "Kona-NoEvict":
-		return fig7Run(core.NewKona(cfg, ctrl), threads, pages)
+		// The run never Syncs, so its counts reach reg only when published.
+		rt := core.NewKona(cfg, ctrl)
+		defer rt.PublishTelemetry()
+		return fig7Run(rt, threads, pages)
 	case "Kona-VM", "Kona-VM-NoEvict", "Kona-VM-NoWP":
 		rt := core.NewKonaVM(cfg, ctrl)
 		rt.EvictEnabled = !noEvict

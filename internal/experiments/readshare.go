@@ -146,6 +146,11 @@ func runExtReadShare(cfg Config) (*Result, error) {
 			}
 		}
 
+		// Readers never Sync, so their counts reach the registry only
+		// when published.
+		for _, r := range readers {
+			r.PublishTelemetry()
+		}
 		sort.Slice(flushLat, func(i, j int) bool { return flushLat[i] < flushLat[j] })
 		p99 := flushLat[len(flushLat)*99/100]
 		if rg.readers < 0 {

@@ -183,7 +183,7 @@ type Stats struct {
 	// FreshFills counts fills that zeroed unwritten lines locally instead
 	// of fetching them (see Page.Unwritten): one per fill that zeroed any.
 	FreshFills uint64
-	// Fetches splits RemoteFetches by cause; the entries sum to it.
+	// Fetches splits RemoteFetches by cause; Stats sums them into it.
 	Fetches [NumFetchCauses]uint64
 }
 
@@ -212,7 +212,6 @@ func (c FetchCause) String() string {
 func (s *Stats) add(o Stats) {
 	s.LineFills += o.LineFills
 	s.FMemHits += o.FMemHits
-	s.RemoteFetches += o.RemoteFetches
 	s.Writebacks += o.Writebacks
 	s.Evictions += o.Evictions
 	s.DirtyEvicts += o.DirtyEvicts
@@ -408,6 +407,9 @@ func (f *FPGA) Stats() Stats {
 		out.add(sh.stats)
 		sh.mu.Unlock()
 	}
+	for _, n := range out.Fetches {
+		out.RemoteFetches += n
+	}
 	return out
 }
 
@@ -544,8 +546,8 @@ func (f *FPGA) runPrefetch(pf prefetchIntent) {
 }
 
 // prefetchOne pulls one page speculatively under its shard lock. It skips
-// pages already (or concurrently made) resident, pages with no line
-// written — zero-filling a page nobody has written into a frame buys
+// pages already (or concurrently made) resident, pages with no route (none
+// there, no replica answering) or no line written — a frame they fill buys
 // nothing and evicts a cached one — and object pages and the page after
 // one: an object page's next page holds another object's lines, the
 // untouched tail of its own, or another allocation's.
@@ -557,7 +559,7 @@ func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 		return
 	}
 	pg := f.translate.Lookup(mem.PageBase(target))
-	if pg.Unwritten.Full() || pg.Object || f.translate.Lookup(mem.PageBase(target-1)).Object {
+	if pg.Route.Via == nil || pg.Unwritten.Full() || pg.Object || f.translate.Lookup(mem.PageBase(target-1)).Object {
 		return
 	}
 	fr := f.installLocked(sh, now, mem.PageBase(target))
@@ -677,7 +679,6 @@ func (f *FPGA) fillLocked(sh *shard, now simclock.Duration, fr *frame, pg Page, 
 		if err != nil {
 			return now, fmt.Errorf("fpga: remote fetch %v: %w", pg.Base, err)
 		}
-		sh.stats.RemoteFetches++
 		sh.stats.Fetches[cause]++
 		sh.stats.BytesFetched += uint64(missing.Count() * mem.CacheLineSize)
 		fr.filled |= missing
@@ -708,7 +709,6 @@ func (f *FPGA) fillLocked(sh *shard, now simclock.Duration, fr *frame, pg Page, 
 		if err != nil {
 			return now, fmt.Errorf("fpga: remote fetch %v+%d: %w", pg.Base, off, err)
 		}
-		sh.stats.RemoteFetches++
 		sh.stats.Fetches[cause]++
 		sh.stats.BytesFetched += uint64(size)
 		for l := first; staged && l < first+lpb; l++ {
@@ -952,7 +952,6 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 		page := o.page.Base.Page()
 		sh := f.shardFor(page)
 		sh.mu.Lock()
-		sh.stats.RemoteFetches++
 		sh.stats.Fetches[FetchRead]++
 		sh.stats.BytesFetched += uint64(next - max(at, 0))
 		fr := f.lookupLocked(page)
