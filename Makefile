@@ -136,10 +136,12 @@ bench-gates:
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths
 # — the cachesim batched lookup loop and the pooled TCP read — so a
-# change that adds hot-loop instrumentation fails loudly in review.
+# change that adds hot-loop instrumentation fails loudly in review, then
+# the histogram's Observe, which must report 0 allocs/op.
 # -benchtime=1x keeps it a smoke run; compare properly with -benchtime=1s.
 bench-telemetry:
 	$(GO) test -run='^$$' -bench='BenchmarkTelemetryOverhead' -benchtime=1x ./internal/cachesim ./internal/cluster
+	$(GO) test -run='^$$' -bench='BenchmarkHistogramObserve' -benchmem ./internal/telemetry
 
 # Concurrency stress pass (DESIGN.md §9): the data-path and cluster
 # packages, three times each, under the race detector with a rotating

@@ -181,7 +181,7 @@ func telemetryTable(s telemetry.Snapshot) string {
 	for name, h := range s.Histograms {
 		if h.Count != 0 {
 			rows = append(rows, row{name,
-				fmt.Sprintf("n=%d mean=%.1f p50=%d p99=%d", h.Count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99))})
+				fmt.Sprintf("n=%d mean=%.1f p50=%d p99=%d", h.Count, h.Mean(), h.P50, h.P99)})
 		}
 	}
 	if len(rows) == 0 {

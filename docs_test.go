@@ -90,7 +90,7 @@ func TestDesignCitesLiveTests(t *testing.T) {
 // designMaxLines is DESIGN.md's length ceiling. The document may only
 // shrink: a change that adds lines to it deletes at least as many. Lower
 // the constant when the document gets shorter.
-const designMaxLines = 2237
+const designMaxLines = 2236
 
 // TestDesignOnlyShrinks holds DESIGN.md to designMaxLines lines.
 func TestDesignOnlyShrinks(t *testing.T) {

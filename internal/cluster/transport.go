@@ -110,11 +110,8 @@ func newPoolMetrics(reg *telemetry.Registry, addr string) *poolMetrics {
 		inflight:      reg.Gauge("cluster.inflight." + addr),
 		trace:         reg.Trace(),
 	}
-	// 1µs..32ms exponential latency buckets: localhost RPCs land in the
-	// low hundreds of µs, injected delays and real networks in the ms.
-	bounds := telemetry.ExpBounds(1, 2, 16)
 	for k := kindInvalid + 1; int(k) < len(kinds); k++ {
-		m.latency[k] = reg.Histogram("cluster.rpc."+k.String()+".latency_us", bounds)
+		m.latency[k] = reg.Histogram("cluster.rpc." + k.String() + ".latency_us")
 		m.txBytes[k] = reg.Counter("cluster.rpc.tx_bytes." + k.String())
 		m.rxBytes[k] = reg.Counter("cluster.rpc.rx_bytes." + k.String())
 	}

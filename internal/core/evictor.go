@@ -22,7 +22,9 @@ type evictMetrics struct {
 	// inflight tracks ships currently on the wire (0..1 on the inline
 	// executor, up to evictInflight on the pipelined one); pendingPages is
 	// the page backlog the latest full cycle had to cover; arenaBytes is
-	// the arenas' chunk bytes (published by PublishTelemetry).
+	// the arenas' chunk bytes (published by PublishTelemetry). Both move by
+	// the difference from this runtime's last value, so runtimes sharing a
+	// registry show the sum of their latest values.
 	inflight, pendingPages, arenaBytes *telemetry.Gauge
 	trace                              *telemetry.Trace
 }
@@ -272,8 +274,11 @@ type evictor struct {
 	// remote memory yet, and fetching it in that window reads stale
 	// bytes. Set and cleared under flushMu; read without it.
 	stealing atomic.Int32
-	fbreak   Breakdown  // RDMAWrite + AckWait slices
-	fstats   EvictStats // WireBytes, Flushes, AcksReceived, RemoteEntries
+	// pubPending is the backlog settleStolenLocked last added to
+	// core.evict.pending_pages. Guarded by flushMu.
+	pubPending int64
+	fbreak     Breakdown  // RDMAWrite + AckWait slices
+	fstats     EvictStats // WireBytes, Flushes, AcksReceived, RemoteEntries
 
 	// moves records placement flips by the extent each one vacated. Every
 	// cycle re-applies them (applyMovesLocked) before shipping: an
@@ -625,7 +630,9 @@ func (e *evictor) harvestLocked(all bool) {
 // reached remote memory and the scratch is simply dropped. Either way the
 // refetch fast path may trust the pending sets again. Caller holds flushMu.
 func (e *evictor) settleStolenLocked(restore bool) {
-	e.m.pendingPages.Set(int64(len(e.stolen)))
+	n := int64(len(e.stolen))
+	e.m.pendingPages.Add(n - e.pubPending)
+	e.pubPending = n
 	if restore {
 		for _, a := range e.stolen {
 			sh := e.shardFor(a)

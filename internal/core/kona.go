@@ -20,7 +20,10 @@ type coreMetrics struct {
 	syncs *telemetry.Counter
 	// syncFlushed/syncRetained describe the latest Sync: dirty pages it
 	// pushed through the eviction path and clean pages it left in FMem.
-	syncFlushed, syncRetained *telemetry.Counter
+	// Each Sync moves them by the difference from this runtime's previous
+	// Sync (Kona.pubFlushed/pubRetained), so runtimes sharing a registry
+	// show the sum of their latest Syncs.
+	syncFlushed, syncRetained *telemetry.Gauge
 	// counts holds one handle per row of publishedCounts.
 	counts [len(publishedCounts)]*telemetry.Counter
 	trace  *telemetry.Trace
@@ -29,8 +32,8 @@ type coreMetrics struct {
 func newCoreMetrics(reg *telemetry.Registry) coreMetrics {
 	m := coreMetrics{
 		syncs:        reg.Counter("core.syncs"),
-		syncFlushed:  reg.Counter("core.sync.flushed_pages"),
-		syncRetained: reg.Counter("core.sync.retained_pages"),
+		syncFlushed:  reg.Gauge("core.sync.flushed_pages"),
+		syncRetained: reg.Gauge("core.sync.retained_pages"),
 		trace:        reg.Trace(),
 	}
 	for i, row := range &publishedCounts {
@@ -127,6 +130,9 @@ type Kona struct {
 	pubMu     sync.Mutex
 	pubCounts [len(publishedCounts)]uint64
 	pubArena  int64
+	// pubFlushed/pubRetained are this runtime's latest Sync figures, as
+	// last added to core.sync.{flushed,retained}_pages.
+	pubFlushed, pubRetained atomic.Int64
 }
 
 // noteEvictErr latches the first asynchronous eviction failure.
@@ -348,8 +354,8 @@ func (k *Kona) Sync(now simclock.Duration) (simclock.Duration, error) {
 		err = k.publishShared()
 	}
 	k.m.syncs.Inc()
-	k.m.syncFlushed.Store(uint64(flushed))
-	k.m.syncRetained.Store(uint64(retained))
+	k.m.syncFlushed.Add(int64(flushed) - k.pubFlushed.Swap(int64(flushed)))
+	k.m.syncRetained.Add(int64(retained) - k.pubRetained.Swap(int64(retained)))
 	k.PublishTelemetry()
 	return done, err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kona/internal/mem"
+	"kona/internal/simclock"
 	"kona/internal/telemetry"
 )
 
@@ -13,6 +14,9 @@ import (
 // runtimes that both evict dirty pages, refetch and Sync. Each published
 // counter then holds the sum of the two runtimes' own counts, the arena
 // gauge the sum of their held bytes, and a further publish adds nothing.
+// The runtimes then Sync different numbers of dirty pages, and each
+// per-Sync gauge holds the sum of the two runtimes' latest values, also
+// after one of them Syncs clean.
 func TestPublishedCountsSumAcrossRuntimes(t *testing.T) {
 	reg := telemetry.New(0)
 	cfg := smallConfig()
@@ -20,6 +24,8 @@ func TestPublishedCountsSumAcrossRuntimes(t *testing.T) {
 	cfg.Metrics = reg
 	ctrl := newCluster(1)
 	var ks [2]*Kona
+	var addrs [2]mem.Addr
+	var nows [2]simclock.Duration
 	for i := range ks {
 		ks[i] = NewKona(cfg, ctrl)
 		k := ks[i]
@@ -40,9 +46,10 @@ func TestPublishedCountsSumAcrossRuntimes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := k.Sync(now); err != nil {
+		if nows[i], err = k.Sync(now); err != nil {
 			t.Fatal(err)
 		}
+		addrs[i] = addr
 	}
 	snap := reg.Snapshot()
 	for _, row := range &publishedCounts {
@@ -83,4 +90,40 @@ func TestPublishedCountsSumAcrossRuntimes(t *testing.T) {
 	if again := reg.Snapshot(); !reflect.DeepEqual(again.Counters, snap.Counters) || !reflect.DeepEqual(again.Gauges, snap.Gauges) {
 		t.Error("publishing unchanged counts moved the registry")
 	}
+
+	// Runtime i dirties dirty[i] of its resident pages and Syncs; then
+	// runtime 0 Syncs again with nothing dirty.
+	dirty := [2]int{3, 5}
+	line := make([]byte, mem.CacheLineSize)
+	syncGauges := func(when string, flushed int64) {
+		t.Helper()
+		g := reg.Snapshot().Gauges
+		if got := g["core.sync.flushed_pages"]; got != flushed {
+			t.Errorf("%s: core.sync.flushed_pages = %d, want %d", when, got, flushed)
+		}
+		if got, want := g["core.evict.pending_pages"], ks[0].evict.pubPending+ks[1].evict.pubPending; got != want || got != flushed {
+			t.Errorf("%s: core.evict.pending_pages = %d, the runtimes' latest backlogs sum to %d, want %d", when, got, want, flushed)
+		}
+		if got, want := g["core.sync.retained_pages"], int64(ks[0].fpga.Occupancy()+ks[1].fpga.Occupancy()); got != want {
+			t.Errorf("%s: core.sync.retained_pages = %d, the runtimes retain %d", when, got, want)
+		}
+	}
+	for i, k := range ks {
+		pages := 48 + 16*i
+		for p := pages - dirty[i]; p < pages; p++ {
+			var err error
+			if nows[i], err = k.Write(nows[i], addrs[i]+mem.Addr(p*mem.PageSize), line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if nows[i], err = k.Sync(nows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syncGauges("after both Sync dirty pages", int64(dirty[0]+dirty[1]))
+	if _, err := ks[0].Sync(nows[0]); err != nil {
+		t.Fatal(err)
+	}
+	syncGauges("after runtime 0 Syncs clean", int64(dirty[1]))
 }

@@ -59,7 +59,7 @@ func TestSyncKeepsCleanWorkingSet(t *testing.T) {
 	k := NewKona(cfg, newCluster(1))
 	base, mirror, now := syncRegion(t, k, pages)
 
-	if got := reg.Counter("core.sync.flushed_pages").Value(); got != pages {
+	if got := reg.Gauge("core.sync.flushed_pages").Value(); got != pages {
 		t.Errorf("core.sync.flushed_pages = %d after flushing the load, want %d", got, pages)
 	}
 	now = readPages(t, k, now, base, mirror, 0, pages)
@@ -88,7 +88,7 @@ func TestSyncKeepsCleanWorkingSet(t *testing.T) {
 	if got := reg.Counter("core.evictions").Value(); got != evCounter {
 		t.Errorf("core.evictions moved by %d across clean Syncs", got-evCounter)
 	}
-	if f, r := reg.Counter("core.sync.flushed_pages").Value(), reg.Counter("core.sync.retained_pages").Value(); f != 0 || r != pages {
+	if f, r := reg.Gauge("core.sync.flushed_pages").Value(), reg.Gauge("core.sync.retained_pages").Value(); f != 0 || r != pages {
 		t.Errorf("core.sync.{flushed,retained}_pages = %d, %d; want 0, %d", f, r, pages)
 	}
 }

@@ -133,9 +133,13 @@ func TestKVBenchSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("bench: %d/%d completed in %s, %d errors, get p50=%s p99=%s, set p50=%s p99=%s",
+	t.Logf("bench: %d/%d completed in %s, %d errors, get p50=%s p99=%s, set p50=%s p99=%s, all p50=%s p99=%s p999=%s",
 		res.Completed, res.Issued, res.Wall.Round(time.Millisecond), res.Errors,
-		res.Get.P50, res.Get.P99, res.Set.P50, res.Set.P99)
+		res.Get.P50, res.Get.P99, res.Set.P50, res.Set.P99, res.All.P50, res.All.P99, res.All.P999)
+	if res.All.Count != res.Completed || res.Get.Count+res.Set.Count != res.Completed {
+		t.Errorf("latency counts: all %d, get %d + set %d; want %d completions each way",
+			res.All.Count, res.Get.Count, res.Set.Count, res.Completed)
+	}
 
 	if res.Errors != 0 {
 		t.Errorf("%d errors on a healthy rack", res.Errors)

@@ -30,8 +30,8 @@
 //   - workload.go / load.go: the open-loop load model — zipfian key
 //     popularity over millions of distinct users, Poisson arrivals so
 //     queueing delay is visible — and the engine that drives it against
-//     a server, reporting p50/p99/p999 against an SLO and verifying
-//     that no acknowledged write was lost or torn.
+//     a server, reporting p50/p99/p999 (measured, within 1/64) against
+//     an SLO and verifying that no acknowledged write was lost or torn.
 package kv
 
 import (

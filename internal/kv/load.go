@@ -27,15 +27,15 @@ type LoadConfig struct {
 	// Verify re-reads every acknowledged key after the run and proves no
 	// acknowledged write was lost, torn, or regressed.
 	Verify bool
-	// Metrics receives kvload.get.latency / kvload.set.latency
-	// histograms; nil uses a private registry.
+	// Metrics receives the kvload.get.latency, kvload.set.latency and
+	// kvload.latency (every op) histograms; nil uses a private registry.
 	Metrics *telemetry.Registry
 	// DialTimeout bounds each worker's connect (default 5s).
 	DialTimeout time.Duration
 }
 
-// LatencySummary is one op class's distribution, bucket-resolution
-// quantiles from the telemetry histogram.
+// LatencySummary is one op class's distribution: nearest-rank quantiles
+// from the telemetry histogram, exact below 64 ns and within 1/64 above.
 type LatencySummary struct {
 	Count          uint64
 	Mean           time.Duration
@@ -46,9 +46,9 @@ func summarize(h telemetry.HistogramSnapshot) LatencySummary {
 	return LatencySummary{
 		Count: h.Count,
 		Mean:  time.Duration(h.Mean()),
-		P50:   time.Duration(h.Quantile(0.50)),
-		P99:   time.Duration(h.Quantile(0.99)),
-		P999:  time.Duration(h.Quantile(0.999)),
+		P50:   time.Duration(h.P50),
+		P99:   time.Duration(h.P99),
+		P999:  time.Duration(h.P999),
 	}
 }
 
@@ -79,6 +79,7 @@ type Engine struct {
 	cfg            LoadConfig
 	reg            *telemetry.Registry
 	getLat, setLat *telemetry.Histogram
+	allLat         *telemetry.Histogram // every completed op
 	issued         atomic.Uint64
 	completed      atomic.Uint64
 	errors         atomic.Uint64
@@ -107,8 +108,9 @@ func NewEngine(cfg LoadConfig) (*Engine, error) {
 	return &Engine{
 		cfg:    cfg,
 		reg:    reg,
-		getLat: reg.Histogram("kvload.get.latency", latencyBounds()),
-		setLat: reg.Histogram("kvload.set.latency", latencyBounds()),
+		getLat: reg.Histogram("kvload.get.latency"),
+		setLat: reg.Histogram("kvload.set.latency"),
+		allLat: reg.Histogram("kvload.latency"),
 	}, nil
 }
 
@@ -241,7 +243,7 @@ func (e *Engine) Run(addr string) (Result, error) {
 	snap := e.reg.Snapshot()
 	res.Get = summarize(snap.Histograms["kvload.get.latency"])
 	res.Set = summarize(snap.Histograms["kvload.set.latency"])
-	res.All = combine(snap.Histograms["kvload.get.latency"], snap.Histograms["kvload.set.latency"])
+	res.All = summarize(snap.Histograms["kvload.latency"])
 	if e.cfg.SLOp99 > 0 && res.All.P99 > e.cfg.SLOp99 {
 		res.SLOViolated = true
 	}
@@ -249,26 +251,6 @@ func (e *Engine) Run(addr string) (Result, error) {
 		res.SLOViolated = true
 	}
 	return res, nil
-}
-
-// combine merges two same-bounds histograms into one summary.
-func combine(a, b telemetry.HistogramSnapshot) LatencySummary {
-	if a.Count == 0 {
-		return summarize(b)
-	}
-	if b.Count == 0 {
-		return summarize(a)
-	}
-	m := telemetry.HistogramSnapshot{
-		Count:  a.Count + b.Count,
-		Sum:    a.Sum + b.Sum,
-		Bounds: a.Bounds,
-		Counts: make([]uint64, len(a.Counts)),
-	}
-	for i := range m.Counts {
-		m.Counts[i] = a.Counts[i] + b.Counts[i]
-	}
-	return summarize(m)
 }
 
 // run consumes the worker's queue until it closes.
@@ -345,6 +327,7 @@ func (w *loadWorker) execute(item workItem) {
 		} else {
 			w.e.setLat.Observe(lat.Nanoseconds())
 		}
+		w.e.allLat.Observe(lat.Nanoseconds())
 	}
 	w.lastDone.Store(time.Now().UnixNano())
 }

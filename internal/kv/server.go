@@ -47,11 +47,6 @@ type serverMetrics struct {
 	badCommands            *telemetry.Counter
 }
 
-// latencyBounds spans 1µs..~34s in 1.75x steps — wide enough that an
-// overloaded open-loop run still lands in real buckets instead of the
-// overflow bucket.
-func latencyBounds() []int64 { return telemetry.ExpBounds(1_000, 1.75, 30) }
-
 // NewServer wires a server to a store. reg receives per-op wall-clock
 // latency histograms (kv.get.latency, kv.set.latency, kv.delete.latency,
 // nanoseconds) and a connection gauge; nil disables.
@@ -59,9 +54,9 @@ func NewServer(store *Store, reg *telemetry.Registry) *Server {
 	return &Server{
 		store: store,
 		m: serverMetrics{
-			getLat:      reg.Histogram("kv.get.latency", latencyBounds()),
-			setLat:      reg.Histogram("kv.set.latency", latencyBounds()),
-			delLat:      reg.Histogram("kv.delete.latency", latencyBounds()),
+			getLat:      reg.Histogram("kv.get.latency"),
+			setLat:      reg.Histogram("kv.set.latency"),
+			delLat:      reg.Histogram("kv.delete.latency"),
 			conns:       reg.Gauge("kv.conns"),
 			badCommands: reg.Counter("kv.bad_commands"),
 		},

@@ -1,5 +1,5 @@
 // Package telemetry is the runtime observability layer (DESIGN.md §7):
-// atomic counters, gauges and fixed-bucket histograms behind a Registry,
+// atomic counters, gauges and log-linear histograms behind a Registry,
 // plus a bounded structured-event ring (Trace) for annotated runtime
 // events. Every component of the data path — the FPGA caching handler,
 // the evictor, the cluster transport, the simulators — reports into a
@@ -19,15 +19,16 @@
 //     daemons), so it must sit at the bottom of the import graph.
 //
 // Counters are cache-line padded so two hot counters incremented from
-// different goroutines do not false-share. Histograms are fixed-bucket:
-// an Observe is one atomic add into a bucket chosen by binary search over
-// the (immutable) bounds, with no locks and no allocation.
+// different goroutines do not false-share. Every histogram has the same
+// log-linear layout, so a reported quantile is a measured value within
+// 1/64, not a bucket edge; an Observe picks its bucket with a bit length
+// and a shift and takes no lock and no allocation.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -104,15 +105,39 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram distributes observations into fixed buckets. bounds[i] is the
-// inclusive upper bound of bucket i; one overflow bucket catches the rest.
-// Observations are lock-free: a binary search over the immutable bounds
-// plus one atomic increment.
+// Histogram layout (one for every histogram, HdrHistogram's log-linear
+// shape): values below 64 get one bucket each, each power of two from 64
+// up is cut into 64 equal buckets, so no bucket is wider than 1/64 of its
+// lower bound, and values at or above 2^40 share the top bucket. 2 240
+// buckets, 17.9 KB per histogram.
+const (
+	histSubBits = 6
+	histTopBit  = 40
+	histBuckets = (histTopBit - histSubBits + 1) << histSubBits
+)
+
+// Histogram counts observations in the fixed log-linear layout above.
+// Observations are lock-free: a bit length, a shift and atomic adds.
 type Histogram struct {
-	bounds  []int64
-	buckets []atomic.Uint64
+	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
 	sum     atomic.Int64
+}
+
+// bucketOf returns the bucket holding v (negative values land in bucket 0).
+func bucketOf(v int64) int {
+	if v >= 1<<histTopBit {
+		return histBuckets - 1
+	}
+	u := uint64(max(v, 0))
+	s := max(bits.Len64(u)-histSubBits-1, 0)
+	return s<<histSubBits + int(u>>s)
+}
+
+// bucketSpan returns bucket i's lowest value and width.
+func bucketSpan(i int) (lo, width int64) {
+	s := max(i>>histSubBits-1, 0)
+	return int64(i-s<<histSubBits) << s, 1 << s
 }
 
 // Observe records one observation. Safe on a nil receiver (no-op).
@@ -120,9 +145,7 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	// Smallest i with bounds[i] >= v; len(bounds) = overflow.
-	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
-	h.buckets[i].Add(1)
+	h.buckets[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 }
@@ -135,16 +158,37 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// ExpBounds builds n histogram bounds growing geometrically from start by
-// factor — the usual shape for latency buckets.
-func ExpBounds(start int64, factor float64, n int) []int64 {
-	out := make([]int64, 0, n)
-	v := float64(start)
-	for i := 0; i < n; i++ {
-		out = append(out, int64(v))
-		v *= factor
+// Quantile returns the nearest-rank q-quantile of the observations so
+// far: the observation of rank ⌈q·n⌉, the smallest value v with
+// P(X ≤ v) ≥ q, as stats.CDF.Quantile defines it, placed by its rank
+// inside its bucket — exact below 64, within 1/64 above (up to 2^40).
+// 0 with no observations or a nil receiver.
+func (h *Histogram) Quantile(q float64) int64 {
+	if h == nil {
+		return 0
 	}
-	return out
+	return h.quantile(q, h.count.Load())
+}
+
+// quantile is Quantile over the first n observations counted. Observe adds
+// to a bucket before the count, so the buckets, read after n, hold them.
+func (h *Histogram) quantile(q float64, n uint64) int64 {
+	x := q * float64(n)
+	rank := uint64(x)
+	if float64(rank) < x {
+		rank++ // ⌈x⌉
+	}
+	rank = min(max(rank, 1), n)
+	var cum uint64
+	for i := 0; n > 0 && i < histBuckets; i++ {
+		c := h.buckets[i].Load()
+		if cum+c >= rank {
+			lo, w := bucketSpan(i)
+			return lo + int64(float64(w)*(float64(rank-cum)-0.5)/float64(c))
+		}
+		cum += c
+	}
+	return 0
 }
 
 // Registry names and owns a process's metrics. The zero value is not
@@ -205,10 +249,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bounds on first use (later calls reuse the first bounds). Returns nil
-// on a nil registry.
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+// Returns nil on a nil registry.
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -216,9 +259,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		b := append([]int64(nil), bounds...)
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		h = &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
@@ -233,14 +274,15 @@ func (r *Registry) Trace() *Trace {
 	return r.trace
 }
 
-// HistogramSnapshot is one histogram's state at snapshot time.
+// HistogramSnapshot is one histogram's state at snapshot time. The
+// quantiles are nearest-rank values, exact below 64 and within 1/64 above
+// (Histogram.Quantile); a Delta carries none.
 type HistogramSnapshot struct {
 	Count uint64 `json:"count"`
 	Sum   int64  `json:"sum"`
-	// Bounds[i] is the inclusive upper bound of Counts[i]; the final
-	// Counts entry is the overflow bucket.
-	Bounds []int64  `json:"bounds"`
-	Counts []uint64 `json:"counts"`
+	P50   int64  `json:"p50"`
+	P99   int64  `json:"p99"`
+	P999  int64  `json:"p999"`
 }
 
 // Mean returns the average observation, or 0 with no observations.
@@ -249,28 +291,6 @@ func (h HistogramSnapshot) Mean() float64 {
 		return 0
 	}
 	return float64(h.Sum) / float64(h.Count)
-}
-
-// Quantile returns the upper bound of the bucket holding the q-th
-// quantile (the overflow bucket reports the largest bound). The quantile
-// is the nearest-rank observation, rank ⌈q·n⌉: the smallest value v with
-// P(X ≤ v) ≥ q, as stats.CDF.Quantile defines it.
-func (h HistogramSnapshot) Quantile(q float64) int64 {
-	if h.Count == 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	target := max(uint64(math.Ceil(q*float64(h.Count))), 1)
-	var cum uint64
-	for i, n := range h.Counts {
-		cum += n
-		if cum >= target {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			break
-		}
-	}
-	return h.Bounds[len(h.Bounds)-1]
 }
 
 // Snapshot is a consistent-enough copy of a registry: counters and gauges
@@ -301,23 +321,22 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		hs := HistogramSnapshot{
-			Count:  h.count.Load(),
-			Sum:    h.sum.Load(),
-			Bounds: h.bounds,
-			Counts: make([]uint64, len(h.buckets)),
+		n := h.count.Load()
+		s.Histograms[name] = HistogramSnapshot{
+			Count: n,
+			Sum:   h.sum.Load(),
+			P50:   h.quantile(0.50, n),
+			P99:   h.quantile(0.99, n),
+			P999:  h.quantile(0.999, n),
 		}
-		for i := range h.buckets {
-			hs.Counts[i] = h.buckets[i].Load()
-		}
-		s.Histograms[name] = hs
 	}
 	return s
 }
 
 // Delta returns this snapshot minus prev: counter differences (clamped at
-// zero), current gauge levels, and histogram count/sum differences.
-// kona-bench -telemetry uses it for per-artifact attribution.
+// zero), current gauge levels, and histogram count/sum differences (no
+// quantiles: a difference of two snapshots holds no distribution). The
+// benchmark uses it to attribute counts to its measured window.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out := Snapshot{
 		Counters:   map[string]uint64{},
@@ -337,20 +356,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		if h.Count <= p.Count {
 			continue
 		}
-		d := HistogramSnapshot{
-			Count:  h.Count - p.Count,
-			Sum:    h.Sum - p.Sum,
-			Bounds: h.Bounds,
-			Counts: make([]uint64, len(h.Counts)),
-		}
-		for i := range h.Counts {
-			if i < len(p.Counts) && h.Counts[i] >= p.Counts[i] {
-				d.Counts[i] = h.Counts[i] - p.Counts[i]
-			} else {
-				d.Counts[i] = h.Counts[i]
-			}
-		}
-		out.Histograms[name] = d
+		out.Histograms[name] = HistogramSnapshot{Count: h.Count - p.Count, Sum: h.Sum - p.Sum}
 	}
 	return out
 }
@@ -371,8 +377,8 @@ func (s Snapshot) Text() string {
 		lines = append(lines,
 			fmt.Sprintf("%s.count %d", name, h.Count),
 			fmt.Sprintf("%s.mean %.1f", name, h.Mean()),
-			fmt.Sprintf("%s.p50 %d", name, h.Quantile(0.50)),
-			fmt.Sprintf("%s.p99 %d", name, h.Quantile(0.99)),
+			fmt.Sprintf("%s.p50 %d", name, h.P50),
+			fmt.Sprintf("%s.p99 %d", name, h.P99),
 		)
 	}
 	sort.Strings(lines)

@@ -3,10 +3,14 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+
+	"kona/internal/stats"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -49,7 +53,7 @@ func TestNilRegistryIsSafeEverywhere(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatalf("nil gauge has a value")
 	}
-	h := r.Histogram("z", ExpBounds(1, 2, 8))
+	h := r.Histogram("z")
 	h.Observe(42)
 	if h.Count() != 0 {
 		t.Fatalf("nil histogram counted")
@@ -71,7 +75,7 @@ func TestNilRegistryIsSafeEverywhere(t *testing.T) {
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := New(0)
-	h := r.Histogram("lat", []int64{10, 100, 1000})
+	h := r.Histogram("lat")
 	for _, v := range []int64{1, 5, 10, 11, 50, 100, 500, 5000} {
 		h.Observe(v)
 	}
@@ -79,52 +83,153 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if s.Count != 8 {
 		t.Fatalf("count = %d, want 8", s.Count)
 	}
-	// Buckets: <=10 holds {1,5,10}; <=100 holds {11,50,100}; <=1000 holds
-	// {500}; overflow holds {5000}.
-	want := []uint64{3, 3, 1, 1}
-	for i, n := range want {
-		if s.Counts[i] != n {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, s.Counts[i], n, s.Counts)
-		}
-	}
 	if s.Sum != 5677 {
 		t.Fatalf("sum = %d, want 5677", s.Sum)
 	}
-	if q := s.Quantile(0.5); q != 100 {
-		t.Fatalf("p50 = %d, want 100", q)
+	// Rank 4 of 8 is 11, below 64 and so exact; rank 8 is 5000, whose
+	// bucket [4992, 5056) is one of 64 cutting [4096, 8192).
+	if s.P50 != 11 {
+		t.Fatalf("p50 = %d, want 11", s.P50)
 	}
-	if q := s.Quantile(0.99); q != 1000 {
-		t.Fatalf("p99 = %d (overflow reports max bound 1000), got wrong", q)
+	if s.P99 < 4992 || s.P99 >= 5056 || s.P999 != s.P99 {
+		t.Fatalf("p99 = %d, p999 = %d; want one value in [4992, 5056)", s.P99, s.P999)
 	}
-	if q := (HistogramSnapshot{}).Quantile(0.5); q != 0 {
+	if q := h.Quantile(0.99); q != s.P99 {
+		t.Fatalf("live p99 = %d, snapshot p99 = %d", q, s.P99)
+	}
+	if q := r.Histogram("empty").Quantile(0.5); q != 0 {
 		t.Fatalf("empty histogram quantile = %d, want 0", q)
+	}
+	if s := r.Snapshot().Histograms["empty"]; s.P50 != 0 || s.P99 != 0 || s.P999 != 0 {
+		t.Fatalf("empty histogram snapshot = %+v", s)
 	}
 }
 
 // A quantile is the nearest-rank observation, rank ⌈q·n⌉: of 150
-// observations p99 is the 149th, which lies in the ≤ 100 bucket, not the
-// 148th (⌊q·n⌋), the last one ≤ 10.
+// observations p99 is the 149th, 50, not the 148th (⌊q·n⌋), 5.
 func TestHistogramQuantileIsNearestRank(t *testing.T) {
 	r := New(0)
-	h := r.Histogram("lat", []int64{10, 100})
+	h := r.Histogram("lat")
 	for i := 0; i < 148; i++ {
 		h.Observe(5)
 	}
 	h.Observe(50)
 	h.Observe(50)
 	s := r.Snapshot().Histograms["lat"]
-	if q := s.Quantile(0.99); q != 100 {
-		t.Fatalf("p99 = %d, want 100", q)
+	if s.P99 != 50 {
+		t.Fatalf("p99 = %d, want 50", s.P99)
 	}
-	if q := s.Quantile(0.5); q != 10 {
-		t.Fatalf("p50 = %d, want 10", q)
+	if s.P50 != 5 {
+		t.Fatalf("p50 = %d, want 5", s.P50)
+	}
+}
+
+// Below 64 every quantile is the observation itself.
+func TestHistogramExactBelow64(t *testing.T) {
+	h := New(0).Histogram("lat")
+	for v := int64(63); v >= 0; v-- {
+		h.Observe(v)
+	}
+	for rank := 1; rank <= 64; rank++ {
+		if q := h.Quantile(float64(rank) / 64); q != int64(rank-1) {
+			t.Fatalf("quantile of rank %d = %d, want %d", rank, q, rank-1)
+		}
+	}
+}
+
+// Every value below 2^22 lands in a bucket that holds it, one value wide
+// below 128 and at most 1/64 of its lower bound wide above.
+func TestHistogramLayout(t *testing.T) {
+	if histBuckets != 2240 {
+		t.Fatalf("%d buckets, want 2240", histBuckets)
+	}
+	prev := -1
+	for v := int64(0); v < 1<<22; v++ {
+		i := bucketOf(v)
+		lo, w := bucketSpan(i)
+		if v < lo || v >= lo+w {
+			t.Fatalf("%d landed in bucket %d = [%d, %d)", v, i, lo, lo+w)
+		}
+		if w > 1 && w*64 > lo {
+			t.Fatalf("bucket %d = [%d, %d) is wider than 1/64 of %d", i, lo, lo+w, lo)
+		}
+		if i != prev && i != prev+1 {
+			t.Fatalf("%d landed in bucket %d after bucket %d", v, i, prev)
+		}
+		prev = i
+	}
+	if lo, w := bucketSpan(histBuckets - 1); lo+w != 1<<histTopBit {
+		t.Fatalf("top bucket ends at %d, want 2^40", lo+w)
+	}
+}
+
+// Quantiles of seeded lognormal samples are within 1/64 of the exact
+// nearest-rank values stats.CDF.Quantile computes from every sample.
+func TestHistogramQuantilesWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		r := New(0)
+		h := r.Histogram("lat")
+		cdf := stats.NewCDF()
+		mu := 4 + float64(trial)/2 // medians from ~55 to ~8 000
+		for i := 0; i < 5000; i++ {
+			v := int64(math.Exp(mu + 1.5*rng.NormFloat64()))
+			h.Observe(v)
+			cdf.Add(int(v))
+		}
+		s := r.Snapshot().Histograms["lat"]
+		for _, c := range []struct {
+			q   float64
+			got int64
+		}{{0.5, s.P50}, {0.9, h.Quantile(0.9)}, {0.99, s.P99}, {0.999, s.P999}} {
+			exact := float64(cdf.Quantile(c.q))
+			if err := math.Abs(float64(c.got) - exact); err > exact/64 || (exact < 64 && err != 0) {
+				t.Errorf("trial %d: p%g = %d, exact %g (error %g, bound %g)", trial, 100*c.q, c.got, exact, err, exact/64)
+			}
+		}
+	}
+}
+
+// A 50 ms observation in µs reads back within 1/64 (a 1µs..32ms layout
+// capped it at 32 768), and a value past 2^40 lands in the top bucket
+// with its sum exact.
+func TestHistogramWideValues(t *testing.T) {
+	r := New(0)
+	h := r.Histogram("lat_us")
+	h.Observe(50_000)
+	if q := h.Quantile(0.5); math.Abs(float64(q)-50_000) > 50_000.0/64 {
+		t.Fatalf("50 ms observation reads back as %d µs", q)
+	}
+	big := int64(1) << 50
+	h.Observe(big)
+	if i := bucketOf(big); i != histBuckets-1 {
+		t.Fatalf("2^50 landed in bucket %d, want the top one", i)
+	}
+	if s := r.Snapshot().Histograms["lat_us"]; s.Sum != 50_000+big || s.Count != 2 {
+		t.Fatalf("sum = %d, count = %d; want %d, 2", s.Sum, s.Count, 50_000+big)
+	}
+}
+
+func TestHistogramObserveAllocatesNothing(t *testing.T) {
+	h := New(0).Histogram("lat")
+	v := int64(0)
+	if n := testing.AllocsPerRun(1000, func() { v += 977; h.Observe(v) }); n != 0 {
+		t.Fatalf("Observe allocates %v times per call", n)
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := New(0).Histogram("lat")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Observe(int64(i&0xfffff) * 997)
 	}
 }
 
 func TestConcurrentIncrements(t *testing.T) {
 	r := New(0)
 	c := r.Counter("c")
-	h := r.Histogram("h", ExpBounds(1, 10, 4))
+	h := r.Histogram("h")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -134,6 +239,11 @@ func TestConcurrentIncrements(t *testing.T) {
 				c.Inc()
 				h.Observe(int64(j))
 				r.Trace().Emit("tick", "")
+				if j%100 == 0 { // quantiles computed while others observe
+					if s := r.Snapshot().Histograms["h"]; s.P999 >= 1000 {
+						t.Errorf("mid-run snapshot p999 = %d, above every observation", s.P999)
+					}
+				}
 			}
 		}()
 	}
@@ -171,7 +281,7 @@ func TestTraceRingBoundsAndOrder(t *testing.T) {
 func TestSnapshotDelta(t *testing.T) {
 	r := New(0)
 	c := r.Counter("ops")
-	h := r.Histogram("lat", []int64{10, 100})
+	h := r.Histogram("lat")
 	c.Add(3)
 	h.Observe(5)
 	before := r.Snapshot()
@@ -187,8 +297,8 @@ func TestSnapshotDelta(t *testing.T) {
 		t.Fatalf("delta gauge = %d, want 2", d.Gauges["level"])
 	}
 	hd := d.Histograms["lat"]
-	if hd.Count != 2 || hd.Sum != 100 || hd.Counts[1] != 2 {
-		t.Fatalf("delta histogram = %+v", hd)
+	if hd != (HistogramSnapshot{Count: 2, Sum: 100}) {
+		t.Fatalf("delta histogram = %+v, want count and sum only", hd)
 	}
 	// Unchanged metrics drop out of the delta entirely.
 	c2 := r.Counter("idle")
@@ -216,7 +326,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	reg := New(16)
 	reg.Counter("core.fetches").Add(9)
 	reg.Gauge("cluster.inflight").Set(1)
-	reg.Histogram("rpc.lat_us", ExpBounds(1, 4, 6)).Observe(12)
+	reg.Histogram("rpc.lat_us").Observe(12)
 	reg.Trace().EmitAt(77, "fetch.start", "page=0x1000")
 
 	srv, err := Serve("127.0.0.1:0", reg)
@@ -254,8 +364,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	if snap.Counters["core.fetches"] != 9 || snap.Gauges["cluster.inflight"] != 1 {
 		t.Fatalf("json snapshot wrong: %+v", snap)
 	}
-	if snap.Histograms["rpc.lat_us"].Count != 1 {
-		t.Fatalf("json histogram missing")
+	if h := snap.Histograms["rpc.lat_us"]; h.Count != 1 || h.P50 != 12 || h.P999 != 12 {
+		t.Fatalf("json histogram = %+v, want one observation of 12", h)
 	}
 
 	var evs []Event
