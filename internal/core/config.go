@@ -35,10 +35,9 @@ type Config struct {
 	// FlushThreshold triggers a log flush when the buffered payload
 	// exceeds this many bytes. Defaults to LogBytes/4.
 	FlushThreshold int
-	// Prefetch enables the FPGA's sequential next-page prefetcher.
-	Prefetch bool
-	// PrefetchDepth caps the adaptive stride prefetcher's window; 0 or 1
-	// keeps the classic depth-1 next-page behavior (see fpga.Config).
+	// PrefetchDepth sets the FPGA's prefetcher: 0 off, 1 sequential
+	// next-page prefetch, more than 1 the adaptive stride prefetcher capped
+	// at that depth (see fpga.Config).
 	PrefetchDepth int
 	// FetchBytes is the remote fetch granularity, 64B..4KB (0 = 4KB, the
 	// paper's choice; §4.4 "Kona can choose the data movement size
@@ -68,7 +67,7 @@ func DefaultConfig(localCacheBytes uint64) Config {
 		SlabSize:        slab.DefaultSlabSize,
 		Replicas:        1,
 		LogBytes:        256 << 10,
-		Prefetch:        true,
+		PrefetchDepth:   1,
 	}
 }
 

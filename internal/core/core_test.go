@@ -25,7 +25,7 @@ func newCluster(n int) *cluster.Controller {
 func smallConfig() Config {
 	cfg := DefaultConfig(256 * mem.PageSize)
 	cfg.SlabSize = 4 << 20
-	cfg.Prefetch = false
+	cfg.PrefetchDepth = 0
 	return cfg
 }
 
@@ -389,7 +389,7 @@ func TestPrefetchStopsAtEndOfMemory(t *testing.T) {
 	const pages = 16
 	cfg := smallConfig()
 	cfg.SlabSize = pages * mem.PageSize
-	cfg.Prefetch = true
+	cfg.PrefetchDepth = 1
 	cfg.Metrics = telemetry.New(0)
 	k := NewKona(cfg, newCluster(1))
 	addr, err := k.Malloc(pages * mem.PageSize)

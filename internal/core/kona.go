@@ -194,16 +194,9 @@ func newKona(cfg Config, id uint64, l links, c control) *Kona {
 		FMemSize:      cfg.LocalCacheBytes,
 		Assoc:         4,
 		Shards:        cfg.Shards,
-		Prefetch:      cfg.Prefetch,
 		PrefetchDepth: cfg.PrefetchDepth,
 		FetchBytes:    cfg.FetchBytes,
 	}, rm, k.onEvict)
-	// A span read saves round trips only when they are real; the simulated
-	// fabric keeps the per-page path so virtual time stays
-	// byte-reproducible.
-	if l.pipelined() {
-		k.fpga.EnableSpanReads()
-	}
 	// Write-before-read ordering: a page refetch must not observe remote
 	// memory that is missing buffered eviction-log entries. The hook runs
 	// before every remote fetch, which makes it the fetch trace point too.

@@ -80,7 +80,7 @@ func TestModelKonaTinyCache(t *testing.T) {
 func TestModelKonaPrefetch(t *testing.T) {
 	cfg := smallConfig()
 	cfg.LocalCacheBytes = 16 * mem.PageSize
-	cfg.Prefetch = true
+	cfg.PrefetchDepth = 1
 	runModel(t, NewKona(cfg, newCluster(1)), 2, 4000)
 }
 

@@ -113,11 +113,11 @@ func TestObjectPageFetchesOnlyTheRecord(t *testing.T) {
 	}
 	st := k.FPGAStats()
 	// 33 lines of the first page; 64 + 15 lines of the two pages of the
-	// second (the simulated fabric reads page by page).
+	// second, in one span read.
 	if fetched, want := st.BytesFetched-before.BytesFetched, uint64(33+64+15)*mem.CacheLineSize; fetched != want {
 		t.Errorf("reading the records fetched %d B, want their lines, %d B", fetched, want)
 	}
-	if n := st.RemoteFetches - before.RemoteFetches; n != 3 {
-		t.Errorf("reading the records made %d fetches, want 3 (one per page)", n)
+	if n := st.RemoteFetches - before.RemoteFetches; n != 2 {
+		t.Errorf("reading the records made %d fetches, want 2 (one per record)", n)
 	}
 }

@@ -47,49 +47,86 @@ func tcpRigWith(t testing.TB, n int, reg *telemetry.Registry) (string, []*cluste
 }
 
 // TestMultiPageReadIsOneRPC is the `make guards` count guard for span reads
-// (DESIGN.md §16), no timing in it: a cold Read of a 3-page region of plain
-// pages over loopback TCP makes exactly one memnode `read` RPC and no
-// `read-pages` (the whole-page scatter-gather batch that served it before
-// made one `read-pages`), and fetches the region's 3 x 4 096 bytes.
+// (DESIGN.md §16), no timing in it, on both fabrics: a cold Read of a
+// 3-page region of plain pages makes exactly one remote read — one memnode
+// `read` RPC and no `read-pages` over loopback TCP, one RDMA read on the
+// in-process rack — counts one core.fetches, and fetches the region's
+// 3 x 4 096 bytes. Before, TCP made one `read-pages` (a whole-page
+// scatter-gather batch) and the in-process rack one read and one fetch per
+// page.
 func TestMultiPageReadIsOneRPC(t *testing.T) {
-	reg := telemetry.New(0)
-	addr, _ := tcpRigWith(t, 1, reg)
-	served := func(kind string) uint64 { return reg.Counter("cluster.memnode.served." + kind).Value() }
-	cfg := smallConfig()
-	cfg.Metrics = telemetry.New(0)
-	k := NewKonaTCP(cfg, addr)
-	const size = 3 * mem.PageSize
-	base, err := k.Malloc(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.PageOffset() != 0 {
-		t.Fatalf("Malloc placed the region at %v, test expects a page boundary", base)
-	}
-	data := make([]byte, size)
-	rand.New(rand.NewSource(3)).Read(data)
-	now := mustWrite(t, k, 0, base, data)
-	if now, err = k.Sync(now); err != nil {
-		t.Fatal(err)
-	}
-	coldCache(k)
-	k.PublishTelemetry()
-	fetched := cfg.Metrics.Counter("core.fpga.bytes_fetched")
-	bytes0, reads0, pages0 := fetched.Value(), served("read"), served("read-pages")
-	if _, got := mustRead(t, k, now, base, size); !bytes.Equal(got, data) {
-		t.Fatal("the region did not come back from remote memory")
-	}
-	k.PublishTelemetry()
-	dBytes, dReads, dPages := fetched.Value()-bytes0, served("read")-reads0, served("read-pages")-pages0
-	t.Logf("cold 3-page read: %d read RPCs, %d read-pages RPCs, %d B fetched", dReads, dPages, dBytes)
-	if dReads != 1 || dPages != 0 {
-		t.Errorf("the read made %d read and %d read-pages RPCs, want 1 and 0", dReads, dPages)
-	}
-	if dBytes != size {
-		t.Errorf("the read fetched %d B, want %d", dBytes, size)
-	}
-	if err := k.Close(0); err != nil {
-		t.Fatal(err)
+	for _, fabric := range []struct {
+		name string
+		// open builds the runtime and returns it with a count of its remote
+		// reads and of the `read-pages` gathers among them.
+		open func(t *testing.T, cfg Config) (k *Kona, reads, gathers func() uint64)
+	}{
+		{"in-process", func(t *testing.T, cfg Config) (*Kona, func() uint64, func() uint64) {
+			k := NewKona(cfg, newCluster(1))
+			// With nothing dirty, every verb the links post is a read; a
+			// gather is posted as reads too, so it shows as more than one.
+			reads := func() (n uint64) {
+				sl := k.rm.links.(*simLinks)
+				sl.mu.Lock()
+				defer sl.mu.Unlock()
+				for _, l := range sl.links {
+					_, wrs, _ := l.qp.Stats()
+					n += wrs
+				}
+				return n
+			}
+			return k, reads, func() uint64 { return 0 }
+		}},
+		{"loopback TCP", func(t *testing.T, cfg Config) (*Kona, func() uint64, func() uint64) {
+			reg := telemetry.New(0)
+			addr, _ := tcpRigWith(t, 1, reg)
+			served := func(kind string) func() uint64 {
+				return func() uint64 { return reg.Counter("cluster.memnode.served." + kind).Value() }
+			}
+			return NewKonaTCP(cfg, addr), served("read"), served("read-pages")
+		}},
+	} {
+		t.Run(fabric.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Metrics = telemetry.New(0)
+			k, reads, gathers := fabric.open(t, cfg)
+			const size = 3 * mem.PageSize
+			base, err := k.Malloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base.PageOffset() != 0 {
+				t.Fatalf("Malloc placed the region at %v, test expects a page boundary", base)
+			}
+			data := make([]byte, size)
+			rand.New(rand.NewSource(3)).Read(data)
+			now := mustWrite(t, k, 0, base, data)
+			if now, err = k.Sync(now); err != nil {
+				t.Fatal(err)
+			}
+			coldCache(k)
+			k.PublishTelemetry()
+			fetched, fetches := cfg.Metrics.Counter("core.fpga.bytes_fetched"), cfg.Metrics.Counter("core.fetches")
+			bytes0, fetches0, reads0, pages0 := fetched.Value(), fetches.Value(), reads(), gathers()
+			if _, got := mustRead(t, k, now, base, size); !bytes.Equal(got, data) {
+				t.Fatal("the region did not come back from remote memory")
+			}
+			k.PublishTelemetry()
+			dBytes, dFetches, dReads, dPages := fetched.Value()-bytes0, fetches.Value()-fetches0, reads()-reads0, gathers()-pages0
+			t.Logf("cold 3-page read: %d remote reads, %d read-pages, %d core.fetches, %d B fetched", dReads, dPages, dFetches, dBytes)
+			if dReads != 1 || dPages != 0 {
+				t.Errorf("the read made %d remote reads and %d read-pages, want 1 and 0", dReads, dPages)
+			}
+			if dFetches != 1 {
+				t.Errorf("the read counted %d core.fetches, want 1", dFetches)
+			}
+			if dBytes != size {
+				t.Errorf("the read fetched %d B, want %d", dBytes, size)
+			}
+			if err := k.Close(0); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -198,6 +198,7 @@ func (r *simLinks) link(node int, epoch uint64) (nodeLink, error) {
 		node:    n,
 		writer:  r.runtime,
 		qp:      rdma.Connect(r.localEP, n.Endpoint(), rdma.DefaultCostModel()),
+		ep:      r.localEP,
 		staging: r.localEP.RegisterMR(mem.PageSize),
 		logBuf:  r.localEP.RegisterMR(cluster.LogRegionSize),
 	}
@@ -218,6 +219,7 @@ type rdmaLink struct {
 
 	mu      sync.Mutex
 	qp      *rdma.QP
+	ep      *rdma.Endpoint // local side; staging grows to the largest span read (§16)
 	staging *rdma.MR
 	logBuf  *rdma.MR
 }
@@ -229,6 +231,10 @@ func (l *rdmaLink) healthy() bool { return !l.node.Failed() }
 func (l *rdmaLink) readPage(now simclock.Duration, off uint64, buf []byte) (simclock.Duration, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if len(buf) > len(l.staging.Bytes()) {
+		l.ep.DeregisterMR(l.staging.Key())
+		l.staging = l.ep.RegisterMR(len(buf))
+	}
 	done, err := l.qp.PostSend(now, []rdma.WR{{
 		Op: rdma.OpRead, Local: l.staging, RemoteKey: l.node.PoolKey(),
 		RemoteOff: int(off), Len: len(buf), Signaled: true,

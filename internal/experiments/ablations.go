@@ -45,21 +45,21 @@ func runAblPrefetch(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		pages = 512
 	}
-	run := func(prefetch bool) (simclock.Duration, core.EvictStats, error) {
+	run := func(depth int) (simclock.Duration, core.EvictStats, error) {
 		total := uint64(pages) * mem.PageSize
 		ctrl := fig7Cluster(total)
 		c := core.DefaultConfig(total / 2)
 		c.SlabSize = total
-		c.Prefetch = prefetch
+		c.PrefetchDepth = depth
 		rt := core.NewKona(c, ctrl)
 		d, err := fig7Run(rt, 1, pages)
 		return d, rt.EvictStats(), err
 	}
-	on, _, err := run(true)
+	on, _, err := run(1)
 	if err != nil {
 		return nil, err
 	}
-	off, _, err := run(false)
+	off, _, err := run(0)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +264,6 @@ func stridedRun(depth, pages int, vmLeap bool) (simclock.Duration, error) {
 		}
 		rt = vm
 	} else {
-		c.Prefetch = true
 		c.PrefetchDepth = depth
 		rt = core.NewKona(c, ctrl)
 	}
@@ -350,7 +349,7 @@ func fetchGranRun(fetchBytes uint64, pages int, sequential bool) (simclock.Durat
 	ctrl := fig7Cluster(total)
 	c := core.DefaultConfig(total)
 	c.SlabSize = total
-	c.Prefetch = false
+	c.PrefetchDepth = 0
 	c.FetchBytes = fetchBytes
 	rt := core.NewKona(c, ctrl)
 	base, err := rt.Malloc(total)

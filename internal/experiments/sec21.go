@@ -77,7 +77,7 @@ func measuredFetchLatencies() (kona, vm string, err error) {
 		return ctrl
 	}
 	cfg := core.DefaultConfig(1 << 20)
-	cfg.Prefetch = false
+	cfg.PrefetchDepth = 0
 	k := core.NewKona(cfg, mk())
 	addr, err := k.Malloc(mem.PageSize)
 	if err != nil {

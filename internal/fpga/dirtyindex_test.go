@@ -51,7 +51,7 @@ func victimBases(vs []Victim) []mem.Addr {
 // FMem and checks Occupancy (the counters) against a brute-force walk after
 // each, and FlushDirty's retained against the same walk.
 func TestResidentCounterMatchesWalk(t *testing.T) {
-	rig := newRig(t, 16, false)
+	rig := newRig(t, 16, 0)
 	// 4 sets x 4 ways over 2 stripes.
 	f := rig.rebuild(Config{FMemSize: 16 * mem.PageSize, Assoc: 4, Shards: 2})
 	check := func(step string, want int) {
@@ -101,7 +101,7 @@ func TestResidentCounterMatchesWalk(t *testing.T) {
 // hand the capacity victim to the handler a second time nor flush a
 // phantom for the dropped one, and must take the bits down.
 func TestDirtyIndexStaleBits(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize, Assoc: 4}) // 2 sets
 	line := bytes.Repeat([]byte{0xCD}, mem.CacheLineSize)
 	buf := make([]byte, 8)
@@ -141,7 +141,7 @@ func TestDirtyIndexStaleBits(t *testing.T) {
 // clean pages, capacity evictions and a second round (bits re-raised after
 // a flush) are all in the mix; 70 sets make the index span two words.
 func TestFlushDirtyOrderMatchesFullWalk(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	rng := rand.New(rand.NewSource(21))
 	for _, shards := range []int{1, 8} {
 		f := rig.rebuild(Config{FMemSize: 70 * 4 * mem.PageSize, Assoc: 4, Shards: shards})
@@ -183,7 +183,7 @@ func TestFlushDirtyOrderMatchesFullWalk(t *testing.T) {
 // block is read straight into the frame, a block that already holds a
 // locally written line is staged and merged around it.
 func TestFillDirectAndStaged(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	f := rig.fpga
 	remote := rig.pool.Bytes()[:2*mem.PageSize]
 	for i := range remote {
@@ -224,7 +224,7 @@ func TestFillDirectAndStaged(t *testing.T) {
 // must not return early because another caller had already claimed the
 // set's bit. Workers share sets (and index words) but own their pages.
 func TestConcurrentFlushDirtyEachCallCovers(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	f := New(Config{FMemSize: 64 * mem.PageSize, Assoc: 4, Shards: 4}, rig.fpga.translate,
 		func(simDur, Victim) simDur { return 0 })
 	const workers, rounds = 4, 300

@@ -15,8 +15,6 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		// span enables span reads.
-		span bool
 		run  func(t *testing.T, f *FPGA)
 		// want is the exact split; nil asserts only the sum and that the
 		// read and prefetch causes both occurred.
@@ -24,7 +22,7 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 	}{
 		{
 			name: "demand fills and next-page prefetch",
-			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4, Prefetch: true},
+			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4, PrefetchDepth: 1},
 			run: func(t *testing.T, f *FPGA) {
 				for p := uint64(0); p < 2; p++ {
 					if _, err := f.LineFill(0, at(p, 0)); err != nil {
@@ -69,18 +67,17 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 		{
 			name: "multi-page span read",
 			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4},
-			span: true,
 			run: func(t *testing.T, f *FPGA) {
 				if _, err := f.Read(0, at(20, 0), make([]byte, 3*mem.PageSize)); err != nil {
 					t.Fatal(err)
 				}
 			},
-			want: &[NumFetchCauses]uint64{3, 0, 0},
+			// One ReadRange brought all three pages: one fetch.
+			want: &[NumFetchCauses]uint64{1, 0, 0},
 		},
 		{
 			name: "stride window with span reads",
-			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4, Prefetch: true, PrefetchDepth: 4},
-			span: true,
+			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4, PrefetchDepth: 4},
 			run: func(t *testing.T, f *FPGA) {
 				for p := uint64(0); p < 20; p += 2 {
 					if _, err := f.LineFill(0, at(p, 0)); err != nil {
@@ -93,9 +90,6 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newFreshRig(tc.cfg, 0)
-			if tc.span {
-				r.f.EnableSpanReads()
-			}
 			tc.run(t, r.f)
 			st := r.f.Stats()
 			var sum uint64

@@ -125,12 +125,10 @@ type Config struct {
 	// a power of two and clamped to the set count; 0 means 1 (fully
 	// serial, the pre-concurrency behavior).
 	Shards int
-	// Prefetch enables next-page prefetch on sequential fill patterns
-	// (§4.4: the hardware prefetcher can reach remote memory under Kona).
-	Prefetch bool
-	// PrefetchDepth caps the adaptive stride prefetcher's window. 0 or 1
-	// keeps the classic depth-1 next-page behavior; larger values enable
-	// Leap-style stride detection with an adaptive window.
+	// PrefetchDepth sets the prefetcher (§4.4: the hardware prefetcher can
+	// reach remote memory under Kona). 0 turns it off; 1 is next-page
+	// prefetch on sequential fill patterns; larger values enable Leap-style
+	// stride detection with an adaptive window capped at this depth.
 	PrefetchDepth int
 	// FetchBytes is the remote fetch granularity: how much of a page one
 	// miss pulls over (a power of two between CacheLineSize and PageSize;
@@ -143,7 +141,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's FMem geometry for the given capacity.
 func DefaultConfig(fmemSize uint64) Config {
-	return Config{FMemSize: fmemSize, Assoc: 4, Prefetch: true}
+	return Config{FMemSize: fmemSize, Assoc: 4, PrefetchDepth: 1}
 }
 
 // frame is one FMem page slot.
@@ -263,9 +261,9 @@ type shard struct {
 }
 
 // front is the fill-pattern tracker feeding the prefetcher. It is
-// deliberately tiny: one mutex over a few words, taken only when Prefetch
-// is configured. Lock order: a shard lock may be held when front.mu is
-// taken, never the reverse.
+// deliberately tiny: one mutex over a few words, taken only when
+// PrefetchDepth is set. Lock order: a shard lock may be held when front.mu
+// is taken, never the reverse.
 type front struct {
 	mu           sync.Mutex
 	lastFillPage uint64
@@ -308,10 +306,8 @@ type FPGA struct {
 	onEvict   EvictHandler
 	onFetch   FetchHook
 
-	// spanReads fetches a page-spanning Read's missing lines with one
-	// ReadRange — see EnableSpanReads.
-	spanReads bool
-	spanPool  sync.Pool
+	// spanPool holds the staging areas of multi-page Reads (prefillSpan).
+	spanPool sync.Pool
 
 	sets  [][]frame
 	nsets uint64
@@ -356,7 +352,7 @@ func New(cfg Config, tr Translator, onEvict EvictHandler) *FPGA {
 		// The sequential prefetcher operates at page granularity; with
 		// sub-page fetches the fetch granularity itself is the locality
 		// knob.
-		cfg.Prefetch = false
+		cfg.PrefetchDepth = 0
 	}
 	nshards := shardCount(cfg.Shards, nsets)
 	f := &FPGA{
@@ -370,7 +366,7 @@ func New(cfg Config, tr Translator, onEvict EvictHandler) *FPGA {
 		shardMask: nshards - 1,
 	}
 	f.spanPool.New = func() any { return &spanScratch{} }
-	if cfg.Prefetch && cfg.PrefetchDepth > 1 {
+	if cfg.PrefetchDepth > 1 {
 		f.front.stride = prefetch.New(cfg.PrefetchDepth)
 	}
 	return f
@@ -499,7 +495,7 @@ func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr, r
 		if err != nil {
 			return now, nil, prefetchIntent{}, err
 		}
-		return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
+		return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.PrefetchDepth > 0, at: now, page: page}, nil
 	}
 	fr := f.installLocked(sh, now, mem.PageBase(page))
 	done, err := f.ensureLinesLocked(sh, now, fr, page, line, line, reach, FetchRead)
@@ -509,7 +505,7 @@ func (f *FPGA) lineFillLocked(sh *shard, now simclock.Duration, addr mem.Addr, r
 	fr.readyAt = done
 	// Prefetch is issued at the demand fetch's start time, not its
 	// completion: the FPGA pipelines the two NIC operations.
-	return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.Prefetch, at: now, page: page}, nil
+	return done + simclock.FMemAccess, fr, prefetchIntent{want: f.cfg.PrefetchDepth > 0, at: now, page: page}, nil
 }
 
 // markPrefetchUseful rewards the stride detector for a demanded
@@ -572,13 +568,6 @@ func (f *FPGA) prefetchOne(now simclock.Duration, target uint64) {
 
 // SetFetchHook installs the pre-fetch ordering hook.
 func (f *FPGA) SetFetchHook(h FetchHook) { f.onFetch = h }
-
-// EnableSpanReads makes a multi-page Read fetch the lines its pages are
-// missing with one ReadRange when their routes are contiguous. The runtime
-// enables it only on the TCP transport, where the one read saves a round
-// trip per page; the simulated fabric keeps the per-page path so its
-// virtual-time NIC ordering stays reproducible.
-func (f *FPGA) EnableSpanReads() { f.spanReads = true }
 
 // collectPage adds the page to ss if a read of its lines [lo, hi] would
 // have to fetch, with the lines it is missing, recording its shard epoch so
@@ -913,7 +902,8 @@ func (f *FPGA) prefillSpan(now simclock.Duration, addr mem.Addr, n int) simclock
 // frame. It needs two or more pages (one page's lines are one read on the
 // per-page path anyway) with contiguous routes; otherwise every page is left
 // for the per-page path. The write-before-read hook runs for every page
-// before the read; each page counts one FetchRead. A page is merged only if
+// before the read; the read counts one FetchRead, in the first page's
+// stripe, and each page the bytes it brought. A page is merged only if
 // nothing but this call installed or evicted a frame in its stripe since
 // collection and its frame is the one collection saw (or still none); any
 // other page is left for the per-page path.
@@ -952,7 +942,9 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 		page := o.page.Base.Page()
 		sh := f.shardFor(page)
 		sh.mu.Lock()
-		sh.stats.Fetches[FetchRead]++
+		if i == 0 {
+			sh.stats.Fetches[FetchRead]++
+		}
 		sh.stats.BytesFetched += uint64(next - max(at, 0))
 		fr := f.lookupLocked(page)
 		if sh.epoch.Load() != o.epoch || (fr != nil) != o.resident {
@@ -988,7 +980,7 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 // under that page's shard lock, so single-page reads are atomic with
 // respect to concurrent writers; multi-page reads are atomic per page.
 func (f *FPGA) Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error) {
-	if f.spanReads && len(buf) > 0 {
+	if len(buf) > 0 {
 		now = f.prefillSpan(now, addr, len(buf))
 	}
 	off := 0
@@ -1068,7 +1060,8 @@ func (f *FPGA) DirtyLines(addr mem.Addr) mem.LineBitmap {
 }
 
 // FlushPage force-evicts the page holding addr (if resident), pushing it
-// through the Eviction Handler. Used by explicit sync/teardown paths.
+// through the Eviction Handler. Only tests call it, to stage a page that
+// has left FMem; the runtime writes back with FlushDirty.
 func (f *FPGA) FlushPage(now simclock.Duration, addr mem.Addr) bool {
 	page := addr.Page()
 	sh := f.shardFor(page)

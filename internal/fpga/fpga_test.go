@@ -65,7 +65,7 @@ func (t *rigTranslator) ReadGather(now simclock.Duration, p Page, offs []uint64,
 
 const rigBase = mem.Addr(1 << 40)
 
-func newRig(t *testing.T, fmemPages int, prefetch bool) *testRig {
+func newRig(t *testing.T, fmemPages, prefetchDepth int) *testRig {
 	t.Helper()
 	local := rdma.NewEndpoint("compute")
 	remote := rdma.NewEndpoint("memnode")
@@ -74,7 +74,7 @@ func newRig(t *testing.T, fmemPages int, prefetch bool) *testRig {
 	qp := rdma.Connect(local, remote, rdma.DefaultCostModel())
 	rig := &testRig{pool: pool}
 	tr := &rigTranslator{base: rigBase, size: 1 << 20, qp: qp, staging: staging, poolKey: pool.Key()}
-	cfg := Config{FMemSize: uint64(fmemPages) * mem.PageSize, Assoc: 4, Prefetch: prefetch}
+	cfg := Config{FMemSize: uint64(fmemPages) * mem.PageSize, Assoc: 4, PrefetchDepth: prefetchDepth}
 	rig.fpga = New(cfg, tr, func(now simclock.Duration, v Victim) simclock.Duration {
 		cp := Victim{Base: v.Base, Data: append([]byte(nil), v.Data...), Dirty: v.Dirty}
 		rig.victims = append(rig.victims, cp)
@@ -95,7 +95,7 @@ func (rig *testRig) rebuild(cfg Config) *FPGA {
 }
 
 func TestLineFillFetchesOnceThenHits(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	f := rig.fpga
 	d1, err := f.LineFill(0, rigBase)
 	if err != nil {
@@ -127,7 +127,7 @@ func TestLineFillFetchesOnceThenHits(t *testing.T) {
 }
 
 func TestReadSeesRemoteData(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	copy(rig.pool.Bytes()[128:], []byte("remote payload"))
 	buf := make([]byte, 14)
 	if _, err := rig.fpga.Read(0, rigBase+128, buf); err != nil {
@@ -139,7 +139,7 @@ func TestReadSeesRemoteData(t *testing.T) {
 }
 
 func TestReadAcrossPageBoundary(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	for i := range rig.pool.Bytes()[:8192] {
 		rig.pool.Bytes()[i] = byte(i % 251)
 	}
@@ -160,7 +160,7 @@ func TestReadAcrossPageBoundary(t *testing.T) {
 }
 
 func TestWriteSetsDirtyBits(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	payload := bytes.Repeat([]byte{0xCD}, 130)
 	if _, err := rig.fpga.Write(0, rigBase+100, payload); err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestWriteSetsDirtyBits(t *testing.T) {
 
 func TestEvictionDeliversDirtyVictim(t *testing.T) {
 	// FMem of 4 pages, assoc 4 => one set; fifth page evicts LRU.
-	rig := newRig(t, 4, false)
+	rig := newRig(t, 4, 0)
 	f := rig.fpga
 	if _, err := f.Write(0, rigBase, bytes.Repeat([]byte{1}, 64)); err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestEvictionDeliversDirtyVictim(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	f := rig.fpga
 	if _, err := f.Write(0, rigBase, []byte{1}); err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestFlush(t *testing.T) {
 }
 
 func TestPrefetchSequential(t *testing.T) {
-	rig := newRig(t, 16, true)
+	rig := newRig(t, 16, 1)
 	f := rig.fpga
 	// Touch pages 0,1 sequentially: page 2 should be prefetched.
 	if _, err := f.LineFill(0, rigBase); err != nil {
@@ -276,7 +276,7 @@ func TestPrefetchSequential(t *testing.T) {
 }
 
 func TestTranslateErrorPropagates(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	if _, err := rig.fpga.LineFill(0, mem.Addr(1)); err == nil {
 		t.Fatalf("fill outside slabs succeeded")
 	}
@@ -287,7 +287,7 @@ func TestTranslateErrorPropagates(t *testing.T) {
 }
 
 func TestDirectoryContention(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	f := rig.fpga
 	// Warm a page, then issue two hits at the same arrival time: the
 	// second must depart later (single directory port).
@@ -325,7 +325,7 @@ func TestGeometryPanics(t *testing.T) {
 // through a cached line reads nothing for ownership, while one ending in
 // an uncached line of the same resident page does.
 func TestCachedIsPerLine(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize, Assoc: 4, FetchBytes: mem.CacheLineSize})
 	line := func(l int) mem.Addr { return rigBase + mem.Addr(l*mem.CacheLineSize) }
 	if f.Cached(line(2)) {

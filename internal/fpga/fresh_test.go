@@ -159,7 +159,6 @@ func TestFreshPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// Pages 0..3 fresh, 4..5 not: a six-page Read's span read covers only
 	// the two.
 	r := newFreshRig(Config{FMemSize: 64 * mem.PageSize, Assoc: 4}, 4)
-	r.f.EnableSpanReads()
 	buf := make([]byte, 6*mem.PageSize)
 	if _, err := r.f.Read(0, rigBase, buf); err != nil {
 		t.Fatal(err)
@@ -171,8 +170,8 @@ func TestFreshPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 		t.Fatal("fetched pages of the span are not remote memory's bytes")
 	}
 	st := r.f.Stats()
-	if r.tr.reads != 1 || st.RemoteFetches != 2 || st.BytesFetched != 2*mem.PageSize {
-		t.Fatalf("span made %d reads, RemoteFetches %d, BytesFetched %d; want 1, 2, %d",
+	if r.tr.reads != 1 || st.RemoteFetches != 1 || st.BytesFetched != 2*mem.PageSize {
+		t.Fatalf("span made %d reads, RemoteFetches %d, BytesFetched %d; want 1, 1, %d",
 			r.tr.reads, st.RemoteFetches, st.BytesFetched, 2*mem.PageSize)
 	}
 	if r.hooks != 2 {
@@ -182,7 +181,7 @@ func TestFreshPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// Sequential fills of fresh pages: the next page is fresh too, and the
 	// next-page prefetch leaves it out — a zero-filled frame buys nothing and
 	// would evict a cached page.
-	p := newFreshRig(Config{FMemSize: 64 * mem.PageSize, Assoc: 4, Prefetch: true}, 8)
+	p := newFreshRig(Config{FMemSize: 64 * mem.PageSize, Assoc: 4, PrefetchDepth: 1}, 8)
 	for i := 0; i < 2; i++ {
 		if _, err := p.f.LineFill(0, rigBase+mem.Addr(i)*mem.PageSize); err != nil {
 			t.Fatal(err)

@@ -220,10 +220,9 @@ func TestObjectFreshPageZeroFills(t *testing.T) {
 
 func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// A record of 2 pages + 100 B starting at page 1: one contiguous read of
-	// its lines, and the hook once per page.
+	// its lines, counted as one fetch, and the hook once per page.
 	tr := newObjTranslator(8, 0)
 	f := objFPGA(Config{}, tr)
-	f.EnableSpanReads()
 	var hooked []mem.Addr
 	f.SetFetchHook(func(now simclock.Duration, base mem.Addr) simclock.Duration {
 		hooked = append(hooked, base)
@@ -240,8 +239,8 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	}
 	tr.wantReads(t, objRead{addr, 0, 2*mem.PageSize + 2*line})
 	st := f.Stats()
-	if len(hooked) != 3 || st.RemoteFetches != 3 || st.BytesFetched != 2*mem.PageSize+2*line {
-		t.Fatalf("span: %d hook calls, RemoteFetches %d, BytesFetched %d; want 3, 3, %d",
+	if len(hooked) != 3 || st.RemoteFetches != 1 || st.BytesFetched != 2*mem.PageSize+2*line {
+		t.Fatalf("span: %d hook calls, RemoteFetches %d, BytesFetched %d; want 3, 1, %d",
 			len(hooked), st.RemoteFetches, st.BytesFetched, 2*mem.PageSize+2*line)
 	}
 	// The rest of the record's last page is dead tail: not resident lines,
@@ -254,7 +253,6 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// survives it; the span is still one read.
 	tr = newObjTranslator(8, 0)
 	f = objFPGA(Config{}, tr)
-	f.EnableSpanReads()
 	whole := bytes.Repeat([]byte{0xA1}, line)
 	if _, err := f.Write(0, addr+mem.PageSize+3*line, whole); err != nil {
 		t.Fatal(err)
@@ -273,7 +271,6 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	tr = newObjTranslator(8, 0)
 	tr.split = rigBase + 2*mem.PageSize
 	f = objFPGA(Config{}, tr)
-	f.EnableSpanReads()
 	if _, err := f.Read(0, addr, got); err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +286,7 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// The window never runs past the translator's 16 pages.
 	for _, objects := range []int{16, 0} {
 		tr = newObjTranslator(objects, 0)
-		f = objFPGA(Config{Prefetch: true, PrefetchDepth: 4}, tr)
-		f.EnableSpanReads()
+		f = objFPGA(Config{PrefetchDepth: 4}, tr)
 		for p := 0; p < 8; p += 2 {
 			if _, err := f.LineFill(0, rigBase+mem.Addr(p)*mem.PageSize); err != nil {
 				t.Fatal(err)
@@ -303,7 +299,7 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 
 	// Sequential fills of object pages never prefetch the next page.
 	tr = newObjTranslator(8, 0)
-	f = objFPGA(Config{Prefetch: true}, tr)
+	f = objFPGA(Config{PrefetchDepth: 1}, tr)
 	for i := 0; i < 3; i++ {
 		if _, err := f.LineFill(0, rigBase+mem.Addr(i)*mem.PageSize); err != nil {
 			t.Fatal(err)
@@ -319,7 +315,7 @@ func TestObjectPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// Nor the plain page after the last of them: a record ending on an
 	// object chunk's last page is followed by another allocation's lines.
 	tr = newObjTranslator(3, 0)
-	f = objFPGA(Config{Prefetch: true}, tr)
+	f = objFPGA(Config{PrefetchDepth: 1}, tr)
 	for i := 1; i < 3; i++ {
 		if _, err := f.LineFill(0, rigBase+mem.Addr(i)*mem.PageSize); err != nil {
 			t.Fatal(err)
@@ -338,7 +334,6 @@ func TestSpanReadHitAsksNoLookup(t *testing.T) {
 	for _, objects := range []int{8, 0} {
 		tr := newObjTranslator(objects, 0)
 		f := objFPGA(Config{}, tr)
-		f.EnableSpanReads()
 		addr := rigBase + mem.PageSize + 3*line
 		got := make([]byte, 2*mem.PageSize)
 		if _, err := f.Read(0, addr, got); err != nil {

@@ -29,15 +29,15 @@ func TestStridePrefetchEndToEnd(t *testing.T) {
 // newRigDepth builds a rig with a stride prefetcher of the given depth.
 func newRigDepth(t *testing.T, fmemPages, depth int) *testRig {
 	t.Helper()
-	rig := newRig(t, fmemPages, true)
+	rig := newRig(t, fmemPages, 1)
 	// Rebuild the FPGA with stride prefetching on the same translator.
-	rig.rebuild(Config{FMemSize: uint64(fmemPages) * mem.PageSize, Assoc: 4, Prefetch: true, PrefetchDepth: depth})
+	rig.rebuild(Config{FMemSize: uint64(fmemPages) * mem.PageSize, Assoc: 4, PrefetchDepth: depth})
 	return rig
 }
 
 func TestSubPageFetchMovesLessData(t *testing.T) {
 	mkF := func(fetch uint64) *FPGA {
-		rig := newRig(t, 64, false)
+		rig := newRig(t, 64, 0)
 		cfg := Config{FMemSize: 64 * mem.PageSize, Assoc: 4, FetchBytes: fetch}
 		return New(cfg, rig.fpga.translate, nil)
 	}
@@ -70,7 +70,7 @@ func TestSubPageFetchMovesLessData(t *testing.T) {
 }
 
 func TestSubPageRMWPreservesLocalWrites(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	cfg := Config{FMemSize: 8 * mem.PageSize, Assoc: 4, FetchBytes: 512}
 	f := New(cfg, rig.fpga.translate, nil)
 	// Remote content: distinct bytes.
@@ -104,7 +104,7 @@ func TestSubPageRMWPreservesLocalWrites(t *testing.T) {
 }
 
 func TestFetchGeometryPanics(t *testing.T) {
-	rig := newRig(t, 8, false)
+	rig := newRig(t, 8, 0)
 	for _, fb := range []uint64{32, 96, 8192} {
 		func() {
 			defer func() {

@@ -124,7 +124,6 @@ func TestSpanReadSkipsUnwrittenLines(t *testing.T) {
 	w := written(0, 4)
 	tr.unwritten = map[mem.Addr]mem.LineBitmap{rigBase + mem.PageSize: ^w}
 	f := objFPGA(Config{}, tr)
-	f.EnableSpanReads()
 	got := make([]byte, 2*mem.PageSize)
 	if _, err := f.Read(0, rigBase, got); err != nil {
 		t.Fatal(err)

@@ -374,33 +374,37 @@ func TestObjectPageGetsFetchTheirLines(t *testing.T) {
 	}
 }
 
-func TestRingRoutingStableAndSpread(t *testing.T) {
-	r := newRing(8)
-	// Stability: the same hash always routes to the same shard.
-	for i := 0; i < 100; i++ {
-		h := hashKey("stable-key")
-		if r.shardOf(h) != r.shardOf(h) {
-			t.Fatal("routing not deterministic")
+// TestShardRoutingStableAndSpread: shardOf is a pure function of the
+// hash, lands in [0, n) for any shard count, and spreads distinct keys
+// evenly — every shard within ±25% of the mean.
+func TestShardRoutingStableAndSpread(t *testing.T) {
+	if shardOf(hashKey("stable-key"), 16) != shardOf(hashKey("stable-key"), 16) {
+		t.Fatal("routing not deterministic")
+	}
+	for _, n := range []int{1, 8, 16, 17} {
+		for i := 0; i < 10000; i++ {
+			if s := shardOf(hashKey(fmt.Sprintf("user:%d", i)), n); s < 0 || s >= n {
+				t.Fatalf("%d shards: key routed to shard %d", n, s)
+			}
+		}
+		for _, h := range []uint64{0, 1, 1 << 63, ^uint64(0)} {
+			if s := shardOf(h, n); s < 0 || s >= n {
+				t.Fatalf("%d shards: hash %#x routed to shard %d", n, h, s)
+			}
 		}
 	}
-	// Spread: 10k distinct keys should touch every shard, with no shard
-	// hoarding more than half the keys (vnodes smooth the circle).
-	counts := make([]int, 8)
-	for i := 0; i < 10000; i++ {
-		counts[r.shardOf(hashKey("user:"+string(rune('a'+i%26))+string(rune(i))))]++
-	}
-	total := 0
-	for s, c := range counts {
-		if c == 0 {
-			t.Errorf("shard %d got no keys", s)
+	const keys = 10000
+	for _, n := range []int{8, 16} {
+		counts := make([]int, n)
+		for i := 0; i < keys; i++ {
+			counts[shardOf(hashKey(fmt.Sprintf("user:%d", i)), n)]++
 		}
-		if c > 5000 {
-			t.Errorf("shard %d hoards %d/10000 keys", s, c)
+		mean := keys / n
+		for s, c := range counts {
+			if c < mean*3/4 || c > mean*5/4 {
+				t.Errorf("%d shards: shard %d holds %d keys, mean %d", n, s, c, mean)
+			}
 		}
-		total += c
-	}
-	if total != 10000 {
-		t.Fatalf("routed %d/10000", total)
 	}
 }
 

@@ -19,10 +19,9 @@
 //     of its own (so a record of ≤ 2 KB lies in one page, and larger
 //     blocks, whole lines, are laid end to end on pages of their class
 //     only), frees recycle blocks onto per-class free lists.
-//   - ring.go: consistent-hash key→shard routing (vnode ring), so the
-//     shard count can change without remapping the whole keyspace.
 //   - store.go: the sharded store — per-shard local index + heap +
-//     LRU budget eviction, all value bytes behind Runtime.Read/Write.
+//     LRU budget eviction, all value bytes behind Runtime.Read/Write;
+//     a key's shard is its hash scaled onto the shard count (shardOf).
 //   - protocol.go / client.go: the memcached text protocol (get/set/
 //     delete/stats), server-side parser and a small client.
 //   - server.go: the TCP serve loop with per-op latency histograms and

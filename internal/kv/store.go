@@ -3,6 +3,7 @@ package kv
 import (
 	"container/list"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -14,7 +15,7 @@ import (
 // Config sizes a Store.
 type Config struct {
 	// Shards is the number of independently locked store shards; keys
-	// route to shards by consistent hashing. 0 defaults to 16. More
+	// route to shards by their hash (shardOf). 0 defaults to 16. More
 	// shards = more concurrent gets/sets, one partly carved chunk of
 	// remote memory pinned per size class in use per shard.
 	Shards int
@@ -46,7 +47,6 @@ type StoreStats struct {
 // the runtime (DESIGN.md §9).
 type Store struct {
 	rt     Runtime
-	ring   ring
 	shards []*storeShard
 	seq    atomic.Uint64 // record write sequence, for torn-write forensics
 	clock  atomic.Int64  // high-water virtual time across callers
@@ -83,7 +83,6 @@ func NewStore(rt Runtime, cfg Config) *Store {
 	}
 	s := &Store{
 		rt:     rt,
-		ring:   newRing(cfg.Shards),
 		shards: make([]*storeShard, cfg.Shards),
 	}
 	reg := cfg.Metrics
@@ -112,8 +111,15 @@ func NewStore(rt Runtime, cfg Config) *Store {
 	return s
 }
 
+// shardOf routes a key hash to one of n shards: the high 64 bits of h × n,
+// which maps the uniform hash uniformly onto [0, n) without a division.
+func shardOf(h uint64, n int) int {
+	hi, _ := bits.Mul64(h, uint64(n))
+	return int(hi)
+}
+
 func (s *Store) shardFor(key string) *storeShard {
-	return s.shards[s.ring.shardOf(hashKey(key))]
+	return s.shards[shardOf(hashKey(key), len(s.shards))]
 }
 
 // keyBytes is a key as either form the store is handed: the string API,
@@ -153,7 +159,7 @@ func (s *Store) Get(now simclock.Duration, key string, dst []byte) (val []byte, 
 // GetBytes is Get for a key held as bytes (the server's parsed command
 // line); it neither retains key nor builds a string from it.
 func (s *Store) GetBytes(now simclock.Duration, key, dst []byte) (val []byte, flags uint32, t simclock.Duration, ok bool, err error) {
-	return get(s, s.shards[s.ring.shardOf(hashKeyBytes(key))], now, key, dst)
+	return get(s, s.shards[shardOf(hashKeyBytes(key), len(s.shards))], now, key, dst)
 }
 
 func get[K keyBytes](s *Store, sh *storeShard, now simclock.Duration, key K, dst []byte) (val []byte, flags uint32, t simclock.Duration, ok bool, err error) {
@@ -194,7 +200,7 @@ func (s *Store) Set(now simclock.Duration, key string, value []byte, flags uint3
 // SetBytes is Set for a key held as bytes; the store copies the key only
 // when it is new.
 func (s *Store) SetBytes(now simclock.Duration, key, value []byte, flags uint32) (t simclock.Duration, err error) {
-	return set(s, s.shards[s.ring.shardOf(hashKeyBytes(key))], now, key, value, flags)
+	return set(s, s.shards[shardOf(hashKeyBytes(key), len(s.shards))], now, key, value, flags)
 }
 
 func set[K keyBytes](s *Store, sh *storeShard, now simclock.Duration, key K, value []byte, flags uint32) (t simclock.Duration, err error) {
