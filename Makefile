@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test quick race fuzz bench-quick bench-telemetry bench-evict guards bench-gates bench-concurrent bench-wire kv-bench kv-soak cover stress chaos loc verify
+.PHONY: build vet test quick race fuzz bench-quick bench-telemetry bench-evict guards bench-gates bench-layout bench-concurrent bench-wire kv-bench kv-soak cover stress chaos loc verify
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,15 @@ bench-gates:
 			echo "bench-gates: $$w trace=$$t FAILED:" >&2; cat $$err >&2; fail=1; \
 		fi; \
 	done; done; rm -f $$err; exit $$fail
+
+# The benchmark binary's code layout: prints the address of math/rand.read
+# in a fresh build of ./bench. rt-page's setup_s moves with that address
+# (ROADMAP 1(a)), so compare it between two commits before reading an
+# rt-page setup_s move as the change's own. Not part of verify.
+bench-layout:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/bench" ./bench && \
+	$(GO) tool nm "$$d/bench" | awk '$$3 == "math/rand.read" {print $$3, "0x" $$1}'
 
 # Telemetry-overhead guard (DESIGN.md §7): one pass over the
 # disabled/enabled benchmark pairs on the two hottest instrumented paths

@@ -85,7 +85,7 @@ func main() {
 	defer srv.Close()
 
 	// One background loop (DESIGN.md §10, §13): each tick sweeps node
-	// health, re-replicates degraded slabs onto healthy nodes, then — when
+	// health, re-replicates lost members onto healthy nodes, then — when
 	// -migrate-threshold is set — moves slabs off hot nodes by the load map
 	// (fed by memnode -load-interval pushes and compute-side Sync reports),
 	// each under its own copy budget.

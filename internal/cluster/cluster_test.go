@@ -232,7 +232,7 @@ func TestLogReceiverScatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, service, err := n.UnpackLog(packed)
+	applied, service, err := n.UnpackLogFrom(0, packed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +256,11 @@ func TestLogReceiverScatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := n.UnpackLog(packed); err == nil {
+	if _, _, err := n.UnpackLogFrom(0, packed); err == nil {
 		t.Errorf("out-of-pool entry accepted")
 	}
 	n.Fail()
-	if _, _, err := n.UnpackLog(packed); err == nil || !strings.Contains(err.Error(), "failed") {
+	if _, _, err := n.UnpackLogFrom(0, packed); err == nil || !strings.Contains(err.Error(), "failed") {
 		t.Errorf("failed node accepted log: %v", err)
 	}
 }

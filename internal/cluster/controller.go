@@ -18,12 +18,13 @@ import (
 // member of a placement group (one group per logical slab, one member per
 // replica). When a node dies — detected by HealthSweep, a ship-failure
 // report from a compute node's evictor, or a rejoin of the same id — the
-// dead members are marked degraded but stay in their groups, so compute
-// nodes keep buffering dirty lines for them (the retained-entry protocol)
-// until the replacement engine copies the slab onto a healthy node and commits
-// an atomic placement flip. Node incarnations fence stale placements:
-// every registration of an id bumps its incarnation, and a member whose
-// Epoch no longer matches its node's incarnation is dead by definition.
+// dead members stay in their groups, so compute nodes keep buffering dirty
+// lines for them (the retained-entry protocol) until the replacement engine
+// copies the slab onto a healthy node and commits an atomic placement flip.
+// Node incarnations fence stale placements: every registration of an id
+// bumps its incarnation, and a member is lost exactly when its node is not
+// registered at the incarnation it was carved under (liveLocked). Nothing
+// stores the lost set; it is read off the groups and the registry.
 type Controller struct {
 	mu sync.Mutex
 
@@ -36,20 +37,13 @@ type Controller struct {
 
 	// groups maps a slab/group id to its replica members. All members
 	// share the id and Base; they differ in Node/RemoteOff/Epoch. A dead
-	// member stays in its group (marked degraded) until a repair flips it
-	// to a new node.
+	// member stays in its group until a repair flips it to a new node.
 	groups map[uint64][]slab.Slab
 
 	// incarn is the per-id registration count. It persists across Remove
 	// so a rejoining node always gets a higher incarnation than any of
 	// its dead predecessors.
 	incarn map[int]uint64
-
-	// degraded holds the group members that lost their node — the
-	// replacement engine's repair work — keyed so a group that loses two
-	// distinct replicas gets two entries. An entry's Epoch fences it
-	// against the node rejoining under a new incarnation.
-	degraded map[degradedKey]slab.Slab
 
 	// epoch is the placement epoch: bumped on every register, remove and
 	// repair flip. Compute nodes compare it against a cached value to
@@ -73,11 +67,6 @@ type Controller struct {
 	leaseDir
 }
 
-type degradedKey struct {
-	group uint64
-	node  int
-}
-
 // VFMemBase is the fake-physical base address at which the controller
 // hands out slab mappings: high enough to never collide with CMem
 // allocations in the simulated process layout.
@@ -90,7 +79,6 @@ func NewController() *Controller {
 		nextVA:   VFMemBase,
 		groups:   make(map[uint64][]slab.Slab),
 		incarn:   make(map[int]uint64),
-		degraded: make(map[degradedKey]slab.Slab),
 		leaseDir: leaseDir{leases: make(map[uint64]*leaseState)},
 	}
 }
@@ -112,8 +100,8 @@ func (c *Controller) proberLocked() func(id int, n *MemoryNode) bool {
 
 // Register adds a memory node's offered memory to the pool. Registering
 // an id that is already held by a live node is an error (double
-// registration); if the incumbent is dead, it is expelled — degrading its
-// slabs — and the newcomer is admitted under a higher incarnation
+// registration); if the incumbent is dead, it is expelled — losing its
+// slabs' members — and the newcomer is admitted under a higher incarnation
 // (crash-rejoin, §10).
 func (c *Controller) Register(n *MemoryNode) error {
 	id := n.ID()
@@ -151,8 +139,9 @@ func (c *Controller) registerLocked(n *MemoryNode) {
 }
 
 // Remove expels a node (e.g. after failure detection). Its slab-group
-// members become degraded but stay in their groups so the replication
-// layer keeps retaining dirty lines for them until repair flips them.
+// members are lost from then on but stay in their groups, so the
+// replication layer keeps retaining dirty lines for them until repair
+// flips them.
 func (c *Controller) Remove(id int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -162,13 +151,9 @@ func (c *Controller) Remove(id int) {
 	c.removeLocked(id)
 }
 
-// removeLocked deletes the node and atomically marks every group member
-// it hosted (at its current incarnation) degraded. Doing both under one
-// critical section closes the window where a repair could be planned
-// against placement state that no longer includes the dead node — the
-// "repaired onto itself" bug.
+// removeLocked deletes the node. Every member it hosted is lost from the
+// same critical section on, since liveLocked reads the registry.
 func (c *Controller) removeLocked(id int) {
-	inc := c.incarn[id]
 	delete(c.nodes, id)
 	for i, nid := range c.rr {
 		if nid == id {
@@ -180,17 +165,14 @@ func (c *Controller) removeLocked(id int) {
 		c.pos %= len(c.rr)
 	}
 	c.epoch++
-	for gid, members := range c.groups {
-		for _, m := range members {
-			if m.Node != id || m.Epoch != inc {
-				continue
-			}
-			k := degradedKey{group: gid, node: id}
-			if _, seen := c.degraded[k]; !seen {
-				c.degraded[k] = m
-			}
-		}
-	}
+}
+
+// liveLocked is the one liveness rule for a group member: its node is
+// registered at the incarnation the member was carved under. Epoch 0 (a
+// descriptor built outside the controller) skips the incarnation check.
+func (c *Controller) liveLocked(m slab.Slab) bool {
+	_, ok := c.nodes[m.Node]
+	return ok && (m.Epoch == 0 || c.incarn[m.Node] == m.Epoch)
 }
 
 // Node returns a registered node by id.
@@ -221,23 +203,20 @@ func (c *Controller) NodeIDs() []int {
 }
 
 // SlabsOnNode returns the group members hosted on node at its current
-// incarnation, ascending group id. Groups with any degraded member are
-// skipped — restoring their redundancy comes before rebalancing them.
+// incarnation, ascending group id. Groups with a lost member are skipped —
+// restoring their redundancy comes before rebalancing them.
 func (c *Controller) SlabsOnNode(node int) []slab.Slab {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	inc := c.incarn[node]
-	degradedGroup := make(map[uint64]bool, len(c.degraded))
-	for k := range c.degraded {
-		degradedGroup[k.group] = true
-	}
 	var out []slab.Slab
-	for gid, members := range c.groups {
-		if degradedGroup[gid] {
+	for _, members := range c.groups {
+		if slices.ContainsFunc(members, func(m slab.Slab) bool { return !c.liveLocked(m) }) {
 			continue
 		}
+		// Every member left is live, so one on node is at its current
+		// incarnation.
 		for _, m := range members {
-			if m.Node == node && m.Epoch == inc {
+			if m.Node == node {
 				out = append(out, m)
 			}
 		}
@@ -266,11 +245,9 @@ func (c *Controller) PlacementEpoch() uint64 {
 // SlabPlacements returns the current members of a placement group, replica
 // order preserved (index 0 is the primary). Dead members are returned
 // too, deliberately: a member whose node was expelled stays in its group
-// (degraded) until repair flips it, and compute runtimes need the dead
-// descriptor to keep its (node, epoch) link key stable for the
-// retained-entry protocol — they substitute a deadLink stand-in locally.
-// Callers that need liveness resolved on the controller side use
-// PlacementsHealth.
+// until repair flips it, and compute runtimes need the dead descriptor to
+// keep its (node, epoch) link key stable for the retained-entry protocol —
+// they substitute a deadLink stand-in locally.
 func (c *Controller) SlabPlacements(group uint64) ([]slab.Slab, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -283,38 +260,18 @@ func (c *Controller) SlabPlacements(group uint64) ([]slab.Slab, error) {
 	return out, nil
 }
 
-// PlacementsHealth is SlabPlacements plus a per-member liveness flag,
-// computed under the same critical section the membership copy is taken
-// in — so a read racing removeLocked sees either the pre-removal state
-// (member live) or the post-removal state (member flagged dead), never a
-// torn mix. A member is live iff its node is currently registered at the
-// incarnation the member was carved under (Epoch 0 disables the
-// incarnation check, matching ReleaseSlab's convention).
-func (c *Controller) PlacementsHealth(group uint64) ([]slab.Slab, []bool, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	members, ok := c.groups[group]
-	if !ok {
-		return nil, nil, false
-	}
-	out := make([]slab.Slab, len(members))
-	copy(out, members)
-	live := make([]bool, len(members))
-	for i, m := range members {
-		_, reg := c.nodes[m.Node]
-		live[i] = reg && (m.Epoch == 0 || c.incarn[m.Node] == m.Epoch)
-	}
-	return out, live, true
-}
-
-// DegradedSlabs returns the lost members awaiting repair,
-// deterministically ordered.
+// DegradedSlabs returns the lost members awaiting repair, ordered by
+// group id, then node.
 func (c *Controller) DegradedSlabs() []slab.Slab {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]slab.Slab, 0, len(c.degraded))
-	for _, m := range c.degraded {
-		out = append(out, m)
+	var out []slab.Slab
+	for _, members := range c.groups {
+		for _, m := range members {
+			if !c.liveLocked(m) {
+				out = append(out, m)
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ID != out[j].ID {
@@ -327,15 +284,13 @@ func (c *Controller) DegradedSlabs() []slab.Slab {
 
 // DegradedCount returns the number of lost replicas awaiting repair.
 func (c *Controller) DegradedCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.degraded)
+	return len(c.DegradedSlabs())
 }
 
 // ReleaseSlab returns a slab's memory to its node for reuse and prunes
 // the member from its placement group. Releasing a member whose node is
-// gone succeeds — the memory died with the node — and also retires any
-// degraded entry for it.
+// gone succeeds — the memory died with the node — and takes it off the
+// repair work.
 func (c *Controller) ReleaseSlab(s slab.Slab) error {
 	c.mu.Lock()
 	grouped := false
@@ -345,7 +300,6 @@ func (c *Controller) ReleaseSlab(s slab.Slab) error {
 		for _, m := range members {
 			if m.Node == s.Node && m.RemoteOff == s.RemoteOff {
 				grouped = true
-				delete(c.degraded, degradedKey{group: s.ID, node: m.Node})
 				continue
 			}
 			kept = append(kept, m)
@@ -358,7 +312,7 @@ func (c *Controller) ReleaseSlab(s slab.Slab) error {
 		}
 	}
 	n, ok := c.nodes[s.Node]
-	live := ok && (s.Epoch == 0 || c.incarn[s.Node] == s.Epoch)
+	live := c.liveLocked(s)
 	c.mu.Unlock()
 	if emptied {
 		// The group is gone; its lease history (and version counter) dies
@@ -412,7 +366,7 @@ func (c *Controller) HealthSweep() []int {
 }
 
 // ReportNodeFailure handles a compute node's ship-failure report: the
-// node is probed and, if confirmed dead, removed (degrading its slabs).
+// node is probed and, if confirmed dead, removed (losing its members).
 // Returns whether the node was removed. A false report against a live
 // node is a no-op.
 func (c *Controller) ReportNodeFailure(id int) bool {
@@ -436,14 +390,14 @@ func (c *Controller) ReportNodeFailure(id int) bool {
 }
 
 // CarveReplacement plans the replacement of group member old (DESIGN.md
-// §10): under one critical section it reads whether old is lost (its
-// (group, node) is in the degraded set) or live, picks the member to copy
-// from — a surviving replica for a lost member, old itself for a live one
-// — and carves a same-size target extent on a node holding no member of
-// the group. A lost member's target comes off the rr cursor (so fixed-seed
-// placement is unchanged) and is never the lost node at the lost
-// incarnation; a live member's target is the coldest node by load order —
-// rebalancing onto a random node defeats the point.
+// §10): under one critical section it reads whether old is lost or live
+// (liveLocked), picks the member to copy from — a surviving replica for a
+// lost member, old itself for a live one — and carves a same-size target
+// extent on a node holding no member of the group. A lost member's target
+// comes off the rr cursor (so fixed-seed placement is unchanged) and is
+// never the lost node at the lost incarnation; a live member's target is
+// the coldest node by load order — rebalancing onto a random node defeats
+// the point.
 func (c *Controller) CarveReplacement(old slab.Slab) (src, target slab.Slab, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -464,7 +418,7 @@ func (c *Controller) CarveReplacement(old slab.Slab) (src, target slab.Slab, err
 	// cursor (a nil order).
 	src = old
 	var order []int
-	if _, lost := c.degraded[degradedKey{group: old.ID, node: old.Node}]; !lost {
+	if c.liveLocked(old) {
 		order = c.loadOrderLocked()
 	} else {
 		var ok bool
@@ -472,8 +426,8 @@ func (c *Controller) CarveReplacement(old slab.Slab) (src, target slab.Slab, err
 			return slab.Slab{}, slab.Slab{}, fmt.Errorf("controller: group %d has no live member to repair node %d from", old.ID, old.Node)
 		}
 		// A rejoined incarnation of the lost node is a legitimate target;
-		// the dead one lingering in placement state never is.
-		occupied[old.Node] = c.incarn[old.Node] == old.Epoch
+		// the dead one is not registered, so no carve can pick it.
+		occupied[old.Node] = false
 	}
 	for tries := 0; tries < len(c.rr); tries++ {
 		id := c.candidateLocked(order, tries)
@@ -508,8 +462,7 @@ func (c *Controller) candidateLocked(order []int, tries int) int {
 // pages from: registered at its carved incarnation and not failed.
 func (c *Controller) survivorLocked(lost slab.Slab) (slab.Slab, bool) {
 	for _, m := range c.groups[lost.ID] {
-		n, ok := c.nodes[m.Node]
-		if m == lost || !ok || c.incarn[m.Node] != m.Epoch || n.Failed() {
+		if m == lost || !c.liveLocked(m) || c.nodes[m.Node].Failed() {
 			continue
 		}
 		return m, true
@@ -518,33 +471,30 @@ func (c *Controller) survivorLocked(lost slab.Slab) (slab.Slab, bool) {
 }
 
 // CommitReplacement atomically flips member old to the freshly copied
-// target: target takes old's replica slot, a degraded entry for old
-// retires, and the placement epoch advances. lost is what CarveReplacement
-// read from the degraded set (src != old). The flip is refused — and the
-// caller must AbandonExtent(target) — if that changed during the copy (a
-// live member's node died, so the image was captured from a corpse; or a
-// lost member was already resolved), if old is no longer a member, or if
-// the target node died or changed incarnation during the copy.
+// target: target takes old's replica slot and the placement epoch
+// advances. lost is whether old was lost when CarveReplacement planned the
+// copy (src != old). The flip is refused — and the caller must
+// AbandonExtent(target) — if that changed during the copy (a live member's
+// node died, so the image was captured from a corpse), if old is no longer
+// a member (a lost member was already resolved), or if the target node
+// died or changed incarnation during the copy.
 func (c *Controller) CommitReplacement(old, target slab.Slab, lost bool) error {
 	err := func() error {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		k := degradedKey{group: old.ID, node: old.Node}
-		if _, deg := c.degraded[k]; deg != lost {
-			return fmt.Errorf("controller: group %d/node %d degraded=%t, was %t when the copy began", old.ID, old.Node, deg, lost)
+		if c.liveLocked(old) == lost {
+			return fmt.Errorf("controller: group %d/node %d lost=%t, was %t when the copy began", old.ID, old.Node, !lost, lost)
 		}
-		n, ok := c.nodes[target.Node]
-		if !ok || c.incarn[target.Node] != target.Epoch {
+		if !c.liveLocked(target) {
 			return fmt.Errorf("controller: target node %d (epoch %d) gone", target.Node, target.Epoch)
 		}
-		if n.Failed() {
+		if c.nodes[target.Node].Failed() {
 			return fmt.Errorf("controller: target node %d failed during copy", target.Node)
 		}
 		members := c.groups[old.ID]
 		for i := range members {
 			if members[i] == old {
 				members[i] = target
-				delete(c.degraded, k)
 				c.epoch++
 				return nil
 			}
@@ -571,8 +521,7 @@ func (c *Controller) CommitReplacement(old, target slab.Slab, lost bool) error {
 func (c *Controller) hostOf(s slab.Slab) (*MemoryNode, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.nodes[s.Node]
-	return n, ok && c.incarn[s.Node] == s.Epoch
+	return c.nodes[s.Node], c.liveLocked(s)
 }
 
 // AbandonExtent returns an extent that is not (or no longer) a group

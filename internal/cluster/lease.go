@@ -140,8 +140,7 @@ func (c *Controller) leaseMembers(group uint64) []slab.Slab {
 // or reincarnated are skipped — repair will refence the replacement.
 func (c *Controller) fenceLocal(m slab.Slab, holder uint64) error {
 	c.mu.Lock()
-	n, ok := c.nodes[m.Node]
-	live := ok && (m.Epoch == 0 || c.incarn[m.Node] == m.Epoch)
+	n, live := c.nodes[m.Node], c.liveLocked(m)
 	c.mu.Unlock()
 	if !live {
 		return nil

@@ -229,7 +229,7 @@ func (n *MemoryNode) LeaseFence(off, size, holder uint64) {
 }
 
 // Seal fences [off, off+size) against writes: subsequent WriteAt calls
-// (and whole UnpackLog batches) touching the extent are rejected with a
+// (and whole UnpackLogFrom batches) touching the extent are rejected with a
 // sealed error. Sealing an already-sealed extent is a no-op.
 func (n *MemoryNode) Seal(off, size uint64) {
 	n.mu.Lock()
@@ -360,7 +360,7 @@ func (n *MemoryNode) checkIncarnation(epoch uint64) error {
 // ReadAt copies len(buf) pool bytes starting at off into buf. Unlike
 // PoolBytes it synchronizes with the log receiver, so the replacement engine
 // (and the memnode server's data RPCs) can read concurrently with
-// UnpackLog scattering lines into the pool.
+// UnpackLogFrom scattering lines into the pool.
 func (n *MemoryNode) ReadAt(off uint64, buf []byte) error {
 	return n.ReadSpans([]uint64{off}, len(buf), buf)
 }
@@ -449,20 +449,14 @@ func (n *MemoryNode) WriteAtFrom(writer, off uint64, data []byte) error {
 	return nil
 }
 
-// UnpackLog runs the Cache-line Log Receiver once (§4.4): it parses the
-// packed log that a compute node RDMA-wrote into the log region and
-// scatters each entry to its home offset in the pool. It returns the
-// number of entries applied and the modeled service time (a few memory
-// reads and writes per line — "the overhead of the remote thread is
-// small").
-func (n *MemoryNode) UnpackLog(logBytes int) (entries int, service simclock.Duration, err error) {
-	return n.UnpackLogFrom(0, logBytes)
-}
-
-// UnpackLogFrom is UnpackLog carrying the sending runtime's identity:
-// the pre-scan also rejects the whole batch when any entry lands in an
-// extent lease-fenced to a different holder — a zombie writer's flush
-// after a lease takeover applies no byte at all.
+// UnpackLogFrom runs the Cache-line Log Receiver once (§4.4) for the
+// runtime writer: it parses the packed log that a compute node RDMA-wrote
+// into the log region and scatters each entry to its home offset in the
+// pool. It returns the number of entries applied and the modeled service
+// time (a few memory reads and writes per line — "the overhead of the
+// remote thread is small"). The pre-scan rejects the whole batch when any
+// entry lands in a sealed extent or one lease-fenced to a different holder
+// — a zombie writer's flush after a lease takeover applies no byte at all.
 func (n *MemoryNode) UnpackLogFrom(writer uint64, logBytes int) (entries int, service simclock.Duration, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

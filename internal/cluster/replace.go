@@ -29,8 +29,8 @@ import (
 // the compute-side evictor and replayed onto the new member after the
 // flip, so the copy need not chase writers. A live member is its own
 // source, so the capture/seal steps are what keep a concurrent write
-// from being lost (§13). Which case applies is read from the controller's
-// degraded set, never chosen by the caller.
+// from being lost (§13). Which case applies is the controller's liveness
+// rule, never the caller's choice.
 
 const (
 	// copyBatchPages pages of copyPageSize bytes travel per read round
@@ -289,8 +289,8 @@ type heldExtent struct {
 }
 
 // ReplaceEngine is the controller-side background loop that keeps every
-// placement group where it should be: it drains the controller's degraded
-// set by re-replicating each lost member, and — when the load map shows
+// placement group where it should be: it re-replicates each member the
+// controller reports lost (DegradedSlabs), and — when the load map shows
 // an imbalance past HotRatio — live-migrates slabs off the hottest node,
 // both through replaceMember under a byte budget. Not safe for concurrent
 // use: one goroutine (Run, or a test's hand cranks) drives it.
@@ -370,9 +370,9 @@ func (e *ReplaceEngine) Run(stop <-chan struct{}) {
 	}
 }
 
-// RepairOnce attempts every outstanding degraded member once and returns
-// the number of successful flips. Members that cannot be repaired yet (no
-// live source, no healthy target) stay degraded for the next pass.
+// RepairOnce attempts every lost member once and returns the number of
+// successful flips. Members that cannot be repaired yet (no live source,
+// no healthy target) stay lost for the next pass.
 func (e *ReplaceEngine) RepairOnce() int {
 	flips := 0
 	for _, lost := range e.ctrl.DegradedSlabs() {

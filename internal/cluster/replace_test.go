@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -578,9 +579,9 @@ func TestSealRejectsWritesAndWholeLogBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, _, err := n.UnpackLog(packed)
+	applied, _, err := n.UnpackLogFrom(0, packed)
 	if !errors.Is(err, ErrSealed) {
-		t.Fatalf("UnpackLog into sealed extent = %v, want sealed error", err)
+		t.Fatalf("UnpackLogFrom into sealed extent = %v, want sealed error", err)
 	}
 	if applied != 0 {
 		t.Fatalf("%d entries applied from a rejected batch", applied)
@@ -591,8 +592,8 @@ func TestSealRejectsWritesAndWholeLogBatches(t *testing.T) {
 
 	// Unseal lifts the fence and the same batch lands whole.
 	n.Unseal(8192, 4096)
-	if applied, _, err = n.UnpackLog(packed); err != nil || applied != 2 {
-		t.Fatalf("post-unseal UnpackLog = %d, %v", applied, err)
+	if applied, _, err = n.UnpackLogFrom(0, packed); err != nil || applied != 2 {
+		t.Fatalf("post-unseal UnpackLogFrom = %d, %v", applied, err)
 	}
 	if n.PoolBytes()[0] != 0xEE || n.PoolBytes()[8192] != 0xEE {
 		t.Fatalf("entries misplaced after unseal")
@@ -721,25 +722,22 @@ func TestLoadMapScoresAndPolicy(t *testing.T) {
 	}
 }
 
-// TestPlacementsHealthConsistentWithRemove is the regression test for
-// the Placements/removeLocked race: liveness must be computed under the
-// same critical section as the membership copy, so a reader racing a
-// node removal sees either the pre-removal state (all members live) or
-// the post-removal state (the victim flagged dead) — never a torn mix,
-// and never a vanished member. Run with -race this also proves the
-// locking.
-func TestPlacementsHealthConsistentWithRemove(t *testing.T) {
+// TestDegradedSetConsistentWithRemove pins that a member's loss is
+// decided under the same critical section as the node's removal: a reader
+// racing Remove sees either no lost member or exactly the victim's, never
+// a survivor reported lost. Afterwards the dead member is still listed by
+// SlabPlacements (the retained-entry protocol needs its link key stable).
+// Run with -race this also proves the locking.
+func TestDegradedSetConsistentWithRemove(t *testing.T) {
 	c := repairRack(t, 3)
 	members, err := c.AllocSlab(1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gid := members[0].ID
-	victim := members[1].Node
-
-	ms, live, ok := c.PlacementsHealth(gid)
-	if !ok || len(ms) != 2 || !live[0] || !live[1] {
-		t.Fatalf("healthy rack health = %v %v %v", ms, live, ok)
+	victim := members[1]
+	if d := c.DegradedSlabs(); len(d) != 0 {
+		t.Fatalf("healthy rack has lost members %+v", d)
 	}
 
 	stop := make(chan struct{})
@@ -755,27 +753,17 @@ func TestPlacementsHealthConsistentWithRemove(t *testing.T) {
 					return
 				default:
 				}
-				ms, live, ok := c.PlacementsHealth(gid)
-				if !ok || len(ms) != 2 {
+				if d := c.DegradedSlabs(); len(d) > 1 || len(d) == 1 && d[0] != victim {
 					select {
-					case bad <- "member vanished mid-remove":
+					case bad <- fmt.Sprintf("lost members %+v mid-remove, want none or %+v", d, victim):
 					default:
 					}
 					return
 				}
-				for i, m := range ms {
-					if m.Node != victim && !live[i] {
-						select {
-						case bad <- "surviving member flagged dead":
-						default:
-						}
-						return
-					}
-				}
 			}
 		}()
 	}
-	c.Remove(victim)
+	c.Remove(victim.Node)
 	close(stop)
 	wg.Wait()
 	select {
@@ -784,22 +772,12 @@ func TestPlacementsHealthConsistentWithRemove(t *testing.T) {
 	default:
 	}
 
-	// Post-removal: the dead member stays in the group (the retained-entry
-	// protocol needs its link key stable) but is flagged dead.
-	ms, live, ok = c.PlacementsHealth(gid)
-	if !ok || len(ms) != 2 {
-		t.Fatalf("dead member pruned from group: %v", ms)
+	if d := c.DegradedSlabs(); len(d) != 1 || d[0] != victim {
+		t.Fatalf("lost members after remove = %+v, want %+v", d, victim)
 	}
-	for i, m := range ms {
-		if m.Node == victim && live[i] {
-			t.Fatalf("removed node's member flagged live")
-		}
-		if m.Node != victim && !live[i] {
-			t.Fatalf("surviving member flagged dead")
-		}
-	}
-	if c.DegradedCount() != 1 {
-		t.Fatalf("degraded = %d, want 1", c.DegradedCount())
+	ms, err := c.SlabPlacements(gid)
+	if err != nil || !slices.Equal(ms, members) {
+		t.Fatalf("placements after remove = %+v, %v; want %+v", ms, err, members)
 	}
 }
 
@@ -918,7 +896,7 @@ func TestNodeAccessConformance(t *testing.T) {
 			n0, _ := c.Node(0)
 			n1, _ := c.Node(1)
 			return backend{c, LocalNodes(c), []*MemoryNode{n0, n1}, func(packed []byte) (int, error) {
-				applied, _, err := n0.UnpackLog(copy(n0.logMR.Bytes(), packed))
+				applied, _, err := n0.UnpackLogFrom(0, copy(n0.logMR.Bytes(), packed))
 				return applied, err
 			}}
 		},

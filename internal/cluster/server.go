@@ -523,7 +523,7 @@ func (s *MemoryNodeServer) Shutdown(grace time.Duration) int {
 }
 
 // payloadSink implements connHandler: WriteLog payloads land directly in
-// the node's log-receive region — the same bytes UnpackLog scatters from
+// the node's log-receive region — the same bytes UnpackLogFrom scatters from
 // — under logMu, so the log body is never staged on the server beyond
 // the head that arrived with its frame header. Everything else stages
 // through a pooled buffer.

@@ -89,8 +89,8 @@ type poolMetrics struct {
 	rxBytes [len(kinds)]*telemetry.Counter   // per-kind response wire volume
 	// payloadCopies counts reply payload bytes that took a user-space
 	// copy on their way to the caller: the head of a reply that arrived
-	// in the connection buffer, and everything the legacy Read/ReadPages
-	// paths land in an allocated staging buffer.
+	// in the connection buffer, and the whole payload of a reply read
+	// without caller slices, which lands in an allocated staging buffer.
 	payloadCopies *telemetry.Counter
 	retries       *telemetry.Counter // backed-off re-sends
 	redials       *telemetry.Counter // stale pooled conn replaced inline

@@ -253,7 +253,7 @@ func TestKonaVMTwoFaultsPerColdWrite(t *testing.T) {
 	if _, err := k.Write(0, addr, make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
-	as := k.AddressSpaceStats()
+	as := k.as.Stats()
 	if as.MajorFaults != 1 || as.WPFaults != 1 {
 		t.Errorf("faults = %+v, want 1 major + 1 WP", as)
 	}
@@ -264,7 +264,7 @@ func TestKonaVMTwoFaultsPerColdWrite(t *testing.T) {
 	if _, err := k2.Write(0, addr2, make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
-	as2 := k2.AddressSpaceStats()
+	as2 := k2.as.Stats()
 	if as2.MajorFaults != 1 || as2.WPFaults != 0 {
 		t.Errorf("NoWP faults = %+v, want 1 major only", as2)
 	}
@@ -322,11 +322,11 @@ func TestKonaVMSync(t *testing.T) {
 		t.Fatalf("vm sync did not reach remote pool")
 	}
 	// After sync the page is re-protected: the next write faults again.
-	wpBefore := k.AddressSpaceStats().WPFaults
+	wpBefore := k.as.Stats().WPFaults
 	if _, err := k.Write(0, addr, payload); err != nil {
 		t.Fatal(err)
 	}
-	if k.AddressSpaceStats().WPFaults != wpBefore+1 {
+	if k.as.Stats().WPFaults != wpBefore+1 {
 		t.Errorf("re-protection after sync did not re-arm WP tracking")
 	}
 }

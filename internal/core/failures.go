@@ -42,7 +42,7 @@ type FailureStats struct {
 	// Failovers is the number of reads served by a non-primary replica.
 	Failovers uint64
 	// ShipFailureReports is the number of replica outages the evictor
-	// reported to the controller (degraded-slab detection feed, §10).
+	// reported to the controller (a lost-member detection feed, §10).
 	ShipFailureReports uint64
 	// PlacementRefreshes counts placement-table refreshes that observed a
 	// change (repair flips picked up by this runtime).

@@ -488,3 +488,66 @@ func TestKonaVMWriteBackMarksWholePage(t *testing.T) {
 			st.Fetches-before.Fetches, st.FreshFills-before.FreshFills)
 	}
 }
+
+// TestStraddlingSpanReadCountsFallback pins fpga.Stats.SpanFallbacks. The
+// slab allocator coalesces adjacent grants, so a MallocBlocks chunk can
+// straddle two slabs placed on different memnodes; a multi-page read across
+// them cannot be one span read and falls back to one fetch per page. That
+// fallback must show as exactly one SpanFallbacks, and a multi-page read
+// inside one slab as none.
+func TestStraddlingSpanReadCountsFallback(t *testing.T) {
+	const pages = 4
+	cfg := smallConfig()
+	cfg.SlabSize = 16 * mem.PageSize
+	k := NewKona(cfg, newCluster(2))
+	if _, err := k.Malloc(13 * mem.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	base, err := k.MallocBlocks(pages*mem.PageSize, mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeOf := func(p int) int {
+		pls, err := k.rm.placementsFor(base + mem.Addr(p*mem.PageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pls[0].link.id()
+	}
+	// The chunk starts in the first slab's last 3 pages (node 0) and ends in
+	// the second slab (node 1).
+	const inFirst = 3
+	for p := 0; p < pages; p++ {
+		if want := min(p/inFirst, 1); nodeOf(p) != want {
+			t.Fatalf("page %d of the chunk is on node %d, test expects node %d", p, nodeOf(p), want)
+		}
+	}
+	data := make([]byte, pages*mem.PageSize)
+	for i := range data {
+		data[i] = byte(i*7 + i/mem.PageSize)
+	}
+	now := mustWrite(t, k, 0, base, data)
+	if now, err = k.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		pages     int
+		fallbacks uint64
+	}{
+		{"straddling both slabs", pages, 1},
+		{"inside the first slab", inFirst, 0},
+	} {
+		coldCache(k)
+		before := k.FPGAStats()
+		want := data[:c.pages*mem.PageSize]
+		if _, got := mustRead(t, k, now, base, len(want)); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the read returned the wrong bytes", c.name)
+		}
+		after := k.FPGAStats()
+		if got := after.SpanFallbacks - before.SpanFallbacks; got != c.fallbacks {
+			t.Errorf("%s: a %d-page read counted %d span fallbacks (%d fetches), want %d",
+				c.name, c.pages, got, after.RemoteFetches-before.RemoteFetches, c.fallbacks)
+		}
+	}
+}

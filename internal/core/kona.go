@@ -65,6 +65,7 @@ var publishedCounts = [...]struct {
 	{"core.fpga.writebacks", func(c counts) uint64 { return c.fpga.Writebacks }},
 	{"core.fpga.prefetches", func(c counts) uint64 { return c.fpga.Prefetches }},
 	{"core.fpga.bytes_fetched", func(c counts) uint64 { return c.fpga.BytesFetched }},
+	{"core.fpga.span_fallbacks", func(c counts) uint64 { return c.fpga.SpanFallbacks }},
 	{"core.fresh_fills", func(c counts) uint64 { return c.fpga.FreshFills }},
 	{"core.evictions", func(c counts) uint64 { return c.evict.PagesEvicted }},
 	{"core.dirty_evictions", func(c counts) uint64 { return c.evict.DirtyPages }},
@@ -192,7 +193,6 @@ func newKona(cfg Config, id uint64, l links, c control) *Kona {
 	k.evict = newEvictor(rm, cfg)
 	k.fpga = fpga.New(fpga.Config{
 		FMemSize:      cfg.LocalCacheBytes,
-		Assoc:         4,
 		Shards:        cfg.Shards,
 		PrefetchDepth: cfg.PrefetchDepth,
 		FetchBytes:    cfg.FetchBytes,

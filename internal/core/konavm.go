@@ -152,13 +152,6 @@ func (k *KonaVM) Stats() VMStats {
 	return k.stats
 }
 
-// VMStats exposes the underlying address-space counters (faults, TLB).
-func (k *KonaVM) AddressSpaceStats() vm.Stats {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.as.Stats()
-}
-
 // Read copies remote memory into buf and returns the completion time.
 func (k *KonaVM) Read(now simclock.Duration, addr mem.Addr, buf []byte) (simclock.Duration, error) {
 	return k.access(now, addr, buf, false)

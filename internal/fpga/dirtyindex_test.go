@@ -53,7 +53,7 @@ func victimBases(vs []Victim) []mem.Addr {
 func TestResidentCounterMatchesWalk(t *testing.T) {
 	rig := newRig(t, 16, 0)
 	// 4 sets x 4 ways over 2 stripes.
-	f := rig.rebuild(Config{FMemSize: 16 * mem.PageSize, Assoc: 4, Shards: 2})
+	f := rig.rebuild(Config{FMemSize: 16 * mem.PageSize, Shards: 2})
 	check := func(step string, want int) {
 		t.Helper()
 		if got, walk := f.Occupancy(), walkResident(f); got != walk || got != want {
@@ -102,7 +102,7 @@ func TestResidentCounterMatchesWalk(t *testing.T) {
 // phantom for the dropped one, and must take the bits down.
 func TestDirtyIndexStaleBits(t *testing.T) {
 	rig := newRig(t, 8, 0)
-	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize, Assoc: 4}) // 2 sets
+	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize}) // 2 sets
 	line := bytes.Repeat([]byte{0xCD}, mem.CacheLineSize)
 	buf := make([]byte, 8)
 	if _, err := f.Write(0, rigPage(0), line); err != nil { // set 0, dirty
@@ -144,7 +144,7 @@ func TestFlushDirtyOrderMatchesFullWalk(t *testing.T) {
 	rig := newRig(t, 8, 0)
 	rng := rand.New(rand.NewSource(21))
 	for _, shards := range []int{1, 8} {
-		f := rig.rebuild(Config{FMemSize: 70 * 4 * mem.PageSize, Assoc: 4, Shards: shards})
+		f := rig.rebuild(Config{FMemSize: 70 * 4 * mem.PageSize, Shards: shards})
 		for round := 0; round < 3; round++ {
 			for i := 0; i < 150; i++ {
 				a := rigPage(rng.Intn(256)) + mem.Addr(rng.Intn(mem.LinesPerPage)*mem.CacheLineSize)
@@ -225,7 +225,7 @@ func TestFillDirectAndStaged(t *testing.T) {
 // set's bit. Workers share sets (and index words) but own their pages.
 func TestConcurrentFlushDirtyEachCallCovers(t *testing.T) {
 	rig := newRig(t, 8, 0)
-	f := New(Config{FMemSize: 64 * mem.PageSize, Assoc: 4, Shards: 4}, rig.fpga.translate,
+	f := New(Config{FMemSize: 64 * mem.PageSize, Shards: 4}, rig.fpga.translate,
 		func(simDur, Victim) simDur { return 0 })
 	const workers, rounds = 4, 300
 	var wg sync.WaitGroup

@@ -22,7 +22,7 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 	}{
 		{
 			name: "demand fills and next-page prefetch",
-			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4, PrefetchDepth: 1},
+			cfg:  Config{FMemSize: 64 * mem.PageSize, PrefetchDepth: 1},
 			run: func(t *testing.T, f *FPGA) {
 				for p := uint64(0); p < 2; p++ {
 					if _, err := f.LineFill(0, at(p, 0)); err != nil {
@@ -34,7 +34,7 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 		},
 		{
 			name: "boundary-line RFO, then a demand fill of a claimed page",
-			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4},
+			cfg:  Config{FMemSize: 64 * mem.PageSize},
 			run: func(t *testing.T, f *FPGA) {
 				// Lines 0 and 1 both partly written: one page fetch covers both.
 				if _, err := f.Write(0, at(0, 30), make([]byte, 70)); err != nil {
@@ -53,7 +53,7 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 		},
 		{
 			name: "sub-page blocks",
-			cfg:  Config{FMemSize: 16 * mem.PageSize, Assoc: 4, FetchBytes: 256},
+			cfg:  Config{FMemSize: 16 * mem.PageSize, FetchBytes: 256},
 			run: func(t *testing.T, f *FPGA) {
 				if _, err := f.Write(0, at(0, 100), []byte{1, 2}); err != nil {
 					t.Fatal(err)
@@ -66,7 +66,7 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 		},
 		{
 			name: "multi-page span read",
-			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4},
+			cfg:  Config{FMemSize: 64 * mem.PageSize},
 			run: func(t *testing.T, f *FPGA) {
 				if _, err := f.Read(0, at(20, 0), make([]byte, 3*mem.PageSize)); err != nil {
 					t.Fatal(err)
@@ -77,7 +77,7 @@ func TestFetchCausesSumToRemoteFetches(t *testing.T) {
 		},
 		{
 			name: "stride window with span reads",
-			cfg:  Config{FMemSize: 64 * mem.PageSize, Assoc: 4, PrefetchDepth: 4},
+			cfg:  Config{FMemSize: 64 * mem.PageSize, PrefetchDepth: 4},
 			run: func(t *testing.T, f *FPGA) {
 				for p := uint64(0); p < 20; p += 2 {
 					if _, err := f.LineFill(0, at(p, 0)); err != nil {

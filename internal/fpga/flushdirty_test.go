@@ -39,7 +39,7 @@ func snapshotClean(f *FPGA) map[mem.Addr]cleanFrame {
 func TestFlushDirtyEvictsDirtyKeepsClean(t *testing.T) {
 	rig := newRig(t, 16, 1)
 	// 16 pages, assoc 4 => 4 sets; 4 shards => one set per stripe.
-	f := rig.rebuild(Config{FMemSize: 16 * mem.PageSize, Assoc: 4, Shards: 4, PrefetchDepth: 1})
+	f := rig.rebuild(Config{FMemSize: 16 * mem.PageSize, Shards: 4, PrefetchDepth: 1})
 	for i := range rig.pool.Bytes()[:16*mem.PageSize] {
 		rig.pool.Bytes()[i] = byte(i % 251)
 	}
@@ -138,7 +138,7 @@ func TestFlushDirtyEvictsDirtyKeepsClean(t *testing.T) {
 // bitmap — afterwards a new block costs one fetch and a held one none.
 func TestFlushDirtyKeepsPartialFill(t *testing.T) {
 	rig := newRig(t, 8, 0)
-	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize, Assoc: 4, FetchBytes: 1024})
+	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize, FetchBytes: 1024})
 	for i := range rig.pool.Bytes()[:2*mem.PageSize] {
 		rig.pool.Bytes()[i] = byte(i % 251)
 	}

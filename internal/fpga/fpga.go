@@ -119,8 +119,6 @@ type EvictHandler func(now simclock.Duration, v Victim) simclock.Duration
 type Config struct {
 	// FMemSize is the FPGA-attached DRAM capacity in bytes.
 	FMemSize uint64
-	// Assoc is the FMem set associativity (paper: 4).
-	Assoc int
 	// Shards is the number of lock stripes over the FMem sets. Rounded to
 	// a power of two and clamped to the set count; 0 means 1 (fully
 	// serial, the pre-concurrency behavior).
@@ -141,8 +139,11 @@ type Config struct {
 
 // DefaultConfig returns the paper's FMem geometry for the given capacity.
 func DefaultConfig(fmemSize uint64) Config {
-	return Config{FMemSize: fmemSize, Assoc: 4, PrefetchDepth: 1}
+	return Config{FMemSize: fmemSize, PrefetchDepth: 1}
 }
+
+// assoc is the FMem set associativity (the paper's 4 ways).
+const assoc = 4
 
 // frame is one FMem page slot.
 type frame struct {
@@ -183,6 +184,9 @@ type Stats struct {
 	FreshFills uint64
 	// Fetches splits RemoteFetches by cause; Stats sums them into it.
 	Fetches [NumFetchCauses]uint64
+	// SpanFallbacks counts multi-page reads whose span read was not made
+	// or failed (fetchSpan), leaving their pages to one fetch each.
+	SpanFallbacks uint64
 }
 
 // FetchCause says why a remote fetch was made.
@@ -216,6 +220,7 @@ func (s *Stats) add(o Stats) {
 	s.Prefetches += o.Prefetches
 	s.BytesFetched += o.BytesFetched
 	s.FreshFills += o.FreshFills
+	s.SpanFallbacks += o.SpanFallbacks
 	for c := range s.Fetches {
 		s.Fetches[c] += o.Fetches[c]
 	}
@@ -329,10 +334,7 @@ type FPGA struct {
 // New builds the FPGA model. It panics on invalid geometry (experiment
 // setup error).
 func New(cfg Config, tr Translator, onEvict EvictHandler) *FPGA {
-	if cfg.Assoc <= 0 {
-		panic("fpga: associativity must be positive")
-	}
-	frameBytes := uint64(cfg.Assoc) * mem.PageSize
+	const frameBytes = assoc * mem.PageSize
 	if cfg.FMemSize == 0 || cfg.FMemSize%frameBytes != 0 {
 		panic(fmt.Sprintf("fpga: FMem size %d not a multiple of assoc*page %d", cfg.FMemSize, frameBytes))
 	}
@@ -346,7 +348,7 @@ func New(cfg Config, tr Translator, onEvict EvictHandler) *FPGA {
 	nsets := cfg.FMemSize / frameBytes
 	sets := make([][]frame, nsets)
 	for i := range sets {
-		sets[i] = make([]frame, cfg.Assoc)
+		sets[i] = make([]frame, assoc)
 	}
 	if cfg.FetchBytes < mem.PageSize {
 		// The sequential prefetcher operates at page granularity; with
@@ -901,9 +903,10 @@ func (f *FPGA) prefillSpan(now simclock.Duration, addr mem.Addr, n int) simclock
 // missing line of the last, and merges each page's missing lines into its
 // frame. It needs two or more pages (one page's lines are one read on the
 // per-page path anyway) with contiguous routes; otherwise every page is left
-// for the per-page path. The write-before-read hook runs for every page
-// before the read; the read counts one FetchRead, in the first page's
-// stripe, and each page the bytes it brought. A page is merged only if
+// for the per-page path, and one SpanFallbacks is counted in the first
+// page's stripe, as is a failed read. The write-before-read hook runs for
+// every page before the read; the read counts one FetchRead, in the first
+// page's stripe, and each page the bytes it brought. A page is merged only if
 // nothing but this call installed or evicted a frame in its stripe since
 // collection and its frame is the one collection saw (or still none); any
 // other page is left for the per-page path.
@@ -915,6 +918,7 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 	first, last := pages[0].page, pages[len(pages)-1].page
 	for _, o := range pages[1:] {
 		if !first.Route.contiguous(o.page.Route, uint64(o.page.Base-first.Base)) {
+			f.spanFallback(first)
 			return now
 		}
 	}
@@ -931,6 +935,7 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 	}
 	done, err := f.translate.ReadRange(now, first, uint64(lo), buf)
 	if err != nil {
+		f.spanFallback(first)
 		return now
 	}
 	for i, o := range pages {
@@ -972,6 +977,15 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 		sh.mu.Unlock()
 	}
 	return done
+}
+
+// spanFallback counts a span read left to the per-page path, in the first
+// page's stripe.
+func (f *FPGA) spanFallback(first Page) {
+	sh := f.shardFor(first.Base.Page())
+	sh.mu.Lock()
+	sh.stats.SpanFallbacks++
+	sh.mu.Unlock()
 }
 
 // Read copies bytes from VFMem into buf, fetching pages as needed, and

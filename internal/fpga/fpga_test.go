@@ -74,7 +74,7 @@ func newRig(t *testing.T, fmemPages, prefetchDepth int) *testRig {
 	qp := rdma.Connect(local, remote, rdma.DefaultCostModel())
 	rig := &testRig{pool: pool}
 	tr := &rigTranslator{base: rigBase, size: 1 << 20, qp: qp, staging: staging, poolKey: pool.Key()}
-	cfg := Config{FMemSize: uint64(fmemPages) * mem.PageSize, Assoc: 4, PrefetchDepth: prefetchDepth}
+	cfg := Config{FMemSize: uint64(fmemPages) * mem.PageSize, PrefetchDepth: prefetchDepth}
 	rig.fpga = New(cfg, tr, func(now simclock.Duration, v Victim) simclock.Duration {
 		cp := Victim{Base: v.Base, Data: append([]byte(nil), v.Data...), Dirty: v.Dirty}
 		rig.victims = append(rig.victims, cp)
@@ -305,9 +305,9 @@ func TestDirectoryContention(t *testing.T) {
 
 func TestGeometryPanics(t *testing.T) {
 	for _, cfg := range []Config{
-		{FMemSize: 0, Assoc: 4},
-		{FMemSize: mem.PageSize, Assoc: 0},
-		{FMemSize: mem.PageSize * 3, Assoc: 4},
+		{FMemSize: 0},
+		{FMemSize: mem.PageSize},
+		{FMemSize: mem.PageSize * 3},
 	} {
 		func() {
 			defer func() {
@@ -326,7 +326,7 @@ func TestGeometryPanics(t *testing.T) {
 // an uncached line of the same resident page does.
 func TestCachedIsPerLine(t *testing.T) {
 	rig := newRig(t, 8, 0)
-	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize, Assoc: 4, FetchBytes: mem.CacheLineSize})
+	f := rig.rebuild(Config{FMemSize: 8 * mem.PageSize, FetchBytes: mem.CacheLineSize})
 	line := func(l int) mem.Addr { return rigBase + mem.Addr(l*mem.CacheLineSize) }
 	if f.Cached(line(2)) {
 		t.Fatal("line of an empty FMem reported cached")

@@ -78,7 +78,7 @@ func pageOf(b byte) []byte { return bytes.Repeat([]byte{b}, mem.PageSize) }
 
 func TestFreshDemandMissZeroFillsRecycledFrame(t *testing.T) {
 	// One set of four ways: the fifth page recycles a frame full of 0xEE.
-	r := newFreshRig(Config{FMemSize: 4 * mem.PageSize, Assoc: 4}, 1)
+	r := newFreshRig(Config{FMemSize: 4 * mem.PageSize}, 1)
 	buf := make([]byte, mem.PageSize)
 	for p := 1; p <= 4; p++ {
 		if _, err := r.f.Read(0, rigBase+mem.Addr(p)*mem.PageSize, buf); err != nil {
@@ -106,7 +106,7 @@ func TestFreshDemandMissZeroFillsRecycledFrame(t *testing.T) {
 }
 
 func TestFreshFillKeepsWrittenLinesZeroesTheRest(t *testing.T) {
-	r := newFreshRig(Config{FMemSize: 16 * mem.PageSize, Assoc: 4}, 1)
+	r := newFreshRig(Config{FMemSize: 16 * mem.PageSize}, 1)
 	// A whole line claimed without a fill, then a write that covers part of
 	// two lines and so needs both boundary lines read for ownership.
 	whole := bytes.Repeat([]byte{0xA1}, mem.CacheLineSize)
@@ -134,7 +134,7 @@ func TestFreshFillKeepsWrittenLinesZeroesTheRest(t *testing.T) {
 }
 
 func TestFreshSubPageFillZeroesOnlyMissingLines(t *testing.T) {
-	r := newFreshRig(Config{FMemSize: 16 * mem.PageSize, Assoc: 4, FetchBytes: 256}, 1)
+	r := newFreshRig(Config{FMemSize: 16 * mem.PageSize, FetchBytes: 256}, 1)
 	line := bytes.Repeat([]byte{0xC3}, mem.CacheLineSize)
 	if _, err := r.f.Write(0, rigBase+5*mem.CacheLineSize, line); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestFreshSubPageFillZeroesOnlyMissingLines(t *testing.T) {
 func TestFreshPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// Pages 0..3 fresh, 4..5 not: a six-page Read's span read covers only
 	// the two.
-	r := newFreshRig(Config{FMemSize: 64 * mem.PageSize, Assoc: 4}, 4)
+	r := newFreshRig(Config{FMemSize: 64 * mem.PageSize}, 4)
 	buf := make([]byte, 6*mem.PageSize)
 	if _, err := r.f.Read(0, rigBase, buf); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestFreshPagesStayOutOfBatchAndPrefetch(t *testing.T) {
 	// Sequential fills of fresh pages: the next page is fresh too, and the
 	// next-page prefetch leaves it out — a zero-filled frame buys nothing and
 	// would evict a cached page.
-	p := newFreshRig(Config{FMemSize: 64 * mem.PageSize, Assoc: 4, PrefetchDepth: 1}, 8)
+	p := newFreshRig(Config{FMemSize: 64 * mem.PageSize, PrefetchDepth: 1}, 8)
 	for i := 0; i < 2; i++ {
 		if _, err := p.f.LineFill(0, rigBase+mem.Addr(i)*mem.PageSize); err != nil {
 			t.Fatal(err)

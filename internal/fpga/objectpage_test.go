@@ -103,7 +103,6 @@ func objFPGA(cfg Config, tr *objTranslator) *FPGA {
 	if cfg.FMemSize == 0 {
 		cfg.FMemSize = 64 * mem.PageSize
 	}
-	cfg.Assoc = 4
 	return New(cfg, tr, nil)
 }
 

@@ -31,14 +31,14 @@ func newRigDepth(t *testing.T, fmemPages, depth int) *testRig {
 	t.Helper()
 	rig := newRig(t, fmemPages, 1)
 	// Rebuild the FPGA with stride prefetching on the same translator.
-	rig.rebuild(Config{FMemSize: uint64(fmemPages) * mem.PageSize, Assoc: 4, PrefetchDepth: depth})
+	rig.rebuild(Config{FMemSize: uint64(fmemPages) * mem.PageSize, PrefetchDepth: depth})
 	return rig
 }
 
 func TestSubPageFetchMovesLessData(t *testing.T) {
 	mkF := func(fetch uint64) *FPGA {
 		rig := newRig(t, 64, 0)
-		cfg := Config{FMemSize: 64 * mem.PageSize, Assoc: 4, FetchBytes: fetch}
+		cfg := Config{FMemSize: 64 * mem.PageSize, FetchBytes: fetch}
 		return New(cfg, rig.fpga.translate, nil)
 	}
 	// Touch one line in each of 32 pages (pure random-access pattern).
@@ -71,7 +71,7 @@ func TestSubPageFetchMovesLessData(t *testing.T) {
 
 func TestSubPageRMWPreservesLocalWrites(t *testing.T) {
 	rig := newRig(t, 8, 0)
-	cfg := Config{FMemSize: 8 * mem.PageSize, Assoc: 4, FetchBytes: 512}
+	cfg := Config{FMemSize: 8 * mem.PageSize, FetchBytes: 512}
 	f := New(cfg, rig.fpga.translate, nil)
 	// Remote content: distinct bytes.
 	for i := range rig.pool.Bytes()[:4096] {
@@ -112,7 +112,7 @@ func TestFetchGeometryPanics(t *testing.T) {
 					t.Errorf("fetch bytes %d accepted", fb)
 				}
 			}()
-			New(Config{FMemSize: 8 * mem.PageSize, Assoc: 4, FetchBytes: fb}, rig.fpga.translate, nil)
+			New(Config{FMemSize: 8 * mem.PageSize, FetchBytes: fb}, rig.fpga.translate, nil)
 		}()
 	}
 }

@@ -43,10 +43,12 @@ import (
 // A write ending part-way through a line the cache lacks first reads it for
 // ownership, a round trip; one covering the line claims it. So a set into
 // an object block writes out to the end of its last line (writeLen). A
-// smaller record's last line is a neighbour's too, so a freed block is
-// reused newest first, except that a write ending part-way through a line
-// takes the newest of the class's last cachedScan freed blocks whose
-// record-ending line Runtime.Cached reports. A one-size store has no choice
+// smaller class's blocks are whole lines from a page boundary too, so no
+// neighbour shares a record's last line, but a set there is not padded; it
+// leans on the Cached probe instead: a freed block is reused newest first,
+// except that a write ending part-way through a line takes the newest of
+// the class's last cachedScan freed blocks whose record-ending line
+// Runtime.Cached reports. A one-size store has no choice
 // to make: Set allocates before it releases, so each free list holds at
 // most one block.
 //
