@@ -163,15 +163,16 @@ stress:
 	KONA_STRESS_SEED=$(KONA_STRESS_SEED) $(GO) test -race -short -count=3 ./internal/core ./internal/cluster
 
 # Fault-tolerance chaos pass (DESIGN.md §10, §13): the kill/repair/verify,
-# two-groups-one-dead-node, crash-rejoin and migrate-under-load suites
-# plus the replacement-engine and rate-limiter unit tests, under the race detector with a rotating
+# two-groups-one-dead-node, crash-rejoin and migrate-under-load suites,
+# the release-clears-guards histories on both fabrics, plus the
+# replacement-engine and rate-limiter unit tests, under the race detector with a rotating
 # workload seed — every run kills replicas at a different point in the
 # access stream. Well under 60s. Pin a failing run with
 # KONA_CHAOS_SEED=<seed> make chaos.
 KONA_CHAOS_SEED ?= $(shell date +%s)
 chaos:
 	KONA_CHAOS_SEED=$(KONA_CHAOS_SEED) $(GO) test -race -count=1 \
-		-run 'Chaos|Rejoin|Repair|ByteBudget|Migrat|Replace|NodeAccess|FailedUnseal|TwoGroupsOneDeadNode' ./internal/core ./internal/cluster ./internal/kv
+		-run 'Chaos|Rejoin|Repair|ByteBudget|Migrat|Replace|NodeAccess|FailedUnseal|TwoGroupsOneDeadNode|ReleaseClears' ./internal/core ./internal/cluster ./internal/kv
 
 # The ROADMAP's net-negative goal as a command: non-test lines in the
 # packages it sets budgets for, then the core + cluster sum the goal is

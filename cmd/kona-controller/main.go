@@ -90,7 +90,7 @@ func main() {
 	// (fed by memnode -load-interval pushes and compute-side Sync reports),
 	// each under its own copy budget.
 	if *sweepInterval > 0 {
-		engine := cluster.NewReplaceEngine(ctrl, srv.DialNode, cluster.ReplaceConfig{
+		engine := cluster.NewReplaceEngine(ctrl, ctrl.Dial, cluster.ReplaceConfig{
 			RepairBytesPerSec:  *repairBudget,
 			MigrateBytesPerSec: *migrateBudget,
 			Interval:           *sweepInterval,

@@ -106,10 +106,11 @@ func (c *ControllerClient) AllocSlab(size uint64, replicas int) ([]slab.Slab, er
 	return resp.Slabs, nil
 }
 
-// ReleaseSlab returns a slab's memory to its node.
+// ReleaseSlab returns a slab's memory to its node and prunes the member
+// from its placement group (Controller.ReleaseSlab).
 func (c *ControllerClient) ReleaseSlab(s slab.Slab) error {
 	_, err := c.pool.roundTrip(&Request{
-		Kind: kindReleaseSlab, NodeID: s.Node, Offset: s.RemoteOff, Size: s.Size,
+		Kind: kindReleaseSlab, SlabID: s.ID, NodeID: s.Node, Offset: s.RemoteOff, Size: s.Size, Epoch: s.Epoch,
 	})
 	return err
 }
@@ -346,5 +347,13 @@ func (c *MemoryNodeClient) Unseal(off, size uint64) error {
 // these when a group's writer changes.
 func (c *MemoryNodeClient) LeaseFence(off, size, holder uint64) error {
 	_, err := c.roundTrip(&Request{Kind: kindLeaseFence, Offset: off, Size: size, Runtime: holder}, nil, nil)
+	return err
+}
+
+// ReleaseExtent drops every seal, lease fence and capture overlapping
+// [off, off+size): the node side of a slab's release, which the controller
+// awaits before it lists the extent free.
+func (c *MemoryNodeClient) ReleaseExtent(off, size uint64) error {
+	_, err := c.roundTrip(&Request{Kind: kindReleaseExtent, Offset: off, Size: size}, nil, nil)
 	return err
 }

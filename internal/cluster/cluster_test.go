@@ -200,22 +200,34 @@ func TestControllerRemove(t *testing.T) {
 	}
 }
 
+// carveOn carves size bytes on node id through the controller's record of
+// it, the one owner of carve accounting.
+func carveOn(c *Controller, id int, size uint64) (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nodes[id].carve(size)
+}
+
 func TestMemoryNodeCarve(t *testing.T) {
-	n := NewMemoryNode(3, 4<<20)
-	off1, err := n.CarveSlab(1 << 20)
+	c := NewController()
+	if err := c.Register(NewMemoryNode(3, 4<<20)); err != nil {
+		t.Fatal(err)
+	}
+	off1, err := carveOn(c, 3, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off2, err := n.CarveSlab(1 << 20)
+	off2, err := carveOn(c, 3, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off1 == off2 {
 		t.Errorf("slabs overlap")
 	}
-	if _, err := n.CarveSlab(8 << 20); err == nil {
+	if _, err := carveOn(c, 3, 8<<20); err == nil {
 		t.Errorf("over-capacity carve succeeded")
 	}
+	n, _ := c.Node(3)
 	total, used := n.Capacity()
 	if total != 4<<20 || used != 2<<20 {
 		t.Errorf("capacity = %d/%d", used, total)
@@ -477,12 +489,18 @@ func TestNodeAccessors(t *testing.T) {
 		t.Errorf("id = %d", n.ID())
 	}
 	// Released extents are reused exactly.
-	off, err := n.CarveSlab(1 << 19)
+	c := NewController()
+	if err := c.Register(n); err != nil {
+		t.Fatal(err)
+	}
+	off, err := carveOn(c, 7, 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.ReleaseSlab(off, 1<<19)
-	off2, err := n.CarveSlab(1 << 19)
+	if err := c.AbandonExtent(slab.Slab{Node: 7, RemoteOff: off, Size: 1 << 19}); err != nil {
+		t.Fatal(err)
+	}
+	off2, err := carveOn(c, 7, 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ import (
 type Controller struct {
 	mu sync.Mutex
 
-	nodes      map[int]*MemoryNode
+	nodes      map[int]*nodeRecord
 	nextSlabID uint64
 	nextVA     mem.Addr
 	// rr rotates slab placement across nodes.
@@ -50,11 +50,6 @@ type Controller struct {
 	// decide when to refresh placements.
 	epoch uint64
 
-	// prober decides whether a registered node is alive; injectable so
-	// the TCP server can probe over the wire and tests can lie. The
-	// default trusts the in-process failure flag.
-	prober func(id int, n *MemoryNode) bool
-
 	// load is the per-node load map (loadmap.go); policy selects how new
 	// carves pick nodes ("" = PolicyRR).
 	load   map[int]*nodeLoad
@@ -62,9 +57,76 @@ type Controller struct {
 
 	// leaseDir is the per-group ownership directory (lease.go, §14). Its
 	// leaseMu is ordered OUTSIDE c.mu: lease operations take leaseMu and
-	// may then take c.mu (membership snapshots, the in-process fencer);
+	// may then take c.mu (membership snapshots, a member's node record);
 	// nothing takes leaseMu while holding c.mu.
 	leaseDir
+}
+
+// nodeRecord is the controller's one record of a registered memory node:
+// its carve accounting and the way to its node, the same on both fabrics.
+// Every control verb — probe, fence, release, the replacement copy — goes
+// through handle; in process it wraps the MemoryNode, over TCP it is a
+// client on the daemon's connection pool. Each registration makes a new
+// record, so a record is one incarnation. The accounting is guarded by
+// c.mu.
+type nodeRecord struct {
+	id   int
+	node *MemoryNode // in process; nil for a daemon registered over the wire
+	pool *pool       // the daemon's connections; nil in process
+
+	capacity, used uint64
+	// freed holds released extents, listed once their release was
+	// acknowledged, for exact-fit reuse.
+	freed []freedExtent
+}
+
+// freedExtent is a released extent awaiting reuse.
+type freedExtent struct{ off, size uint64 }
+
+// handle reaches the record's node stamped with incarnation epoch. A wire
+// handle dials lazily.
+func (r *nodeRecord) handle(epoch uint64) NodeAccess {
+	if r.node != nil {
+		return localNode{r.node, epoch}
+	}
+	mc := &MemoryNodeClient{pool: r.pool}
+	mc.epoch.Store(epoch)
+	return mc
+}
+
+// failed is the in-process node's failure flag. A daemon's is never set:
+// the controller learns that a daemon died by pinging it.
+func (r *nodeRecord) failed() bool { return r.node != nil && r.node.Failed() }
+
+// poolKey is the rkey slabs carved on the node carry on the simulated
+// fabric; a daemon has none.
+func (r *nodeRecord) poolKey() uint32 {
+	if r.node == nil {
+		return 0
+	}
+	return r.node.PoolKey()
+}
+
+// carve reserves size bytes on the node and returns their offset: a
+// released extent of exactly that size first (slabs are uniform in
+// practice, so exact-fit reuse suffices), else fresh space. A failed node
+// hosts nothing. Caller holds c.mu.
+func (r *nodeRecord) carve(size uint64) (uint64, error) {
+	if r.failed() {
+		return 0, fmt.Errorf("memnode %d: failed", r.id)
+	}
+	for i, f := range r.freed {
+		if f.size == size {
+			r.freed = slices.Delete(r.freed, i, i+1)
+			return f.off, nil
+		}
+	}
+	if r.used+size > r.capacity {
+		return 0, fmt.Errorf("memnode %d: %d bytes requested, %d free", r.id, size, r.capacity-r.used)
+	}
+	off := r.used
+	r.used += size
+	return off, nil
 }
 
 // VFMemBase is the fake-physical base address at which the controller
@@ -75,7 +137,7 @@ const VFMemBase mem.Addr = 1 << 40
 // NewController returns an empty controller.
 func NewController() *Controller {
 	return &Controller{
-		nodes:    make(map[int]*MemoryNode),
+		nodes:    make(map[int]*nodeRecord),
 		nextVA:   VFMemBase,
 		groups:   make(map[uint64][]slab.Slab),
 		incarn:   make(map[int]uint64),
@@ -83,59 +145,52 @@ func NewController() *Controller {
 	}
 }
 
-// SetProber installs the liveness check used to arbitrate rejoins and
-// failure reports. The default is the in-process failure flag.
-func (c *Controller) SetProber(p func(id int, n *MemoryNode) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.prober = p
-}
-
-func (c *Controller) proberLocked() func(id int, n *MemoryNode) bool {
-	if c.prober != nil {
-		return c.prober
-	}
-	return func(_ int, n *MemoryNode) bool { return !n.Failed() }
-}
-
-// Register adds a memory node's offered memory to the pool. Registering
-// an id that is already held by a live node is an error (double
-// registration); if the incumbent is dead, it is expelled — losing its
-// slabs' members — and the newcomer is admitted under a higher incarnation
-// (crash-rejoin, §10).
+// Register adds an in-process memory node's memory to the pool (see admit).
 func (c *Controller) Register(n *MemoryNode) error {
-	id := n.ID()
+	_, err := c.admit(&nodeRecord{id: n.ID(), node: n, capacity: uint64(len(n.PoolBytes()))})
+	return err
+}
+
+// registerDaemon adds the memory of a memnode daemon that registered over
+// the wire, reached through p, and returns the incarnation it was admitted
+// under. It makes no round trip: the handle dials on first use.
+func (c *Controller) registerDaemon(id int, capacity uint64, p *pool) (uint64, error) {
+	return c.admit(&nodeRecord{id: id, pool: p, capacity: capacity})
+}
+
+// admit registers r under the next incarnation of its id. Registering an
+// id that is already held by a live node is an error (double
+// registration); if the incumbent does not answer a ping, it is expelled —
+// losing its slabs' members — and r is admitted under a higher incarnation
+// (crash-rejoin, §10).
+func (c *Controller) admit(r *nodeRecord) (uint64, error) {
 	for {
 		c.mu.Lock()
-		old, dup := c.nodes[id]
+		old, dup := c.nodes[r.id]
 		if !dup {
-			c.registerLocked(n)
+			c.incarn[r.id]++
+			inc := c.incarn[r.id]
+			if r.node != nil {
+				r.node.SetIncarnation(inc)
+			}
+			c.nodes[r.id] = r
+			c.rr = append(c.rr, r.id)
+			c.epoch++
 			c.mu.Unlock()
-			return nil
+			return inc, nil
 		}
-		prober := c.proberLocked()
 		c.mu.Unlock()
-		// Probe outside the lock: the TCP prober performs a network ping.
-		if prober(id, old) {
-			return fmt.Errorf("controller: node %d already registered", id)
+		// Probe outside the lock: a daemon's ping is a round trip.
+		if old.handle(0).Ping() == nil {
+			return 0, fmt.Errorf("controller: node %d already registered", r.id)
 		}
 		c.mu.Lock()
-		if c.nodes[id] == old {
-			c.removeLocked(id)
+		if c.nodes[r.id] == old {
+			c.removeLocked(r.id)
 		}
 		c.mu.Unlock()
-		// Loop: re-check for a racing registration before admitting n.
+		// Loop: re-check for a racing registration before admitting r.
 	}
-}
-
-// registerLocked admits n under the next incarnation of its id.
-func (c *Controller) registerLocked(n *MemoryNode) {
-	id := n.ID()
-	c.incarn[id]++
-	n.SetIncarnation(c.incarn[id])
-	c.nodes[id] = n
-	c.rr = append(c.rr, id)
-	c.epoch++
 }
 
 // Remove expels a node (e.g. after failure detection). Its slab-group
@@ -175,12 +230,39 @@ func (c *Controller) liveLocked(m slab.Slab) bool {
 	return ok && (m.Epoch == 0 || c.incarn[m.Node] == m.Epoch)
 }
 
+// NodeInfo is a registered node as the controller records it: the
+// in-process MemoryNode (nil for a daemon registered over the wire) and the
+// node's carve accounting as of the lookup.
+type NodeInfo struct {
+	*MemoryNode
+	total, used uint64
+}
+
+// Capacity returns the node's total bytes and the bytes carved from it.
+func (n NodeInfo) Capacity() (total, used uint64) { return n.total, n.used }
+
 // Node returns a registered node by id.
-func (c *Controller) Node(id int) (*MemoryNode, bool) {
+func (c *Controller) Node(id int) (NodeInfo, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.nodes[id]
-	return n, ok
+	r, ok := c.nodes[id]
+	if !ok {
+		return NodeInfo{}, false
+	}
+	return NodeInfo{r.node, r.capacity, r.used}, true
+}
+
+// Dial resolves a handle on node stamped with incarnation epoch — the
+// replacement engine's NodeDialer on both fabrics. The node refuses every
+// verb but Ping from a handle whose incarnation it does not hold.
+func (c *Controller) Dial(node int, epoch uint64) (NodeAccess, error) {
+	c.mu.Lock()
+	r, ok := c.nodes[node]
+	c.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("controller: node %d not registered", node)
+	}
+	return r.handle(epoch), nil
 }
 
 // Nodes returns the registered node count.
@@ -287,8 +369,9 @@ func (c *Controller) DegradedCount() int {
 	return len(c.DegradedSlabs())
 }
 
-// ReleaseSlab returns a slab's memory to its node for reuse and prunes
-// the member from its placement group. Releasing a member whose node is
+// ReleaseSlab prunes the member from its placement group and returns its
+// memory to its node for reuse (AbandonExtent), returning the node's error
+// if the release was not acknowledged. Releasing a member whose node is
 // gone succeeds — the memory died with the node — and takes it off the
 // repair work.
 func (c *Controller) ReleaseSlab(s slab.Slab) error {
@@ -311,8 +394,7 @@ func (c *Controller) ReleaseSlab(s slab.Slab) error {
 			c.groups[s.ID] = kept
 		}
 	}
-	n, ok := c.nodes[s.Node]
-	live := c.liveLocked(s)
+	_, ok := c.nodes[s.Node]
 	c.mu.Unlock()
 	if emptied {
 		// The group is gone; its lease history (and version counter) dies
@@ -326,10 +408,7 @@ func (c *Controller) ReleaseSlab(s slab.Slab) error {
 		}
 		return fmt.Errorf("controller: slab %d's node %d not registered", s.ID, s.Node)
 	}
-	if live {
-		n.ReleaseSlab(s.RemoteOff, s.Size)
-	}
-	return nil
+	return c.AbandonExtent(s)
 }
 
 // HealthSweep probes every registered node and removes the dead ones,
@@ -338,26 +417,21 @@ func (c *Controller) ReleaseSlab(s slab.Slab) error {
 // that was replaced (rejoined) between probe and removal is untouched.
 func (c *Controller) HealthSweep() []int {
 	c.mu.Lock()
-	type probeTarget struct {
-		id int
-		n  *MemoryNode
+	snapshot := make([]*nodeRecord, 0, len(c.nodes))
+	for _, r := range c.nodes {
+		snapshot = append(snapshot, r)
 	}
-	snapshot := make([]probeTarget, 0, len(c.nodes))
-	for id, n := range c.nodes {
-		snapshot = append(snapshot, probeTarget{id, n})
-	}
-	prober := c.proberLocked()
 	c.mu.Unlock()
 
 	var dead []int
-	for _, t := range snapshot {
-		if prober(t.id, t.n) {
+	for _, r := range snapshot {
+		if r.handle(0).Ping() == nil {
 			continue
 		}
 		c.mu.Lock()
-		if c.nodes[t.id] == t.n {
-			c.removeLocked(t.id)
-			dead = append(dead, t.id)
+		if c.nodes[r.id] == r {
+			c.removeLocked(r.id)
+			dead = append(dead, r.id)
 		}
 		c.mu.Unlock()
 	}
@@ -371,18 +445,14 @@ func (c *Controller) HealthSweep() []int {
 // node is a no-op.
 func (c *Controller) ReportNodeFailure(id int) bool {
 	c.mu.Lock()
-	n, ok := c.nodes[id]
-	prober := c.proberLocked()
+	r, ok := c.nodes[id]
 	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if prober(id, n) {
+	if !ok || r.handle(0).Ping() == nil {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.nodes[id] != n {
+	if c.nodes[id] != r {
 		return false
 	}
 	c.removeLocked(id)
@@ -431,16 +501,16 @@ func (c *Controller) CarveReplacement(old slab.Slab) (src, target slab.Slab, err
 	}
 	for tries := 0; tries < len(c.rr); tries++ {
 		id := c.candidateLocked(order, tries)
-		n := c.nodes[id]
-		if occupied[id] || n.Failed() {
+		if occupied[id] {
 			continue
 		}
-		off, err := n.CarveSlab(old.Size)
+		r := c.nodes[id]
+		off, err := r.carve(old.Size)
 		if err != nil {
 			continue
 		}
 		target = old
-		target.Node, target.RemoteKey, target.RemoteOff, target.Epoch = id, n.PoolKey(), off, c.incarn[id]
+		target.Node, target.RemoteKey, target.RemoteOff, target.Epoch = id, r.poolKey(), off, c.incarn[id]
 		return src, target, nil
 	}
 	return slab.Slab{}, slab.Slab{}, fmt.Errorf("controller: no target for group %d (member on node %d)", old.ID, old.Node)
@@ -462,7 +532,7 @@ func (c *Controller) candidateLocked(order []int, tries int) int {
 // pages from: registered at its carved incarnation and not failed.
 func (c *Controller) survivorLocked(lost slab.Slab) (slab.Slab, bool) {
 	for _, m := range c.groups[lost.ID] {
-		if m == lost || !c.liveLocked(m) || c.nodes[m.Node].Failed() {
+		if m == lost || !c.liveLocked(m) || c.nodes[m.Node].failed() {
 			continue
 		}
 		return m, true
@@ -488,7 +558,7 @@ func (c *Controller) CommitReplacement(old, target slab.Slab, lost bool) error {
 		if !c.liveLocked(target) {
 			return fmt.Errorf("controller: target node %d (epoch %d) gone", target.Node, target.Epoch)
 		}
-		if c.nodes[target.Node].Failed() {
+		if c.nodes[target.Node].failed() {
 			return fmt.Errorf("controller: target node %d failed during copy", target.Node)
 		}
 		members := c.groups[old.ID]
@@ -512,13 +582,13 @@ func (c *Controller) CommitReplacement(old, target slab.Slab, lost bool) error {
 	// targeted a fresh extent nobody else had placements for, and a zombie
 	// writer cannot have cached the new placement before this epoch bump
 	// propagates.
-	c.refenceMember(target)
+	c.rearmFence(target)
 	return nil
 }
 
-// hostOf returns the node holding extent s, and whether it is still
-// registered at the incarnation s was carved under.
-func (c *Controller) hostOf(s slab.Slab) (*MemoryNode, bool) {
+// hostOf returns the record of the node holding extent s, and whether s is
+// live (liveLocked).
+func (c *Controller) hostOf(s slab.Slab) (*nodeRecord, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.nodes[s.Node], c.liveLocked(s)
@@ -527,12 +597,35 @@ func (c *Controller) hostOf(s slab.Slab) (*MemoryNode, bool) {
 // AbandonExtent returns an extent that is not (or no longer) a group
 // member — a carved-but-unflipped target, a flipped-out source past its
 // hold-down — to its node, if that node is still around at the same
-// incarnation. Releasing through the node also clears any seal, capture
-// or lease fence left on the extent.
-func (c *Controller) AbandonExtent(s slab.Slab) {
-	if n, ok := c.hostOf(s); ok {
-		n.ReleaseSlab(s.RemoteOff, s.Size)
+// incarnation. The release goes to the node through its handle, on either
+// fabric, and clears any seal, capture or lease fence left on the extent;
+// only once the node acknowledges it is the extent listed free. It returns
+// nil once the extent is released or its incarnation is gone, and the
+// node's error while the release is owed.
+func (c *Controller) AbandonExtent(s slab.Slab) error { return c.abandonVia(c.Dial, s) }
+
+// abandonVia is AbandonExtent through a handle from dial, outside c.mu. An
+// extent whose release was not acknowledged stays off the free list, and
+// so does one whose node re-registered meanwhile: capacity is lost, never a
+// guard inherited by the next tenant.
+func (c *Controller) abandonVia(dial NodeDialer, s slab.Slab) error {
+	r, live := c.hostOf(s)
+	if !live {
+		return nil
 	}
+	n, err := dial(s.Node, s.Epoch)
+	if err == nil {
+		err = n.ReleaseExtent(s.RemoteOff, s.Size)
+	}
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.nodes[s.Node] == r {
+		r.freed = append(r.freed, freedExtent{s.RemoteOff, s.Size})
+	}
+	return nil
 }
 
 // AllocSlab places one logical slab of the given size on `replicas`
@@ -567,8 +660,8 @@ func (c *Controller) AllocSlab(size uint64, replicas int) ([]slab.Slab, error) {
 		if slices.ContainsFunc(out, func(s slab.Slab) bool { return s.Node == id }) {
 			continue
 		}
-		n := c.nodes[id]
-		off, err := n.CarveSlab(size)
+		r := c.nodes[id]
+		off, err := r.carve(size)
 		if err != nil {
 			continue // node full or failed; try the next
 		}
@@ -577,14 +670,17 @@ func (c *Controller) AllocSlab(size uint64, replicas int) ([]slab.Slab, error) {
 			Base:      c.nextVA,
 			Size:      size,
 			Node:      id,
-			RemoteKey: n.PoolKey(),
+			RemoteKey: r.poolKey(),
 			RemoteOff: off,
 			Epoch:     c.incarn[id],
 		})
 	}
 	if len(out) < replicas {
+		// Nothing was armed on the fresh extents: they go straight back
+		// on the free lists, with no round trip to the nodes.
 		for _, s := range out {
-			c.nodes[s.Node].ReleaseSlab(s.RemoteOff, s.Size)
+			r := c.nodes[s.Node]
+			r.freed = append(r.freed, freedExtent{s.RemoteOff, s.Size})
 		}
 		return nil, fmt.Errorf("controller: no node can host %d bytes (%d of %d members placed)", size, len(out), replicas)
 	}

@@ -42,6 +42,7 @@ var goldenKinds = []struct {
 	{20, "lease-release", true, false},
 	{21, "lease-invalidate", true, false},
 	{22, "lease-fence", true, true},
+	{23, "release-extent", true, true},
 }
 
 func TestKindTable(t *testing.T) {

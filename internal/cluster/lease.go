@@ -69,16 +69,16 @@ type LeaseStats struct {
 }
 
 // leaseDir is the directory state embedded in Controller. leaseMu is the
-// OUTER lock: directory operations take leaseMu and then — through the
-// fencer or a membership snapshot — c.mu. Nothing takes leaseMu while
-// holding c.mu.
+// OUTER lock: directory operations take leaseMu and then — for a
+// membership snapshot or a member's node record — c.mu, briefly. Nothing
+// takes leaseMu while holding c.mu, and fence pushes travel under leaseMu
+// alone.
 type leaseDir struct {
-	leaseMu     sync.Mutex
-	leases      map[uint64]*leaseState
-	leaseTTL    time.Duration
-	leaseNow    func() time.Time
-	leaseFencer func(m slab.Slab, holder uint64) error
-	leaseStats  LeaseStats
+	leaseMu    sync.Mutex
+	leases     map[uint64]*leaseState
+	leaseTTL   time.Duration
+	leaseNow   func() time.Time
+	leaseStats LeaseStats
 }
 
 // SetLeaseTTL sets the default lease validity window (used when a request
@@ -95,16 +95,6 @@ func (c *Controller) SetLeaseClock(now func() time.Time) {
 	c.leaseMu.Lock()
 	defer c.leaseMu.Unlock()
 	c.leaseNow = now
-}
-
-// SetLeaseFencer installs the fence-push hook called (best-effort, under
-// leaseMu) whenever a group's writer changes: once per group member, with
-// holder 0 meaning "clear". The default pushes to the in-process
-// MemoryNode; the TCP controller server installs a wire pusher.
-func (c *Controller) SetLeaseFencer(f func(m slab.Slab, holder uint64) error) {
-	c.leaseMu.Lock()
-	defer c.leaseMu.Unlock()
-	c.leaseFencer = f
 }
 
 func (c *Controller) leaseNowLocked() time.Time {
@@ -135,35 +125,25 @@ func (c *Controller) leaseMembers(group uint64) []slab.Slab {
 	return out
 }
 
-// fenceLocal is the default fence pusher: resolve the member's node
-// in-process and arm/clear its extent fence. Members whose node is gone
-// or reincarnated are skipped — repair will refence the replacement.
-func (c *Controller) fenceLocal(m slab.Slab, holder uint64) error {
-	c.mu.Lock()
-	n, live := c.nodes[m.Node], c.liveLocked(m)
-	c.mu.Unlock()
-	if !live {
-		return nil
+// fenceLocked arms (or, with holder 0, clears) the extent fence on member
+// m through its node's handle, best-effort: a failed push is counted, not
+// fatal. A member that is not live (liveLocked) is skipped — repair will
+// refence its replacement. Caller holds leaseMu.
+func (c *Controller) fenceLocked(m slab.Slab, holder uint64) {
+	r, live := c.hostOf(m)
+	if live && r.handle(m.Epoch).LeaseFence(m.RemoteOff, m.Size, holder) != nil {
+		c.leaseStats.FenceErrors++
 	}
-	n.LeaseFence(m.RemoteOff, m.Size, holder)
-	return nil
 }
 
 // pushFencesLocked arms (or, with holder 0, clears) the extent fence on
-// every member of group. Push failures are counted, not fatal: a member
-// whose fence push failed is either dead (repair refences the
-// replacement) or will reject the next push-retry; meanwhile the
-// directory itself still refuses the stale writer's renew. Caller holds
-// leaseMu.
+// every member of group. A member whose fence push failed is either dead
+// (repair refences the replacement) or will reject the next push-retry;
+// meanwhile the directory itself still refuses the stale writer's renew.
+// Caller holds leaseMu.
 func (c *Controller) pushFencesLocked(group, holder uint64) {
-	fencer := c.leaseFencer
-	if fencer == nil {
-		fencer = c.fenceLocal
-	}
 	for _, m := range c.leaseMembers(group) {
-		if err := fencer(m, holder); err != nil {
-			c.leaseStats.FenceErrors++
-		}
+		c.fenceLocked(m, holder)
 	}
 }
 
@@ -341,23 +321,15 @@ func (c *Controller) LeaseSnapshot() LeaseStats {
 	return out
 }
 
-// refenceMember re-arms the extent fence on one freshly committed group
+// rearmFence re-arms the extent fence on one freshly committed group
 // member (a repair or migration target): the lease table survives the
 // flip, so the new extent must reject the same stale writers the old one
 // did. Called after CommitReplacement succeeds, outside c.mu.
-func (c *Controller) refenceMember(m slab.Slab) {
+func (c *Controller) rearmFence(m slab.Slab) {
 	c.leaseMu.Lock()
 	defer c.leaseMu.Unlock()
-	st := c.leases[m.ID]
-	if st == nil || st.writer == 0 {
-		return
-	}
-	fencer := c.leaseFencer
-	if fencer == nil {
-		fencer = c.fenceLocal
-	}
-	if err := fencer(m, st.writer); err != nil {
-		c.leaseStats.FenceErrors++
+	if st := c.leases[m.ID]; st != nil && st.writer != 0 {
+		c.fenceLocked(m, st.writer)
 	}
 }
 

@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"kona/internal/cllog"
 	"kona/internal/mem"
+	"kona/internal/slab"
 )
 
 // Lease directory unit tests (DESIGN.md §14): the single-writer /
@@ -167,7 +169,8 @@ func TestZombieWriterWriteLogFencedWholeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := c.Node(s.Node)
+	info, _ := c.Node(s.Node)
+	n := info.MemoryNode
 	const alice, bob = 7, 8
 
 	if _, err = c.AcquireLease(s.ID, alice, LeaseWriter, 0); err != nil {
@@ -356,18 +359,22 @@ func TestLeaseSurvivesMigrationFlip(t *testing.T) {
 // old capture records neither.
 func TestReleasedExtentKeepsNoGuard(t *testing.T) {
 	const size, alice, bob = 1 << 16, 7, 8
-	n := NewMemoryNode(0, 1<<20)
-	off, err := n.CarveSlab(size)
+	c, _ := leaseRack(t, 1)
+	n := c.nodes[0].node
+	s, err := allocOne(c, size)
 	if err != nil {
 		t.Fatal(err)
 	}
+	off := s.RemoteOff
 	n.Seal(off, size)
 	n.LeaseFence(off, size, alice)
 	n.StartCapture(off, size, mem.PageSize)
 
-	n.ReleaseSlab(off, size)
-	if again, err := n.CarveSlab(size); err != nil || again != off {
-		t.Fatalf("re-carve = %d, %v; want the released offset %d", again, err, off)
+	if err := c.ReleaseSlab(s); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := allocOne(c, size); err != nil || again.RemoteOff != off {
+		t.Fatalf("re-carve = %+v, %v; want the released offset %d", again, err, off)
 	}
 	line := bytes.Repeat([]byte{0xB0}, mem.CacheLineSize)
 	if err := n.WriteAtFrom(bob, off, line); err != nil {
@@ -384,5 +391,122 @@ func TestReleasedExtentKeepsNoGuard(t *testing.T) {
 	}
 	if got := n.DrainCapture(off, size); got != nil {
 		t.Fatalf("released capture still records writes: %v", got)
+	}
+}
+
+// TestReleaseClearsGuardsOnBothFabrics pins that a release reaches the
+// node on either fabric: an extent released through the controller and
+// re-carved at the same offset admits another runtime's write whether its
+// node registered in process or as a daemon over TCP, where the slab's
+// release travels over the wire too. Two histories leave a guard behind
+// for the release to clear: a lapsed writer whose fence stays armed until
+// a successor takes over (none does; the group is released), and a
+// migration source retired with its writer's fence, a seal and a capture
+// still on it.
+func TestReleaseClearsGuardsOnBothFabrics(t *testing.T) {
+	// A fabric builds a rack of n nodes and says how a runtime releases a
+	// slab on it.
+	type fabric func(t *testing.T, n int) (*Controller, func(slab.Slab) error, []*MemoryNode)
+	fabrics := map[string]fabric{
+		"in-process": func(t *testing.T, n int) (*Controller, func(slab.Slab) error, []*MemoryNode) {
+			c := NewController()
+			nodes := make([]*MemoryNode, n)
+			for i := range nodes {
+				nodes[i] = NewMemoryNode(i, 8<<20)
+				if err := c.Register(nodes[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c, c.ReleaseSlab, nodes
+		},
+		"tcp": func(t *testing.T, n int) (*Controller, func(slab.Slab) error, []*MemoryNode) {
+			c, cs, nodes := tcpRack(t, n)
+			cc := DialController(cs.Addr())
+			t.Cleanup(func() { cc.Close() })
+			return c, cc.ReleaseSlab, nodes
+		},
+	}
+	const size, writer, reader, next = 1 << 20, 7, 8, 9
+	// Each history releases a slab and returns it; the rack has the node
+	// count the history needs for the re-carve to land on the same node.
+	histories := []struct {
+		name  string
+		nodes int
+		run   func(t *testing.T, c *Controller, release func(slab.Slab) error, nodes []*MemoryNode) slab.Slab
+	}{
+		{"lapsed-writer", 1, func(t *testing.T, c *Controller, release func(slab.Slab) error, _ []*MemoryNode) slab.Slab {
+			now := time.Unix(1000, 0)
+			c.SetLeaseClock(func() time.Time { return now })
+			c.SetLeaseTTL(time.Second)
+			s, err := allocOne(c, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.AcquireLease(s.ID, writer, LeaseWriter, 0); err != nil {
+				t.Fatal(err)
+			}
+			now = now.Add(2 * time.Second)
+			if _, err := c.AcquireLease(s.ID, reader, LeaseReader, 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []uint64{writer, reader} {
+				if err := c.ReleaseLease(s.ID, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := release(s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.SlabPlacements(s.ID); err == nil {
+				t.Errorf("group %d outlived the release of its one member", s.ID)
+			}
+			return s
+		}},
+		{"retired-source", 2, func(t *testing.T, c *Controller, _ func(slab.Slab) error, nodes []*MemoryNode) slab.Slab {
+			src, err := allocOne(c, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.AcquireLease(src.ID, writer, LeaseWriter, 0); err != nil {
+				t.Fatal(err)
+			}
+			// The engine's last steps on a live source: seal, capture.
+			nodes[src.Node].Seal(src.RemoteOff, src.Size)
+			nodes[src.Node].StartCapture(src.RemoteOff, src.Size, mem.PageSize)
+			_, target, err := c.CarveReplacement(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CommitReplacement(src, target, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AbandonExtent(src); err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}},
+	}
+	line := bytes.Repeat([]byte{0xC9}, mem.CacheLineSize)
+	for fabric, rack := range fabrics {
+		for _, h := range histories {
+			t.Run(fabric+"/"+h.name, func(t *testing.T) {
+				c, release, nodes := rack(t, h.nodes)
+				old := h.run(t, c, release, nodes)
+				members, err := c.AllocSlab(size, h.nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				i := slices.IndexFunc(members, func(m slab.Slab) bool { return m.Node == old.Node })
+				if i < 0 || members[i].RemoteOff != old.RemoteOff {
+					t.Fatalf("re-carve = %+v, want node %d offset %d again", members, old.Node, old.RemoteOff)
+				}
+				if err := nodes[old.Node].WriteAtFrom(next, old.RemoteOff, line); err != nil {
+					t.Fatalf("runtime %d's write into the re-carved extent: %v", next, err)
+				}
+				if got := nodes[old.Node].DrainCapture(old.RemoteOff, old.Size); got != nil {
+					t.Fatalf("the released extent's capture still records writes: %v", got)
+				}
+			})
+		}
 	}
 }

@@ -109,8 +109,10 @@ func (c *Controller) PullNodeLoads() {
 		n  *MemoryNode
 	}
 	nodes := make([]pair, 0, len(c.nodes))
-	for id, n := range c.nodes {
-		nodes = append(nodes, pair{id, n})
+	for id, r := range c.nodes {
+		if r.node != nil {
+			nodes = append(nodes, pair{id, r.node})
+		}
 	}
 	c.mu.Unlock()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].id < nodes[j].id })
@@ -165,10 +167,10 @@ func (c *Controller) loadOrderLocked() []int {
 	}
 	ranks := make(map[int]rank, len(ids))
 	for _, id := range ids {
-		total, used := c.nodes[id].Capacity()
+		r := c.nodes[id]
 		f := 0.0
-		if total > 0 {
-			f = float64(used) / float64(total)
+		if r.capacity > 0 {
+			f = float64(r.used) / float64(r.capacity)
 		}
 		ranks[id] = rank{score: c.loadScoreLocked(id), frac: f}
 	}

@@ -28,14 +28,9 @@ type MemoryNode struct {
 	id       int
 	endpoint *rdma.Endpoint
 	pool     *rdma.MR
-	capacity uint64
-	used     uint64
 
 	// logMR receives packed cache-line logs from compute nodes.
 	logMR *rdma.MR
-
-	// freed holds released slab extents for reuse.
-	freed []freedExtent
 
 	// failed simulates a crashed node: all operations error.
 	failed bool
@@ -105,9 +100,6 @@ func (c *captureState) note(off uint64, n int) {
 	}
 }
 
-// freedExtent is a released slab awaiting reuse.
-type freedExtent struct{ off, size uint64 }
-
 // LogRegionSize is the receive buffer for cache-line logs.
 const LogRegionSize = 4 << 20
 
@@ -120,18 +112,8 @@ func NewMemoryNode(id int, capacity uint64) *MemoryNode {
 		id:       id,
 		endpoint: ep,
 		pool:     ep.RegisterMR(int(capacity)),
-		capacity: capacity,
 		logMR:    ep.RegisterMR(LogRegionSize),
 	}
-}
-
-// newNodeRecord is the controller's record of a memnode daemon that
-// registered over the wire: carve accounting, incarnation and failure
-// state. The pool lives in the daemon, so the record's is empty and it has
-// no log region; only the controller's own calls reach it.
-func newNodeRecord(id int, capacity uint64) *MemoryNode {
-	ep := rdma.NewEndpoint(fmt.Sprintf("memnode-%d", id))
-	return &MemoryNode{id: id, endpoint: ep, pool: ep.RegisterMR(0), capacity: capacity}
 }
 
 // ID returns the node identifier.
@@ -146,44 +128,13 @@ func (n *MemoryNode) PoolKey() uint32 { return n.pool.Key() }
 // LogKey returns the rkey of the node's log-receive region.
 func (n *MemoryNode) LogKey() uint32 { return n.logMR.Key() }
 
-// Capacity returns total and used bytes.
-func (n *MemoryNode) Capacity() (total, used uint64) {
+// ReleaseExtent is the node side of a slab's release: every seal, lease
+// fence and capture overlapping [offset, offset+size) dies with the extent,
+// which the controller may re-carve for an unrelated slab once this
+// returns — the new tenant must not inherit a stale guard.
+func (n *MemoryNode) ReleaseExtent(offset, size uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.capacity, n.used
-}
-
-// CarveSlab reserves size bytes from the pool and returns its offset.
-func (n *MemoryNode) CarveSlab(size uint64) (offset uint64, err error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.failed {
-		return 0, fmt.Errorf("memnode %d: failed", n.id)
-	}
-	// Reuse a released extent of the exact size first (slabs are uniform
-	// in practice, so exact-fit reuse suffices).
-	for i, f := range n.freed {
-		if f.size == size {
-			n.freed = append(n.freed[:i], n.freed[i+1:]...)
-			return f.off, nil
-		}
-	}
-	if n.used+size > n.capacity {
-		return 0, fmt.Errorf("memnode %d: %d bytes requested, %d free", n.id, size, n.capacity-n.used)
-	}
-	offset = n.used
-	n.used += size
-	return offset, nil
-}
-
-// ReleaseSlab returns a carved extent to the node for reuse. Any seal,
-// lease fence or capture overlapping the extent dies with it — the window
-// may be re-carved for an unrelated slab and must not inherit a stale
-// fence.
-func (n *MemoryNode) ReleaseSlab(offset, size uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.freed = append(n.freed, freedExtent{off: offset, size: size})
 	n.seals = slices.DeleteFunc(n.seals, func(s sealRange) bool { return overlaps(s.off, s.size, offset, size) })
 	n.captures = slices.DeleteFunc(n.captures, func(c *captureState) bool { return overlaps(c.off, c.size, offset, size) })
 	n.fences = slices.DeleteFunc(n.fences, func(f leaseFence) bool { return overlaps(f.off, f.size, offset, size) })

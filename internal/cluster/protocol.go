@@ -48,6 +48,7 @@ const (
 	kindLeaseRelease
 	kindLeaseInvalidate
 	kindLeaseFence
+	kindReleaseExtent
 
 	// kindResponse is the prefix kind of every reply frame.
 	kindResponse kind = 0x80
@@ -105,6 +106,10 @@ var kinds = [...]kindInfo{
 	kindLeaseRelease:    {"lease-release", true, false},    // releasing a lease not held is a no-op
 	kindLeaseInvalidate: {"lease-invalidate", true, false}, // keyed by holder: a replay cannot bump past another writer
 	kindLeaseFence:      {"lease-fence", true, true},       // level-triggered
+	// A slab's release reaches its node (§10): release-extent, controller→
+	// memnode, drops every guard on the extent before the controller lists
+	// it free.
+	kindReleaseExtent: {"release-extent", true, true}, // level-triggered, and the controller re-lists the extent only after the ack
 }
 
 // known reports whether k names a row of kinds.

@@ -167,13 +167,14 @@ func TestReadKindsRetrySafely(t *testing.T) {
 }
 
 // TestMutatingKindsRetrySafely is the next slice of retry safety: `write`
-// (a pure overwrite), `seal-extent` and `unseal-extent` (level-triggered)
-// through the same dropping FaultListener as TestReadKindsRetrySafely. A
-// seeded stream of writes, seals and unseals goes to the faulted memnode
-// over the wire and, delivered once each, to a reference node in process.
-// Some requests must have needed a retry; every outcome (a write refused
-// by a seal, or accepted) must match the clean delivery's, and so must
-// the final pool bytes and seal set.
+// (a pure overwrite), `seal-extent`, `unseal-extent`, `lease-fence` (arm
+// and clear) and `release-extent` (level-triggered) through the same
+// dropping FaultListener as TestReadKindsRetrySafely. A seeded stream of
+// them goes to the faulted memnode over the wire and, delivered once each,
+// to a reference node in process. Some requests must have needed a retry;
+// every outcome (a write refused by a seal or a fence, or accepted) must
+// match the clean delivery's, and so must the final pool bytes, seal set
+// and fence set.
 func TestMutatingKindsRetrySafely(t *testing.T) {
 	reg := telemetry.New(0)
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
@@ -189,30 +190,50 @@ func TestMutatingKindsRetrySafely(t *testing.T) {
 	mc := DialMemoryNodeTransport(ns.Addr(), tr)
 	defer mc.Close()
 
-	const extent = 8 * mem.PageSize // eight sealable extents over the first 64 pages
+	const extent = 8 * mem.PageSize // eight guardable extents over the first 64 pages
 	rng := rand.New(rand.NewSource(23))
-	sealed, writes := 0, 0
-	for i := 0; i < 300; i++ {
+	sealed, fenced, writes := 0, 0, 0
+	for i := 0; i < 400; i++ {
 		ext := uint64(rng.Intn(8)) * extent
+		// Runtimes 1 and 2 write and hold fences.
+		runtime := uint64(1 + rng.Intn(2))
 		var got, want error
-		switch op := rng.Intn(4); op {
+		switch op := rng.Intn(8); op {
 		case 0:
-			got, want = mc.Seal(ext, extent), nil
+			got = mc.Seal(ext, extent)
 			ref.Seal(ext, extent)
 		case 1:
-			got, want = mc.Unseal(ext, extent), nil
+			got = mc.Unseal(ext, extent)
 			ref.Unseal(ext, extent)
+		case 2, 3:
+			if op == 3 {
+				runtime = 0 // clears the fence
+			}
+			got = mc.LeaseFence(ext, extent, runtime)
+			ref.LeaseFence(ext, extent, runtime)
+		case 4:
+			got = mc.ReleaseExtent(ext, extent)
+			ref.ReleaseExtent(ext, extent)
 		default:
 			off := ext + uint64(rng.Intn(int(extent)-512))
 			data := bytes.Repeat([]byte{byte(i + 1)}, 1+rng.Intn(512))
-			got, want = mc.WriteVec(off, data[:len(data)/2], data[len(data)/2:]), ref.WriteAt(off, data)
+			mc.SetRuntime(runtime)
+			got, want = mc.WriteVec(off, data[:len(data)/2], data[len(data)/2:]), ref.WriteAtFrom(runtime, off, data)
 			writes++
 		}
-		if errors.Is(got, ErrSealed) != errors.Is(want, ErrSealed) || (got == nil) != (want == nil) {
+		for _, typed := range []error{ErrSealed, ErrLeaseFenced} {
+			if errors.Is(got, typed) != errors.Is(want, typed) {
+				t.Fatalf("op %d: faulted delivery returned %v, clean delivery %v", i, got, want)
+			}
+		}
+		if (got == nil) != (want == nil) {
 			t.Fatalf("op %d: faulted delivery returned %v, clean delivery %v", i, got, want)
 		}
 		if errors.Is(want, ErrSealed) {
 			sealed++
+		}
+		if errors.Is(want, ErrLeaseFenced) {
+			fenced++
 		}
 	}
 	s := reg.Snapshot()
@@ -220,8 +241,8 @@ func TestMutatingKindsRetrySafely(t *testing.T) {
 		t.Fatalf("drops %d, retries %d: the faults never reached a request, the test proves nothing",
 			s.Counters["faultconn.drops"], s.Counters["cluster.rpc.retries"])
 	}
-	if sealed == 0 || sealed == writes {
-		t.Fatalf("%d of %d writes refused by a seal: the stream never mixed both outcomes", sealed, writes)
+	if sealed == 0 || fenced == 0 || sealed+fenced == writes {
+		t.Fatalf("%d sealed and %d fenced of %d writes: the stream never mixed every outcome", sealed, fenced, writes)
 	}
 	if !bytes.Equal(node.PoolBytes(), ref.PoolBytes()) {
 		t.Fatal("pool after retried delivery differs from one clean delivery")
@@ -236,8 +257,18 @@ func TestMutatingKindsRetrySafely(t *testing.T) {
 	if got, want := seals(node), seals(ref); !slices.Equal(got, want) {
 		t.Fatalf("seal set after retried delivery %v, after one clean delivery %v", got, want)
 	}
-	t.Logf("%d drops, %d retries; %d of %d writes refused by a seal", s.Counters["faultconn.drops"],
-		s.Counters["cluster.rpc.retries"], sealed, writes)
+	fences := func(n *MemoryNode) []leaseFence {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		out := slices.Clone(n.fences)
+		slices.SortFunc(out, func(a, b leaseFence) int { return cmp.Compare(a.off, b.off) })
+		return out
+	}
+	if got, want := fences(node), fences(ref); !slices.Equal(got, want) {
+		t.Fatalf("fence set after retried delivery %v, after one clean delivery %v", got, want)
+	}
+	t.Logf("%d drops, %d retries; of %d writes, %d refused by a seal and %d by a fence", s.Counters["faultconn.drops"],
+		s.Counters["cluster.rpc.retries"], writes, sealed, fenced)
 }
 
 // TestGatherIsOneReadOp pins MemoryNode.ReadSpans, the memnode side of a
@@ -307,7 +338,7 @@ func TestGatherIsOneReadOp(t *testing.T) {
 }
 
 // TestLocalCopyGatherIsOneReadOp is TestGatherIsOneReadOp for the
-// in-process replacement copy (LocalNodes): a 16-page batch into separate
+// in-process replacement copy (Controller.Dial): a 16-page batch into separate
 // page buffers is one lock hold and one read op, and copies the pool's
 // bytes; a batch with one overrunning page fails whole, copies nothing and
 // counts nothing.
@@ -321,7 +352,7 @@ func TestLocalCopyGatherIsOneReadOp(t *testing.T) {
 	for i := range pool {
 		pool[i] = byte(i*5 + i>>12)
 	}
-	src, err := LocalNodes(c)(0, node.Incarnation())
+	src, err := c.Dial(0, node.Incarnation())
 	if err != nil {
 		t.Fatal(err)
 	}

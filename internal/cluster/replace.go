@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"kona/internal/mem"
@@ -46,13 +45,15 @@ const (
 	maxDrainPasses = 8
 )
 
-// NodeAccess is what the replacement engine needs from one memory node at
-// one incarnation: page reads into caller buffers, segment writes, and
-// the source-side dirty capture and write seal a live copy needs. Every
-// verb is fenced by the incarnation the handle was made for, so a node
-// that crash-rejoined mid-copy refuses the stale operation instead of
-// serving wrong-generation bytes. *MemoryNodeClient is the wire
-// implementation; LocalNodes adapts in-process nodes.
+// NodeAccess is the controller's one handle on a memory node at one
+// incarnation, the same on both fabrics: the replacement engine's page
+// reads into caller buffers, segment writes, and the source-side dirty
+// capture and write seal a live copy needs, plus the lease fence, the
+// liveness ping and the release of an extent. Every verb but Ping is
+// fenced by the incarnation the handle was made for, so a node that
+// crash-rejoined mid-copy refuses the stale operation instead of serving
+// wrong-generation bytes. *MemoryNodeClient is the wire implementation;
+// localNode wraps an in-process node. Controller.Dial hands them out.
 type NodeAccess interface {
 	ReadPagesInto(offsets []uint64, bufs [][]byte) error
 	WriteVec(offset uint64, segs ...[]byte) error
@@ -61,141 +62,83 @@ type NodeAccess interface {
 	CaptureStop(off, size uint64) error
 	Seal(off, size uint64) error
 	Unseal(off, size uint64) error
+	LeaseFence(off, size, holder uint64) error
+	ReleaseExtent(off, size uint64) error
+	Ping() error
 }
 
 // NodeDialer resolves a member's (node, incarnation) to a handle stamped
 // with that incarnation.
 type NodeDialer func(node int, epoch uint64) (NodeAccess, error)
 
-// LocalNodes resolves handles onto ctrl's registered in-process nodes —
-// the simulated fabric's copy path.
-func LocalNodes(ctrl *Controller) NodeDialer {
-	return func(node int, epoch uint64) (NodeAccess, error) {
-		return localNode{ctrl: ctrl, id: node, epoch: epoch}, nil
-	}
-}
-
-// localNode drives one in-process MemoryNode through its locked
-// accessors, re-checking registration and incarnation on every verb.
+// localNode is the in-process handle: it drives one MemoryNode through its
+// locked accessors, checking the node's incarnation on every fenced verb
+// as the daemon does.
 type localNode struct {
-	ctrl  *Controller
-	id    int
+	n     *MemoryNode
 	epoch uint64
 }
 
-func (l localNode) node() (*MemoryNode, error) {
-	n, ok := l.ctrl.Node(l.id)
-	if !ok {
-		return nil, fmt.Errorf("cluster: node %d not registered", l.id)
+// fenced runs f on the node unless it is not at the handle's incarnation.
+func (l localNode) fenced(f func(n *MemoryNode)) error {
+	err := l.n.checkIncarnation(l.epoch)
+	if err == nil {
+		f(l.n)
 	}
-	if err := n.checkIncarnation(l.epoch); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return err
 }
 
 func (l localNode) ReadPagesInto(offsets []uint64, bufs [][]byte) error {
-	n, err := l.node()
-	if err != nil {
+	if err := l.n.checkIncarnation(l.epoch); err != nil {
 		return err
 	}
-	return n.ReadPagesInto(offsets, bufs)
+	return l.n.ReadPagesInto(offsets, bufs)
 }
 
 func (l localNode) WriteVec(offset uint64, segs ...[]byte) error {
-	n, err := l.node()
+	err := l.n.checkIncarnation(l.epoch)
 	for i := 0; err == nil && i < len(segs); i++ {
-		err = n.WriteAt(offset, segs[i])
+		err = l.n.WriteAt(offset, segs[i])
 		offset += uint64(len(segs[i]))
 	}
 	return err
 }
 
 func (l localNode) CaptureStart(off, size, pageLen uint64) error {
-	n, err := l.node()
-	if err == nil {
-		n.StartCapture(off, size, pageLen)
-	}
-	return err
+	return l.fenced(func(n *MemoryNode) { n.StartCapture(off, size, pageLen) })
 }
 
-func (l localNode) CaptureDrain(off, size uint64) ([]uint64, error) {
-	n, err := l.node()
-	if err != nil {
-		return nil, err
-	}
-	return n.DrainCapture(off, size), nil
+func (l localNode) CaptureDrain(off, size uint64) (offs []uint64, err error) {
+	err = l.fenced(func(n *MemoryNode) { offs = n.DrainCapture(off, size) })
+	return offs, err
 }
 
 func (l localNode) CaptureStop(off, size uint64) error {
-	n, err := l.node()
-	if err == nil {
-		n.StopCapture(off, size)
-	}
-	return err
+	return l.fenced(func(n *MemoryNode) { n.StopCapture(off, size) })
 }
 
 func (l localNode) Seal(off, size uint64) error {
-	n, err := l.node()
-	if err == nil {
-		n.Seal(off, size)
-	}
-	return err
+	return l.fenced(func(n *MemoryNode) { n.Seal(off, size) })
 }
 
 func (l localNode) Unseal(off, size uint64) error {
-	n, err := l.node()
-	if err == nil {
-		n.Unseal(off, size)
-	}
-	return err
+	return l.fenced(func(n *MemoryNode) { n.Unseal(off, size) })
 }
 
-// nodeClients is the controller daemon's table of memnode connections:
-// one pool per daemon address, shared by every handle made for it. A
-// handle carries its incarnation stamp from construction, so members
-// naming different incarnations of one address never race on a shared
-// stamp. The controller's registered MemoryNode objects are only capacity
-// mirrors in TCP mode; seal, capture and fence state must live on the
-// daemon's real node, so every control goes out through a handle.
-type nodeClients struct {
-	// addr resolves a node id to its daemon address (the controller
-	// server's registration table).
-	addr func(node int) (string, bool)
-	tr   Transport
-
-	mu    sync.Mutex
-	pools map[string]*pool
+func (l localNode) LeaseFence(off, size, holder uint64) error {
+	return l.fenced(func(n *MemoryNode) { n.LeaseFence(off, size, holder) })
 }
 
-func (t *nodeClients) client(node int, epoch uint64) (*MemoryNodeClient, error) {
-	addr, ok := t.addr(node)
-	if !ok {
-		return nil, fmt.Errorf("cluster: no address for node %d", node)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.pools[addr]
-	if !ok {
-		if t.pools == nil {
-			t.pools = make(map[string]*pool)
-		}
-		p = newPool(addr, t.tr)
-		t.pools[addr] = p
-	}
-	c := &MemoryNodeClient{pool: p}
-	c.epoch.Store(epoch)
-	return c, nil
+func (l localNode) ReleaseExtent(off, size uint64) error {
+	return l.fenced(func(n *MemoryNode) { n.ReleaseExtent(off, size) })
 }
 
-// close tears down the dialed pools; a later client() dials afresh.
-func (t *nodeClients) close() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, p := range t.pools {
-		p.Close()
+// Ping answers unless the node has failed.
+func (l localNode) Ping() error {
+	if l.n.Failed() {
+		return fmt.Errorf("memnode %d: failed", l.n.ID())
 	}
-	t.pools = nil
+	return nil
 }
 
 // ReplaceConfig tunes the replacement engine.
@@ -278,10 +221,11 @@ func (c *cause) stats() CauseStats {
 	return CauseStats{Flips: c.flips.Value(), Failures: c.failures.Value(), BytesCopied: c.bytes.Value()}
 }
 
-// heldExtent is one extent whose seal the engine still owes an Unseal: a
-// migrated-away source in its sealed hold-down (retired: its memory is
-// released once the unseal lands), or the still-current member of an
-// unwound migration whose unseal did not land yet.
+// heldExtent is one extent the engine still owes its node a verb for: a
+// migrated-away source in its sealed hold-down (retired: its release, which
+// drops the seal with every other guard, is owed once the hold-down is
+// over), or the still-current member of an unwound migration whose Unseal
+// did not land yet.
 type heldExtent struct {
 	s       slab.Slab
 	sweeps  int
@@ -475,7 +419,9 @@ func (e *ReplaceEngine) replaceMember(old slab.Slab) (err error) {
 			// and the next CaptureStart on the extent resets it.
 			_ = m.from.CaptureStop(old.RemoteOff, old.Size)
 		}
-		e.ctrl.AbandonExtent(target)
+		// Nothing is armed on the target yet; a release that does not land
+		// costs its capacity, nothing else.
+		_ = e.ctrl.abandonVia(e.dial, target)
 		m.c.failures.Inc()
 		if e.trace != nil {
 			e.trace.Emit("cluster.replace.abandon", fmt.Sprintf("%s err=%v", m, err))
@@ -625,24 +571,24 @@ func (e *ReplaceEngine) hold(h heldExtent) {
 }
 
 // ageHoldDowns counts down each held extent and, once its hold-down is
-// over (straggler writers have had RetireSweeps sweeps to refresh),
-// unseals it and — for a retired extent — gives the memory back through
-// the controller's node mirror. An extent whose unseal is not
-// acknowledged stays held: releasing the mirror's window while the
-// daemon's real node keeps the seal would bounce the next tenant's
-// writes forever.
+// over (straggler writers have had RetireSweeps sweeps to refresh), pays
+// what is owed: a retired extent is released through its node's handle,
+// an unwound member unsealed. An extent stays held until its node
+// acknowledges or its incarnation is gone: listing a window free while
+// its node keeps the seal would bounce the next tenant's writes forever.
 func (e *ReplaceEngine) ageHoldDowns() {
 	kept := e.held[:0]
 	for _, h := range e.held {
 		h.sweeps--
-		if h.sweeps > 0 || !e.unsealed(h.s) {
-			kept = append(kept, h)
+		switch {
+		case h.sweeps > 0:
+		case h.retired && e.ctrl.abandonVia(e.dial, h.s) == nil:
+			e.retired.Inc()
+			continue
+		case !h.retired && e.unsealed(h.s):
 			continue
 		}
-		if h.retired {
-			e.ctrl.AbandonExtent(h.s)
-			e.retired.Inc()
-		}
+		kept = append(kept, h)
 	}
 	e.held = kept
 }

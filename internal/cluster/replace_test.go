@@ -60,7 +60,7 @@ func readMember(t *testing.T, c *Controller, s slab.Slab) []byte {
 
 // localEngine is an engine over c's in-process nodes.
 func localEngine(c *Controller, cfg ReplaceConfig) *ReplaceEngine {
-	return NewReplaceEngine(c, LocalNodes(c), cfg)
+	return NewReplaceEngine(c, c.Dial, cfg)
 }
 
 // nodeHooks intercepts verbs of the handles a dialer hands out, so a test
@@ -68,8 +68,8 @@ func localEngine(c *Controller, cfg ReplaceConfig) *ReplaceEngine {
 // A nil hook is skipped; a hook returning an error fails the verb instead
 // of running it.
 type nodeHooks struct {
-	read, write, unseal func(node int) error
-	sealed              func(node int) // after a successful Seal
+	read, write, unseal, release func(node int) error
+	sealed                       func(node int) // after a successful Seal
 }
 
 func (h *nodeHooks) over(dial NodeDialer) NodeDialer {
@@ -119,6 +119,13 @@ func (n hookedNode) Unseal(off, size uint64) error {
 		return err
 	}
 	return n.NodeAccess.Unseal(off, size)
+}
+
+func (n hookedNode) ReleaseExtent(off, size uint64) error {
+	if err := hook(n.h.release, n.node); err != nil {
+		return err
+	}
+	return n.NodeAccess.ReleaseExtent(off, size)
 }
 
 func drainRepairs(t *testing.T, e *ReplaceEngine, c *Controller) {
@@ -497,8 +504,8 @@ func TestMigrationPreservesBytesUnderConcurrentWrites(t *testing.T) {
 	mirror := fillMember(t, c, src, 9)
 	srcNode, _ := c.Node(src.Node)
 
-	w := &concurrentWriter{t: t, src: src, node: srcNode, mirror: mirror}
-	e := NewReplaceEngine(c, w.hooks().over(LocalNodes(c)), ReplaceConfig{RetireSweeps: 2})
+	w := &concurrentWriter{t: t, src: src, node: srcNode.MemoryNode, mirror: mirror}
+	e := NewReplaceEngine(c, w.hooks().over(c.Dial), ReplaceConfig{RetireSweeps: 2})
 	epochBefore := c.PlacementEpoch()
 	if err := e.replaceMember(src); err != nil {
 		t.Fatalf("replaceMember: %v", err)
@@ -549,7 +556,7 @@ func TestMigrationPreservesBytesUnderConcurrentWrites(t *testing.T) {
 	}
 	// The vacated window is back on the free list: the next same-size
 	// carve reuses it, fence-free.
-	if off, err := srcNode.CarveSlab(src.Size); err != nil || off != src.RemoteOff {
+	if off, err := carveOn(c, src.Node, src.Size); err != nil || off != src.RemoteOff {
 		t.Fatalf("retired window not reusable: off=%d err=%v, want %d", off, err, src.RemoteOff)
 	}
 }
@@ -624,7 +631,7 @@ func TestMigrationAbortUnwinds(t *testing.T) {
 	target := 1 - src.Node
 	kill := killOn(c, target)
 	dying := &nodeHooks{write: func(node int) error { kill(node); return nil }}
-	e := NewReplaceEngine(c, dying.over(LocalNodes(c)), ReplaceConfig{})
+	e := NewReplaceEngine(c, dying.over(c.Dial), ReplaceConfig{})
 	if err := e.replaceMember(src); err == nil {
 		t.Fatalf("migration onto a dying target committed")
 	}
@@ -652,7 +659,7 @@ func TestMigrationAbortUnwinds(t *testing.T) {
 	}
 	fillMember(t, c2, src2, 5)
 	afterSeal := &nodeHooks{sealed: killOn(c2, 1-src2.Node)}
-	e2 := NewReplaceEngine(c2, afterSeal.over(LocalNodes(c2)), ReplaceConfig{})
+	e2 := NewReplaceEngine(c2, afterSeal.over(c2.Dial), ReplaceConfig{})
 	if err := e2.replaceMember(src2); err == nil {
 		t.Fatalf("flip committed onto a node that died after seal")
 	}
@@ -849,8 +856,8 @@ func TestCarveReplacementRules(t *testing.T) {
 
 // tcpRack serves a controller and n memnode daemons on loopback. Each
 // daemon registers over the wire and adopts the incarnation it is given,
-// so its epoch fence is armed. It returns the daemons' real nodes — the
-// controller's own are capacity mirrors.
+// so its epoch fence is armed. It returns the daemons' nodes, which the
+// controller reaches only through its handles on them.
 func tcpRack(t *testing.T, n int) (*Controller, *ControllerServer, []*MemoryNode) {
 	t.Helper()
 	ctrl := NewController()
@@ -895,19 +902,19 @@ func TestNodeAccessConformance(t *testing.T) {
 			c := repairRack(t, 2)
 			n0, _ := c.Node(0)
 			n1, _ := c.Node(1)
-			return backend{c, LocalNodes(c), []*MemoryNode{n0, n1}, func(packed []byte) (int, error) {
+			return backend{c, c.Dial, []*MemoryNode{n0.MemoryNode, n1.MemoryNode}, func(packed []byte) (int, error) {
 				applied, _, err := n0.UnpackLogFrom(0, copy(n0.logMR.Bytes(), packed))
 				return applied, err
 			}}
 		},
 		"tcp": func(t *testing.T) backend {
-			c, cs, nodes := tcpRack(t, 2)
-			return backend{c, cs.DialNode, nodes, func(packed []byte) (int, error) {
-				mc, err := cs.daemons.client(0, c.Incarnation(0))
+			c, _, nodes := tcpRack(t, 2)
+			return backend{c, c.Dial, nodes, func(packed []byte) (int, error) {
+				h, err := c.Dial(0, c.Incarnation(0))
 				if err != nil {
 					return 0, err
 				}
-				return mc.WriteLogVec(packed)
+				return h.(*MemoryNodeClient).WriteLogVec(packed)
 			}}
 		},
 	}
@@ -967,6 +974,8 @@ func TestNodeAccessConformance(t *testing.T) {
 				"CaptureStop":   stale.CaptureStop(src.RemoteOff, src.Size),
 				"Seal":          stale.Seal(src.RemoteOff, src.Size),
 				"Unseal":        stale.Unseal(src.RemoteOff, src.Size),
+				"LeaseFence":    stale.LeaseFence(src.RemoteOff, src.Size, 1),
+				"ReleaseExtent": stale.ReleaseExtent(src.RemoteOff, src.Size),
 			} {
 				if !errors.Is(err, ErrStaleIncarnation) {
 					t.Errorf("%s with a stale incarnation: got %v, want ErrStaleIncarnation", verb, err)
@@ -1069,13 +1078,13 @@ func TestNodeAccessConformance(t *testing.T) {
 }
 
 // TestFailedUnsealIsOwedNotForgotten is the leaked-seal regression test.
-// In TCP mode the controller's node objects are capacity mirrors: if the
-// engine released a retired window whose Unseal RPC failed, the mirror
-// would hand the window to the next tenant while the daemon's real node
-// kept the seal, and every write to the new slab would bounce forever.
-// And on the unwind path a lost Unseal would leave the still-current
-// member sealed, wedging its writers. Either way the extent must stay on
-// the hold-down list until the unseal is acknowledged.
+// A retired window is released through its node's handle, which drops its
+// seal: if the controller listed the window free although that release
+// was lost, the next tenant would get it while the daemon kept the seal,
+// and every write to the new slab would bounce forever. And on the unwind
+// path a lost Unseal would leave the still-current member sealed, wedging
+// its writers. Either way the extent must stay on the hold-down list until
+// its node acknowledges.
 func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 	failOnce := func() func(int) error {
 		failed := false
@@ -1090,31 +1099,31 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 	line := bytes.Repeat([]byte{0x5A}, mem.CacheLineSize)
 
 	t.Run("retire", func(t *testing.T) {
-		ctrl, cs, nodes := tcpRack(t, 2)
+		ctrl, _, nodes := tcpRack(t, 2)
 		old, err := allocOne(ctrl, 256<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hooks := &nodeHooks{unseal: failOnce()}
-		e := NewReplaceEngine(ctrl, hooks.over(cs.DialNode), ReplaceConfig{RetireSweeps: 1})
+		hooks := &nodeHooks{release: failOnce()}
+		e := NewReplaceEngine(ctrl, hooks.over(ctrl.Dial), ReplaceConfig{RetireSweeps: 1})
 		if err := e.replaceMember(old); err != nil {
 			t.Fatalf("migration: %v", err)
 		}
 		real := nodes[old.Node]
 
-		// Hold-down over, but the unseal does not land: the window must not
-		// be released, and the daemon still fences it.
+		// Hold-down over, but the release does not land: the window must
+		// not be listed free, and the daemon still fences it.
 		e.SweepOnce()
 		if st := e.Stats(); st.Retired != 0 {
-			t.Fatalf("window released on the sweep its unseal failed (retired=%d)", st.Retired)
+			t.Fatalf("window listed free on the sweep its release failed (retired=%d)", st.Retired)
 		}
 		if err := real.WriteAt(old.RemoteOff, line); !errors.Is(err, ErrSealed) {
 			t.Fatalf("write to the held extent = %v, want sealed error", err)
 		}
-		// Next sweep the unseal is acknowledged and the window goes back.
+		// Next sweep the release is acknowledged and the window goes back.
 		e.SweepOnce()
 		if st := e.Stats(); st.Retired != 1 {
-			t.Fatalf("retired = %d after the unseal landed, want 1", st.Retired)
+			t.Fatalf("retired = %d after the release landed, want 1", st.Retired)
 		}
 
 		// The next tenant of the window can write to it.
@@ -1127,7 +1136,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 		if next.Node != old.Node || next.RemoteOff != old.RemoteOff {
 			t.Fatalf("window not reused: carved %+v, want node %d off %d", next, old.Node, old.RemoteOff)
 		}
-		tenant, err := cs.DialNode(next.Node, next.Epoch)
+		tenant, err := ctrl.Dial(next.Node, next.Epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1145,7 +1154,7 @@ func TestFailedUnsealIsOwedNotForgotten(t *testing.T) {
 		// The target dies right after the seal, so the commit refuses and
 		// the unwind runs with the source sealed — and its Unseal fails.
 		hooks := &nodeHooks{sealed: killOn(c, 1-old.Node), unseal: failOnce()}
-		e := NewReplaceEngine(c, hooks.over(LocalNodes(c)), ReplaceConfig{})
+		e := NewReplaceEngine(c, hooks.over(c.Dial), ReplaceConfig{})
 		if err := e.replaceMember(old); err == nil {
 			t.Fatalf("flip committed onto a node that died after seal")
 		}
@@ -1206,7 +1215,7 @@ func TestReplaceEngineRun(t *testing.T) {
 		}
 		return nil
 	}}
-	e := NewReplaceEngine(c, hooks.over(LocalNodes(c)), ReplaceConfig{
+	e := NewReplaceEngine(c, hooks.over(c.Dial), ReplaceConfig{
 		Interval: 5 * time.Millisecond, HotRatio: 2, RetireSweeps: 1, Metrics: reg,
 	})
 	stop, done := make(chan struct{}), make(chan struct{})

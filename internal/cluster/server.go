@@ -134,9 +134,10 @@ type ControllerServer struct {
 	mu    sync.Mutex
 	addrs map[int]string // node id -> TCP address
 	loads map[int]*loadMetrics
-	// daemons holds the one connection pool per registered daemon address
-	// that fence pushes and the replacement engine's copies travel on.
-	daemons nodeClients
+	// pools holds the one connection pool per registered daemon address
+	// that the controller's handles on the daemon share, across
+	// incarnations: a rejoining daemon may come back at the same address.
+	pools map[string]*pool
 }
 
 // ServeController starts a controller daemon on addr (":0" for ephemeral)
@@ -170,81 +171,31 @@ func ServeControllerOnWith(ctrl *Controller, l net.Listener, reg *telemetry.Regi
 		reg:   reg,
 		addrs: make(map[int]string),
 		loads: make(map[int]*loadMetrics),
+		pools: make(map[string]*pool),
 	}
-	s.daemons = nodeClients{addr: s.NodeAddr, tr: DefaultTransport()}
-	// Arbitrate rejoins and failure reports by pinging the node's daemon
-	// over the wire (falling back to the in-process flag when no address
-	// is known — e.g. tests registering nodes directly).
-	ctrl.SetProber(s.probeNode)
-	// Lease fences must land on the real memnode daemons, not the
-	// controller's bookkeeping mirrors (in TCP mode c.nodes are capacity
-	// shadows): push them over the wire like the prober does.
-	ctrl.SetLeaseFencer(s.fenceMember)
 	go serve(l, s.conns, s, s.m)
 	return s
 }
 
-// fenceMember pushes one lease fence to the daemon hosting m, retried
-// like any level-triggered RPC. A member whose address is unknown
-// (test-registered in-process node) falls back to the controller's node
-// mirror.
-func (s *ControllerServer) fenceMember(m slab.Slab, holder uint64) error {
-	mc, err := s.daemons.client(m.Node, m.Epoch)
-	if err != nil {
-		return s.ctrl.fenceLocal(m, holder)
-	}
-	return mc.LeaseFence(m.RemoteOff, m.Size, holder)
-}
-
-// DialNode is the replacement engine's NodeDialer over the wire: a
-// handle on node's daemon that stamps every RPC with epoch.
-func (s *ControllerServer) DialNode(node int, epoch uint64) (NodeAccess, error) {
-	mc, err := s.daemons.client(node, epoch)
-	if err != nil {
-		return nil, err
-	}
-	return mc, nil
-}
-
-// probeNode is the TCP liveness check: ping the daemon address the node
-// registered with.
-func (s *ControllerServer) probeNode(id int, n *MemoryNode) bool {
-	s.mu.Lock()
-	addr, ok := s.addrs[id]
-	s.mu.Unlock()
-	if !ok {
-		return !n.Failed()
-	}
-	return pingAddr(addr, time.Second) == nil
-}
-
-// pingAddr performs one framed ping over a throwaway connection with a
-// hard deadline — a liveness probe must see whether the peer accepts a
-// connection now, and return promptly even against a half-dead one.
-func pingAddr(addr string, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := writeRequestFrame(conn, &Request{Kind: kindPing, ID: nextReqID()}); err != nil {
-		return err
-	}
-	in := frameReader{src: conn}
-	var resp Response
-	if _, _, err := in.readResponse(&resp, nil); err != nil {
-		return err
-	}
-	return resp.Err
-}
-
-// NodeAddr returns the daemon address a node registered with.
-func (s *ControllerServer) NodeAddr(id int) (string, bool) {
+// daemonPool returns the connection pool to the daemon at addr.
+func (s *ControllerServer) daemonPool(addr string) *pool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	addr, ok := s.addrs[id]
-	return addr, ok
+	p, ok := s.pools[addr]
+	if !ok {
+		p = newPool(addr, DefaultTransport())
+		s.pools[addr] = p
+	}
+	return p
+}
+
+// closePools tears down the daemon connections.
+func (s *ControllerServer) closePools() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.pools {
+		p.Close()
+	}
 }
 
 // Addr returns the listening address.
@@ -254,7 +205,7 @@ func (s *ControllerServer) Addr() string { return s.l.Addr().String() }
 func (s *ControllerServer) Close() error {
 	err := s.l.Close()
 	s.conns.closeAll()
-	s.daemons.close()
+	s.closePools()
 	return err
 }
 
@@ -265,7 +216,7 @@ func (s *ControllerServer) Close() error {
 func (s *ControllerServer) Shutdown(grace time.Duration) int {
 	s.l.Close()
 	n := s.conns.drain(grace)
-	s.daemons.close()
+	s.closePools()
 	return n
 }
 
@@ -312,18 +263,17 @@ func (s *ControllerServer) handle(req *Request) *Response {
 func (s *ControllerServer) dispatch(req *Request) *Response {
 	switch req.Kind {
 	case kindRegisterNode:
-		n := newNodeRecord(req.NodeID, req.Capacity)
-		// Register probes any incumbent via probeNode, which pings the
-		// OLD daemon address (addrs is updated only after admission) —
-		// a live holder rejects the duplicate, a dead one is expelled
-		// and the newcomer admitted under a higher incarnation.
-		if err := s.ctrl.Register(n); err != nil {
+		// Admission pings any incumbent through its own handle — the OLD
+		// daemon — so a live holder rejects the duplicate, and a dead one
+		// is expelled and the newcomer admitted under a higher incarnation.
+		inc, err := s.ctrl.registerDaemon(req.NodeID, req.Capacity, s.daemonPool(req.Addr))
+		if err != nil {
 			return &Response{Err: err}
 		}
 		s.mu.Lock()
 		s.addrs[req.NodeID] = req.Addr
 		s.mu.Unlock()
-		return &Response{Epoch: n.Incarnation()}
+		return &Response{Epoch: inc}
 	case kindAllocSlab:
 		slabs, err := s.ctrl.AllocSlab(req.Size, req.Replicas)
 		if err != nil {
@@ -331,7 +281,7 @@ func (s *ControllerServer) dispatch(req *Request) *Response {
 		}
 		return &Response{Slabs: slabs}
 	case kindReleaseSlab:
-		err := s.ctrl.ReleaseSlab(slab.Slab{Node: req.NodeID, RemoteOff: req.Offset, Size: req.Size})
+		err := s.ctrl.ReleaseSlab(slab.Slab{ID: req.SlabID, Node: req.NodeID, RemoteOff: req.Offset, Size: req.Size, Epoch: req.Epoch})
 		if err != nil {
 			return &Response{Err: err}
 		}
@@ -632,6 +582,8 @@ func (s *MemoryNodeServer) serveReq(req *Request, resp *Response) *[]byte {
 		s.node.Unseal(req.Offset, req.Size)
 	case kindLeaseFence:
 		s.node.LeaseFence(req.Offset, req.Size, req.Runtime)
+	case kindReleaseExtent:
+		s.node.ReleaseExtent(req.Offset, req.Size)
 	case kindPing:
 	default:
 		err = fmt.Errorf("memnode: unknown request %q", req.Kind)

@@ -28,7 +28,7 @@ func TestMigrateUnderLoadNoLostWrites(t *testing.T) {
 	k := NewKona(cfg, ctrl)
 	w := newChaosWorkload(t, k, ctrl, seed, 128)
 
-	eng := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+	eng := cluster.NewReplaceEngine(ctrl, ctrl.Dial,
 		cluster.ReplaceConfig{HotRatio: 1.1, RetireSweeps: 2})
 
 	// Interleave workload bursts with sweeps: every committed move seals
@@ -91,7 +91,7 @@ type killTarget struct {
 }
 
 func (k *killTarget) dial(node int, epoch uint64) (cluster.NodeAccess, error) {
-	n, err := cluster.LocalNodes(k.ctrl)(node, epoch)
+	n, err := k.ctrl.Dial(node, epoch)
 	return killTargetNode{NodeAccess: n, k: k, node: node}, err
 }
 

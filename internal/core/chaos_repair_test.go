@@ -252,7 +252,7 @@ func TestChaosKillReplicaRepairVerify(t *testing.T) {
 
 	// Repair: copy each degraded slab from its surviving replica onto the
 	// spare node and flip the placement.
-	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+	engine := cluster.NewReplaceEngine(ctrl, ctrl.Dial,
 		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	drainRepairs(t, engine, ctrl)
 	if st := engine.Stats(); st.Repair.Flips == 0 {
@@ -299,7 +299,7 @@ func TestChaosRejoinSoak(t *testing.T) {
 	cfg.Replicas = 2
 	k := NewKona(cfg, ctrl)
 	w := newChaosWorkload(t, k, ctrl, seed, 64)
-	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl), cluster.ReplaceConfig{})
+	engine := cluster.NewReplaceEngine(ctrl, ctrl.Dial, cluster.ReplaceConfig{})
 
 	const cycles = 4
 	lastIncarn := make(map[int]uint64)
@@ -439,7 +439,7 @@ func TestReplacementDoesNotStarveFetchP99(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			eng := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl), cluster.ReplaceConfig{
+			eng := cluster.NewReplaceEngine(ctrl, ctrl.Dial, cluster.ReplaceConfig{
 				RepairBytesPerSec: 1 << 20, MigrateBytesPerSec: 1 << 20, HotRatio: 2,
 			})
 			crank, flips := row.setup(t, ctrl, eng)
@@ -540,7 +540,7 @@ func TestTwoGroupsOneDeadNode(t *testing.T) {
 	if got := ctrl.DegradedCount(); got != hosted[victim] {
 		t.Fatalf("%d members degraded, want %d", got, hosted[victim])
 	}
-	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+	engine := cluster.NewReplaceEngine(ctrl, ctrl.Dial,
 		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	drainRepairs(t, engine, ctrl)
 	each(func(w *chaosWorkload) { w.sync() })

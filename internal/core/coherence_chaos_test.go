@@ -75,7 +75,7 @@ func TestChaosCoherenceReadersOverWire(t *testing.T) {
 		}
 		srvs = append(srvs, ns)
 	}
-	engine := cluster.NewReplaceEngine(ctrl, cs.DialNode, cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
+	engine := cluster.NewReplaceEngine(ctrl, ctrl.Dial, cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 
 	cfg := smallConfig()
 	cfg.Replicas = 2

@@ -74,7 +74,7 @@ func TestRepairedReplicaSuspectUntilDrained(t *testing.T) {
 	if ctrl.DegradedCount() == 0 {
 		t.Fatal("victim loss not detected")
 	}
-	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+	engine := cluster.NewReplaceEngine(ctrl, ctrl.Dial,
 		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	drainRepairs(t, engine, ctrl)
 
@@ -140,7 +140,7 @@ func TestCatchUpBatchLargerThanLog(t *testing.T) {
 	if ctrl.DegradedCount() == 0 {
 		t.Fatal("victim loss not detected")
 	}
-	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+	engine := cluster.NewReplaceEngine(ctrl, ctrl.Dial,
 		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	drainRepairs(t, engine, ctrl)
 	if changed, err := k.RefreshPlacements(); err != nil || !changed {
@@ -296,7 +296,7 @@ func TestPerMemberFencing(t *testing.T) {
 			w.run(150)
 		}
 		ctrl.HealthSweep()
-		drainRepairs(t, cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+		drainRepairs(t, cluster.NewReplaceEngine(ctrl, ctrl.Dial,
 			cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20}), ctrl)
 		if changed, err := k.RefreshPlacements(); err != nil || !changed {
 			t.Fatalf("refresh: changed=%v err=%v", changed, err)
@@ -426,7 +426,7 @@ func TestFailedRefreshRetriedNextSync(t *testing.T) {
 	vn.Fail()
 	w.run(600)
 	ctrl.HealthSweep()
-	engine := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl),
+	engine := cluster.NewReplaceEngine(ctrl, ctrl.Dial,
 		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	drainRepairs(t, engine, ctrl)
 

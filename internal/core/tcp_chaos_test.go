@@ -189,7 +189,7 @@ func TestTCPRepairOntoUnlinkedNode(t *testing.T) {
 	if ctrl.DegradedCount() == 0 {
 		t.Fatal("node 1's loss not detected")
 	}
-	drainRepairs(t, cluster.NewReplaceEngine(ctrl, cs.DialNode, cluster.ReplaceConfig{}), ctrl)
+	drainRepairs(t, cluster.NewReplaceEngine(ctrl, ctrl.Dial, cluster.ReplaceConfig{}), ctrl)
 
 	writeAll(3) // no Sync: the member table still names node 1
 	if changed, err := k.RefreshPlacements(); err != nil || !changed {

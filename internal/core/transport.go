@@ -181,8 +181,8 @@ func (r *simLinks) link(node int, epoch uint64) (nodeLink, error) {
 	// exists, or a refresh could not tell a repair flip (old member gone)
 	// from a migration flip (old member alive).
 	n, registered := r.ctrl.Node(node)
-	if !registered {
-		return nil, fmt.Errorf("core: memory node %d not registered", node)
+	if !registered || n.MemoryNode == nil {
+		return nil, fmt.Errorf("core: memory node %d not registered in process", node)
 	}
 	if inc := n.Incarnation(); epoch == 0 {
 		epoch = inc
@@ -195,7 +195,7 @@ func (r *simLinks) link(node int, epoch uint64) (nodeLink, error) {
 	}
 	l := &rdmaLink{
 		lkey:    k,
-		node:    n,
+		node:    n.MemoryNode,
 		writer:  r.runtime,
 		qp:      rdma.Connect(r.localEP, n.Endpoint(), rdma.DefaultCostModel()),
 		ep:      r.localEP,

@@ -136,7 +136,7 @@ func runExtPlacement(cfg Config) (*Result, error) {
 
 		moves := 0
 		if sc.migrate {
-			eng := cluster.NewReplaceEngine(ctrl, cluster.LocalNodes(ctrl), cluster.ReplaceConfig{
+			eng := cluster.NewReplaceEngine(ctrl, ctrl.Dial, cluster.ReplaceConfig{
 				HotRatio:         1.25,
 				MaxMovesPerSweep: 2,
 				RetireSweeps:     2,

@@ -302,6 +302,9 @@ type spanPage struct {
 	epoch    uint64
 	resident bool
 	missing  mem.LineBitmap
+	// read is the bytes the page's own read brought when the span read
+	// failed; 0 if that failed too.
+	read int
 }
 
 // FPGA is the memory agent.
@@ -906,7 +909,11 @@ func (f *FPGA) prefillSpan(now simclock.Duration, addr mem.Addr, n int) simclock
 // for the per-page path, and one SpanFallbacks is counted in the first
 // page's stripe, as is a failed read. The write-before-read hook runs for
 // every page before the read; the read counts one FetchRead, in the first
-// page's stripe, and each page the bytes it brought. A page is merged only if
+// page's stripe, and each page the bytes it brought. When the span read
+// fails, the hooks have run, so each page's missing lines are read here on
+// their own — one FetchRead each, in the page's stripe — rather than by the
+// per-page path, which would run its hook a second time; a page whose own
+// read fails is left to it. A page is merged only if
 // nothing but this call installed or evicted a frame in its stripe since
 // collection and its frame is the one collection saw (or still none); any
 // other page is left for the per-page path.
@@ -934,9 +941,22 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 		}
 	}
 	done, err := f.translate.ReadRange(now, first, uint64(lo), buf)
-	if err != nil {
+	split := err != nil
+	if split {
 		f.spanFallback(first)
-		return now
+		done = now
+		for i := range pages {
+			// The page's first missing line to its last, into the place
+			// in buf the span read would have put them.
+			o := &pages[i]
+			from := bits.TrailingZeros64(uint64(o.missing)) * mem.CacheLineSize
+			to := (mem.LinesPerPage - bits.LeadingZeros64(uint64(o.missing))) * mem.CacheLineSize
+			at := int(o.page.Base-first.Base) - lo
+			o.read = 0
+			if d, err := f.translate.ReadRange(now, o.page, uint64(from), buf[at+from:at+to]); err == nil {
+				o.read, done = to-from, max(done, d)
+			}
+		}
 	}
 	for i, o := range pages {
 		at := int(o.page.Base-first.Base) - lo // page start's offset in buf
@@ -944,13 +964,20 @@ func (f *FPGA) fetchSpan(now simclock.Duration, ss *spanScratch) simclock.Durati
 		if i+1 < len(pages) {
 			next = int(pages[i+1].page.Base-first.Base) - lo
 		}
+		read := next - max(at, 0)
+		if split {
+			read = o.read
+		}
+		if read == 0 {
+			continue // its own read failed
+		}
 		page := o.page.Base.Page()
 		sh := f.shardFor(page)
 		sh.mu.Lock()
-		if i == 0 {
+		if split || i == 0 {
 			sh.stats.Fetches[FetchRead]++
 		}
-		sh.stats.BytesFetched += uint64(next - max(at, 0))
+		sh.stats.BytesFetched += uint64(read)
 		fr := f.lookupLocked(page)
 		if sh.epoch.Load() != o.epoch || (fr != nil) != o.resident {
 			sh.mu.Unlock()

@@ -2,6 +2,7 @@ package fpga
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"kona/internal/mem"
@@ -350,5 +351,45 @@ func TestSpanReadHitAsksNoLookup(t *testing.T) {
 			t.Fatalf("objects %d: a hit on resident lines made %d reads and %d Lookups",
 				objects, len(tr.reads)-1, tr.lookup-lookups)
 		}
+	}
+}
+
+// shortReads is objTranslator refusing any read that reaches past its page.
+type shortReads struct{ *objTranslator }
+
+func (t shortReads) ReadRange(now simclock.Duration, p Page, off uint64, buf []byte) (simclock.Duration, error) {
+	if off+uint64(len(buf)) > mem.PageSize {
+		return now, errors.New("read crosses a page")
+	}
+	return t.objTranslator.ReadRange(now, p, off, buf)
+}
+
+// TestFailedSpanReadHooksEachPageOnce: when a multi-page Read's span read
+// fails, each page's write-before-read hook has already run, so each page
+// is read on its own without running it again; the bytes come back right
+// and one SpanFallbacks is counted.
+func TestFailedSpanReadHooksEachPageOnce(t *testing.T) {
+	tr := newObjTranslator(0, 0)
+	f := New(Config{FMemSize: 64 * mem.PageSize}, shortReads{tr}, nil)
+	hooks := map[mem.Addr]int{}
+	f.SetFetchHook(func(now simclock.Duration, base mem.Addr) simclock.Duration {
+		hooks[base]++
+		return now
+	})
+	addr := rigBase + 2*line
+	got := make([]byte, 2*mem.PageSize+100)
+	if _, err := f.Read(0, addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, tr.remoteAt(addr, len(got))) {
+		t.Fatal("read after a failed span read returned the wrong bytes")
+	}
+	for p := 0; p < 3; p++ {
+		if base := rigBase + mem.Addr(p)*mem.PageSize; hooks[base] != 1 {
+			t.Errorf("page %d's hook ran %d times, want 1", p, hooks[base])
+		}
+	}
+	if st := f.Stats(); st.SpanFallbacks != 1 {
+		t.Fatalf("SpanFallbacks = %d, want 1", st.SpanFallbacks)
 	}
 }

@@ -96,7 +96,7 @@ func TestKVChaosKillReplicaRepairVerify(t *testing.T) {
 
 	// Repair over the wire: copy each degraded slab from its surviving
 	// replica onto a spare node through the daemons' data RPCs.
-	engine := cluster.NewReplaceEngine(rig.ctrl, rig.cs.DialNode,
+	engine := cluster.NewReplaceEngine(rig.ctrl, rig.ctrl.Dial,
 		cluster.ReplaceConfig{RepairBytesPerSec: 512 << 20})
 	for i := 0; rig.ctrl.DegradedCount() > 0; i++ {
 		if i > 200 {
